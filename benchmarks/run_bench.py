@@ -1,10 +1,13 @@
-"""Performance trajectory benchmark: ``python benchmarks/run_bench.py``.
+"""Performance trajectory benchmark: ``python benchmarks/run_bench.py --output FILE``.
 
 Times the solve engine on the standard medium/large/zipf workloads plus a
 ``wide`` many-class fixture (the paper's setup-dominated regime), writing a
-flat ``{bench_name: seconds}`` JSON (default ``BENCH_PR10.json`` in the
-repository root; ``BENCH_PR1.json``..``BENCH_PR9.json`` are the preserved
-earlier snapshots).
+flat ``{bench_name: seconds}`` JSON to ``--output``.  The perf history is
+append-only: each perf change records a new ``BENCH_PRn.json`` in the
+repository root, and the script refuses to overwrite an existing
+``BENCH_PR*.json`` snapshot.  The end-to-end benchmark of the service
+(request line in, reply line out) is ``perfbench/`` at the repository
+root, declared in ``BENCHMARK.json``.
 
 Eleven bench families:
 
@@ -119,6 +122,7 @@ import os
 import platform
 import sys
 import time
+from fnmatch import fnmatch
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -639,9 +643,9 @@ def run(fixtures: dict, reps: int, plans_only: bool = False) -> dict[str, float]
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--output",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_PR10.json"),
-        help="output JSON path (default: repo-root BENCH_PR10.json)",
+        "--output", required=True,
+        help="output JSON path; an existing BENCH_PR*.json snapshot is never "
+             "overwritten (the perf history is append-only)",
     )
     parser.add_argument("--reps", type=int, default=7, help="repetitions per cell")
     parser.add_argument(
@@ -653,6 +657,9 @@ def main(argv: list[str] | None = None) -> int:
         help="run only the plans family (the PyPy CI job's cheap profile)",
     )
     args = parser.parse_args(argv)
+    out = Path(args.output)
+    if out.exists() and fnmatch(out.name, "BENCH_PR*.json"):
+        parser.error(f"{out} is a frozen perf snapshot; write a new BENCH_PRn.json")
 
     fixtures = {"medium": FIXTURES["medium"]} if args.smoke else dict(FIXTURES)
     reps = 2 if args.smoke else args.reps
@@ -663,7 +670,6 @@ def main(argv: list[str] | None = None) -> int:
     # measures timesharing.  Record the count so readers (and the CI
     # floor assert) can tell which regime produced the numbers.
     results["meta/cpu_count"] = float(os.cpu_count() or 1)
-    out = Path(args.output)
     out.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(f"\nwrote {len(results)} entries to {out} (python {platform.python_version()})")
     return 0

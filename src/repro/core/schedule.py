@@ -23,11 +23,17 @@ queries (``makespan``, ``machine_load``, ``machine_end``) are answered
 from the columns directly, and :mod:`repro.core.validate` runs a
 vectorized validator over the raw columns.
 
-The columns live on :mod:`array`-module ``'q'`` (int64) buffers so numpy
-can view them zero-copy when installed (numpy remains the optional
-``[batch]`` extra, exactly the :mod:`repro.core.batchdual` policy); a row
-that does not fit in 62 bits flips the store into exact Python-int lists
-— the overflow fallback trades speed, never precision.
+The columns are plain Python-int lists while a schedule is being built,
+so the emission paths splice their row lists in at C speed.
+:meth:`ScheduleColumns.compact` turns them into :mod:`array`-module
+``'q'`` (int64) buffers only for the zero-copy readers
+(:meth:`Schedule.rows`, which numpy views when installed — numpy remains
+the optional ``[batch]`` extra, exactly the :mod:`repro.core.batchdual`
+policy — and the cross-process :meth:`ScheduleColumns.to_ipc`); any later
+append turns them back into lists.  The wire encoder reads plain lists
+through :meth:`Schedule.row_lists` and never pays that conversion.  A row
+that does not fit in 62 bits keeps the store on exact Python-int lists
+for good — the overflow fallback trades speed, never precision.
 
 Mutating operations that need placement identity (:meth:`Schedule.remove`,
 :meth:`Schedule.replace_machine` — the repair passes) *thaw* the schedule:
@@ -46,6 +52,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .instance import Instance, JobRef
@@ -129,53 +136,47 @@ class ScheduleColumns:
     is a piece of ``JobRef(cls[k], job_idx[k])``.  Numerators need not be
     normalized against ``den`` — materialization reduces exactly.
 
-    Columns start on ``array('q')`` (int64) buffers; the first value that
-    does not fit in 62 bits switches every column to a plain Python list
-    (``int_mode`` False), keeping arithmetic exact at any magnitude.
-
-    The trusted bulk-adoption path (:meth:`extend_runs` — the Algorithm-6
-    :class:`~repro.core.itemstore.ItemStore` hand-off) also flips the
-    *buffers* to plain lists while keeping ``int_mode`` True: list
-    extends splice the store's column slices at C pointer speed, and the
-    ``array('q')`` buffers are rebuilt in one pass by :meth:`compact`
-    when a zero-copy reader (:meth:`Schedule.rows`) asks for them.
-    ``int_mode`` is therefore a statement about *values* (everything fits
-    int64), not about the current buffer type.
+    Buffer rule: every append goes to plain Python lists — the emission
+    paths (:meth:`extend_scaled`, :meth:`extend_runs`) splice their row
+    lists in at C pointer speed.  :meth:`compact` rebuilds the columns as
+    ``array('q')`` (int64) buffers in one pass, only when a zero-copy
+    reader (:meth:`Schedule.rows`, :meth:`to_ipc`) asks for them, and the
+    next append turns them back into lists, so a view handed out earlier
+    stays a stable snapshot and a buffer it exports is never resized.
+    ``int_mode`` is a statement about *values*, not about the buffer
+    type: it is True while everything fits int64, and the first value
+    that does not fit in 62 bits clears it for good — such a store stays
+    on exact Python-int lists at any magnitude.
     """
 
     __slots__ = (
         "machine", "start_num", "length_num", "den", "cls", "job_idx",
-        "_dens", "int_mode", "_exported",
+        "_dens", "int_mode",
     )
 
     def __init__(self) -> None:
-        self.machine = array("q")
-        self.start_num = array("q")
-        self.length_num = array("q")
-        self.den = array("q")
-        self.cls = array("q")
-        self.job_idx = array("q")
+        self.machine: list[int] = []
+        self.start_num: list[int] = []
+        self.length_num: list[int] = []
+        self.den: list[int] = []
+        self.cls: list[int] = []
+        self.job_idx: list[int] = []
         self._dens: set[int] = set()
         self.int_mode = True
-        #: True while zero-copy numpy views of the array buffers are out
-        #: (:meth:`Schedule.rows`).  In-place extends would then raise
-        #: BufferError, so the next append flips to bulk-list buffers —
-        #: the held views keep the old arrays as a stable snapshot.
-        self._exported = False
 
     # ------------------------------------------------------------------ #
     # appends
     # ------------------------------------------------------------------ #
 
-    def _to_object_mode(self) -> None:
-        if self.int_mode:
-            self.machine = list(self.machine)
-            self.start_num = list(self.start_num)
-            self.length_num = list(self.length_num)
-            self.den = list(self.den)
-            self.cls = list(self.cls)
-            self.job_idx = list(self.job_idx)
-            self.int_mode = False
+    def _to_lists(self) -> None:
+        """Turn compacted ``array('q')`` buffers back into lists (values unchanged)."""
+        if type(self.machine) is not list:
+            self.machine = self.machine.tolist()
+            self.start_num = self.start_num.tolist()
+            self.length_num = self.length_num.tolist()
+            self.den = self.den.tolist()
+            self.cls = self.cls.tolist()
+            self.job_idx = self.job_idx.tolist()
 
     def append_scaled(
         self,
@@ -193,14 +194,13 @@ class ScheduleColumns:
         the raw emission primitive behind :meth:`Schedule.add_scaled` and
         the construction kernels.
         """
-        if self._exported:
-            self._to_bulk_lists()  # never resize a buffer a view exports
+        self._to_lists()
         if self.int_mode and not (
             -_INT62 < start_num < _INT62
             and -_INT62 < length_num < _INT62
             and den < _INT62
         ):
-            self._to_object_mode()
+            self.int_mode = False
         self.machine.append(machine)
         self.start_num.append(start_num)
         self.length_num.append(length_num)
@@ -222,14 +222,13 @@ class ScheduleColumns:
 
         The emission hot paths (the wrap engine, Algorithm 6's
         materializer) collect plain Python lists and flush them here —
-        ``array.extend`` runs at C speed, replacing six method calls per
-        row with one per column per burst.
+        list extends splice them in at C pointer speed, replacing six
+        method calls per row with one per column per burst.
         """
         n = len(machines)
         if n == 0:
             return
-        if self._exported:
-            self._to_bulk_lists()  # never resize a buffer a view exports
+        self._to_lists()
         if self.int_mode and not (
             -_INT62 < min(start_nums)
             and max(start_nums) < _INT62
@@ -237,37 +236,23 @@ class ScheduleColumns:
             and max(length_nums) < _INT62
             and den < _INT62
         ):
-            self._to_object_mode()
+            self.int_mode = False
         self.machine.extend(machines)
         self.start_num.extend(start_nums)
         self.length_num.extend(length_nums)
-        if isinstance(self.den, list):
-            self.den.extend([den] * n)
-        else:
-            self.den.extend(array("q", [den]) * n)
+        self.den.extend([den] * n)
         self.cls.extend(clss)
         self.job_idx.extend(job_idxs)
         self._dens.add(den)
 
-    def _to_bulk_lists(self) -> None:
-        """Flip the buffers to plain lists (values unchanged, see class doc)."""
-        if not isinstance(self.machine, list):
-            self.machine = list(self.machine)
-            self.start_num = list(self.start_num)
-            self.length_num = list(self.length_num)
-            self.den = list(self.den)
-            self.cls = list(self.cls)
-            self.job_idx = list(self.job_idx)
-        self._exported = False
-
     def compact(self) -> None:
-        """Rebuild the ``array('q')`` buffers after a bulk-list adoption.
+        """Rebuild the columns as ``array('q')`` buffers for zero-copy readers.
 
         One C pass per column; a no-op when the buffers are already
         arrays or the values left the int64 range (``int_mode`` False —
         object mode stays on lists by design).
         """
-        if self.int_mode and isinstance(self.machine, list):
+        if self.int_mode and type(self.machine) is list:
             self.machine = array("q", self.machine)
             self.start_num = array("q", self.start_num)
             self.length_num = array("q", self.length_num)
@@ -283,13 +268,13 @@ class ScheduleColumns:
         (the no-idle-below-the-top-item invariant of the emitting
         constructions), and lengths must be non-negative — this is the
         trusted adoption path the Algorithm-6
-        :class:`~repro.core.itemstore.ItemStore` hands off to.  Buffers
-        flip to bulk-list mode, so splicing the store's column slices is
-        pointer-copy cheap; the int64 range check reduces to one
-        comparison per machine (the prefix-sum total dominates every
-        start and length of its run).
+        :class:`~repro.core.itemstore.ItemStore` hands off to.  Splicing
+        the store's column slices into the list buffers is pointer-copy
+        cheap; the int64 range check reduces to one comparison per
+        machine (the prefix-sum total dominates every start and length
+        of its run).
         """
-        self._to_bulk_lists()
+        self._to_lists()
         mach, sn, ln = self.machine, self.start_num, self.length_num
         dn, cl, ji = self.den, self.cls, self.job_idx
         ok = self.int_mode and den < _INT62
@@ -446,7 +431,6 @@ class ScheduleColumns:
         out.job_idx = self.job_idx[:]
         out._dens = set(self._dens)
         out.int_mode = self.int_mode
-        out._exported = False
         return out
 
     # ------------------------------------------------------------------ #
@@ -467,7 +451,7 @@ class ScheduleColumns:
         magnitude.  Inverse: :meth:`from_ipc`.
         """
         self.compact()
-        if self.int_mode and not isinstance(self.machine, list):
+        if self.int_mode:
             return {
                 "mode": "i64",
                 "cols": [
@@ -522,19 +506,25 @@ def _rows_view(col):
     return _np.frombuffer(col, dtype=_np.int64) if len(col) else _np.empty(0, _np.int64)
 
 
+def _list_copy(col) -> list:
+    """A fresh plain int list of a list or ``array('q')`` column."""
+    return col[:] if type(col) is list else col.tolist()
+
+
 class ScheduleRows(NamedTuple):
     """A bulk, read-only row projection of a schedule at one common scale.
 
     Parallel sequences, one entry per placement in storage order:
     ``start = start_num[k]/scale`` and ``length = length_num[k]/scale``
     exact rationals, ``job_idx[k] = -1`` marks a setup (otherwise the row
-    is a piece of job ``(cls[k], job_idx[k])``).  On a columnar schedule
-    with numpy installed the sequences are zero-copy ``int64`` views of
-    the live column buffers; otherwise they are plain int sequences.
-    This is the reader for bulk consumers (Gantt extraction, figure
-    filters, analysis sweeps) that only need starts/lengths/classes and
-    should not materialize :class:`Placement`/:class:`~fractions.Fraction`
-    objects.
+    is a piece of job ``(cls[k], job_idx[k])``).  From :meth:`Schedule.rows`
+    on a columnar schedule with numpy installed the sequences are
+    zero-copy ``int64`` views of the compacted column buffers; otherwise
+    they are plain int sequences, and :meth:`Schedule.row_lists` always
+    returns fresh plain int lists.  This is the reader for bulk consumers
+    (Gantt extraction, figure filters, analysis sweeps, the wire encoder)
+    that only need starts/lengths/classes and should not materialize
+    :class:`Placement`/:class:`~fractions.Fraction` objects.
     """
 
     machine: Sequence[int]
@@ -944,7 +934,12 @@ class Schedule:
 
     def makespan(self) -> Time:
         """``C_max`` — the latest completion time over all machines."""
-        if self._cols is not None:
+        cols = self._cols
+        if cols is not None and len(cols._dens) == 1:
+            # one denominator: the latest row end, in one C-speed pass
+            top = max(map(add, cols.start_num, cols.length_num), default=0)
+            return fast_fraction(top, next(iter(cols._dens)))
+        if cols is not None:
             sc = self._scan_cache()
             best: Optional[Time] = None
             for d, ends in sc["ends"].items():
@@ -980,35 +975,61 @@ class Schedule:
     def rows(self) -> ScheduleRows:
         """Bulk read-only row view at one common scale (see :class:`ScheduleRows`).
 
-        On a live columnar schedule this is (numpy installed, single
-        denominator) a zero-copy view of the column buffers — no
-        :class:`Placement` or :class:`~fractions.Fraction` is created.
-        The projection is a *point-in-time snapshot*: mutating the
-        schedule afterwards flips the columns to fresh list buffers (the
-        held views keep the old arrays alive), so rows read earlier stay
-        valid but do not show later appends.  A thawed schedule is
-        re-encoded row by row; pieces whose ``JobRef`` class disagrees
-        with the placement class (only constructible on the thawed path,
-        and rejected by the validators) project their ``job_idx`` with
-        the row's ``cls``, so the pair identifies the job only on
-        well-formed schedules.
+        On a live columnar schedule this compacts the columns into
+        ``array('q')`` buffers and (numpy installed, single denominator)
+        returns zero-copy views of them — no :class:`Placement` or
+        :class:`~fractions.Fraction` is created.  The projection is a
+        *point-in-time snapshot*: the next append turns the columns back
+        into fresh list buffers (the held views keep the old arrays
+        alive), so rows read earlier stay valid but do not show later
+        appends.  A thawed schedule is re-encoded row by row; pieces
+        whose ``JobRef`` class disagrees with the placement class (only
+        constructible on the thawed path, and rejected by the
+        validators) project their ``job_idx`` with the row's ``cls``, so
+        the pair identifies the job only on well-formed schedules.
         """
         cols = self._cols
-        if cols is not None:
-            cols.compact()  # rebuild int64 buffers after a bulk-list adoption
-            L, starts, lengths = cols.scaled()
-            view = ScheduleRows(
-                _rows_view(cols.machine),
-                _rows_view(starts),
-                _rows_view(lengths),
-                _rows_view(cols.cls),
-                _rows_view(cols.job_idx),
-                L,
-            )
-            # mark the buffers exported so later appends convert instead
-            # of resizing (numpy views would otherwise raise BufferError)
-            cols._exported = _np is not None and not isinstance(cols.machine, list)
-            return view
+        if cols is None:
+            return self._placement_rows()
+        cols.compact()
+        L, starts, lengths = cols.scaled()
+        return ScheduleRows(
+            _rows_view(cols.machine),
+            _rows_view(starts),
+            _rows_view(lengths),
+            _rows_view(cols.cls),
+            _rows_view(cols.job_idx),
+            L,
+        )
+
+    def row_lists(self) -> ScheduleRows:
+        """:meth:`rows` as fresh plain int lists — the wire encoder's reader.
+
+        Same rows, same order, same common ``scale``; every sequence is a
+        snapshot copy the caller owns.  Unlike :meth:`rows` this never
+        compacts the columns: list buffers are copied as they are, and
+        int64 buffers (compacted, or rebuilt by
+        :meth:`ScheduleColumns.from_ipc`) go through ``array.tolist()``
+        — no numpy and no per-element ``int()``.  A thawed schedule takes
+        the same placement path as :meth:`rows`.
+        """
+        cols = self._cols
+        if cols is None:
+            return self._placement_rows()
+        L, starts, lengths = cols.scaled()
+        if starts is cols.start_num:  # one denominator: the stored columns
+            starts, lengths = _list_copy(starts), _list_copy(lengths)
+        return ScheduleRows(
+            _list_copy(cols.machine),
+            starts,
+            lengths,
+            _list_copy(cols.cls),
+            _list_copy(cols.job_idx),
+            L,
+        )
+
+    def _placement_rows(self) -> ScheduleRows:
+        """Row projection of a thawed schedule (see :meth:`rows`)."""
         placements = list(self.iter_all())
         L = 1
         for p in placements:

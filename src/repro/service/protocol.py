@@ -48,9 +48,10 @@ its shard's queue, and an in-flight solve is cooperatively cancelled at
 the next dual-test probe boundary once the budget is spent.
 
 A full solve result carries the certificate plus the schedule as the
-columnar row projection (:meth:`repro.core.schedule.Schedule.rows` —
-parallel arrays at one common ``scale``); a bounds-only result carries
-the same certificate fields with ``makespan_bound`` instead.
+columnar row projection (:meth:`repro.core.schedule.Schedule.row_lists`
+— parallel int lists at one common ``scale``, handed to ``json.dumps``
+as they are); a bounds-only result carries the same certificate fields
+with ``makespan_bound`` instead.
 """
 
 from __future__ import annotations
@@ -326,14 +327,14 @@ def request_from_obj(obj) -> SolveRequest:
 
 
 def _schedule_obj(schedule) -> dict:
-    rows = schedule.rows()
+    rows = schedule.row_lists()
     return {
-        "scale": int(rows.scale),
-        "machine": [int(v) for v in rows.machine],
-        "start_num": [int(v) for v in rows.start_num],
-        "length_num": [int(v) for v in rows.length_num],
-        "cls": [int(v) for v in rows.cls],
-        "job_idx": [int(v) for v in rows.job_idx],
+        "scale": rows.scale,
+        "machine": rows.machine,
+        "start_num": rows.start_num,
+        "length_num": rows.length_num,
+        "cls": rows.cls,
+        "job_idx": rows.job_idx,
     }
 
 

@@ -21,7 +21,9 @@ Every failure goes on the wire as a structured
 :class:`~repro.service.protocol.ServiceError` object.  Unexpected
 (``internal``) failures never leak exception text to the client: the
 wire carries the code and a generic message, the full traceback goes to
-the ``repro.service`` logger.
+the ``repro.service`` logger.  A TCP request line longer than
+:data:`TCP_LINE_LIMIT` is discarded through its newline and answered
+with a non-retryable ``bad_request``; the connection keeps serving.
 """
 
 from __future__ import annotations
@@ -72,12 +74,23 @@ def _maxrss_kib() -> Optional[int]:
     return _normalize_maxrss(usage, sys.platform)
 
 
+#: Longest request line (bytes, newline excluded) the TCP transport reads:
+#: asyncio's default ``StreamReader`` limit, named so the rejection of a
+#: longer line can say what the limit is.
+TCP_LINE_LIMIT = 2 ** 16
+
+
 async def handle_lines(
     service: SolveService,
     readline: Callable[[], Awaitable[bytes]],
     write_line: Callable[[str], Awaitable[None]],
 ) -> bool:
-    """Serve one connection; returns True when a shutdown was requested."""
+    """Serve one connection; returns True when a shutdown was requested.
+
+    ``readline`` returns the next line (``b""`` at EOF) or raises
+    :class:`ProtocolError` for a line the transport had to discard; that
+    line is answered with a ``bad_request`` carrying the error's message.
+    """
     responses: asyncio.Queue = asyncio.Queue()
     window = asyncio.Semaphore(service.config.max_inflight)
     shutdown = False
@@ -140,12 +153,17 @@ async def handle_lines(
         while True:
             if writer_task.done():  # write side failed: connection is dead
                 break
-            raw = await readline()
-            if not raw:  # EOF
-                break
-            raw = raw.strip()
-            if not raw:
-                continue
+            rejected = None
+            try:
+                raw = await readline()
+            except ProtocolError as exc:  # a line the transport discarded
+                raw, rejected = b"", str(exc)
+            else:
+                if not raw:  # EOF
+                    break
+                raw = raw.strip()
+                if not raw:
+                    continue
             # Backpressure: stop reading when max_inflight responses are
             # pending.  Wait on the writer too — if it dies (broken pipe)
             # its slots are never released, and blocking here forever
@@ -157,11 +175,14 @@ async def handle_lines(
             if not acquired.done():
                 acquired.cancel()
                 break
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            if rejected is None:
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    rejected = f"bad JSON: {exc}"
+            if rejected is not None:
                 responses.put_nowait(asyncio.ensure_future(immediate(
-                    error_line(None, ServiceError.bad_request(f"bad JSON: {exc}"))
+                    error_line(None, ServiceError.bad_request(rejected))
                 )))
                 continue
             op = obj.get("op", "solve") if isinstance(obj, dict) else "solve"
@@ -252,9 +273,30 @@ async def serve_tcp(service: SolveService, host: str = "127.0.0.1", port: int = 
 
     async def on_connection(reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
+        async def discard_line() -> None:
+            """Consume the rest of an over-limit line through its newline."""
+            while True:
+                try:
+                    await reader.readuntil(b"\n")
+                    return
+                except asyncio.LimitOverrunError as exc:
+                    # drop what is buffered and wait for more of the line
+                    await reader.readexactly(exc.consumed)
+                except asyncio.IncompleteReadError:  # EOF ends the line
+                    return
+
         async def readline() -> bytes:
             try:
-                return await reader.readline()
+                try:
+                    return await reader.readuntil(b"\n")
+                except asyncio.LimitOverrunError:
+                    await discard_line()
+                    raise ProtocolError(
+                        f"request line longer than the TCP limit of "
+                        f"{TCP_LINE_LIMIT} bytes; line discarded"
+                    ) from None
+            except asyncio.IncompleteReadError as exc:  # EOF: unterminated tail
+                return exc.partial
             except ConnectionError:  # pragma: no cover - client vanished
                 return b""
 
@@ -268,6 +310,7 @@ async def serve_tcp(service: SolveService, host: str = "127.0.0.1", port: int = 
         finally:
             writer.close()
 
-    server = await asyncio.start_server(on_connection, host, port)
+    server = await asyncio.start_server(on_connection, host, port,
+                                        limit=TCP_LINE_LIMIT)
     server.repro_shutdown = done  # type: ignore[attr-defined]
     return server

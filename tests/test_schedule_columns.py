@@ -17,6 +17,7 @@ Three guarantees are asserted on every generator-suite instance:
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,12 @@ from repro.core import (
     validate_schedule,
     validate_schedule_scalar,
 )
-from repro.generators import adversarial_suite, medium_suite, small_exact_suite
+from repro.generators import (
+    adversarial_suite,
+    medium_suite,
+    small_exact_suite,
+    uniform_instance,
+)
 
 from .conftest import mk
 
@@ -369,6 +375,45 @@ class TestRunsAdoption:
         assert list(rows.machine) == [0, 0]
         fresh = sched.rows()  # a new projection sees the appended row
         assert len(fresh) == n_before + 1
+
+    @pytest.mark.parametrize("case", [
+        "one-den", "several-dens", "object-mode", "compacted", "from-ipc",
+        "empty-adopt",
+    ])
+    def test_makespan_is_latest_machine_end(self, case):
+        """``makespan()`` (one C pass on a single denominator, the
+        per-machine scan otherwise) equals the latest machine end."""
+        inst = uniform_instance(5, 6, 4, seed=7)
+        if case == "several-dens":
+            inst = mk(2, (2, [3, 4]), (1, [2, 2, 2]))
+            sched = Schedule(inst)
+            sched.add_setup(0, 0, 0)
+            sched.add_piece(0, Fraction(2), JobRef(0, 0), Fraction(3, 2))
+            sched.add_piece(1, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
+            sched.add_piece(1, Fraction(5), JobRef(0, 1), Fraction(4, 3))
+            assert len(sched.columns().dens) == 3
+        elif case == "object-mode":
+            big = 1 << 70
+            inst = Instance.build(2, [(big, [big, big]), (1, [2])])
+            sched = solve(inst, Variant.PREEMPTIVE).schedule
+            assert not sched.columns().int_mode
+        elif case == "empty-adopt":
+            sched = Schedule(inst)
+            sched.adopt_runs(type("P", (), {"runs": lambda self: iter([
+                (0, [], [], []), (3, (), (), ())])})(), 5)
+            assert len(sched.columns()) == 0 and sched.columns().dens == {5}
+        else:
+            sched = solve(inst, Variant.SPLITTABLE).schedule
+            if case == "compacted":
+                sched.columns().compact()
+            elif case == "from-ipc":
+                payload = pickle.loads(pickle.dumps(sched.columns().to_ipc(), 5))
+                sched = Schedule.from_columns(inst, ScheduleColumns.from_ipc(payload))
+            assert len(sched.columns().dens) == 1
+        want = max(sched.machine_end(u) for u in range(inst.m))
+        assert sched.makespan() == want
+        if case == "empty-adopt":
+            assert want == 0
 
     def test_compact_rebuilds_int64_buffers(self):
         from array import array

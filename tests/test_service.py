@@ -11,6 +11,7 @@ random interleavings (runs with and without numpy; CI exercises both).
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import random
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.algos.api import solve
+import repro.service.protocol as protocol_mod
+from repro.algos.api import SolveResult, solve
 from repro.algos.batch_api import (
     BatchItem,
     SweepPoint,
@@ -31,7 +33,8 @@ from repro.algos.batch_api import (
     sweep_machines,
 )
 from repro.core.bounds import Variant
-from repro.core.instance import Instance
+from repro.core.instance import Instance, JobRef
+from repro.core.schedule import Schedule
 from repro.generators import medium_suite, small_exact_suite, uniform_instance
 from repro.service import (
     InstanceLRU,
@@ -52,7 +55,16 @@ from repro.service.protocol import (
     response_line,
     result_to_obj,
 )
+from repro.service.procworker import (
+    read_frame,
+    result_from_wire,
+    result_to_wire,
+    write_frame,
+)
+from repro.service.server import TCP_LINE_LIMIT
 from repro.service.shards import shard_index
+
+from .test_schedule_columns import SUITE_INSTANCES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -423,6 +435,87 @@ class TestProtocol:
         assert err["error"]["code"] == "overloaded"
         assert err["error"]["retryable"] is True
 
+    # The wire bytes of a full-schedule reply are pinned against the
+    # encoder as it was before Schedule.row_lists(): a per-element int()
+    # over the rows() projection.  Every case checks the fresh result
+    # first (list buffers) and then its process-parent rebuild
+    # (ScheduleColumns.from_ipc, int64 buffers).
+
+    @pytest.mark.parametrize("inst", SUITE_INSTANCES)
+    def test_wire_bytes_pinned_on_suites(self, inst, monkeypatch):
+        for variant in Variant:
+            for algorithm in ("two", "eps", "three_halves"):
+                item = BatchItem(instance=fresh(inst), variant=variant,
+                                 algorithm=algorithm)
+                assert_wire_bytes_pinned(monkeypatch, solve_batch([item])[0])
+
+    def test_wire_bytes_pinned_on_sweep(self, monkeypatch):
+        inst = uniform_instance(6, 5, 4, seed=3)
+        for variant in Variant:
+            item = BatchItem(instance=inst, variant=variant, ms=(1, 2, 3, 7, 40))
+            assert_wire_bytes_pinned(monkeypatch, solve_batch([item])[0])
+
+    def test_wire_bytes_pinned_beyond_int64(self, monkeypatch):
+        big = 1 << 70
+        inst = Instance.build(3, [(big, [big, big + 7]), (1, [2, 5])])
+        for variant in Variant:
+            result = solve(inst, variant)
+            assert not result.schedule.columns().int_mode  # object mode
+            assert_wire_bytes_pinned(monkeypatch, result)
+
+    def test_wire_bytes_pinned_on_mixed_denominators(self, tiny, monkeypatch):
+        sched = Schedule(tiny)
+        sched.add_setup(0, 0, 0)
+        sched.add_piece(0, Fraction(2), JobRef(0, 0), Fraction(3, 2))
+        sched.add_piece(1, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
+        sched.add_piece(0, Fraction(5), JobRef(0, 1), Fraction(4, 3))
+        assert len(sched.columns().dens) == 3
+        assert_wire_bytes_pinned(monkeypatch, SolveResult(
+            schedule=sched, variant=Variant.SPLITTABLE, algorithm="two",
+            T=Fraction(19, 3), ratio_bound=Fraction(2),
+            opt_lower_bound=Fraction(3)))
+
+    def test_wire_bytes_pinned_on_thawed_schedule(self, monkeypatch):
+        result = solve(uniform_instance(4, 6, 5, seed=11), Variant.PREEMPTIVE)
+        sched = result.schedule
+        sched.replace_machine(0, sched.raw_items_on(0))  # identity repair: thaws
+        assert sched.columns() is None
+        assert_wire_bytes_pinned(monkeypatch, result)
+
+
+def legacy_schedule_obj(schedule) -> dict:
+    """The wire encoder's schedule object before ``Schedule.row_lists``."""
+    rows = schedule.rows()
+    return {
+        "scale": int(rows.scale),
+        "machine": [int(v) for v in rows.machine],
+        "start_num": [int(v) for v in rows.start_num],
+        "length_num": [int(v) for v in rows.length_num],
+        "cls": [int(v) for v in rows.cls],
+        "job_idx": [int(v) for v in rows.job_idx],
+    }
+
+
+def via_process_wire(result):
+    """``result`` rebuilt the way the process backend's parent sees it."""
+    if isinstance(result, list):
+        return [via_process_wire(r) for r in result]
+    pipe = io.BytesIO()
+    write_frame(pipe, result_to_wire(result))
+    pipe.seek(0)
+    return result_from_wire(read_frame(pipe), result.schedule.instance)
+
+
+def assert_wire_bytes_pinned(monkeypatch, result) -> None:
+    def check(res):
+        got = response_line(7, res)  # before rows() compacts the columns
+        with monkeypatch.context() as patched:
+            patched.setattr(protocol_mod, "_schedule_obj", legacy_schedule_obj)
+            assert got == response_line(7, res)
+
+    check(result)
+    check(via_process_wire(result))
+
 
 # --------------------------------------------------------------------------- #
 # the service engine
@@ -731,6 +824,46 @@ class TestTcpServer:
         assert replies[2]["stats"]["requests"] == 2
         assert replies[2]["stats"]["max_instances"] == 2 * 8
         assert replies[3]["bye"] is True
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_oversize_line_rejected_connection_kept(self, split):
+        """A line past the TCP limit gets one bad_request naming the limit,
+        and the next line on the connection is still served.  ``split``
+        sends the line in two writes, so the limit trips before its
+        newline has arrived and the rest must be discarded as it comes."""
+        inst = uniform_instance(50, 100, 300, seed=1)  # a legitimate instance
+        line = (json.dumps({"id": 1, "instance": instance_to_obj(inst),
+                            "bounds_only": True}) + "\n").encode()
+        assert len(line) > TCP_LINE_LIMIT + 1
+
+        async def main():
+            async with SolveService(ServiceConfig(shards=1)) as svc:
+                server = await serve_tcp(svc, "127.0.0.1", 0)
+                host, port = server.sockets[0].getsockname()[:2]
+                reader, writer = await asyncio.open_connection(host, port)
+                cut = TCP_LINE_LIMIT + 100 if split else 0
+                if cut:
+                    writer.write(line[:cut])
+                    await writer.drain()
+                    await asyncio.sleep(0.05)
+                writer.write(line[cut:] + b'{"id": 2, "op": "ping"}\n')
+                await writer.drain()
+                replies = [json.loads(await reader.readline()) for _ in range(2)]
+                writer.write_eof()
+                tail = await reader.readline()  # EOF: nothing else answered
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                return replies, tail
+
+        replies, tail = asyncio.run(asyncio.wait_for(main(), timeout=30))
+        err = replies[0]
+        assert err["id"] is None and err["ok"] is False
+        assert err["error"]["code"] == "bad_request"
+        assert err["error"]["retryable"] is False
+        assert str(TCP_LINE_LIMIT) in err["error"]["message"]
+        assert replies[1] == {"id": 2, "ok": True, "pong": True}
+        assert tail == b""
 
 
 class TestTcpDisconnect:
