@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .instance import Instance, JobRef
@@ -341,10 +341,9 @@ class ScheduleColumns:
         L = self.common_scale()
         if len(self._dens) <= 1:
             return L, self.start_num, self.length_num
-        mult = [L // d for d in self.den]
-        starts = [s * f for s, f in zip(self.start_num, mult)]
-        lengths = [ln * f for ln, f in zip(self.length_num, mult)]
-        return L, starts, lengths
+        mult = {d: L // d for d in self._dens}
+        fs = list(map(mult.__getitem__, self.den))
+        return L, list(map(mul, self.start_num, fs)), list(map(mul, self.length_num, fs))
 
     def row_placement(self, k: int) -> Placement:
         """Materialize row ``k`` as a :class:`Placement`."""
@@ -935,23 +934,10 @@ class Schedule:
     def makespan(self) -> Time:
         """``C_max`` — the latest completion time over all machines."""
         cols = self._cols
-        if cols is not None and len(cols._dens) == 1:
-            # one denominator: the latest row end, in one C-speed pass
-            top = max(map(add, cols.start_num, cols.length_num), default=0)
-            return fast_fraction(top, next(iter(cols._dens)))
         if cols is not None:
-            sc = self._scan_cache()
-            best: Optional[Time] = None
-            for d, ends in sc["ends"].items():
-                top: Optional[int] = None
-                for v in ends:
-                    if v is not None and (top is None or v > top):
-                        top = v
-                if top is not None:
-                    f = fast_fraction(top, d)
-                    if best is None or f > best:
-                        best = f
-            return Fraction(0) if best is None else best
+            # the latest row end at the common scale, in one C-speed pass
+            L, starts, lengths = cols.scaled()
+            return fast_fraction(max(map(add, starts, lengths), default=0), L)
         return max((self.machine_end(u) for u in range(self.instance.m)), default=Fraction(0))
 
     def total_load(self) -> Time:

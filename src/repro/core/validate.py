@@ -165,16 +165,7 @@ def validate_columns(
         and n > 0
         and _columns_safe(instance, cols, L, starts, lengths)
     ):
-        try:
-            cmax = _validate_columns_np(instance, cols, L, starts, lengths, variant)
-        except InfeasibleScheduleError as e:
-            # Sever the traceback: its frames hold the zero-copy
-            # np.frombuffer views of the live array('q') columns, and a
-            # caller keeping the exception would leave the buffers
-            # exported — any later append to the same schedule would die
-            # with BufferError ("cannot resize an array that is
-            # exporting buffers").  The message carries all diagnostics.
-            raise e.with_traceback(None) from None
+        cmax = _validate_columns_np(instance, cols, L, starts, lengths, variant)
     else:
         cmax = _validate_columns_py(instance, cols, L, starts, lengths, variant)
     if makespan_bound is not None:

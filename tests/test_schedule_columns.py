@@ -381,8 +381,8 @@ class TestRunsAdoption:
         "empty-adopt",
     ])
     def test_makespan_is_latest_machine_end(self, case):
-        """``makespan()`` (one C pass on a single denominator, the
-        per-machine scan otherwise) equals the latest machine end."""
+        """``makespan()`` (one C pass over the rows at the common scale)
+        equals the latest machine end (the per-machine scan)."""
         inst = uniform_instance(5, 6, 4, seed=7)
         if case == "several-dens":
             inst = mk(2, (2, [3, 4]), (1, [2, 2, 2]))
