@@ -9,7 +9,7 @@ repository root, and the script refuses to overwrite an existing
 (request line in, reply line out) is ``perfbench/`` at the repository
 root, declared in ``BENCHMARK.json``.
 
-Eleven bench families:
+Nine bench families:
 
 * ``solve/<fixture>/<variant>/<kernel>`` — single ``repro.solve`` calls on
   both numeric kernels (``fast`` scaled-int default vs the ``fraction``
@@ -25,16 +25,6 @@ Eleven bench families:
   the capacity-planning/service shape).
 * ``many/<fixture>/<variant>/{loop,batch}`` — a service-shaped stream of
   repeated/related requests through ``solve_many`` (full schedules).
-* ``gridnonp/wide/{scalar,grid,auto}`` — bounds-only non-preemptive
-  machine sweeps on the many-class ``wide`` fixture with the grid
-  evaluator forced off / forced on / auto.  Since PR 5's ``class_tmax``
-  short-circuit the *scalar* probes win at every measured ``c``
-  (Experiment S3 re-run up to 3200 classes), so the auto policy keeps
-  them; the acceptance check is now the derived
-  ``speedup/gridauto/wide`` — the auto policy must track the measured
-  winner (CI floor 0.8, noise allowance on ms-scale cells).
-  ``speedup/gridnonp/wide`` (scalar over forced-grid) is kept for
-  trajectory diffs against the PR-3/PR-4 snapshots.
 * ``nonpconstruct/<fixture>/{fast,fraction}`` — Algorithm 6's
   construction alone (``nonp_dual_schedule`` at the accepted integer
   ``T*``, schedule fully materialized): the PR-4 index-based
@@ -95,22 +85,13 @@ Eleven bench families:
   derived ``speedup/obs/<fixture>`` (off over armed) is the acceptance
   series — CI smoke asserts ≥ 0.95 on medium, i.e. armed tracing costs
   at most ~5% on the probe-heaviest path (and disarmed strictly less).
-* ``shortcut/<fixture>/nonp/{on,off}`` — cold ``solve(nonpreemptive)``
-  with the ``fast_nonp_test`` cheap-class ``class_tmax`` short-circuit
-  enabled vs disabled.  The deliberately *baseline-neutral* family the
-  ROADMAP required before landing the shortcut: the skip also collapses
-  the cold-cache cost every ``loop`` baseline above pays, so trajectory
-  diffs against PR-4 numbers should consult this family instead of
-  crediting the sweep engines.
 
 Derived ``speedup/...`` entries record the corresponding baseline-over-
 engine ratios (dimensionless).  Each measurement is the best of
 ``--reps`` runs on freshly constructed instances.
 
 ``--smoke`` restricts to the medium fixture with fewer repetitions — used
-by CI to catch gross regressions without burning minutes.  The
-``gridnonp`` family runs in smoke mode too (it is the acceptance check
-for the flattened non-preemptive grid).
+by CI to catch gross regressions without burning minutes.
 """
 
 from __future__ import annotations
@@ -129,7 +110,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algos.api import solve  # noqa: E402
 from repro.algos.batch_api import solve_many, sweep_machines  # noqa: E402
-from repro.core import batchdual  # noqa: E402
+from repro.core import xbatch  # noqa: E402
 from repro.core.bounds import Variant  # noqa: E402
 from repro.core.instance import Instance  # noqa: E402
 from repro.generators import uniform_instance, zipf_instance  # noqa: E402
@@ -326,54 +307,6 @@ def bench_plans(inst: Instance, fixture_name: str, reps: int) -> dict[str, float
     return out
 
 
-def bench_shortcut(inst: Instance, fixture_name: str, reps: int) -> dict[str, float]:
-    """Cold non-preemptive solves with the class_tmax short-circuit on/off."""
-    from repro.core import fastnum
-
-    out: dict[str, float] = {}
-    saved = fastnum.CHEAP_TMAX_SHORTCUT
-    try:
-        for label, flag in (("on", True), ("off", False)):
-            fastnum.CHEAP_TMAX_SHORTCUT = flag
-            out[f"shortcut/{fixture_name}/nonp/{label}"] = bench_solve(
-                inst, Variant.NONPREEMPTIVE, "fast", reps
-            )
-    finally:
-        fastnum.CHEAP_TMAX_SHORTCUT = saved
-    out[f"speedup/shortcut/{fixture_name}"] = (
-        out[f"shortcut/{fixture_name}/nonp/off"]
-        / out[f"shortcut/{fixture_name}/nonp/on"]
-    )
-    return out
-
-
-def bench_grid_nonp(reps: int) -> dict[str, float]:
-    """Flattened nonp grid vs scalar probes at large ``c`` (wide fixture)."""
-    if not batchdual.HAVE_NUMPY:
-        return {}
-    inst = FIXTURES["wide"]()
-    ms = sweep_ms(inst)
-    out: dict[str, float] = {}
-    for label, grid in (("scalar", False), ("grid", True), ("auto", None)):
-        out[f"gridnonp/wide/{label}"] = best_of(
-            lambda g=grid: sweep_machines(
-                fresh(inst), ms, Variant.NONPREEMPTIVE, schedules=False, use_grid=g
-            ),
-            reps,
-        )
-    out["speedup/gridnonp/wide"] = (
-        out["gridnonp/wide/scalar"] / out["gridnonp/wide/grid"]
-    )
-    # The auto policy must track the measured winner (the acceptance
-    # check since the class_tmax shortcut flipped the crossover: scalar
-    # probes win at every measured c, so auto == scalar modulo noise).
-    out["speedup/gridauto/wide"] = (
-        min(out["gridnonp/wide/scalar"], out["gridnonp/wide/grid"])
-        / out["gridnonp/wide/auto"]
-    )
-    return out
-
-
 def bench_xbatch(reps: int) -> dict[str, float]:
     """Cross-instance fused dual tests vs per-item probe loops (PR 8).
 
@@ -399,7 +332,7 @@ def bench_xbatch(reps: int) -> dict[str, float]:
     ``speedup/xbatch/<shape>`` family is the acceptance series
     (≥ 1.3× on medium; the CI smoke floor asserts 1.1 for noise).
     """
-    if not batchdual.HAVE_NUMPY:
+    if not xbatch.HAVE_NUMPY:
         return {}
     import random
     from fractions import Fraction
@@ -628,10 +561,6 @@ def run(fixtures: dict, reps: int, plans_only: bool = False) -> dict[str, float]
             record(name, value)
         for name, value in bench_plans(inst, fixture_name, max(reps, 3)).items():
             record(name, value)
-        for name, value in bench_shortcut(inst, fixture_name, reps).items():
-            record(name, value)
-    for name, value in bench_grid_nonp(max(reps, 3)).items():
-        record(name, value)
     for name, value in bench_xbatch(max(reps, 5)).items():
         record(name, value)
     obs_shapes = tuple(k for k in fixtures if k in ("medium", "wide")) or ("medium",)
@@ -664,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
     fixtures = {"medium": FIXTURES["medium"]} if args.smoke else dict(FIXTURES)
     reps = 2 if args.smoke else args.reps
     results = run(fixtures, reps, plans_only=args.plans_only)
-    results["meta/have_numpy"] = 1.0 if batchdual.HAVE_NUMPY else 0.0
+    results["meta/have_numpy"] = 1.0 if xbatch.HAVE_NUMPY else 0.0
     # The procshards family is only a serialization-overhead measurement
     # when parent and child can actually run in parallel; on one CPU it
     # measures timesharing.  Record the count so readers (and the CI

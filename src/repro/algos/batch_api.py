@@ -19,9 +19,10 @@ This module is the façade that exploits the sharing:
 * :func:`solve_many` solves a stream of instances, transparently sharing
   caches between instances with equal ``(setups, jobs)``.
 * Both offer ``schedules=False``: the dual searches still resolve the
-  certified makespan ``T`` with its lower-bound certificate — through
-  the batched grid kernels of :mod:`repro.core.batchdual` when numpy is
-  available — but no schedule is materialized.  Sweep consumers that
+  certified makespan ``T`` with its lower-bound certificate — the
+  splittable and preemptive flip searches through the vectorized
+  :mod:`repro.core.xbatch` engine when numpy is available and the grid
+  policy engages — but no schedule is materialized.  Sweep consumers that
   only need the ``T*``/bound curve (capacity planning: "how many
   machines until the proven bound drops below X?") skip the dominant
   construction cost entirely; :class:`SweepPoint` carries the same
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, MutableMapping, Optional, Sequence, Union
 
-from ..core import batchdual
+from ..core import xbatch
 from ..core.bounds import Variant, lower_bound, setup_plus_tmax, t_min
 from ..core.cancel import CancelToken, SolveCancelled, cancel_scope
 from ..core.fastnum import validate_kernel
@@ -175,17 +176,7 @@ def _bounds_point(
         # Same accept predicate solve(..., "eps") wires up (build discarded:
         # bounds mode never constructs).
         accept, _ = _dual_for(instance, variant, kernel)
-        grid = None
-        if fast and use_grid:
-            kind = {
-                Variant.SPLITTABLE: "split",
-                Variant.PREEMPTIVE: "pmtn",
-                Variant.NONPREEMPTIVE: "nonp",
-            }[variant]
-            grid = batchdual.grid_accept_fn(ctx, kind, mode="alpha")
-        sr = binary_search_dual(
-            instance, variant, accept, build=None, eps=eps, grid_accept=grid
-        )
+        sr = binary_search_dual(instance, variant, accept, build=None, eps=eps)
         return SweepPoint(
             m=m, variant=variant, algorithm="eps", T=sr.T,
             ratio_bound=sr.ratio_bound,
@@ -201,7 +192,7 @@ def _bounds_point(
 
     if variant is Variant.SPLITTABLE:
         T_star, calls = find_flip_splittable(
-            instance, kernel=kernel, ctx=ctx, use_grid=use_grid and fast
+            instance, kernel=kernel, ctx=ctx, use_grid=use_grid
         )
         return SweepPoint(
             m=m, variant=variant, algorithm="three_halves", T=T_star,
@@ -210,7 +201,7 @@ def _bounds_point(
         )
     if variant is Variant.PREEMPTIVE:
         T_star, T_witness, calls = find_flip_pmtn(
-            instance, kernel=kernel, ctx=ctx, use_grid=use_grid and fast
+            instance, kernel=kernel, ctx=ctx, use_grid=use_grid
         )
         ratio = (
             Fraction(3, 2) * T_witness / T_star if T_star else Fraction(3, 2)
@@ -221,8 +212,7 @@ def _bounds_point(
             accept_calls=calls,
         )
     sr = three_halves_nonpreemptive(
-        instance, kernel=kernel, ctx=ctx, use_grid=use_grid and fast,
-        build_schedule=False,
+        instance, kernel=kernel, ctx=ctx, build_schedule=False
     )
     return SweepPoint(
         m=m, variant=variant, algorithm="three_halves", T=sr.T,
@@ -232,61 +222,75 @@ def _bounds_point(
     )
 
 
-#: Probe kind of each variant's dual test in the fused/grid kernels.
+#: Probe kind of each variant's dual test in the vectorized engine.
 _PROBE_KIND = {
     Variant.SPLITTABLE: "split",
     Variant.PREEMPTIVE: "pmtn",
     Variant.NONPREEMPTIVE: "nonp",
 }
 
-#: Shape-aware grid auto-policy: per search shape a ``(block_min,
-#: work_max)`` window — the grid engages only when the candidate-block
-#: size reaches ``block_min`` (vectorization width to amortize the numpy
-#: call overhead) *and* the product ``block × c`` stays under
-#: ``work_max`` (every grid candidate touches all ``c`` classes, while a
-#: scalar probe bisects sorted prefix views in O(log c); the blow-up
-#: must stay bounded).  Calibrated by Experiment S3 (``python -m
-#: repro.experiments gridcross``), re-run for PR 9 on the scaled-integer
+#: Shape-aware grid auto-policy.  Only the splittable and preemptive
+#: Class-Jumping flip searches (``three_halves``) have a grid mode: they
+#: narrow candidate lists in blocks through a one-member
+#: :class:`~repro.core.xbatch.BatchDualContext`.  Per probe kind a
+#: ``(block_min, work_max)`` window — the grid engages only when the
+#: candidate-block size reaches ``block_min`` (vectorization width to
+#: amortize the numpy call overhead) *and* the product ``block × c``
+#: stays under ``work_max`` (every grid candidate touches all ``c``
+#: classes, while a scalar probe bisects sorted prefix views in
+#: O(log c); the blow-up must stay bounded).  Calibrated by Experiment
+#: S3 (``python -m repro.experiments gridcross``) on the scaled-integer
 #: plans:
 #:
 #: * ``pmtn`` flip search — grid wins 1.06–1.15× for block×c in
 #:   ≈ 10k–26k, parity at 51k, loses below block ≈ 64;
 #: * ``split`` flip search — parity (0.91–1.01×) across the same band;
 #:   kept engaged there so the shared-candidate batched calls stay
-#:   exercised at no measured cost;
-#: * ``eps`` — the dyadic ε-grid (129 candidates for ε = 1/100) now
-#:   loses at every measured class count (0.01–0.24×): the pair-native
-#:   scalar bisection needs only ~7 probes, so the grid's 129 full-width
-#:   evaluations never amortize.  Never auto-engaged;
-#: * ``nonp`` — PR 5's ``class_tmax`` short-circuit keeps the scalar
-#:   probes ahead everywhere re-measured (up to c = 3200).  Never
-#:   auto-engaged.
+#:   exercised at no measured cost.
 #:
-#: Forced tiers stay available via ``use_grid=True`` and their
-#: bit-identity stays tested regardless of the policy.
+#: The ε-search and the non-preemptive integer search have no grid:
+#: their bisections need ~7–20 scalar probes, which a full candidate
+#: block never beat at any measured class count.
 GRID_POLICY: dict[str, tuple[int, int]] = {
     "split": (64, 64_000),
     "pmtn": (64, 32_000),
-    "nonp": (0, 0),
-    "eps": (0, 0),
 }
 
 
-def _grid_block_estimate(algorithm: Algorithm, eps: Optional[Fraction], c: int) -> int:
-    """Candidates per batched grid call for this search shape.
+def _grid_shape(variant: Variant, algorithm: Algorithm) -> Optional[str]:
+    """The :data:`GRID_POLICY` key of a search shape, ``None`` if it has no grid."""
+    if algorithm != "three_halves":
+        return None
+    kind = _PROBE_KIND[variant]
+    return kind if kind in GRID_POLICY else None
 
-    The ε-search probes one dyadic grid of ``2^r + 1`` points with
-    ``2^r ≥ 1/ε`` (:func:`~repro.algos.search.eps_probe_plan`); the flip
-    searches narrow candidate lists of at most ``c + 2`` points in
-    blocks capped at :data:`~repro.algos.search.GRID_BLOCK` interior
-    candidates (:func:`~repro.algos.search.right_interval_plan`), as
-    does the Theorem-8 integer search.
+
+def _check_forced_grid(
+    use_grid: Optional[bool], kernel: Kernel, variant: Variant, algorithm: Algorithm
+) -> None:
+    """Refuse ``use_grid=True`` on a shape without a grid, before any solve."""
+    if not use_grid:
+        return
+    if kernel != "fast":
+        raise ValueError(
+            "use_grid=True needs kernel='fast'; the fraction kernel probes "
+            "one candidate at a time"
+        )
+    if _grid_shape(variant, algorithm) is None:
+        raise ValueError(
+            f"use_grid=True: the {variant.value} {algorithm!r} search has no "
+            f"grid; grids exist only for the splittable and preemptive "
+            f"'three_halves' flip searches"
+        )
+
+
+def _grid_block_estimate(c: int) -> int:
+    """Candidates per batched grid call of a flip search over ``c`` classes.
+
+    The flip searches narrow candidate lists of at most ``c + 2`` points
+    in blocks capped at :data:`~repro.algos.search.GRID_BLOCK` interior
+    candidates (:func:`~repro.algos.search.right_interval_plan`).
     """
-    if algorithm == "eps" and eps is not None and eps > 0:
-        r = 0
-        while (1 << r) * eps.numerator < eps.denominator:
-            r += 1
-        return (1 << r) + 1
     return min(c + 2, GRID_BLOCK)
 
 
@@ -296,7 +300,6 @@ def _resolve_use_grid(
     variant: Variant,
     c: int,
     algorithm: Algorithm = "three_halves",
-    eps: Optional[Fraction] = None,
 ) -> bool:
     """Shape-aware auto-policy for the vectorized grid evaluators.
 
@@ -307,22 +310,23 @@ def _resolve_use_grid(
     therefore engages a kind's grid only while the product of the
     search shape's candidate-block size (:func:`_grid_block_estimate`)
     and the class count stays under the kind's measured ceiling
-    (:data:`GRID_POLICY`).  ``True`` forces grids and requires
-    numpy (fails loudly rather than silently degrading to
-    candidate-by-candidate scalar loops); ``False`` forces scalar
-    probing.
+    (:data:`GRID_POLICY`); shapes without a grid always probe scalar.
+    ``True`` forces grids and requires numpy (fails loudly rather than
+    silently degrading to candidate-by-candidate scalar loops; the
+    entry points reject shapes without a grid up front, see
+    :func:`_check_forced_grid`); ``False`` forces scalar probing.
     """
     if use_grid is None:
-        if not (batchdual.HAVE_NUMPY and kernel == "fast"):
+        shape = _grid_shape(variant, algorithm)
+        if shape is None or not (xbatch.HAVE_NUMPY and kernel == "fast"):
             obs_count("dispatch.scalar")
             return False
-        shape = "eps" if algorithm == "eps" else _PROBE_KIND[variant]
         block_min, work_max = GRID_POLICY[shape]
-        block = _grid_block_estimate(algorithm, eps, c)
+        block = _grid_block_estimate(c)
         grid = block >= block_min and block * c <= work_max
         obs_count("dispatch.grid" if grid else "dispatch.scalar")
         return grid
-    if use_grid and not batchdual.HAVE_NUMPY:
+    if use_grid and not xbatch.HAVE_NUMPY:
         raise RuntimeError("use_grid=True but numpy is not installed")
     obs_count("dispatch.grid" if use_grid else "dispatch.scalar")
     return bool(use_grid)
@@ -333,9 +337,9 @@ def _grid_safe_for(ctx, instance: Instance, variant: Variant) -> bool:
 
     Batched grid calls stay *correct* on overflow-prone instances (each
     call falls back to the scalar kernel), but a fallen-back grid call
-    evaluates every candidate of its block — e.g. the full dyadic ε-grid
-    — sequentially, which is slower than the plain bisection it
-    replaced.  This probes :func:`batchdual._grid_is_safe` once per
+    evaluates every candidate of its block sequentially, which is
+    slower than the plain bisection it replaced.  This probes
+    :func:`repro.core.xbatch._grid_is_safe` once per
     sweep point with a representative candidate envelope (the search
     window ``[T_min, 2·T_min]`` at denominators up to ``1024·2m`` — a
     superset of the dyadic refinements and class-jump denominators seen
@@ -344,7 +348,7 @@ def _grid_safe_for(ctx, instance: Instance, variant: Variant) -> bool:
     tmin = t_min(instance, variant)
     max_td = tmin.denominator * 1024 * max(1, 2 * instance.m)
     lo = tmin.numerator * (max_td // tmin.denominator)
-    return batchdual._grid_is_safe(ctx, [max(1, lo), 2 * lo], [max_td, max_td])
+    return xbatch._grid_is_safe(ctx, [max(1, lo), 2 * lo], [max_td, max_td])
 
 
 def sweep_machines(
@@ -370,15 +374,17 @@ def sweep_machines(
     bit-identical to ``[solve(instance.with_machines(m), ...) for m in
     ms]``.  ``schedules=False`` returns :class:`SweepPoint` bounds
     (same certified ``T``/ratio/lower bound, no schedule) and lets the
-    searches run on the vectorized grid kernel — the fast path for
-    ``T*``-curve workloads.
+    flip searches run their candidate blocks on the vectorized engine —
+    the fast path for ``T*``-curve workloads.
 
-    ``use_grid`` applies to the bounds-only searches: ``None`` (default)
-    engages the numpy grid evaluators when numpy is importable, the
-    kernel is ``"fast"`` and the instance clears the int64 overflow
-    probe; ``False`` forces scalar probing; ``True`` requires numpy.
-    Full-schedule sweeps always use the scalar searches — explicitly
-    forcing ``use_grid=True`` there raises rather than silently
+    ``use_grid`` applies to the bounds-only flip searches of splittable
+    and preemptive ``three_halves``: ``None`` (default) lets
+    :data:`GRID_POLICY` engage the numpy grid evaluator when numpy is
+    importable, the kernel is ``"fast"`` and the instance clears the
+    int64 overflow probe; ``False`` forces scalar probing; ``True``
+    requires numpy.  Forcing ``use_grid=True`` on a search without a
+    grid — full schedules, ``eps``, non-preemptive, or
+    ``kernel="fraction"`` — raises ``ValueError`` rather than silently
     degrading.  (Since PR 4 even the non-preemptive construction is
     sweep-friendly: Algorithm 6 runs object-free on the index-based
     :class:`~repro.core.itemstore.ItemStore`, reuses the shared
@@ -394,9 +400,10 @@ def sweep_machines(
             "use_grid=True applies to bounds-only sweeps (schedules=False); "
             "full-schedule sweeps use the scalar searches"
         )
+    _check_forced_grid(use_grid, kernel, variant, algorithm)
     grid = (
         False if schedules
-        else _resolve_use_grid(use_grid, kernel, variant, instance.c, algorithm, eps)
+        else _resolve_use_grid(use_grid, kernel, variant, instance.c, algorithm)
     )
     if kernel == "fast":
         ctx = instance.fast_ctx()  # ensure the shared context exists pre-sweep
@@ -440,6 +447,7 @@ def solve_many(
             "use_grid=True applies to bounds-only solves (schedules=False); "
             "full-schedule solves use the scalar searches"
         )
+    _check_forced_grid(use_grid, kernel, variant, algorithm)
     reps: dict[tuple, Instance] = {}
     grid_by_key: dict[tuple, bool] = {}  # overflow probe is per input, not sticky
     out: list = []
@@ -450,7 +458,7 @@ def solve_many(
             reps[key] = inst
             grid = (
                 False if schedules
-                else _resolve_use_grid(use_grid, kernel, variant, inst.c, algorithm, eps)
+                else _resolve_use_grid(use_grid, kernel, variant, inst.c, algorithm)
             )
             if kernel == "fast":
                 ctx = inst.fast_ctx()
@@ -528,9 +536,7 @@ def _solve_item(
         )
     if item.schedules:
         return solve(shared, variant, item.algorithm, item.eps, kernel=kernel)
-    grid = _resolve_use_grid(
-        use_grid, kernel, variant, shared.c, item.algorithm, item.eps
-    )
+    grid = _resolve_use_grid(use_grid, kernel, variant, shared.c, item.algorithm)
     if grid and use_grid is None and not _grid_safe_cached(shared, variant):
         grid = False  # auto policy, see sweep_machines
     return _bounds_point(shared, variant, item.algorithm, item.eps, kernel, grid)
@@ -602,6 +608,8 @@ def solve_batch(
             "use_grid=True applies to bounds-only items (schedules=False); "
             "full-schedule items use the scalar searches"
         )
+    for item, variant in prepared:
+        _check_forced_grid(use_grid, kernel, variant, item.algorithm)
     if cancels is not None and len(cancels) != len(items):
         raise ValueError(
             f"cancels must align with items: {len(cancels)} tokens "
@@ -676,9 +684,7 @@ def _lockstep_prepare(
     if item.schedules:
         grid = False  # full-schedule solves always use the scalar searches
     else:
-        grid = _resolve_use_grid(
-            use_grid, kernel, variant, shared.c, item.algorithm, item.eps
-        )
+        grid = _resolve_use_grid(use_grid, kernel, variant, shared.c, item.algorithm)
         if grid and use_grid is None and not _grid_safe_cached(shared, variant):
             grid = False  # auto policy, see sweep_machines
     kind = _PROBE_KIND[variant]
@@ -689,7 +695,7 @@ def _lockstep_prepare(
         if item.eps <= 0:
             raise ValueError("eps must be positive")
         mode = "alpha" if variant is Variant.PREEMPTIVE else ""
-        plan = eps_probe_plan(t_min(shared, variant), item.eps, kind, mode, grid=grid)
+        plan = eps_probe_plan(t_min(shared, variant), item.eps, kind, mode)
 
         def finish(res):
             T, lo, calls = res
@@ -754,7 +760,7 @@ def _lockstep_prepare(
 
         return plan, finish
 
-    plan = integer_probe_plan(t_min(shared, variant), kind, grid=grid)
+    plan = integer_probe_plan(t_min(shared, variant), kind)
 
     def finish(res):
         T, calls = res

@@ -51,7 +51,6 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
 
-from ..core import batchdual
 from ..core.bounds import Variant, t_min
 from ..core.cancel import check_cancelled
 from ..core.fastnum import (
@@ -71,6 +70,7 @@ from ..core.fastnum import (
 from ..core.instance import Instance
 from ..core.numeric import Time, fast_fraction, frac_ceil
 from ..core.schedule import Schedule
+from ..core.xbatch import BatchDualContext
 from .pmtn_general import pmtn_dual_schedule, pmtn_dual_test
 from .search import Pair, ProbeRequest, drive_plan, plan_accept, right_interval_plan
 
@@ -407,10 +407,10 @@ def find_flip_pmtn(
     decisions either way; the knapsack stable-point analysis reads one
     full ``pmtn_dual_test`` partition per piece on the exact reference).
     ``ctx`` injects a shared probe context (machine sweeps);
-    ``use_grid=True`` batches the base-flip bisections through the
-    vectorized kernel.  All probes are memoized on the normalized
-    ``(numerator, denominator)`` pair — the scan re-tests piece
-    endpoints, so dedup saves real work here.
+    ``use_grid=True`` batches the base-flip bisections through a
+    one-member :class:`~repro.core.xbatch.BatchDualContext`.  All probes
+    are memoized on the normalized ``(numerator, denominator)`` pair —
+    the scan re-tests piece endpoints, so dedup saves real work here.
     """
     fast = validate_kernel(kernel)
     if ctx is None:
@@ -429,14 +429,15 @@ def pmtn_probe_evaluator(
     """Kernel dispatch for :func:`flip_plan_pmtn` probe requests.
 
     Base-core accepts ("accept"/"accept_block", kind ``pmtn_base``) poll
-    cancellation at the probe boundary like the former MemoAccept;
-    "verdict" requests — the γ-test probes of the scan and the raw
-    constant-piece core reads — mirror the sequential code, which never
-    polled on them.  The fraction branch is the pair→Fraction boundary;
-    its integral loads come back coerced to int so the plan stays on
-    pairs.
+    cancellation at the probe boundary; "verdict" requests — the γ-test
+    probes of the scan and the raw constant-piece core reads — mirror
+    the sequential code, which never polled on them.  The fraction
+    branch is the pair→Fraction boundary; its integral loads come back
+    coerced to int so the plan stays on pairs.  With ``grid``,
+    "accept_block" requests go to a one-member
+    :class:`~repro.core.xbatch.BatchDualContext`.
     """
-    grid_fn = batchdual.grid_accept_pairs_fn(ctx, "pmtn_base") if grid else None
+    xctx = BatchDualContext([ctx]) if grid else None
 
     def base_core(tn: int, td: int) -> tuple[int, int]:
         if fast:
@@ -463,14 +464,16 @@ def pmtn_probe_evaluator(
                 )
             return out
         check_cancelled()  # probe boundary: no partial state to unwind
-        if req.op == "accept_block" and grid_fn is not None:
-            return [bool(v) for v in grid_fn(list(req.times))]
+        if req.op == "accept_block" and xctx is not None:
+            rows = [(0, tn, td) for tn, td in req.times]
+            cores = xctx.evaluate("pmtn_base", "", rows)
+        else:
+            cores = [base_core(tn, td) for tn, td in req.times]
         m = instance.m
-        flags = []
-        for tn, td in req.times:
-            load, m_prime = base_core(tn, td)
-            flags.append(m * tn >= load * td and m >= m_prime)
-        return flags
+        return [
+            m * tn >= load * td and m >= m_prime
+            for (tn, td), (load, m_prime) in zip(req.times, cores)
+        ]
 
     return evaluate
 

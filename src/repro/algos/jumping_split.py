@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..core import batchdual
 from ..core.bounds import Variant, t_min
 from ..core.cancel import check_cancelled
 from ..core.fastnum import (
@@ -57,6 +56,7 @@ from ..core.fastnum import (
 from ..core.instance import Instance
 from ..core.numeric import Time, fast_fraction
 from ..core.schedule import Schedule
+from ..core.xbatch import BatchDualContext
 from .search import (
     Pair,
     ProbeRequest,
@@ -108,7 +108,8 @@ def find_flip_splittable(
     (bit-identical decisions, differential-tested).  ``ctx`` injects a
     pre-built (possibly :meth:`~repro.core.fastnum.DualContext.for_m`-
     shared) probe context; ``use_grid=True`` evaluates the candidate
-    lists through the vectorized grid kernel (identical flip, since
+    lists as blocks through a one-member
+    :class:`~repro.core.xbatch.BatchDualContext` (identical flip, since
     ``L_split``/``m_exp`` are monotone).  All probes are memoized, so
     interval endpoints shared across the search phases are tested once.
     """
@@ -129,13 +130,15 @@ def split_probe_evaluator(
     """Kernel dispatch for :func:`flip_plan_splittable` probe requests.
 
     "accept"/"accept_block" requests poll cancellation at the probe
-    boundary (the MemoAccept contract); "verdict" requests mirror the raw
-    ``core()`` calls of the step-9 case analysis, which never polled.
+    boundary; "verdict" requests mirror the raw ``core()`` calls of the
+    step-9 case analysis, which never polled.  With ``grid``,
+    "accept_block" requests go to a one-member
+    :class:`~repro.core.xbatch.BatchDualContext`.
     The fraction branch is the pair→Fraction boundary: each probed pair
     is rebuilt for the reference test (integral loads come back coerced
     to int so the plan's case analysis stays on pairs).
     """
-    grid_fn = batchdual.grid_accept_pairs_fn(ctx, "split") if grid else None
+    xctx = BatchDualContext([ctx]) if grid else None
 
     def evaluate(req: ProbeRequest):
         if req.op == "verdict":
@@ -149,8 +152,9 @@ def split_probe_evaluator(
                 SplitVerdict(d.accepted, int(d.load), d.machines_exp) for d in duals
             ]
         check_cancelled()  # probe boundary: no partial state to unwind
-        if req.op == "accept_block" and grid_fn is not None:
-            return [bool(v) for v in grid_fn(list(req.times))]
+        if req.op == "accept_block" and xctx is not None:
+            rows = [(0, tn, td) for tn, td in req.times]
+            return [v.accepted for v in xctx.evaluate("split", "", rows)]
         if fast:
             return [fast_split_test(ctx, tn, td).accepted for tn, td in req.times]
         return [

@@ -972,7 +972,6 @@ def three_halves_nonpreemptive(
     *,
     kernel: str = "fast",
     ctx=None,
-    use_grid: bool = False,
     build_schedule: bool = True,
 ) -> SearchResult:
     """Theorem 8 — 3/2-approximation in ``O(n log(n+Δ))``.
@@ -982,20 +981,13 @@ def three_halves_nonpreemptive(
     ``kernel="fraction"`` keeps the exact-rational reference path.  Both
     make identical accept/reject decisions (differential-tested), hence
     return identical schedules.  ``ctx`` injects a shared probe context
-    (machine sweeps); ``use_grid=True`` resolves the integer window with
-    batched grid calls instead of scalar bisection (identical ``T`` —
-    the Theorem-9 accept is monotone); ``build_schedule=False`` returns
-    the certified ``T`` without materializing the schedule.
+    (machine sweeps); ``build_schedule=False`` returns the certified
+    ``T`` without materializing the schedule.
     """
-    grid_accept = None
     if validate_kernel(kernel):
         if ctx is None:
             ctx = instance.fast_ctx()
         accept = lambda T: fast_nonp_test(ctx, T.numerator, T.denominator).accepted
-        if use_grid:
-            from ..core.batchdual import grid_accept_fn
-
-            grid_accept = grid_accept_fn(ctx, "nonp")
     else:
         accept = lambda T: nonp_dual_test(instance, T).accepted
     return integer_search_dual(
@@ -1007,5 +999,4 @@ def three_halves_nonpreemptive(
             if build_schedule
             else None
         ),
-        grid_accept=grid_accept,
     )

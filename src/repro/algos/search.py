@@ -11,7 +11,7 @@ A ρ-dual approximation (Hochbaum–Shmoys) takes the input and a makespan
 * :func:`integer_search_dual` — Theorem 8: for the non-preemptive problem
   ``OPT ∈ N``, so bisecting integers finds ``T ≤ OPT`` *exactly* in
   ``O(log T_min) = O(log(n+Δ))`` accept-tests; ratio exactly 3/2.
-* :func:`right_interval_bisect` — the primitive behind Class Jumping: given
+* :func:`right_interval_plan` — the primitive behind Class Jumping: given
   candidates ``c_0 < … < c_k`` with ``c_0`` rejected and ``c_k`` accepted,
   find an adjacent rejected/accepted pair.
 * :func:`slow_flip_splittable` — an O(#pieces) reference computation of the
@@ -27,29 +27,29 @@ results.
 
 Two batching hooks sit on top of that contract:
 
-* every search accepts an optional ``grid_accept`` evaluator (a
-  ``candidates -> [accepted]`` callable, usually
-  :func:`repro.core.batchdual.grid_accept_fn`).  Instead of ``O(log k)``
-  sequential probes, the search then evaluates whole candidate blocks —
-  the dyadic ε-grid in one call, integer/jump candidate lists in
-  ``O(log_B k)`` block calls — and locates the flip by scanning the
-  returned bits.  For the monotone accept predicates all searches here
-  are built on, the result is identical to the sequential bisection.
-* :class:`MemoAccept` deduplicates repeated probes of the same ``T``
-  (keyed on the gcd-normalized ``(numerator, denominator)`` pair, so
-  equal rationals written in different forms can never double-probe):
-  the multi-phase flip searches re-test interval endpoints across
-  phases, and a machine sweep re-uses each phase's frontier — with the
-  memo each distinct ``T`` hits the kernel once.
+* :func:`right_interval_plan` with ``grid=True`` evaluates whole
+  candidate blocks (``"accept_block"`` requests, :data:`GRID_BLOCK`
+  candidates each) instead of ``O(log k)`` sequential probes and locates
+  the flip by scanning the returned bits — ``O(log_B k)`` block calls.
+  The splittable and preemptive flip searches answer those blocks
+  through :meth:`repro.core.xbatch.BatchDualContext.evaluate`.  For the
+  monotone accept predicates the flip searches are built on, the result
+  is identical to the sequential bisection.
+* the plans memoize their probes (:func:`plan_accept` /
+  :func:`plan_accept_block`, keyed on the gcd-normalized ``(numerator,
+  denominator)`` pair, so equal rationals written in different forms can
+  never double-probe): the multi-phase flip searches re-test interval
+  endpoints across phases — with the memo each distinct ``T`` hits the
+  kernel once.
 
 Since PR 9 the probe *plans* themselves run on the scaled-integer tier:
 candidates travel as normalized ``(num, den)`` int pairs
 (:func:`repro.core.fastnum.norm_pair` — canonical per rational, so pair
 arithmetic reproduces the historic Fraction plans' probe values, memo
 keys and dedup bit-for-bit), and :class:`fractions.Fraction` objects are
-built only at the boundaries: the caller-supplied ``accept`` /
-``grid_accept`` callables (:func:`_black_box_evaluator`) and the
-returned :class:`SearchResult` fields.
+built only at the boundaries: the caller-supplied ``accept`` callable
+(:func:`_black_box_evaluator`) and the returned :class:`SearchResult`
+fields.
 
 Every probe loop additionally polls :func:`repro.core.cancel.
 check_cancelled` between dual tests: a solve running under a
@@ -84,7 +84,6 @@ from ..obs.trace import count as obs_count, count_probe as obs_count_probe
 
 AcceptFn = Callable[[Time], bool]
 BuildFn = Callable[[Time], Schedule]
-GridAcceptFn = Callable[[Sequence[Time]], Sequence[bool]]
 
 #: A normalized ``(num, den)`` rational — the plan tier's number type.
 Pair = tuple[int, int]
@@ -103,22 +102,21 @@ _MISSING = object()
 # A *plan* is a generator that encodes one search's probe sequence: it
 # yields ProbeRequest values, receives the corresponding verdict list via
 # ``send``, and returns its result through StopIteration.  The sequential
-# entry points below (binary_search_dual, integer_search_dual,
-# right_interval_bisect — and the flip searches in jumping_split /
-# jumping_pmtn) drive these same plans against per-item evaluators, while
-# the xbatch coordinator (repro.algos.batch_api, xbatch=True) advances
-# many items' plans in lockstep rounds and fuses each round's requests
-# into one repro.core.xbatch kernel call.  Because both paths run the
-# identical generator, an item's probe sequence under lockstep equals its
-# solo sequence *by construction* — the bit-identity the differential
-# fuzz suite (tests/test_xbatch.py) pins.
+# entry points below (binary_search_dual, integer_search_dual — and the
+# flip searches in jumping_split / jumping_pmtn) drive these same plans
+# against per-item evaluators, while the xbatch coordinator
+# (repro.algos.batch_api, xbatch=True) advances many items' plans in
+# lockstep rounds and fuses each round's requests into one
+# repro.core.xbatch kernel call.  Because both paths run the identical
+# generator, an item's probe sequence under lockstep equals its solo
+# sequence *by construction* — the bit-identity the differential fuzz
+# suite (tests/test_xbatch.py) pins.
 #
 # Division of labour: plans own probe *memoization* (only cache misses are
-# yielded — mirroring MemoAccept / wrap_grid) and the ``accept_calls``
-# bookkeeping; evaluators own kernel dispatch and the cancellation poll
-# (one check_cancelled per "accept"/"accept_block" request — "verdict"
-# requests mirror the raw core()/probe() calls of the sequential code,
-# which never polled).
+# yielded) and the ``accept_calls`` bookkeeping; evaluators own kernel
+# dispatch and the cancellation poll (one check_cancelled per
+# "accept"/"accept_block" request — "verdict" requests mirror the raw
+# core()/probe() calls of the sequential code, which never polled).
 
 
 class ProbeRequest(NamedTuple):
@@ -162,7 +160,7 @@ def drive_plan(plan, evaluate):
 
 
 def plan_accept(memo, counted, kind, mode, T: Pair):
-    """Memoized scalar accept probe (the MemoAccept protocol as a plan).
+    """Memoized scalar accept probe.
 
     Keys are gcd-normalized, so a caller handing in an unreduced pair
     still shares its memo entry with the canonical form.
@@ -181,7 +179,7 @@ def plan_accept(memo, counted, kind, mode, T: Pair):
 
 
 def plan_accept_block(memo, counted, kind, mode, cands: Sequence[Pair]):
-    """Grid-block accept sharing the plan's memo (the wrap_grid protocol)."""
+    """Grid-block accept sharing the plan's memo; only misses are yielded."""
     keys = [norm_pair(*T) for T in cands]
     unknown = [T for T in keys if memo.get(T, _MISSING) is _MISSING]
     if len(unknown) < len(keys):
@@ -198,7 +196,13 @@ def plan_accept_block(memo, counted, kind, mode, cands: Sequence[Pair]):
 def right_interval_plan(
     candidates: Sequence[Pair], memo, counted, kind: str, mode: str, grid: bool
 ):
-    """:func:`right_interval_bisect`'s narrowing as a plan (default flags)."""
+    """Find adjacent ``(c_j, c_{j+1}]`` with ``c_j`` rejected, ``c_{j+1}`` accepted.
+
+    The caller guarantees ``candidates[0]`` is rejected and
+    ``candidates[-1]`` accepted.  Needs ``O(log k)`` accept probes — or,
+    with ``grid``, ``O(log_B k)`` block requests (one for the common
+    ``k ≤ B = GRID_BLOCK`` case).
+    """
     if len(candidates) < 2:
         raise ValueError("need at least two candidates")
     lo, hi = 0, len(candidates) - 1
@@ -235,7 +239,7 @@ def right_interval_plan(
     return candidates[lo], candidates[hi]
 
 
-def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str, grid: bool):
+def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str):
     """Theorem 2's probe sequence; returns ``(T, certificate_lo, calls)``.
 
     ``T`` and ``certificate_lo`` come back as normalized pairs; the
@@ -243,23 +247,6 @@ def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str, grid: bo
     """
     tmin = norm_pair(*as_pair(tmin))
     tn, td = tmin
-    if grid:
-        # rounds r with tmin/2^r <= eps*tmin  ⟺  2^r >= 1/eps
-        r = 0
-        while (1 << r) * eps.numerator < eps.denominator:
-            r += 1
-        # tmin + j·tmin/2^r = tmin·(2^r + j)/2^r
-        den = td << r
-        grid_pts = tuple(
-            norm_pair(tn * ((1 << r) + j), den) for j in range((1 << r) + 1)
-        )
-        flags = yield ProbeRequest("accept_block", kind, mode, grid_pts)
-        calls = len(grid_pts)
-        if flags[0]:
-            return tmin, tmin, calls
-        j = next(k for k, ok in enumerate(flags) if ok)  # grid[-1] = 2·tmin accepts
-        return grid_pts[j], grid_pts[j - 1], calls
-
     calls = 1
     if (yield ProbeRequest("accept", kind, mode, (tmin,)))[0]:
         # T_min ≤ OPT: ratio exactly 3/2.
@@ -277,42 +264,12 @@ def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str, grid: bo
     return hi, lo, calls
 
 
-def integer_probe_plan(tmin: TimeLike, kind: str, grid: bool):
+def integer_probe_plan(tmin: TimeLike, kind: str):
     """Theorem 8's probe sequence; returns ``(T, calls)``, ``T`` an exact pair."""
     tn, td = as_pair(tmin)
     lo_int = pair_ceil(tn, td)  # OPT ∈ N and OPT ≥ T_min ⟹ OPT ≥ ⌈T_min⌉
     hi_int = pair_ceil(2 * tn, td)
     calls = 1
-    if grid:
-        flags = yield ProbeRequest("accept_block", kind, "", ((lo_int, 1),))
-        if flags[0]:
-            return (lo_int, 1), calls
-        lo, hi = lo_int, hi_int  # lo rejected, hi accepted (hi ≥ 2·t_min ≥ OPT)
-        while hi - lo > 1:
-            if hi - lo - 1 <= GRID_BLOCK:
-                cands = list(range(lo + 1, hi))
-            else:
-                span = hi - lo
-                cands = sorted(
-                    {
-                        lo + round_half_even((k + 1) * span, GRID_BLOCK + 1)
-                        for k in range(GRID_BLOCK)
-                    }
-                    - {lo, hi}
-                )
-            calls += len(cands)
-            flags = yield ProbeRequest(
-                "accept_block", kind, "", tuple((c, 1) for c in cands)
-            )
-            first_ok = next((k for k, ok in enumerate(flags) if ok), None)
-            if first_ok is None:
-                lo = cands[-1]
-            else:
-                hi = cands[first_ok]
-                if first_ok > 0:
-                    lo = cands[first_ok - 1]
-        return (hi, 1), calls
-
     if (yield ProbeRequest("accept", kind, "", ((lo_int, 1),)))[0]:
         return (lo_int, 1), calls
     lo, hi = lo_int, hi_int  # lo rejected, hi accepted (hi ≥ 2·t_min ≥ OPT)
@@ -325,72 +282,6 @@ def integer_probe_plan(tmin: TimeLike, kind: str, grid: bool):
             lo = mid
     # hi accepted, hi−1 rejected ⟹ OPT > hi−1 ⟹ OPT ≥ hi (integrality).
     return (hi, 1), calls
-
-
-class MemoAccept:
-    """Memoized ``accept(T)`` keyed on the normalized ``(num, den)`` pair.
-
-    Keys are gcd-reduced (:func:`repro.core.fastnum.norm_pair`), so two
-    representations of the same rational — e.g. a hand-built ``4/8``
-    against the canonical ``1/2`` — share one cache entry and can never
-    double-probe the kernel.  ``calls`` counts *distinct* dual-test
-    evaluations (cache hits are free), which is what the
-    ``accept_calls`` bookkeeping of the search results reports.
-    ``seed``/``wrap_grid`` let a grid evaluator share the same cache, so
-    scalar re-probes of grid-evaluated candidates cost nothing.
-    """
-
-    __slots__ = ("fn", "cache", "calls")
-
-    def __init__(self, fn: AcceptFn) -> None:
-        self.fn = fn
-        self.cache: dict[tuple[int, int], bool] = {}
-        self.calls = 0
-
-    def __call__(self, T: Time) -> bool:
-        key = norm_pair(T.numerator, T.denominator)
-        hit = self.cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            obs_count("memo.hit")
-            return hit  # type: ignore[return-value]
-        check_cancelled()  # probe boundary: no partial state to unwind
-        self.calls += 1
-        obs_count("memo.call")
-        verdict = self.fn(T)
-        self.cache[key] = verdict
-        return verdict
-
-    def seed(self, T: Time, verdict: bool) -> None:
-        """Record an externally computed verdict (e.g. from a grid call)."""
-        self.cache[norm_pair(T.numerator, T.denominator)] = verdict
-
-    def wrap_grid(self, grid_accept: GridAcceptFn) -> GridAcceptFn:
-        """A grid evaluator that shares this memo's cache.
-
-        Already-known candidates are answered from the cache; the rest go
-        to ``grid_accept`` in one call, and their verdicts are seeded
-        back (counted in ``calls``).
-        """
-
-        def evaluate(cands: Sequence[Time]) -> list[bool]:
-            cache = self.cache
-            keys = [norm_pair(T.numerator, T.denominator) for T in cands]
-            unknown = [
-                (T, key) for T, key in zip(cands, keys)
-                if cache.get(key, _MISSING) is _MISSING
-            ]
-            if len(unknown) < len(keys):
-                obs_count("memo.hit", len(keys) - len(unknown))
-            if unknown:
-                check_cancelled()
-                fresh = grid_accept([T for T, _ in unknown])
-                self.calls += len(unknown)
-                obs_count("memo.call", len(unknown))
-                for (_, key), verdict in zip(unknown, fresh):
-                    cache[key] = bool(verdict)
-            return [cache[key] for key in keys]
-
-        return evaluate
 
 
 @dataclass(frozen=True)
@@ -423,22 +314,13 @@ def binary_search_dual(
     accept: AcceptFn,
     build: Optional[BuildFn],
     eps: Fraction = Fraction(1, 100),
-    *,
-    grid_accept: Optional[GridAcceptFn] = None,
 ) -> SearchResult:
-    """Theorem 2 — (3/2)(1+ε)-approximation with O(log 1/ε) dual tests.
-
-    With ``grid_accept`` the whole dyadic ε-grid (the candidate set the
-    sequential bisection draws its midpoints from) is evaluated in a
-    single batched call and the flip read off the bits — identical
-    result for a monotone ``accept``, 1 round-trip instead of
-    ``O(log 1/ε)``.
-    """
+    """Theorem 2 — (3/2)(1+ε)-approximation with O(log 1/ε) dual tests."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     tmin = t_min(instance, variant)
-    plan = eps_probe_plan(tmin, eps, "", "", grid=grid_accept is not None)
-    T, lo, calls = drive_plan(plan, _black_box_evaluator(accept, grid_accept))
+    plan = eps_probe_plan(tmin, eps, "", "")
+    T, lo, calls = drive_plan(plan, _black_box_evaluator(accept))
     T = fast_fraction(*T)
     return SearchResult(
         T, _maybe_build(build, T), certificate_lo=fast_fraction(*lo),
@@ -451,76 +333,32 @@ def integer_search_dual(
     variant: Variant,
     accept: AcceptFn,
     build: Optional[BuildFn],
-    *,
-    grid_accept: Optional[GridAcceptFn] = None,
 ) -> SearchResult:
-    """Theorem 8 — exact 3/2 ratio when OPT is integral (non-preemptive).
-
-    With ``grid_accept`` the integer window ``[⌈T_min⌉, ⌈2·T_min⌉]`` is
-    narrowed with evenly spaced candidate *blocks* (:data:`GRID_BLOCK`
-    per call): windows up to ``GRID_BLOCK²`` integers — every practical
-    instance — resolve in at most two batched calls.
-    """
+    """Theorem 8 — exact 3/2 ratio when OPT is integral (non-preemptive)."""
     tmin = t_min(instance, variant)
-    plan = integer_probe_plan(tmin, "", grid=grid_accept is not None)
-    T, calls = drive_plan(plan, _black_box_evaluator(accept, grid_accept))
+    plan = integer_probe_plan(tmin, "")
+    T, calls = drive_plan(plan, _black_box_evaluator(accept))
     T = fast_fraction(*T)
     return SearchResult(
         T, _maybe_build(build, T), certificate_lo=T, accept_calls=calls
     )
 
 
-def _black_box_evaluator(accept: AcceptFn, grid_accept: Optional[GridAcceptFn]):
-    """Route plan requests to a caller-supplied accept / grid evaluator.
+def _black_box_evaluator(accept: AcceptFn):
+    """Route plan requests to a caller-supplied ``accept`` predicate.
 
     This is the pair→Fraction boundary for black-box searches: the
-    caller's ``accept`` / ``grid_accept`` speak :class:`Time`, so each
-    probed pair is rebuilt via ``fast_fraction`` here (pairs are already
-    normalized — the slot-writing constructor skips the gcd).  Preserves
-    the sequential probe contract exactly: one cancellation poll per
-    request, scalar probes through ``accept``, candidate blocks through
-    ``grid_accept`` (only emitted by grid-mode plans).
+    caller's ``accept`` speaks :class:`Time`, so each probed pair is
+    rebuilt via ``fast_fraction`` here (pairs are already normalized —
+    the slot-writing constructor skips the gcd).  One cancellation poll
+    per request, like every sequential evaluator.
     """
 
-    def evaluate(req: ProbeRequest) -> Sequence[bool]:
+    def evaluate(req: ProbeRequest) -> list[bool]:
         check_cancelled()  # probe boundary
-        if req.op == "accept_block":
-            assert grid_accept is not None
-            return grid_accept([fast_fraction(tn, td) for tn, td in req.times])
         return [accept(fast_fraction(tn, td)) for tn, td in req.times]
 
     return evaluate
-
-
-def right_interval_bisect(
-    candidates: Sequence[Time],
-    accept: AcceptFn,
-    *,
-    first_rejected: bool = True,
-    last_accepted: bool = True,
-    grid_accept: Optional[GridAcceptFn] = None,
-) -> tuple[Time, Time]:
-    """Find adjacent ``(c_j, c_{j+1}]`` with ``c_j`` rejected, ``c_{j+1}`` accepted.
-
-    Preconditions (asserted if the flags are False): ``candidates[0]`` is
-    rejected and ``candidates[-1]`` accepted.  Needs O(log k) accept
-    calls — or, with ``grid_accept``, ``O(log_B k)`` batched block calls
-    (one call for the common ``k ≤ B = GRID_BLOCK`` case).
-    """
-    if len(candidates) < 2:
-        raise ValueError("need at least two candidates")
-    if not first_rejected and accept(candidates[0]):
-        raise ValueError("candidates[0] must be rejected")
-    if not last_accepted and not accept(candidates[-1]):
-        raise ValueError("candidates[-1] must be accepted")
-    # Fresh plan-local memo: a caller's MemoAccept / wrap_grid still
-    # deduplicates across phases, so counting is unchanged.
-    plan = right_interval_plan(
-        [as_pair(T) for T in candidates], {}, [0], "", "",
-        grid=grid_accept is not None,
-    )
-    lo, hi = drive_plan(plan, _black_box_evaluator(accept, grid_accept))
-    return fast_fraction(*lo), fast_fraction(*hi)
 
 
 # --------------------------------------------------------------------------- #

@@ -235,9 +235,10 @@ class DualContext:
     machine-count independent, so a machine sweep can carry one context
     across ``with_machines`` copies via :meth:`for_m` instead of
     rebuilding the per-class data per machine count.  ``batch_cache`` is
-    a lazily filled scratch dict owned by :mod:`repro.core.batchdual`
-    (numpy views of the class arrays, overflow bounds); it is shared by
-    ``for_m`` clones since its contents are ``m``-independent too.
+    a lazily filled scratch dict owned by :mod:`repro.core.xbatch`
+    (int64 class columns, flat sorted-key segments, overflow bounds); it
+    is shared by ``for_m`` clones since its contents are
+    ``m``-independent too.
     """
 
     __slots__ = (
@@ -291,12 +292,13 @@ class DualContext:
 
         Called by :meth:`Instance.release_caches
         <repro.core.instance.Instance.release_caches>` when a service
-        LRU evicts the instance: the numpy views / flattened sorted
-        arrays :mod:`repro.core.batchdual` parks in ``batch_cache`` are
+        LRU evicts the instance: the int64 class columns and sorted-key
+        segments :mod:`repro.core.xbatch` parks in ``batch_cache`` are
         the context's only heavy state, and they are shared by every
         :meth:`for_m` clone — clearing the dict in place releases them
         for all sharers at once.  The context (and its clones) remain
-        valid; the scratch rebuilds lazily on the next grid call.
+        valid; the scratch rebuilds lazily on the next vectorized
+        evaluation.
         """
         self.batch_cache.clear()
 
@@ -360,14 +362,6 @@ class NonpVerdict(NamedTuple):
     machines_needed: int  # m'
 
 
-#: The cheap-class ``class_tmax`` short-circuit of :func:`fast_nonp_test`
-#: (mirrors the PR-4 partition skip).  On by default; the benchmark's
-#: baseline-neutral ``shortcut`` family flips it off to measure cold
-#: solves both ways, since the skip also collapses the loop baselines'
-#: cold-cache cost.
-CHEAP_TMAX_SHORTCUT = True
-
-
 def fast_nonp_test(ctx: DualContext, tn: int, td: int) -> NonpVerdict:
     """Theorem 9(i) on ``T = tn/td``: O(c log n) after the sorted views."""
     if tn < ctx.spt * td:  # Note 2: T < max_i(s_i + t_max^i) < OPT
@@ -376,14 +370,13 @@ def fast_nonp_test(ctx: DualContext, tn: int, td: int) -> NonpVerdict:
     m_prime = 0
     setups, P = ctx.setups, ctx.P
     tmax = ctx.class_tmax
-    shortcut = CHEAP_TMAX_SHORTCUT
     for i in range(ctx.c):
         s = setups[i]
         std = s * td
         cap = tn - std  # (T − s_i) · td  — positive since T ≥ s_i + t_max^i
         if 2 * std > tn:  # expensive: m_i = α_i = ⌈P_i/(T−s_i)⌉
             m_i = ceil_div(P[i] * td, cap)
-        elif shortcut and 2 * (std + tmax[i] * td) <= tn:
+        elif 2 * (std + tmax[i] * td) <= tn:
             # s_i + t_max^i ≤ T/2 ⟹ J⁺ = K = ∅ (every job fits under
             # T/2 even after its setup): m_i = 0 without touching the
             # sorted views — no bisection, no cold sorted-view build.

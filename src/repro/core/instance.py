@@ -297,7 +297,7 @@ class Instance:
         """Entry counts of the lazy caches (service eviction accounting).
 
         ``fast_ctx`` is 0/1; ``batch`` counts the numpy scratch entries
-        owned by :mod:`repro.core.batchdual` inside the context.  All
+        owned by :mod:`repro.core.xbatch` inside the context.  All
         counts are for the *shared* cache set — cache-sharing
         ``with_machines`` copies report the same numbers.
         """
@@ -305,7 +305,7 @@ class Instance:
         if ctx is None:
             batch = 0
         else:
-            from .batchdual import cache_entries
+            from .xbatch import cache_entries
 
             batch = cache_entries(ctx)
         return {
@@ -322,7 +322,7 @@ class Instance:
         Clears the per-class view caches *in place* (cache-sharing
         copies hand their memory back too — that is the point of
         evicting a fingerprint) and releases the fast-kernel context,
-        including the numpy scratch :mod:`repro.core.batchdual` keeps in
+        including the numpy scratch :mod:`repro.core.xbatch` keeps in
         it.  The instance stays fully usable: every cache rebuilds on
         demand, bit-identically, at the usual construction cost.
         """

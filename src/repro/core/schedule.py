@@ -28,7 +28,7 @@ so the emission paths splice their row lists in at C speed.
 :meth:`ScheduleColumns.compact` turns them into :mod:`array`-module
 ``'q'`` (int64) buffers only for the zero-copy readers
 (:meth:`Schedule.rows`, which numpy views when installed — numpy remains
-the optional ``[batch]`` extra, exactly the :mod:`repro.core.batchdual`
+the optional ``[batch]`` extra, exactly the :mod:`repro.core.xbatch`
 policy — and the cross-process :meth:`ScheduleColumns.to_ipc`); any later
 append turns them back into lists.  The wire encoder reads plain lists
 through :meth:`Schedule.row_lists` and never pays that conversion.  A row
@@ -58,7 +58,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .instance import Instance, JobRef
 from .numeric import Time, TimeLike, as_time, fast_fraction, time_str
 
-try:  # numpy is the optional [batch] extra (same policy as batchdual)
+try:  # numpy is the optional [batch] extra (same policy as xbatch)
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the minimal-deps CI job
     _np = None
@@ -122,7 +122,7 @@ def _lcm2(a: int, b: int) -> int:
 
 
 #: Values at or above 62 bits flip a column store into exact-int object
-#: mode — the same headroom :data:`repro.core.batchdual._GUARD` keeps for
+#: mode — the same headroom :data:`repro.core.xbatch._GUARD` keeps for
 #: int64 intermediates.
 _INT62 = 1 << 62
 

@@ -34,7 +34,7 @@ Two implementations coexist:
   over a :class:`~repro.core.schedule.ScheduleColumns` store at a common
   integer scale, vectorized with numpy int64 when available (same
   optional-``[batch]`` policy and exact-overflow precheck as
-  :mod:`repro.core.batchdual`) and falling back to an exact Python-int
+  :mod:`repro.core.xbatch`) and falling back to an exact Python-int
   loop otherwise.  Verdicts are **bit-identical** to the scalar
   validator: same accept/reject, same makespan, and on rejection the
   same ``reason`` tag and detail message (checks run in the same order
@@ -132,14 +132,11 @@ def validate_columns(
     cols: ScheduleColumns,
     variant: Variant,
     makespan_bound: Optional[TimeLike] = None,
-    *,
-    use_numpy: Optional[bool] = None,
 ) -> Time:
     """Validate a column store directly; verdicts match the scalar validator.
 
-    ``use_numpy=None`` engages the int64 tier when numpy is importable and
-    the exact-integer precheck clears; ``False`` forces the Python-int
-    tier; ``True`` requires numpy (raises when absent).  Both tiers are
+    The int64 tier runs when numpy is importable and the exact-integer
+    precheck clears; otherwise the Python-int tier does.  Both tiers are
     bit-identical by construction and differential-tested.
 
     One reason tag is columnar-only: ``"bad-machine"`` rejects rows whose
@@ -150,8 +147,6 @@ def validate_columns(
     """
     L, starts, lengths = cols.scaled()
     n = len(cols)
-    if use_numpy is True and _np is None:
-        raise RuntimeError("use_numpy=True but numpy is not installed")
     mach = cols.machine
     if n and not 0 <= min(mach) <= max(mach) < instance.m:
         k = next(k for k in range(n) if not 0 <= mach[k] < instance.m)
@@ -159,12 +154,7 @@ def validate_columns(
             "bad-machine",
             f"machine {mach[k]} out of range [0, {instance.m}): row {k}",
         )
-    if (
-        use_numpy is not False
-        and _np is not None
-        and n > 0
-        and _columns_safe(instance, cols, L, starts, lengths)
-    ):
+    if _np is not None and n > 0 and _columns_safe(instance, cols, L, starts, lengths):
         cmax = _validate_columns_np(instance, cols, L, starts, lengths, variant)
     else:
         cmax = _validate_columns_py(instance, cols, L, starts, lengths, variant)

@@ -1,37 +1,43 @@
-"""Cross-instance batched dual tests: one padded grid per micro-batch round.
+"""The vectorized dual-test engine: probe rows over one or many instances.
 
-The PR-2 grids (:mod:`repro.core.batchdual`) vectorize candidate-``T``
-sweeps *within* one instance.  A service shard's micro-batch is the
-opposite shape: many small instances, each probing a handful of
-candidates per search round.  This module stacks those probes — rows of
-``(member, tn, td)`` over *different* instances — into one numpy
-evaluation per round:
+The searches of Theorems 2/3/6/8 probe the per-``T`` dual tests of
+:mod:`repro.core.fastnum` one candidate at a time.
+:meth:`BatchDualContext.evaluate` answers a whole list of probe rows
+``(member, tn, td)`` — candidates ``T = tn/td`` over one or several
+member instances — in one numpy evaluation.  It serves two callers:
+
+* the lockstep coordinator of :func:`repro.algos.batch_api.solve_batch`
+  (``xbatch=True``) advances many items' bracket searches one round at a
+  time and hands each round's probe rows, across *different* instances,
+  to one evaluation;
+* the splittable and preemptive flip searches with ``use_grid=True``
+  send each candidate block to a one-member context (every row names
+  member 0).
+
+The layout:
 
 * every member :class:`~repro.core.fastnum.DualContext` contributes its
   per-class columns to padded ``(members, c_max)`` arrays (zero padding
   is neutral for all four duals: a padded class has ``s = P = t_max =
   0``, so it is never expensive, never cheap-with-stars, and adds zero
-  setup/load);
-* the per-class sorted job views concatenate into one **batch-level flat
-  key space** keyed by a global class slot (member offset + class
-  offset): slot ``g`` owns keys in ``[g·spacing, (g+1)·spacing)``, with
-  one trailing *empty* slot for padded lanes, so all ``rows × c_max``
-  job-threshold queries of a round resolve in a single ``searchsorted``
-  — the :func:`~repro.core.batchdual._np_flat` trick generalized across
-  instances;
-* each verdict is **bit-identical** to the scalar kernel: the exact-int
-  overflow precheck (:func:`~repro.core.batchdual._grid_is_safe` per
-  member, plus the global flat-key bound) drops unsafe members to the
-  scalar kernel, the preemptive knapsack lanes resolve scalar lane-by-
-  lane exactly like the within-instance grid, and without numpy the
-  whole evaluation is a pure-Python loop over
+  setup/load).  Candidates carry their own denominators (class-jump
+  points ``2P_i/k`` do), so there is no common scale and no lcm blow-up;
+* the per-class sorted job views concatenate into one **flat key space**
+  keyed by a global class slot (member offset + class offset): slot
+  ``g`` owns keys in ``[g·spacing, (g+1)·spacing)``, with one trailing
+  *empty* slot for padded lanes, so all ``rows × c_max`` job-threshold
+  queries resolve in a single ``searchsorted``;
+* each verdict is **bit-identical** to the scalar kernel.  ``int64``
+  products can wrap silently, so an exact-int overflow precheck
+  (:func:`_grid_is_safe` per member, plus the global flat-key bound)
+  drops unsafe members to the scalar kernel.  The preemptive case-3a
+  lanes that reach the continuous knapsack (an inherently sequential
+  greedy) resolve through the scalar kernel lane by lane.  Without
+  numpy the whole evaluation is a pure-Python loop over
   :mod:`repro.core.fastnum` — numpy stays optional.
 
-The consumer is the lockstep coordinator of
-:func:`repro.algos.batch_api.solve_batch` (``xbatch=True``): it advances
-every item's bracket search one round at a time and hands each round's
-probe rows to :meth:`BatchDualContext.evaluate`.  The differential fuzz
-suite (``tests/test_xbatch.py``) asserts row-for-row bit-identity
+The differential suites (``tests/test_xbatch.py``,
+``tests/test_fastnum_differential.py``) assert row-for-row bit-identity
 against the scalar kernel on every kind, including the overflow
 boundary.
 """
@@ -40,13 +46,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .batchdual import (
-    _GUARD,
-    _CHUNK_ELEMS,
-    HAVE_NUMPY,
-    _grid_is_safe,
-    _np,
-)
 from .fastnum import (
     DualContext,
     NonpVerdict,
@@ -59,18 +58,25 @@ from .fastnum import (
 )
 from ..obs.trace import count as obs_count
 
-__all__ = [
-    "BatchDualContext",
-    "PROBE_KINDS",
-    "fast_split_test_xgrid",
-    "fast_nonp_test_xgrid",
-    "fast_pmtn_test_xgrid",
-    "fast_base_core_xgrid",
-]
+try:  # pragma: no cover - exercised via both branches in CI matrices
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
+
+__all__ = ["BatchDualContext", "HAVE_NUMPY", "PROBE_KINDS", "cache_entries"]
+
+#: True when the vectorized tier is available at all.
+HAVE_NUMPY = _np is not None
 
 #: The dual-test kinds one batch row can carry.  ``pmtn`` honours a mode
 #: (``alpha``/``gamma``); ``pmtn_base`` is Algorithm 4's monotone core.
 PROBE_KINDS = ("split", "nonp", "pmtn", "pmtn_base")
+
+#: Conservative ceiling for every vectorized intermediate (int64 headroom).
+_GUARD = 1 << 62
+
+#: Cap on ``rows * c_max`` elements per vectorized chunk (bounds temp memory).
+_CHUNK_ELEMS = 1 << 22
 
 #: Below this many fusable rows a padded kernel dispatch costs more than
 #: the scalar probes it replaces; purely a performance cutoff (both
@@ -79,7 +85,65 @@ _MIN_FUSED_ROWS = 2
 
 
 def _ceil_div_np(num, den):
+    """Elementwise exact ``ceil(num/den)``, ``den > 0`` (floor-div identity)."""
     return -((-num) // den)
+
+
+def cache_entries(ctx: DualContext) -> int:
+    """Entry count of the scratch this module parks in ``ctx.batch_cache``.
+
+    The quantity the service's eviction accounting
+    (``Instance.cache_stats()['batch']``) reports, and what
+    :meth:`DualContext.release` hands back.
+    """
+    return len(ctx.batch_cache)
+
+
+def _maxima(ctx: DualContext) -> tuple[int, int, int]:
+    """Cached ``(max_i P_i, s_max, alpha_cap)`` for the overflow bound.
+
+    ``alpha_cap`` dominates every α-style machine count any lane can
+    produce on a *non-trivial* candidate (``tn ≥ spt·td``): there
+    ``tn − s_i·td ≥ t^(i)_max·td``, hence ``⌈P_i·td/(tn − s_i·td)⌉ ≤
+    ⌈P_i/t^(i)_max⌉``, and the cheap-class counts add at most ``n_i``
+    (one machine per big job).
+    """
+    mx = ctx.batch_cache.get("maxima")
+    if mx is None:
+        alpha_cap = max(
+            n + -((-p) // tm)
+            for n, p, tm in zip(ctx.nclass, ctx.P, ctx.class_tmax)
+        )
+        mx = (max(ctx.P), ctx.smax, alpha_cap)
+        ctx.batch_cache["maxima"] = mx
+    return mx
+
+
+def _grid_is_safe(ctx: DualContext, tns: list[int], tds: list[int]) -> bool:
+    """Exact-integer bound on every int64 intermediate of one member's rows.
+
+    Conservative: ``K`` dominates every per-class machine count that any
+    of the tests can produce — jump-style counts ``β/γ ≤ ⌈2P/T⌉`` via
+    the ``min_tn`` term, α-style counts ``⌈P·td/(tn − s·td)⌉`` via
+    ``alpha_cap`` (see :func:`_maxima`; masked lanes are clamped to 1 in
+    the kernels so no other quotient feeds a product).  ``unit``
+    dominates every per-class scaled quantity, and each accumulated sum
+    touches at most ``c`` classes with a constant factor ≤ 8.  A miss
+    only costs speed — the rows drop to the scalar kernel, never
+    precision.  The flat key space has its own bound
+    (:meth:`BatchDualContext._flat_keys_safe`).
+    """
+    max_tn, min_tn = max(tns), min(tns)
+    max_td = max(tds)
+    maxP, smax, alpha_cap = _maxima(ctx)
+    # (maxP + smax): the base-core γ count divides 2(s_i + P_i), not 2P_i.
+    K = max((2 * (maxP + smax) * max_td) // min_tn + 2, alpha_cap)
+    unit = max(max_tn, 2 * (smax + maxP + 1) * max_td)
+    return (
+        8 * ctx.c * K * unit < _GUARD
+        and ctx.m * max_tn < _GUARD
+        and (ctx.total_processing + ctx.c * smax * K) * max_td < _GUARD
+    )
 
 
 def _member_cols(ctx) -> tuple:
@@ -143,10 +207,11 @@ def _member_segments(ctx) -> dict:
 
 
 class BatchDualContext:
-    """Ragged→flat mapping over the member contexts of one micro-batch.
+    """Ragged→flat mapping over the member contexts of one evaluation.
 
     ``members`` are the distinct :class:`DualContext` objects of a batch
-    (one per fingerprint representative × machine count).  The context
+    (one per fingerprint representative × machine count), or the single
+    context of a per-instance candidate block.  The context
     owns the padded per-class arrays and the global flat sorted-key
     layout; both build lazily on the first fused evaluation, reusing the
     members' instance-cached sorted views.
@@ -296,6 +361,8 @@ class BatchDualContext:
         clear the exact-int overflow precheck, the scalar kernel for the
         rest (and for everything when numpy is unavailable).
         """
+        if kind not in PROBE_KINDS:
+            raise ValueError(f"unknown probe kind {kind!r}")
         out: list = [None] * len(rows)
         fused: list[int] = []
         if HAVE_NUMPY and len(rows) >= _MIN_FUSED_ROWS:
@@ -344,8 +411,7 @@ class BatchDualContext:
             yield lo, min(n_rows, lo + step)
 
     # each kernel below mirrors its scalar twin in repro.core.fastnum
-    # (and the within-instance grid in repro.core.batchdual) with the
-    # candidate axis as rows and the padded class axis as columns.
+    # with the candidate axis as rows and the padded class axis as columns.
 
     def _split_rows(self, mis, tns, tds) -> list[SplitVerdict]:
         pad = self._padded()
@@ -465,8 +531,11 @@ class BatchDualContext:
             izero = exp & ~iplus & (4 * total * td > 3 * tn)
             iminus = exp & ~iplus & ~izero
             if mode == "alpha":
-                # masked lanes clamp to 1 so no unbounded quotient feeds
-                # a product (see the within-instance grid's comment)
+                # κ = max(1, ⌊P·td/(tn−s·td)⌋).  Off the I⁺exp lanes the
+                # denominator is forced positive AND κ is clamped to 1:
+                # masked-lane quotients would otherwise feed ``κ·s``
+                # products the overflow precheck does not (and need not)
+                # bound.
                 k = _np.where(
                     iplus,
                     _np.maximum(1, (P * td) // _np.where(iplus, tn - std, 1)),
@@ -526,49 +595,3 @@ class BatchDualContext:
                         self.members[int(mis[j])], int(tns[j]), int(tds[j]), mode
                     )
         return out  # type: ignore[return-value]
-
-
-# --------------------------------------------------------------------------- #
-# row-level entry points (the public xgrid surface the tests differential)
-# --------------------------------------------------------------------------- #
-
-
-def _rows(mis: Sequence[int], tns: Sequence[int], tds: Sequence[int]):
-    if not (len(mis) == len(tns) == len(tds)):
-        raise ValueError(
-            f"parallel row vectors expected: {len(mis)} members, "
-            f"{len(tns)} numerators, {len(tds)} denominators"
-        )
-    rows = list(zip(mis, tns, tds))
-    for mi, tn, td in rows:
-        if tn <= 0 or td <= 0:
-            raise ValueError(f"candidates must be positive rationals, got {tn}/{td}")
-    return rows
-
-
-def fast_split_test_xgrid(
-    xctx: BatchDualContext, mis, tns, tds
-) -> list[SplitVerdict]:
-    """Theorem 7(i) on cross-instance rows ``(member, tn, td)``."""
-    return xctx.evaluate("split", "", _rows(mis, tns, tds))
-
-
-def fast_nonp_test_xgrid(
-    xctx: BatchDualContext, mis, tns, tds
-) -> list[NonpVerdict]:
-    """Theorem 9(i) on cross-instance rows ``(member, tn, td)``."""
-    return xctx.evaluate("nonp", "", _rows(mis, tns, tds))
-
-
-def fast_pmtn_test_xgrid(
-    xctx: BatchDualContext, mis, tns, tds, mode: str = "alpha"
-) -> list[PmtnVerdict]:
-    """Theorem 5(i) on cross-instance rows ``(member, tn, td)``."""
-    return xctx.evaluate("pmtn", mode, _rows(mis, tns, tds))
-
-
-def fast_base_core_xgrid(
-    xctx: BatchDualContext, mis, tns, tds
-) -> list[tuple[int, int]]:
-    """Algorithm 4's monotone core on cross-instance rows."""
-    return xctx.evaluate("pmtn_base", "", _rows(mis, tns, tds))

@@ -220,7 +220,7 @@ def render_machine_sweep(
 
 
 # --------------------------------------------------------------------------- #
-# Experiment S3 — the flattened non-preemptive grid vs scalar probes
+# Experiment S3 — the flip-search grids vs scalar probes
 # --------------------------------------------------------------------------- #
 
 
@@ -242,10 +242,11 @@ class GridTiming:
         return self.block * self.c
 
 
-#: The search shapes the auto policy distinguishes: every variant's
-#: Class-Jumping / integer flip search plus the dyadic ε-search.
-GRID_SHAPES: tuple[tuple[Variant, str], ...] = tuple(
-    (variant, algorithm) for variant in Variant for algorithm in ("three_halves", "eps")
+#: The search shapes that have a grid mode: the splittable and preemptive
+#: Class-Jumping flip searches (the keys of ``GRID_POLICY``).
+GRID_SHAPES: tuple[tuple[Variant, str], ...] = (
+    (Variant.SPLITTABLE, "three_halves"),
+    (Variant.PREEMPTIVE, "three_halves"),
 )
 
 
@@ -257,24 +258,21 @@ def run_grid_crossover(
 ) -> list[GridTiming]:
     """Bounds-only sweeps per search shape: grid evaluator off vs forced on.
 
-    PR 3 flattened the grid's per-class ``searchsorted`` loop into one
-    concatenated-keys query (:func:`repro.core.batchdual._np_flat`) and
-    measured the non-preemptive crossover; PR 5's ``class_tmax``
-    short-circuit moved that crossover past every measured ``c``.  PR 9
-    made the auto policy *shape-aware* — gated per probe kind on the
+    The auto policy is *shape-aware*: it gates each probe kind on the
     product of candidate-block size and class count (see
-    :data:`repro.algos.batch_api.GRID_POLICY`) — so this
-    experiment now times every ``variant × algorithm`` search shape: the
-    flip searches probe candidate lists of ≤ c + 2 points, the ε-search
-    one dyadic grid of ~129 points, and the block×c column is exactly
-    the quantity the policy gates on.  Re-run after touching either tier
-    and recalibrate the ceilings from the winner column.  Requires numpy
+    :data:`repro.algos.batch_api.GRID_POLICY`).  Only the splittable and
+    preemptive flip searches have a grid: they narrow candidate lists of
+    ≤ c + 2 points in blocks, each block one
+    :meth:`~repro.core.xbatch.BatchDualContext.evaluate` call on a
+    one-member context, and the block×c column is exactly the quantity
+    the policy gates on.  Re-run after touching a dual-test tier and
+    recalibrate the ceilings from the winner column.  Requires numpy
     (the ``[batch]`` extra).
     """
     from ..algos.batch_api import _grid_block_estimate
-    from ..core import batchdual
+    from ..core import xbatch
 
-    if not batchdual.HAVE_NUMPY:
+    if not xbatch.HAVE_NUMPY:
         raise RuntimeError("Experiment S3 requires numpy (pip install '.[batch]')")
     eps = Fraction(1, 100)
     out = []
@@ -298,7 +296,7 @@ def run_grid_crossover(
                 GridTiming(
                     shape=f"{variant}/{algorithm}",
                     c=c,
-                    block=_grid_block_estimate(algorithm, eps, c),
+                    block=_grid_block_estimate(c),
                     scalar_seconds=best[False],
                     grid_seconds=best[True],
                 )
@@ -323,7 +321,7 @@ def render_grid_crossover(timings: list[GridTiming] | None = None) -> str:
     ]
     return format_table(
         ["search shape", "classes c", "block", "block×c", "scalar probes",
-         "flattened grid", "grid speedup", "winner"],
+         "grid blocks", "grid speedup", "winner"],
         table_rows,
         title="Experiment S3: grid tier vs scalar probes per search shape "
               "(bounds-only machine sweeps; the auto policy gates on block×c "

@@ -31,13 +31,15 @@ Counter glossary (what the seams report):
 ``memo.call``              distinct kernel accept evaluations
 ``dispatch.grid``          searches dispatched to the vectorized grid tier
 ``dispatch.scalar``        searches dispatched to scalar probing
-``grid.rows_np``           grid candidates evaluated by the numpy tier
-``grid.rows_scalar``       grid candidates that fell back to scalar calls
 ``xbatch.fused_rounds``    lockstep rounds that fused >= 1 probe group
 ``xbatch.straggler``       lockstep items that fell back to the
                            sequential per-item path
-``xbatch.rows_fused``      probe rows evaluated by the fused numpy tier
-``xbatch.rows_scalar``     probe rows evaluated by the scalar fallback
+``xbatch.rows_fused``      probe rows the vectorized engine evaluated in
+                           numpy (lockstep rounds and flip-search grid
+                           blocks alike)
+``xbatch.rows_scalar``     probe rows the vectorized engine handed to the
+                           scalar kernel (numpy absent, overflow
+                           precheck missed, or too few rows)
 ``itemstore.emit``         ItemStore bulk ``emit_window`` calls
 =========================  ==============================================
 """

@@ -14,6 +14,7 @@ import pytest
 
 from repro.algos.api import solve
 from repro.algos.batch_api import SweepPoint, solve_many, sweep_machines
+from repro.core import xbatch
 from repro.core.bounds import Variant
 from repro.core.instance import Instance
 from repro.generators import medium_suite, small_exact_suite
@@ -62,7 +63,10 @@ class TestSweepMachines:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_bounds_mode_matches_solve_certificates(self, inst, variant):
         ms = machine_counts(inst)
-        for use_grid in (None, False):
+        grids = [None, False]
+        if variant is not Variant.NONPREEMPTIVE and xbatch.HAVE_NUMPY:
+            grids.append(True)  # force the flip searches' grid blocks
+        for use_grid in grids:
             points = sweep_machines(
                 inst, ms, variant, schedules=False, use_grid=use_grid
             )
@@ -110,12 +114,53 @@ class TestSweepMachines:
             solve_many([inst], use_grid=True)
 
     def test_use_grid_true_without_numpy_raises(self, monkeypatch):
-        from repro.core import batchdual
+        from repro.core import xbatch
 
-        monkeypatch.setattr(batchdual, "HAVE_NUMPY", False)
+        monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
         inst = medium_suite()[0][1]
         with pytest.raises(RuntimeError):
-            sweep_machines(inst, [inst.m], schedules=False, use_grid=True)
+            sweep_machines(
+                inst, [inst.m], Variant.SPLITTABLE, schedules=False, use_grid=True
+            )
+
+    @pytest.mark.parametrize(
+        "variant,algorithm,kernel",
+        [
+            (Variant.SPLITTABLE, "eps", "fast"),
+            (Variant.NONPREEMPTIVE, "three_halves", "fast"),
+            (Variant.SPLITTABLE, "three_halves", "fraction"),
+        ],
+        ids=["eps", "nonpreemptive", "fraction"],
+    )
+    def test_use_grid_true_without_a_grid_raises_up_front(
+        self, variant, algorithm, kernel
+    ):
+        """Shapes with no grid refuse ``use_grid=True`` before any solve."""
+        from repro.algos.batch_api import BatchItem, solve_batch
+
+        inst = medium_suite()[0][1]
+        ok = BatchItem(instance=inst, variant=Variant.SPLITTABLE, schedules=False)
+        bad = BatchItem(
+            instance=inst, variant=variant, algorithm=algorithm, schedules=False
+        )
+        solved: list = []
+        calls = [
+            lambda: sweep_machines(
+                inst, [inst.m], variant, algorithm, kernel=kernel,
+                schedules=False, use_grid=True,
+            ),
+            lambda: solve_many(
+                [inst], variant, algorithm, kernel=kernel,
+                schedules=False, use_grid=True,
+            ),
+            lambda: solve_batch(
+                [ok, bad], kernel=kernel, use_grid=True, before_solve=solved.append
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="use_grid=True"):
+                call()
+        assert solved == []  # the valid first item never reached its solve
 
     def test_sweep_does_not_mutate_base_machine_count(self):
         inst = medium_suite()[0][1]

@@ -20,14 +20,7 @@ from repro.algos.jumping_pmtn import _base_core
 from repro.algos.nonpreemptive import nonp_dual_schedule, nonp_dual_test
 from repro.algos.pmtn_general import pmtn_dual_test, pmtn_dual_test_fast
 from repro.algos.splittable import split_dual_schedule, split_dual_test, split_dual_test_fast
-from repro.core import batchdual
-from repro.core.batchdual import (
-    fast_base_core_grid,
-    fast_nonp_test_grid,
-    fast_pmtn_test_grid,
-    fast_split_test_grid,
-    grid_pairs,
-)
+from repro.core import xbatch
 from repro.core.bounds import Variant, t_min
 from repro.core.classification import nonp_partition, nonp_partition_fast
 from repro.core.fastnum import (
@@ -37,6 +30,7 @@ from repro.core.fastnum import (
     fast_split_test,
 )
 from repro.core.instance import Instance
+from repro.core.xbatch import BatchDualContext, _grid_is_safe
 from repro.generators import adversarial_suite, medium_suite, small_exact_suite
 
 SUITE_INSTANCES = [
@@ -130,14 +124,38 @@ class TestDualTestEquivalence:
             assert (Fraction(fl), fm) == (bl, bm)
 
 
+def grid_pairs(points):
+    """Split a candidate list into parallel ``(numerators, denominators)``."""
+    return [T.numerator for T in points], [T.denominator for T in points]
+
+
+def grid_verdicts(ctx, kind, mode, tns, tds, *, numpy_tier=True):
+    """A per-instance candidate grid: the rows of a one-member engine context.
+
+    ``numpy_tier=False`` evaluates with numpy monkeypatched away — the
+    exact code path taken when numpy is not installed.
+    """
+    rows = [(0, tn, td) for tn, td in zip(tns, tds)]
+    with pytest.MonkeyPatch.context() as mp:
+        if not numpy_tier:
+            mp.setattr(xbatch, "HAVE_NUMPY", False)
+        return BatchDualContext([ctx]).evaluate(kind, mode, rows)
+
+
+#: The numpy tier (when importable) and the pure-python tier.
+TIERS = [True, False] if xbatch.HAVE_NUMPY else [False]
+
+
 class TestGridEquivalence:
     """Every grid verdict is bit-identical to the scalar kernel's.
 
-    Covered per suite instance and per variant: the vectorized numpy tier
-    (when importable), the pure-python fallback (``use_numpy=False`` —
-    also the exact code path taken when numpy is absent), and mixed
-    per-candidate denominators.  The overflow fallback branch is pinned
-    separately with a huge-value instance.
+    A grid is the rows of a one-member
+    :class:`~repro.core.xbatch.BatchDualContext`.  Covered per suite
+    instance and per kind: the vectorized numpy tier (when importable),
+    the pure-python tier (numpy monkeypatched away — also the exact code
+    path taken when numpy is absent), and mixed per-candidate
+    denominators.  The overflow fallback branch is pinned separately
+    with a huge-value instance.
     """
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
@@ -145,18 +163,16 @@ class TestGridEquivalence:
         ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.SPLITTABLE))
         want = [fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)]
-        assert fast_split_test_grid(ctx, tns, tds, use_numpy=False) == want
-        if batchdual.HAVE_NUMPY:
-            assert fast_split_test_grid(ctx, tns, tds, use_numpy=True) == want
+        for tier in TIERS:
+            assert grid_verdicts(ctx, "split", "", tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_nonp_grid(self, inst):
         ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.NONPREEMPTIVE))
         want = [fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)]
-        assert fast_nonp_test_grid(ctx, tns, tds, use_numpy=False) == want
-        if batchdual.HAVE_NUMPY:
-            assert fast_nonp_test_grid(ctx, tns, tds, use_numpy=True) == want
+        for tier in TIERS:
+            assert grid_verdicts(ctx, "nonp", "", tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     @pytest.mark.parametrize("mode", ["alpha", "gamma"])
@@ -164,18 +180,16 @@ class TestGridEquivalence:
         ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.PREEMPTIVE))
         want = [fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)]
-        assert fast_pmtn_test_grid(ctx, tns, tds, mode, use_numpy=False) == want
-        if batchdual.HAVE_NUMPY:
-            assert fast_pmtn_test_grid(ctx, tns, tds, mode, use_numpy=True) == want
+        for tier in TIERS:
+            assert grid_verdicts(ctx, "pmtn", mode, tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_base_core_grid(self, inst):
         ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.PREEMPTIVE))
         want = [fast_base_core(ctx, tn, td) for tn, td in zip(tns, tds)]
-        assert fast_base_core_grid(ctx, tns, tds, use_numpy=False) == want
-        if batchdual.HAVE_NUMPY:
-            assert fast_base_core_grid(ctx, tns, tds, use_numpy=True) == want
+        for tier in TIERS:
+            assert grid_verdicts(ctx, "pmtn_base", "", tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_nonp_partition_fast(self, inst):
@@ -193,15 +207,15 @@ class TestGridEquivalence:
         )
         ctx = big.fast_ctx()
         tns, tds = grid_pairs(probe_points(big, Variant.PREEMPTIVE, count=6))
-        assert not batchdual._grid_is_safe(ctx, tns, tds)
-        assert fast_split_test_grid(ctx, tns, tds) == [
+        assert not _grid_is_safe(ctx, tns, tds)
+        assert grid_verdicts(ctx, "split", "", tns, tds) == [
             fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)
         ]
-        assert fast_nonp_test_grid(ctx, tns, tds) == [
+        assert grid_verdicts(ctx, "nonp", "", tns, tds) == [
             fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)
         ]
         for mode in ("alpha", "gamma"):
-            assert fast_pmtn_test_grid(ctx, tns, tds, mode) == [
+            assert grid_verdicts(ctx, "pmtn", mode, tns, tds) == [
                 fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)
             ]
 
@@ -213,28 +227,25 @@ class TestGridEquivalence:
         inst = Instance(m=3, setups=(2**47,), jobs=((1,) * (2**17),))
         ctx = inst.fast_ctx()
         tns, tds = [2**47 + 1, 2**48], [1, 1]
-        assert not batchdual._grid_is_safe(ctx, tns, tds)
-        for use_numpy in (None, False):
-            assert fast_nonp_test_grid(ctx, tns, tds, use_numpy=use_numpy) == [
+        assert not _grid_is_safe(ctx, tns, tds)
+        for tier in TIERS:
+            assert grid_verdicts(ctx, "nonp", "", tns, tds, numpy_tier=tier) == [
                 fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)
             ]
             for mode in ("alpha", "gamma"):
-                assert fast_pmtn_test_grid(ctx, tns, tds, mode, use_numpy=use_numpy) == [
+                assert grid_verdicts(ctx, "pmtn", mode, tns, tds, numpy_tier=tier) == [
                     fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)
                 ]
 
     def test_numpy_absent_is_supported(self, monkeypatch):
-        """With numpy gone the grids still answer (scalar loop), and
-        ``use_numpy=True`` fails loudly instead of silently degrading."""
+        """With numpy gone the engine still answers, on the scalar kernel."""
         inst = small_exact_suite()[0][1]
         ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.SPLITTABLE, count=4))
         want = [fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)]
-        monkeypatch.setattr(batchdual, "_np", None)
-        monkeypatch.setattr(batchdual, "HAVE_NUMPY", False)
-        assert fast_split_test_grid(ctx, tns, tds) == want
-        with pytest.raises(RuntimeError):
-            fast_split_test_grid(ctx, tns, tds, use_numpy=True)
+        monkeypatch.setattr(xbatch, "_np", None)
+        monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
+        assert grid_verdicts(ctx, "split", "", tns, tds) == want
 
 
 def placements_key(schedule):

@@ -318,13 +318,15 @@ class TestSolverSeams:
             solve(fresh(TINY), Variant.NONPREEMPTIVE)
         assert scope.counts.get("itemstore.emit", 0) >= 1
 
-    def test_grid_row_counters(self):
-        from repro.core.batchdual import fast_split_test_grid
+    def test_grid_row_counters(self, monkeypatch):
+        from repro.core import xbatch
 
+        monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
         ctx = fresh(TINY).fast_ctx()
+        rows = [(0, 5, 1), (0, 7, 1), (0, 9, 1)]
         with TraceScope() as scope:
-            fast_split_test_grid(ctx, [5, 7, 9], 1, use_numpy=False)
-        assert scope.counts == {"grid.rows_scalar": 3}
+            xbatch.BatchDualContext([ctx]).evaluate("split", "", rows)
+        assert scope.counts == {"xbatch.rows_scalar": 3}
 
 
 # --------------------------------------------------------------------------- #

@@ -28,10 +28,11 @@ from repro.algos.api import solve
 from repro.core import (
     Instance,
     Variant,
-    validate_columns,
     validate_schedule,
     validate_schedule_scalar,
 )
+
+from .conftest import validate_columns_on
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -70,7 +71,7 @@ def _check_generator_case(seed: int, m: int) -> None:
         assert cols is not None, tag  # lazy contract: columns still live
         cmax = validate_schedule(fast.schedule, variant)
         assert cmax == validate_schedule_scalar(fast.schedule, variant), tag
-        assert cmax == validate_columns(inst, cols, variant, use_numpy=False), tag
+        assert cmax == validate_columns_on(False, inst, cols, variant), tag
 
         # certified bounds
         assert cmax <= Fraction(3, 2) * fast.T, (tag, variant)

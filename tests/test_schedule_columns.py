@@ -9,7 +9,8 @@ Three guarantees are asserted on every generator-suite instance:
 * **bit-identical validator verdicts** — :func:`validate_columns` agrees
   with the scalar validator on accept/reject, makespan, and the error
   ``reason`` tag, in all three execution modes: numpy int64, numpy absent
-  (scalar/python tier), and the big-integer overflow fallback;
+  (python tier, numpy monkeypatched away), and the big-integer overflow
+  fallback;
 * **lazy materialization contract** — ``solve()`` returns schedules whose
   column store is still live (no ``Placement`` was built), and mutation
   thaws without changing observable content.
@@ -31,7 +32,6 @@ from repro.core import (
     Schedule,
     ScheduleColumns,
     Variant,
-    validate_columns,
     validate_schedule,
     validate_schedule_scalar,
 )
@@ -42,7 +42,7 @@ from repro.generators import (
     uniform_instance,
 )
 
-from .conftest import mk
+from .conftest import COLUMN_TIERS, mk, validate_columns_on
 
 HAVE_NUMPY = validate_mod._np is not None
 
@@ -55,11 +55,6 @@ SUITE_INSTANCES = [
     )
     for label, inst in items
 ]
-
-#: validator execution modes exercised by the differential assertions:
-#: numpy tier (when installed), forced python tier, and auto dispatch.
-MODES = ([True] if HAVE_NUMPY else []) + [False, None]
-
 
 def placements_key(schedule: Schedule):
     return [
@@ -158,9 +153,9 @@ class TestValidatorDifferential:
             cols = sched.columns()
             assert cols is not None
             want = validate_schedule_scalar(sched, variant)
-            for mode in MODES:
-                got = validate_columns(inst, cols, variant, use_numpy=mode)
-                assert got == want, (variant, mode)
+            for tier in COLUMN_TIERS:
+                got = validate_columns_on(tier, inst, cols, variant)
+                assert got == want, (variant, tier)
             # and the columns survived scalar validation un-thawed
             assert sched.columns() is cols
 
@@ -171,10 +166,6 @@ class TestValidatorDifferential:
         for variant, sched in suite_schedules(inst):
             want = validate_schedule_scalar(sched, variant)
             assert validate_schedule(sched, variant) == want
-        with pytest.raises(RuntimeError):
-            validate_columns(
-                inst, ScheduleColumns(), Variant.SPLITTABLE, use_numpy=True
-            )
 
     def test_overflow_fallback_mode(self):
         """Column stores beyond int64 stay exact (object mode, python tier)."""
@@ -185,10 +176,8 @@ class TestValidatorDifferential:
         assert cols is not None
         assert not cols.int_mode  # values beyond 62 bits flipped the store
         want = validate_schedule_scalar(sched, Variant.NONPREEMPTIVE)
-        for mode in (False, None):  # numpy precheck must refuse, never wrap
-            assert validate_columns(
-                inst, cols, Variant.NONPREEMPTIVE, use_numpy=mode
-            ) == want
+        for tier in COLUMN_TIERS:  # numpy precheck must refuse, never wrap
+            assert validate_columns_on(tier, inst, cols, Variant.NONPREEMPTIVE) == want
         assert sched.makespan() == want
 
     def test_makespan_bound_tag(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro import Instance, Variant, solve
 from repro.core import validate_schedule
-from repro.algos.search import binary_search_dual, right_interval_bisect
+from repro.algos.search import binary_search_dual, drive_plan, right_interval_plan
 from repro.algos.splittable import split_dual_schedule, split_dual_test
 
 from .conftest import mk
@@ -29,10 +29,23 @@ def inst_strategy(max_m=6, max_classes=5, max_jobs=5, max_t=18, max_s=10):
     )
 
 
-class TestRightIntervalBisect:
-    def test_finds_adjacent_pair(self):
+def right_interval(candidates, accept, grid=False):
+    """:func:`right_interval_plan` driven against a Fraction ``accept``."""
+
+    def evaluate(req):
+        return [accept(Fraction(tn, td)) for tn, td in req.times]
+
+    pairs = [(T.numerator, T.denominator) for T in candidates]
+    plan = right_interval_plan(pairs, {}, [0], "", "", grid)
+    lo, hi = drive_plan(plan, evaluate)
+    return Fraction(*lo), Fraction(*hi)
+
+
+class TestRightIntervalPlan:
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_finds_adjacent_pair(self, grid):
         candidates = [Fraction(k) for k in range(10)]
-        lo, hi = right_interval_bisect(candidates, lambda T: T >= 7)
+        lo, hi = right_interval(candidates, lambda T: T >= 7, grid)
         assert (lo, hi) == (6, 7)
 
     def test_non_monotone_still_adjacent(self):
@@ -44,14 +57,14 @@ class TestRightIntervalBisect:
             calls.append(T)
             return int(T) in accepted
 
-        lo, hi = right_interval_bisect(candidates, accept)
+        lo, hi = right_interval(candidates, accept)
         assert int(hi) in accepted and int(lo) not in accepted
         assert hi == lo + 1
         assert len(calls) <= 4  # logarithmic
 
     def test_too_few_candidates(self):
         with pytest.raises(ValueError):
-            right_interval_bisect([Fraction(1)], lambda T: True)
+            right_interval([Fraction(1)], lambda T: True)
 
 
 class TestBinarySearchDual:

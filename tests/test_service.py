@@ -173,15 +173,16 @@ class TestCacheRelease:
         assert copy.cache_stats()["sorted_views"] == 0
 
     def test_context_release_drops_batch_scratch(self, tiny):
-        from repro.core import batchdual
+        from repro.core import xbatch
 
         ctx = tiny.fast_ctx()
-        ctx.batch_cache["np_views"] = {"x": 1}
-        ctx.batch_cache["np_sorted"] = {0: (), 1: ()}
-        assert batchdual.cache_entries(ctx) == 3
+        ctx.batch_cache["xgrid_cols"] = ((), (), ())
+        ctx.batch_cache["xgrid_segments"] = {"keys": ()}
+        ctx.batch_cache["maxima"] = (1, 1, 1)
+        assert xbatch.cache_entries(ctx) == 3
         clone = ctx.for_m(tiny.m + 1)
         ctx.release()
-        assert batchdual.cache_entries(ctx) == 0
+        assert xbatch.cache_entries(ctx) == 0
         assert clone.batch_cache is ctx.batch_cache  # shared, cleared together
 
 

@@ -29,10 +29,9 @@ from repro.core import (
     validate_schedule_scalar,
 )
 
-from .conftest import full_job_schedule, mk
+from .conftest import COLUMN_TIERS, full_job_schedule, mk, validate_columns_on
 
 HAVE_NUMPY = validate_mod._np is not None
-MODES = ([True] if HAVE_NUMPY else []) + [False, None]
 
 
 def valid_schedule() -> Schedule:
@@ -70,18 +69,18 @@ def assert_same_rejection(sched: Schedule, variant: Variant, expected: str):
     cols = sched.columns()
     assert cols is not None
     inst = sched.instance
-    for mode in MODES:
+    for tier in COLUMN_TIERS:
         with pytest.raises(InfeasibleScheduleError) as e_cols:
-            validate_columns(inst, cols, variant, use_numpy=mode)
-        assert e_cols.value.reason == expected, f"columnar mode={mode}"
+            validate_columns_on(tier, inst, cols, variant)
+        assert e_cols.value.reason == expected, f"columnar numpy_tier={tier}"
     with pytest.raises(InfeasibleScheduleError) as e_scalar:
         validate_schedule_scalar(sched, variant)
     assert e_scalar.value.reason == expected
     # identical messages too, not just tags (numpy tier vs scalar)
-    for mode in MODES:
+    for tier in COLUMN_TIERS:
         with pytest.raises(InfeasibleScheduleError) as e_cols:
-            validate_columns(inst, cols, variant, use_numpy=mode)
-        assert str(e_cols.value) == str(e_scalar.value), f"mode={mode}"
+            validate_columns_on(tier, inst, cols, variant)
+        assert str(e_cols.value) == str(e_scalar.value), f"numpy_tier={tier}"
 
 
 class TestSingleEntryCorruption:
@@ -165,12 +164,10 @@ class TestSingleEntryCorruption:
         sched = valid_schedule()
         cols = sched.columns().copy()
         cols.machine[job_row(cols, 0, nth=0)] = machine
-        for mode in MODES:
+        for tier in COLUMN_TIERS:
             with pytest.raises(InfeasibleScheduleError) as e:
-                validate_columns(
-                    sched.instance, cols, Variant.SPLITTABLE, use_numpy=mode
-                )
-            assert e.value.reason == "bad-machine", f"mode={mode}"
+                validate_columns_on(tier, sched.instance, cols, Variant.SPLITTABLE)
+            assert e.value.reason == "bad-machine", f"numpy_tier={tier}"
 
 
 class TestVariantRules:
@@ -186,10 +183,10 @@ class TestVariantRules:
         sched.add_piece(1, 9, JobRef(1, 0), 2)
         cols = sched.columns()
         assert cols is not None
-        for mode in MODES:
-            assert validate_columns(inst, cols, Variant.SPLITTABLE, use_numpy=mode) \
+        for tier in COLUMN_TIERS:
+            assert validate_columns_on(tier, inst, cols, Variant.SPLITTABLE) \
                 == validate_schedule_scalar(sched, Variant.SPLITTABLE)
-            assert validate_columns(inst, cols, Variant.PREEMPTIVE, use_numpy=mode) \
+            assert validate_columns_on(tier, inst, cols, Variant.PREEMPTIVE) \
                 == validate_schedule_scalar(sched, Variant.PREEMPTIVE)
         assert_same_rejection(sched, Variant.NONPREEMPTIVE, "job-preempted")
 
@@ -205,8 +202,8 @@ class TestVariantRules:
         sched.add_piece(1, 9, JobRef(1, 0), 2)
         cols = sched.columns()
         assert cols is not None
-        for mode in MODES:
-            assert validate_columns(inst, cols, Variant.SPLITTABLE, use_numpy=mode) \
+        for tier in COLUMN_TIERS:
+            assert validate_columns_on(tier, inst, cols, Variant.SPLITTABLE) \
                 == validate_schedule_scalar(sched, Variant.SPLITTABLE)
         assert_same_rejection(sched, Variant.PREEMPTIVE, "job-parallel")
 
@@ -221,7 +218,7 @@ class TestVariantRules:
         cols.start_num[job_row(cols, 0, nth=1)] -= 1  # overlap
         kept = []
         with pytest.raises(InfeasibleScheduleError) as e:
-            validate_columns(sched.instance, cols, Variant.SPLITTABLE, use_numpy=True)
+            validate_columns(sched.instance, cols, Variant.SPLITTABLE)
         kept.append(e.value)  # hold on to the exception like a repair pass
         n_before = len(cols)
         cols.append_scaled(0, 100, 1, 1, 0, -1)  # must not raise BufferError

@@ -5,7 +5,7 @@ dual-test probes into one padded :class:`repro.core.xbatch.
 BatchDualContext` evaluation per lockstep round.  None of that may change
 a single answer, so this suite is the PR's center of gravity:
 
-* **kernel differential** — every ``fast_*_xgrid`` evaluator row-for-row
+* **kernel differential** — :meth:`BatchDualContext.evaluate` row-for-row
   against the scalar kernel, on every kind/mode, with ragged class
   counts, mixed safe/overflowing members, and numpy absent;
 * **engine differential** — seeded fuzz over heterogeneous micro-batches
@@ -30,18 +30,18 @@ from repro.algos.api import solve
 from repro.algos.batch_api import BatchItem, SweepPoint, solve_batch
 from repro.algos.jumping_pmtn import flip_plan_pmtn, pmtn_probe_evaluator
 from repro.algos.jumping_split import flip_plan_splittable, split_probe_evaluator
-from repro.core import batchdual, xbatch
+from repro.core import xbatch
 from repro.core.bounds import Variant
 from repro.core.cancel import CancelToken, SolveCancelled
+from repro.core.fastnum import (
+    fast_base_core,
+    fast_nonp_test,
+    fast_pmtn_test,
+    fast_split_test,
+)
 from repro.core.instance import Instance
 from repro.core.validate import validate_schedule
-from repro.core.xbatch import (
-    BatchDualContext,
-    fast_base_core_xgrid,
-    fast_nonp_test_xgrid,
-    fast_pmtn_test_xgrid,
-    fast_split_test_xgrid,
-)
+from repro.core.xbatch import BatchDualContext
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -114,7 +114,7 @@ def assert_same_output(got, ref):
 
 
 # --------------------------------------------------------------------------- #
-# kernel differential: fused xgrid evaluators vs the scalar kernel
+# kernel differential: the fused engine vs the scalar kernel
 # --------------------------------------------------------------------------- #
 
 
@@ -176,42 +176,30 @@ class TestXGridKernelDifferential:
         for g, w in zip(got, want):
             assert verdict_fields(kind, g) == verdict_fields(kind, w)
 
-    def test_module_level_wrappers(self):
+    def test_rows_match_fastnum_kernels(self):
+        """``evaluate`` against the module-level scalar kernels themselves."""
         rng = random.Random(21)
         insts = [rand_instance(rng) for _ in range(3)]
-        xctx = BatchDualContext([inst.fast_ctx() for inst in insts])
+        ctxs = [inst.fast_ctx() for inst in insts]
+        xctx = BatchDualContext(ctxs)
         rows = member_rows(rng, insts, 2)
-        mis = [r[0] for r in rows]
-        tns = [r[1] for r in rows]
-        tds = [r[2] for r in rows]
-        for fn, kind, mode in (
-            (fast_split_test_xgrid, "split", ""),
-            (fast_nonp_test_xgrid, "nonp", ""),
-            (fast_base_core_xgrid, "pmtn_base", ""),
+        for kind, mode, kernel in (
+            ("split", "", fast_split_test),
+            ("nonp", "", fast_nonp_test),
+            ("pmtn_base", "", fast_base_core),
+            ("pmtn", "gamma", lambda ctx, tn, td: fast_pmtn_test(ctx, tn, td, "gamma")),
         ):
-            got = fn(xctx, mis, tns, tds)
-            want = [
-                xctx.scalar_one(kind, mode, mi, tn, td)
-                for mi, tn, td in zip(mis, tns, tds)
-            ]
+            got = xctx.evaluate(kind, mode, rows)
+            want = [kernel(ctxs[mi], tn, td) for mi, tn, td in rows]
             for g, w in zip(got, want):
                 assert verdict_fields(kind, g) == verdict_fields(kind, w)
-        got = fast_pmtn_test_xgrid(xctx, mis, tns, tds, "gamma")
-        want = [
-            xctx.scalar_one("pmtn", "gamma", mi, tn, td)
-            for mi, tn, td in zip(mis, tns, tds)
-        ]
-        for g, w in zip(got, want):
-            assert verdict_fields("pmtn", g) == verdict_fields("pmtn", w)
 
-    def test_row_vector_validation(self):
+    def test_unknown_kind_rejected(self):
         xctx = BatchDualContext([rand_instance(random.Random(3)).fast_ctx()])
         with pytest.raises(ValueError):
-            fast_split_test_xgrid(xctx, [0, 0], [1], [1])
-        with pytest.raises(ValueError):
-            fast_split_test_xgrid(xctx, [0], [0], [1])  # non-positive T
-        with pytest.raises(ValueError):
             xctx.evaluate("nope", "", [(0, 1, 1)])
+        with pytest.raises(ValueError):  # fusable row counts too
+            xctx.evaluate("nope", "", [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
 
     def test_member_index_appends_and_dedups(self):
         rng = random.Random(5)
@@ -308,7 +296,6 @@ class TestSolveBatchDifferential:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_without_numpy_lockstep_still_identical(self, seed, monkeypatch):
-        monkeypatch.setattr(batchdual, "HAVE_NUMPY", False)
         monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
         rng = random.Random(400 + seed)
         items = rand_batch(rng, 5)
@@ -474,7 +461,7 @@ class TestProbeDriftRegression:
             grid = (
                 not item.schedules
                 and _resolve_use_grid(
-                    None, "fast", item.variant, inst.c, item.algorithm, item.eps
+                    None, "fast", item.variant, inst.c, item.algorithm
                 )
                 and _grid_safe_cached(inst, item.variant)
             )
@@ -601,7 +588,6 @@ class TestScaledIntPlanTier:
 
     @pytest.mark.parametrize("variant", [Variant.SPLITTABLE, Variant.PREEMPTIVE])
     def test_flip_plan_streams_without_numpy(self, variant, monkeypatch):
-        monkeypatch.setattr(batchdual, "HAVE_NUMPY", False)
         monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
         rng = random.Random(2200)
         inst = rand_searchy_instance(rng)
@@ -628,10 +614,10 @@ class TestScaledIntPlanTier:
         tmin = t_min(inst, Variant.SPLITTABLE)
         for eps in (Fraction(1, 3), Fraction(1, 100)):
             fast_stream, fast_res = drive_recording(
-                eps_probe_plan(tmin, eps, "split", "", grid=False), fast_eval
+                eps_probe_plan(tmin, eps, "split", ""), fast_eval
             )
             frac_stream, frac_res = drive_recording(
-                eps_probe_plan(tmin, eps, "split", "", grid=False), frac_eval
+                eps_probe_plan(tmin, eps, "split", ""), frac_eval
             )
             assert fast_stream == frac_stream
             assert fast_res == frac_res
@@ -651,10 +637,10 @@ class TestScaledIntPlanTier:
 
         tmin_n = t_min(inst, Variant.NONPREEMPTIVE)
         fast_stream, fast_res = drive_recording(
-            integer_probe_plan(tmin_n, "nonp", grid=False), nonp_eval(True)
+            integer_probe_plan(tmin_n, "nonp"), nonp_eval(True)
         )
         frac_stream, frac_res = drive_recording(
-            integer_probe_plan(tmin_n, "nonp", grid=False), nonp_eval(False)
+            integer_probe_plan(tmin_n, "nonp"), nonp_eval(False)
         )
         assert fast_stream == frac_stream
         assert fast_res == frac_res
@@ -688,43 +674,6 @@ class TestScaledIntPlanTier:
 class TestMemoNormalization:
     """Satellite: memo keys are gcd-reduced, so unnormalized inputs share
     cache entries with their canonical representations."""
-
-    def test_memo_accept_unnormalized_inputs_hit_cache(self):
-        from types import SimpleNamespace
-
-        from repro.algos.search import MemoAccept
-
-        evaluated = []
-
-        def accept(T):
-            evaluated.append((T.numerator, T.denominator))
-            return Fraction(T.numerator, T.denominator) >= 1
-
-        memo = MemoAccept(accept)
-        assert memo(Fraction(3, 2)) is True
-        # hand-built unnormalized and sign-denormalized representations of 3/2
-        assert memo(SimpleNamespace(numerator=6, denominator=4)) is True
-        assert memo(SimpleNamespace(numerator=-3, denominator=-2)) is True
-        assert memo(Fraction(1, 2)) is False
-        assert memo(SimpleNamespace(numerator=2, denominator=4)) is False
-        assert memo.calls == 2  # one real evaluation per distinct rational
-        assert evaluated == [(3, 2), (1, 2)]
-
-    def test_memo_accept_seed_and_grid_share_normalized_cache(self):
-        from types import SimpleNamespace
-
-        from repro.algos.search import MemoAccept
-
-        memo = MemoAccept(lambda T: pytest.fail("scalar path must not run"))
-        memo.seed(SimpleNamespace(numerator=4, denominator=8), True)
-        assert memo(Fraction(1, 2)) is True
-        grid_calls = []
-        grid = memo.wrap_grid(lambda cands: [grid_calls.append(c) or True for c in cands])
-        # one candidate known (unnormalized alias), one fresh
-        out = grid([SimpleNamespace(numerator=2, denominator=4), Fraction(5, 2)])
-        assert out == [True, True]
-        assert grid_calls == [Fraction(5, 2)]
-        assert memo.calls == 1
 
     def test_plan_accept_normalizes_pairs(self):
         from repro.algos.search import plan_accept
