@@ -1,4 +1,4 @@
-"""Batched solve engine: ``solve_many`` and ``sweep_machines``.
+"""Batched solve engine: ``solve_many``, ``sweep_machines``, ``solve_batch``.
 
 The workloads the ROADMAP targets — machine-count sweeps
 (:mod:`repro.experiments.scaling`), ratio studies, and service-shaped
@@ -18,7 +18,10 @@ This module is the façade that exploits the sharing:
   ``with_machines(..., share_caches=True)``.
 * :func:`solve_many` solves a stream of instances, transparently sharing
   caches between instances with equal ``(setups, jobs)``.
-* Both offer ``schedules=False``: the dual searches still resolve the
+* :func:`solve_batch` solves one heterogeneous service micro-batch, with
+  a caller-owned representative table and, with ``xbatch=True``, the
+  cross-instance lockstep coordinator.
+* All offer ``schedules=False``: the dual searches still resolve the
   certified makespan ``T`` with its lower-bound certificate — the
   splittable and preemptive flip searches through the vectorized
   :mod:`repro.core.xbatch` engine when numpy is available and the grid
@@ -28,9 +31,11 @@ This module is the façade that exploits the sharing:
   construction cost entirely; :class:`SweepPoint` carries the same
   certified fields a full :class:`~repro.algos.api.SolveResult` would.
 
-Everything returned is bit-identical to the corresponding looped
-``solve()`` fields — asserted by ``tests/test_batch_api.py`` on the
-generator suites.
+Every solve runs :mod:`repro.algos.api`'s one solve path (per item
+:func:`~repro.algos.api.solve_point`; in lockstep
+:func:`~repro.algos.api.prepare` and the same ``finish``), so each result
+is bit-identical to the looped ``solve()`` fields — asserted by
+``tests/test_batch_api.py`` on the generator suites.
 """
 
 from __future__ import annotations
@@ -40,194 +45,23 @@ from fractions import Fraction
 from typing import Callable, Iterable, MutableMapping, Optional, Sequence, Union
 
 from ..core import xbatch
-from ..core.bounds import Variant, lower_bound, setup_plus_tmax, t_min
+from ..core.bounds import Variant, t_min
 from ..core.cancel import CancelToken, SolveCancelled, cancel_scope
 from ..core.fastnum import validate_kernel
 from ..core.instance import Instance
-from ..core.numeric import Time, fast_fraction
-from ..obs.trace import count as obs_count
-from .api import Algorithm, Kernel, SolveResult, solve
-from .jumping_pmtn import find_flip_pmtn, flip_plan_pmtn
-from .jumping_split import find_flip_splittable, flip_plan_splittable
-from .nonpreemptive import nonp_dual_schedule, three_halves_nonpreemptive
-from .pmtn_general import pmtn_dual_schedule
-from .search import (
-    GRID_BLOCK,
-    binary_search_dual,
-    eps_probe_plan,
-    integer_probe_plan,
+from ..obs.trace import count as obs_count, count_probe as obs_count_probe
+from .api import (
+    Algorithm,
+    Kernel,
+    SolveResult,
+    SweepPoint,
+    _validate_request,
+    prepare,
+    solve_point,
 )
-from .splittable import split_dual_schedule
+from .search import GRID_BLOCK, accept_flags
 
 __all__ = ["BatchItem", "SweepPoint", "solve_batch", "solve_many", "sweep_machines"]
-
-#: The three public algorithm names of :func:`repro.algos.api.solve`.
-VALID_ALGORITHMS = ("two", "eps", "three_halves")
-
-
-def _coerce_variant(variant) -> Variant:
-    """``variant`` as a :class:`Variant` member, with a one-line error.
-
-    ``Variant`` is a ``str`` enum, so a plain string like ``"splittable"``
-    *compares* equal to a member but fails every ``is`` dispatch the
-    solve paths use — silently taking wrong branches.  Coercing up front
-    makes strings first-class and turns typos into one clear error.
-    """
-    if isinstance(variant, Variant):
-        return variant
-    try:
-        return Variant(variant)
-    except ValueError:
-        valid = ", ".join(repr(v.value) for v in Variant)
-        raise ValueError(
-            f"unknown variant {variant!r}; expected one of {valid} "
-            f"(or a repro.core.bounds.Variant member)"
-        ) from None
-
-
-def _validate_request(variant, algorithm, schedules: bool) -> Variant:
-    """Validate one request's names *before* any solving starts.
-
-    The batched entry points process streams; without this, a bad
-    variant or algorithm name surfaced mid-stream (or worse, after
-    partial results were already computed).  Everything raised here is
-    raised before the first solve.
-    """
-    variant = _coerce_variant(variant)
-    if algorithm not in VALID_ALGORITHMS:
-        valid = ", ".join(repr(a) for a in VALID_ALGORITHMS)
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {valid}")
-    if not schedules and algorithm == "two":
-        raise ValueError(
-            "schedules=False supports the dual-search algorithms "
-            "('three_halves', 'eps'), not 'two'"
-        )
-    return variant
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Bounds-only outcome of one sweep entry (no schedule materialized).
-
-    Field for field the certificate data of the ``SolveResult`` a full
-    solve at this machine count returns: the same accepted ``T``, the
-    same proven ``ratio_bound``, the same ``opt_lower_bound``.  The
-    schedule itself (makespan ≤ ``makespan_bound``) can be built on
-    demand with ``solve(instance.with_machines(m), ...)``.
-    """
-
-    m: int
-    variant: Variant
-    algorithm: str
-    T: Time
-    ratio_bound: Fraction
-    opt_lower_bound: Time
-    accept_calls: int
-
-    @property
-    def makespan_bound(self) -> Time:
-        """Proven ceiling on the (buildable) schedule's makespan.
-
-        The dual constructions guarantee makespan ≤ (3/2)·T at the
-        accepted ``T``; the trivial closed forms are exact.
-        """
-        if self.algorithm == "trivial":
-            return self.T
-        return Fraction(3, 2) * self.T
-
-
-def _trivial_point(instance: Instance, variant: Variant) -> Optional[SweepPoint]:
-    """The m = 1 / m ≥ n closed forms of the trivial solve paths."""
-    if instance.m == 1:
-        total = Fraction(instance.total_load)  # serial schedule is optimal
-        return SweepPoint(
-            m=1, variant=variant, algorithm="trivial", T=total,
-            ratio_bound=Fraction(1), opt_lower_bound=total, accept_calls=0,
-        )
-    if variant is not Variant.SPLITTABLE and instance.m >= instance.n:
-        cmax = Fraction(setup_plus_tmax(instance))  # one job (+setup) per machine
-        return SweepPoint(
-            m=instance.m, variant=variant, algorithm="trivial", T=cmax,
-            ratio_bound=Fraction(1), opt_lower_bound=cmax, accept_calls=0,
-        )
-    return None
-
-
-def _bounds_point(
-    instance: Instance,
-    variant: Variant,
-    algorithm: Algorithm,
-    eps: Fraction,
-    kernel: Kernel,
-    use_grid: bool,
-) -> SweepPoint:
-    """One bounds-only solve: search, certify, skip the construction."""
-    trivial = _trivial_point(instance, variant)
-    if trivial is not None:
-        return trivial
-    lb = lower_bound(instance, variant)
-    fast = validate_kernel(kernel)
-    ctx = instance.fast_ctx() if fast else None
-    m = instance.m
-
-    if algorithm == "eps":
-        from .api import _dual_for
-
-        # Same accept predicate solve(..., "eps") wires up (build discarded:
-        # bounds mode never constructs).
-        accept, _ = _dual_for(instance, variant, kernel)
-        sr = binary_search_dual(instance, variant, accept, build=None, eps=eps)
-        return SweepPoint(
-            m=m, variant=variant, algorithm="eps", T=sr.T,
-            ratio_bound=sr.ratio_bound,
-            opt_lower_bound=max(lb, sr.certificate_lo),
-            accept_calls=sr.accept_calls,
-        )
-
-    if algorithm != "three_halves":
-        raise ValueError(
-            f"schedules=False supports the dual-search algorithms "
-            f"('three_halves', 'eps'), not {algorithm!r}"
-        )
-
-    if variant is Variant.SPLITTABLE:
-        T_star, calls = find_flip_splittable(
-            instance, kernel=kernel, ctx=ctx, use_grid=use_grid
-        )
-        return SweepPoint(
-            m=m, variant=variant, algorithm="three_halves", T=T_star,
-            ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T_star),
-            accept_calls=calls,
-        )
-    if variant is Variant.PREEMPTIVE:
-        T_star, T_witness, calls = find_flip_pmtn(
-            instance, kernel=kernel, ctx=ctx, use_grid=use_grid
-        )
-        ratio = (
-            Fraction(3, 2) * T_witness / T_star if T_star else Fraction(3, 2)
-        )
-        return SweepPoint(
-            m=m, variant=variant, algorithm="three_halves", T=T_witness,
-            ratio_bound=ratio, opt_lower_bound=max(lb, T_star),
-            accept_calls=calls,
-        )
-    sr = three_halves_nonpreemptive(
-        instance, kernel=kernel, ctx=ctx, build_schedule=False
-    )
-    return SweepPoint(
-        m=m, variant=variant, algorithm="three_halves", T=sr.T,
-        ratio_bound=Fraction(3, 2),
-        opt_lower_bound=max(lb, sr.certificate_lo),
-        accept_calls=sr.accept_calls,
-    )
-
-
-#: Probe kind of each variant's dual test in the vectorized engine.
-_PROBE_KIND = {
-    Variant.SPLITTABLE: "split",
-    Variant.PREEMPTIVE: "pmtn",
-    Variant.NONPREEMPTIVE: "nonp",
-}
 
 #: Shape-aware grid auto-policy.  Only the splittable and preemptive
 #: Class-Jumping flip searches (``three_halves``) have a grid mode: they
@@ -256,32 +90,13 @@ GRID_POLICY: dict[str, tuple[int, int]] = {
     "pmtn": (64, 32_000),
 }
 
+#: :data:`GRID_POLICY` key of each variant's ``three_halves`` flip search.
+_FLIP_KIND = {Variant.SPLITTABLE: "split", Variant.PREEMPTIVE: "pmtn"}
+
 
 def _grid_shape(variant: Variant, algorithm: Algorithm) -> Optional[str]:
     """The :data:`GRID_POLICY` key of a search shape, ``None`` if it has no grid."""
-    if algorithm != "three_halves":
-        return None
-    kind = _PROBE_KIND[variant]
-    return kind if kind in GRID_POLICY else None
-
-
-def _check_forced_grid(
-    use_grid: Optional[bool], kernel: Kernel, variant: Variant, algorithm: Algorithm
-) -> None:
-    """Refuse ``use_grid=True`` on a shape without a grid, before any solve."""
-    if not use_grid:
-        return
-    if kernel != "fast":
-        raise ValueError(
-            "use_grid=True needs kernel='fast'; the fraction kernel probes "
-            "one candidate at a time"
-        )
-    if _grid_shape(variant, algorithm) is None:
-        raise ValueError(
-            f"use_grid=True: the {variant.value} {algorithm!r} search has no "
-            f"grid; grids exist only for the splittable and preemptive "
-            f"'three_halves' flip searches"
-        )
+    return _FLIP_KIND.get(variant) if algorithm == "three_halves" else None
 
 
 def _grid_block_estimate(c: int) -> int:
@@ -294,61 +109,107 @@ def _grid_block_estimate(c: int) -> int:
     return min(c + 2, GRID_BLOCK)
 
 
-def _resolve_use_grid(
-    use_grid: Optional[bool],
-    kernel: Kernel,
+def _check_request(
+    variant, algorithm, schedules: bool, kernel: Kernel, use_grid: Optional[bool]
+) -> Variant:
+    """One request's name and forced-grid checks, raised before any solve.
+
+    ``use_grid=True`` fails loudly rather than silently probing scalar.
+    """
+    variant = _validate_request(variant, algorithm, schedules)
+    if not use_grid:
+        return variant
+    if schedules:
+        raise ValueError(
+            "use_grid=True applies to bounds-only solves (schedules=False); "
+            "full-schedule solves use the scalar searches"
+        )
+    if kernel != "fast":
+        raise ValueError(
+            "use_grid=True needs kernel='fast'; the fraction kernel probes "
+            "one candidate at a time"
+        )
+    if _grid_shape(variant, algorithm) is None:
+        raise ValueError(
+            f"use_grid=True: the {variant.value} {algorithm!r} search has no "
+            f"grid; grids exist only for the splittable and preemptive "
+            f"'three_halves' flip searches"
+        )
+    return variant
+
+
+def _grid_for(
+    instance: Instance,
     variant: Variant,
-    c: int,
-    algorithm: Algorithm = "three_halves",
+    algorithm: Algorithm,
+    kernel: Kernel,
+    use_grid: Optional[bool],
+    schedules: bool,
 ) -> bool:
-    """Shape-aware auto-policy for the vectorized grid evaluators.
+    """One solve's grid decision (``use_grid`` vetted by :func:`_check_request`).
 
-    A grid round evaluates its whole candidate block at once where the
-    scalar search would bisect it with ~log₂(block) probes, and every
-    grid candidate costs kernel work linear in the class count — the
-    numpy constant-factor win has to amortize that blow-up.  ``None``
-    therefore engages a kind's grid only while the product of the
-    search shape's candidate-block size (:func:`_grid_block_estimate`)
-    and the class count stays under the kind's measured ceiling
-    (:data:`GRID_POLICY`); shapes without a grid always probe scalar.
-    ``True`` forces grids and requires numpy (fails loudly rather than
-    silently degrading to candidate-by-candidate scalar loops; the
-    entry points reject shapes without a grid up front, see
-    :func:`_check_forced_grid`); ``False`` forces scalar probing.
+    Full schedules probe scalar; ``True``/``False`` force the choice
+    (``True`` without numpy raises ``RuntimeError``).
+    ``None`` engages a flip search's grid when numpy is importable, the
+    kernel is ``"fast"``, the candidate block (:func:`_grid_block_estimate`)
+    and ``block × c`` fit the kind's :data:`GRID_POLICY` window, and the
+    candidates clear the int64 precheck: an overflow-prone grid call
+    stays correct but falls back to probing its whole block one by one.
+    The overflow probe (:func:`repro.core.xbatch._grid_is_safe` on
+    ``[T_min, 2·T_min]`` at denominators up to ``1024·2m``, a superset of
+    the dyadic refinements and class jumps seen in practice) depends on
+    ``(variant, m)`` only, so its verdict is parked in the instance's
+    shared misc cache, evicted by :meth:`Instance.release_caches`.
     """
-    if use_grid is None:
-        shape = _grid_shape(variant, algorithm)
-        if shape is None or not (xbatch.HAVE_NUMPY and kernel == "fast"):
-            obs_count("dispatch.scalar")
-            return False
-        block_min, work_max = GRID_POLICY[shape]
-        block = _grid_block_estimate(c)
-        grid = block >= block_min and block * c <= work_max
-        obs_count("dispatch.grid" if grid else "dispatch.scalar")
-        return grid
-    if use_grid and not xbatch.HAVE_NUMPY:
-        raise RuntimeError("use_grid=True but numpy is not installed")
-    obs_count("dispatch.grid" if use_grid else "dispatch.scalar")
-    return bool(use_grid)
+    if schedules:
+        return False
+    if use_grid is not None:
+        if use_grid and not xbatch.HAVE_NUMPY:
+            raise RuntimeError("use_grid=True but numpy is not installed")
+        return bool(use_grid)
+    shape = _grid_shape(variant, algorithm)
+    if shape is None or kernel != "fast" or not xbatch.HAVE_NUMPY:
+        return False
+    block_min, work_max = GRID_POLICY[shape]
+    block = _grid_block_estimate(instance.c)
+    if block < block_min or block * instance.c > work_max:
+        return False
+    key = ("grid_safe", variant.value, instance.m)
+    safe = instance._misc_cache.get(key)
+    if safe is None:
+        tmin = t_min(instance, variant)
+        max_td = tmin.denominator * 1024 * max(1, 2 * instance.m)
+        lo = tmin.numerator * (max_td // tmin.denominator)
+        safe = xbatch._grid_is_safe(
+            instance.fast_ctx(), [max(1, lo), 2 * lo], [max_td, max_td]
+        )
+        instance._misc_cache[key] = safe
+    return safe
 
 
-def _grid_safe_for(ctx, instance: Instance, variant: Variant) -> bool:
-    """Will this instance's search candidates clear the int64 precheck?
+def _shared(reps: MutableMapping[str, Instance], instance: Instance) -> Instance:
+    """``instance`` backed by its fingerprint representative's caches.
 
-    Batched grid calls stay *correct* on overflow-prone instances (each
-    call falls back to the scalar kernel), but a fallen-back grid call
-    evaluates every candidate of its block sequentially, which is
-    slower than the plain bisection it replaced.  This probes
-    :func:`repro.core.xbatch._grid_is_safe` once per
-    sweep point with a representative candidate envelope (the search
-    window ``[T_min, 2·T_min]`` at denominators up to ``1024·2m`` — a
-    superset of the dyadic refinements and class-jump denominators seen
-    in practice) and keeps grids off when it does not clear.
+    The first instance of a fingerprint becomes the representative;
+    later ones solve on an O(c) cache-sharing copy of it at their own
+    machine count.
     """
-    tmin = t_min(instance, variant)
-    max_td = tmin.denominator * 1024 * max(1, 2 * instance.m)
-    lo = tmin.numerator * (max_td // tmin.denominator)
-    return xbatch._grid_is_safe(ctx, [max(1, lo), 2 * lo], [max_td, max_td])
+    fp = instance.fingerprint()
+    rep = reps.get(fp)
+    if rep is None:
+        reps[fp] = instance
+        return instance
+    if rep is instance:
+        return instance
+    return rep.with_machines(instance.m, share_caches=True)
+
+
+def _point(instance, variant, algorithm, eps, kernel, schedules, use_grid):
+    """:func:`~repro.algos.api.solve_point` under this solve's grid decision."""
+    grid = _grid_for(instance, variant, algorithm, kernel, use_grid, schedules)
+    return solve_point(
+        instance, variant, algorithm, eps, kernel=kernel, schedules=schedules, grid=grid
+    )
 
 
 def sweep_machines(
@@ -379,46 +240,25 @@ def sweep_machines(
 
     ``use_grid`` applies to the bounds-only flip searches of splittable
     and preemptive ``three_halves``: ``None`` (default) lets
-    :data:`GRID_POLICY` engage the numpy grid evaluator when numpy is
-    importable, the kernel is ``"fast"`` and the instance clears the
-    int64 overflow probe; ``False`` forces scalar probing; ``True``
+    :data:`GRID_POLICY` engage the numpy grid evaluator per point when
+    numpy is importable, the kernel is ``"fast"`` and the point clears
+    the int64 overflow probe; ``False`` forces scalar probing; ``True``
     requires numpy.  Forcing ``use_grid=True`` on a search without a
     grid — full schedules, ``eps``, non-preemptive, or
     ``kernel="fraction"`` — raises ``ValueError`` rather than silently
-    degrading.  (Since PR 4 even the non-preemptive construction is
-    sweep-friendly: Algorithm 6 runs object-free on the index-based
-    :class:`~repro.core.itemstore.ItemStore`, reuses the shared
-    per-class prefix/Q-block caches across points, skips the already-
-    decided Theorem-9 re-test, and hands schedules over lazily — the
-    full-sweep ratio over the looped baseline reaches ~2× like the
-    other variants.)
+    degrading.
     """
     validate_kernel(kernel)
-    variant = _validate_request(variant, algorithm, schedules)
-    if schedules and use_grid:
-        raise ValueError(
-            "use_grid=True applies to bounds-only sweeps (schedules=False); "
-            "full-schedule sweeps use the scalar searches"
-        )
-    _check_forced_grid(use_grid, kernel, variant, algorithm)
-    grid = (
-        False if schedules
-        else _resolve_use_grid(use_grid, kernel, variant, instance.c, algorithm)
-    )
+    variant = _check_request(variant, algorithm, schedules, kernel, use_grid)
     if kernel == "fast":
-        ctx = instance.fast_ctx()  # ensure the shared context exists pre-sweep
-        if grid and use_grid is None and not _grid_safe_for(ctx, instance, variant):
-            grid = False  # auto policy: overflow-prone grids would fall back per call
-    out: list = []
-    for m in ms:
-        inst_m = instance.with_machines(m, share_caches=True)
-        if schedules:
-            out.append(solve(inst_m, variant, algorithm, eps, kernel=kernel))
-        else:
-            out.append(
-                _bounds_point(inst_m, variant, algorithm, eps, kernel, grid)
-            )
-    return out
+        instance.fast_ctx()  # ensure the shared context exists pre-sweep
+    return [
+        _point(
+            instance.with_machines(m, share_caches=True), variant, algorithm,
+            eps, kernel, schedules, use_grid,
+        )
+        for m in ms
+    ]
 
 
 def solve_many(
@@ -441,40 +281,12 @@ def solve_many(
     (or, with ``schedules=False``, to its certificate fields).
     """
     validate_kernel(kernel)
-    variant = _validate_request(variant, algorithm, schedules)
-    if schedules and use_grid:
-        raise ValueError(
-            "use_grid=True applies to bounds-only solves (schedules=False); "
-            "full-schedule solves use the scalar searches"
-        )
-    _check_forced_grid(use_grid, kernel, variant, algorithm)
-    reps: dict[tuple, Instance] = {}
-    grid_by_key: dict[tuple, bool] = {}  # overflow probe is per input, not sticky
-    out: list = []
-    for inst in instances:
-        key = (inst.setups, inst.jobs)
-        rep = reps.get(key)
-        if rep is None:
-            reps[key] = inst
-            grid = (
-                False if schedules
-                else _resolve_use_grid(use_grid, kernel, variant, inst.c, algorithm)
-            )
-            if kernel == "fast":
-                ctx = inst.fast_ctx()
-                if grid and use_grid is None and not _grid_safe_for(ctx, inst, variant):
-                    grid = False  # auto policy, see sweep_machines
-            grid_by_key[key] = grid
-            shared = inst
-        else:
-            shared = rep.with_machines(inst.m, share_caches=True)
-        if schedules:
-            out.append(solve(shared, variant, algorithm, eps, kernel=kernel))
-        else:
-            out.append(
-                _bounds_point(shared, variant, algorithm, eps, kernel, grid_by_key[key])
-            )
-    return out
+    variant = _check_request(variant, algorithm, schedules, kernel, use_grid)
+    reps: dict[str, Instance] = {}
+    return [
+        _point(_shared(reps, inst), variant, algorithm, eps, kernel, schedules, use_grid)
+        for inst in instances
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -504,23 +316,6 @@ class BatchItem:
     ms: Optional[tuple[int, ...]] = None
 
 
-def _grid_safe_cached(instance: Instance, variant: Variant) -> bool:
-    """The :func:`_grid_safe_for` probe, memoized on the shared cache set.
-
-    The probe is per ``(variant, m)`` (the candidate envelope depends on
-    ``T_min``); service streams re-solve the same fingerprints for the
-    same machine counts over and over, so the verdict is parked in the
-    instance's shared misc cache — evicted (and re-probed) together with
-    everything else on :meth:`Instance.release_caches`.
-    """
-    key = ("grid_safe", variant.value, instance.m)
-    cached = instance._misc_cache.get(key)
-    if cached is None:
-        cached = _grid_safe_for(instance.fast_ctx(), instance, variant)
-        instance._misc_cache[key] = cached
-    return cached
-
-
 def _solve_item(
     shared: Instance,
     variant: Variant,
@@ -534,12 +329,9 @@ def _solve_item(
             shared, item.ms, variant, item.algorithm, item.eps,
             kernel=kernel, schedules=item.schedules, use_grid=use_grid,
         )
-    if item.schedules:
-        return solve(shared, variant, item.algorithm, item.eps, kernel=kernel)
-    grid = _resolve_use_grid(use_grid, kernel, variant, shared.c, item.algorithm)
-    if grid and use_grid is None and not _grid_safe_cached(shared, variant):
-        grid = False  # auto policy, see sweep_machines
-    return _bounds_point(shared, variant, item.algorithm, item.eps, kernel, grid)
+    return _point(
+        shared, variant, item.algorithm, item.eps, kernel, item.schedules, use_grid
+    )
 
 
 def solve_batch(
@@ -586,30 +378,24 @@ def solve_batch(
     production callers leave it ``None``.
 
     ``xbatch=True`` solves the batch through the **cross-instance
-    lockstep coordinator**: every eligible item's bracket search runs as
-    a probe plan (:mod:`repro.algos.search`), the coordinator advances
-    all plans one round at a time, and each round's same-kind probes —
-    across *different* instances — fuse into one padded
-    :class:`repro.core.xbatch.BatchDualContext` kernel call.  Results,
-    probe counts, and raised errors are bit-identical to ``xbatch=False``
-    (each plan is the very generator the sequential path drives, and the
-    fused kernels are differentially pinned against the scalar ones);
-    items the coordinator cannot fuse — ``ms`` sweeps, ``"two"``, the
-    trivial closed forms — fall back to the per-item path inside the
-    same call, as does the whole batch on the fraction kernel.
+    lockstep coordinator**: every eligible item's search runs as the
+    probe plan :func:`~repro.algos.api.prepare` makes for it, the
+    coordinator advances all plans one round at a time, and each round's
+    same-kind probes — across *different* instances — fuse into one
+    padded :class:`repro.core.xbatch.BatchDualContext` kernel call.
+    Results, probe counts, and raised errors are bit-identical to
+    ``xbatch=False`` (each plan is the very generator the sequential
+    path drives, its result goes to the same ``finish``, and the fused
+    kernels are differentially pinned against the scalar ones); items
+    the coordinator cannot fuse — ``ms`` sweeps and the closed forms
+    (``"two"``, ``m = 1``, ``m ≥ n``) — fall back to the per-item path
+    inside the same call, as does the whole batch on the fraction kernel.
     """
     validate_kernel(kernel)
     prepared = [
-        (item, _validate_request(item.variant, item.algorithm, item.schedules))
+        (item, _check_request(item.variant, item.algorithm, item.schedules, kernel, use_grid))
         for item in items
     ]
-    if use_grid and any(item.schedules for item in items):
-        raise ValueError(
-            "use_grid=True applies to bounds-only items (schedules=False); "
-            "full-schedule items use the scalar searches"
-        )
-    for item, variant in prepared:
-        _check_forced_grid(use_grid, kernel, variant, item.algorithm)
     if cancels is not None and len(cancels) != len(items):
         raise ValueError(
             f"cancels must align with items: {len(cancels)} tokens "
@@ -629,16 +415,7 @@ def solve_batch(
                 before_solve(item)
             if token is not None:
                 token.check()  # skip work that is already past its deadline
-            inst = item.instance
-            fp = inst.fingerprint()
-            rep = reps.get(fp)
-            if rep is None:
-                reps[fp] = inst
-                shared = inst
-            elif rep is inst:
-                shared = inst
-            else:
-                shared = rep.with_machines(inst.m, share_caches=True)
+            shared = _shared(reps, item.instance)
             out.append(_solve_item(shared, variant, item, kernel, use_grid))
     return out
 
@@ -651,142 +428,12 @@ def solve_batch(
 class _LockstepRun:
     """One item's in-flight probe plan inside the coordinator."""
 
-    idx: int
     plan: object                     # probe-plan generator (see algos.search)
     token: Optional[CancelToken]
     member: int                      # row index into the BatchDualContext
     m: int                           # machine count (pmtn_base accept formula)
     finish: Callable                 # StopIteration.value -> output object
     response: object = None          # verdicts to send into the next round
-
-
-def _lockstep_prepare(
-    shared: Instance,
-    variant: Variant,
-    item: BatchItem,
-    kernel: Kernel,
-    use_grid: Optional[bool],
-):
-    """``(plan, finish)`` for a fusable item, ``None`` for the fallbacks.
-
-    The plan is the identical generator the sequential entry point for
-    this item drives (:func:`~repro.algos.search.eps_probe_plan` /
-    :func:`~repro.algos.search.integer_probe_plan` / the flip plans), so
-    the item's probe sequence under lockstep equals its solo sequence by
-    construction.  ``finish`` runs the per-item construction and mirrors
-    the :class:`SolveResult` / :class:`SweepPoint` assembly of
-    ``solve()`` / :func:`_bounds_point` field for field.
-    """
-    if item.ms is not None or item.algorithm == "two":
-        return None
-    if shared.m == 1 or (variant is not Variant.SPLITTABLE and shared.m >= shared.n):
-        return None  # trivial closed forms: no probes to fuse
-    if item.schedules:
-        grid = False  # full-schedule solves always use the scalar searches
-    else:
-        grid = _resolve_use_grid(use_grid, kernel, variant, shared.c, item.algorithm)
-        if grid and use_grid is None and not _grid_safe_cached(shared, variant):
-            grid = False  # auto policy, see sweep_machines
-    kind = _PROBE_KIND[variant]
-    lb = lower_bound(shared, variant)
-    m = shared.m
-
-    if item.algorithm == "eps":
-        if item.eps <= 0:
-            raise ValueError("eps must be positive")
-        mode = "alpha" if variant is Variant.PREEMPTIVE else ""
-        plan = eps_probe_plan(t_min(shared, variant), item.eps, kind, mode)
-
-        def finish(res):
-            T, lo, calls = res
-            T, lo = fast_fraction(*T), fast_fraction(*lo)
-            ratio = Fraction(3, 2) * T / lo
-            if item.schedules:
-                return SolveResult(
-                    schedule=_build_for(shared, variant, kernel, T),
-                    variant=variant, algorithm="eps", T=T,
-                    ratio_bound=ratio, opt_lower_bound=max(lb, lo),
-                )
-            return SweepPoint(
-                m=m, variant=variant, algorithm="eps", T=T, ratio_bound=ratio,
-                opt_lower_bound=max(lb, lo), accept_calls=calls,
-            )
-
-        return plan, finish
-
-    if variant is Variant.SPLITTABLE:
-        plan = flip_plan_splittable(shared, grid=grid)
-
-        def finish(res):
-            T_star, calls = res
-            T_star = fast_fraction(*T_star)
-            if item.schedules:
-                return SolveResult(
-                    schedule=split_dual_schedule(shared, T_star, kernel=kernel),
-                    variant=variant, algorithm="three_halves", T=T_star,
-                    ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T_star),
-                )
-            return SweepPoint(
-                m=m, variant=variant, algorithm="three_halves", T=T_star,
-                ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T_star),
-                accept_calls=calls,
-            )
-
-        return plan, finish
-
-    if variant is Variant.PREEMPTIVE:
-        plan = flip_plan_pmtn(shared, grid=grid)
-
-        def finish(res):
-            T_star, T_witness, calls = res
-            T_star = fast_fraction(*T_star)
-            T_witness = fast_fraction(*T_witness)
-            ratio = (
-                Fraction(3, 2) * T_witness / T_star if T_star else Fraction(3, 2)
-            )
-            if item.schedules:
-                return SolveResult(
-                    schedule=pmtn_dual_schedule(
-                        shared, T_witness, mode="gamma", kernel=kernel
-                    ),
-                    variant=variant, algorithm="three_halves", T=T_witness,
-                    ratio_bound=ratio, opt_lower_bound=max(lb, T_star),
-                )
-            return SweepPoint(
-                m=m, variant=variant, algorithm="three_halves", T=T_witness,
-                ratio_bound=ratio, opt_lower_bound=max(lb, T_star),
-                accept_calls=calls,
-            )
-
-        return plan, finish
-
-    plan = integer_probe_plan(t_min(shared, variant), kind)
-
-    def finish(res):
-        T, calls = res
-        T = fast_fraction(*T)
-        if item.schedules:
-            return SolveResult(
-                schedule=nonp_dual_schedule(shared, T, kernel=kernel, pretested=True),
-                variant=variant, algorithm="three_halves", T=T,
-                ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T),
-            )
-        return SweepPoint(
-            m=m, variant=variant, algorithm="three_halves", T=T,
-            ratio_bound=Fraction(3, 2), opt_lower_bound=max(lb, T),
-            accept_calls=calls,
-        )
-
-    return plan, finish
-
-
-def _build_for(shared: Instance, variant: Variant, kernel: Kernel, T: Time):
-    """The eps path's build hook (mirrors ``api._dual_for``'s builders)."""
-    if variant is Variant.SPLITTABLE:
-        return split_dual_schedule(shared, T, kernel=kernel)
-    if variant is Variant.PREEMPTIVE:
-        return pmtn_dual_schedule(shared, T, kernel=kernel)
-    return nonp_dual_schedule(shared, T, kernel=kernel)
 
 
 def _solve_batch_lockstep(
@@ -802,8 +449,9 @@ def _solve_batch_lockstep(
     Contract notes (all pinned by ``tests/test_xbatch.py``):
 
     * **Bit-identity** — each plan is the sequential path's own
-      generator and every fused verdict is bit-identical to the scalar
-      kernel, so outputs (including ``accept_calls``) match
+      generator, its result goes to the same ``finish``, and every fused
+      verdict is bit-identical to the scalar kernel, so outputs
+      (including ``accept_calls``) and ``probe.*`` counts match
       ``xbatch=False`` exactly.
     * **First-error** — the sequential loop raises the smallest-index
       item's error and never starts later items.  Here the prelude stops
@@ -812,16 +460,14 @@ def _solve_batch_lockstep(
       smallest-index error is raised at the end; plans past it are
       abandoned unfinished.
     * **Cancellation** — a token is polled exactly where the sequential
-      evaluators poll (once per "accept"/"accept_block" request; never
+      evaluator polls (once per "accept"/"accept_block" request; never
       on "verdict" requests); a fired token removes only its own item
       from the round, the rest of the fused batch continues untouched.
     """
-    from ..core.xbatch import BatchDualContext
-
     n = len(prepared)
     out: list = [None] * n
     errors: dict[int, Exception] = {}
-    xctx = BatchDualContext([])
+    xctx = xbatch.BatchDualContext([])
     runs: dict[int, _LockstepRun] = {}
 
     # ---- prelude: admission + rep resolution + fallbacks, item order -- #
@@ -833,24 +479,24 @@ def _solve_batch_lockstep(
                     before_solve(item)
                 if token is not None:
                     token.check()
-                inst = item.instance
-                fp = inst.fingerprint()
-                rep = reps.get(fp)
-                if rep is None:
-                    reps[fp] = inst
-                    shared = inst
-                elif rep is inst:
-                    shared = inst
-                else:
-                    shared = rep.with_machines(inst.m, share_caches=True)
-                prep = _lockstep_prepare(shared, variant, item, kernel, use_grid)
+                shared = _shared(reps, item.instance)
+                prep = None
+                if item.ms is None:
+                    grid = _grid_for(
+                        shared, variant, item.algorithm, kernel, use_grid,
+                        item.schedules,
+                    )
+                    prep = prepare(
+                        shared, variant, item.algorithm, item.eps, kernel,
+                        item.schedules, grid,
+                    )
                 if prep is None:
                     obs_count("xbatch.straggler")
                     out[idx] = _solve_item(shared, variant, item, kernel, use_grid)
                 else:
                     plan, finish = prep
                     runs[idx] = _LockstepRun(
-                        idx=idx, plan=plan, token=token,
+                        plan=plan, token=token,
                         member=xctx.member_index(shared.fast_ctx()),
                         m=shared.m, finish=finish,
                     )
@@ -883,6 +529,7 @@ def _solve_batch_lockstep(
                 del runs[idx]
                 errors[idx] = exc
                 continue
+            obs_count_probe(req.kind, req.mode, len(req.times))
             run.response = None
             pending.append((idx, req))
 
@@ -911,16 +558,11 @@ def _solve_batch_lockstep(
             for idx, req in entries:
                 vs = verdicts[pos : pos + len(req.times)]
                 pos += len(req.times)
-                if req.op == "verdict":
-                    runs[idx].response = vs
-                elif kind == "pmtn_base":
-                    m = runs[idx].m
-                    runs[idx].response = [
-                        m * tn >= load * td and m >= m_prime
-                        for (tn, td), (load, m_prime) in zip(req.times, vs)
-                    ]
-                else:
-                    runs[idx].response = [v.accepted for v in vs]
+                run = runs[idx]
+                run.response = (
+                    vs if req.op == "verdict"
+                    else accept_flags(kind, run.m, req.times, vs)
+                )
 
     if errors:
         raise errors[min(errors)]

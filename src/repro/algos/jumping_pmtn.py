@@ -33,6 +33,13 @@ a relative ``2^{-40}`` of it; the schedule is built at the witness, so the
 proven ratio is ``(3/2)(1+2^{-40})`` in that measure-zero corner and
 exactly 3/2 otherwise.
 
+The probe sequence lives in :func:`flip_plan_pmtn` (with the base flip
+in :func:`base_flip_plan`), a resumable probe plan: :func:`find_flip_pmtn`
+and :func:`repro.algos.api.solve_point` drive it against the shared
+per-item :func:`~repro.algos.search.probe_evaluator` (whose fraction
+branch reads the base core off :func:`_base_core`), and the xbatch
+coordinator drives the same generator in lockstep with other items.
+
 The plan runs on the scaled-integer tier: candidates, change points and
 the affine-root solve all live on normalized ``(num, den)`` int pairs.
 The affine slopes of the knapsack analysis are half-integers, so the
@@ -40,7 +47,7 @@ solve carries *doubled* slope coefficients (``|C*_i|`` instead of
 ``|C*_i|/2``) — the common factor 2 cancels in every root, and the
 normalized pairs are canonical, so each stable point equals the historic
 Fraction computation bit-for-bit.  Fractions appear only at the
-fraction-kernel evaluator branch, the one ``pmtn_dual_test`` structure
+evaluator's fraction-kernel branch, the one ``pmtn_dual_test`` structure
 read per piece (it needs the full partition), and the returned results.
 """
 
@@ -52,13 +59,10 @@ from functools import cmp_to_key
 from typing import Optional
 
 from ..core.bounds import Variant, t_min
-from ..core.cancel import check_cancelled
 from ..core.fastnum import (
     DualContext,
     PmtnVerdict,
     as_pair,
-    fast_base_core,
-    fast_pmtn_test,
     norm_pair,
     pair_add,
     pair_ceil,
@@ -70,9 +74,15 @@ from ..core.fastnum import (
 from ..core.instance import Instance
 from ..core.numeric import Time, fast_fraction, frac_ceil
 from ..core.schedule import Schedule
-from ..core.xbatch import BatchDualContext
 from .pmtn_general import pmtn_dual_schedule, pmtn_dual_test
-from .search import Pair, ProbeRequest, drive_plan, plan_accept, right_interval_plan
+from .search import (
+    Pair,
+    ProbeRequest,
+    drive_plan,
+    plan_accept,
+    probe_evaluator,
+    right_interval_plan,
+)
 
 #: relative witness offset for non-attained infima
 _WITNESS_EPS = Fraction(1, 2**40)
@@ -87,7 +97,7 @@ class PmtnJumpResult:
 
     @property
     def ratio_bound(self) -> Fraction:
-        return Fraction(3, 2) * self.T_witness / self.T_star if self.T_star else Fraction(3, 2)
+        return Fraction(3, 2) * self.T_witness / self.T_star  # T* ≥ T_min > 0
 
 
 def gamma_closed(instance: Instance, T: Time, cls: int) -> int:
@@ -119,11 +129,6 @@ def _base_core(instance: Instance, T: Time) -> tuple[Time, int]:
         load += s
     m_prime = l + gsum + (-(-minus // 2))
     return load, m_prime
-
-
-def _base_accept(instance: Instance, T: Time) -> bool:
-    load, m_prime = _base_core(instance, T)
-    return instance.m * T >= load and instance.m >= m_prime
 
 
 def base_flip_plan(instance: Instance, tmin: Pair, thi: Pair, *, grid: bool = False):
@@ -413,69 +418,12 @@ def find_flip_pmtn(
     the scan re-tests piece endpoints, so dedup saves real work here.
     """
     fast = validate_kernel(kernel)
-    if ctx is None:
-        ctx = instance.fast_ctx() if fast else None
     grid = use_grid and fast
     T_star, T_witness, calls = drive_plan(
         flip_plan_pmtn(instance, use_base_jump=use_base_jump, grid=grid),
-        pmtn_probe_evaluator(instance, fast=fast, ctx=ctx, grid=grid),
+        probe_evaluator(instance, fast=fast, ctx=ctx, grid=grid),
     )
     return fast_fraction(*T_star), fast_fraction(*T_witness), calls
-
-
-def pmtn_probe_evaluator(
-    instance: Instance, *, fast: bool, ctx: Optional[DualContext], grid: bool
-):
-    """Kernel dispatch for :func:`flip_plan_pmtn` probe requests.
-
-    Base-core accepts ("accept"/"accept_block", kind ``pmtn_base``) poll
-    cancellation at the probe boundary; "verdict" requests — the γ-test
-    probes of the scan and the raw constant-piece core reads — mirror
-    the sequential code, which never polled on them.  The fraction
-    branch is the pair→Fraction boundary; its integral loads come back
-    coerced to int so the plan stays on pairs.  With ``grid``,
-    "accept_block" requests go to a one-member
-    :class:`~repro.core.xbatch.BatchDualContext`.
-    """
-    xctx = BatchDualContext([ctx]) if grid else None
-
-    def base_core(tn: int, td: int) -> tuple[int, int]:
-        if fast:
-            return fast_base_core(ctx, tn, td)
-        load, m_prime = _base_core(instance, fast_fraction(tn, td))
-        return int(load), m_prime
-
-    def evaluate(req: ProbeRequest):
-        if req.op == "verdict":
-            if req.kind == "pmtn_base":
-                return [base_core(tn, td) for tn, td in req.times]
-            if fast:
-                return [
-                    fast_pmtn_test(ctx, tn, td, req.mode) for tn, td in req.times
-                ]
-            out = []
-            for tn, td in req.times:
-                d = pmtn_dual_test(instance, fast_fraction(tn, td), mode=req.mode)
-                out.append(
-                    PmtnVerdict(
-                        d.accepted, int(d.load), d.machines_needed, d.case,
-                        any("F < L*" in r for r in d.reject_reasons),
-                    )
-                )
-            return out
-        check_cancelled()  # probe boundary: no partial state to unwind
-        if req.op == "accept_block" and xctx is not None:
-            rows = [(0, tn, td) for tn, td in req.times]
-            cores = xctx.evaluate("pmtn_base", "", rows)
-        else:
-            cores = [base_core(tn, td) for tn, td in req.times]
-        m = instance.m
-        return [
-            m * tn >= load * td and m >= m_prime
-            for (tn, td), (load, m_prime) in zip(req.times, cores)
-        ]
-
-    return evaluate
 
 
 def flip_plan_pmtn(instance: Instance, *, use_base_jump: bool = True, grid: bool = False):

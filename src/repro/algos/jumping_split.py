@@ -23,14 +23,15 @@ below the returned value provably rejected; the returned value is therefore
 
 The probe sequence lives in :func:`flip_plan_splittable`, a resumable
 probe plan (see :mod:`repro.algos.search`): :func:`find_flip_splittable`
-drives it against the per-instance kernel, and the xbatch coordinator
-drives the *same* generator in lockstep with other items' searches —
-identical probes by construction.
+and :func:`repro.algos.api.solve_point` drive it against the shared
+per-item :func:`~repro.algos.search.probe_evaluator`, and the xbatch
+coordinator drives the *same* generator in lockstep with other items'
+searches — identical probes by construction.
 
 The plan runs on the scaled-integer tier: candidates are normalized
 ``(num, den)`` pairs (canonical per rational, so every probe value, memo
 key and jump set matches the historic Fraction plan bit-for-bit), and the
-only Fractions are the ones the *fraction-kernel* evaluator branch hands
+only Fractions are the ones the evaluator's fraction-kernel branch hands
 to the reference dual test, plus the returned ``T*``.
 """
 
@@ -41,12 +42,9 @@ from fractions import Fraction
 from typing import Optional
 
 from ..core.bounds import Variant, t_min
-from ..core.cancel import check_cancelled
 from ..core.fastnum import (
     DualContext,
-    SplitVerdict,
     as_pair,
-    fast_split_test,
     norm_pair,
     pair_ceil,
     pair_cmp,
@@ -56,15 +54,15 @@ from ..core.fastnum import (
 from ..core.instance import Instance
 from ..core.numeric import Time, fast_fraction
 from ..core.schedule import Schedule
-from ..core.xbatch import BatchDualContext
 from .search import (
     Pair,
     ProbeRequest,
     drive_plan,
     plan_accept,
+    probe_evaluator,
     right_interval_plan,
 )
-from .splittable import split_dual_schedule, split_dual_test
+from .splittable import split_dual_schedule
 
 
 @dataclass(frozen=True)
@@ -114,55 +112,12 @@ def find_flip_splittable(
     interval endpoints shared across the search phases are tested once.
     """
     fast = validate_kernel(kernel)
-    if ctx is None:
-        ctx = instance.fast_ctx() if fast else None
     grid = use_grid and fast
     T, calls = drive_plan(
         flip_plan_splittable(instance, grid=grid),
-        split_probe_evaluator(instance, fast=fast, ctx=ctx, grid=grid),
+        probe_evaluator(instance, fast=fast, ctx=ctx, grid=grid),
     )
     return fast_fraction(*T), calls
-
-
-def split_probe_evaluator(
-    instance: Instance, *, fast: bool, ctx: Optional[DualContext], grid: bool
-):
-    """Kernel dispatch for :func:`flip_plan_splittable` probe requests.
-
-    "accept"/"accept_block" requests poll cancellation at the probe
-    boundary; "verdict" requests mirror the raw ``core()`` calls of the
-    step-9 case analysis, which never polled.  With ``grid``,
-    "accept_block" requests go to a one-member
-    :class:`~repro.core.xbatch.BatchDualContext`.
-    The fraction branch is the pair→Fraction boundary: each probed pair
-    is rebuilt for the reference test (integral loads come back coerced
-    to int so the plan's case analysis stays on pairs).
-    """
-    xctx = BatchDualContext([ctx]) if grid else None
-
-    def evaluate(req: ProbeRequest):
-        if req.op == "verdict":
-            if fast:
-                return [fast_split_test(ctx, tn, td) for tn, td in req.times]
-            duals = (
-                split_dual_test(instance, fast_fraction(tn, td))
-                for tn, td in req.times
-            )
-            return [
-                SplitVerdict(d.accepted, int(d.load), d.machines_exp) for d in duals
-            ]
-        check_cancelled()  # probe boundary: no partial state to unwind
-        if req.op == "accept_block" and xctx is not None:
-            rows = [(0, tn, td) for tn, td in req.times]
-            return [v.accepted for v in xctx.evaluate("split", "", rows)]
-        if fast:
-            return [fast_split_test(ctx, tn, td).accepted for tn, td in req.times]
-        return [
-            split_dual_test(instance, fast_fraction(tn, td)).accepted
-            for tn, td in req.times
-        ]
-
-    return evaluate
 
 
 def flip_plan_splittable(instance: Instance, *, grid: bool = False):

@@ -64,16 +64,16 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from ..core.bounds import Variant, setup_plus_tmax
+from ..core.bounds import Variant, setup_plus_tmax, t_min
 from ..core.classification import NonpPartition, nonp_partition, nonp_partition_fast
 from ..core.errors import ConstructionError, RejectedMakespanError
 from ..core.fastnum import fast_nonp_test, validate_kernel
 from ..core.instance import Instance, JobRef
 from ..core.itemstore import CROSSED, FROM_STEP3, PIECE, REMOVED, ItemStore
-from ..core.numeric import Time, TimeLike, as_time, time_str
+from ..core.numeric import Time, TimeLike, as_time, fast_fraction, time_str
 from ..core.schedule import Placement, Schedule
 from ..core.wrapping import wrap_quota_store
-from .search import SearchResult, integer_search_dual
+from .search import SearchResult, drive_plan, integer_probe_plan, probe_evaluator
 
 
 @dataclass(frozen=True)
@@ -984,19 +984,15 @@ def three_halves_nonpreemptive(
     (machine sweeps); ``build_schedule=False`` returns the certified
     ``T`` without materializing the schedule.
     """
-    if validate_kernel(kernel):
-        if ctx is None:
-            ctx = instance.fast_ctx()
-        accept = lambda T: fast_nonp_test(ctx, T.numerator, T.denominator).accepted
-    else:
-        accept = lambda T: nonp_dual_test(instance, T).accepted
-    return integer_search_dual(
-        instance,
-        Variant.NONPREEMPTIVE,
-        accept=accept,
-        build=(
-            (lambda T: nonp_dual_schedule(instance, T, kernel=kernel, pretested=True))
-            if build_schedule
-            else None
-        ),
+    fast = validate_kernel(kernel)
+    T, calls = drive_plan(
+        integer_probe_plan(t_min(instance, Variant.NONPREEMPTIVE), "nonp"),
+        probe_evaluator(instance, fast=fast, ctx=ctx),
     )
+    T = fast_fraction(*T)
+    schedule = (
+        nonp_dual_schedule(instance, T, kernel=kernel, pretested=True)
+        if build_schedule
+        else None
+    )
+    return SearchResult(T, schedule, certificate_lo=T, accept_calls=calls)

@@ -8,7 +8,7 @@ A ρ-dual approximation (Hochbaum–Shmoys) takes the input and a makespan
 * :func:`binary_search_dual` — Theorem 2: bisect ``[T_min, 2T_min]`` for
   ``O(log 1/ε)`` rounds; the returned ``T`` satisfies ``T ≤ (1+ε)·OPT``,
   hence ratio ``(3/2)(1+ε)``.
-* :func:`integer_search_dual` — Theorem 8: for the non-preemptive problem
+* :func:`integer_probe_plan` — Theorem 8: for the non-preemptive problem
   ``OPT ∈ N``, so bisecting integers finds ``T ≤ OPT`` *exactly* in
   ``O(log T_min) = O(log(n+Δ))`` accept-tests; ratio exactly 3/2.
 * :func:`right_interval_plan` — the primitive behind Class Jumping: given
@@ -18,12 +18,15 @@ A ρ-dual approximation (Hochbaum–Shmoys) takes the input and a makespan
   exact acceptance flip point ``T* = min{T : accepted}`` for the splittable
   dual, used to cross-validate Algorithm 1 in tests and ablations.
 
-The searches are kernel-agnostic: ``accept`` is a black box, and the
-callers (:mod:`repro.algos.api`, :mod:`repro.algos.nonpreemptive`) wire it
-to either the scaled-integer kernel (:mod:`repro.core.fastnum`, default)
-or the Fraction reference tests.  Every probed ``T`` is an exact rational,
-so both kernels see identical probe sequences and return identical
-results.
+The searches are *probe plans* (generators, see below) and
+kernel-agnostic: one per-item evaluator, :func:`probe_evaluator`,
+answers every plan's requests on either the scaled-integer kernel
+(:mod:`repro.core.fastnum`, default) or the Fraction reference tests,
+and :func:`accept_flags` reads accept bits off the verdicts for it and
+for the lockstep coordinator alike.  Every probed ``T`` is an exact
+rational, so both kernels see identical probe sequences and return
+identical results.  :func:`binary_search_dual` keeps Theorem 2's
+black-box form: its ``accept`` is any caller-supplied predicate.
 
 Two batching hooks sit on top of that contract:
 
@@ -48,8 +51,8 @@ candidates travel as normalized ``(num, den)`` int pairs
 arithmetic reproduces the historic Fraction plans' probe values, memo
 keys and dedup bit-for-bit), and :class:`fractions.Fraction` objects are
 built only at the boundaries: the caller-supplied ``accept`` callable
-(:func:`_black_box_evaluator`) and the returned :class:`SearchResult`
-fields.
+(:func:`_black_box_evaluator`), the fraction-kernel branch of
+:func:`probe_evaluator`, and the results the drivers return.
 
 Every probe loop additionally polls :func:`repro.core.cancel.
 check_cancelled` between dual tests: a solve running under a
@@ -68,6 +71,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from ..core.bounds import Variant, t_min
 from ..core.cancel import check_cancelled
 from ..core.fastnum import (
+    DualContext,
+    NonpVerdict,
+    PmtnVerdict,
+    SplitVerdict,
     as_pair,
     norm_pair,
     pair_ceil,
@@ -78,8 +85,9 @@ from ..core.fastnum import (
     round_half_even,
 )
 from ..core.instance import Instance
-from ..core.numeric import Time, TimeLike, as_time, fast_fraction, frac_ceil
+from ..core.numeric import Time, TimeLike, fast_fraction, frac_ceil
 from ..core.schedule import Schedule
+from ..core.xbatch import BatchDualContext
 from ..obs.trace import count as obs_count, count_probe as obs_count_probe
 
 AcceptFn = Callable[[Time], bool]
@@ -102,9 +110,9 @@ _MISSING = object()
 # A *plan* is a generator that encodes one search's probe sequence: it
 # yields ProbeRequest values, receives the corresponding verdict list via
 # ``send``, and returns its result through StopIteration.  The sequential
-# entry points below (binary_search_dual, integer_search_dual — and the
-# flip searches in jumping_split / jumping_pmtn) drive these same plans
-# against per-item evaluators, while the xbatch coordinator
+# drivers (repro.algos.api.solve_point, binary_search_dual, the flip
+# searches in jumping_split / jumping_pmtn) drive these same plans
+# against a per-item evaluator, while the xbatch coordinator
 # (repro.algos.batch_api, xbatch=True) advances many items' plans in
 # lockstep rounds and fuses each round's requests into one
 # repro.core.xbatch kernel call.  Because both paths run the identical
@@ -304,10 +312,6 @@ class SearchResult:
         return Fraction(3, 2) * self.T / self.certificate_lo
 
 
-def _maybe_build(build: Optional[BuildFn], T: Time) -> Optional[Schedule]:
-    return None if build is None else build(T)
-
-
 def binary_search_dual(
     instance: Instance,
     variant: Variant,
@@ -323,24 +327,8 @@ def binary_search_dual(
     T, lo, calls = drive_plan(plan, _black_box_evaluator(accept))
     T = fast_fraction(*T)
     return SearchResult(
-        T, _maybe_build(build, T), certificate_lo=fast_fraction(*lo),
+        T, None if build is None else build(T), certificate_lo=fast_fraction(*lo),
         accept_calls=calls,
-    )
-
-
-def integer_search_dual(
-    instance: Instance,
-    variant: Variant,
-    accept: AcceptFn,
-    build: Optional[BuildFn],
-) -> SearchResult:
-    """Theorem 8 — exact 3/2 ratio when OPT is integral (non-preemptive)."""
-    tmin = t_min(instance, variant)
-    plan = integer_probe_plan(tmin, "")
-    T, calls = drive_plan(plan, _black_box_evaluator(accept))
-    T = fast_fraction(*T)
-    return SearchResult(
-        T, _maybe_build(build, T), certificate_lo=T, accept_calls=calls
     )
 
 
@@ -359,6 +347,96 @@ def _black_box_evaluator(accept: AcceptFn):
         return [accept(fast_fraction(tn, td)) for tn, td in req.times]
 
     return evaluate
+
+
+def accept_flags(kind: str, m: int, times: Sequence[Pair], verdicts) -> list[bool]:
+    """Accept bits of ``verdicts`` probed at ``times`` on ``m`` machines.
+
+    Each verdict carries its flag except Algorithm 4's monotone core,
+    whose ``(L_base, m′)`` accepts iff ``m·T ≥ L_base`` and ``m ≥ m′``.
+    """
+    if kind == "pmtn_base":
+        return [
+            m * tn >= load * td and m >= m_prime
+            for (tn, td), (load, m_prime) in zip(times, verdicts)
+        ]
+    return [v.accepted for v in verdicts]
+
+
+def probe_evaluator(
+    instance: Instance,
+    *,
+    fast: bool,
+    ctx: Optional[DualContext] = None,
+    grid: bool = False,
+):
+    """The one per-item evaluator of every plan-driven sequential search.
+
+    Answers every request op and probe kind: ``fast`` through
+    :meth:`~repro.core.xbatch.BatchDualContext.scalar_one` on a
+    one-member context of ``ctx`` (default ``instance.fast_ctx()``),
+    else through its Fraction-reference twin :func:`_fraction_probe`;
+    with ``grid``, ``accept_block`` requests go to that context's fused
+    :meth:`~repro.core.xbatch.BatchDualContext.evaluate`.  Accept
+    requests poll cancellation at the probe boundary; ``verdict``
+    requests (the flip searches' raw case-analysis reads) never do.
+    """
+    m = instance.m
+    if fast:
+        xctx = BatchDualContext([instance.fast_ctx() if ctx is None else ctx])
+        scalar = xctx.scalar_one
+
+        def one(kind, mode, tn, td):
+            return scalar(kind, mode, 0, tn, td)
+
+    else:
+        xctx = None
+        one = _fraction_probe(instance)
+
+    def evaluate(req: ProbeRequest):
+        kind, mode, times = req.kind, req.mode, req.times
+        if req.op == "verdict":
+            return [one(kind, mode, tn, td) for tn, td in times]
+        check_cancelled()  # probe boundary: no partial state to unwind
+        if grid and req.op == "accept_block":
+            verdicts = xctx.evaluate(kind, mode, [(0, tn, td) for tn, td in times])
+        else:
+            verdicts = [one(kind, mode, tn, td) for tn, td in times]
+        return accept_flags(kind, m, times, verdicts)
+
+    return evaluate
+
+
+def _fraction_probe(instance: Instance):
+    """``BatchDualContext.scalar_one`` on the exact-rational dual tests.
+
+    Same verdict types; the loads are integral, so plans stay on ints.
+    """
+    from .jumping_pmtn import _base_core  # local imports: those modules import this one
+    from .nonpreemptive import nonp_dual_test
+    from .pmtn_general import pmtn_dual_test
+    from .splittable import split_dual_test
+
+    def one(kind: str, mode: str, tn: int, td: int):
+        T = fast_fraction(tn, td)
+        if kind == "split":
+            d = split_dual_test(instance, T)
+            return SplitVerdict(d.accepted, int(d.load), d.machines_exp)
+        if kind == "nonp":
+            d = nonp_dual_test(instance, T)
+            return NonpVerdict(d.accepted, int(d.load), d.machines_needed)
+        if kind == "pmtn":
+            d = pmtn_dual_test(instance, T, mode=mode)
+            return PmtnVerdict(
+                d.accepted, int(d.load), d.machines_needed, d.case,
+                any("F < L*" in r for r in d.reject_reasons),
+            )
+        if kind == "pmtn_base":
+            load, m_prime = _base_core(instance, T)
+            return int(load), m_prime
+        raise ValueError(f"unknown probe kind {kind!r}")
+
+    return one
 
 
 # --------------------------------------------------------------------------- #

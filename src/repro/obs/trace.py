@@ -12,9 +12,10 @@ without signature churn and without perturbing them:
   check_cancelled`.
 * **No signature churn.**  The owner of a solve (a shard worker, a
   bench harness, a test) installs a :class:`TraceScope` with ``with``;
-  the seams in :mod:`repro.algos.search`, :mod:`repro.algos.batch_api`,
-  :mod:`repro.core.xbatch` and :mod:`repro.core.itemstore` report into
-  whatever scope is current on their thread.  Solves run entirely on
+  the seams in :mod:`repro.algos.search`, :mod:`repro.algos.api`,
+  :mod:`repro.algos.batch_api`, :mod:`repro.core.xbatch` and
+  :mod:`repro.core.itemstore` report into whatever scope is current on
+  their thread.  Solves run entirely on
   one thread, so a thread-local is exact.
 
 Scopes nest: an inner scope shadows the outer one for its ``with`` body
@@ -26,11 +27,18 @@ Counter glossary (what the seams report):
 
 =========================  ==============================================
 ``probe.<kind>.<mode>``    dual-test probe values requested per probe
-                           kind/mode (``-`` where a plan left one blank)
+                           kind/mode, counted where a request leaves its
+                           plan: by ``drive_plan`` on the sequential path
+                           and by the lockstep coordinator when it
+                           collects a round (``-`` for a blank kind or
+                           mode: modeless kinds and the black-box
+                           ``binary_search_dual``)
 ``memo.hit``               accept-memo cache hits (no kernel call)
 ``memo.call``              distinct kernel accept evaluations
-``dispatch.grid``          searches dispatched to the vectorized grid tier
-``dispatch.scalar``        searches dispatched to scalar probing
+``dispatch.grid``          dual searches dispatched to the vectorized
+                           grid tier (one count per search)
+``dispatch.scalar``        dual searches dispatched to scalar probing
+                           (one count per search)
 ``xbatch.fused_rounds``    lockstep rounds that fused >= 1 probe group
 ``xbatch.straggler``       lockstep items that fell back to the
                            sequential per-item path

@@ -258,9 +258,9 @@ def _check_plan_stream_case(seed: int) -> None:
     """The pair-native flip plans probe the exact same rationals, in the
     same order, on both kernels — so memo hits and ``accept_calls`` agree
     and the flip point is bit-identical."""
-    from repro.algos.jumping_pmtn import flip_plan_pmtn, pmtn_probe_evaluator
-    from repro.algos.jumping_split import flip_plan_splittable, split_probe_evaluator
-    from repro.algos.search import drive_plan
+    from repro.algos.jumping_pmtn import flip_plan_pmtn
+    from repro.algos.jumping_split import flip_plan_splittable
+    from repro.algos.search import drive_plan, probe_evaluator
 
     rng = random.Random(seed)
     c = rng.randint(3, 8)
@@ -273,10 +273,10 @@ def _check_plan_stream_case(seed: int) -> None:
 
     cases = [
         (flip_plan_splittable,
-         lambda fast: split_probe_evaluator(
+         lambda fast: probe_evaluator(
              inst, fast=fast, ctx=inst.fast_ctx() if fast else None, grid=False)),
         (flip_plan_pmtn,
-         lambda fast: pmtn_probe_evaluator(
+         lambda fast: probe_evaluator(
              inst, fast=fast, ctx=inst.fast_ctx() if fast else None, grid=False)),
     ]
     for plan_fn, make_eval in cases:

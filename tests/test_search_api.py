@@ -128,6 +128,39 @@ class TestSolveAPI:
         with pytest.raises(ValueError):
             solve(mk(2, (1, [1, 2])), Variant.SPLITTABLE, "magic")  # type: ignore
 
+    @pytest.mark.parametrize(
+        "inst",
+        [mk(1, (3, [5, 2]), (1, [4])), mk(5, (4, [5, 3]), (2, [2]))],
+        ids=["m=1", "m>=n"],
+    )
+    def test_unknown_algorithm_on_closed_forms(self, inst):
+        """The name is checked before the closed forms answer."""
+        with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+            solve(inst, Variant.NONPREEMPTIVE, "magic")  # type: ignore
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("algorithm", ["two", "eps", "three_halves"])
+    def test_variant_names_match_members(self, variant, algorithm):
+        """A variant name solves that variant, not the default dispatch."""
+        inst = Instance(m=2, setups=(4, 2, 6), jobs=((5, 3), (2, 2, 6), (7,)))
+        by_name = solve(inst, variant.value, algorithm)
+        by_member = solve(inst, variant, algorithm)
+        assert by_name.variant is variant
+        assert (by_name.T, by_name.ratio_bound, by_name.opt_lower_bound) == (
+            by_member.T, by_member.ratio_bound, by_member.opt_lower_bound,
+        )
+        assert by_name.algorithm == by_member.algorithm
+        assert by_name.makespan == by_member.makespan
+        validate_schedule(by_name.schedule, variant)
+
+    def test_splittable_name_runs_the_splittable_search(self):
+        inst = Instance(m=2, setups=(4, 2, 6), jobs=((5, 3), (2, 2, 6), (7,)))
+        assert solve(inst, "splittable").T == Fraction(37, 2)
+
+    def test_misspelt_variant_name(self):
+        with pytest.raises(ValueError, match="unknown variant 'splitable'"):
+            solve(mk(2, (1, [1, 2])), "splitable")  # type: ignore
+
     def test_single_machine_is_exactly_optimal(self):
         inst = mk(1, (3, [5, 2]), (1, [4]))
         for variant in Variant:
@@ -162,6 +195,70 @@ class TestSolveAPI:
             r3 = solve(inst, variant, "three_halves")
             assert r2.makespan <= 2 * r2.opt_lower_bound
             assert r3.makespan <= Fraction(3, 2) * r3.T * (1 + Fraction(1, 2**40))
+
+
+class TestSpecCertificates:
+    """The spec table certifies what the per-theorem searches prove.
+
+    ``solve``/``solve_point`` read ``T``, ``ratio_bound`` and
+    ``opt_lower_bound`` off one ``finish``; the kept Theorem-2/3/6/8
+    entry points compute the same certificates on their own.
+    """
+
+    @staticmethod
+    def _reference_accept(inst, variant):
+        from repro.algos.nonpreemptive import nonp_dual_test
+        from repro.algos.pmtn_general import pmtn_dual_test
+
+        if variant is Variant.SPLITTABLE:
+            return lambda T: split_dual_test(inst, T).accepted
+        if variant is Variant.PREEMPTIVE:
+            return lambda T: pmtn_dual_test(inst, T).accepted
+        return lambda T: nonp_dual_test(inst, T).accepted
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 100)])
+    def test_eps_matches_black_box_search(self, eps):
+        from repro.algos.batch_api import sweep_machines
+        from repro.core.bounds import lower_bound
+        from repro.generators.suites import medium_suite
+
+        for _, inst in medium_suite()[:8]:
+            for variant in Variant:
+                sr = binary_search_dual(
+                    inst, variant, self._reference_accept(inst, variant), None, eps
+                )
+                res = solve(inst, variant, "eps", eps)
+                assert (res.T, res.ratio_bound, res.opt_lower_bound) == (
+                    sr.T, sr.ratio_bound, max(lower_bound(inst, variant), sr.certificate_lo),
+                )
+                (point,) = sweep_machines(
+                    inst, [inst.m], variant, "eps", eps, schedules=False
+                )
+                assert point.accept_calls == sr.accept_calls
+
+    def test_three_halves_matches_flip_searches(self):
+        from repro.algos.jumping_pmtn import find_flip_pmtn
+        from repro.algos.jumping_split import find_flip_splittable
+        from repro.algos.nonpreemptive import three_halves_nonpreemptive
+        from repro.core.bounds import lower_bound
+        from repro.generators.suites import medium_suite
+
+        for _, inst in medium_suite()[:8]:
+            T_star, _ = find_flip_splittable(inst, kernel="fraction")
+            expected = {Variant.SPLITTABLE: (T_star, Fraction(3, 2), T_star)}
+            T_star, T_witness, _ = find_flip_pmtn(inst, kernel="fraction")
+            expected[Variant.PREEMPTIVE] = (
+                T_witness, Fraction(3, 2) * T_witness / T_star, T_star,
+            )
+            T = three_halves_nonpreemptive(
+                inst, kernel="fraction", build_schedule=False
+            ).T
+            expected[Variant.NONPREEMPTIVE] = (T, Fraction(3, 2), T)
+            for variant, (T, ratio, lo) in expected.items():
+                res = solve(inst, variant)
+                assert (res.T, res.ratio_bound, res.opt_lower_bound) == (
+                    T, ratio, max(lower_bound(inst, variant), lo),
+                )
 
 
 class TestPortfolio:

@@ -28,8 +28,9 @@ import pytest
 
 from repro.algos.api import solve
 from repro.algos.batch_api import BatchItem, SweepPoint, solve_batch
-from repro.algos.jumping_pmtn import flip_plan_pmtn, pmtn_probe_evaluator
-from repro.algos.jumping_split import flip_plan_splittable, split_probe_evaluator
+from repro.algos.jumping_pmtn import flip_plan_pmtn
+from repro.algos.jumping_split import flip_plan_splittable
+from repro.algos.search import probe_evaluator
 from repro.core import xbatch
 from repro.core.bounds import Variant
 from repro.core.cancel import CancelToken, SolveCancelled
@@ -451,30 +452,26 @@ class TestProbeDriftRegression:
             it for it in items
             if it.instance.m > 1
         ]
-        from repro.algos.batch_api import _grid_safe_cached, _resolve_use_grid
+        from repro.algos.batch_api import _grid_for
 
         streams = record_lockstep_streams(items, monkeypatch)
         member = 0
         for item in items:
             inst = item.instance
             # the same grid resolution the coordinator's prelude applies
-            grid = (
-                not item.schedules
-                and _resolve_use_grid(
-                    None, "fast", item.variant, inst.c, item.algorithm
-                )
-                and _grid_safe_cached(inst, item.variant)
+            grid = _grid_for(
+                inst, item.variant, item.algorithm, "fast", None, item.schedules
             )
             if item.variant is Variant.SPLITTABLE:
                 plan = flip_plan_splittable(inst, grid=grid)
-                evaluate = split_probe_evaluator(
+                evaluate = probe_evaluator(
                     inst, fast=True, ctx=inst.fast_ctx(), grid=grid
                 )
             else:
                 if inst.m >= inst.n:
                     continue  # trivial: no lockstep member for this item
                 plan = flip_plan_pmtn(inst, use_base_jump=True, grid=grid)
-                evaluate = pmtn_probe_evaluator(
+                evaluate = probe_evaluator(
                     inst, fast=True, ctx=inst.fast_ctx(), grid=grid
                 )
             solo = record_solo_stream(plan, evaluate)
@@ -521,6 +518,42 @@ class TestProbeDriftRegression:
             assert g.accept_calls == r.accept_calls
             assert g == r
 
+    def test_probe_counters_identical(self):
+        """An armed trace sees the same ``probe.*`` counts on both paths.
+
+        3 variants x {eps, three_halves}, bounds-only, c = 60: the
+        coordinator counts each request it collects, exactly where the
+        sequential driver counts it, and every plan files its probes
+        under its real kind and mode.
+        """
+        from repro.generators import uniform_instance
+        from repro.obs.trace import TraceScope
+
+        items = [
+            BatchItem(
+                instance=uniform_instance(
+                    m=45, c=60, n_per_class=2, seed=40 + k, tmax=20
+                ),
+                variant=variant, algorithm=algorithm, eps=Fraction(1, 1000),
+                schedules=False,
+            )
+            for k, (variant, algorithm) in enumerate(
+                (v, a) for v in VARIANTS for a in ("eps", "three_halves")
+            )
+        ]
+        counts = {}
+        for xb in (False, True):
+            with TraceScope() as scope:
+                solve_batch(items, xbatch=xb)
+            counts[xb] = {
+                k: n for k, n in scope.counts.items() if k.startswith("probe.")
+            }
+        assert counts[True] == counts[False]
+        assert sum(counts[True].values()) >= 30
+        assert "probe.-.-" not in counts[True]
+        assert {"probe.split.-", "probe.nonp.-", "probe.pmtn.alpha",
+                "probe.pmtn.gamma"} <= set(counts[True])
+
 
 # --------------------------------------------------------------------------- #
 # scaled-integer plan tier (PR 9): pair plans vs the Fraction kernel
@@ -555,12 +588,12 @@ class TestScaledIntPlanTier:
     def _evaluators(self, inst, variant):
         if variant is Variant.SPLITTABLE:
             return (
-                split_probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
-                split_probe_evaluator(inst, fast=False, ctx=None, grid=False),
+                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
+                probe_evaluator(inst, fast=False, ctx=None, grid=False),
             )
         return (
-            pmtn_probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
-            pmtn_probe_evaluator(inst, fast=False, ctx=None, grid=False),
+            probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
+            probe_evaluator(inst, fast=False, ctx=None, grid=False),
         )
 
     def _plan(self, inst, variant):
@@ -653,20 +686,20 @@ class TestScaledIntPlanTier:
         if variant is Variant.SPLITTABLE:
             scalar = drive_recording(
                 flip_plan_splittable(inst, grid=False),
-                split_probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
+                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
             )
             grid = drive_recording(
                 flip_plan_splittable(inst, grid=True),
-                split_probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=True),
+                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=True),
             )
         else:
             scalar = drive_recording(
                 flip_plan_pmtn(inst, grid=False),
-                pmtn_probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
+                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
             )
             grid = drive_recording(
                 flip_plan_pmtn(inst, grid=True),
-                pmtn_probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=True),
+                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=True),
             )
         assert scalar[1][0] == grid[1][0]  # same flip pair
 
