@@ -608,9 +608,6 @@ class _StoreBuilder(_Algo6Driver):
     def from_step3(self, it) -> bool:
         return bool(self.store.flags[it] & FROM_STEP3)
 
-    def is_crossed(self, it) -> bool:
-        return bool(self.store.flags[it] & CROSSED)
-
     def is_removed(self, it) -> bool:
         return bool(self.store.flags[it] & REMOVED)
 
@@ -844,9 +841,6 @@ class _ReferenceBuilder(_Algo6Driver):
 
     def from_step3(self, it: _It) -> bool:
         return it.from_step3
-
-    def is_crossed(self, it: _It) -> bool:
-        return it.crossed
 
     def is_removed(self, it: _It) -> bool:
         return it.removed

@@ -36,6 +36,14 @@ certifies ``T < OPT``):
   machines cannot even hold the obligatory outside-large load (Lemma 4 plus
   the Lemma 10/11 large-machine argument) — a corner the paper's formulas
   gloss over.
+
+Kernels: :func:`pmtn_dual_test` is the Theorem-5 test, on ``Fraction``;
+its verdict-only twin on scaled ints,
+:func:`repro.core.fastnum.fast_pmtn_test`, drives the searches and also
+decides nice instances for :func:`pmtn_dual_schedule` on
+``kernel="fast"``.  Steps 1–3 are written once for both kernels; only the
+engines beneath them (Algorithm 2's step 1 and the wrap) run on scaled
+ints on ``kernel="fast"``.
 """
 
 from __future__ import annotations
@@ -44,18 +52,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from functools import cmp_to_key
-
 from ..core.bounds import setup_plus_tmax
 from ..core.classification import PmtnPartition, pmtn_partition
 from ..core.errors import ConstructionError, RejectedMakespanError
-from ..core.fastnum import count_scaled, knapsack_order_cmp, scale_int, validate_kernel
+from ..core.fastnum import fast_pmtn_test, validate_kernel
 from ..core.instance import Instance, JobRef
 from ..core.knapsack import ContinuousSolution, KnapsackItem, solve_continuous
-from ..core.numeric import Time, TimeLike, as_time, fast_fraction, time_str
+from ..core.numeric import Time, TimeLike, as_time, time_str
 from ..core.schedule import Schedule
 from ..core.wrapping import Batch, WrapSequence, WrapTemplate, wrap
-from .pmtn_nice import CountMode, NiceView, count_for, nice_dual_test, schedule_nice_view
+from .pmtn_nice import (
+    CountMode,
+    NiceView,
+    count_for,
+    full_view,
+    nice_dual_test,
+    schedule_nice_view,
+)
 
 Case = Literal["trivial", "nice", "3a", "3b"]
 
@@ -202,189 +215,6 @@ def pmtn_dual_test(instance: Instance, T: TimeLike, mode: CountMode = "alpha") -
     )
 
 
-def pmtn_dual_test_fast(instance: Instance, T: TimeLike, mode: CountMode = "alpha") -> PmtnDual:
-    """:func:`pmtn_dual_test` on the scaled-integer kernel.
-
-    Produces the same :class:`PmtnDual` field for field — including the
-    partition, the continuous-knapsack solution (same greedy order, same
-    split fraction) and the reject reasons — but runs the per-class and
-    per-job arithmetic on machine ints with ``T = tn/td`` cross-multiplied
-    out (weights and capacity at scale ``2·td``).  The differential suite
-    asserts the equivalence on every generator-suite instance; the fast
-    construction path uses this to avoid the reference's Fraction scans.
-
-    .. note:: KEEP IN SYNC — three implementations of the Theorem-5 test
-       coexist on purpose: :func:`pmtn_dual_test` (Fraction reference),
-       :func:`repro.core.fastnum.fast_pmtn_test` (verdict-only, the flip
-       search's hot path — it skips the partition/JobRef materialization
-       this function needs) and this full fast dual.  Any change to the
-       classification boundaries, counts, F/L*/Y scaling or the knapsack
-       rule must land in all three; ``tests/test_fastnum_differential.py``
-       probes all of them at the same points and is the gate.
-    """
-    T = as_time(T)
-    if T <= 0:
-        raise ValueError("T must be positive")
-    ctx = instance.fast_ctx()
-    tn, td = T.numerator, T.denominator
-    m, setups, P, jobs = ctx.m, ctx.setups, ctx.P, instance.jobs
-
-    # ---- partition (Section 4.1/4.2) in integer arithmetic -------------- #
-    exp: list[int] = []
-    chp: list[int] = []
-    exp_plus: list[int] = []
-    exp_zero: list[int] = []
-    exp_minus: list[int] = []
-    chp_plus: list[int] = []
-    chp_minus: list[int] = []
-    chp_star: list[int] = []
-    star_jobs: dict[int, tuple[JobRef, ...]] = {}
-    for i in range(ctx.c):
-        s = setups[i]
-        std2 = 2 * s * td
-        total = s + P[i]
-        if std2 > tn:  # s_i > T/2
-            exp.append(i)
-            if total * td >= tn:
-                exp_plus.append(i)
-            elif 4 * total * td > 3 * tn:
-                exp_zero.append(i)
-            else:
-                exp_minus.append(i)
-        else:
-            chp.append(i)
-            if 2 * std2 >= tn:  # s_i ≥ T/4
-                chp_plus.append(i)
-            else:
-                chp_minus.append(i)
-                if 2 * (s + ctx.class_tmax[i]) * td > tn:  # C*_i ≠ ∅
-                    thr = (tn - std2) // (2 * td)  # t > thr ⟺ s_i + t > T/2
-                    stars = tuple(
-                        JobRef(i, idx) for idx, t in enumerate(jobs[i]) if t > thr
-                    )
-                    chp_star.append(i)
-                    star_jobs[i] = stars
-    part = PmtnPartition(
-        instance=instance, T=T, exp=tuple(exp), chp=tuple(chp),
-        exp_plus=tuple(exp_plus), exp_zero=tuple(exp_zero),
-        exp_minus=tuple(exp_minus), chp_plus=tuple(chp_plus),
-        chp_minus=tuple(chp_minus), chp_star=tuple(chp_star),
-        star_jobs=star_jobs,
-    )
-
-    if tn < ctx.spt * td:
-        # Note 1: OPT ≥ max_i (s_i + t^(i)_max) > T.
-        return PmtnDual(
-            T=T, mode=mode, case="trivial", partition=part, counts={}, l=0,
-            F=Fraction(0), L_star=Fraction(0), demand_star=Fraction(0),
-            knapsack=None, unselected=(), split_class=None,
-            load=Fraction(ctx.total_load), machines_needed=0,
-            accepted=False, reject_reasons=("T < max(s_i + t_max^i)",),
-        )
-
-    counts = {i: count_scaled(mode, tn, td, setups[i], P[i]) for i in exp_plus}
-    l = len(exp_zero)
-    m_prime = l + sum(counts.values()) + (-(-len(exp_minus) // 2))
-
-    base = sum(counts[i] * setups[i] + P[i] for i in exp_plus)
-    base += sum(setups[i] + P[i] for i in exp_minus)
-    base += sum(setups[i] + P[i] for i in chp_plus)
-    F2 = 2 * (m - l) * tn - 2 * base * td  # F · 2td
-
-    td2 = 2 * td
-    lstar2 = 0   # L_star · 2td
-    demand = 0   # Σ_{I*chp}(s_i + P_i) — an int
-    star_data: list[tuple[int, int]] = []  # per chp_star: (|C*_i|, p*_i)
-    for i in chp_star:
-        s = setups[i]
-        stars = star_jobs[i]
-        cnt = len(stars)
-        p_star = sum(jobs[i][j.idx] for j in stars)
-        star_data.append((cnt, p_star))
-        demand += s + P[i]
-        lstar2 += td2 * (s + p_star) - cnt * (tn - 2 * s * td)
-
-    load = ctx.total_processing
-    load += sum(counts[i] * setups[i] for i in exp_plus)
-    exp_plus_set = set(exp_plus)
-    load += sum(setups[i] for i in range(ctx.c) if i not in exp_plus_set)
-
-    reasons: list[str] = []
-    knap: Optional[ContinuousSolution] = None
-    unselected: tuple[int, ...] = ()
-    split_class: Optional[int] = None
-
-    if part.is_nice:
-        case: Case = "nice"
-        accepted = m * tn >= load * td and m >= m_prime
-        if not accepted:
-            if m * tn < load * td:
-                reasons.append("mT < L_nice")
-            if m < m_prime:
-                reasons.append("m < m_nice")
-    elif F2 < demand * td2:
-        case = "3a"
-        Y2 = F2 - lstar2
-        if Y2 < 0:
-            reasons.append("F < L* (obligatory outside load exceeds residual time)")
-            accepted = False
-        else:
-            # Continuous knapsack at scale 2td: same greedy order and split
-            # fraction as knapsack.solve_continuous on the Fraction weights.
-            items = [
-                (i, setups[i], td2 * (P[i] - p_star) + cnt * (tn - 2 * setups[i] * td))
-                for i, (cnt, p_star) in zip(chp_star, star_data)
-            ]
-            order = sorted(items, key=cmp_to_key(knapsack_order_cmp))
-            fracs: dict[int, Fraction] = {i: Fraction(0) for i in chp_star}
-            value = Fraction(0)
-            used = Fraction(0)
-            if Y2 > 0:
-                rem2 = Y2
-                for i, profit, w2 in order:
-                    if rem2 <= 0:
-                        break
-                    if w2 <= rem2:
-                        fracs[i] = Fraction(1)
-                        value += profit
-                        used += Fraction(w2, td2)
-                        rem2 -= w2
-                    else:
-                        fr = Fraction(rem2, w2)
-                        fracs[i] = fr
-                        value += profit * fr
-                        used += Fraction(rem2, td2)
-                        split_class = i
-                        break
-            knap = ContinuousSolution(
-                fractions=fracs, value=value, used_capacity=used,
-                split_key=split_class,
-            )
-            unselected = tuple(sorted(k for k, v in fracs.items() if v == 0))
-            load += sum(setups[i] for i in unselected)
-            accepted = m * tn >= load * td and m >= m_prime
-            if m * tn < load * td:
-                reasons.append("mT < L_pmtn")
-            if m < m_prime:
-                reasons.append("m < m'")
-    else:
-        case = "3b"
-        accepted = m * tn >= load * td and m >= m_prime
-        if m * tn < load * td:
-            reasons.append("mT < L_pmtn")
-        if m < m_prime:
-            reasons.append("m < m'")
-
-    return PmtnDual(
-        T=T, mode=mode, case=case, partition=part, counts=counts, l=l,
-        F=Fraction(F2, td2), L_star=Fraction(lstar2, td2),
-        demand_star=Fraction(demand), knapsack=knap,
-        unselected=unselected, split_class=split_class,
-        load=Fraction(load), machines_needed=m_prime,
-        accepted=accepted, reject_reasons=tuple(reasons),
-    )
-
-
 # --------------------------------------------------------------------------- #
 # construction
 # --------------------------------------------------------------------------- #
@@ -407,63 +237,58 @@ def pmtn_dual_schedule(
 ) -> Schedule:
     """Theorem 5(ii)/4(ii): build a ≤ 3T/2 schedule for an accepted ``T``.
 
-    ``kernel="fast"`` reuses the instance's cached Fraction job views and
-    routes the wrap engine and the step-1 large-machine layout through
-    the scaled-integer columnar emission path (lazy placements; see
-    :mod:`repro.core.schedule`); ``kernel="fraction"`` rebuilds every
-    view per call (the historical reference).  Both produce identical
-    placements.
+    On ``kernel="fast"`` the verdict kernel
+    (:func:`~repro.core.fastnum.fast_pmtn_test`) decides first: an
+    accepted nice ``T`` needs nothing more and goes straight to
+    Algorithm 2 on the full view.  Otherwise, and always on
+    ``kernel="fraction"``, the reference :func:`pmtn_dual_test` decides
+    (its reject reasons make the error text) and feeds the one body of
+    Algorithm 3's steps 1–3.  Per kernel only three things differ: the
+    nice shortcut, the job views (the fast kernel reuses the instance's
+    cached Fraction views, so whole classes reach the engines with their
+    integer lengths) and ``exact_ints`` for the Algorithm-2 and wrap
+    engines.  Both kernels produce identical placements.
     """
     T = as_time(T)
     fast = validate_kernel(kernel)
+    schedule = Schedule(instance)
     if fast:
+        verdict = fast_pmtn_test(instance.fast_ctx(), T.numerator, T.denominator, mode)
+        if verdict.accepted and verdict.case == "nice":
+            schedule_nice_view(schedule, T, full_view(instance), range(instance.m), mode)
+            return schedule
         jobs_of = instance.class_jobs_frac
-        dual = pmtn_dual_test_fast(instance, T, mode)
     else:
         jobs_of = lambda cls: [(j, Fraction(t)) for j, t in instance.class_jobs(cls)]
-        dual = pmtn_dual_test(instance, T, mode)
+    dual = pmtn_dual_test(instance, T, mode)
     if not dual.accepted:
         raise RejectedMakespanError(
             f"T={time_str(T)} rejected by Theorem 5: {', '.join(dual.reject_reasons)}"
         )
-    schedule = Schedule(instance)
     part = dual.partition
     half = T / 2
 
-    if dual.case == "nice":
-        from .pmtn_nice import full_view
-
+    if dual.case == "nice":  # kernel="fraction": the fast kernel returned above
         schedule_nice_view(
-            schedule, T, full_view(instance), list(range(instance.m)), mode,
-            exact_ints=fast, trusted_views=fast,
+            schedule, T, full_view(instance), range(instance.m), mode, exact_ints=False
         )
         return schedule
 
     # ---- step 1: large machines ---------------------------------------- #
+    # Rows at scale D = 2·td on both kernels: T/2 scales to tn and job
+    # times are ints, so the whole layout is machine ints.  The reply
+    # encoder reads row scales, so this scale is part of the wire bytes.
     l = dual.l
     large_machines = list(range(l))
-    if fast:
-        # Columnar emission at scale D = 2·td: T/2 scales to tn and the
-        # class items are integer job times, so the whole layout is
-        # machine ints (bit-identical placements to the rational loop).
-        D2 = 2 * T.denominator
-        for u, i in zip(large_machines, part.exp_zero):
-            t_sc = T.numerator  # T/2 · D2
-            s = instance.setups[i]
-            schedule.add_scaled(u, t_sc, s * D2, D2, i)
-            t_sc += s * D2
-            for job, length in jobs_of(i):
-                ln_sc = length.numerator * D2  # integer times: denominator 1
-                schedule.add_scaled(u, t_sc, ln_sc, D2, i, job)
-                t_sc += ln_sc
-    else:
-        for u, i in zip(large_machines, part.exp_zero):
-            t = half
-            schedule.add_setup(u, t, i)
-            t += instance.setups[i]
-            for job, length in jobs_of(i):
-                schedule.add_piece(u, t, job, length)
-                t += length
+    D2 = 2 * T.denominator
+    for u, i in zip(large_machines, part.exp_zero):
+        t_sc = T.numerator  # T/2 · D2
+        s_sc = instance.setups[i] * D2
+        schedule.add_scaled(u, t_sc, s_sc, D2, i)
+        t_sc += s_sc
+        for job, t in instance.class_jobs(i):
+            schedule.add_scaled(u, t_sc, t * D2, D2, i, job)
+            t_sc += t * D2
 
     residual = list(range(l, instance.m))
 
@@ -474,7 +299,6 @@ def pmtn_dual_schedule(
 
     k_items: dict[int, list[tuple[JobRef, Time]]] = {}  # class -> bottom items
 
-    tn, td = T.numerator, T.denominator
     if dual.case == "3a":
         knap = dual.knapsack
         assert knap is not None
@@ -484,50 +308,6 @@ def pmtn_dual_schedule(
             stars = set(part.big_jobs(i))
             if x == 1:
                 view[i] = jobs_of(i)
-            elif fast:
-                # Scaled-int view math: with x = xn/dx all piece lengths are
-                # exact ints at scale D = 2·td·dx —
-                #   x·t1·D = xn·(tn − 2·s·td)  since t1 = T/2 − s,
-                #   t2·D   = (s+t_j)·D − tn·dx,
-                #   x·t·D  = xn·2·td·t —
-                # so the per-job loop is int arithmetic with one Fraction
-                # materialized per emitted piece (bit-identical values).
-                s = instance.setups[i]
-                a1 = tn - 2 * s * td            # (T/2 − s_i)·2td
-                nice_items: list[tuple[JobRef, Time]] = []
-                bottom_items: list[tuple[JobRef, Time]] = []
-                if i == e:
-                    xn, dx = x.numerator, x.denominator
-                    D = 2 * td * dx
-                    for j, t in jobs_of(i):
-                        ti = t.numerator
-                        if j in stars:
-                            hi_sc = xn * a1 + (s + ti) * D - tn * dx  # j^[2]
-                            lo_sc = (dx - xn) * a1                    # j^[1]
-                        else:
-                            hi_sc = xn * 2 * td * ti
-                            lo_sc = (dx - xn) * 2 * td * ti
-                        if hi_sc > 0:
-                            nice_items.append((j, fast_fraction(hi_sc, D)))
-                        if lo_sc > 0:
-                            bottom_items.append((j, fast_fraction(lo_sc, D)))
-                    view[i] = nice_items
-                    if bottom_items:
-                        k_items[i] = bottom_items
-                else:  # unselected (x = 0): obligatory t2 outside, rest bottoms
-                    D = 2 * td
-                    for j, t in jobs_of(i):
-                        if j in stars:
-                            t2_sc = (s + t.numerator) * D - tn
-                            nice_items.append((j, fast_fraction(t2_sc, D)))
-                            if a1 > 0:
-                                bottom_items.append((j, fast_fraction(a1, D)))
-                        else:
-                            bottom_items.append((j, t))
-                    if nice_items:
-                        view[i] = nice_items
-                    if bottom_items:
-                        k_items[i] = bottom_items
             elif i == e:
                 nice_items = []
                 bottom_items = []
@@ -572,88 +352,44 @@ def pmtn_dual_schedule(
             view[i] = jobs_of(i)
         # greedily fill Q1 (outside) with I⁻chp \ I*chp up to F − demand_star
         rest = [i for i in part.chp_minus if i not in set(part.chp_star)]
-        if fast:
-            # Same greedy split at scale 2·td: F and demand_star are exact
-            # multiples of 1/(2td), so target/acc/room/filled are ints.
-            D = 2 * td
-            target_sc = scale_int(dual.F - dual.demand_star, D)
-            acc_sc = 0
-            for idx, i in enumerate(rest):
-                s = instance.setups[i]
-                block_sc = D * (s + instance.class_processing[i])
-                if acc_sc + block_sc <= target_sc:
-                    view[i] = jobs_of(i)
-                    acc_sc += block_sc
-                    continue
-                room_sc = target_sc - acc_sc - D * s
-                if room_sc > 0:
-                    nice_items = []
-                    bottom_items = []
-                    filled_sc = 0
-                    for j, t in jobs_of(i):
-                        t_sc = D * t.numerator
-                        hi_sc = min(t_sc, max(0, room_sc - filled_sc))
-                        if hi_sc > 0:
-                            nice_items.append(
-                                (j, t if hi_sc == t_sc else fast_fraction(hi_sc, D))
-                            )
-                            filled_sc += hi_sc
-                        if t_sc - hi_sc > 0:
-                            bottom_items.append(
-                                (j, t if hi_sc == 0 else fast_fraction(t_sc - hi_sc, D))
-                            )
-                    view[i] = nice_items
-                    if bottom_items:
-                        k_items[i] = bottom_items
-                    for j2 in rest[idx + 1:]:
-                        k_items[j2] = jobs_of(j2)
-                else:
-                    # cannot even afford this class's setup outside: the whole
-                    # tail goes to the bottoms (see the Fraction loop below).
-                    for j2 in rest[idx:]:
-                        k_items[j2] = jobs_of(j2)
-                break
-        else:
-            target = dual.F - dual.demand_star
-            acc = Fraction(0)
-            for idx, i in enumerate(rest):
-                s = Fraction(instance.setups[i])
-                block = s + Fraction(instance.processing(i))
-                if acc + block <= target:
-                    view[i] = jobs_of(i)
-                    acc += block
-                    continue
-                room = target - acc - s  # job load affordable after the setup
-                if room > 0:
-                    nice_items = []
-                    bottom_items = []
-                    filled = Fraction(0)
-                    for j, t in jobs_of(i):
-                        hi = min(t, max(Fraction(0), room - filled))
-                        if hi > 0:
-                            nice_items.append((j, hi))
-                            filled += hi
-                        if t - hi > 0:
-                            bottom_items.append((j, t - hi))
-                    view[i] = nice_items
-                    if bottom_items:
-                        k_items[i] = bottom_items
-                    for j2 in rest[idx + 1:]:
-                        k_items[j2] = jobs_of(j2)
-                else:
-                    # cannot even afford this class's setup outside: the whole
-                    # tail goes to the bottoms (Q1 stays slightly underfilled —
-                    # shortfall < s_i ≤ T/4, absorbed by the ω slack; see module
-                    # docstring and the fuzz tests).
-                    for j2 in rest[idx:]:
-                        k_items[j2] = jobs_of(j2)
-                break
+        target = dual.F - dual.demand_star
+        acc = Fraction(0)
+        for idx, i in enumerate(rest):
+            s = Fraction(instance.setups[i])
+            block = s + Fraction(instance.processing(i))
+            if acc + block <= target:
+                view[i] = jobs_of(i)
+                acc += block
+                continue
+            room = target - acc - s  # job load affordable after the setup
+            if room > 0:
+                nice_items = []
+                bottom_items = []
+                filled = Fraction(0)
+                for j, t in jobs_of(i):
+                    hi = min(t, max(Fraction(0), room - filled))
+                    if hi > 0:
+                        nice_items.append((j, hi))
+                        filled += hi
+                    if t - hi > 0:
+                        bottom_items.append((j, t - hi))
+                view[i] = nice_items
+                if bottom_items:
+                    k_items[i] = bottom_items
+                for j2 in rest[idx + 1:]:
+                    k_items[j2] = jobs_of(j2)
+            else:
+                # cannot even afford this class's setup outside: the whole
+                # tail goes to the bottoms (Q1 stays slightly underfilled —
+                # shortfall < s_i ≤ T/4, absorbed by the ω slack; see module
+                # docstring and the fuzz tests).
+                for j2 in rest[idx:]:
+                    k_items[j2] = jobs_of(j2)
+            break
 
     # ---- nice instance on the residual machines ------------------------- #
     view = {i: items for i, items in view.items() if items}
-    schedule_nice_view(
-        schedule, T, view, residual, mode, exact_ints=fast, trusted_views=fast
-    )
+    schedule_nice_view(schedule, T, view, residual, mode, exact_ints=fast)
 
     # ---- step 4: K at the bottoms of the large machines ------------------ #
     quarter = T / 4

@@ -43,7 +43,6 @@ from typing import Literal, Optional, Sequence
 
 from math import lcm
 
-from ..core.classification import gamma as gamma_count
 from ..core.errors import ConstructionError, RejectedMakespanError
 from ..core.fastnum import count_core
 from ..core.instance import Instance, JobRef
@@ -358,7 +357,6 @@ def schedule_nice_view(
     mode: CountMode = "alpha",
     *,
     exact_ints: bool = True,
-    trusted_views: bool = False,
 ) -> None:
     """Algorithm 2 on a view, placing onto ``machines`` (ascending order).
 
@@ -415,31 +413,16 @@ def schedule_nice_view(
             t += length
 
     # ---- step 3: wrap the cheap classes -------------------------------- #
-    if trusted_views:
-        # Internal fast path only: views built by Algorithm 3 / full_view
-        # are pre-validated (JobRef class, positive lengths — Algorithm 3
-        # filters non-positive pieces as it builds the views), so skip
-        # Batch.of's per-item checks and the positivity re-filter, and
-        # reuse the cached view tuples as the batch items directly.  A
-        # view entry that *is* the instance's cached full-class tuple
-        # carries the integer lengths to the wrap engine (identity check:
-        # derived piece views are freshly built lists, never the cache).
-        cheap_batches = [
-            Batch(
-                cls=i,
-                items=view[i] if type(view[i]) is tuple else tuple(view[i]),
-                int_lengths=(
-                    instance.jobs[i]
-                    if view[i] is instance.class_jobs_frac_cached(i)
-                    else None
-                ),
-            )
-            for i in part.cheap
-        ]
-    else:
-        cheap_batches = [
-            Batch.of(i, [(j, t) for j, t in view[i] if t > 0]) for i in part.cheap
-        ]
+    # A view entry that *is* the instance's cached full-class tuple carries
+    # the integer lengths to the wrap engine and needs no item checks;
+    # derived piece views (freshly built lists, never the cache) go
+    # through Batch.of's checks and drop non-positive pieces.
+    cheap_batches = [
+        Batch(cls=i, items=view[i], int_lengths=instance.jobs[i])
+        if view[i] is instance.class_jobs_frac_cached(i)
+        else Batch.of(i, [(j, t) for j, t in view[i] if t > 0])
+        for i in part.cheap
+    ]
     sequence = WrapSequence.of(cheap_batches)
     if not sequence.batches:
         return

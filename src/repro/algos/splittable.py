@@ -200,14 +200,6 @@ def split_dual_schedule(instance: Instance, T: TimeLike, *, kernel: str = "fast"
     return schedule
 
 
-def split_dual(instance: Instance, T: TimeLike) -> tuple[SplitDual, Schedule | None]:
-    """Test ``T`` and, if accepted, build the schedule (the ρ-dual contract)."""
-    dual = split_dual_test(instance, T)
-    if not dual.accepted:
-        return dual, None
-    return dual, split_dual_schedule(instance, T)
-
-
 def split_window(instance: Instance) -> tuple[Time, Time]:
     """``[T_min, 2 T_min]`` with ``OPT_split`` inside (Lemma 8 upper bound)."""
     tmin = t_min(instance, Variant.SPLITTABLE)

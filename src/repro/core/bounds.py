@@ -78,12 +78,3 @@ def trivial_upper_bound(instance: Instance) -> int:
     """``N`` — all jobs with one setup each... i.e. everything on one machine."""
     return instance.total_load
 
-
-def machines_needed_at_most(instance: Instance) -> int:
-    """A machine count beyond which extra machines cannot help (pmtn/nonp).
-
-    With ``m ≥ n`` one job per machine is optimal for the job-constrained
-    variants (the paper assumes ``m < n`` after Notes 1/2); used for the
-    trivial fast path.
-    """
-    return instance.n

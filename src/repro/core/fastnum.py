@@ -61,8 +61,6 @@ __all__ = [
     "pair_ceil",
     "round_half_even",
     "ceil_div",
-    "floor_div",
-    "scale_int",
     "fast_split_test",
     "fast_nonp_test",
     "fast_pmtn_test",
@@ -205,22 +203,6 @@ def round_half_even(num: int, den: int) -> int:
 def ceil_div(num: int, den: int) -> int:
     """Exact ``⌈num/den⌉`` for integers, ``den > 0``."""
     return -((-num) // den)
-
-
-def floor_div(num: int, den: int) -> int:
-    """Exact ``⌊num/den⌋`` for integers, ``den > 0`` (alias for ``//``)."""
-    return num // den
-
-
-def scale_int(x, D: int) -> int:
-    """``x·D`` as an exact int; raises if ``x`` is not a multiple of 1/D."""
-    if isinstance(x, int):
-        return x * D
-    num, den = x.numerator, x.denominator
-    scaled, rem = divmod(num * D, den)
-    if rem:
-        raise ValueError(f"{x} is not an exact multiple of 1/{D}")
-    return scaled
 
 
 # --------------------------------------------------------------------------- #

@@ -219,21 +219,6 @@ class Instance:
             self._jobs_sorted_cache[cls] = cached
         return cached
 
-    def setups_frac(self) -> tuple["Fraction", ...]:
-        """Cached ``Fraction`` view of the setup times.
-
-        The wrap engine and the construction repairs emit one setup
-        placement per batch/gap switch; sharing the Fraction objects
-        avoids re-normalizing the same integers on every call.
-        """
-        cached = self._misc_cache.get("setups_frac")
-        if cached is None:
-            from fractions import Fraction
-
-            cached = tuple(Fraction(s) for s in self.setups)
-            self._misc_cache["setups_frac"] = cached
-        return cached
-
     def class_prefix(self, cls: int) -> tuple[int, ...]:
         """Cached prefix sums of one class's processing times in job order.
 

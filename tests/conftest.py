@@ -46,6 +46,32 @@ def mk(m: int, *classes: tuple[int, list[int]]) -> Instance:
     return Instance.build(m, list(classes))
 
 
+def general_case_instance() -> Instance:
+    """An instance with a non-empty I0exp and an I*chp knapsack at T=20.
+
+    T = 20: class 0: s=11 > 10, s+P=16 ∈ (15,20) → I0exp (large machine).
+    class 1: s=12, P=16 → I+exp.  class 2: s=3 < 5, job 9: 3+9=12 > 10 → star.
+    class 3: s=2 < 5, small jobs → I-chp non-star.
+    """
+    return mk(
+        4,
+        (11, [5]),
+        (12, [8, 8]),
+        (3, [9, 2]),
+        (2, [3, 3]),
+    )
+
+
+def accepted_3a_instance() -> Instance:
+    """Accepted at T=20 with case 3a: 8 large machines feed the bottoms.
+
+    l = 8 large classes (11,[5]); 5 star classes (3,[8]) with demand 55 over
+    free time F = 40 and L* = 20; the knapsack selects two, splits one
+    (x = 6/7) and leaves two for the large-machine bottoms.
+    """
+    return mk(10, *([(11, [5])] * 8 + [(3, [8])] * 5))
+
+
 def full_job_schedule(inst: Instance, assignment: dict[int, list[JobRef]]) -> Schedule:
     """Build a simple non-preemptive schedule: per machine, a list of jobs.
 

@@ -18,11 +18,12 @@ import pytest
 from repro.algos.api import solve
 from repro.algos.jumping_pmtn import _base_core
 from repro.algos.nonpreemptive import nonp_dual_schedule, nonp_dual_test
-from repro.algos.pmtn_general import pmtn_dual_test, pmtn_dual_test_fast
+from repro.algos.pmtn_general import pmtn_dual_schedule, pmtn_dual_test
 from repro.algos.splittable import split_dual_schedule, split_dual_test, split_dual_test_fast
 from repro.core import xbatch
 from repro.core.bounds import Variant, t_min
 from repro.core.classification import nonp_partition, nonp_partition_fast
+from repro.core.errors import RejectedMakespanError
 from repro.core.fastnum import (
     fast_base_core,
     fast_nonp_test,
@@ -30,8 +31,11 @@ from repro.core.fastnum import (
     fast_split_test,
 )
 from repro.core.instance import Instance
+from repro.core.validate import validate_schedule
 from repro.core.xbatch import BatchDualContext, _grid_is_safe
 from repro.generators import adversarial_suite, medium_suite, small_exact_suite
+
+from .conftest import accepted_3a_instance, general_case_instance, mk
 
 SUITE_INSTANCES = [
     pytest.param(inst, id=f"{suite}:{label}")
@@ -100,24 +104,6 @@ class TestDualTestEquivalence:
                 assert fast.y_negative == any(
                     "F < L*" in r for r in ref.reject_reasons
                 )
-                full = pmtn_dual_test_fast(inst, T, mode=mode)
-                assert (
-                    full.accepted, full.case, full.load, full.machines_needed,
-                    full.l, full.F, full.L_star, full.demand_star,
-                    full.unselected, full.split_class, full.reject_reasons,
-                    full.counts, full.partition,
-                ) == (
-                    ref.accepted, ref.case, ref.load, ref.machines_needed,
-                    ref.l, ref.F, ref.L_star, ref.demand_star,
-                    ref.unselected, ref.split_class, ref.reject_reasons,
-                    ref.counts, ref.partition,
-                )
-                if ref.knapsack is not None:
-                    assert full.knapsack is not None
-                    assert full.knapsack.fractions == ref.knapsack.fractions
-                    assert full.knapsack.value == ref.knapsack.value
-                    assert full.knapsack.used_capacity == ref.knapsack.used_capacity
-                    assert full.knapsack.split_key == ref.knapsack.split_key
             # the Class-Jumping monotone core
             bl, bm = _base_core(inst, T)
             fl, fm = fast_base_core(ctx, T.numerator, T.denominator)
@@ -381,3 +367,53 @@ class TestConstructionEquivalence:
         fast = nonp_dual_schedule(inst, T, kernel="fast")
         ref = nonp_dual_schedule(inst, T, kernel="fraction")
         assert placements_key(fast) == placements_key(ref)
+
+    @pytest.mark.parametrize("mode", ["alpha", "gamma"])
+    def test_pmtn_schedule(self, mode):
+        """Algorithm 3 case by case: the nice shortcut, case 3a and case 3b."""
+        # nice at T = 20 with one I+exp, one I-exp and two cheap classes
+        nice = mk(4, (12, [8, 8]), (11, [2]), (2, [3, 4]), (1, [2, 2]))
+        T = Fraction(20)
+        cases = set()
+        for inst in (nice, accepted_3a_instance(), general_case_instance()):
+            cases.add(pmtn_dual_test(inst, T, mode).case)
+            fast = pmtn_dual_schedule(inst, T, mode, kernel="fast")
+            ref = pmtn_dual_schedule(inst, T, mode, kernel="fraction")
+            assert ordered_rows(fast) == ordered_rows(ref)
+            assert validate_schedule(fast, Variant.PREEMPTIVE) <= Fraction(3, 2) * T
+        assert cases == {"nice", "3a", "3b"}
+
+    @pytest.mark.parametrize("mode", ["alpha", "gamma"])
+    @pytest.mark.parametrize(
+        "inst, T, case, reasons",
+        [
+            pytest.param(mk(2, (4, [8])), 1, "trivial", "T < max(s_i + t_max^i)", id="trivial"),
+            pytest.param(mk(2, (2, [3, 4]), (1, [2, 2, 2])), 7, "nice", "mT < L_nice", id="nice"),
+            pytest.param(
+                mk(1, (8, [6, 8]), (11, [8])), 20, "3a",
+                "F < L* (obligatory outside load exceeds residual time)", id="3a-y-negative",
+            ),
+            pytest.param(
+                mk(3, (12, [9]), (5, [7, 2]), (12, [10]), (6, [5])), 22, "3a",
+                "mT < L_pmtn", id="3a-load",
+            ),
+            pytest.param(
+                mk(3, (12, [4, 2, 1]), (1, [3]), (2, [4, 5, 6]), (9, [5, 6, 6])), 20, "3b",
+                "mT < L_pmtn", id="3b-load",
+            ),
+            pytest.param(
+                mk(2, *[(11, [2])] * 5), 20, "nice", "mT < L_nice, m < m_nice",
+                id="machines",
+            ),
+        ],
+    )
+    def test_pmtn_rejection(self, inst, T, case, reasons, mode):
+        """Both kernels reject with the reference's reasons, word for word."""
+        assert pmtn_dual_test(inst, T, mode).case == case
+        messages = []
+        for kernel in ("fast", "fraction"):
+            with pytest.raises(RejectedMakespanError) as err:
+                pmtn_dual_schedule(inst, T, mode, kernel=kernel)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == f"T={T} rejected by Theorem 5: {reasons}"

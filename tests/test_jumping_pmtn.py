@@ -15,8 +15,7 @@ from repro.algos.jumping_pmtn import (
 )
 from repro.algos.pmtn_general import pmtn_dual_test
 
-from .conftest import mk
-from .test_pmtn_general import accepted_3a_instance, general_case_instance
+from .conftest import accepted_3a_instance, general_case_instance, mk
 
 
 def inst_strategy(max_m=8, max_classes=6, max_jobs=5, max_t=20, max_s=12):

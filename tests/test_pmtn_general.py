@@ -11,7 +11,7 @@ from repro.core.bounds import t_min
 from repro.algos.pmtn_general import PmtnBuildParts, pmtn_dual_schedule, pmtn_dual_test
 from repro.algos.twoapprox import two_approx_grouped
 
-from .conftest import mk
+from .conftest import accepted_3a_instance, general_case_instance, mk
 
 
 def inst_strategy(max_m=8, max_classes=6, max_jobs=5, max_t=20, max_s=12):
@@ -27,32 +27,6 @@ def inst_strategy(max_m=8, max_classes=6, max_jobs=5, max_t=20, max_s=12):
             max_size=max_classes,
         ),
     )
-
-
-def general_case_instance() -> Instance:
-    """An instance with a non-empty I0exp and an I*chp knapsack at T=20.
-
-    T = 20: class 0: s=11 > 10, s+P=16 ∈ (15,20) → I0exp (large machine).
-    class 1: s=12, P=16 → I+exp.  class 2: s=3 < 5, job 9: 3+9=12 > 10 → star.
-    class 3: s=2 < 5, small jobs → I-chp non-star.
-    """
-    return mk(
-        4,
-        (11, [5]),
-        (12, [8, 8]),
-        (3, [9, 2]),
-        (2, [3, 3]),
-    )
-
-
-def accepted_3a_instance() -> Instance:
-    """Accepted at T=20 with case 3a: 8 large machines feed the bottoms.
-
-    l = 8 large classes (11,[5]); 5 star classes (3,[8]) with demand 55 over
-    free time F = 40 and L* = 20; the knapsack selects two, splits one
-    (x = 6/7) and leaves two for the large-machine bottoms.
-    """
-    return mk(10, *([(11, [5])] * 8 + [(3, [8])] * 5))
 
 
 class TestDualTestCases:
