@@ -1,6 +1,6 @@
 """Shared fixtures for the benchmark harness (pytest-benchmark).
 
-Benchmarks regenerate the paper's artifacts (see DESIGN.md §3):
+Benchmarks regenerate the paper's artifacts:
 
 * ``test_table1_algorithms.py``  — T1: every implementable Table-1 cell
 * ``test_figures.py``            — F1-F13: figure regeneration

@@ -162,8 +162,8 @@ def bench_nonp_construct(inst: Instance, fixture_name: str, reps: int) -> dict[s
 
     The instance is warmed first (shared caches, like a sweep point), so
     the cell isolates exactly the work the PR-4 ``ItemStore`` flattened:
-    steps 1-4 plus materialization into columns.  ``rows()`` forces the
-    lazily adopted columns so the fast cell pays materialization too.
+    steps 1-4 plus materialization into columns and the ``rows()``
+    projection the wire encoder reads.
     """
     from repro.algos.nonpreemptive import nonp_dual_schedule, three_halves_nonpreemptive
 

@@ -1,8 +1,7 @@
 """Benchmark R1 — measured-ratio sweeps over the named suites.
 
 Benchmarks the full evaluation loop (solve + validate + reference) per
-suite and stores the worst measured ratios in ``extra_info`` — these are
-the numbers recorded in EXPERIMENTS.md.
+suite and stores the worst measured ratios in ``extra_info``.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ Public entry point::
     result = solve(inst, Variant.PREEMPTIVE)          # 3/2-approx by default
     print(result.schedule.makespan(), result.ratio_bound)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See README.md for the system inventory; ``python -m repro.experiments``
+regenerates the paper-vs-measured record.
 """
 
 from .core import (

@@ -2,7 +2,7 @@
 
 The goal is the exact acceptance flip ``T* = min{T : Theorem-5 test (γ
 mode) accepts}``; the built schedule then has makespan ≤ (3/2)T* ≤
-(3/2)·OPT.  Structure (cf. DESIGN.md, deviation #3):
+(3/2)·OPT.  Structure:
 
 1. **Base flip** ``T̃``: Class Jumping on the *monotone core* of the test —
    ``L_base(T) = P(J) + Σ_{I⁺exp} γ_i(T)s_i + Σ_{[c]∖I⁺exp} s_i`` and

@@ -227,7 +227,7 @@ class _Algo6Driver:
         self.step4b()
         for u in range(self.instance.m):
             self.drop_trailing_setups(u)
-        schedule = self.materialize(final=True)
+        schedule = self.materialize()
         self.snapshot("step4")
         return schedule
 
@@ -384,8 +384,8 @@ class _StoreBuilder(_Algo6Driver):
     machine ends and repairs are integer-only; items are slot indices
     into the store's parallel columns and no per-item Python object is
     created.  Steps 1–3 emit whole window slices per machine against the
-    instance's cached per-class prefix sums; materialization bulk-adopts
-    the store's machine runs into the schedule's column store.
+    instance's cached per-class prefix sums; materialization bulk-appends
+    the store's machine runs to the schedule's column store.
     """
 
     def __init__(self, instance, T, part, stages_out) -> None:
@@ -657,16 +657,9 @@ class _StoreBuilder(_Algo6Driver):
     def drop_trailing_setups(self, u: int) -> None:
         self.store.drop_trailing_setups(u)
 
-    def materialize(self, final: bool = False) -> Schedule:
+    def materialize(self) -> Schedule:
         schedule = Schedule(self.instance)
-        if final:
-            # The construction is done and the store is never mutated
-            # again: hand it over whole — columns materialize only if a
-            # caller actually reads the schedule.
-            schedule.adopt_runs(self.store, self.D)
-        else:
-            # Stage snapshots copy the store's current state eagerly.
-            schedule.extend_runs(self.store.runs(), self.D)
+        schedule.extend_runs(self.store.runs(), self.D)
         return schedule
 
 
@@ -895,7 +888,7 @@ class _ReferenceBuilder(_Algo6Driver):
         while items and items[-1].is_setup:
             items.pop()
 
-    def materialize(self, final: bool = False) -> Schedule:
+    def materialize(self) -> Schedule:
         return _materialize_items(self.instance, self.machines)
 
 

@@ -22,8 +22,8 @@ Geometry (all on the caller-supplied machine list):
 * ``I⁺exp`` class, mode ``alpha``: ``κ`` machines, each with the setup at
   ``[0, s_i]``; machines ``1..κ−1`` carry exactly ``T−s_i`` job load (full
   to ``T``); the last machine carries the remainder, load in ``[T, 2T−s_i)
-  ⊂ [T, 3T/2)``.  This is the post-"fold" layout of the paper's step 1
-  (see DESIGN.md deviation #2).
+  ⊂ [T, 3T/2)``.  This is the layout the paper's step 1 reaches after
+  its "fold", placed directly.
 * ``I⁺exp`` class, mode ``gamma``: machines carry ``T/2`` of job load above
   the setup; the remainder (≤ ``T/2 + (T−s_i)``) goes onto the last
   machine, load ≤ 3T/2 (Figure 5).

@@ -10,7 +10,7 @@ are computed from cumulative positions.
 
 Since PR 4 the renderer reads the schedule through the bulk
 :meth:`~repro.core.schedule.Schedule.rows` projection — scaled-integer
-columns (numpy views when installed) instead of materialized
+int lists instead of materialized
 :class:`~repro.core.schedule.Placement` objects — and maps times to
 columns with exact integer half-even rounding, so the drawing is
 bit-identical to the historical Fraction arithmetic.
@@ -88,7 +88,7 @@ def render_gantt(
     kd = sr.scale * end.numerator
     by_machine: dict[int, list[int]] = {}
     for k in range(len(sr)):
-        by_machine.setdefault(int(sr.machine[k]), []).append(k)
+        by_machine.setdefault(sr.machine[k], []).append(k)
 
     for u in rows:
         row = ["."] * (width + 1)
@@ -96,14 +96,14 @@ def render_gantt(
         for k in sorted(
             ks, key=lambda k: (sr.start_num[k], sr.start_num[k] + sr.length_num[k])
         ):
-            sn = int(sr.start_num[k])
-            en = sn + int(sr.length_num[k])
+            sn = sr.start_num[k]
+            en = sn + sr.length_num[k]
             a = min(width, _round_div(sn * kn, kd))
             b = min(width, _round_div(en * kn, kd))
             if b <= a:
                 b = min(width, a + 1)
             setup = sr.job_idx[k] < 0
-            cls = int(sr.cls[k])
+            cls = sr.cls[k]
             glyph = "#" if setup else class_glyph(cls)
             for c in range(a, b):
                 row[c] = glyph

@@ -1,4 +1,4 @@
-"""Schedule quality metrics used by the experiments and EXPERIMENTS.md."""
+"""Schedule quality metrics used by the experiments."""
 
 from __future__ import annotations
 

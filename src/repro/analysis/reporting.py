@@ -22,7 +22,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
 
 
 def format_markdown(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """GitHub-flavoured Markdown table (for EXPERIMENTS.md)."""
+    """GitHub-flavoured Markdown table."""
     out = ["| " + " | ".join(str(h) for h in headers) + " |"]
     out.append("|" + "|".join("---" for _ in headers) + "|")
     for row in rows:

@@ -1,7 +1,8 @@
 """Baselines and prior-work comparators (Table 1 reproduction).
 
-See DESIGN.md §"Substitutions" for what is a faithful reimplementation
-versus a guarantee-equivalent reconstruction.
+Each module's docstring says whether it is a faithful reimplementation or
+a reconstruction with the same proven guarantee (Monma–Potts, Jansen–Land
+next-fit).
 """
 
 from .lpt import grouped_lpt_schedule, job_lpt_schedule

@@ -5,7 +5,7 @@ wrap-around rule" with worst-case ratio ``2 − (⌊m/2⌋+1)^{-1}`` (→ 2 as
 ``m → ∞``); it was the best known unrestricted preemptive guarantee before
 this paper's 3/2.  Their exact pseudo-code is not reproduced in the target
 paper, so this module implements the natural reconstruction with a *proven*
-ratio ≤ 2 (DESIGN.md, substitutions):
+ratio ≤ 2:
 
 wrap the batch stream ``[s_1, C_1, s_2, C_2, …]`` into ``m`` lanes of
 height ``H = max(N/m + s_max, max_i(s_i + t^(i)_max))``, re-paying a setup

@@ -333,7 +333,7 @@ class ItemStore:
     def runs(self) -> Iterator[tuple[int, Sequence[int], Sequence[int], Sequence[int]]]:
         """Per-machine ``(machine, lengths, clss, jobs)`` gathers, bottom to top.
 
-        The bulk-adoption input of
+        The input of
         :meth:`repro.core.schedule.Schedule.extend_runs` — starts are the
         prefix sums of ``lengths`` (no idle time below the top item, the
         Algorithm-6 invariant).  Spans without removed slots are yielded

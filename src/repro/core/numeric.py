@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Union
 
 #: Public alias used in signatures throughout the package.
 Time = Fraction
@@ -63,13 +63,6 @@ def as_time(value: TimeLike) -> Time:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}: {value!r}")
-
-
-def ceil_div(num: int, den: int) -> int:
-    """Exact ``ceil(num/den)`` for integers, ``den > 0``."""
-    if den <= 0:
-        raise ValueError(f"ceil_div requires den > 0, got {den}")
-    return -((-num) // den)
 
 
 _new_fraction = object.__new__
@@ -107,24 +100,6 @@ def frac_floor(x: TimeLike) -> int:
     """Exact floor of a rational."""
     x = as_time(x)
     return x.numerator // x.denominator
-
-
-def fsum(values: Iterable[TimeLike]) -> Time:
-    """Exact sum of rationals (name mirrors :func:`math.fsum`)."""
-    total = Fraction(0)
-    for v in values:
-        total += as_time(v)
-    return total
-
-
-def fmax(values: Iterable[TimeLike], default: TimeLike = 0) -> Time:
-    """Exact max with a default for empty iterables."""
-    best = None
-    for v in values:
-        v = as_time(v)
-        if best is None or v > best:
-            best = v
-    return as_time(default) if best is None else best
 
 
 def time_str(x: TimeLike) -> str:

@@ -1,4 +1,4 @@
-"""Explicit schedule representation — columnar store with lazy placements.
+"""Explicit schedule representation — a columnar store with lazy placements.
 
 A :class:`Schedule` is a set of :class:`Placement` items — setups and job
 pieces — each pinned to a machine and a closed-open time interval
@@ -8,38 +8,28 @@ with multiplicities internally (see :mod:`repro.core.wrapping`), but
 everything is materialized into explicit placements before validation, so
 the validators never have to trust an algorithm's own bookkeeping.
 
-Since PR 3 the backing store is **columnar**: a :class:`ScheduleColumns`
-holds one row per placement as parallel scaled-integer columns
+A schedule *is* its :class:`ScheduleColumns` store: one row per
+placement as parallel scaled-integer columns
 
     ``machine | start_num | length_num | den | cls | job_idx``
 
 with ``start = start_num/den`` and ``length = length_num/den`` exact
-rationals and ``job_idx = -1`` marking a setup.  The construction hot
+rationals and ``job_idx = -1`` marking a setup.  The columns are plain
+Python-int lists from the first append to the wire: the construction hot
 paths (the wrap engine, Algorithm 6's materializer, Algorithm 2's step 1)
-append machine integers straight into the columns; :class:`Placement`
-objects — and their :class:`~fractions.Fraction` times — are materialized
-*lazily*, only when a caller actually iterates placements.  Aggregate
-queries (``makespan``, ``machine_load``, ``machine_end``) are answered
-from the columns directly, and :mod:`repro.core.validate` runs a
-vectorized validator over the raw columns.
+splice their row lists in at C speed, the wire encoder copies them
+through :meth:`Schedule.rows`, and :mod:`repro.core.validate` checks
+them directly.  :class:`Placement` objects — and their
+:class:`~fractions.Fraction` times — are materialized *lazily*, only when
+a caller actually iterates placements; aggregate queries (``makespan``,
+``machine_load``, ``machine_end``) are answered from the columns.  Rows
+of any magnitude stay exact; a value beyond 62 bits only changes how
+:meth:`ScheduleColumns.to_ipc` ships the store.
 
-The columns are plain Python-int lists while a schedule is being built,
-so the emission paths splice their row lists in at C speed.
-:meth:`ScheduleColumns.compact` turns them into :mod:`array`-module
-``'q'`` (int64) buffers only for the zero-copy readers
-(:meth:`Schedule.rows`, which numpy views when installed — numpy remains
-the optional ``[batch]`` extra, exactly the :mod:`repro.core.xbatch`
-policy — and the cross-process :meth:`ScheduleColumns.to_ipc`); any later
-append turns them back into lists.  The wire encoder reads plain lists
-through :meth:`Schedule.row_lists` and never pays that conversion.  A row
-that does not fit in 62 bits keeps the store on exact Python-int lists
-for good — the overflow fallback trades speed, never precision.
-
-Mutating operations that need placement identity (:meth:`Schedule.remove`,
-:meth:`Schedule.replace_machine` — the repair passes) *thaw* the schedule:
-the columns are materialized into per-machine placement lists once and the
-schedule behaves exactly like the historical list-backed implementation
-from then on.
+A placement the columns cannot encode — a piece whose class differs from
+its job's class, or whose job index is negative — is refused by
+:meth:`Schedule.add` with a :class:`ValueError`, like an out-of-range
+machine or a negative start or length.
 
 All times are exact rationals (:mod:`repro.core.numeric`).
 """
@@ -53,15 +43,10 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .instance import Instance, JobRef
 from .numeric import Time, TimeLike, as_time, fast_fraction, time_str
-
-try:  # numpy is the optional [batch] extra (same policy as xbatch)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the minimal-deps CI job
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -121,9 +106,9 @@ def _lcm2(a: int, b: int) -> int:
     return a if a == b else a * b // gcd(a, b)
 
 
-#: Values at or above 62 bits flip a column store into exact-int object
-#: mode — the same headroom :data:`repro.core.xbatch._GUARD` keeps for
-#: int64 intermediates.
+#: A value at or above 62 bits clears a column store's ``int_mode`` — the
+#: same headroom :data:`repro.core.xbatch._GUARD` keeps for int64
+#: intermediates.
 _INT62 = 1 << 62
 
 
@@ -136,17 +121,12 @@ class ScheduleColumns:
     is a piece of ``JobRef(cls[k], job_idx[k])``.  Numerators need not be
     normalized against ``den`` — materialization reduces exactly.
 
-    Buffer rule: every append goes to plain Python lists — the emission
-    paths (:meth:`extend_scaled`, :meth:`extend_runs`) splice their row
-    lists in at C pointer speed.  :meth:`compact` rebuilds the columns as
-    ``array('q')`` (int64) buffers in one pass, only when a zero-copy
-    reader (:meth:`Schedule.rows`, :meth:`to_ipc`) asks for them, and the
-    next append turns them back into lists, so a view handed out earlier
-    stays a stable snapshot and a buffer it exports is never resized.
-    ``int_mode`` is a statement about *values*, not about the buffer
-    type: it is True while everything fits int64, and the first value
-    that does not fit in 62 bits clears it for good — such a store stays
-    on exact Python-int lists at any magnitude.
+    Every column is a plain Python-int list: the emission paths
+    (:meth:`extend_scaled`, :meth:`extend_runs`) splice their row lists in
+    at C pointer speed, and readers copy what they keep.  ``int_mode`` is
+    True while every start, length and denominator fits in 62 bits; the
+    first value that does not clears it for good, and :meth:`to_ipc` then
+    ships exact int lists instead of int64 buffers.
     """
 
     __slots__ = (
@@ -168,16 +148,6 @@ class ScheduleColumns:
     # appends
     # ------------------------------------------------------------------ #
 
-    def _to_lists(self) -> None:
-        """Turn compacted ``array('q')`` buffers back into lists (values unchanged)."""
-        if type(self.machine) is not list:
-            self.machine = self.machine.tolist()
-            self.start_num = self.start_num.tolist()
-            self.length_num = self.length_num.tolist()
-            self.den = self.den.tolist()
-            self.cls = self.cls.tolist()
-            self.job_idx = self.job_idx.tolist()
-
     def append_scaled(
         self,
         machine: int,
@@ -194,7 +164,6 @@ class ScheduleColumns:
         the raw emission primitive behind :meth:`Schedule.add_scaled` and
         the construction kernels.
         """
-        self._to_lists()
         if self.int_mode and not (
             -_INT62 < start_num < _INT62
             and -_INT62 < length_num < _INT62
@@ -228,7 +197,6 @@ class ScheduleColumns:
         n = len(machines)
         if n == 0:
             return
-        self._to_lists()
         if self.int_mode and not (
             -_INT62 < min(start_nums)
             and max(start_nums) < _INT62
@@ -245,21 +213,6 @@ class ScheduleColumns:
         self.job_idx.extend(job_idxs)
         self._dens.add(den)
 
-    def compact(self) -> None:
-        """Rebuild the columns as ``array('q')`` buffers for zero-copy readers.
-
-        One C pass per column; a no-op when the buffers are already
-        arrays or the values left the int64 range (``int_mode`` False —
-        object mode stays on lists by design).
-        """
-        if self.int_mode and type(self.machine) is list:
-            self.machine = array("q", self.machine)
-            self.start_num = array("q", self.start_num)
-            self.length_num = array("q", self.length_num)
-            self.den = array("q", self.den)
-            self.cls = array("q", self.cls)
-            self.job_idx = array("q", self.job_idx)
-
     def extend_runs(self, runs, den: int) -> None:
         """Bulk-append stacked machine runs sharing one ``den``.
 
@@ -267,14 +220,12 @@ class ScheduleColumns:
         bottom to top; starts are the running prefix sums of ``lengths``
         (the no-idle-below-the-top-item invariant of the emitting
         constructions), and lengths must be non-negative — this is the
-        trusted adoption path the Algorithm-6
-        :class:`~repro.core.itemstore.ItemStore` hands off to.  Splicing
-        the store's column slices into the list buffers is pointer-copy
-        cheap; the int64 range check reduces to one comparison per
-        machine (the prefix-sum total dominates every start and length
-        of its run).
+        trusted hand-off path of the Algorithm-6
+        :class:`~repro.core.itemstore.ItemStore`.  Splicing the store's
+        column slices into the list columns is pointer-copy cheap; the
+        int64 range check reduces to one comparison per machine (the
+        prefix-sum total dominates every start and length of its run).
         """
-        self._to_lists()
         mach, sn, ln = self.machine, self.start_num, self.length_num
         dn, cl, ji = self.den, self.cls, self.job_idx
         ok = self.int_mode and den < _INT62
@@ -331,12 +282,12 @@ class ScheduleColumns:
             L = _lcm2(L, d)
         return L
 
-    def scaled(self) -> tuple[int, "object", "object"]:
+    def scaled(self) -> tuple[int, list[int], list[int]]:
         """``(L, starts, lengths)`` with all rows at the common scale ``L``.
 
         When every row shares one denominator the stored columns are
-        returned as-is (zero copy — numpy can view the ``array('q')``
-        buffers directly); otherwise exact Python-int lists are built.
+        returned as-is (no copy: callers must not mutate them); otherwise
+        fresh exact-int lists are built.
         """
         L = self.common_scale()
         if len(self._dens) <= 1:
@@ -398,28 +349,6 @@ class ScheduleColumns:
             )
         return by_machine
 
-    @staticmethod
-    def from_placements(placements: Iterable[Placement]) -> "ScheduleColumns":
-        """Columns encoding ``placements`` (row order = iteration order).
-
-        Raises :class:`ValueError` for a piece whose ``cls`` disagrees with
-        its job's class, or whose job index is negative — the columnar
-        encoding shares one class column between the row and its
-        :class:`~repro.core.instance.JobRef` and reserves ``job_idx = -1``
-        for setups, so such (infeasible) placements have no columnar
-        form; keep schedules holding them on the placement-list path and
-        the scalar validator.
-        """
-        cols = ScheduleColumns()
-        for p in placements:
-            if p.job is not None and (p.job.cls != p.cls or p.job.idx < 0):
-                raise ValueError(
-                    f"placement has no columnar encoding "
-                    f"(class mismatch or negative job index): {p}"
-                )
-            cols.append_placement(p)
-        return cols
-
     def copy(self) -> "ScheduleColumns":
         out = ScheduleColumns.__new__(ScheduleColumns)
         out.machine = self.machine[:]
@@ -441,20 +370,19 @@ class ScheduleColumns:
     def to_ipc(self) -> dict:
         """Wire form for cross-process transport.
 
-        ``mode="i64"`` wraps the six ``array('q')`` buffers in
-        :class:`pickle.PickleBuffer`, so a protocol-5 pickler with a
-        ``buffer_callback`` ships them out-of-band — the process-shard
-        pipe protocol frames the raw int64 bytes with no per-row
-        encoding.  Big-int rows (``int_mode`` False) fall back to
-        in-band exact int lists, which plain pickle handles at any
-        magnitude.  Inverse: :meth:`from_ipc`.
+        ``mode="i64"`` packs each column into a fresh ``array('q')``
+        (int64) and wraps it in :class:`pickle.PickleBuffer`, so a
+        protocol-5 pickler with a ``buffer_callback`` ships the raw int64
+        bytes out-of-band — the process-shard pipe protocol frames them
+        with no per-row encoding.  Big-int rows (``int_mode`` False) fall
+        back to in-band exact int lists, which plain pickle handles at
+        any magnitude.  Inverse: :meth:`from_ipc`.
         """
-        self.compact()
         if self.int_mode:
             return {
                 "mode": "i64",
                 "cols": [
-                    pickle.PickleBuffer(getattr(self, name))
+                    pickle.PickleBuffer(array("q", getattr(self, name)))
                     for name in self._COL_NAMES
                 ],
             }
@@ -468,8 +396,8 @@ class ScheduleColumns:
         """Rebuild columns from :meth:`to_ipc` output (post-unpickle).
 
         After the pickle round trip the ``i64`` entries arrive as
-        bytes-like buffers; they are copied into fresh ``array('q')``
-        columns (the wire buffer is owned by the frame reader).
+        bytes-like buffers owned by the frame reader; each is decoded
+        straight into a fresh int list.
         """
         mode = obj.get("mode") if isinstance(obj, dict) else None
         data = obj.get("cols") if isinstance(obj, dict) else None
@@ -484,7 +412,7 @@ class ScheduleColumns:
             for name, raw in zip(cls._COL_NAMES, data):
                 col = array("q")
                 col.frombytes(raw)
-                setattr(out, name, col)
+                setattr(out, name, col.tolist())
         else:
             for name, vals in zip(cls._COL_NAMES, data):
                 setattr(out, name, [int(v) for v in vals])
@@ -493,44 +421,24 @@ class ScheduleColumns:
         return out
 
 
-def _rows_view(col):
-    """Zero-copy int64 numpy view of an ``array('q')`` column.
-
-    Plain lists (big-int object mode, or mixed-scale rebuilds) pass
-    through unchanged — exactness beats vectorization there — and without
-    numpy the raw column is returned as-is.
-    """
-    if _np is None or isinstance(col, list):
-        return col
-    return _np.frombuffer(col, dtype=_np.int64) if len(col) else _np.empty(0, _np.int64)
-
-
-def _list_copy(col) -> list:
-    """A fresh plain int list of a list or ``array('q')`` column."""
-    return col[:] if type(col) is list else col.tolist()
-
-
 class ScheduleRows(NamedTuple):
-    """A bulk, read-only row projection of a schedule at one common scale.
+    """A bulk row projection of a schedule at one common scale.
 
-    Parallel sequences, one entry per placement in storage order:
+    Parallel plain int lists, one entry per placement in storage order:
     ``start = start_num[k]/scale`` and ``length = length_num[k]/scale``
     exact rationals, ``job_idx[k] = -1`` marks a setup (otherwise the row
-    is a piece of job ``(cls[k], job_idx[k])``).  From :meth:`Schedule.rows`
-    on a columnar schedule with numpy installed the sequences are
-    zero-copy ``int64`` views of the compacted column buffers; otherwise
-    they are plain int sequences, and :meth:`Schedule.row_lists` always
-    returns fresh plain int lists.  This is the reader for bulk consumers
-    (Gantt extraction, figure filters, analysis sweeps, the wire encoder)
-    that only need starts/lengths/classes and should not materialize
-    :class:`Placement`/:class:`~fractions.Fraction` objects.
+    is a piece of job ``(cls[k], job_idx[k])``).  This is the reader for
+    bulk consumers (Gantt extraction, figure filters, analysis sweeps,
+    the wire encoder) that only need starts/lengths/classes and should
+    not materialize :class:`Placement`/:class:`~fractions.Fraction`
+    objects.
     """
 
-    machine: Sequence[int]
-    start_num: Sequence[int]
-    length_num: Sequence[int]
-    cls: Sequence[int]
-    job_idx: Sequence[int]
+    machine: list[int]
+    start_num: list[int]
+    length_num: list[int]
+    cls: list[int]
+    job_idx: list[int]
     scale: int
 
     def __len__(self) -> int:
@@ -538,24 +446,22 @@ class ScheduleRows(NamedTuple):
 
 
 class Schedule:
-    """A mutable bag of placements with per-machine indexing.
+    """A bag of placements with per-machine indexing, held as columns.
 
-    The class is deliberately permissive — algorithms build and repair
-    schedules through it — and :mod:`repro.core.validate` is the single
-    source of truth for feasibility.
+    The class is deliberately permissive about feasibility — algorithms
+    build schedules through it — and :mod:`repro.core.validate` is the
+    single source of truth for that; it refuses only what its
+    :class:`ScheduleColumns` store cannot hold (see :meth:`add`).
 
-    Fresh schedules are *columnar*: appends land in a
-    :class:`ScheduleColumns` store and no :class:`Placement` exists until
-    a caller iterates (``items_on``/``iter_all``/...), at which point a
-    materialized per-machine view is built and cached.  Identity-level
-    mutation (:meth:`remove`, :meth:`replace_machine`) thaws the schedule
-    into the historical placement-list representation permanently.
+    Appends land in the column store, and no :class:`Placement` exists
+    until a caller iterates (``items_on``/``iter_all``/...), at which
+    point a materialized per-machine view is built and cached until the
+    next append.
     """
 
     def __init__(self, instance: Instance, placements: Iterable[Placement] = ()):
         self.instance = instance
-        self._cols_live: Optional[ScheduleColumns] = ScheduleColumns()
-        self._pending: Optional[tuple[object, int]] = None
+        self._cols = ScheduleColumns()
         self._by_machine: Optional[list[list[Placement]]] = None
         self._scan: Optional[dict] = None
         for p in placements:
@@ -565,45 +471,8 @@ class Schedule:
     # columnar plumbing
     # ------------------------------------------------------------------ #
 
-    @property
-    def _cols(self) -> Optional[ScheduleColumns]:
-        """The column store (flushing a pending bulk adoption first)."""
-        if self._pending is not None:
-            provider, den = self._pending
-            self._pending = None
-            self.extend_runs(provider.runs(), den)  # type: ignore[attr-defined]
-        return self._cols_live
-
-    @_cols.setter
-    def _cols(self, value: Optional[ScheduleColumns]) -> None:
-        self._cols_live = value
-
-    def adopt_runs(self, provider, den: int) -> None:
-        """Adopt a runs provider as the schedule's backing, lazily.
-
-        ``provider`` is anything with a ``runs()`` method in the
-        :meth:`extend_runs` shape — in practice the Algorithm-6
-        :class:`~repro.core.itemstore.ItemStore`.  Nothing materializes
-        now; the first access (columns, aggregates, placements,
-        validation) flushes the provider's runs into the column store.
-        Sweep pipelines that only carry schedules around never pay the
-        materialization at all — one more rung of the PR-3
-        lazy-materialization contract.  The schedule must be fresh and
-        empty, and the caller must hand over ownership: mutating the
-        provider afterwards corrupts the flush.
-        """
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
-        if (
-            self._pending is not None
-            or self._cols_live is None
-            or len(self._cols_live)
-        ):
-            raise ValueError("adopt_runs requires a fresh, empty schedule")
-        self._pending = (provider, den)
-
-    def columns(self) -> Optional[ScheduleColumns]:
-        """The live column store, or ``None`` once the schedule is thawed."""
+    def columns(self) -> ScheduleColumns:
+        """The backing column store."""
         return self._cols
 
     @classmethod
@@ -617,19 +486,17 @@ class Schedule:
         ``cols``.
         """
         sched = cls(instance)
-        sched._cols_live = cols
+        sched._cols = cols
         return sched
 
-    def _columns_for_append(self) -> Optional[ScheduleColumns]:
-        """Columns ready for direct appends (caches invalidated), or None.
+    def _columns_for_append(self) -> ScheduleColumns:
+        """The column store, with the cached read views dropped.
 
         Construction kernels that emit many rows grab this once and call
-        :meth:`ScheduleColumns.append_scaled` directly; the cached
+        :meth:`ScheduleColumns.extend_scaled` directly; the cached
         materialization/aggregate views are dropped up front so reads
         after the burst rebuild from the full column set.
         """
-        if self._cols is None:
-            return None
         self._by_machine = None
         self._scan = None
         return self._cols
@@ -637,24 +504,15 @@ class Schedule:
     def _materialized(self) -> list[list[Placement]]:
         bm = self._by_machine
         if bm is None:
-            assert self._cols is not None
             bm = self._cols.to_placements(self.instance.m)
             self._by_machine = bm
         return bm
-
-    def _thaw(self) -> None:
-        """Switch to the placement-list representation permanently."""
-        if self._cols is not None:
-            self._materialized()
-            self._cols = None
-            self._scan = None
 
     def _scan_cache(self) -> dict:
         """Per-machine scaled loads/ends, one O(rows) pass over the columns."""
         sc = self._scan
         if sc is None:
             cols = self._cols
-            assert cols is not None
             m = self.instance.m
             loads: dict[int, list[int]] = {d: [0] * m for d in cols._dens}
             ends: dict[int, list[Optional[int]]] = {
@@ -679,6 +537,14 @@ class Schedule:
     # ------------------------------------------------------------------ #
 
     def add(self, placement: Placement) -> Placement:
+        """Append one placement.
+
+        Raises :class:`ValueError` for a machine outside ``[0, m)``, a
+        negative length or start, and a piece the columns cannot encode:
+        one whose class differs from its job's class (the row and its
+        :class:`~repro.core.instance.JobRef` share one class column) or
+        whose job index is negative (``job_idx = -1`` marks a setup).
+        """
         if not 0 <= placement.machine < self.instance.m:
             raise ValueError(
                 f"machine {placement.machine} out of range [0, {self.instance.m})"
@@ -687,42 +553,14 @@ class Schedule:
             raise ValueError(f"negative length placement: {placement}")
         if placement.start < 0:
             raise ValueError(f"placement starts before time 0: {placement}")
-        self._append(placement)
-        return placement
-
-    def append_trusted(self, placement: Placement) -> Placement:
-        """:meth:`add` without the sign checks — for the scaled-int kernels.
-
-        Only construction code whose arithmetic already guarantees
-        non-negative starts/lengths (the wrap engine, the materializers)
-        may use this; :mod:`repro.core.validate` remains the real
-        feasibility gate for every schedule the library hands out.
-        """
-        if not 0 <= placement.machine < self.instance.m:
-            raise ValueError(
-                f"machine {placement.machine} out of range [0, {self.instance.m})"
-            )
-        self._append(placement)
-        return placement
-
-    def _append(self, placement: Placement) -> None:
-        cols = self._cols
-        if cols is None:
-            self._by_machine[placement.machine].append(placement)  # type: ignore[index]
-            return
         job = placement.job
         if job is not None and (job.cls != placement.cls or job.idx < 0):
-            # A class-mismatched piece has no columnar encoding (the row
-            # and its JobRef share one class column), and a negative job
-            # index would collide with the job_idx = -1 setup marker:
-            # thaw and keep the placement verbatim for the scalar
-            # validator to reject ("class-mismatch" / "unknown-job").
-            self._thaw()
-            self._by_machine[placement.machine].append(placement)  # type: ignore[index]
-            return
-        cols.append_placement(placement)
-        self._by_machine = None
-        self._scan = None
+            raise ValueError(
+                f"placement has no columnar encoding "
+                f"(class mismatch or negative job index): {placement}"
+            )
+        self._columns_for_append().append_placement(placement)
+        return placement
 
     def add_scaled(
         self,
@@ -737,17 +575,21 @@ class Schedule:
 
         The scaled-integer construction paths use this to emit rows
         without materializing a :class:`~fractions.Fraction` or
-        :class:`Placement`; values are validated like :meth:`add`.  On a
-        thawed schedule the row is materialized and appended normally.
+        :class:`Placement`; rows are refused exactly like :meth:`add`.
         """
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
-        if self._cols is None or (
-            job is not None and (job.cls != cls or job.idx < 0)
+        job_idx = -1 if job is None else job.idx
+        if (
+            0 <= machine < self.instance.m
+            and start_num >= 0
+            and length_num >= 0
+            and (job is None or (job.cls == cls and job_idx >= 0))
         ):
-            # thawed schedule, or a row the columns cannot encode (class
-            # mismatch / negative job index): route through add(), which
-            # preserves the placement for the scalar validator.
+            self._columns_for_append().append_scaled(
+                machine, start_num, length_num, den, cls, job_idx
+            )
+        else:  # add() raises the error the equal Placement gets
             self.add(
                 _new_placement(
                     machine,
@@ -757,40 +599,17 @@ class Schedule:
                     job,
                 )
             )
-            return
-        if not 0 <= machine < self.instance.m:
-            raise ValueError(
-                f"machine {machine} out of range [0, {self.instance.m})"
-            )
-        if length_num < 0:
-            raise ValueError(
-                f"negative length placement: "
-                f"{self._cols_row_str(machine, start_num, length_num, den, cls, job)}"
-            )
-        if start_num < 0:
-            raise ValueError(
-                f"placement starts before time 0: "
-                f"{self._cols_row_str(machine, start_num, length_num, den, cls, job)}"
-            )
-        self._cols.append_scaled(
-            machine, start_num, length_num, den, cls,
-            -1 if job is None else job.idx,
-        )
-        self._by_machine = None
-        self._scan = None
 
     def extend_runs(self, runs, den: int) -> None:
-        """Bulk-adopt stacked machine runs — the trusted fast-kernel hand-off.
+        """Bulk-append stacked machine runs — the trusted fast-kernel hand-off.
 
         ``runs`` yields ``(machine, lengths, clss, job_idxs)`` per machine,
         items bottom to top with no idle time below the top item (starts
         are the prefix sums of the scaled lengths); rows go straight into
         the column store via :meth:`ScheduleColumns.extend_runs`.  Only
         construction code whose arithmetic guarantees non-negative lengths
-        may use this (sign checks are skipped, like
-        :meth:`append_trusted`); :mod:`repro.core.validate` remains the
-        real feasibility gate.  On a thawed schedule the rows are
-        materialized and appended as placements — identical content.
+        may use this (sign checks are skipped);
+        :mod:`repro.core.validate` remains the real feasibility gate.
         """
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
@@ -802,37 +621,7 @@ class Schedule:
                     raise ValueError(f"machine {run[0]} out of range [0, {m})")
                 yield run
 
-        cols = self._columns_for_append()
-        if cols is not None:
-            cols.extend_runs(checked(runs), den)
-            return
-        for u, lens, clss, jidxs in runs:
-            if not 0 <= u < m:
-                raise ValueError(f"machine {u} out of range [0, {m})")
-            t = 0
-            for ln, c, j in zip(lens, clss, jidxs):
-                self._append(
-                    _new_placement(
-                        u,
-                        fast_fraction(t, den),
-                        fast_fraction(ln, den),
-                        c,
-                        None if j < 0 else JobRef(c, j),
-                    )
-                )
-                t += ln
-
-    @staticmethod
-    def _cols_row_str(machine, start_num, length_num, den, cls, job) -> str:
-        return str(
-            _new_placement(
-                machine,
-                fast_fraction(start_num, den),
-                fast_fraction(length_num, den),
-                cls,
-                job,
-            )
-        )
+        self._columns_for_append().extend_runs(checked(runs), den)
 
     def add_setup(self, machine: int, start: TimeLike, cls: int) -> Placement:
         """Place a (full, non-preempted) setup of ``cls`` at ``start``."""
@@ -863,31 +652,6 @@ class Schedule:
         """Place a whole job as one piece."""
         return self.add_piece(machine, start, job, self.instance.job_time(job))
 
-    def remove(self, placement: Placement) -> None:
-        """Remove one placement (identity by value)."""
-        self._thaw()
-        self._by_machine[placement.machine].remove(placement)  # type: ignore[index]
-
-    def replace_machine(self, machine: int, items: Iterable[Placement]) -> None:
-        """Swap out the full contents of one machine (used by repair passes).
-
-        Incoming placements that still live on another machine's list are
-        moved (removed there, retagged here), so the schedule never holds a
-        placement twice.
-        """
-        self._thaw()
-        by_machine = self._by_machine
-        assert by_machine is not None
-        new_items = []
-        for p in items:
-            if p.machine != machine:
-                old = by_machine[p.machine]
-                if p in old:
-                    old.remove(p)
-                p = p.on_machine(machine)
-            new_items.append(p)
-        by_machine[machine] = new_items
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -906,132 +670,58 @@ class Schedule:
 
     def machine_load(self, machine: int) -> Time:
         """``L(u)`` — total setup + processing time on the machine (page 2)."""
-        if self._cols is not None:
-            sc = self._scan_cache()
-            total = Fraction(0)
-            for d, loads in sc["loads"].items():
-                v = loads[machine]
-                if v:
-                    total += fast_fraction(v, d)
-            return total
-        return sum((p.length for p in self._by_machine[machine]), Fraction(0))  # type: ignore[index]
+        total = Fraction(0)
+        for d, loads in self._scan_cache()["loads"].items():
+            v = loads[machine]
+            if v:
+                total += fast_fraction(v, d)
+        return total
 
     def machine_end(self, machine: int) -> Time:
         """Completion time of the machine (max placement end; 0 if empty)."""
-        if self._cols is not None:
-            sc = self._scan_cache()
-            best: Optional[Time] = None
-            for d, ends in sc["ends"].items():
-                v = ends[machine]
-                if v is not None:
-                    f = fast_fraction(v, d)
-                    if best is None or f > best:
-                        best = f
-            return Fraction(0) if best is None else best
-        items = self._by_machine[machine]  # type: ignore[index]
-        return max((p.end for p in items), default=Fraction(0))
+        best: Optional[Time] = None
+        for d, ends in self._scan_cache()["ends"].items():
+            v = ends[machine]
+            if v is not None:
+                f = fast_fraction(v, d)
+                if best is None or f > best:
+                    best = f
+        return Fraction(0) if best is None else best
 
     def makespan(self) -> Time:
         """``C_max`` — the latest completion time over all machines."""
-        cols = self._cols
-        if cols is not None:
-            # the latest row end at the common scale, in one C-speed pass
-            L, starts, lengths = cols.scaled()
-            return fast_fraction(max(map(add, starts, lengths), default=0), L)
-        return max((self.machine_end(u) for u in range(self.instance.m)), default=Fraction(0))
+        # the latest row end at the common scale, in one C-speed pass
+        L, starts, lengths = self._cols.scaled()
+        return fast_fraction(max(map(add, starts, lengths), default=0), L)
 
     def total_load(self) -> Time:
         """``L(σ) = Σ_u L(u)``."""
-        if self._cols is not None:
-            sc = self._scan_cache()
-            total = Fraction(0)
-            for d, loads in sc["loads"].items():
-                s = sum(loads)
-                if s:
-                    total += fast_fraction(s, d)
-            return total
-        return sum((self.machine_load(u) for u in range(self.instance.m)), Fraction(0))
+        total = Fraction(0)
+        for d, loads in self._scan_cache()["loads"].items():
+            s = sum(loads)
+            if s:
+                total += fast_fraction(s, d)
+        return total
 
     def used_machines(self) -> list[int]:
-        if self._cols is not None:
-            counts = self._scan_cache()["counts"]
-            return [u for u in range(self.instance.m) if counts[u]]
-        return [u for u in range(self.instance.m) if self._by_machine[u]]  # type: ignore[index]
+        counts = self._scan_cache()["counts"]
+        return [u for u in range(self.instance.m) if counts[u]]
 
     def rows(self) -> ScheduleRows:
-        """Bulk read-only row view at one common scale (see :class:`ScheduleRows`).
+        """Bulk row projection at one common scale (see :class:`ScheduleRows`).
 
-        On a live columnar schedule this compacts the columns into
-        ``array('q')`` buffers and (numpy installed, single denominator)
-        returns zero-copy views of them — no :class:`Placement` or
-        :class:`~fractions.Fraction` is created.  The projection is a
-        *point-in-time snapshot*: the next append turns the columns back
-        into fresh list buffers (the held views keep the old arrays
-        alive), so rows read earlier stay valid but do not show later
-        appends.  A thawed schedule is re-encoded row by row; pieces
-        whose ``JobRef`` class disagrees with the placement class (only
-        constructible on the thawed path, and rejected by the
-        validators) project their ``job_idx`` with the row's ``cls``, so
-        the pair identifies the job only on well-formed schedules.
+        Every sequence is a fresh plain int list the caller owns — a
+        snapshot that later appends leave unchanged — and no
+        :class:`Placement` or :class:`~fractions.Fraction` is created.
+        The wire encoder hands these lists to ``json.dumps`` as they are.
         """
         cols = self._cols
-        if cols is None:
-            return self._placement_rows()
-        cols.compact()
-        L, starts, lengths = cols.scaled()
-        return ScheduleRows(
-            _rows_view(cols.machine),
-            _rows_view(starts),
-            _rows_view(lengths),
-            _rows_view(cols.cls),
-            _rows_view(cols.job_idx),
-            L,
-        )
-
-    def row_lists(self) -> ScheduleRows:
-        """:meth:`rows` as fresh plain int lists — the wire encoder's reader.
-
-        Same rows, same order, same common ``scale``; every sequence is a
-        snapshot copy the caller owns.  Unlike :meth:`rows` this never
-        compacts the columns: list buffers are copied as they are, and
-        int64 buffers (compacted, or rebuilt by
-        :meth:`ScheduleColumns.from_ipc`) go through ``array.tolist()``
-        — no numpy and no per-element ``int()``.  A thawed schedule takes
-        the same placement path as :meth:`rows`.
-        """
-        cols = self._cols
-        if cols is None:
-            return self._placement_rows()
         L, starts, lengths = cols.scaled()
         if starts is cols.start_num:  # one denominator: the stored columns
-            starts, lengths = _list_copy(starts), _list_copy(lengths)
+            starts, lengths = starts[:], lengths[:]
         return ScheduleRows(
-            _list_copy(cols.machine),
-            starts,
-            lengths,
-            _list_copy(cols.cls),
-            _list_copy(cols.job_idx),
-            L,
+            cols.machine[:], starts, lengths, cols.cls[:], cols.job_idx[:], L
         )
-
-    def _placement_rows(self) -> ScheduleRows:
-        """Row projection of a thawed schedule (see :meth:`rows`)."""
-        placements = list(self.iter_all())
-        L = 1
-        for p in placements:
-            L = _lcm2(L, _lcm2(p.start.denominator, p.length.denominator))
-        mq: list[int] = []
-        sq: list[int] = []
-        lq: list[int] = []
-        cq: list[int] = []
-        jq: list[int] = []
-        for p in placements:
-            mq.append(p.machine)
-            sq.append(p.start.numerator * (L // p.start.denominator))
-            lq.append(p.length.numerator * (L // p.length.denominator))
-            cq.append(p.cls)
-            jq.append(-1 if p.job is None else p.job.idx)
-        return ScheduleRows(mq, sq, lq, cq, jq, L)
 
     def job_pieces(self, job: JobRef) -> list[Placement]:
         """All pieces of one job across all machines."""
@@ -1040,45 +730,31 @@ class Schedule:
     def job_total(self, job: JobRef) -> Time:
         """Scheduled processing amount of one job."""
         cols = self._cols
-        if cols is not None:
-            per_den: dict[int, int] = {}
-            cls, idx = job.cls, job.idx
-            for c, ji, ln, d in zip(
-                cols.cls, cols.job_idx, cols.length_num, cols.den
-            ):
-                if c == cls and ji == idx:
-                    per_den[d] = per_den.get(d, 0) + ln
-            total = Fraction(0)
-            for d, v in per_den.items():
-                if v:
-                    total += fast_fraction(v, d)
-            return total
-        return sum((p.length for p in self.iter_all() if p.job == job), Fraction(0))
+        per_den: dict[int, int] = {}
+        cls, idx = job.cls, job.idx
+        for c, ji, ln, d in zip(cols.cls, cols.job_idx, cols.length_num, cols.den):
+            if c == cls and ji == idx:
+                per_den[d] = per_den.get(d, 0) + ln
+        total = Fraction(0)
+        for d, v in per_den.items():
+            if v:
+                total += fast_fraction(v, d)
+        return total
 
     def setup_count(self, cls: int) -> int:
         """Setup multiplicity ``λ_i`` of class ``cls`` in this schedule."""
         cols = self._cols
-        if cols is not None:
-            return sum(
-                1 for c, ji in zip(cols.cls, cols.job_idx) if ji < 0 and c == cls
-            )
-        return sum(1 for p in self.iter_all() if p.is_setup and p.cls == cls)
+        return sum(1 for c, ji in zip(cols.cls, cols.job_idx) if ji < 0 and c == cls)
 
     def count_placements(self) -> int:
-        if self._cols is not None:
-            return len(self._cols)
-        return sum(len(items) for items in self._by_machine)  # type: ignore[union-attr]
+        return len(self._cols)
 
     # ------------------------------------------------------------------ #
     # misc
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "Schedule":
-        if self._cols is not None:
-            out = Schedule(self.instance)
-            out._cols = self._cols.copy()
-            return out
-        return Schedule(self.instance, self.iter_all())
+        return Schedule.from_columns(self.instance, self._cols.copy())
 
     def describe(self) -> str:
         used = len(self.used_machines())

@@ -41,9 +41,10 @@ Two implementations coexist:
   and scan rows in the scalar validator's machine-major order) — the
   differential and mutation suites assert this.
 
-:func:`validate_schedule` dispatches: schedules whose column store is
-still live are validated columnar (no placement materialization at all);
-thawed schedules take the scalar path.
+:func:`validate_schedule` always runs the columnar validator over the
+schedule's column store (no placement materialization at all); the
+scalar validator is the reference the differential and mutation suites
+compare it against.
 """
 
 from __future__ import annotations
@@ -74,14 +75,13 @@ def validate_schedule(
     """Validate ``schedule`` for ``variant``; return its makespan.
 
     Raises :class:`InfeasibleScheduleError` with a machine-readable
-    ``reason`` tag on the first violation found.  Columnar schedules are
-    checked by the vectorized columnar validator; thawed schedules by the
-    scalar reference — identical verdicts either way.
+    ``reason`` tag on the first violation found.  The check runs on the
+    schedule's columns (:func:`validate_columns`), whose verdicts match
+    the scalar reference :func:`validate_schedule_scalar`.
     """
-    cols = schedule.columns()
-    if cols is not None:
-        return validate_columns(schedule.instance, cols, variant, makespan_bound)
-    return validate_schedule_scalar(schedule, variant, makespan_bound)
+    return validate_columns(
+        schedule.instance, schedule.columns(), variant, makespan_bound
+    )
 
 
 def validate_schedule_scalar(
@@ -366,23 +366,15 @@ def _validate_columns_py(
 # ---- numpy int64 tier ----------------------------------------------------- #
 
 
-def _col_array(col):
-    """Zero-copy int64 view of an ``array('q')`` column (copy for lists)."""
-    if isinstance(col, list):
-        return _np.asarray(col, dtype=_np.int64)
-    return _np.frombuffer(col, dtype=_np.int64) if len(col) else _np.empty(0, _np.int64)
-
-
 def _validate_columns_np(
     instance: Instance, cols: ScheduleColumns, L, starts, lengths, variant: Variant
 ) -> Time:
     n = len(cols)
     c = instance.c
-    mach = _col_array(cols.machine)
-    sn = _col_array(starts)
-    ln = _col_array(lengths)
-    clsa = _col_array(cols.cls)
-    jidx = _col_array(cols.job_idx)
+    mach, sn, ln, clsa, jidx = (
+        _np.asarray(col, dtype=_np.int64)
+        for col in (cols.machine, starts, lengths, cols.cls, cols.job_idx)
+    )
     is_setup = jidx < 0
 
     # Machine-major, insertion-stable order (== the scalar iter_all order).

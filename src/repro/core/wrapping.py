@@ -37,7 +37,7 @@ from .errors import ConstructionError
 from .instance import JobRef
 from .itemstore import ItemStore
 from .numeric import Time, TimeLike, as_time, time_str
-from .schedule import Placement, Schedule, ScheduleColumns, _new_placement  # noqa: F401  (re-export: the fast allocator predates the columnar store)
+from .schedule import Placement, Schedule, ScheduleColumns
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,6 @@ class WrapResult:
             self._placements = cols.slice_placements(lo, hi)
         return self._placements
 
-    def pieces_of(self, job: JobRef) -> list[Placement]:
-        return [p for p in self.placements if p.job == job]
-
 
 def wrap(
     schedule: Schedule,
@@ -220,9 +217,7 @@ def _wrap_ints(
 
     Emits scaled-int rows straight into the schedule's column store — no
     :class:`Placement`/:class:`~fractions.Fraction` objects on the hot
-    path.  On a thawed schedule (placement-list mode) the rows go through
-    a scratch column store and are materialized into the schedule at the
-    end, so both representations see identical placements.
+    path.
     """
     setups = schedule.instance.setups
     gaps = template.gaps
@@ -273,9 +268,6 @@ def _wrap_ints(
         )
 
     cols = schedule._columns_for_append()
-    scratch = cols is None
-    if scratch:
-        cols = ScheduleColumns()
     # Rows are collected in plain Python lists (one shared denominator D)
     # and flushed with one bulk extend — six C-level column extends replace
     # six method calls per placement.
@@ -340,11 +332,6 @@ def _wrap_ints(
 
     row_lo = len(cols)
     cols.extend_scaled(mq, sq, lq, D, cq, jq)
-    if scratch:
-        placed = cols.slice_placements(row_lo, len(cols))
-        for p in placed:
-            schedule.append_trusted(p)
-        return WrapResult(placed, last_gap, splits)
     return WrapResult(None, last_gap, splits, rows=(cols, row_lo, len(cols)))
 
 

@@ -3,7 +3,7 @@
 Every figure is produced by *running the implemented algorithm* on an
 instance shaped like the paper's example and rendering the resulting
 schedule as ASCII art (``repro.analysis.gantt``).  Figure ids follow the
-paper; see DESIGN.md §3 for the index.
+paper.
 """
 
 from __future__ import annotations
@@ -34,12 +34,9 @@ def _row_filtered(sched: Schedule, keep, rows=None) -> Schedule:
     if rows is None:
         rows = sched.rows()
     view = Schedule(sched.instance)
-    for k in range(len(rows)):
-        u = int(rows.machine[k])
-        sn = int(rows.start_num[k])
-        ln = int(rows.length_num[k])
-        cls = int(rows.cls[k])
-        ji = int(rows.job_idx[k])
+    for u, sn, ln, cls, ji in zip(
+        rows.machine, rows.start_num, rows.length_num, rows.cls, rows.job_idx
+    ):
         if keep(u, sn, ln, cls, ji):
             view.add_scaled(
                 u, sn, ln, rows.scale, cls, None if ji < 0 else JobRef(cls, ji)

@@ -355,8 +355,8 @@ def run_construction_scaling(
     """Time ``nonp_dual_schedule`` at the accepted ``T*`` on both tiers.
 
     Isolates exactly the work PR 4 flattened — Algorithm 6's steps 1-4
-    plus materialization (``rows()`` forces the lazily adopted columns)
-    — with warmed caches, like one point of a full-schedule sweep.  The
+    plus materialization and the ``rows()`` projection the wire encoder
+    reads — with warmed caches, like one point of a full-schedule sweep.  The
     object-free :class:`~repro.core.itemstore.ItemStore` tier must stay
     near-linear *and* a large constant factor ahead of the per-item
     reference; ``benchmarks/run_bench.py`` pins the same quantity as the

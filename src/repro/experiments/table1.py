@@ -12,7 +12,7 @@ every implementable cell over fixed suites and reports
 
 Rows of Table 1 that are PTAS/EPTAS/FPTAS families or restricted special
 cases are listed with their guarantee and the reason they are quoted, not
-executed (see DESIGN.md, substitutions).
+executed.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Adversarial instance families targeting the algorithms' case analysis.
 
-Each family stresses one mechanism DESIGN.md calls out:
+Each family stresses one mechanism of the algorithms:
 
 * :func:`expensive_heavy` — every setup just above ``T/2``-scale: Lemma 2
   forces class-disjoint machines, ``m_exp`` dominates the dual test;

@@ -1,7 +1,7 @@
 """Named experiment suites — the workloads behind Table 1 and the studies.
 
 A suite is a list of ``(label, Instance)`` pairs; all seeds are fixed so
-EXPERIMENTS.md numbers are reproducible.
+the experiment numbers are reproducible.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ protocol over the child's stdin/stdout pipes:
   ``uint64`` part lengths, then the parts.  Part 0 is a pickle
   **protocol 5** payload; the remaining parts are its out-of-band
   :class:`pickle.PickleBuffer` buffers, in ``buffer_callback`` order.
-  That is the zero-copy hand-off the columnar backend was built for:
-  a result schedule travels as six raw ``int64`` column buffers
-  (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`), not as pickled
-  Python objects — with an in-band exact-int fallback for the rare
-  big-int overflow rows.
+  That is how a result schedule crosses the pipe: its list columns are
+  packed once into six raw ``int64`` buffers
+  (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`) and shipped
+  out-of-band, not as pickled Python objects — with an in-band exact-int
+  fallback for the rare big-int overflow rows.
 * **Requests** cross as the service's exact-rational wire encoding
   (:func:`~repro.service.protocol.instance_to_obj` /
   :func:`~repro.service.protocol.encode_time`), so a process shard's
@@ -294,9 +294,6 @@ def result_to_wire(result) -> dict:
         }
     if isinstance(result, SolveResult):
         sched = result.schedule
-        cols = sched.columns()
-        if cols is None:  # thawed (identity-level repairs): re-encode
-            cols = ScheduleColumns.from_placements(sched.iter_all())
         return {
             "kind": "solve",
             "m": sched.instance.m,
@@ -305,7 +302,7 @@ def result_to_wire(result) -> dict:
             "T": encode_time(result.T),
             "ratio_bound": encode_time(result.ratio_bound),
             "opt_lower_bound": encode_time(result.opt_lower_bound),
-            "schedule": cols.to_ipc(),
+            "schedule": sched.columns().to_ipc(),
         }
     raise TypeError(f"unexpected solve result type: {type(result)!r}")
 

@@ -48,7 +48,7 @@ its shard's queue, and an in-flight solve is cooperatively cancelled at
 the next dual-test probe boundary once the budget is spent.
 
 A full solve result carries the certificate plus the schedule as the
-columnar row projection (:meth:`repro.core.schedule.Schedule.row_lists`
+columnar row projection (:meth:`repro.core.schedule.Schedule.rows`
 — parallel int lists at one common ``scale``, handed to ``json.dumps``
 as they are); a bounds-only result carries the same certificate fields
 with ``makespan_bound`` instead.
@@ -327,7 +327,7 @@ def request_from_obj(obj) -> SolveRequest:
 
 
 def _schedule_obj(schedule) -> dict:
-    rows = schedule.row_lists()
+    rows = schedule.rows()
     return {
         "scale": rows.scale,
         "machine": rows.machine,

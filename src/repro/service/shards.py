@@ -978,17 +978,11 @@ class ProcessShard(Shard):
                 )
             if not (isinstance(msg, tuple) and msg and msg[0] == "result"):
                 continue
-            # Tolerant unpack: frames from PR-7 children carry 4 fields;
-            # current children append the metrics snapshot and the
-            # batch's span summaries.
-            got_id, outcomes, lru_obj = msg[1], msg[2], msg[3]
-            met_obj = msg[4] if len(msg) > 4 else None
-            spans = msg[5] if len(msg) > 5 else ()
+            _, got_id, outcomes, lru_obj, met_obj, spans = msg
             if got_id != batch_id:  # stale frame from a raced teardown
                 continue
             self._lru_live = lru_obj
-            if met_obj is not None:
-                self._met_live = met_obj
+            self._met_live = met_obj
             trace = self.trace
             if trace is not None:
                 for record in spans:

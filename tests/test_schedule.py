@@ -65,6 +65,30 @@ class TestScheduleBasics:
         with pytest.raises(ValueError):
             sched.add(Placement(0, Fraction(0), Fraction(-1), cls=0))
 
+    @pytest.mark.parametrize("method,job", [
+        ("add", JobRef(1, 0)),          # piece of class 0, job of class 1
+        ("add", JobRef(0, -1)),         # negative job index (-1 marks setups)
+        ("add_scaled", JobRef(1, 0)),
+        ("add_scaled", JobRef(0, -1)),
+        ("add_piece", JobRef(0, -1)),   # add_piece tags the job's own class
+    ])
+    def test_unencodable_piece_refused(self, inst, method, job):
+        """The columns cannot hold a class-mismatched or negative-index
+        piece, so every add path refuses it and leaves the schedule as
+        it was."""
+        sched = Schedule(inst)
+        sched.add_setup(0, 0, cls=0)
+        sched.add_job(0, 2, JobRef(0, 0))
+        before = (sched.rows(), sched.count_placements(), sched.makespan())
+        with pytest.raises(ValueError, match="no columnar encoding"):
+            if method == "add":
+                sched.add(Placement(0, Fraction(5), Fraction(2), cls=0, job=job))
+            elif method == "add_scaled":
+                sched.add_scaled(0, 10, 4, 2, 0, job)
+            else:
+                sched.add_piece(0, 5, job, 2)
+        assert (sched.rows(), sched.count_placements(), sched.makespan()) == before
+
 
 class TestScheduleQueries:
     def _demo(self, inst) -> Schedule:
@@ -117,21 +141,6 @@ class TestScheduleQueries:
         assert sched.setup_count(1) == 1
         sched.add_setup(0, 20, cls=1)
         assert sched.setup_count(1) == 2
-
-    def test_remove(self, inst):
-        sched = Schedule(inst)
-        p = sched.add_setup(0, 0, cls=0)
-        sched.remove(p)
-        assert sched.count_placements() == 0
-        with pytest.raises(ValueError):
-            sched.remove(p)
-
-    def test_replace_machine_moves_items(self, inst):
-        sched = Schedule(inst)
-        p = sched.add_setup(0, 0, cls=0)
-        sched.replace_machine(1, [p])
-        assert sched.items_on(0) == []
-        assert sched.items_on(1)[0].machine == 1
 
     def test_copy_independent(self, inst):
         sched = self._demo(inst)

@@ -436,11 +436,10 @@ class TestProtocol:
         assert err["error"]["code"] == "overloaded"
         assert err["error"]["retryable"] is True
 
-    # The wire bytes of a full-schedule reply are pinned against the
-    # encoder as it was before Schedule.row_lists(): a per-element int()
-    # over the rows() projection.  Every case checks the fresh result
-    # first (list buffers) and then its process-parent rebuild
-    # (ScheduleColumns.from_ipc, int64 buffers).
+    # The wire bytes of a full-schedule reply are pinned against an
+    # encoder that runs a per-element int() over the rows() projection.
+    # Every case checks the fresh result first and then its
+    # process-parent rebuild (ScheduleColumns.from_ipc).
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_wire_bytes_pinned_on_suites(self, inst, monkeypatch):
@@ -476,16 +475,9 @@ class TestProtocol:
             T=Fraction(19, 3), ratio_bound=Fraction(2),
             opt_lower_bound=Fraction(3)))
 
-    def test_wire_bytes_pinned_on_thawed_schedule(self, monkeypatch):
-        result = solve(uniform_instance(4, 6, 5, seed=11), Variant.PREEMPTIVE)
-        sched = result.schedule
-        sched.replace_machine(0, sched.raw_items_on(0))  # identity repair: thaws
-        assert sched.columns() is None
-        assert_wire_bytes_pinned(monkeypatch, result)
-
 
 def legacy_schedule_obj(schedule) -> dict:
-    """The wire encoder's schedule object before ``Schedule.row_lists``."""
+    """The wire encoder's schedule object, one ``int()`` per element."""
     rows = schedule.rows()
     return {
         "scale": int(rows.scale),
@@ -509,7 +501,7 @@ def via_process_wire(result):
 
 def assert_wire_bytes_pinned(monkeypatch, result) -> None:
     def check(res):
-        got = response_line(7, res)  # before rows() compacts the columns
+        got = response_line(7, res)
         with monkeypatch.context() as patched:
             patched.setattr(protocol_mod, "_schedule_obj", legacy_schedule_obj)
             assert got == response_line(7, res)

@@ -241,8 +241,7 @@ class TestFastPlacementAllocator:
         frozen dataclass without __post_init__.  If this test fails after
         changing Placement, update _new_placement to match.
         """
-        from repro.core.schedule import Placement
-        from repro.core.wrapping import _new_placement
+        from repro.core.schedule import Placement, _new_placement
         from repro.core.instance import JobRef
 
         job = JobRef(2, 1)
