@@ -130,6 +130,38 @@ class TestColumnsIpc:
         self.assert_same(got, cols)
         assert got.start_num[-1] == huge  # exact at any magnitude
 
+    def test_to_ipc_leaves_store_untouched(self):
+        """``to_ipc`` packs fresh int64 copies: the store keeps its int
+        lists, and appends after packing do not reach the payload."""
+        cols = self.filled(self.rows())
+        before = [getattr(cols, name) for name in ScheduleColumns._COL_NAMES]
+        obj = cols.to_ipc()
+        for name, col in zip(ScheduleColumns._COL_NAMES, before):
+            assert getattr(cols, name) is col, name
+            assert type(col) is list, name
+        cols.append_scaled(1, 9, 1, 1, 1, 1)
+        got = ScheduleColumns.from_ipc(round_trip(obj))
+        self.assert_same(got, self.filled(self.rows()))
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["i64", "obj"])
+    def test_from_ipc_decodes_into_int_lists(self, huge):
+        """Both wire modes decode into plain int lists that take appends
+        and keep ``int_mode``/``dens`` in step with their values."""
+        rows = self.rows()
+        if huge:
+            rows.append((0, 1 << 70, 3, 1, 0, -1))
+        got = ScheduleColumns.from_ipc(round_trip(self.filled(rows).to_ipc()))
+        for name in ScheduleColumns._COL_NAMES:
+            col = getattr(got, name)
+            assert type(col) is list, name
+            assert all(type(v) is int for v in col), name
+        assert got.int_mode is not huge
+        assert got.dens == frozenset({1, 2})
+        got.append_scaled(2, 1, 1, 3, 1, 1)
+        want = self.filled(rows + [(2, 1, 1, 3, 1, 1)])
+        self.assert_same(got, want)
+        assert got.dens == want.dens and got.int_mode is want.int_mode
+
     def test_malformed_payload_rejected(self):
         for bad in (None, {}, {"mode": "i64"}, {"mode": "zip", "cols": []},
                     {"mode": "i64", "cols": [b""] * 3}):

@@ -89,6 +89,17 @@ class TestScheduleBasics:
                 sched.add_piece(0, 5, job, 2)
         assert (sched.rows(), sched.count_placements(), sched.makespan()) == before
 
+    @pytest.mark.parametrize("job", [JobRef(1, 0), JobRef(0, -1)],
+                             ids=["class-mismatch", "negative-idx"])
+    def test_constructor_refuses_unencodable_piece(self, inst, job):
+        """``Schedule(instance, placements)`` appends through ``add``, so
+        a bulk-built schedule refuses the same pieces."""
+        setup = Placement(0, Fraction(0), Fraction(2), cls=0)
+        bad = Placement(0, Fraction(2), Fraction(2), cls=0, job=job)
+        assert Schedule(inst, [setup]).count_placements() == 1
+        with pytest.raises(ValueError, match="no columnar encoding"):
+            Schedule(inst, [setup, bad])
+
 
 class TestScheduleQueries:
     def _demo(self, inst) -> Schedule:

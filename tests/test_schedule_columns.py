@@ -240,6 +240,43 @@ class TestRunsAdoption:
         ]
         assert sched.makespan() == 9
 
+    def test_extend_runs_matches_add_scaled(self):
+        """The bulk hand-off stores exactly the rows that one checked
+        ``add_scaled`` per item at the prefix-sum starts would."""
+        inst = mk(3, (2, [3, 4]), (1, [5]))
+        bulk = Schedule(inst)
+        bulk.extend_runs(self._runs(), 2)
+        one_by_one = Schedule(inst)
+        for u, lens, clss, jidxs in self._runs():
+            start = 0
+            for ln, c, ji in zip(lens, clss, jidxs):
+                one_by_one.add_scaled(
+                    u, start, ln, 2, c, None if ji < 0 else JobRef(c, ji)
+                )
+                start += ln
+        for name in ScheduleColumns._COL_NAMES:
+            assert getattr(bulk.columns(), name) == getattr(
+                one_by_one.columns(), name
+            ), name
+        assert placements_key(bulk) == placements_key(one_by_one)
+
+    def test_extend_runs_appends_after_existing_rows(self):
+        """Runs land after rows already in the store, at their own
+        denominator, and every aggregate covers both."""
+        inst = mk(3, (2, [3, 4]), (1, [5]))
+        sched = Schedule(inst)
+        sched.add_setup(1, 0, 0)
+        sched.add_piece(1, 2, JobRef(0, 1), Fraction(1, 2))
+        assert sched.machine_end(1) == Fraction(5, 2)  # warms the read caches
+        sched.extend_runs(self._runs(), 2)
+        assert sched.count_placements() == 7
+        assert sched.columns().dens == {1, 2}
+        assert sched.used_machines() == [0, 1, 2]
+        assert sched.machine_end(0) == Fraction(9, 2)
+        assert sched.machine_end(1) == Fraction(5, 2)
+        assert sched.total_load() == Fraction(9, 2) + Fraction(5, 2) + 3
+        assert sched.makespan() == Fraction(9, 2)
+
     def test_extend_runs_machine_range_checked(self):
         inst = mk(2, (2, [3]))
         sched = Schedule(inst)
@@ -296,8 +333,100 @@ class TestRunsAdoption:
         fresh = sched.rows()  # a new projection sees the appended row
         assert len(fresh) == n_before + 1
 
+    def test_rows_rescale_several_denominators(self):
+        inst = mk(2, (2, [3]), (1, [2]))
+        sched = Schedule(inst)
+        sched.add_setup(0, 0, 0)
+        sched.add_job(0, 2, JobRef(0, 0))
+        sched.add_setup(1, Fraction(1, 2), 1)
+        rows = sched.rows()
+        assert rows.scale == 2
+        assert rows.machine == [0, 0, 1]
+        assert rows.start_num == [0, 4, 1]
+        assert rows.length_num == [4, 6, 2]
+        assert rows.cls == [0, 0, 1]
+        assert rows.job_idx == [-1, 0, -1]
+
+    @pytest.mark.parametrize("dens", [(1,), (1, 2)], ids=["one-den", "several-dens"])
+    def test_rows_are_caller_owned_lists(self, dens):
+        """Every ``rows()`` sequence is a fresh int list, never a stored
+        column, so a caller may mutate it without touching the schedule."""
+        inst = mk(2, (2, [3, 4]))
+        sched = Schedule(inst)
+        sched.add_setup(0, 0, 0)
+        sched.add_job(0, 2, JobRef(0, 0))
+        if len(dens) > 1:
+            sched.add_piece(1, Fraction(5, 2), JobRef(0, 1), Fraction(7, 2))
+        assert sched.columns().dens == set(dens)
+        rows = sched.rows()
+        want = sched.rows()
+        cols = sched.columns()
+        stored = [getattr(cols, name) for name in ScheduleColumns._COL_NAMES]
+        for seq in rows[:-1]:
+            assert type(seq) is list
+            assert all(type(v) is int for v in seq)
+            assert all(seq is not col for col in stored)
+            seq.reverse()
+            seq.append(99)
+        assert sched.rows() == want
+        assert sched.makespan() == (6 if len(dens) > 1 else 5)
+
+
+class TestSingleStore:
+    """A schedule is its list column store from the first append to the
+    wire: every producer leaves plain int lists, and every append path
+    drops the read caches built over them."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_solver_output_is_plain_int_lists(self, variant):
+        inst = uniform_instance(4, 5, 4, seed=3)
+        sched = solve(inst, variant).schedule
+        cols = sched.columns()
+        assert len(cols) > 0 and cols.int_mode
+        for name in ScheduleColumns._COL_NAMES:
+            col = getattr(cols, name)
+            assert type(col) is list, name
+            assert all(type(v) is int for v in col), name
+        assert cols.dens == set(cols.den)
+
+    @pytest.mark.parametrize("path", [
+        "add", "add_scaled", "extend_runs", "extend_scaled",
+    ])
+    def test_append_refreshes_read_caches(self, path):
+        """Reads cache the materialized placements and the per-machine
+        scan; an append through any path must drop both."""
+        inst = mk(3, (2, [3, 4]), (1, [5]))
+        sched = Schedule(inst)
+        sched.add_setup(0, 0, 0)
+        sched.add_job(0, 2, JobRef(0, 0))
+        before = [
+            sched.items_on(1), sched.machine_end(1), sched.machine_load(1),
+            sched.used_machines(), sched.total_load(), len(list(sched.iter_all())),
+        ]
+        assert before == [[], 0, 0, [0], 5, 2]
+        # each path appends the class-1 setup [0, 1) on machine 1
+        if path == "add":
+            sched.add_setup(1, 0, 1)
+        elif path == "add_scaled":
+            sched.add_scaled(1, 0, 2, 2, 1)
+        elif path == "extend_runs":
+            sched.extend_runs([(1, [1], [1], [-1])], 1)
+        else:
+            sched._columns_for_append().extend_scaled([1], [0], [1], 1, [1], [-1])
+        fresh = Schedule.from_columns(inst, sched.columns().copy())
+        assert sched.count_placements() == 3
+        assert sched.items_on(1) == fresh.items_on(1) == [
+            Placement(1, Fraction(0), Fraction(1), cls=1)
+        ]
+        assert sched.machine_end(1) == fresh.machine_end(1) == 1
+        assert sched.machine_load(1) == fresh.machine_load(1) == 1
+        assert sched.used_machines() == fresh.used_machines() == [0, 1]
+        assert sched.total_load() == 6
+        assert list(sched.iter_all()) == list(fresh.iter_all())
+
     @pytest.mark.parametrize("case", [
-        "one-den", "several-dens", "object-mode", "from-ipc", "empty-runs",
+        "one-den", "several-dens", "object-mode", "from-ipc", "from-ipc-object",
+        "empty-runs",
     ])
     def test_makespan_is_latest_machine_end(self, case):
         """``makespan()`` (one C pass over the rows at the common scale)
@@ -311,10 +440,14 @@ class TestRunsAdoption:
             sched.add_piece(1, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
             sched.add_piece(1, Fraction(5), JobRef(0, 1), Fraction(4, 3))
             assert len(sched.columns().dens) == 3
-        elif case == "object-mode":
+        elif case in ("object-mode", "from-ipc-object"):
             big = 1 << 70
             inst = Instance.build(2, [(big, [big, big]), (1, [2])])
             sched = solve(inst, Variant.PREEMPTIVE).schedule
+            if case == "from-ipc-object":
+                payload = pickle.loads(pickle.dumps(sched.columns().to_ipc(), 5))
+                assert payload["mode"] == "obj"
+                sched = Schedule.from_columns(inst, ScheduleColumns.from_ipc(payload))
             assert not sched.columns().int_mode
         elif case == "empty-runs":
             sched = Schedule(inst)

@@ -475,6 +475,19 @@ class TestProtocol:
             T=Fraction(19, 3), ratio_bound=Fraction(2),
             opt_lower_bound=Fraction(3)))
 
+    def test_wire_bytes_pinned_on_placement_built_schedule(self, monkeypatch):
+        """A schedule rebuilt piece by piece through ``add`` (one row
+        denominator per placement, machine-major order) encodes like a
+        kernel-built one."""
+        result = solve(uniform_instance(4, 6, 5, seed=11), Variant.PREEMPTIVE)
+        sched = result.schedule
+        rebuilt = Schedule(sched.instance, sched.iter_all())
+        assert rebuilt.makespan() == sched.makespan()
+        assert_wire_bytes_pinned(monkeypatch, SolveResult(
+            schedule=rebuilt, variant=result.variant, algorithm=result.algorithm,
+            T=result.T, ratio_bound=result.ratio_bound,
+            opt_lower_bound=result.opt_lower_bound))
+
 
 def legacy_schedule_obj(schedule) -> dict:
     """The wire encoder's schedule object, one ``int()`` per element."""
