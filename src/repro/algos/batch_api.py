@@ -5,7 +5,7 @@ The workloads the ROADMAP targets — machine-count sweeps
 request streams — call :func:`repro.solve` on many *related* instances:
 the same classes and jobs, varying only the machine count (or repeating
 the instance outright).  A naive loop rebuilds every per-instance cache
-(Fraction job views, sorted views with prefix sums, the fast-kernel
+(integer job views, sorted views with prefix sums, the fast-kernel
 :class:`~repro.core.fastnum.DualContext`) per call, even though all of
 it is machine-count independent.
 
@@ -348,7 +348,7 @@ def solve_batch(
 
     The entry point the service shards dispatch through.  Items whose
     instances share a :meth:`~repro.core.instance.Instance.fingerprint`
-    are backed by one representative's cache set (Fraction/sorted views,
+    are backed by one representative's cache set (job/sorted views,
     ``DualContext``) exactly like :func:`solve_many`; unlike it, the
     representative table ``reps`` (fingerprint → instance) is **caller
     owned**, so warm caches persist *across* batches — pass the same

@@ -265,7 +265,7 @@ class _Algo6Driver:
                 continue
             l_set = set(part.l_jobs(i))
             todo = [
-                jt for jt in self.instance.class_jobs_view(i) if jt[0] not in l_set
+                jt for jt in self.instance.class_jobs(i) if jt[0] not in l_set
             ]
             if todo:
                 self.fill_class(i, todo)
@@ -758,7 +758,7 @@ class _ReferenceBuilder(_Algo6Driver):
         instance = self.instance
         T = self.T
         if todo is None:
-            todo = instance.class_jobs_view(i)
+            todo = instance.class_jobs(i)
         work: list[tuple[JobRef, Fraction]] = [(j, Fraction(t)) for j, t in todo]
         pos = 0  # pointer into work; work[pos] may shrink when split
         for u in self.class_machines.get(i, ()):

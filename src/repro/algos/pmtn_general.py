@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Literal, Optional, Sequence
 
 from ..core.bounds import setup_plus_tmax
 from ..core.classification import PmtnPartition, pmtn_partition
@@ -227,7 +227,7 @@ class PmtnBuildParts:
     dual: PmtnDual
     large_machines: list[int] = field(default_factory=list)      # per I⁰exp class
     nice_view: NiceView = field(default_factory=dict)
-    k_plus: list[tuple[int, JobRef, Time]] = field(default_factory=list)   # (cls, job, len)
+    k_plus: list[tuple[int, JobRef, TimeLike]] = field(default_factory=list)   # (cls, job, len)
     k_minus_batches: list[Batch] = field(default_factory=list)
 
 
@@ -243,11 +243,11 @@ def pmtn_dual_schedule(
     Algorithm 2 on the full view.  Otherwise, and always on
     ``kernel="fraction"``, the reference :func:`pmtn_dual_test` decides
     (its reject reasons make the error text) and feeds the one body of
-    Algorithm 3's steps 1–3.  Per kernel only three things differ: the
-    nice shortcut, the job views (the fast kernel reuses the instance's
-    cached Fraction views, so whole classes reach the engines with their
-    integer lengths) and ``exact_ints`` for the Algorithm-2 and wrap
-    engines.  Both kernels produce identical placements.
+    Algorithm 3's steps 1–3.  Both kernels build the same views (whole
+    classes as :meth:`Batch.whole <repro.core.wrapping.Batch.whole>`,
+    cut pieces as ``Batch.of``); per kernel only the nice shortcut and
+    ``exact_ints`` for the Algorithm-2 and wrap engines differ.  Both
+    kernels produce identical placements.
     """
     T = as_time(T)
     fast = validate_kernel(kernel)
@@ -257,9 +257,6 @@ def pmtn_dual_schedule(
         if verdict.accepted and verdict.case == "nice":
             schedule_nice_view(schedule, T, full_view(instance), range(instance.m), mode)
             return schedule
-        jobs_of = instance.class_jobs_frac
-    else:
-        jobs_of = lambda cls: [(j, Fraction(t)) for j, t in instance.class_jobs(cls)]
     dual = pmtn_dual_test(instance, T, mode)
     if not dual.accepted:
         raise RejectedMakespanError(
@@ -295,9 +292,9 @@ def pmtn_dual_schedule(
     # ---- steps 2-3: split the cheap-light load -------------------------- #
     view: NiceView = {}
     for i in tuple(part.exp_plus) + tuple(part.exp_minus) + tuple(part.chp_plus):
-        view[i] = jobs_of(i)
+        view[i] = Batch.whole(instance, i)
 
-    k_items: dict[int, list[tuple[JobRef, Time]]] = {}  # class -> bottom items
+    k_items: dict[int, Sequence[tuple[JobRef, TimeLike]]] = {}  # class -> bottom items
 
     if dual.case == "3a":
         knap = dual.knapsack
@@ -307,11 +304,11 @@ def pmtn_dual_schedule(
             x = knap.x(i)
             stars = set(part.big_jobs(i))
             if x == 1:
-                view[i] = jobs_of(i)
+                view[i] = Batch.whole(instance, i)
             elif i == e:
                 nice_items = []
                 bottom_items = []
-                for j, t in jobs_of(i):
+                for j, t in instance.class_jobs(i):
                     if j in stars:
                         t1, t2 = _star_piece_lengths(instance, T, i, j)
                         t_hi = x * t1 + t2          # j^[2] — outside
@@ -323,13 +320,13 @@ def pmtn_dual_schedule(
                         nice_items.append((j, t_hi))
                     if t_lo > 0:
                         bottom_items.append((j, t_lo))
-                view[i] = nice_items
+                view[i] = Batch.of(i, nice_items)
                 if bottom_items:
                     k_items[i] = bottom_items
             else:  # unselected: obligatory pieces outside, rest to bottoms
                 nice_items = []
                 bottom_items = []
-                for j, t in jobs_of(i):
+                for j, t in instance.class_jobs(i):
                     if j in stars:
                         t1, t2 = _star_piece_lengths(instance, T, i, j)
                         nice_items.append((j, t2))
@@ -338,18 +335,18 @@ def pmtn_dual_schedule(
                     else:
                         bottom_items.append((j, t))
                 if nice_items:
-                    view[i] = nice_items
+                    view[i] = Batch.of(i, nice_items)
                 if bottom_items:
                     k_items[i] = bottom_items
         # classes of I⁻chp without big jobs always go to the bottoms (eq. 7)
         for i in part.chp_minus:
             if i in part.chp_star:
                 continue
-            k_items[i] = jobs_of(i)
+            k_items[i] = instance.class_jobs(i)
     else:  # case 3b
         # all of I*chp goes outside in full
         for i in part.chp_star:
-            view[i] = jobs_of(i)
+            view[i] = Batch.whole(instance, i)
         # greedily fill Q1 (outside) with I⁻chp \ I*chp up to F − demand_star
         rest = [i for i in part.chp_minus if i not in set(part.chp_star)]
         target = dual.F - dual.demand_star
@@ -358,7 +355,7 @@ def pmtn_dual_schedule(
             s = Fraction(instance.setups[i])
             block = s + Fraction(instance.processing(i))
             if acc + block <= target:
-                view[i] = jobs_of(i)
+                view[i] = Batch.whole(instance, i)
                 acc += block
                 continue
             room = target - acc - s  # job load affordable after the setup
@@ -366,35 +363,35 @@ def pmtn_dual_schedule(
                 nice_items = []
                 bottom_items = []
                 filled = Fraction(0)
-                for j, t in jobs_of(i):
+                for j, t in instance.class_jobs(i):
                     hi = min(t, max(Fraction(0), room - filled))
                     if hi > 0:
                         nice_items.append((j, hi))
                         filled += hi
                     if t - hi > 0:
                         bottom_items.append((j, t - hi))
-                view[i] = nice_items
+                view[i] = Batch.of(i, nice_items)
                 if bottom_items:
                     k_items[i] = bottom_items
                 for j2 in rest[idx + 1:]:
-                    k_items[j2] = jobs_of(j2)
+                    k_items[j2] = instance.class_jobs(j2)
             else:
                 # cannot even afford this class's setup outside: the whole
                 # tail goes to the bottoms (Q1 stays slightly underfilled —
                 # shortfall < s_i ≤ T/4, absorbed by the ω slack; see module
                 # docstring and the fuzz tests).
                 for j2 in rest[idx:]:
-                    k_items[j2] = jobs_of(j2)
+                    k_items[j2] = instance.class_jobs(j2)
             break
 
     # ---- nice instance on the residual machines ------------------------- #
-    view = {i: items for i, items in view.items() if items}
+    view = {i: b for i, b in view.items() if b.items}
     schedule_nice_view(schedule, T, view, residual, mode, exact_ints=fast)
 
     # ---- step 4: K at the bottoms of the large machines ------------------ #
     quarter = T / 4
-    k_plus: list[tuple[int, JobRef, Time]] = []
-    k_minus: dict[int, list[tuple[JobRef, Time]]] = {}
+    k_plus: list[tuple[int, JobRef, TimeLike]] = []
+    k_minus: dict[int, list[tuple[JobRef, TimeLike]]] = {}
     for i, items in k_items.items():
         for j, t in items:
             if instance.setups[i] + t > half:

@@ -15,7 +15,10 @@ valid lower bounds on the setups any T-feasible schedule pays (Lemma 1,
 The scheduler is *view-based*: the general Algorithm 3 feeds it a derived
 instance whose "jobs" are job pieces (``j^(2)``, ``j^[2]``) of the original
 instance, to be placed on the residual machines only.  A view maps each
-class to its item list ``(JobRef, length)``; lengths may be fractional.
+class to one :class:`~repro.core.wrapping.Batch`: a whole class
+(``Batch.whole``, integer lengths) or a list of job pieces (``Batch.of``,
+lengths may be fractional).  Both kernels read the same views; only the
+engines beneath step 1 and the wrap differ (``exact_ints``).
 
 Geometry (all on the caller-supplied machine list):
 
@@ -58,37 +61,14 @@ from ..core.wrapping import Batch, WrapSequence, WrapTemplate, wrap
 
 CountMode = Literal["alpha", "gamma"]
 
-#: A view: class index -> items (job pieces) to schedule for that class.
-#: Item sequences are only ever iterated, so cached tuples are fine.
-NiceView = dict[int, Sequence[tuple[JobRef, Time]]]
+#: A view: class index -> the batch of items (whole class or job pieces)
+#: to schedule for that class.
+NiceView = dict[int, Batch]
 
 
 def full_view(instance: Instance) -> NiceView:
-    """The identity view: every class with all of its jobs.
-
-    Uses the instance's cached Fraction job views — building this per call
-    used to dominate the preemptive construction on large instances.
-    """
-    return {i: instance.class_jobs_frac(i) for i in range(instance.c)}
-
-
-def view_processing(view: NiceView, cls: int) -> Time:
-    return sum((t for _, t in view[cls]), Fraction(0))
-
-
-def _view_processing_fast(instance: Instance, view: NiceView, cls: int) -> Time:
-    """:func:`view_processing`, shortcutting cached full-class views.
-
-    A view entry that *is* the instance's cached full-class tuple has the
-    integer class total already on hand (``class_processing``); only
-    derived piece views (freshly built lists, never the cache) pay the
-    Fraction summation.  Exact either way — ints and Fractions compare
-    and add exactly.
-    """
-    items = view[cls]
-    if items is instance.class_jobs_frac_cached(cls):
-        return instance.class_processing[cls]
-    return sum((t for _, t in items), Fraction(0))
+    """The identity view: every class with all of its jobs."""
+    return {i: Batch.whole(instance, i) for i in range(instance.c)}
 
 
 @dataclass(frozen=True)
@@ -118,7 +98,7 @@ def partition_view(instance: Instance, T: TimeLike, view: NiceView) -> NiceParti
         if 2 * s * td <= tn:  # s <= T/2, cross-multiplied (setups are ints)
             cheap.append(i)
             continue
-        total = s + _view_processing_fast(instance, view, i)
+        total = s + view[i].processing
         qn, qd = total.numerator, total.denominator
         if qn * td >= tn * qd:  # total >= T
             exp_plus.append(i)
@@ -189,8 +169,8 @@ def nice_dual_test(
             f"instance is not nice for T={time_str(T)}: I0exp={part.exp_zero}"
         )
     note1 = max(
-        (instance.setups[i] + max((t for _, t in items), default=Fraction(0))
-         for i, items in view.items() if items),
+        (instance.setups[i] + max(t for _, t in b.items)
+         for i, b in view.items() if b.items),
         default=Fraction(0),
     )
     if T < note1:
@@ -199,12 +179,9 @@ def nice_dual_test(
             machines_needed=m + 1, accepted=False, mode=mode,
         )
     counts = {
-        i: count_for(instance, T, i, _view_processing_fast(instance, view, i), mode)
-        for i in part.exp_plus
+        i: count_for(instance, T, i, view[i].processing, mode) for i in part.exp_plus
     }
-    load = sum(
-        (_view_processing_fast(instance, view, i) for i in view), Fraction(0)
-    )
+    load = sum((b.processing for b in view.values()), Fraction(0))
     load += sum(counts[i] * instance.setups[i] for i in part.exp_plus)
     load += sum(instance.setups[i] for i in part.exp_minus)
     load += sum(instance.setups[i] for i in part.cheap)
@@ -230,7 +207,7 @@ def _schedule_exp_plus_fractions(
     half = T / 2
     for i in part.exp_plus:
         s = Fraction(instance.setups[i])
-        P = view_processing(view, i)
+        P = view[i].processing
         k = count_for(instance, T, i, P, mode)
         per_machine = (T - s) if mode == "alpha" else half
         quotas = [per_machine] * (k - 1)
@@ -244,7 +221,7 @@ def _schedule_exp_plus_fractions(
                 f"class {i}: last machine would exceed 3T/2 "
                 f"(s={time_str(s)}, quota={time_str(quotas[-1])})"
             )
-        items = iter(view[i])
+        items = iter(view[i].items)
         carry: Optional[tuple[JobRef, Time]] = None
         for quota in quotas:
             u = take()
@@ -288,18 +265,17 @@ def _schedule_exp_plus_ints(
     instance = schedule.instance
     tn, td = T.numerator, T.denominator
     for i in part.exp_plus:
-        items = view[i]
-        if items is instance.class_jobs_frac_cached(i):
-            # full class: integer lengths, no per-item denominator scan
-            D = 2 * td
-            lens_sc = [t * D for t in instance.jobs[i]]
+        batch = view[i]
+        D = 2 * td
+        if batch.int_lengths is not None:
+            # whole class: integer lengths, no per-item denominator scan
+            lens_sc = [t * D for t in batch.int_lengths]
         else:
-            D = 2 * td
-            for _, t in items:
+            for _, t in batch.items:
                 den = t.denominator
                 if D % den:
                     D = lcm(D, den)
-            lens_sc = [t.numerator * (D // t.denominator) for _, t in items]
+            lens_sc = [t.numerator * (D // t.denominator) for _, t in batch.items]
         s = instance.setups[i]
         s_sc = s * D
         t_sc = tn * (D // td)              # T·D — even multiple of tn
@@ -321,7 +297,7 @@ def _schedule_exp_plus_ints(
                 f"class {i}: last machine would exceed 3T/2 "
                 f"(s={s}, quota={time_str(fast_fraction(last_sc, D))})"
             )
-        stream = iter(zip(items, lens_sc))
+        stream = iter(zip(batch.items, lens_sc))
         carry_job: Optional[JobRef] = None
         carry_sc = 0
         for b in range(k):
@@ -398,7 +374,7 @@ def schedule_nice_view(
         for i in (minus[a], minus[a + 1]):
             schedule.add_setup(u, t, i)
             t += instance.setups[i]
-            for job, length in view[i]:
+            for job, length in view[i].items:
                 schedule.add_piece(u, t, job, length)
                 t += length
     if len(minus) % 2 == 1:
@@ -408,22 +384,12 @@ def schedule_nice_view(
         t = Fraction(0)
         schedule.add_setup(u, t, i)
         t += instance.setups[i]
-        for job, length in view[i]:
+        for job, length in view[i].items:
             schedule.add_piece(u, t, job, length)
             t += length
 
     # ---- step 3: wrap the cheap classes -------------------------------- #
-    # A view entry that *is* the instance's cached full-class tuple carries
-    # the integer lengths to the wrap engine and needs no item checks;
-    # derived piece views (freshly built lists, never the cache) go
-    # through Batch.of's checks and drop non-positive pieces.
-    cheap_batches = [
-        Batch(cls=i, items=view[i], int_lengths=instance.jobs[i])
-        if view[i] is instance.class_jobs_frac_cached(i)
-        else Batch.of(i, [(j, t) for j, t in view[i] if t > 0])
-        for i in part.cheap
-    ]
-    sequence = WrapSequence.of(cheap_batches)
+    sequence = WrapSequence.of(view[i] for i in part.cheap)
     if not sequence.batches:
         return
     gaps: list[tuple[int, Time, Time]] = []

@@ -122,10 +122,11 @@ def split_dual_schedule(instance: Instance, T: TimeLike, *, kernel: str = "fast"
     """Theorem 7(ii): build a feasible schedule with makespan ≤ 3T/2.
 
     Raises :class:`RejectedMakespanError` when ``T`` fails the dual test.
+    Both kernels wrap the same whole-class batches
+    (:meth:`Batch.whole <repro.core.wrapping.Batch.whole>`).
     ``kernel="fast"`` routes the wrap engine through its scaled-integer
-    path — which emits rows straight into the schedule's column store
-    (lazy placements; see :mod:`repro.core.schedule`) — and reuses the
-    instance's cached job views with their integer lengths;
+    path, which emits rows straight into the schedule's column store, and
+    reads the last machines' loads off the Theorem-7 arithmetic;
     ``"fraction"`` is the rational reference.  Both produce identical
     placements.
     """
@@ -139,7 +140,6 @@ def split_dual_schedule(instance: Instance, T: TimeLike, *, kernel: str = "fast"
         )
     schedule = Schedule(instance)
     half = T / 2
-    jobs_of = instance.class_jobs_frac if fast else instance.class_jobs
 
     # ---- step 1: expensive classes ---------------------------------- #
     next_machine = 0
@@ -151,16 +151,8 @@ def split_dual_schedule(instance: Instance, T: TimeLike, *, kernel: str = "fast"
         s_top = s + half
         gaps = [(next_machine, zero, s_top)]
         gaps += [(next_machine + r, s, s_top) for r in range(1, b)]
-        template = WrapTemplate.of(gaps)
-        if fast:
-            # cached views are pre-validated: skip Batch.of's per-item checks
-            # (full classes: integer lengths feed the wrap engine directly)
-            sequence = WrapSequence(
-                (Batch(cls=i, items=jobs_of(i), int_lengths=instance.jobs[i]),)
-            )
-        else:
-            sequence = WrapSequence.single_class(i, jobs_of(i))
-        wrap(schedule, sequence, template, exact_ints=fast)
+        sequence = WrapSequence((Batch.whole(instance, i),))
+        wrap(schedule, sequence, WrapTemplate.of(gaps), exact_ints=fast)
         u_last = next_machine + b - 1
         last_machines.append((i, u_last))
         next_machine += b
@@ -185,17 +177,8 @@ def split_dual_schedule(instance: Instance, T: TimeLike, *, kernel: str = "fast"
                 gaps.append((u, load_u + half, top))
         for u in range(next_machine, instance.m):
             gaps.append((u, half, top))
-        template = WrapTemplate.of(gaps)
-        if fast:
-            sequence = WrapSequence(
-                tuple(
-                    Batch(cls=i, items=jobs_of(i), int_lengths=instance.jobs[i])
-                    for i in dual.chp
-                )
-            )
-        else:
-            sequence = WrapSequence.of([Batch.of(i, jobs_of(i)) for i in dual.chp])
-        wrap(schedule, sequence, template, exact_ints=fast)
+        sequence = WrapSequence(tuple(Batch.whole(instance, i) for i in dual.chp))
+        wrap(schedule, sequence, WrapTemplate.of(gaps), exact_ints=fast)
 
     return schedule
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..core.bounds import Variant, t_min
 from ..core.instance import Instance, JobRef
-from ..core.numeric import Time, frac_ceil
+from ..core.numeric import Time
 from ..core.schedule import Placement, Schedule
 from ..core.wrapping import Batch, WrapSequence, template_for_machines, wrap
 
@@ -44,9 +44,7 @@ def two_approx_splittable(instance: Instance) -> TwoApproxResult:
         list(range(instance.m)), smax, Fraction(smax) + height
     )
     schedule = Schedule(instance)
-    sequence = WrapSequence.of(
-        [Batch.of(i, instance.class_jobs(i)) for i in range(instance.c)]
-    )
+    sequence = WrapSequence(tuple(Batch.whole(instance, i) for i in range(instance.c)))
     wrap(schedule, sequence, template)
     return TwoApproxResult(schedule, tmin, makespan_bound=2 * tmin)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .instance import Instance, JobRef
 from .numeric import Time, TimeLike, as_time, frac_ceil, frac_floor

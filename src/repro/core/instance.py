@@ -103,7 +103,6 @@ class Instance:
         object.__setattr__(self, "smax", max(self.setups))
         object.__setattr__(self, "tmax", max(self.class_tmax))
         # Lazy per-class caches (built on first use; keyed by class index).
-        object.__setattr__(self, "_jobs_frac_cache", {})
         object.__setattr__(self, "_jobs_sorted_cache", {})
         object.__setattr__(self, "_misc_cache", {})
         object.__setattr__(self, "_fast_ctx", None)
@@ -167,39 +166,21 @@ class Instance:
             for idx, t in enumerate(times):
                 yield JobRef(cls, idx), t
 
-    def class_jobs(self, cls: int) -> list[tuple[JobRef, int]]:
-        """All ``(JobRef, t_j)`` of one class (fresh list; safe to mutate)."""
-        return [(JobRef(cls, idx), t) for idx, t in enumerate(self.jobs[cls])]
+    def class_jobs(self, cls: int) -> tuple[tuple[JobRef, int], ...]:
+        """Cached ``(JobRef, t_j)`` tuple of one class (integer times).
 
-    def class_jobs_frac(self, cls: int) -> tuple[tuple[JobRef, "Fraction"], ...]:
-        """Cached ``(JobRef, Fraction(t_j))`` view of one class.
-
-        The preemptive algorithms build :class:`~fractions.Fraction` job
-        lists per class on every construction; this cache builds each view
-        once per instance instead.  The returned tuple is shared — do not
-        mutate item pairs.
+        The one per-class job view: every construction iterates these
+        pairs, and :meth:`Batch.whole <repro.core.wrapping.Batch.whole>`
+        carries them to the wrap engines.  The returned tuple is shared —
+        do not mutate.
         """
-        cached = self._jobs_frac_cache.get(cls)
+        cached = self._misc_cache.get(("jobs", cls))
         if cached is None:
-            from fractions import Fraction
-
             cached = tuple(
-                (JobRef(cls, idx), Fraction(t)) for idx, t in enumerate(self.jobs[cls])
+                (JobRef(cls, idx), t) for idx, t in enumerate(self.jobs[cls])
             )
-            self._jobs_frac_cache[cls] = cached
+            self._misc_cache[("jobs", cls)] = cached
         return cached
-
-    def class_jobs_frac_cached(self, cls: int):
-        """The cached Fraction view of ``cls`` if already built, else ``None``.
-
-        Unlike :meth:`class_jobs_frac` this never *builds* the view.  The
-        scaled-integer construction paths identity-test view entries
-        against it to detect full-class views (whose lengths are the
-        instance's integer processing times) without spending O(n_i)
-        Fraction allocations on classes that only ever carry derived
-        piece views.
-        """
-        return self._jobs_frac_cache.get(cls)
 
     def class_jobs_sorted(self, cls: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Cached ``(sorted processing times, prefix sums)`` of one class.
@@ -235,22 +216,6 @@ class Instance:
                 prefix.append(prefix[-1] + t)
             cached = tuple(prefix)
             self._misc_cache[("prefix", cls)] = cached
-        return cached
-
-    def class_jobs_view(self, cls: int) -> tuple[tuple[JobRef, int], ...]:
-        """Cached ``(JobRef, t_j)`` tuple of one class (integer times).
-
-        The integer construction paths (Algorithm 6, the scaled-int view
-        math) only iterate these pairs; caching them skips the per-call
-        list/`JobRef` rebuilding of :meth:`class_jobs`.  The returned
-        tuple is shared — do not mutate.
-        """
-        cached = self._misc_cache.get(("jobs_view", cls))
-        if cached is None:
-            cached = tuple(
-                (JobRef(cls, idx), t) for idx, t in enumerate(self.jobs[cls])
-            )
-            self._misc_cache[("jobs_view", cls)] = cached
         return cached
 
     def fingerprint(self) -> str:
@@ -294,7 +259,6 @@ class Instance:
 
             batch = cache_entries(ctx)
         return {
-            "frac_views": len(self._jobs_frac_cache),
             "sorted_views": len(self._jobs_sorted_cache),
             "misc": len(self._misc_cache),
             "fast_ctx": 0 if ctx is None else 1,
@@ -311,7 +275,6 @@ class Instance:
         it.  The instance stays fully usable: every cache rebuilds on
         demand, bit-identically, at the usual construction cost.
         """
-        self._jobs_frac_cache.clear()
         self._jobs_sorted_cache.clear()
         self._misc_cache.clear()
         ctx = self._fast_ctx
@@ -348,8 +311,8 @@ class Instance:
         """Copy with a different machine count (used by sweeps).
 
         With ``share_caches=True`` the copy reuses this instance's lazy
-        per-class caches (Fraction job views, sorted views with prefix
-        sums) and carries a :meth:`DualContext.for_m
+        per-class caches (job views, sorted views with prefix sums) and
+        carries a :meth:`DualContext.for_m
         <repro.core.fastnum.DualContext.for_m>` clone of the fast-kernel
         context — all of that data is machine-count independent.
         Validation and aggregate computation are skipped too (the fields
@@ -367,7 +330,7 @@ class Instance:
         for name in (
             "setups", "jobs", "class_processing", "class_tmax", "class_sizes",
             "n", "total_processing", "total_load", "smax", "tmax",
-            "_jobs_frac_cache", "_jobs_sorted_cache", "_misc_cache",
+            "_jobs_sorted_cache", "_misc_cache",
         ):
             put(inst, name, getattr(self, name))
         ctx = self._fast_ctx

@@ -34,7 +34,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConstructionError
-from .instance import JobRef
+from .instance import Instance, JobRef
 from .itemstore import ItemStore
 from .numeric import Time, TimeLike, as_time, time_str
 from .schedule import Placement, Schedule, ScheduleColumns
@@ -88,20 +88,17 @@ class WrapTemplate:
 class Batch:
     """One ``[s_i, C'_l]`` block of a wrap sequence.
 
-    ``items`` are ``(job, length)`` pairs; ``length`` may be smaller than the
-    job's full processing time when the caller wraps job *pieces* (the
-    preemptive algorithm does this for the knapsack split class).
-
-    ``int_lengths`` is an optional fast-path hint: when the batch wraps a
-    *full class* its lengths are the instance's integer processing times,
-    and producers pass that tuple so the scaled-integer engine can scale
-    without touching a single Fraction (it must match ``items`` length
-    for length — the caller's contract, satisfied by construction at the
-    two producer sites).
+    ``items`` are ``(job, length)`` pairs.  A *whole* class
+    (:meth:`whole`) carries the instance's integer processing times, also
+    as ``int_lengths``, so the scaled-integer engines scale them without a
+    denominator scan.  A batch of job *pieces* (:meth:`of`; the preemptive
+    algorithm cuts them for the knapsack split class) holds exact
+    :class:`~fractions.Fraction` lengths, possibly smaller than the job's
+    processing time, and no ``int_lengths``.
     """
 
     cls: int
-    items: tuple[tuple[JobRef, Time], ...]
+    items: tuple[tuple[JobRef, TimeLike], ...]
     int_lengths: Optional[tuple[int, ...]] = None
 
     @staticmethod
@@ -114,8 +111,19 @@ class Batch:
                 raise ValueError(f"batch of class {cls} contains job {j}")
         return Batch(cls=cls, items=out)
 
+    @staticmethod
+    def whole(instance: Instance, cls: int) -> "Batch":
+        """All jobs of class ``cls`` with their integer processing times.
+
+        No item checks: the instance validated its jobs when it was built.
+        """
+        return Batch(cls, instance.class_jobs(cls), int_lengths=instance.jobs[cls])
+
     @property
-    def processing(self) -> Time:
+    def processing(self) -> TimeLike:
+        """``P(C'_l)``: an int for a whole class, else a Fraction."""
+        if self.int_lengths is not None:
+            return sum(self.int_lengths)
         return sum((t for _, t in self.items), Fraction(0))
 
 

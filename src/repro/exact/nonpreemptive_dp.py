@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..core.instance import Instance, JobRef
+from ..core.instance import Instance
 from ..core.schedule import Schedule
 
 #: guard: 3^18 submask enumerations is already ~0.4G — refuse bigger inputs.

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..algos.jumping_pmtn import three_halves_preemptive
 from ..algos.nonpreemptive import nonp_dual_schedule
 from ..algos.pmtn_general import pmtn_dual_schedule, pmtn_dual_test
-from ..algos.pmtn_nice import full_view, nice_dual_schedule
+from ..algos.pmtn_nice import nice_dual_schedule
 from ..algos.splittable import split_dual_schedule, split_dual_test
 from ..algos.twoapprox import two_approx_grouped
 from ..analysis.gantt import render_gantt, render_template

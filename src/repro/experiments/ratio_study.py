@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ..algos.api import solve
 from ..algos.jumping_pmtn import find_flip_pmtn

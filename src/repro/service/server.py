@@ -178,7 +178,7 @@ async def handle_lines(
             if rejected is None:
                 try:
                     obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or bytes not UTF-8
                     rejected = f"bad JSON: {exc}"
             if rejected is not None:
                 responses.put_nowait(asyncio.ensure_future(immediate(

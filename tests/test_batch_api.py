@@ -203,14 +203,15 @@ class TestSharedCaches:
         inst = medium_suite()[0][1]
         inst.fast_ctx()
         for i in range(inst.c):
-            inst.class_jobs_frac(i)
+            inst.class_jobs(i)
             inst.class_jobs_sorted(i)
         shared = inst.with_machines(inst.m + 3, share_caches=True)
         plain = inst.with_machines(inst.m + 3)
         assert shared == plain
         assert shared.m == plain.m == inst.m + 3
         # caches are the same objects; the context clone carries the new m
-        assert shared._jobs_frac_cache is inst._jobs_frac_cache
+        assert shared._misc_cache is inst._misc_cache
+        assert shared.class_jobs(0) is inst.class_jobs(0)
         assert shared.fast_ctx().m == inst.m + 3
         assert shared.fast_ctx().setups is inst.fast_ctx().setups
         assert shared.fast_ctx().batch_cache is inst.fast_ctx().batch_cache

@@ -88,11 +88,12 @@ class TestAggregates:
         assert jobs[-1] == (JobRef(1, 2), 2)
 
     def test_class_jobs(self, tiny):
-        assert tiny.class_jobs(1) == [
+        assert tiny.class_jobs(1) == (
             (JobRef(1, 0), 2),
             (JobRef(1, 1), 2),
             (JobRef(1, 2), 2),
-        ]
+        )
+        assert tiny.class_jobs(1) is tiny.class_jobs(1)  # cached, shared
 
     def test_describe(self, tiny):
         text = tiny.describe()

@@ -156,11 +156,11 @@ class TestCacheRelease:
         before = solve(warm, variant)
         stats = warm.cache_stats()
         assert stats["fast_ctx"] == 1
-        assert stats["sorted_views"] + stats["frac_views"] + stats["misc"] > 0
+        assert stats["sorted_views"] + stats["misc"] > 0
         warm.release_caches()
         cleared = warm.cache_stats()
         assert cleared == {
-            "frac_views": 0, "sorted_views": 0, "misc": 0, "fast_ctx": 0, "batch": 0,
+            "sorted_views": 0, "misc": 0, "fast_ctx": 0, "batch": 0,
         }
         after = solve(warm, variant)
         assert_same_solve(after, before)
@@ -228,7 +228,7 @@ class TestInstanceLRU:
         lru[a.fingerprint()] = a
         lru[b.fingerprint()] = b
         assert a.cache_stats() == {
-            "frac_views": 0, "sorted_views": 0, "misc": 0, "fast_ctx": 0, "batch": 0,
+            "sorted_views": 0, "misc": 0, "fast_ctx": 0, "batch": 0,
         }
 
     def test_clear_releases_everything(self):
@@ -872,6 +872,37 @@ class TestTcpServer:
         assert tail == b""
 
 
+    def test_non_utf8_line_rejected_connection_kept(self):
+        """A line whose bytes are not UTF-8 gets one non-retryable
+        bad_request, and the lines after it on the connection are served."""
+
+        async def main():
+            async with SolveService(ServiceConfig(shards=1)) as svc:
+                server = await serve_tcp(svc, "127.0.0.1", 0)
+                host, port = server.sockets[0].getsockname()[:2]
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b'{"id": 1, "op": "ping"}\n'
+                             b'\xc3{"id": 2, "op": "ping"}\n'
+                             b'{"id": 3, "op": "ping"}\n')
+                await writer.drain()
+                replies = [json.loads(await reader.readline()) for _ in range(3)]
+                writer.write_eof()
+                tail = await reader.readline()  # EOF: nothing else answered
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                return replies, tail
+
+        replies, tail = asyncio.run(asyncio.wait_for(main(), timeout=30))
+        assert replies[0] == {"id": 1, "ok": True, "pong": True}
+        err = replies[1]
+        assert err["id"] is None and err["ok"] is False
+        assert err["error"]["code"] == "bad_request"
+        assert err["error"]["retryable"] is False
+        assert replies[2] == {"id": 3, "ok": True, "pong": True}
+        assert tail == b""
+
+
 class TestTcpDisconnect:
     def test_abrupt_client_disconnect_does_not_wedge(self, tiny):
         """Client vanishes mid-pipeline: handler must unwind, not leak.
@@ -1044,3 +1075,24 @@ class TestStdioCli:
         assert replies[2]["error"]["retryable"] is False
         assert "unknown variant" in replies[2]["error"]["message"]
         assert replies[3]["pong"] is True
+
+    def test_non_utf8_line_answered_and_session_continues(self):
+        """Bytes that are not UTF-8 used to escape the JSON decoder as a
+        UnicodeDecodeError and end the stdio server with a traceback."""
+        payload = (b'{"op": "ping", "id": 1}\n'
+                   b'\xc3{"op": "ping", "id": 2}\n'
+                   b'{"op": "ping", "id": 3}\n')
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.service", "--shards", "1"],
+            input=payload, capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        replies = [json.loads(line) for line in proc.stdout.splitlines() if line]
+        assert len(replies) == 3
+        assert replies[0] == {"id": 1, "ok": True, "pong": True}
+        err = replies[1]
+        assert err["id"] is None and err["ok"] is False
+        assert err["error"]["code"] == "bad_request"
+        assert err["error"]["retryable"] is False
+        assert replies[2] == {"id": 3, "ok": True, "pong": True}

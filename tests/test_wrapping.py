@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algos.pmtn_nice import full_view
 from repro.core import (
     Batch,
     ConstructionError,
@@ -19,6 +20,7 @@ from repro.core import (
     validate_schedule,
     wrap,
 )
+from repro.generators import adversarial_suite, medium_suite, small_exact_suite
 
 from .conftest import mk
 
@@ -72,6 +74,56 @@ class TestSequences:
     def test_empty_batches_dropped(self):
         q = WrapSequence.of([Batch(cls=0, items=())])
         assert q.batches == ()
+
+
+def _suite_instances() -> list[Instance]:
+    return [
+        inst
+        for suite in (small_exact_suite, medium_suite, adversarial_suite)
+        for _, inst in suite()
+    ]
+
+
+class TestWholeBatch:
+    """``Batch.whole`` is the one whole-class view both kernels wrap."""
+
+    @pytest.mark.parametrize("exact_ints", [True, False], ids=["ints", "fractions"])
+    def test_wraps_like_checked_batch(self, exact_ints):
+        """Lemma 8's template (fractional borders ``s_max + N/m``): the
+        whole-class batches place exactly the rows of ``Batch.of`` over
+        the same job view, on the scaled-int and the Fraction engine."""
+        for inst in _suite_instances():
+            template = template_for_machines(
+                list(range(inst.m)), inst.smax,
+                inst.smax + Fraction(inst.total_load, inst.m),
+            )
+            rows = []
+            for batches in (
+                [Batch.whole(inst, i) for i in range(inst.c)],
+                [Batch.of(i, inst.class_jobs(i)) for i in range(inst.c)],
+            ):
+                sched = Schedule(inst)
+                wrap(sched, WrapSequence.of(batches), template, exact_ints=exact_ints)
+                rows.append(sched.rows())
+            assert rows[0] == rows[1]
+
+    def test_processing_is_the_class_total(self):
+        for inst in _suite_instances():
+            for i in range(inst.c):
+                whole = Batch.whole(inst, i)
+                assert whole.processing == inst.processing(i)
+                assert type(whole.processing) is int
+                assert whole.int_lengths == inst.jobs[i]
+                assert Batch.of(i, whole.items).processing == inst.processing(i)
+
+    def test_full_view_holds_whole_batches(self):
+        for inst in _suite_instances():
+            view = full_view(inst)
+            assert sorted(view) == list(range(inst.c))
+            for i, batch in view.items():
+                assert batch.cls == i
+                assert batch.int_lengths == inst.jobs[i]
+                assert batch.items is inst.class_jobs(i)
 
 
 class TestWrapBasics:
