@@ -19,7 +19,7 @@ Nine bench families:
   the engine pays: one fresh instance + full ``solve()`` per machine
   count (cold per-instance caches, matching this file's long-standing
   convention).  ``full`` is ``sweep_machines`` returning bit-identical
-  ``SolveResult`` objects (shared caches/DualContext); ``bounds`` is
+  ``SolveResult`` objects (one shared cache set); ``bounds`` is
   ``sweep_machines(schedules=False)`` returning the certified
   ``T*``/bound curve (same certificates, no schedule materialization —
   the capacity-planning/service shape).

@@ -5,17 +5,16 @@ The workloads the ROADMAP targets — machine-count sweeps
 request streams — call :func:`repro.solve` on many *related* instances:
 the same classes and jobs, varying only the machine count (or repeating
 the instance outright).  A naive loop rebuilds every per-instance cache
-(integer job views, sorted views with prefix sums, the fast-kernel
-:class:`~repro.core.fastnum.DualContext`) per call, even though all of
-it is machine-count independent.
+(integer job views, sorted views with prefix sums, search bounds, the
+vectorized engine's int64 scratch) per call, even though all of it is
+machine-count independent.
 
 This module is the façade that exploits the sharing:
 
 * :func:`sweep_machines` solves one instance across a list of machine
-  counts.  One set of caches and one ``DualContext`` (re-``m``'d via
-  :meth:`~repro.core.fastnum.DualContext.for_m`) back every point; the
-  per-point instance copy is an O(c) cache-sharing
-  ``with_machines(..., share_caches=True)``.
+  counts.  One set of caches backs every point: the per-point instance
+  is an O(c) cache-sharing ``with_machines(..., share_caches=True)``
+  copy, and the dual-test kernels read it directly.
 * :func:`solve_many` solves a stream of instances, transparently sharing
   caches between instances with equal ``(setups, jobs)``.
 * :func:`solve_batch` solves one heterogeneous service micro-batch, with
@@ -180,9 +179,7 @@ def _grid_for(
         tmin = t_min(instance, variant)
         max_td = tmin.denominator * 1024 * max(1, 2 * instance.m)
         lo = tmin.numerator * (max_td // tmin.denominator)
-        safe = xbatch._grid_is_safe(
-            instance.fast_ctx(), [max(1, lo), 2 * lo], [max_td, max_td]
-        )
+        safe = xbatch._grid_is_safe(instance, [max(1, lo), 2 * lo], [max_td, max_td])
         instance._misc_cache[key] = safe
     return safe
 
@@ -226,10 +223,10 @@ def sweep_machines(
     """Solve ``instance`` across machine counts ``ms``, sharing every cache.
 
     The instance's job/class data is machine-count independent, so one
-    set of per-class views and one fast-kernel context back the whole
-    sweep (``with_machines(..., share_caches=True)`` +
-    :meth:`DualContext.for_m`); only the per-``m`` search and (with
-    ``schedules=True``) the per-``m`` construction remain.
+    set of caches backs the whole sweep (every point solves on a
+    ``with_machines(..., share_caches=True)`` copy); only the per-``m``
+    search and (with ``schedules=True``) the per-``m`` construction
+    remain.
 
     ``schedules=True`` returns full :class:`SolveResult` objects,
     bit-identical to ``[solve(instance.with_machines(m), ...) for m in
@@ -250,8 +247,6 @@ def sweep_machines(
     """
     validate_kernel(kernel)
     variant = _check_request(variant, algorithm, schedules, kernel, use_grid)
-    if kernel == "fast":
-        instance.fast_ctx()  # ensure the shared context exists pre-sweep
     return [
         _point(
             instance.with_machines(m, share_caches=True), variant, algorithm,
@@ -275,8 +270,7 @@ def solve_many(
 
     Instances with identical ``(setups, jobs)`` — machine-count sweeps,
     repeated service requests — are backed by one representative's
-    caches and fast-kernel context; distinct inputs solve exactly as a
-    plain loop would.  Output order matches the input order and every
+    caches; distinct inputs solve exactly as a plain loop would.  Output order matches the input order and every
     entry is bit-identical to the corresponding ``solve(...)`` call
     (or, with ``schedules=False``, to its certificate fields).
     """
@@ -348,13 +342,14 @@ def solve_batch(
 
     The entry point the service shards dispatch through.  Items whose
     instances share a :meth:`~repro.core.instance.Instance.fingerprint`
-    are backed by one representative's cache set (job/sorted views,
-    ``DualContext``) exactly like :func:`solve_many`; unlike it, the
-    representative table ``reps`` (fingerprint → instance) is **caller
-    owned**, so warm caches persist *across* batches — pass the same
-    mapping (e.g. an LRU that evicts via ``release_caches()``) on every
-    call and repeated service traffic never rebuilds a hot instance's
-    caches.  Passing nothing coalesces within the batch only.
+    are backed by one representative's cache set (job and sorted views,
+    search bounds, engine scratch) exactly like :func:`solve_many`;
+    unlike it, the representative table ``reps`` (fingerprint →
+    instance) is **caller owned**, so warm caches persist *across*
+    batches — pass the same mapping (e.g. an LRU that evicts via
+    ``release_caches()``) on every call and repeated service traffic
+    never rebuilds a hot instance's caches.  Passing nothing coalesces
+    within the batch only.
 
     The function keeps no module state and mutates nothing but ``reps``,
     so it is reentrant: concurrent callers with *disjoint* ``reps``
@@ -430,7 +425,7 @@ class _LockstepRun:
 
     plan: object                     # probe-plan generator (see algos.search)
     token: Optional[CancelToken]
-    member: int                      # row index into the BatchDualContext
+    member: int                      # member index into the BatchDualContext
     m: int                           # machine count (pmtn_base accept formula)
     finish: Callable                 # StopIteration.value -> output object
     response: object = None          # verdicts to send into the next round
@@ -497,7 +492,7 @@ def _solve_batch_lockstep(
                     plan, finish = prep
                     runs[idx] = _LockstepRun(
                         plan=plan, token=token,
-                        member=xctx.member_index(shared.fast_ctx()),
+                        member=xctx.member_index(shared),
                         m=shared.m, finish=finish,
                     )
         except Exception as exc:  # noqa: BLE001 - first-error contract

@@ -56,11 +56,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional
 
 from ..core.bounds import Variant, t_min
 from ..core.fastnum import (
-    DualContext,
     PmtnVerdict,
     as_pair,
     norm_pair,
@@ -400,7 +398,6 @@ def find_flip_pmtn(
     *,
     use_base_jump: bool = True,
     kernel: str = "fast",
-    ctx: Optional[DualContext] = None,
     use_grid: bool = False,
 ) -> tuple[Time, Time, int]:
     """Exact flip of the Theorem-5 (γ) test: ``(T_star, T_witness, calls)``.
@@ -410,8 +407,9 @@ def find_flip_pmtn(
     the ablation benchmark.  ``kernel`` selects the scaled-integer or the
     Fraction dual test for the accept/structure probes (identical
     decisions either way; the knapsack stable-point analysis reads one
-    full ``pmtn_dual_test`` partition per piece on the exact reference).
-    ``ctx`` injects a shared probe context (machine sweeps);
+    full ``pmtn_dual_test`` partition per piece on the exact reference);
+    the fast kernel reads ``instance`` and its caches directly, so a
+    machine sweep's cache-sharing copies probe warm.
     ``use_grid=True`` batches the base-flip bisections through a
     one-member :class:`~repro.core.xbatch.BatchDualContext`.  All probes
     are memoized on the normalized ``(numerator, denominator)`` pair —
@@ -421,7 +419,7 @@ def find_flip_pmtn(
     grid = use_grid and fast
     T_star, T_witness, calls = drive_plan(
         flip_plan_pmtn(instance, use_base_jump=use_base_jump, grid=grid),
-        probe_evaluator(instance, fast=fast, ctx=ctx, grid=grid),
+        probe_evaluator(instance, fast=fast, grid=grid),
     )
     return fast_fraction(*T_star), fast_fraction(*T_witness), calls
 
@@ -497,16 +495,10 @@ def flip_plan_pmtn(instance: Instance, *, use_base_jump: bool = True, grid: bool
 
 
 def three_halves_preemptive(
-    instance: Instance,
-    *,
-    kernel: str = "fast",
-    ctx: Optional[DualContext] = None,
-    use_grid: bool = False,
+    instance: Instance, *, kernel: str = "fast", use_grid: bool = False
 ) -> PmtnJumpResult:
     """Theorem 6 — 3/2-approximation for ``P|pmtn,setup=s_i|Cmax``."""
-    T_star, T_witness, calls = find_flip_pmtn(
-        instance, kernel=kernel, ctx=ctx, use_grid=use_grid
-    )
+    T_star, T_witness, calls = find_flip_pmtn(instance, kernel=kernel, use_grid=use_grid)
     schedule = pmtn_dual_schedule(instance, T_witness, mode="gamma", kernel=kernel)
     return PmtnJumpResult(
         T_star=T_star, T_witness=T_witness, schedule=schedule, accept_calls=calls

@@ -39,11 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ..core.bounds import Variant, t_min
 from ..core.fastnum import (
-    DualContext,
     as_pair,
     norm_pair,
     pair_ceil,
@@ -78,35 +76,25 @@ class JumpSearchResult:
 
 
 def three_halves_splittable(
-    instance: Instance,
-    *,
-    kernel: str = "fast",
-    ctx: Optional[DualContext] = None,
-    use_grid: bool = False,
+    instance: Instance, *, kernel: str = "fast", use_grid: bool = False
 ) -> JumpSearchResult:
     """Theorem 3 — 3/2-approximation in ``O(n + c log(c+m))``."""
-    T_star, calls = find_flip_splittable(
-        instance, kernel=kernel, ctx=ctx, use_grid=use_grid
-    )
+    T_star, calls = find_flip_splittable(instance, kernel=kernel, use_grid=use_grid)
     schedule = split_dual_schedule(instance, T_star, kernel=kernel)
     return JumpSearchResult(T_star=T_star, schedule=schedule, accept_calls=calls)
 
 
 def find_flip_splittable(
-    instance: Instance,
-    *,
-    kernel: str = "fast",
-    ctx: Optional[DualContext] = None,
-    use_grid: bool = False,
+    instance: Instance, *, kernel: str = "fast", use_grid: bool = False
 ) -> tuple[Time, int]:
     """Locate ``T* = min accepted T`` via Algorithm 1. Returns (T*, #tests).
 
     The ``O(log(c+m))`` accept probes run on the scaled-integer kernel by
     default; ``kernel="fraction"`` probes the Theorem-7 reference instead
-    (bit-identical decisions, differential-tested).  ``ctx`` injects a
-    pre-built (possibly :meth:`~repro.core.fastnum.DualContext.for_m`-
-    shared) probe context; ``use_grid=True`` evaluates the candidate
-    lists as blocks through a one-member
+    (bit-identical decisions, differential-tested); the fast kernel reads
+    ``instance`` and its caches directly, so a machine sweep's
+    cache-sharing copies probe warm.  ``use_grid=True`` evaluates the
+    candidate lists as blocks through a one-member
     :class:`~repro.core.xbatch.BatchDualContext` (identical flip, since
     ``L_split``/``m_exp`` are monotone).  All probes are memoized, so
     interval endpoints shared across the search phases are tested once.
@@ -115,7 +103,7 @@ def find_flip_splittable(
     grid = use_grid and fast
     T, calls = drive_plan(
         flip_plan_splittable(instance, grid=grid),
-        probe_evaluator(instance, fast=fast, ctx=ctx, grid=grid),
+        probe_evaluator(instance, fast=fast, grid=grid),
     )
     return fast_fraction(*T), calls
 

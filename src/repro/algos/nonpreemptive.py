@@ -936,10 +936,9 @@ def nonp_dual_schedule(
     # test, the full Appendix-D partition through its integer twin (the
     # Fraction nonp_dual_test stays untouched as the reference path).
     if not pretested:
-        ctx = instance.fast_ctx()
-        verdict = fast_nonp_test(ctx, T.numerator, T.denominator)
+        verdict = fast_nonp_test(instance, T.numerator, T.denominator)
         if not verdict.accepted:
-            if T.numerator < ctx.spt * T.denominator:
+            if T.numerator < setup_plus_tmax(instance) * T.denominator:
                 reasons = ["T < max(s_i + t_max^i)"]
             else:
                 reasons = []
@@ -958,7 +957,6 @@ def three_halves_nonpreemptive(
     instance: Instance,
     *,
     kernel: str = "fast",
-    ctx=None,
     build_schedule: bool = True,
 ) -> SearchResult:
     """Theorem 8 — 3/2-approximation in ``O(n log(n+Δ))``.
@@ -967,14 +965,13 @@ def three_halves_nonpreemptive(
     scaled-integer kernel (:func:`repro.core.fastnum.fast_nonp_test`);
     ``kernel="fraction"`` keeps the exact-rational reference path.  Both
     make identical accept/reject decisions (differential-tested), hence
-    return identical schedules.  ``ctx`` injects a shared probe context
-    (machine sweeps); ``build_schedule=False`` returns the certified
-    ``T`` without materializing the schedule.
+    return identical schedules.  ``build_schedule=False`` returns the
+    certified ``T`` without materializing the schedule.
     """
     fast = validate_kernel(kernel)
     T, calls = drive_plan(
         integer_probe_plan(t_min(instance, Variant.NONPREEMPTIVE), "nonp"),
-        probe_evaluator(instance, fast=fast, ctx=ctx),
+        probe_evaluator(instance, fast=fast),
     )
     T = fast_fraction(*T)
     schedule = (

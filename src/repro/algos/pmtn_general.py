@@ -253,7 +253,7 @@ def pmtn_dual_schedule(
     fast = validate_kernel(kernel)
     schedule = Schedule(instance)
     if fast:
-        verdict = fast_pmtn_test(instance.fast_ctx(), T.numerator, T.denominator, mode)
+        verdict = fast_pmtn_test(instance, T.numerator, T.denominator, mode)
         if verdict.accepted and verdict.case == "nice":
             schedule_nice_view(schedule, T, full_view(instance), range(instance.m), mode)
             return schedule

@@ -71,7 +71,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from ..core.bounds import Variant, t_min
 from ..core.cancel import check_cancelled
 from ..core.fastnum import (
-    DualContext,
     NonpVerdict,
     PmtnVerdict,
     SplitVerdict,
@@ -363,19 +362,15 @@ def accept_flags(kind: str, m: int, times: Sequence[Pair], verdicts) -> list[boo
     return [v.accepted for v in verdicts]
 
 
-def probe_evaluator(
-    instance: Instance,
-    *,
-    fast: bool,
-    ctx: Optional[DualContext] = None,
-    grid: bool = False,
-):
+def probe_evaluator(instance: Instance, *, fast: bool, grid: bool = False):
     """The one per-item evaluator of every plan-driven sequential search.
 
     Answers every request op and probe kind: ``fast`` through
     :meth:`~repro.core.xbatch.BatchDualContext.scalar_one` on a
-    one-member context of ``ctx`` (default ``instance.fast_ctx()``),
-    else through its Fraction-reference twin :func:`_fraction_probe`;
+    one-member context of ``instance`` (the kernels read the instance
+    and its shared caches directly, so a cache-sharing ``with_machines``
+    copy probes warm), else through its Fraction-reference twin
+    :func:`_fraction_probe`;
     with ``grid``, ``accept_block`` requests go to that context's fused
     :meth:`~repro.core.xbatch.BatchDualContext.evaluate`.  Accept
     requests poll cancellation at the probe boundary; ``verdict``
@@ -383,7 +378,7 @@ def probe_evaluator(
     """
     m = instance.m
     if fast:
-        xctx = BatchDualContext([instance.fast_ctx() if ctx is None else ctx])
+        xctx = BatchDualContext([instance])
         scalar = xctx.scalar_one
 
         def one(kind, mode, tn, td):

@@ -15,7 +15,9 @@ produces a feasible schedule with makespan ≤ ``3T/2`` in O(n):
 * step 2 — cheap classes are wrapped into the leftover time of the *last*
   machines ``ū_i`` (gap ``[L(ū_i)+T/2, 3T/2)``, reserving ``[L, L+T/2]`` for
   one cheap setup below the gap) and then into empty machines (gap
-  ``[T/2, 3T/2)``), exactly Figure 1(b).
+  ``[T/2, 3T/2)``), exactly Figure 1(b).  Only the first ``⌈L(Q)/T⌉``
+  empty machines get a gap, so the construction stays O(n + c) however
+  large ``m`` is.
 """
 
 from __future__ import annotations
@@ -89,14 +91,13 @@ def split_dual_test_fast(instance: Instance, T: TimeLike) -> SplitDual:
     if T <= 0:
         raise ValueError("T must be positive")
     tn, td = T.numerator, T.denominator
-    ctx = instance.fast_ctx()
     exp: list[int] = []
     chp: list[int] = []
     betas: dict[int, int] = {}
-    load = ctx.total_processing
+    load = instance.total_processing
     m_exp = 0
-    setups, P = ctx.setups, ctx.P
-    for i in range(ctx.c):
+    setups, P = instance.setups, instance.class_processing
+    for i in range(len(setups)):
         s = setups[i]
         if 2 * s * td > tn:
             b = ceil_div(2 * P[i] * td, tn)
@@ -114,7 +115,7 @@ def split_dual_test_fast(instance: Instance, T: TimeLike) -> SplitDual:
         betas=betas,
         load=Fraction(load),
         machines_exp=m_exp,
-        accepted=ctx.m * tn >= load * td and ctx.m >= m_exp,
+        accepted=instance.m * tn >= load * td and instance.m >= m_exp,
     )
 
 
@@ -175,7 +176,12 @@ def split_dual_schedule(instance: Instance, T: TimeLike, *, kernel: str = "fast"
             if load_u < T:
                 # Reserve [L, L+T/2] for one cheap setup below the gap.
                 gaps.append((u, load_u + half, top))
-        for u in range(next_machine, instance.m):
+        # Wrap fills gaps in order, and ⌈L(Q)/T⌉ empty machines (S = T
+        # each) already satisfy Lemma 6, so it never reaches the machines
+        # past them: gaps for those would cost O(m) and place nothing.
+        load_q = sum(instance.setups[i] + instance.class_processing[i] for i in dual.chp)
+        empty = min(instance.m - next_machine, ceil_div(load_q * T.denominator, T.numerator))
+        for u in range(next_machine, next_machine + empty):
             gaps.append((u, half, top))
         sequence = WrapSequence(tuple(Batch.whole(instance, i) for i in dual.chp))
         wrap(schedule, sequence, WrapTemplate.of(gaps), exact_ints=fast)

@@ -27,11 +27,13 @@ generator-suite instance.  A fixed per-solve scale (e.g. ``D = 2m``) would
 2m`` that need not divide ``2m``, and ε-search midpoints pick up powers of
 two — hence the per-``T`` denominator.
 
-:class:`DualContext` is the per-instance probe context: integer aggregates
-plus per-class sorted job views (with prefix sums) that turn the per-class
-job scans of the preemptive/non-preemptive tests into ``O(log n_i)``
-bisections.  It is built once per instance (``Instance.fast_ctx()``) and
-reused across all probes of a solve.
+The kernels read the :class:`~repro.core.instance.Instance` itself: its
+integer aggregates (``P(C_i)``, ``s_i``, ``t^(i)_max``) and the per-class
+sorted job views with prefix sums (:meth:`Instance.class_jobs_sorted
+<repro.core.instance.Instance.class_jobs_sorted>`, built once per class
+and cached) that turn the per-class job scans of the
+preemptive/non-preemptive tests into ``O(log n_i)`` bisections
+(:func:`count_weight_gt`).
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .instance import Instance
+from .bounds import setup_plus_tmax
+from .instance import Instance
 
 __all__ = [
-    "DualContext",
     "SplitVerdict",
     "NonpVerdict",
     "PmtnVerdict",
@@ -61,6 +62,7 @@ __all__ = [
     "pair_ceil",
     "round_half_even",
     "ceil_div",
+    "count_weight_gt",
     "fast_split_test",
     "fast_nonp_test",
     "fast_pmtn_test",
@@ -205,100 +207,15 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-# --------------------------------------------------------------------------- #
-# context
-# --------------------------------------------------------------------------- #
+def count_weight_gt(instance: Instance, cls: int, num: int, den: int) -> tuple[int, int]:
+    """``(#, Σt)`` of jobs of ``cls`` with ``t > num/den`` (``den > 0``).
 
-
-class DualContext:
-    """Integer aggregates of one :class:`Instance`, shared across probes.
-
-    Everything here except ``m`` (and the back-reference ``instance``) is
-    machine-count independent, so a machine sweep can carry one context
-    across ``with_machines`` copies via :meth:`for_m` instead of
-    rebuilding the per-class data per machine count.  ``batch_cache`` is
-    a lazily filled scratch dict owned by :mod:`repro.core.xbatch`
-    (int64 class columns, flat sorted-key segments, overflow bounds); it
-    is shared by ``for_m`` clones since its contents are
-    ``m``-independent too.
+    O(log n_i) via the instance-cached sorted view: ``t > num/den ⟺ t >
+    ⌊num/den⌋`` for integer ``t``.
     """
-
-    __slots__ = (
-        "instance", "m", "c", "setups", "P", "nclass",
-        "total_processing", "total_load", "smax", "spt", "class_tmax",
-        "batch_cache",
-    )
-
-    def __init__(self, instance: "Instance") -> None:
-        self.instance = instance
-        self.m = instance.m
-        self.c = instance.c
-        self.setups = instance.setups
-        self.P = instance.class_processing
-        self.nclass = instance.class_sizes
-        self.total_processing = instance.total_processing
-        self.total_load = instance.total_load
-        self.smax = instance.smax
-        self.class_tmax = instance.class_tmax
-        #: ``max_i (s_i + t^(i)_max)`` — the Note-1/2 lower bound.
-        self.spt = max(s + tm for s, tm in zip(self.setups, self.class_tmax))
-        self.batch_cache: dict = {}
-
-    def for_m(self, m: int, instance: Optional["Instance"] = None) -> "DualContext":
-        """A clone probing the same classes on ``m`` machines.
-
-        Shares every per-class array (and the batch scratch cache) with
-        this context; only ``m`` — and optionally the ``instance``
-        back-reference, for a cache-sharing ``with_machines`` copy — is
-        replaced.  O(1).
-        """
-        if m == self.m and (instance is None or instance is self.instance):
-            return self
-        clone = object.__new__(DualContext)
-        clone.instance = self.instance if instance is None else instance
-        clone.m = m
-        clone.c = self.c
-        clone.setups = self.setups
-        clone.P = self.P
-        clone.nclass = self.nclass
-        clone.total_processing = self.total_processing
-        clone.total_load = self.total_load
-        clone.smax = self.smax
-        clone.class_tmax = self.class_tmax
-        clone.spt = self.spt
-        clone.batch_cache = self.batch_cache
-        return clone
-
-    def release(self) -> None:
-        """Hand back the batch scratch cache (eviction lifecycle hook).
-
-        Called by :meth:`Instance.release_caches
-        <repro.core.instance.Instance.release_caches>` when a service
-        LRU evicts the instance: the int64 class columns and sorted-key
-        segments :mod:`repro.core.xbatch` parks in ``batch_cache`` are
-        the context's only heavy state, and they are shared by every
-        :meth:`for_m` clone — clearing the dict in place releases them
-        for all sharers at once.  The context (and its clones) remain
-        valid; the scratch rebuilds lazily on the next vectorized
-        evaluation.
-        """
-        self.batch_cache.clear()
-
-    # sorted views ------------------------------------------------------- #
-
-    def sorted_jobs(self, cls: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(sorted times, prefix sums)`` of one class (instance-cached)."""
-        return self.instance.class_jobs_sorted(cls)
-
-    def count_weight_gt(self, cls: int, num: int, den: int) -> tuple[int, int]:
-        """``(#, Σt)`` of jobs of ``cls`` with ``t > num/den`` (``den > 0``).
-
-        O(log n_i) via the sorted view: ``t > num/den ⟺ t > ⌊num/den⌋`` for
-        integer ``t``.
-        """
-        ts, prefix = self.sorted_jobs(cls)
-        cut = bisect_right(ts, num // den)
-        return len(ts) - cut, prefix[-1] - prefix[cut]
+    ts, prefix = instance.class_jobs_sorted(cls)
+    cut = bisect_right(ts, num // den)
+    return len(ts) - cut, prefix[-1] - prefix[cut]
 
 
 # --------------------------------------------------------------------------- #
@@ -314,12 +231,12 @@ class SplitVerdict(NamedTuple):
     machines_exp: int  # m_exp(T)
 
 
-def fast_split_test(ctx: DualContext, tn: int, td: int) -> SplitVerdict:
+def fast_split_test(instance: Instance, tn: int, td: int) -> SplitVerdict:
     """Theorem 7(i) on ``T = tn/td`` in pure integers, O(c)."""
-    load = ctx.total_processing
+    load = instance.total_processing
     m_exp = 0
-    setups, P = ctx.setups, ctx.P
-    for i in range(ctx.c):
+    setups, P = instance.setups, instance.class_processing
+    for i in range(len(setups)):
         s = setups[i]
         if 2 * s * td > tn:  # expensive: s_i > T/2
             b = ceil_div(2 * P[i] * td, tn)  # β_i = ⌈2P_i/T⌉
@@ -327,7 +244,7 @@ def fast_split_test(ctx: DualContext, tn: int, td: int) -> SplitVerdict:
             m_exp += b
         else:
             load += s
-    accepted = ctx.m * tn >= load * td and ctx.m >= m_exp
+    accepted = instance.m * tn >= load * td and instance.m >= m_exp
     return SplitVerdict(accepted, load, m_exp)
 
 
@@ -344,15 +261,15 @@ class NonpVerdict(NamedTuple):
     machines_needed: int  # m'
 
 
-def fast_nonp_test(ctx: DualContext, tn: int, td: int) -> NonpVerdict:
+def fast_nonp_test(instance: Instance, tn: int, td: int) -> NonpVerdict:
     """Theorem 9(i) on ``T = tn/td``: O(c log n) after the sorted views."""
-    if tn < ctx.spt * td:  # Note 2: T < max_i(s_i + t_max^i) < OPT
-        return NonpVerdict(False, ctx.total_load, ctx.m + 1)
-    load = ctx.total_processing
+    if tn < setup_plus_tmax(instance) * td:  # Note 2: T < max_i(s_i + t_max^i) < OPT
+        return NonpVerdict(False, instance.total_load, instance.m + 1)
+    load = instance.total_processing
     m_prime = 0
-    setups, P = ctx.setups, ctx.P
-    tmax = ctx.class_tmax
-    for i in range(ctx.c):
+    setups, P = instance.setups, instance.class_processing
+    tmax = instance.class_tmax
+    for i in range(len(setups)):
         s = setups[i]
         std = s * td
         cap = tn - std  # (T − s_i) · td  — positive since T ≥ s_i + t_max^i
@@ -366,15 +283,15 @@ def fast_nonp_test(ctx: DualContext, tn: int, td: int) -> NonpVerdict:
         else:
             # cheap: m_i = |C_i∩J⁺| + ⌈P(C_i∩K)/(T−s_i)⌉ with
             # J⁺ = {t > T/2}, K = {t ≤ T/2, s+t > T/2}.
-            n_big, w_big = ctx.count_weight_gt(i, tn, 2 * td)
-            n_ge, w_ge = ctx.count_weight_gt(i, tn - 2 * std, 2 * td)
+            n_big, w_big = count_weight_gt(instance, i, tn, 2 * td)
+            n_ge, w_ge = count_weight_gt(instance, i, tn - 2 * std, 2 * td)
             k_weight = w_ge - w_big
             m_i = n_big + (ceil_div(k_weight * td, cap) if k_weight else 0)
         load += m_i * s
         if P[i] * td > m_i * cap:  # x_i > 0: residual pays one more setup
             load += s
         m_prime += m_i
-    accepted = ctx.m * tn >= load * td and ctx.m >= m_prime
+    accepted = instance.m * tn >= load * td and instance.m >= m_prime
     return NonpVerdict(accepted, load, m_prime)
 
 
@@ -415,27 +332,27 @@ def count_scaled(mode: str, tn: int, td: int, s: int, P: int) -> int:
     return count_core(mode, tn, s * td, P * td)
 
 
-def fast_pmtn_test(ctx: DualContext, tn: int, td: int, mode: str = "alpha") -> PmtnVerdict:
+def fast_pmtn_test(instance: Instance, tn: int, td: int, mode: str = "alpha") -> PmtnVerdict:
     """Theorem 5(i) on ``T = tn/td`` in pure integers.
 
     Replicates ``pmtn_dual_test`` decision-for-decision, including the
     continuous-knapsack selection of case 3a (same greedy order and the same
     tie-breaks, with weights/capacity scaled by ``2·td``).
     """
-    if tn < ctx.spt * td:  # Note 1
-        return PmtnVerdict(False, ctx.total_load, 0, "trivial", False)
+    if tn < setup_plus_tmax(instance) * td:  # Note 1
+        return PmtnVerdict(False, instance.total_load, 0, "trivial", False)
 
-    m, setups, P = ctx.m, ctx.setups, ctx.P
+    m, setups, P = instance.m, instance.setups, instance.class_processing
     exp_plus: list[int] = []
     exp_minus_chp_plus_sum = 0  # Σ (s_i + P_i) over I⁻exp ∪ I⁺chp
     n_minus = 0
     l = 0
     chp_star: list[int] = []
-    load = ctx.total_processing
+    load = instance.total_processing
     counts_sum = 0
     base = 0  # Σ_{I⁺exp}(κ_i s_i + P_i) + Σ_{I⁻exp ∪ I⁺chp}(s_i + P_i)
 
-    for i in range(ctx.c):
+    for i in range(len(setups)):
         s = setups[i]
         std = s * td
         total = s + P[i]
@@ -459,7 +376,7 @@ def fast_pmtn_test(ctx: DualContext, tn: int, td: int, mode: str = "alpha") -> P
             if 4 * std >= tn:  # I⁺chp: T/4 ≤ s_i ≤ T/2
                 base += total
                 exp_minus_chp_plus_sum += total
-            elif 2 * (s + ctx.class_tmax[i]) * td > tn:  # I⁻chp with C*_i ≠ ∅
+            elif 2 * (s + instance.class_tmax[i]) * td > tn:  # I⁻chp with C*_i ≠ ∅
                 chp_star.append(i)
 
     m_prime = l + counts_sum + ceil_div(n_minus, 2)
@@ -475,7 +392,7 @@ def fast_pmtn_test(ctx: DualContext, tn: int, td: int, mode: str = "alpha") -> P
     star_data: list[tuple[int, int, int]] = []  # (cls, |C*_i|, p*_i)
     for i in chp_star:
         s = setups[i]
-        cnt, p_star = ctx.count_weight_gt(i, tn - 2 * s * td, 2 * td)
+        cnt, p_star = count_weight_gt(instance, i, tn - 2 * s * td, 2 * td)
         star_data.append((i, cnt, p_star))
         demand2 += 2 * td * (s + P[i])
         lstar2 += 2 * td * (s + p_star) - cnt * (tn - 2 * s * td)
@@ -515,14 +432,14 @@ def fast_pmtn_test(ctx: DualContext, tn: int, td: int, mode: str = "alpha") -> P
     return PmtnVerdict(accepted, load, m_prime, "3a", False)
 
 
-def fast_base_core(ctx: DualContext, tn: int, td: int) -> tuple[int, int]:
+def fast_base_core(instance: Instance, tn: int, td: int) -> tuple[int, int]:
     """``(L_base, m′)`` — the monotone core of Algorithm 4 (int-only)."""
-    load = ctx.total_processing
+    load = instance.total_processing
     l = 0
     gsum = 0
     minus = 0
-    setups, P = ctx.setups, ctx.P
-    for i in range(ctx.c):
+    setups, P = instance.setups, instance.class_processing
+    for i in range(len(setups)):
         s = setups[i]
         if 2 * s * td > tn:
             total = s + P[i]

@@ -105,7 +105,6 @@ class Instance:
         # Lazy per-class caches (built on first use; keyed by class index).
         object.__setattr__(self, "_jobs_sorted_cache", {})
         object.__setattr__(self, "_misc_cache", {})
-        object.__setattr__(self, "_fast_ctx", None)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -246,55 +245,29 @@ class Instance:
     def cache_stats(self) -> dict[str, int]:
         """Entry counts of the lazy caches (service eviction accounting).
 
-        ``fast_ctx`` is 0/1; ``batch`` counts the numpy scratch entries
-        owned by :mod:`repro.core.xbatch` inside the context.  All
-        counts are for the *shared* cache set — cache-sharing
-        ``with_machines`` copies report the same numbers.
+        ``sorted_views`` counts the per-class sorted views; ``misc``
+        counts everything else, including the int64 scratch
+        :mod:`repro.core.xbatch` parks there.  Both counts are for the
+        *shared* cache set — cache-sharing ``with_machines`` copies
+        report the same numbers.
         """
-        ctx = self._fast_ctx
-        if ctx is None:
-            batch = 0
-        else:
-            from .xbatch import cache_entries
-
-            batch = cache_entries(ctx)
         return {
             "sorted_views": len(self._jobs_sorted_cache),
             "misc": len(self._misc_cache),
-            "fast_ctx": 0 if ctx is None else 1,
-            "batch": batch,
         }
 
     def release_caches(self) -> None:
         """Drop every lazily built cache (the service LRU eviction hook).
 
-        Clears the per-class view caches *in place* (cache-sharing
-        copies hand their memory back too — that is the point of
-        evicting a fingerprint) and releases the fast-kernel context,
-        including the numpy scratch :mod:`repro.core.xbatch` keeps in
-        it.  The instance stays fully usable: every cache rebuilds on
-        demand, bit-identically, at the usual construction cost.
+        Clears both cache dicts *in place*, so cache-sharing copies hand
+        their memory back too — that is the point of evicting a
+        fingerprint — including the numpy scratch :mod:`repro.core.xbatch`
+        keeps in the misc cache.  The instance stays fully usable: every
+        cache rebuilds on demand, bit-identically, at the usual
+        construction cost.
         """
         self._jobs_sorted_cache.clear()
         self._misc_cache.clear()
-        ctx = self._fast_ctx
-        if ctx is not None:
-            ctx.release()
-            object.__setattr__(self, "_fast_ctx", None)
-
-    def fast_ctx(self) -> "DualContext":
-        """The per-instance :class:`repro.core.fastnum.DualContext`, cached.
-
-        Built once and reused across every dual-test probe of a solve (the
-        binary searches and Class Jumping issue ``O(log)`` probes each).
-        """
-        ctx = self._fast_ctx
-        if ctx is None:
-            from .fastnum import DualContext
-
-            ctx = DualContext(self)
-            object.__setattr__(self, "_fast_ctx", ctx)
-        return ctx
 
     # ------------------------------------------------------------------ #
     # misc
@@ -311,13 +284,13 @@ class Instance:
         """Copy with a different machine count (used by sweeps).
 
         With ``share_caches=True`` the copy reuses this instance's lazy
-        per-class caches (job views, sorted views with prefix sums) and
-        carries a :meth:`DualContext.for_m
-        <repro.core.fastnum.DualContext.for_m>` clone of the fast-kernel
-        context — all of that data is machine-count independent.
-        Validation and aggregate computation are skipped too (the fields
-        are copied from this already-validated instance), so the copy is
-        O(c) instead of O(n).  This is the primitive behind
+        caches — job views, sorted views with prefix sums, and the misc
+        cache with the search bounds and the :mod:`repro.core.xbatch`
+        scratch — all machine-count independent, so every dual-test
+        kernel reads the copy exactly like a fresh instance on ``m``
+        machines.  Validation and aggregate computation are skipped too
+        (the fields are copied from this already-validated instance), so
+        the copy is O(c) instead of O(n).  This is the primitive behind
         :func:`repro.algos.batch_api.sweep_machines`.
         """
         if not share_caches:
@@ -333,8 +306,6 @@ class Instance:
             "_jobs_sorted_cache", "_misc_cache",
         ):
             put(inst, name, getattr(self, name))
-        ctx = self._fast_ctx
-        put(inst, "_fast_ctx", None if ctx is None else ctx.for_m(m, inst))
         return inst
 
 

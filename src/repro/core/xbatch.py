@@ -16,7 +16,7 @@ member instances — in one numpy evaluation.  It serves two callers:
 
 The layout:
 
-* every member :class:`~repro.core.fastnum.DualContext` contributes its
+* every member :class:`~repro.core.instance.Instance` contributes its
   per-class columns to padded ``(members, c_max)`` arrays (zero padding
   is neutral for all four duals: a padded class has ``s = P = t_max =
   0``, so it is never expensive, never cheap-with-stars, and adds zero
@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .bounds import setup_plus_tmax
 from .fastnum import (
-    DualContext,
     NonpVerdict,
     PmtnVerdict,
     SplitVerdict,
@@ -56,6 +56,7 @@ from .fastnum import (
     fast_pmtn_test,
     fast_split_test,
 )
+from .instance import Instance
 from ..obs.trace import count as obs_count
 
 try:  # pragma: no cover - exercised via both branches in CI matrices
@@ -63,7 +64,7 @@ try:  # pragma: no cover - exercised via both branches in CI matrices
 except ImportError:  # pragma: no cover
     _np = None
 
-__all__ = ["BatchDualContext", "HAVE_NUMPY", "PROBE_KINDS", "cache_entries"]
+__all__ = ["BatchDualContext", "HAVE_NUMPY", "PROBE_KINDS"]
 
 #: True when the vectorized tier is available at all.
 HAVE_NUMPY = _np is not None
@@ -89,17 +90,7 @@ def _ceil_div_np(num, den):
     return -((-num) // den)
 
 
-def cache_entries(ctx: DualContext) -> int:
-    """Entry count of the scratch this module parks in ``ctx.batch_cache``.
-
-    The quantity the service's eviction accounting
-    (``Instance.cache_stats()['batch']``) reports, and what
-    :meth:`DualContext.release` hands back.
-    """
-    return len(ctx.batch_cache)
-
-
-def _maxima(ctx: DualContext) -> tuple[int, int, int]:
+def _maxima(instance: Instance) -> tuple[int, int, int]:
     """Cached ``(max_i P_i, s_max, alpha_cap)`` for the overflow bound.
 
     ``alpha_cap`` dominates every α-style machine count any lane can
@@ -108,18 +99,20 @@ def _maxima(ctx: DualContext) -> tuple[int, int, int]:
     ⌈P_i/t^(i)_max⌉``, and the cheap-class counts add at most ``n_i``
     (one machine per big job).
     """
-    mx = ctx.batch_cache.get("maxima")
+    mx = instance._misc_cache.get("maxima")
     if mx is None:
         alpha_cap = max(
             n + -((-p) // tm)
-            for n, p, tm in zip(ctx.nclass, ctx.P, ctx.class_tmax)
+            for n, p, tm in zip(
+                instance.class_sizes, instance.class_processing, instance.class_tmax
+            )
         )
-        mx = (max(ctx.P), ctx.smax, alpha_cap)
-        ctx.batch_cache["maxima"] = mx
+        mx = (max(instance.class_processing), instance.smax, alpha_cap)
+        instance._misc_cache["maxima"] = mx
     return mx
 
 
-def _grid_is_safe(ctx: DualContext, tns: list[int], tds: list[int]) -> bool:
+def _grid_is_safe(instance: Instance, tns: list[int], tds: list[int]) -> bool:
     """Exact-integer bound on every int64 intermediate of one member's rows.
 
     Conservative: ``K`` dominates every per-class machine count that any
@@ -135,56 +128,58 @@ def _grid_is_safe(ctx: DualContext, tns: list[int], tds: list[int]) -> bool:
     """
     max_tn, min_tn = max(tns), min(tns)
     max_td = max(tds)
-    maxP, smax, alpha_cap = _maxima(ctx)
+    maxP, smax, alpha_cap = _maxima(instance)
     # (maxP + smax): the base-core γ count divides 2(s_i + P_i), not 2P_i.
     K = max((2 * (maxP + smax) * max_td) // min_tn + 2, alpha_cap)
     unit = max(max_tn, 2 * (smax + maxP + 1) * max_td)
+    c = len(instance.setups)
     return (
-        8 * ctx.c * K * unit < _GUARD
-        and ctx.m * max_tn < _GUARD
-        and (ctx.total_processing + ctx.c * smax * K) * max_td < _GUARD
+        8 * c * K * unit < _GUARD
+        and instance.m * max_tn < _GUARD
+        and (instance.total_processing + c * smax * K) * max_td < _GUARD
     )
 
 
-def _member_cols(ctx) -> tuple:
+def _member_cols(instance: Instance) -> tuple:
     """Per-member int64 class columns ``(setups, P, class_tmax)``.
 
-    Parked in the member's shared ``batch_cache`` scratch (m-independent,
-    shared by ``for_m`` clones, cleared by the LRU eviction hook) so a
-    warm rep pads the batch arrays from ready-made views instead of
-    re-converting the Python lists.
+    Parked in the member's misc cache (m-independent, shared by
+    cache-sharing ``with_machines`` copies, cleared by
+    ``release_caches``) so a warm rep pads the batch arrays from
+    ready-made views instead of re-converting the Python lists.
     """
-    cols = ctx.batch_cache.get("xgrid_cols")
+    cols = instance._misc_cache.get("xgrid_cols")
     if cols is None:
         cols = (
-            _np.asarray(ctx.setups, dtype=_np.int64),
-            _np.asarray(ctx.P, dtype=_np.int64),
-            _np.asarray(ctx.class_tmax, dtype=_np.int64),
+            _np.asarray(instance.setups, dtype=_np.int64),
+            _np.asarray(instance.class_processing, dtype=_np.int64),
+            _np.asarray(instance.class_tmax, dtype=_np.int64),
         )
-        ctx.batch_cache["xgrid_cols"] = cols
+        instance._misc_cache["xgrid_cols"] = cols
     return cols
 
 
-def _member_segments(ctx) -> dict:
+def _member_segments(instance: Instance) -> dict:
     """Per-member pieces of the flat sorted-key layout, batch-independent.
 
     The batch layout interleaves every member's per-class sorted keys
     into one global key space; the only batch-dependent parts of that
     are the slot offsets and the spacing.  Everything member-local —
     concatenated sorted keys, each key's class id, prefix sums, and the
-    per-class counts — is computed once per context and parked in its
-    shared ``batch_cache`` scratch, so assembling a fresh batch layout
+    per-class counts — is computed once per instance and parked in its
+    shared misc cache, so assembling a fresh batch layout
     is a handful of vectorised ops per member rather than a Python loop
     over every class of every member.
     """
-    seg = ctx.batch_cache.get("xgrid_segments")
+    seg = instance._misc_cache.get("xgrid_segments")
     if seg is None:
+        c = len(instance.setups)
         keys_parts = []
         prefix_parts = []
-        counts = _np.empty(ctx.c, dtype=_np.int64)
-        plens = _np.empty(ctx.c, dtype=_np.int64)
-        for ci in range(ctx.c):
-            ts, prefix = ctx.sorted_jobs(ci)
+        counts = _np.empty(c, dtype=_np.int64)
+        plens = _np.empty(c, dtype=_np.int64)
+        for ci in range(c):
+            ts, prefix = instance.class_jobs_sorted(ci)
             keys_parts.append(_np.asarray(ts, dtype=_np.int64))
             prefix_parts.append(_np.asarray(prefix, dtype=_np.int64))
             counts[ci] = len(ts)
@@ -194,7 +189,7 @@ def _member_segments(ctx) -> dict:
             if keys_parts
             else _np.empty(0, dtype=_np.int64),
             "class_of_key": _np.repeat(
-                _np.arange(ctx.c, dtype=_np.int64), counts
+                _np.arange(c, dtype=_np.int64), counts
             ),
             "prefix": _np.concatenate(prefix_parts)
             if prefix_parts
@@ -202,33 +197,35 @@ def _member_segments(ctx) -> dict:
             "counts": counts,
             "plens": plens,
         }
-        ctx.batch_cache["xgrid_segments"] = seg
+        instance._misc_cache["xgrid_segments"] = seg
     return seg
 
 
 class BatchDualContext:
-    """Ragged→flat mapping over the member contexts of one evaluation.
+    """Ragged→flat mapping over the member instances of one evaluation.
 
-    ``members`` are the distinct :class:`DualContext` objects of a batch
-    (one per fingerprint representative × machine count), or the single
-    context of a per-instance candidate block.  The context
-    owns the padded per-class arrays and the global flat sorted-key
-    layout; both build lazily on the first fused evaluation, reusing the
-    members' instance-cached sorted views.
+    ``members`` are the distinct :class:`~repro.core.instance.Instance`
+    objects of a batch, keyed by identity (one per fingerprint
+    representative or cache-sharing ``with_machines`` copy, so each
+    machine count of a fingerprint is its own member), or the single
+    instance of a per-instance candidate block.  The context owns the
+    padded per-class arrays and the global flat sorted-key layout; both
+    build lazily on the first fused evaluation from the members'
+    cached per-instance columns and sorted views.
     """
 
-    def __init__(self, members: Sequence[DualContext]) -> None:
+    def __init__(self, members: Sequence[Instance]) -> None:
         self.members = list(members)
         self._pad: Optional[dict] = None
         self._flat: Optional[dict] = None
         self._flat_safe: Optional[bool] = None
 
-    def member_index(self, ctx: DualContext) -> int:
-        """Index of ``ctx`` in ``members`` (appends unseen contexts)."""
+    def member_index(self, instance: Instance) -> int:
+        """Index of ``instance`` in ``members`` (appends unseen instances)."""
         for i, member in enumerate(self.members):
-            if member is ctx:
+            if member is instance:
                 return i
-        self.members.append(ctx)
+        self.members.append(instance)
         self._pad = self._flat = self._flat_safe = None  # rebuild lazily
         return len(self.members) - 1
 
@@ -241,26 +238,27 @@ class BatchDualContext:
         pad = self._pad
         if pad is None:
             g = len(self.members)
-            c_max = max(ctx.c for ctx in self.members)
+            c_max = max(len(inst.setups) for inst in self.members)
             S = _np.zeros((g, c_max), dtype=_np.int64)
             P = _np.zeros((g, c_max), dtype=_np.int64)
             tmax = _np.zeros((g, c_max), dtype=_np.int64)
-            for k, ctx in enumerate(self.members):
-                cS, cP, ctm = _member_cols(ctx)
-                S[k, : ctx.c] = cS
-                P[k, : ctx.c] = cP
-                tmax[k, : ctx.c] = ctm
+            for k, inst in enumerate(self.members):
+                cS, cP, ctm = _member_cols(inst)
+                c = len(inst.setups)
+                S[k, :c] = cS
+                P[k, :c] = cP
+                tmax[k, :c] = ctm
             pad = {
                 "c_max": c_max,
                 "S": S,
                 "P": P,
                 "tmax": tmax,
-                "m": _np.asarray([ctx.m for ctx in self.members], dtype=_np.int64),
+                "m": _np.asarray([inst.m for inst in self.members], dtype=_np.int64),
                 "tp": _np.asarray(
-                    [ctx.total_processing for ctx in self.members], dtype=_np.int64
+                    [inst.total_processing for inst in self.members], dtype=_np.int64
                 ),
                 "spt": _np.asarray(
-                    [ctx.spt for ctx in self.members], dtype=_np.int64
+                    [setup_plus_tmax(inst) for inst in self.members], dtype=_np.int64
                 ),
             }
             self._pad = pad
@@ -279,8 +277,8 @@ class BatchDualContext:
         if flat is None:
             pad = self._padded()
             g, c_max = len(self.members), pad["c_max"]
-            spacing = max(max(ctx.class_tmax) for ctx in self.members) + 2
-            cs = [ctx.c for ctx in self.members]
+            spacing = max(inst.tmax for inst in self.members) + 2
+            cs = [len(inst.setups) for inst in self.members]
             slot_base = [0] * g
             for k in range(1, g):
                 slot_base[k] = slot_base[k - 1] + cs[k - 1]
@@ -291,9 +289,9 @@ class BatchDualContext:
             prefix_parts = []
             counts_parts = []
             plens_parts = []
-            for k, ctx in enumerate(self.members):
-                seg = _member_segments(ctx)
-                slot[k, : ctx.c] = slot_base[k] + _np.arange(ctx.c, dtype=_np.int64)
+            for k, inst in enumerate(self.members):
+                seg = _member_segments(inst)
+                slot[k, : cs[k]] = slot_base[k] + _np.arange(cs[k], dtype=_np.int64)
                 keys_parts.append(
                     seg["keys"] + (seg["class_of_key"] + slot_base[k]) * spacing
                 )
@@ -330,8 +328,8 @@ class BatchDualContext:
         """Does the *global* key space fit int64 with headroom?"""
         safe = self._flat_safe
         if safe is None:
-            spacing = max(max(ctx.class_tmax) for ctx in self.members) + 2
-            n_slots = sum(ctx.c for ctx in self.members)
+            spacing = max(inst.tmax for inst in self.members) + 2
+            n_slots = sum(len(inst.setups) for inst in self.members)
             safe = (n_slots + 2) * spacing < _GUARD
             self._flat_safe = safe
         return safe
@@ -342,15 +340,15 @@ class BatchDualContext:
 
     def scalar_one(self, kind: str, mode: str, mi: int, tn: int, td: int):
         """One probe on the scalar kernel — the exact pure-Python tier."""
-        ctx = self.members[mi]
+        inst = self.members[mi]
         if kind == "split":
-            return fast_split_test(ctx, tn, td)
+            return fast_split_test(inst, tn, td)
         if kind == "nonp":
-            return fast_nonp_test(ctx, tn, td)
+            return fast_nonp_test(inst, tn, td)
         if kind == "pmtn":
-            return fast_pmtn_test(ctx, tn, td, mode)
+            return fast_pmtn_test(inst, tn, td, mode)
         if kind == "pmtn_base":
-            return fast_base_core(ctx, tn, td)
+            return fast_base_core(inst, tn, td)
         raise ValueError(f"unknown probe kind {kind!r}")
 
     def evaluate(self, kind: str, mode: str, rows: Sequence[tuple[int, int, int]]):
@@ -459,8 +457,8 @@ class BatchDualContext:
         out: list[Optional[NonpVerdict]] = [None] * len(mis)
         trivial = tns < pad["spt"][mis] * tds
         for j in _np.nonzero(trivial)[0]:
-            ctx = self.members[int(mis[j])]
-            out[int(j)] = NonpVerdict(False, ctx.total_load, ctx.m + 1)  # Note 2
+            inst = self.members[int(mis[j])]
+            out[int(j)] = NonpVerdict(False, inst.total_load, inst.m + 1)  # Note 2
         live = _np.nonzero(~trivial)[0]
         spacing, hi_clip = flat["spacing"], flat["spacing"] - 2
         keys, prefix = flat["keys"], flat["prefix"]
@@ -512,8 +510,8 @@ class BatchDualContext:
         out: list[Optional[PmtnVerdict]] = [None] * len(mis)
         trivial = tns < pad["spt"][mis] * tds
         for j in _np.nonzero(trivial)[0]:
-            ctx = self.members[int(mis[j])]
-            out[int(j)] = PmtnVerdict(False, ctx.total_load, 0, "trivial", False)
+            inst = self.members[int(mis[j])]
+            out[int(j)] = PmtnVerdict(False, inst.total_load, 0, "trivial", False)
         live = _np.nonzero(~trivial)[0]
         spacing, hi_clip = flat["spacing"], flat["spacing"] - 2
         keys, prefix = flat["keys"], flat["prefix"]

@@ -153,7 +153,7 @@ def run_machine_sweep(
 
     The loop constructs a fresh instance per machine count — exactly what
     a caller without the sweep engine does via ``with_machines`` — while
-    the sweep shares one cache/context set and skips schedule
+    the sweep shares one cache set and skips schedule
     construction (the certified ``T*``/bound curve is the output).
     """
     instance = instance or uniform_instance(m=16, c=40, n_per_class=20, seed=202)

@@ -12,9 +12,9 @@ subsystem turns the :mod:`repro.algos.batch_api` engine into a service:
   ``ms`` (a sweep), and a ``schedules``/``bounds_only`` flag.
 * **Sharding** — each request is routed by its instance's
   :meth:`~repro.core.instance.Instance.fingerprint`, so one instance's
-  cache set (job/sorted views, :class:`~repro.core.fastnum.DualContext`,
-  numpy scratch) lives on exactly one shard worker thread; the lazily
-  filled caches are never shared across threads.
+  cache set (job and sorted views, search bounds, numpy scratch, all
+  held by the instance itself) lives on exactly one shard worker
+  thread; the lazily filled caches are never shared across threads.
 * **Micro-batching** — each shard drains its queue in batches of up to
   ``max_batch`` requests and dispatches them through
   :func:`~repro.algos.batch_api.solve_batch` /

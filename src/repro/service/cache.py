@@ -9,8 +9,8 @@ fix.  :class:`InstanceLRU` is the bounded mapping a shard passes as
 ``reps``: hits refresh recency, admitting past the bound evicts the
 least-recently-used representative *and releases its caches*
 (:meth:`~repro.core.instance.Instance.release_caches`, which clears the
-shared view dicts in place and drops the fast-kernel context with its
-numpy scratch).
+shared cache dicts in place, the numpy scratch of the vectorized engine
+included).
 """
 
 from __future__ import annotations

@@ -178,7 +178,9 @@ async def handle_lines(
             if rejected is None:
                 try:
                     obj = json.loads(raw)
-                except ValueError as exc:  # JSONDecodeError, or bytes not UTF-8
+                except (ValueError, RecursionError) as exc:
+                    # JSONDecodeError, bytes not UTF-8, or nesting deeper
+                    # than the interpreter's recursion limit.
                     rejected = f"bad JSON: {exc}"
             if rejected is not None:
                 responses.put_nowait(asyncio.ensure_future(immediate(

@@ -1,9 +1,9 @@
 """Batched solve engine vs looped ``solve()`` — bit-identical outputs.
 
 ``sweep_machines``/``solve_many`` exist purely for speed: shared caches,
-shared ``DualContext``, batched grid searches, optional bounds-only
-resolution.  None of that may change a single answer, so every mode is
-differential-tested here against fresh-instance ``solve()`` calls.
+batched grid searches, optional bounds-only resolution.  None of that
+may change a single answer, so every mode is differential-tested here
+against fresh-instance ``solve()`` calls.
 """
 
 from __future__ import annotations
@@ -201,7 +201,6 @@ class TestSolveMany:
 class TestSharedCaches:
     def test_with_machines_share_caches_is_equivalent(self):
         inst = medium_suite()[0][1]
-        inst.fast_ctx()
         for i in range(inst.c):
             inst.class_jobs(i)
             inst.class_jobs_sorted(i)
@@ -209,12 +208,12 @@ class TestSharedCaches:
         plain = inst.with_machines(inst.m + 3)
         assert shared == plain
         assert shared.m == plain.m == inst.m + 3
-        # caches are the same objects; the context clone carries the new m
+        # caches are the same objects; only m differs
         assert shared._misc_cache is inst._misc_cache
         assert shared.class_jobs(0) is inst.class_jobs(0)
-        assert shared.fast_ctx().m == inst.m + 3
-        assert shared.fast_ctx().setups is inst.fast_ctx().setups
-        assert shared.fast_ctx().batch_cache is inst.fast_ctx().batch_cache
+        assert shared._jobs_sorted_cache is inst._jobs_sorted_cache
+        assert shared.class_jobs_sorted(0) is inst.class_jobs_sorted(0)
+        assert shared.setups is inst.setups
 
     def test_share_caches_validates_m(self):
         inst = small_exact_suite()[0][1]

@@ -68,10 +68,9 @@ class TestDualTestEquivalence:
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_splittable(self, inst):
-        ctx = inst.fast_ctx()
         for T in probe_points(inst, Variant.SPLITTABLE):
             ref = split_dual_test(inst, T)
-            fast = fast_split_test(ctx, T.numerator, T.denominator)
+            fast = fast_split_test(inst, T.numerator, T.denominator)
             assert fast.accepted == ref.accepted
             assert Fraction(fast.load) == ref.load
             assert fast.machines_exp == ref.machines_exp
@@ -82,21 +81,19 @@ class TestDualTestEquivalence:
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_nonpreemptive(self, inst):
-        ctx = inst.fast_ctx()
         for T in probe_points(inst, Variant.NONPREEMPTIVE):
             ref = nonp_dual_test(inst, T)
-            fast = fast_nonp_test(ctx, T.numerator, T.denominator)
+            fast = fast_nonp_test(inst, T.numerator, T.denominator)
             assert fast.accepted == ref.accepted
             assert Fraction(fast.load) == ref.load
             assert fast.machines_needed == ref.machines_needed
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_preemptive(self, inst):
-        ctx = inst.fast_ctx()
         for T in probe_points(inst, Variant.PREEMPTIVE):
             for mode in ("alpha", "gamma"):
                 ref = pmtn_dual_test(inst, T, mode=mode)
-                fast = fast_pmtn_test(ctx, T.numerator, T.denominator, mode)
+                fast = fast_pmtn_test(inst, T.numerator, T.denominator, mode)
                 assert fast.accepted == ref.accepted
                 assert Fraction(fast.load) == ref.load
                 assert fast.machines_needed == ref.machines_needed
@@ -106,7 +103,7 @@ class TestDualTestEquivalence:
                 )
             # the Class-Jumping monotone core
             bl, bm = _base_core(inst, T)
-            fl, fm = fast_base_core(ctx, T.numerator, T.denominator)
+            fl, fm = fast_base_core(inst, T.numerator, T.denominator)
             assert (Fraction(fl), fm) == (bl, bm)
 
 
@@ -115,7 +112,7 @@ def grid_pairs(points):
     return [T.numerator for T in points], [T.denominator for T in points]
 
 
-def grid_verdicts(ctx, kind, mode, tns, tds, *, numpy_tier=True):
+def grid_verdicts(inst, kind, mode, tns, tds, *, numpy_tier=True):
     """A per-instance candidate grid: the rows of a one-member engine context.
 
     ``numpy_tier=False`` evaluates with numpy monkeypatched away — the
@@ -125,7 +122,7 @@ def grid_verdicts(ctx, kind, mode, tns, tds, *, numpy_tier=True):
     with pytest.MonkeyPatch.context() as mp:
         if not numpy_tier:
             mp.setattr(xbatch, "HAVE_NUMPY", False)
-        return BatchDualContext([ctx]).evaluate(kind, mode, rows)
+        return BatchDualContext([inst]).evaluate(kind, mode, rows)
 
 
 #: The numpy tier (when importable) and the pure-python tier.
@@ -146,36 +143,32 @@ class TestGridEquivalence:
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_split_grid(self, inst):
-        ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.SPLITTABLE))
-        want = [fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)]
+        want = [fast_split_test(inst, tn, td) for tn, td in zip(tns, tds)]
         for tier in TIERS:
-            assert grid_verdicts(ctx, "split", "", tns, tds, numpy_tier=tier) == want
+            assert grid_verdicts(inst, "split", "", tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_nonp_grid(self, inst):
-        ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.NONPREEMPTIVE))
-        want = [fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)]
+        want = [fast_nonp_test(inst, tn, td) for tn, td in zip(tns, tds)]
         for tier in TIERS:
-            assert grid_verdicts(ctx, "nonp", "", tns, tds, numpy_tier=tier) == want
+            assert grid_verdicts(inst, "nonp", "", tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     @pytest.mark.parametrize("mode", ["alpha", "gamma"])
     def test_pmtn_grid(self, inst, mode):
-        ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.PREEMPTIVE))
-        want = [fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)]
+        want = [fast_pmtn_test(inst, tn, td, mode) for tn, td in zip(tns, tds)]
         for tier in TIERS:
-            assert grid_verdicts(ctx, "pmtn", mode, tns, tds, numpy_tier=tier) == want
+            assert grid_verdicts(inst, "pmtn", mode, tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_base_core_grid(self, inst):
-        ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.PREEMPTIVE))
-        want = [fast_base_core(ctx, tn, td) for tn, td in zip(tns, tds)]
+        want = [fast_base_core(inst, tn, td) for tn, td in zip(tns, tds)]
         for tier in TIERS:
-            assert grid_verdicts(ctx, "pmtn_base", "", tns, tds, numpy_tier=tier) == want
+            assert grid_verdicts(inst, "pmtn_base", "", tns, tds, numpy_tier=tier) == want
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES)
     def test_nonp_partition_fast(self, inst):
@@ -191,18 +184,17 @@ class TestGridEquivalence:
             setups=(10**13, 7),
             jobs=((10**14, 10**13), (5, 10**12)),
         )
-        ctx = big.fast_ctx()
         tns, tds = grid_pairs(probe_points(big, Variant.PREEMPTIVE, count=6))
-        assert not _grid_is_safe(ctx, tns, tds)
-        assert grid_verdicts(ctx, "split", "", tns, tds) == [
-            fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)
+        assert not _grid_is_safe(big, tns, tds)
+        assert grid_verdicts(big, "split", "", tns, tds) == [
+            fast_split_test(big, tn, td) for tn, td in zip(tns, tds)
         ]
-        assert grid_verdicts(ctx, "nonp", "", tns, tds) == [
-            fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)
+        assert grid_verdicts(big, "nonp", "", tns, tds) == [
+            fast_nonp_test(big, tn, td) for tn, td in zip(tns, tds)
         ]
         for mode in ("alpha", "gamma"):
-            assert grid_verdicts(ctx, "pmtn", mode, tns, tds) == [
-                fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)
+            assert grid_verdicts(big, "pmtn", mode, tns, tds) == [
+                fast_pmtn_test(big, tn, td, mode) for tn, td in zip(tns, tds)
             ]
 
     def test_overflow_alpha_counts_force_fallback(self):
@@ -211,27 +203,25 @@ class TestGridEquivalence:
         precheck must reject such grids (the old bound approved them and
         the int64 products wrapped silently)."""
         inst = Instance(m=3, setups=(2**47,), jobs=((1,) * (2**17),))
-        ctx = inst.fast_ctx()
         tns, tds = [2**47 + 1, 2**48], [1, 1]
-        assert not _grid_is_safe(ctx, tns, tds)
+        assert not _grid_is_safe(inst, tns, tds)
         for tier in TIERS:
-            assert grid_verdicts(ctx, "nonp", "", tns, tds, numpy_tier=tier) == [
-                fast_nonp_test(ctx, tn, td) for tn, td in zip(tns, tds)
+            assert grid_verdicts(inst, "nonp", "", tns, tds, numpy_tier=tier) == [
+                fast_nonp_test(inst, tn, td) for tn, td in zip(tns, tds)
             ]
             for mode in ("alpha", "gamma"):
-                assert grid_verdicts(ctx, "pmtn", mode, tns, tds, numpy_tier=tier) == [
-                    fast_pmtn_test(ctx, tn, td, mode) for tn, td in zip(tns, tds)
+                assert grid_verdicts(inst, "pmtn", mode, tns, tds, numpy_tier=tier) == [
+                    fast_pmtn_test(inst, tn, td, mode) for tn, td in zip(tns, tds)
                 ]
 
     def test_numpy_absent_is_supported(self, monkeypatch):
         """With numpy gone the engine still answers, on the scalar kernel."""
         inst = small_exact_suite()[0][1]
-        ctx = inst.fast_ctx()
         tns, tds = grid_pairs(probe_points(inst, Variant.SPLITTABLE, count=4))
-        want = [fast_split_test(ctx, tn, td) for tn, td in zip(tns, tds)]
+        want = [fast_split_test(inst, tn, td) for tn, td in zip(tns, tds)]
         monkeypatch.setattr(xbatch, "_np", None)
         monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
-        assert grid_verdicts(ctx, "split", "", tns, tds) == want
+        assert grid_verdicts(inst, "split", "", tns, tds) == want
 
 
 def placements_key(schedule):

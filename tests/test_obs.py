@@ -322,10 +322,10 @@ class TestSolverSeams:
         from repro.core import xbatch
 
         monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
-        ctx = fresh(TINY).fast_ctx()
+        inst = fresh(TINY)
         rows = [(0, 5, 1), (0, 7, 1), (0, 9, 1)]
         with TraceScope() as scope:
-            xbatch.BatchDualContext([ctx]).evaluate("split", "", rows)
+            xbatch.BatchDualContext([inst]).evaluate("split", "", rows)
         assert scope.counts == {"xbatch.rows_scalar": 3}
 
 

@@ -273,11 +273,9 @@ def _check_plan_stream_case(seed: int) -> None:
 
     cases = [
         (flip_plan_splittable,
-         lambda fast: probe_evaluator(
-             inst, fast=fast, ctx=inst.fast_ctx() if fast else None, grid=False)),
+         lambda fast: probe_evaluator(inst, fast=fast, grid=False)),
         (flip_plan_pmtn,
-         lambda fast: probe_evaluator(
-             inst, fast=fast, ctx=inst.fast_ctx() if fast else None, grid=False)),
+         lambda fast: probe_evaluator(inst, fast=fast, grid=False)),
     ]
     for plan_fn, make_eval in cases:
         streams, results = [], []

@@ -68,6 +68,14 @@ from .test_schedule_columns import SUITE_INSTANCES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+#: Lines the JSON decoder cannot turn into a request: bytes that are not
+#: UTF-8 (a ``UnicodeDecodeError``), and nesting deeper than the
+#: interpreter's recursion limit (a ``RecursionError``, not a ValueError).
+UNDECODABLE_LINES = [
+    pytest.param(b'\xc3{"id": 2, "op": "ping"}', id="non_utf8"),
+    pytest.param(b"[" * 30000 + b"]" * 30000, id="deep_nesting"),
+]
+
 
 def fresh(inst: Instance, m: int | None = None) -> Instance:
     return Instance(m=inst.m if m is None else m, setups=inst.setups, jobs=inst.jobs)
@@ -155,13 +163,10 @@ class TestCacheRelease:
         warm = fresh(inst)
         before = solve(warm, variant)
         stats = warm.cache_stats()
-        assert stats["fast_ctx"] == 1
-        assert stats["sorted_views"] + stats["misc"] > 0
+        assert set(stats) == {"sorted_views", "misc"}
+        assert stats["misc"] > 0
         warm.release_caches()
-        cleared = warm.cache_stats()
-        assert cleared == {
-            "sorted_views": 0, "misc": 0, "fast_ctx": 0, "batch": 0,
-        }
+        assert warm.cache_stats() == {"sorted_views": 0, "misc": 0}
         after = solve(warm, variant)
         assert_same_solve(after, before)
 
@@ -172,18 +177,20 @@ class TestCacheRelease:
         tiny.release_caches()
         assert copy.cache_stats()["sorted_views"] == 0
 
-    def test_context_release_drops_batch_scratch(self, tiny):
+    def test_release_drops_batch_scratch(self, tiny):
         from repro.core import xbatch
 
-        ctx = tiny.fast_ctx()
-        ctx.batch_cache["xgrid_cols"] = ((), (), ())
-        ctx.batch_cache["xgrid_segments"] = {"keys": ()}
-        ctx.batch_cache["maxima"] = (1, 1, 1)
-        assert xbatch.cache_entries(ctx) == 3
-        clone = ctx.for_m(tiny.m + 1)
-        ctx.release()
-        assert xbatch.cache_entries(ctx) == 0
-        assert clone.batch_cache is ctx.batch_cache  # shared, cleared together
+        copy = tiny.with_machines(tiny.m + 1, share_caches=True)
+        scratch = {"maxima"}
+        xbatch._maxima(copy)  # the overflow bound, stored on every tier
+        if xbatch.HAVE_NUMPY:  # the int64 class columns and sorted-key segments
+            xbatch._member_cols(copy)
+            xbatch._member_segments(copy)
+            scratch |= {"xgrid_cols", "xgrid_segments"}
+        assert scratch <= set(tiny._misc_cache)  # stored through the copy
+        tiny.release_caches()
+        for inst in (tiny, copy):
+            assert inst.cache_stats() == {"sorted_views": 0, "misc": 0}
 
 
 # --------------------------------------------------------------------------- #
@@ -193,7 +200,7 @@ class TestCacheRelease:
 
 class TestInstanceLRU:
     def make(self, n: int) -> list[Instance]:
-        # n > m so solve() takes the dual path and builds the fast context.
+        # n > m so solve() takes the dual path and fills the caches.
         return [
             Instance.build(2, [(i + 1, [i + 2, 1, 3]), (2, [2, 2])])
             for i in range(n)
@@ -223,23 +230,21 @@ class TestInstanceLRU:
     def test_eviction_releases_caches(self):
         a, b = self.make(2)
         solve(a, Variant.NONPREEMPTIVE)
-        assert a.cache_stats()["fast_ctx"] == 1
+        assert a.cache_stats()["misc"] > 0
         lru = InstanceLRU(max_entries=1)
         lru[a.fingerprint()] = a
         lru[b.fingerprint()] = b
-        assert a.cache_stats() == {
-            "sorted_views": 0, "misc": 0, "fast_ctx": 0, "batch": 0,
-        }
+        assert a.cache_stats() == {"sorted_views": 0, "misc": 0}
 
     def test_clear_releases_everything(self):
         insts = self.make(3)
         lru = InstanceLRU(max_entries=4)
         for inst in insts:
-            inst.fast_ctx()
+            solve(inst, Variant.NONPREEMPTIVE)
             lru[inst.fingerprint()] = inst
         lru.clear()
         assert len(lru) == 0
-        assert all(i.cache_stats()["fast_ctx"] == 0 for i in insts)
+        assert all(i.cache_stats() == {"sorted_views": 0, "misc": 0} for i in insts)
         assert lru.stats().evictions == 3
 
     def test_rejects_silly_bound(self):
@@ -872,18 +877,19 @@ class TestTcpServer:
         assert tail == b""
 
 
-    def test_non_utf8_line_rejected_connection_kept(self):
-        """A line whose bytes are not UTF-8 gets one non-retryable
+    @pytest.mark.parametrize("bad", UNDECODABLE_LINES)
+    def test_non_utf8_line_rejected_connection_kept(self, bad):
+        """A line the decoder cannot read gets one non-retryable
         bad_request, and the lines after it on the connection are served."""
+        assert len(bad) < TCP_LINE_LIMIT  # the decoder sees it, not the limit
 
         async def main():
             async with SolveService(ServiceConfig(shards=1)) as svc:
                 server = await serve_tcp(svc, "127.0.0.1", 0)
                 host, port = server.sockets[0].getsockname()[:2]
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(b'{"id": 1, "op": "ping"}\n'
-                             b'\xc3{"id": 2, "op": "ping"}\n'
-                             b'{"id": 3, "op": "ping"}\n')
+                writer.write(b'{"id": 1, "op": "ping"}\n' + bad
+                             + b'\n{"id": 3, "op": "ping"}\n')
                 await writer.drain()
                 replies = [json.loads(await reader.readline()) for _ in range(3)]
                 writer.write_eof()
@@ -1076,12 +1082,12 @@ class TestStdioCli:
         assert "unknown variant" in replies[2]["error"]["message"]
         assert replies[3]["pong"] is True
 
-    def test_non_utf8_line_answered_and_session_continues(self):
-        """Bytes that are not UTF-8 used to escape the JSON decoder as a
-        UnicodeDecodeError and end the stdio server with a traceback."""
-        payload = (b'{"op": "ping", "id": 1}\n'
-                   b'\xc3{"op": "ping", "id": 2}\n'
-                   b'{"op": "ping", "id": 3}\n')
+    @pytest.mark.parametrize("bad", UNDECODABLE_LINES)
+    def test_non_utf8_line_answered_and_session_continues(self, bad):
+        """Bytes that are not UTF-8 (a UnicodeDecodeError) and nesting past
+        the recursion limit (a RecursionError) used to escape the JSON
+        decoder and end the stdio server with a traceback."""
+        payload = b'{"op": "ping", "id": 1}\n' + bad + b'\n{"op": "ping", "id": 3}\n'
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run(
             [sys.executable, "-m", "repro.service", "--shards", "1"],

@@ -12,6 +12,8 @@ from repro.algos.splittable import (
     split_dual_test,
     split_window,
 )
+from repro.algos import splittable
+from repro.algos.api import solve
 from repro.algos.twoapprox import two_approx_splittable
 
 from .conftest import mk
@@ -169,3 +171,31 @@ class TestDualConstruction:
         T0 = feasible.schedule.makespan()
         assert split_dual_test(inst, T0).accepted
         assert split_dual_test(inst, 2 * T0).accepted
+
+
+class TestIdleMachines:
+    """Step 2 gives gaps only to the empty machines the wrap can reach."""
+
+    CLASSES = [(10, [5, 7]), (1, [4, 4, 1])]  # 10 rows on 4 machines
+
+    @pytest.mark.parametrize("kernel", ["fast", "fraction"])
+    def test_rows_do_not_depend_on_idle_machines(self, kernel):
+        few = solve(Instance.build(10**3, self.CLASSES), Variant.SPLITTABLE, kernel=kernel)
+        many = solve(Instance.build(10**5, self.CLASSES), Variant.SPLITTABLE, kernel=kernel)
+        assert many.T == few.T
+        assert many.schedule.rows() == few.schedule.rows()
+
+    def test_step2_template_stops_where_the_wrap_stops(self, monkeypatch):
+        lengths = []
+        real_wrap = splittable.wrap
+
+        def spy(schedule, sequence, template, **kwargs):
+            lengths.append(len(template))
+            return real_wrap(schedule, sequence, template, **kwargs)
+
+        monkeypatch.setattr(splittable, "wrap", spy)
+        inst = Instance.build(10**5, self.CLASSES)
+        for kernel in ("fast", "fraction"):
+            split_dual_schedule(inst, t_min(inst, Variant.SPLITTABLE), kernel=kernel)
+        # step 1 wraps class 0 onto beta = 3 machines; step 2 needs one more
+        assert lengths and max(lengths) <= 3

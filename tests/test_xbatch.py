@@ -43,6 +43,7 @@ from repro.core.fastnum import (
 from repro.core.instance import Instance
 from repro.core.validate import validate_schedule
 from repro.core.xbatch import BatchDualContext
+from repro.obs.trace import TraceScope
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -145,7 +146,7 @@ class TestXGridKernelDifferential:
     def test_fused_rows_match_scalar(self, seed, kind, mode):
         rng = random.Random(1000 + seed)
         insts = [rand_instance(rng) for _ in range(4)]
-        xctx = BatchDualContext([inst.fast_ctx() for inst in insts])
+        xctx = BatchDualContext(insts)
         rows = member_rows(rng, insts, 3)
         got = xctx.evaluate(kind, mode, rows)
         want = [xctx.scalar_one(kind, mode, *row) for row in rows]
@@ -158,7 +159,7 @@ class TestXGridKernelDifferential:
         """Members past the int64 guard drop to scalar, mixed with safe ones."""
         rng = random.Random(7)
         insts = [rand_instance(rng), rand_instance(rng, scale=BIG)]
-        xctx = BatchDualContext([inst.fast_ctx() for inst in insts])
+        xctx = BatchDualContext(insts)
         rows = member_rows(rng, insts, 4)
         got = xctx.evaluate(kind, mode, rows)
         want = [xctx.scalar_one(kind, mode, *row) for row in rows]
@@ -170,7 +171,7 @@ class TestXGridKernelDifferential:
         monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
         rng = random.Random(11)
         insts = [rand_instance(rng) for _ in range(3)]
-        xctx = BatchDualContext([inst.fast_ctx() for inst in insts])
+        xctx = BatchDualContext(insts)
         rows = member_rows(rng, insts, 3)
         got = xctx.evaluate(kind, mode, rows)
         want = [xctx.scalar_one(kind, mode, *row) for row in rows]
@@ -181,22 +182,21 @@ class TestXGridKernelDifferential:
         """``evaluate`` against the module-level scalar kernels themselves."""
         rng = random.Random(21)
         insts = [rand_instance(rng) for _ in range(3)]
-        ctxs = [inst.fast_ctx() for inst in insts]
-        xctx = BatchDualContext(ctxs)
+        xctx = BatchDualContext(insts)
         rows = member_rows(rng, insts, 2)
         for kind, mode, kernel in (
             ("split", "", fast_split_test),
             ("nonp", "", fast_nonp_test),
             ("pmtn_base", "", fast_base_core),
-            ("pmtn", "gamma", lambda ctx, tn, td: fast_pmtn_test(ctx, tn, td, "gamma")),
+            ("pmtn", "gamma", lambda inst, tn, td: fast_pmtn_test(inst, tn, td, "gamma")),
         ):
             got = xctx.evaluate(kind, mode, rows)
-            want = [kernel(ctxs[mi], tn, td) for mi, tn, td in rows]
+            want = [kernel(insts[mi], tn, td) for mi, tn, td in rows]
             for g, w in zip(got, want):
                 assert verdict_fields(kind, g) == verdict_fields(kind, w)
 
     def test_unknown_kind_rejected(self):
-        xctx = BatchDualContext([rand_instance(random.Random(3)).fast_ctx()])
+        xctx = BatchDualContext([rand_instance(random.Random(3))])
         with pytest.raises(ValueError):
             xctx.evaluate("nope", "", [(0, 1, 1)])
         with pytest.raises(ValueError):  # fusable row counts too
@@ -204,13 +204,39 @@ class TestXGridKernelDifferential:
 
     def test_member_index_appends_and_dedups(self):
         rng = random.Random(5)
-        a = rand_instance(rng).fast_ctx()
-        b = rand_instance(rng).fast_ctx()
+        a = rand_instance(rng)
+        b = rand_instance(rng)
         xctx = BatchDualContext([a])
         assert xctx.member_index(a) == 0
         assert xctx.member_index(b) == 1
         assert xctx.member_index(b) == 1
         assert xctx.members == [a, b]
+
+    def test_cache_sharing_copies_are_separate_members(self):
+        """A representative and its cache-sharing copies at other machine
+        counts are distinct members: every fused row answers for its own
+        ``m``, while the engine's per-instance scratch is built once."""
+        rng = random.Random(31)
+        rep = rand_searchy_instance(rng)
+        members = [rep] + [
+            rep.with_machines(rep.m + d, share_caches=True) for d in (1, 4)
+        ]
+        xctx = BatchDualContext([])
+        assert [xctx.member_index(inst) for inst in members] == [0, 1, 2]
+        for kind, mode in KINDS:
+            rows = member_rows(rng, members, 4)
+            with TraceScope() as scope:
+                got = xctx.evaluate(kind, mode, rows)
+            if xbatch.HAVE_NUMPY:
+                assert scope.counts.get("xbatch.rows_fused") == len(rows)
+            for (mi, tn, td), g in zip(rows, got):
+                fresh = Instance(m=members[mi].m, setups=rep.setups, jobs=rep.jobs)
+                want = BatchDualContext([fresh]).scalar_one(kind, mode, 0, tn, td)
+                assert verdict_fields(kind, g) == verdict_fields(kind, want)
+        if xbatch.HAVE_NUMPY:  # one segments entry, shared by all three
+            assert sum("xgrid_segments" in str(k) for k in rep._misc_cache) == 1
+            seg = rep._misc_cache["xgrid_segments"]
+            assert all(xbatch._member_segments(inst) is seg for inst in members)
 
 
 # --------------------------------------------------------------------------- #
@@ -464,16 +490,12 @@ class TestProbeDriftRegression:
             )
             if item.variant is Variant.SPLITTABLE:
                 plan = flip_plan_splittable(inst, grid=grid)
-                evaluate = probe_evaluator(
-                    inst, fast=True, ctx=inst.fast_ctx(), grid=grid
-                )
+                evaluate = probe_evaluator(inst, fast=True, grid=grid)
             else:
                 if inst.m >= inst.n:
                     continue  # trivial: no lockstep member for this item
                 plan = flip_plan_pmtn(inst, use_base_jump=True, grid=grid)
-                evaluate = probe_evaluator(
-                    inst, fast=True, ctx=inst.fast_ctx(), grid=grid
-                )
+                evaluate = probe_evaluator(inst, fast=True, grid=grid)
             solo = record_solo_stream(plan, evaluate)
             assert solo  # every non-trivial flip search probes at least once
             assert streams.get(member, []) == solo
@@ -586,14 +608,9 @@ class TestScaledIntPlanTier:
     """
 
     def _evaluators(self, inst, variant):
-        if variant is Variant.SPLITTABLE:
-            return (
-                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
-                probe_evaluator(inst, fast=False, ctx=None, grid=False),
-            )
         return (
-            probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
-            probe_evaluator(inst, fast=False, ctx=None, grid=False),
+            probe_evaluator(inst, fast=True, grid=False),
+            probe_evaluator(inst, fast=False, grid=False),
         )
 
     def _plan(self, inst, variant):
@@ -641,7 +658,6 @@ class TestScaledIntPlanTier:
 
         rng = random.Random(2300 + seed)
         inst = rand_searchy_instance(rng)
-        ctx = inst.fast_ctx()
 
         fast_eval, frac_eval = self._evaluators(inst, Variant.SPLITTABLE)
         tmin = t_min(inst, Variant.SPLITTABLE)
@@ -659,7 +675,7 @@ class TestScaledIntPlanTier:
             def evaluate(req):
                 if fast:
                     return [
-                        fast_nonp_test(ctx, tn, td).accepted for tn, td in req.times
+                        fast_nonp_test(inst, tn, td).accepted for tn, td in req.times
                     ]
                 return [
                     nonp_dual_test(inst, fast_fraction(tn, td)).accepted
@@ -686,20 +702,20 @@ class TestScaledIntPlanTier:
         if variant is Variant.SPLITTABLE:
             scalar = drive_recording(
                 flip_plan_splittable(inst, grid=False),
-                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
+                probe_evaluator(inst, fast=True, grid=False),
             )
             grid = drive_recording(
                 flip_plan_splittable(inst, grid=True),
-                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=True),
+                probe_evaluator(inst, fast=True, grid=True),
             )
         else:
             scalar = drive_recording(
                 flip_plan_pmtn(inst, grid=False),
-                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=False),
+                probe_evaluator(inst, fast=True, grid=False),
             )
             grid = drive_recording(
                 flip_plan_pmtn(inst, grid=True),
-                probe_evaluator(inst, fast=True, ctx=inst.fast_ctx(), grid=True),
+                probe_evaluator(inst, fast=True, grid=True),
             )
         assert scalar[1][0] == grid[1][0]  # same flip pair
 
