@@ -5,14 +5,18 @@ identical machines, ``n`` jobs partitioned into ``c`` non-empty classes
 ``C_1, ..., C_c``, a processing time ``t_j ∈ N`` per job and a setup time
 ``s_i`` per class.  Instances are immutable; all aggregate quantities the
 algorithms need in O(1) (``P(C_i)``, ``t^(i)_max``, ``N``, ``s_max``) are
-computed once at construction, which keeps every per-``T`` dual test at
-O(c) as required by Class Jumping (Sections 3.4, 4.4).
+computed once, on first read, and then kept on the instance, which keeps
+every per-``T`` dual test at O(c) as required by Class Jumping (Sections
+3.4, 4.4).  Construction only validates, so an instance that is never
+solved (a service request answered on a warm representative) never pays
+for them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInstanceError
@@ -60,19 +64,6 @@ class Instance:
     setups: tuple[int, ...]
     jobs: tuple[tuple[int, ...], ...]
 
-    # Aggregates (filled in __post_init__, object.__setattr__ because frozen).
-    class_processing: tuple[int, ...] = field(init=False, repr=False)
-    class_tmax: tuple[int, ...] = field(init=False, repr=False)
-    class_sizes: tuple[int, ...] = field(init=False, repr=False)
-
-    # Scalar aggregates cached once at construction (eq/repr stay keyed on
-    # (m, setups, jobs) via compare=False/repr=False).
-    n: int = field(init=False, repr=False, compare=False)
-    total_processing: int = field(init=False, repr=False, compare=False)
-    total_load: int = field(init=False, repr=False, compare=False)
-    smax: int = field(init=False, repr=False, compare=False)
-    tmax: int = field(init=False, repr=False, compare=False)
-
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or self.m < 1:
             raise InvalidInstanceError(f"m must be a positive integer, got {self.m!r}")
@@ -94,14 +85,6 @@ class Instance:
                     raise InvalidInstanceError(
                         f"processing times must be positive ints, class {i} has {t!r}"
                     )
-        object.__setattr__(self, "class_processing", tuple(sum(ts) for ts in self.jobs))
-        object.__setattr__(self, "class_tmax", tuple(max(ts) for ts in self.jobs))
-        object.__setattr__(self, "class_sizes", tuple(len(ts) for ts in self.jobs))
-        object.__setattr__(self, "n", sum(self.class_sizes))
-        object.__setattr__(self, "total_processing", sum(self.class_processing))
-        object.__setattr__(self, "total_load", sum(self.setups) + self.total_processing)
-        object.__setattr__(self, "smax", max(self.setups))
-        object.__setattr__(self, "tmax", max(self.class_tmax))
         # Lazy per-class caches (built on first use; keyed by class index).
         object.__setattr__(self, "_jobs_sorted_cache", {})
         object.__setattr__(self, "_misc_cache", {})
@@ -140,6 +123,51 @@ class Instance:
     # ------------------------------------------------------------------ #
     # aggregates
     # ------------------------------------------------------------------ #
+    #
+    # Computed on first read and stored in the instance ``__dict__``
+    # (``cached_property`` bypasses the frozen ``__setattr__``), so later
+    # reads are plain attribute loads.  Equality, hashing and ``repr``
+    # are keyed on ``(m, setups, jobs)``, of which these are functions.
+
+    @cached_property
+    def class_processing(self) -> tuple[int, ...]:
+        """``P(C_i)`` of every class."""
+        return tuple(map(sum, self.jobs))
+
+    @cached_property
+    def class_tmax(self) -> tuple[int, ...]:
+        """``t^(i)_max`` of every class."""
+        return tuple(map(max, self.jobs))
+
+    @cached_property
+    def class_sizes(self) -> tuple[int, ...]:
+        """``n_i = |C_i|`` of every class."""
+        return tuple(map(len, self.jobs))
+
+    @cached_property
+    def n(self) -> int:
+        """Number of jobs."""
+        return sum(self.class_sizes)
+
+    @cached_property
+    def total_processing(self) -> int:
+        """``P(J)`` — total processing time of all jobs."""
+        return sum(self.class_processing)
+
+    @cached_property
+    def total_load(self) -> int:
+        """``N = P(J) + Σ s_i`` — the total load with one setup per class."""
+        return sum(self.setups) + self.total_processing
+
+    @cached_property
+    def smax(self) -> int:
+        """``s_max`` — the largest setup time."""
+        return max(self.setups)
+
+    @cached_property
+    def tmax(self) -> int:
+        """``t_max`` — the largest processing time."""
+        return max(self.class_tmax)
 
     @property
     def c(self) -> int:
@@ -288,9 +316,11 @@ class Instance:
         cache with the search bounds and the :mod:`repro.core.xbatch`
         scratch — all machine-count independent, so every dual-test
         kernel reads the copy exactly like a fresh instance on ``m``
-        machines.  Validation and aggregate computation are skipped too
-        (the fields are copied from this already-validated instance), so
-        the copy is O(c) instead of O(n).  This is the primitive behind
+        machines.  Validation is skipped and the aggregates are copied
+        from this already-validated instance, which computes them on the
+        first copy if nothing has read them yet, so they are computed
+        once per cache set and each copy is O(c) instead of O(n).  This
+        is the primitive behind
         :func:`repro.algos.batch_api.sweep_machines`.
         """
         if not share_caches:

@@ -12,7 +12,7 @@ Request shape (``op`` defaults to ``"solve"``)::
      "instance": {"m": 8, "setups": [3, 5], "jobs": [[4, 2], [6]]},
      "variant": "nonpreemptive",        # default
      "algorithm": "three_halves",       # default; or "eps" / "two"
-     "eps": [1, 100],                   # only used by "eps"
+     "eps": [1, 100],                   # only used by "eps"; >= 1/2**64
      "bounds_only": true,               # or "schedules": false
      "ms": [2, 4, 8]}                   # optional machine range → sweep
 
@@ -59,6 +59,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 from ..algos.api import SolveResult
@@ -68,6 +69,7 @@ from ..core.errors import InvalidInstanceError
 from ..core.instance import Instance
 
 __all__ = [
+    "EPS_MIN",
     "ERROR_CODES",
     "METRICS_FORMATS",
     "ProtocolError",
@@ -184,7 +186,19 @@ def parse_time(value, what: str = "time") -> Fraction:
     )
 
 
+# Exact-type sets for the bulk checks: ``frozenset.issuperset`` over
+# ``map(type, ...)`` tests a whole decoded JSON array in one C-level pass.
+# ``bool`` (an ``int`` subclass) fails them, and so do the ``int`` and
+# ``list`` subclasses an in-process caller may pass; a failed pass falls
+# through to the per-element ``isinstance`` checks, which accept those
+# subclasses, reject ``bool`` and word every rejection.
+_LIST = frozenset({list})
+_INT = frozenset({int})
+
+
 def _int_list(value, what: str) -> list[int]:
+    if type(value) is list and _INT.issuperset(map(type, value)):
+        return value
     if not isinstance(value, list) or any(
         not isinstance(v, int) or isinstance(v, bool) for v in value
     ):
@@ -215,9 +229,14 @@ def instance_from_obj(obj) -> Instance:
     jobs_obj = obj.get("jobs")
     if not isinstance(jobs_obj, list):
         raise ProtocolError(f"instance.jobs must be a list of lists, got {jobs_obj!r}")
-    jobs = [_int_list(ts, f"instance.jobs[{i}]") for i, ts in enumerate(jobs_obj)]
+    if not (
+        _LIST.issuperset(map(type, jobs_obj))
+        and _INT.issuperset(map(type, chain.from_iterable(jobs_obj)))
+    ):
+        for i, ts in enumerate(jobs_obj):
+            _int_list(ts, f"instance.jobs[{i}]")
     try:
-        return Instance(m=m, setups=tuple(setups), jobs=tuple(map(tuple, jobs)))
+        return Instance(m=m, setups=tuple(setups), jobs=tuple(map(tuple, jobs_obj)))
     except InvalidInstanceError as exc:
         raise ProtocolError(f"invalid instance: {exc}") from None
 
@@ -225,6 +244,12 @@ def instance_from_obj(obj) -> Instance:
 # --------------------------------------------------------------------------- #
 # requests
 # --------------------------------------------------------------------------- #
+
+#: The smallest ``eps`` a request may carry.  The ``eps`` search makes
+#: ~log2(1/eps) probes on numbers as long as eps's denominator, so an
+#: unbounded eps would let one short line hold a shard for seconds; at
+#: this bound a search takes ~65 probes.
+EPS_MIN = Fraction(1, 2**64)
 
 
 @dataclass(frozen=True)
@@ -301,6 +326,8 @@ def request_from_obj(obj) -> SolveRequest:
     eps = Fraction(1, 100) if eps is None else parse_time(eps, "eps")
     if eps <= 0:
         raise ProtocolError(f"eps must be positive, got {eps}")
+    if eps < EPS_MIN:
+        raise ProtocolError("eps must be at least 1/2**64")
 
     timeout_ms = obj.get("timeout_ms")
     if timeout_ms is not None and (

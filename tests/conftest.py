@@ -12,6 +12,12 @@ from repro.core import Instance, JobRef, Schedule
 #: The columnar validator's tiers: numpy int64 (when installed) and pure int.
 COLUMN_TIERS = [True, False] if validate_mod._np is not None else [False]
 
+#: The aggregates an ``Instance`` computes on first read.
+AGGREGATES = (
+    "class_processing", "class_tmax", "class_sizes", "n",
+    "total_processing", "total_load", "smax", "tmax",
+)
+
 
 def validate_columns_on(numpy_tier: bool, *args):
     """``validate_columns(*args)`` with numpy available or monkeypatched away.

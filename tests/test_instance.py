@@ -1,10 +1,38 @@
 """Unit tests for repro.core.instance."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import Instance, InvalidInstanceError, JobRef, concat_instances
+
+from .conftest import AGGREGATES
+from .test_schedule_columns import SUITE_INSTANCES
+
+
+def eager_aggregates(inst: Instance) -> dict:
+    """Each aggregate by its defining formula over ``setups`` and ``jobs``."""
+    return {
+        "class_processing": tuple(sum(ts) for ts in inst.jobs),
+        "class_tmax": tuple(max(ts) for ts in inst.jobs),
+        "class_sizes": tuple(len(ts) for ts in inst.jobs),
+        "n": sum(len(ts) for ts in inst.jobs),
+        "total_processing": sum(t for ts in inst.jobs for t in ts),
+        "total_load": sum(inst.setups) + sum(t for ts in inst.jobs for t in ts),
+        "smax": max(inst.setups),
+        "tmax": max(t for ts in inst.jobs for t in ts),
+    }
+
+
+def read_aggregates(inst: Instance) -> dict:
+    return {name: getattr(inst, name) for name in AGGREGATES}
+
+
+def computed_aggregates(inst: Instance) -> set:
+    """The aggregates this instance has already computed."""
+    return set(AGGREGATES) & set(vars(inst))
 
 
 class TestConstruction:
@@ -104,6 +132,38 @@ class TestAggregates:
         assert bigger.m == 7
         assert bigger.jobs == tiny.jobs
         assert tiny.m == 2  # original untouched
+
+    @pytest.mark.parametrize("inst", SUITE_INSTANCES)
+    def test_lazy_aggregates_match_eager_formulas(self, inst):
+        want = eager_aggregates(inst)
+
+        def new():
+            return Instance(m=inst.m, setups=inst.setups, jobs=inst.jobs)
+
+        read, unread = new(), new()
+        assert computed_aggregates(read) == set()  # construction only validates
+        assert read_aggregates(read) == want
+        assert computed_aggregates(read) == set(AGGREGATES)
+
+        assert read_aggregates(pickle.loads(pickle.dumps(read))) == want
+        assert read_aggregates(pickle.loads(pickle.dumps(unread))) == want
+
+        rep = new()
+        copy = rep.with_machines(inst.m + 3, share_caches=True)
+        assert computed_aggregates(rep) == set(AGGREGATES)  # computed on the rep
+        assert computed_aggregates(copy) == set(AGGREGATES)
+        assert read_aggregates(copy) == want
+
+    @pytest.mark.parametrize("inst", SUITE_INSTANCES)
+    def test_equality_and_hash_ignore_what_was_read(self, inst):
+        a = Instance(m=inst.m, setups=inst.setups, jobs=inst.jobs)
+        b = Instance(m=inst.m, setups=inst.setups, jobs=inst.jobs)
+        assert a == b and hash(a) == hash(b)  # neither read
+        read_aggregates(a)
+        assert a == b and hash(a) == hash(b)  # one read
+        read_aggregates(b)
+        assert a == b and hash(a) == hash(b)  # both read
+        assert a != a.with_machines(inst.m + 1)
 
 
 class TestConcat:

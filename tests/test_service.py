@@ -18,6 +18,7 @@ import random
 import subprocess
 import sys
 import threading
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,6 +65,7 @@ from repro.service.procworker import (
 from repro.service.server import TCP_LINE_LIMIT
 from repro.service.shards import shard_index
 
+from .conftest import AGGREGATES
 from .test_schedule_columns import SUITE_INSTANCES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -354,6 +356,91 @@ class TestSolveBatch:
 # protocol
 # --------------------------------------------------------------------------- #
 
+#: A well-formed instance object, the base of the malformed cases below.
+WIRE_INSTANCE = {"m": 4, "setups": [3, 5, 2], "jobs": [[4, 2], [6, 1, 1], [9]]}
+
+
+def wire_request(**instance_fields) -> dict:
+    return {"instance": {**WIRE_INSTANCE, **instance_fields}}
+
+
+def with_rows(rows: dict) -> dict:
+    """:data:`WIRE_INSTANCE` with the job rows at the keys of ``rows`` replaced."""
+    jobs = list(WIRE_INSTANCE["jobs"])
+    for pos, row in rows.items():
+        jobs[pos] = row
+    return wire_request(jobs=jobs)
+
+
+#: Malformed requests and the exact error each one gets: the per-row
+#: validator's own text, pinned so that the bulk type check in front of
+#: it changes no verdict and no message.  With two bad rows, the first
+#: one is reported.
+BAD_WIRE_REQUESTS = [
+    pytest.param(with_rows({pos: row}),
+                 f"instance.jobs[{pos}] must be a list of ints, got {shown}",
+                 id=f"row{pos}-{label}")
+    for label, row, shown in (
+        ("int", 5, "5"),
+        ("none", None, "None"),
+        ("str", "ab", "'ab'"),
+        ("nested", [[1]], "[[1]]"),
+        ("float", [1.5], "[1.5]"),
+        ("bool", [True], "[True]"),
+        ("int-then-none", [1, None], "[1, None]"),
+    )
+    for pos in (0, 1, 2)
+] + [
+    pytest.param(with_rows({1: [1.5], 2: "ab"}),
+                 "instance.jobs[1] must be a list of ints, got [1.5]",
+                 id="first-of-two-bad-rows"),
+    pytest.param(wire_request(setups=[1.0]),
+                 "instance.setups must be a list of ints, got [1.0]",
+                 id="setups-float"),
+    pytest.param(wire_request(setups=[True]),
+                 "instance.setups must be a list of ints, got [True]",
+                 id="setups-bool"),
+    pytest.param(wire_request(setups=3),
+                 "instance.setups must be a list of ints, got 3",
+                 id="setups-int"),
+    pytest.param({**wire_request(), "ms": [True]},
+                 "ms must be a list of ints, got [True]", id="ms-bool"),
+    pytest.param({**wire_request(), "ms": "3"},
+                 "ms must be a list of ints, got '3'", id="ms-str"),
+]
+
+
+class _Time(IntEnum):
+    FOUR = 4
+    NINE = 9
+
+
+class _Row(list):
+    """A list subclass, as an in-process caller may pass one."""
+
+
+#: Objects the bulk type check fails but the per-row validator accepts
+#: (or that are plain ints beyond int64), with the plain instance each
+#: must equal.
+ACCEPTED_WIRE_INSTANCES = [
+    pytest.param(
+        {"m": 4, "setups": [_Time.FOUR, 5, 2],
+         "jobs": [[_Time.FOUR, 2], [6, 1, 1], [_Time.NINE]]},
+        Instance(m=4, setups=(4, 5, 2), jobs=((4, 2), (6, 1, 1), (9,))),
+        id="int-enum",
+    ),
+    pytest.param(
+        {"m": 4, "setups": [3, 5, 2], "jobs": [[4, 2], _Row([6, 1, 1]), [9]]},
+        Instance(m=4, setups=(3, 5, 2), jobs=((4, 2), (6, 1, 1), (9,))),
+        id="list-subclass-row",
+    ),
+    pytest.param(
+        {"m": 4, "setups": [2**63, 5, 2], "jobs": [[2**62 + 1, 2], [6, 1, 1], [2**70]]},
+        Instance(m=4, setups=(2**63, 5, 2), jobs=((2**62 + 1, 2), (6, 1, 1), (2**70,))),
+        id="beyond-int64",
+    ),
+]
+
 
 class TestProtocol:
     def test_time_round_trip(self):
@@ -378,6 +465,17 @@ class TestProtocol:
             instance_from_obj({"m": 2, "setups": 3, "jobs": [[1]]})
         with pytest.raises(ProtocolError, match="invalid instance"):
             instance_from_obj({"m": 2, "setups": [1], "jobs": [[]]})
+
+    @pytest.mark.parametrize("obj, message", BAD_WIRE_REQUESTS)
+    def test_bulk_wire_check_keeps_verdicts_and_texts(self, obj, message):
+        with pytest.raises(ProtocolError) as err:
+            request_from_obj(obj)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("obj, plain", ACCEPTED_WIRE_INSTANCES)
+    def test_bulk_wire_check_keeps_accepting(self, obj, plain):
+        assert instance_from_obj(obj) == plain
+        assert request_from_obj({"instance": obj}).instance == plain
 
     def test_request_defaults(self, tiny):
         req = request_from_obj({"instance": instance_to_obj(tiny)})
@@ -411,6 +509,12 @@ class TestProtocol:
             request_from_obj({**obj, "eps": [1, 0]})
         with pytest.raises(ProtocolError, match="eps must be positive"):
             request_from_obj({**obj, "eps": [-1, 100]})
+        # the eps search makes ~log2(1/eps) probes: the wire bounds eps
+        # below, naming the bound without echoing the value
+        with pytest.raises(ProtocolError) as err:
+            request_from_obj({**obj, "eps": [1, 2**64 + 1]})
+        assert str(err.value) == "eps must be at least 1/2**64"
+        assert request_from_obj({**obj, "eps": [1, 2**64]}).eps == Fraction(1, 2**64)
 
     def test_result_encoding_solve(self, tiny):
         ref = solve(tiny, Variant.NONPREEMPTIVE)
@@ -743,6 +847,29 @@ class TestServiceFuzz:
             assert_matches_reference(req, result)
         assert stats.peak_instances <= stats.max_instances
         assert stats.peak_inflight <= config.max_inflight
+
+
+class TestWarmHitIngest:
+    """A warm hit solves on its representative: the request's own
+    instance is validated and fingerprinted, never aggregated."""
+
+    @pytest.mark.parametrize("workers", ["thread", "process"])
+    @pytest.mark.parametrize("schedules", [False, True], ids=["bounds", "full"])
+    def test_request_instance_aggregates_never_computed(self, workers, schedules):
+        obj = instance_to_obj(medium_suite()[0][1])
+        reqs = [request_from_obj({"id": k, "instance": obj, "schedules": schedules})
+                for k in range(2)]
+
+        async def main():
+            async with SolveService(ServiceConfig(shards=1, workers=workers)) as svc:
+                out = [await svc.submit(req) for req in reqs]  # the second one hits
+                return out, svc.stats()
+
+        results, stats = asyncio.run(main())
+        assert stats.cache_hits == 1
+        assert not set(AGGREGATES) & set(vars(reqs[1].instance))
+        for req, result in zip(reqs, results):
+            assert_matches_reference(req, result)
 
 
 class TestXbatchTimeout:

@@ -821,3 +821,5 @@ class TestArmedCli:
             if proc.poll() is None:  # pragma: no cover - only on failure
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
