@@ -165,10 +165,11 @@ def bench_nonp_construct(inst: Instance, fixture_name: str, reps: int) -> dict[s
     steps 1-4 plus materialization into columns and the ``rows()``
     projection the wire encoder reads.
     """
-    from repro.algos.nonpreemptive import nonp_dual_schedule, three_halves_nonpreemptive
+    from repro.algos.api import solve_point
+    from repro.algos.nonpreemptive import nonp_dual_schedule
 
     warm = fresh(inst)
-    T = three_halves_nonpreemptive(warm, build_schedule=False).T
+    T = solve_point(warm, Variant.NONPREEMPTIVE, schedules=False).T
     out: dict[str, float] = {}
     for kernel in KERNELS:
         out[f"nonpconstruct/{fixture_name}/{kernel}"] = best_of(

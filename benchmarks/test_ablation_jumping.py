@@ -6,59 +6,64 @@ Three ways to find a 3/2-certified makespan:
 * exhaustive piece scan — exact flip, O(#pieces) dual tests;
 * (3/2+ε) binary search (Theorem 2) — O(log 1/ε) tests, ε-approximate.
 
-The benchmarks demonstrate the paper's point: jumping gets exactness at
-binary-search-like cost.
+The flip searches are their probe plans driven on the fast kernel; the
+ε-search is a bounds-only solve.  The benchmarks demonstrate the paper's
+point: jumping gets exactness at binary-search-like cost.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
-
-from repro.algos.jumping_pmtn import find_flip_pmtn
-from repro.algos.jumping_split import find_flip_splittable
-from repro.algos.search import binary_search_dual, slow_flip_splittable
-from repro.algos.splittable import split_dual_schedule, split_dual_test
+from repro.algos.api import solve_point
+from repro.algos.jumping_pmtn import flip_plan_pmtn
+from repro.algos.jumping_split import flip_plan_splittable
+from repro.algos.search import drive_plan, probe_evaluator, slow_flip_splittable
 from repro.core import Variant
 
 
+def _drive(plan, inst):
+    return drive_plan(plan, probe_evaluator(inst, fast=True))
+
+
 def test_split_class_jumping(benchmark, medium_instance):
-    T_star, calls = benchmark(lambda: find_flip_splittable(medium_instance))
+    T_star, calls = benchmark(
+        lambda: _drive(flip_plan_splittable(medium_instance), medium_instance)
+    )
     benchmark.extra_info["dual_tests"] = calls
-    benchmark.extra_info["flip"] = str(T_star)
+    benchmark.extra_info["flip"] = str(Fraction(*T_star))
 
 
 def test_split_slow_reference(benchmark, medium_instance):
     T_star = benchmark(lambda: slow_flip_splittable(medium_instance))
-    assert T_star == find_flip_splittable(medium_instance)[0]
+    flip, _ = _drive(flip_plan_splittable(medium_instance), medium_instance)
+    assert T_star == Fraction(*flip)
 
 
 def test_split_eps_binary_search(benchmark, medium_instance):
     inst = medium_instance
-
-    def run():
-        return binary_search_dual(
-            inst,
-            Variant.SPLITTABLE,
-            lambda T: split_dual_test(inst, T).accepted,
-            lambda T: split_dual_schedule(inst, T),
-            eps=Fraction(1, 100),
+    point = benchmark(
+        lambda: solve_point(
+            inst, Variant.SPLITTABLE, "eps", Fraction(1, 100), schedules=False
         )
-
-    sr = benchmark(run)
-    benchmark.extra_info["dual_tests"] = sr.accept_calls
+    )
+    benchmark.extra_info["dual_tests"] = point.accept_calls
     # eps search never beats the exact flip from below
-    assert sr.T >= find_flip_splittable(inst)[0]
+    flip, _ = _drive(flip_plan_splittable(inst), inst)
+    assert point.T >= Fraction(*flip)
 
 
 def test_pmtn_class_jumping(benchmark, medium_instance):
-    T_star, _, calls = benchmark(lambda: find_flip_pmtn(medium_instance, use_base_jump=True))
+    T_star, _, calls = benchmark(
+        lambda: _drive(flip_plan_pmtn(medium_instance), medium_instance)
+    )
     benchmark.extra_info["dual_tests"] = calls
-    benchmark.extra_info["flip"] = str(T_star)
+    benchmark.extra_info["flip"] = str(Fraction(*T_star))
 
 
 def test_pmtn_exhaustive_scan(benchmark, medium_instance):
-    fast = find_flip_pmtn(medium_instance, use_base_jump=True)
-    slow = benchmark(lambda: find_flip_pmtn(medium_instance, use_base_jump=False))
+    fast = _drive(flip_plan_pmtn(medium_instance), medium_instance)
+    slow = benchmark(
+        lambda: _drive(flip_plan_pmtn(medium_instance, use_base_jump=False), medium_instance)
+    )
     assert fast[:2] == slow[:2]

@@ -22,7 +22,9 @@ the accepted ``T``: one :class:`_Spec` per ``(variant, algorithm)`` in
 :func:`~repro.algos.search.probe_evaluator` (whose ``kernel`` picks the
 scaled-integer or the Fraction dual tests), the lockstep coordinator of
 :mod:`repro.algos.batch_api` fuses it with other items' plans, and both
-hand the result to the same ``finish``.
+hand the result to the same ``finish``.  No other code drives a dual
+search to a certified result: :class:`SolveResult` and
+:class:`SweepPoint` are the only results one returns.
 """
 
 from __future__ import annotations
@@ -128,18 +130,21 @@ def _coerce_variant(variant) -> Variant:
         ) from None
 
 
-def _validate_request(variant, algorithm, schedules: bool) -> Variant:
-    """Validate one request's names *before* any solving starts.
+def _validate_request(variant, algorithm, schedules: bool, eps) -> Variant:
+    """Validate one request's names and ``eps`` *before* any solving starts.
 
     Every entry point calls this first, so a bad variant or algorithm
-    name raises even where a closed form would need no search, and the
-    batched entry points never surface one mid-stream (or after partial
-    results were already computed).
+    name, or a non-positive ``eps`` for ``"eps"``, raises even where a
+    closed form would need no search, and the batched entry points never
+    surface one mid-stream (or after partial results were already
+    computed).
     """
     variant = _coerce_variant(variant)
     if algorithm not in VALID_ALGORITHMS:
         valid = ", ".join(repr(a) for a in VALID_ALGORITHMS)
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {valid}")
+    if algorithm == "eps" and eps <= 0:
+        raise ValueError("eps must be positive")
     if not schedules and algorithm == "two":
         raise ValueError(
             "schedules=False supports the dual-search algorithms "
@@ -229,8 +234,6 @@ def _eps_spec(variant: Variant, kind: str, mode: str, build: Callable) -> _Spec:
     """Theorem 2 on ``variant``'s dual test: bisect ``[T_min, 2·T_min]``."""
 
     def plan(instance: Instance, eps: Fraction, grid: bool):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         return eps_probe_plan(t_min(instance, variant), eps, kind, mode)
 
     return _Spec(plan, lambda res: res, build)
@@ -241,8 +244,7 @@ def _build_split(instance, T, kernel):
 
 
 def _build_nonp(instance, T, kernel):
-    # Every T a spec builds at was accepted by the same kernel's test.
-    return nonp_dual_schedule(instance, T, kernel=kernel, pretested=True)
+    return nonp_dual_schedule(instance, T, kernel=kernel)
 
 
 _SPECS: dict[tuple[Variant, str], _Spec] = {
@@ -351,8 +353,9 @@ def solve(
     """Solve ``instance`` under ``variant`` with the requested guarantee.
 
     ``variant`` is a :class:`Variant` member or its name
-    (``"splittable"``, ...); unknown variant or algorithm names raise
-    ``ValueError`` before any work, closed-form instances included.
+    (``"splittable"``, ...); unknown variant or algorithm names, and
+    ``eps <= 0`` with ``algorithm="eps"``, raise ``ValueError`` before
+    any work, closed-form instances included.
 
     ``portfolio=True`` additionally runs the cheap heuristics (2-approx
     wrap/next-fit, Monma–Potts wrap, grouped LPT) and returns the best
@@ -370,7 +373,7 @@ def solve(
     bounds on every generator-suite instance.
     """
     validate_kernel(kernel)
-    variant = _validate_request(variant, algorithm, schedules=True)
+    variant = _validate_request(variant, algorithm, schedules=True, eps=eps)
     result = solve_point(instance, variant, algorithm, eps, kernel=kernel)
     if portfolio and result.algorithm != "trivial":
         return _portfolio_improve(instance, variant, result)

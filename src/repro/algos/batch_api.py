@@ -109,13 +109,13 @@ def _grid_block_estimate(c: int) -> int:
 
 
 def _check_request(
-    variant, algorithm, schedules: bool, kernel: Kernel, use_grid: Optional[bool]
+    variant, algorithm, schedules: bool, eps, kernel: Kernel, use_grid: Optional[bool]
 ) -> Variant:
-    """One request's name and forced-grid checks, raised before any solve.
+    """One request's name, ``eps`` and forced-grid checks, raised before any solve.
 
     ``use_grid=True`` fails loudly rather than silently probing scalar.
     """
-    variant = _validate_request(variant, algorithm, schedules)
+    variant = _validate_request(variant, algorithm, schedules, eps)
     if not use_grid:
         return variant
     if schedules:
@@ -246,7 +246,7 @@ def sweep_machines(
     degrading.
     """
     validate_kernel(kernel)
-    variant = _check_request(variant, algorithm, schedules, kernel, use_grid)
+    variant = _check_request(variant, algorithm, schedules, eps, kernel, use_grid)
     return [
         _point(
             instance.with_machines(m, share_caches=True), variant, algorithm,
@@ -275,7 +275,7 @@ def solve_many(
     (or, with ``schedules=False``, to its certificate fields).
     """
     validate_kernel(kernel)
-    variant = _check_request(variant, algorithm, schedules, kernel, use_grid)
+    variant = _check_request(variant, algorithm, schedules, eps, kernel, use_grid)
     reps: dict[str, Instance] = {}
     return [
         _point(_shared(reps, inst), variant, algorithm, eps, kernel, schedules, use_grid)
@@ -356,8 +356,8 @@ def solve_batch(
     mappings (the service guarantees this by sharding on fingerprint)
     never share a lazily-filled cache across threads.
 
-    Every name is validated before the first solve (one clear error, no
-    partial results), and the output list matches ``items`` order:
+    Every name and ``eps`` is validated before the first solve (one clear
+    error, no partial results), and the output list matches ``items`` order:
     ``SolveResult`` | :class:`SweepPoint` for single solves, a list
     thereof for ``ms`` sweeps — each bit-identical to the corresponding
     fresh-instance ``solve()`` / ``sweep_machines`` call.
@@ -388,7 +388,12 @@ def solve_batch(
     """
     validate_kernel(kernel)
     prepared = [
-        (item, _check_request(item.variant, item.algorithm, item.schedules, kernel, use_grid))
+        (
+            item,
+            _check_request(
+                item.variant, item.algorithm, item.schedules, item.eps, kernel, use_grid
+            ),
+        )
         for item in items
     ]
     if cancels is not None and len(cancels) != len(items):

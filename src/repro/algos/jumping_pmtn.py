@@ -34,11 +34,14 @@ proven ratio is ``(3/2)(1+2^{-40})`` in that measure-zero corner and
 exactly 3/2 otherwise.
 
 The probe sequence lives in :func:`flip_plan_pmtn` (with the base flip
-in :func:`base_flip_plan`), a resumable probe plan: :func:`find_flip_pmtn`
-and :func:`repro.algos.api.solve_point` drive it against the shared
+in :func:`base_flip_plan`), a resumable probe plan:
+:func:`repro.algos.api.solve_point` drives it against the shared
 per-item :func:`~repro.algos.search.probe_evaluator` (whose fraction
-branch reads the base core off :func:`_base_core`), and the xbatch
-coordinator drives the same generator in lockstep with other items.
+branch reads the base core off :func:`_base_core`) and builds the
+schedule at the witness, and the xbatch coordinator drives the same
+generator in lockstep with other items.  ``use_base_jump=False`` turns
+the plan into the exhaustive reference scan that tests and ablations
+compare Class Jumping against.
 
 The plan runs on the scaled-integer tier: candidates, change points and
 the affine-root solve all live on normalized ``(num, den)`` int pairs.
@@ -47,13 +50,12 @@ solve carries *doubled* slope coefficients (``|C*_i|`` instead of
 ``|C*_i|/2``) — the common factor 2 cancels in every root, and the
 normalized pairs are canonical, so each stable point equals the historic
 Fraction computation bit-for-bit.  Fractions appear only at the
-evaluator's fraction-kernel branch, the one ``pmtn_dual_test`` structure
-read per piece (it needs the full partition), and the returned results.
+evaluator's fraction-kernel branch and the one ``pmtn_dual_test``
+structure read per piece (it needs the full partition).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -67,35 +69,11 @@ from ..core.fastnum import (
     pair_cmp,
     pair_key,
     pair_mid,
-    validate_kernel,
 )
 from ..core.instance import Instance
 from ..core.numeric import Time, fast_fraction, frac_ceil
-from ..core.schedule import Schedule
-from .pmtn_general import pmtn_dual_schedule, pmtn_dual_test
-from .search import (
-    Pair,
-    ProbeRequest,
-    drive_plan,
-    plan_accept,
-    probe_evaluator,
-    right_interval_plan,
-)
-
-#: relative witness offset for non-attained infima
-_WITNESS_EPS = Fraction(1, 2**40)
-
-
-@dataclass(frozen=True)
-class PmtnJumpResult:
-    T_star: Time            # infimum of accepted makespans
-    T_witness: Time         # accepted point the schedule is built at
-    schedule: Schedule
-    accept_calls: int
-
-    @property
-    def ratio_bound(self) -> Fraction:
-        return Fraction(3, 2) * self.T_witness / self.T_star  # T* ≥ T_min > 0
+from .pmtn_general import pmtn_dual_test
+from .search import Pair, ProbeRequest, plan_accept, right_interval_plan
 
 
 def gamma_closed(instance: Instance, T: Time, cls: int) -> int:
@@ -393,45 +371,19 @@ def _knapsack_stable_points(instance: Instance, lo: Pair, hi: Pair) -> list[Pair
     return sorted(pts, key=pair_key)
 
 
-def find_flip_pmtn(
-    instance: Instance,
-    *,
-    use_base_jump: bool = True,
-    kernel: str = "fast",
-    use_grid: bool = False,
-) -> tuple[Time, Time, int]:
-    """Exact flip of the Theorem-5 (γ) test: ``(T_star, T_witness, calls)``.
-
-    ``use_base_jump=False`` disables the Class-Jumping acceleration and
-    scans every piece from ``T_min`` — the slow reference used by tests and
-    the ablation benchmark.  ``kernel`` selects the scaled-integer or the
-    Fraction dual test for the accept/structure probes (identical
-    decisions either way; the knapsack stable-point analysis reads one
-    full ``pmtn_dual_test`` partition per piece on the exact reference);
-    the fast kernel reads ``instance`` and its caches directly, so a
-    machine sweep's cache-sharing copies probe warm.
-    ``use_grid=True`` batches the base-flip bisections through a
-    one-member :class:`~repro.core.xbatch.BatchDualContext`.  All probes
-    are memoized on the normalized ``(numerator, denominator)`` pair —
-    the scan re-tests piece endpoints, so dedup saves real work here.
-    """
-    fast = validate_kernel(kernel)
-    grid = use_grid and fast
-    T_star, T_witness, calls = drive_plan(
-        flip_plan_pmtn(instance, use_base_jump=use_base_jump, grid=grid),
-        probe_evaluator(instance, fast=fast, grid=grid),
-    )
-    return fast_fraction(*T_star), fast_fraction(*T_witness), calls
-
-
 def flip_plan_pmtn(instance: Instance, *, use_base_jump: bool = True, grid: bool = False):
     """Algorithm 4 + piece scan as a plan; returns ``(T*, witness, calls)``.
 
-    γ-test probes are memoized as full verdicts (``accept`` is the
-    verdict's flag, so re-testing an endpoint is free) and counted; the
-    base flip's probes ride through :func:`base_flip_plan` uncounted.
-    The knapsack stable-point analysis stays inline plan computation —
-    pair arithmetic plus one reference partition read per piece.
+    ``T*`` and the witness come back as normalized pairs.
+    ``use_base_jump=False`` disables the Class-Jumping acceleration and
+    scans every piece from ``T_min`` — the slow reference used by tests
+    and the ablations; ``grid=True`` resolves the base-flip bisections
+    in candidate blocks.  γ-test probes are memoized as full verdicts
+    (``accept`` is the verdict's flag, so re-testing an endpoint is
+    free) and counted; the base flip's probes ride through
+    :func:`base_flip_plan` uncounted.  The knapsack stable-point
+    analysis stays inline plan computation — pair arithmetic plus one
+    reference partition read per piece.
     """
     memo: dict[tuple[int, int], PmtnVerdict] = {}
     counted = [0]
@@ -493,13 +445,3 @@ def flip_plan_pmtn(instance: Instance, *, use_base_jump: bool = True, grid: bool
     assert (yield from probe(thi)).accepted
     return thi, thi, counted[0]
 
-
-def three_halves_preemptive(
-    instance: Instance, *, kernel: str = "fast", use_grid: bool = False
-) -> PmtnJumpResult:
-    """Theorem 6 — 3/2-approximation for ``P|pmtn,setup=s_i|Cmax``."""
-    T_star, T_witness, calls = find_flip_pmtn(instance, kernel=kernel, use_grid=use_grid)
-    schedule = pmtn_dual_schedule(instance, T_witness, mode="gamma", kernel=kernel)
-    return PmtnJumpResult(
-        T_star=T_star, T_witness=T_witness, schedule=schedule, accept_calls=calls
-    )

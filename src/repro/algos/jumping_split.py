@@ -22,97 +22,36 @@ below the returned value provably rejected; the returned value is therefore
 ≤ OPT and the built schedule is a 3/2-approximation.
 
 The probe sequence lives in :func:`flip_plan_splittable`, a resumable
-probe plan (see :mod:`repro.algos.search`): :func:`find_flip_splittable`
-and :func:`repro.algos.api.solve_point` drive it against the shared
-per-item :func:`~repro.algos.search.probe_evaluator`, and the xbatch
-coordinator drives the *same* generator in lockstep with other items'
-searches — identical probes by construction.
+probe plan (see :mod:`repro.algos.search`):
+:func:`repro.algos.api.solve_point` drives it against the shared
+per-item :func:`~repro.algos.search.probe_evaluator` and builds the
+schedule at the returned flip, and the xbatch coordinator drives the
+*same* generator in lockstep with other items' searches — identical
+probes by construction.  Tests and ablations that study the flip itself
+drive the plan with :func:`~repro.algos.search.drive_plan`.
 
 The plan runs on the scaled-integer tier: candidates are normalized
 ``(num, den)`` pairs (canonical per rational, so every probe value, memo
 key and jump set matches the historic Fraction plan bit-for-bit), and the
 only Fractions are the ones the evaluator's fraction-kernel branch hands
-to the reference dual test, plus the returned ``T*``.
+to the reference dual test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from ..core.bounds import Variant, t_min
-from ..core.fastnum import (
-    as_pair,
-    norm_pair,
-    pair_ceil,
-    pair_cmp,
-    pair_key,
-    validate_kernel,
-)
+from ..core.fastnum import as_pair, norm_pair, pair_ceil, pair_cmp, pair_key
 from ..core.instance import Instance
-from ..core.numeric import Time, fast_fraction
-from ..core.schedule import Schedule
-from .search import (
-    Pair,
-    ProbeRequest,
-    drive_plan,
-    plan_accept,
-    probe_evaluator,
-    right_interval_plan,
-)
-from .splittable import split_dual_schedule
-
-
-@dataclass(frozen=True)
-class JumpSearchResult:
-    """Flip point, schedule built at it, and bookkeeping for ablations."""
-
-    T_star: Time
-    schedule: Schedule
-    accept_calls: int
-    #: proven approximation factor of the schedule (always 3/2 here since
-    #: T_star ≤ OPT and makespan ≤ (3/2)·T_star).
-    ratio_bound: Fraction = Fraction(3, 2)
-
-
-def three_halves_splittable(
-    instance: Instance, *, kernel: str = "fast", use_grid: bool = False
-) -> JumpSearchResult:
-    """Theorem 3 — 3/2-approximation in ``O(n + c log(c+m))``."""
-    T_star, calls = find_flip_splittable(instance, kernel=kernel, use_grid=use_grid)
-    schedule = split_dual_schedule(instance, T_star, kernel=kernel)
-    return JumpSearchResult(T_star=T_star, schedule=schedule, accept_calls=calls)
-
-
-def find_flip_splittable(
-    instance: Instance, *, kernel: str = "fast", use_grid: bool = False
-) -> tuple[Time, int]:
-    """Locate ``T* = min accepted T`` via Algorithm 1. Returns (T*, #tests).
-
-    The ``O(log(c+m))`` accept probes run on the scaled-integer kernel by
-    default; ``kernel="fraction"`` probes the Theorem-7 reference instead
-    (bit-identical decisions, differential-tested); the fast kernel reads
-    ``instance`` and its caches directly, so a machine sweep's
-    cache-sharing copies probe warm.  ``use_grid=True`` evaluates the
-    candidate lists as blocks through a one-member
-    :class:`~repro.core.xbatch.BatchDualContext` (identical flip, since
-    ``L_split``/``m_exp`` are monotone).  All probes are memoized, so
-    interval endpoints shared across the search phases are tested once.
-    """
-    fast = validate_kernel(kernel)
-    grid = use_grid and fast
-    T, calls = drive_plan(
-        flip_plan_splittable(instance, grid=grid),
-        probe_evaluator(instance, fast=fast, grid=grid),
-    )
-    return fast_fraction(*T), calls
+from .search import Pair, ProbeRequest, plan_accept, right_interval_plan
 
 
 def flip_plan_splittable(instance: Instance, *, grid: bool = False):
     """Algorithm 1's probe sequence; returns ``(T_star, accept_calls)``.
 
-    ``T_star`` comes back as a normalized pair; drivers rebuild the
-    Fraction at the result boundary.
+    ``T_star`` comes back as a normalized pair.  ``grid=True`` resolves
+    the candidate lists in blocks (identical flip, since
+    ``L_split``/``m_exp`` are monotone).  All probes are memoized, so
+    interval endpoints shared across the search phases are tested once.
     """
     memo: dict[tuple[int, int], bool] = {}
     counted = [0]

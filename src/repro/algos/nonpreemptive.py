@@ -51,9 +51,10 @@ only provide the item representation:
   and benchmark baseline.  Both tiers produce identical schedules bit for
   bit (``tests/test_fastnum_differential.py``).
 
-Theorem 8 then wraps this dual in an integer binary search: ``OPT ∈ N``,
-so the search returns ``T ≤ OPT`` exactly and the ratio is a true 3/2 in
-``O(n log(n+Δ))``.
+Theorem 8 then wraps this dual in an integer binary search
+(:func:`repro.algos.search.integer_probe_plan`, run by
+:func:`repro.solve`): ``OPT ∈ N``, so the search returns ``T ≤ OPT``
+exactly and the ratio is a true 3/2 in ``O(n log(n+Δ))``.
 """
 
 from __future__ import annotations
@@ -64,16 +65,15 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional
 
-from ..core.bounds import Variant, setup_plus_tmax, t_min
+from ..core.bounds import setup_plus_tmax
 from ..core.classification import NonpPartition, nonp_partition, nonp_partition_fast
 from ..core.errors import ConstructionError, RejectedMakespanError
 from ..core.fastnum import fast_nonp_test, validate_kernel
 from ..core.instance import Instance, JobRef
 from ..core.itemstore import CROSSED, FROM_STEP3, PIECE, REMOVED, ItemStore
-from ..core.numeric import Time, TimeLike, as_time, fast_fraction, time_str
+from ..core.numeric import Time, TimeLike, as_time, time_str
 from ..core.schedule import Placement, Schedule
 from ..core.wrapping import wrap_quota_store
-from .search import SearchResult, drive_plan, integer_probe_plan, probe_evaluator
 
 
 @dataclass(frozen=True)
@@ -898,7 +898,6 @@ def nonp_dual_schedule(
     stages_out: Optional[dict] = None,
     *,
     kernel: str = "fast",
-    pretested: bool = False,
 ) -> Schedule:
     """Theorem 9(ii): a feasible non-preemptive schedule ≤ 3T/2.
 
@@ -911,72 +910,37 @@ def nonp_dual_schedule(
     pre-multiplied by the denominator of ``T``, steps emitted as bulk
     window slices); ``kernel="fraction"`` keeps the historical per-item
     rational arithmetic.  Both tiers share one driver (step logic cannot
-    drift) and produce identical schedules bit for bit.
-
-    ``pretested=True`` skips the Theorem-9 re-test: for callers that just
-    accepted ``T`` through the same kernel (the searches' build hooks).
-    The partition and construction are unchanged; passing an unaccepted
-    ``T`` voids the 3T/2 guarantee instead of raising.
+    drift) and produce identical schedules bit for bit.  Both re-test
+    ``T`` first and raise :class:`~repro.core.errors.RejectedMakespanError`
+    on a rejected one.
     """
     T = as_time(T)
     if not validate_kernel(kernel):
-        if pretested:
-            part = nonp_partition(instance, T)
-        else:
-            dual = nonp_dual_test(instance, T)
-            if not dual.accepted:
-                raise RejectedMakespanError(
-                    f"T={time_str(T)} rejected by Theorem 9: "
-                    f"{', '.join(dual.reject_reasons)}"
-                )
-            part = dual.partition
-            assert part is not None
+        dual = nonp_dual_test(instance, T)
+        if not dual.accepted:
+            raise RejectedMakespanError(
+                f"T={time_str(T)} rejected by Theorem 9: "
+                f"{', '.join(dual.reject_reasons)}"
+            )
+        part = dual.partition
+        assert part is not None
         return _ReferenceBuilder(instance, T, part, stages_out).run()
     # Kernel-complete acceptance + partition: verdict through the scaled-int
     # test, the full Appendix-D partition through its integer twin (the
     # Fraction nonp_dual_test stays untouched as the reference path).
-    if not pretested:
-        verdict = fast_nonp_test(instance, T.numerator, T.denominator)
-        if not verdict.accepted:
-            if T.numerator < setup_plus_tmax(instance) * T.denominator:
-                reasons = ["T < max(s_i + t_max^i)"]
-            else:
-                reasons = []
-                if instance.m * T.numerator < verdict.load * T.denominator:
-                    reasons.append("mT < L_nonp")
-                if instance.m < verdict.machines_needed:
-                    reasons.append("m < m'")
-            raise RejectedMakespanError(
-                f"T={time_str(T)} rejected by Theorem 9: {', '.join(reasons)}"
-            )
+    verdict = fast_nonp_test(instance, T.numerator, T.denominator)
+    if not verdict.accepted:
+        if T.numerator < setup_plus_tmax(instance) * T.denominator:
+            reasons = ["T < max(s_i + t_max^i)"]
+        else:
+            reasons = []
+            if instance.m * T.numerator < verdict.load * T.denominator:
+                reasons.append("mT < L_nonp")
+            if instance.m < verdict.machines_needed:
+                reasons.append("m < m'")
+        raise RejectedMakespanError(
+            f"T={time_str(T)} rejected by Theorem 9: {', '.join(reasons)}"
+        )
     part = nonp_partition_fast(instance, T)
     return _StoreBuilder(instance, T, part, stages_out).run()
 
-
-def three_halves_nonpreemptive(
-    instance: Instance,
-    *,
-    kernel: str = "fast",
-    build_schedule: bool = True,
-) -> SearchResult:
-    """Theorem 8 — 3/2-approximation in ``O(n log(n+Δ))``.
-
-    ``kernel="fast"`` (default) probes the Theorem-9 test through the
-    scaled-integer kernel (:func:`repro.core.fastnum.fast_nonp_test`);
-    ``kernel="fraction"`` keeps the exact-rational reference path.  Both
-    make identical accept/reject decisions (differential-tested), hence
-    return identical schedules.  ``build_schedule=False`` returns the
-    certified ``T`` without materializing the schedule.
-    """
-    fast = validate_kernel(kernel)
-    T, calls = drive_plan(
-        integer_probe_plan(t_min(instance, Variant.NONPREEMPTIVE), "nonp"),
-        probe_evaluator(instance, fast=fast),
-    )
-    T = fast_fraction(*T)
-    schedule = (
-        nonp_dual_schedule(instance, T, kernel=kernel, pretested=True)
-        if build_schedule
-        else None
-    )
-    return SearchResult(T, schedule, certificate_lo=T, accept_calls=calls)

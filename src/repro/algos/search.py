@@ -1,32 +1,34 @@
-"""Dual-approximation search routines (Theorems 2 and 8) and references.
+"""Dual-approximation probe plans (Theorems 2, 3, 6 and 8) and references.
 
 A ρ-dual approximation (Hochbaum–Shmoys) takes the input and a makespan
 ``T`` and either builds a feasible schedule with makespan ≤ ρT or *rejects*
 ``T``, certifying ``T < OPT``.  Each variant provides such a dual with
-ρ = 3/2; this module turns them into approximation algorithms:
+ρ = 3/2; this module holds the searches that turn them into
+approximation algorithms, as probe plans (see below):
 
-* :func:`binary_search_dual` — Theorem 2: bisect ``[T_min, 2T_min]`` for
+* :func:`eps_probe_plan` — Theorem 2: bisect ``[T_min, 2T_min]`` for
   ``O(log 1/ε)`` rounds; the returned ``T`` satisfies ``T ≤ (1+ε)·OPT``,
   hence ratio ``(3/2)(1+ε)``.
 * :func:`integer_probe_plan` — Theorem 8: for the non-preemptive problem
   ``OPT ∈ N``, so bisecting integers finds ``T ≤ OPT`` *exactly* in
   ``O(log T_min) = O(log(n+Δ))`` accept-tests; ratio exactly 3/2.
-* :func:`right_interval_plan` — the primitive behind Class Jumping: given
-  candidates ``c_0 < … < c_k`` with ``c_0`` rejected and ``c_k`` accepted,
-  find an adjacent rejected/accepted pair.
+* :func:`right_interval_plan` — the primitive behind Class Jumping
+  (:mod:`repro.algos.jumping_split`, :mod:`repro.algos.jumping_pmtn`):
+  given candidates ``c_0 < … < c_k`` with ``c_0`` rejected and ``c_k``
+  accepted, find an adjacent rejected/accepted pair.
 * :func:`slow_flip_splittable` — an O(#pieces) reference computation of the
   exact acceptance flip point ``T* = min{T : accepted}`` for the splittable
   dual, used to cross-validate Algorithm 1 in tests and ablations.
 
-The searches are *probe plans* (generators, see below) and
-kernel-agnostic: one per-item evaluator, :func:`probe_evaluator`,
-answers every plan's requests on either the scaled-integer kernel
+The plans are kernel-agnostic.  :func:`drive_plan` runs one against an
+evaluator; the one per-item evaluator, :func:`probe_evaluator`, answers
+every plan's requests on either the scaled-integer kernel
 (:mod:`repro.core.fastnum`, default) or the Fraction reference tests,
 and :func:`accept_flags` reads accept bits off the verdicts for it and
 for the lockstep coordinator alike.  Every probed ``T`` is an exact
 rational, so both kernels see identical probe sequences and return
-identical results.  :func:`binary_search_dual` keeps Theorem 2's
-black-box form: its ``accept`` is any caller-supplied predicate.
+identical results.  :func:`repro.algos.api.solve_point` is the driver
+that turns a plan's result into a certified solve.
 
 Two batching hooks sit on top of that contract:
 
@@ -34,10 +36,11 @@ Two batching hooks sit on top of that contract:
   candidate blocks (``"accept_block"`` requests, :data:`GRID_BLOCK`
   candidates each) instead of ``O(log k)`` sequential probes and locates
   the flip by scanning the returned bits — ``O(log_B k)`` block calls.
-  The splittable and preemptive flip searches answer those blocks
-  through :meth:`repro.core.xbatch.BatchDualContext.evaluate`.  For the
-  monotone accept predicates the flip searches are built on, the result
-  is identical to the sequential bisection.
+  On the fast kernel :func:`probe_evaluator` answers a block through
+  :meth:`repro.core.xbatch.BatchDualContext.evaluate`; on the fraction
+  kernel, candidate by candidate.  For the monotone accept predicates
+  the flip searches are built on, the result is identical to the
+  sequential bisection.
 * the plans memoize their probes (:func:`plan_accept` /
   :func:`plan_accept_block`, keyed on the gcd-normalized ``(numerator,
   denominator)`` pair, so equal rationals written in different forms can
@@ -45,14 +48,13 @@ Two batching hooks sit on top of that contract:
   endpoints across phases — with the memo each distinct ``T`` hits the
   kernel once.
 
-Since PR 9 the probe *plans* themselves run on the scaled-integer tier:
-candidates travel as normalized ``(num, den)`` int pairs
-(:func:`repro.core.fastnum.norm_pair` — canonical per rational, so pair
-arithmetic reproduces the historic Fraction plans' probe values, memo
-keys and dedup bit-for-bit), and :class:`fractions.Fraction` objects are
-built only at the boundaries: the caller-supplied ``accept`` callable
-(:func:`_black_box_evaluator`), the fraction-kernel branch of
-:func:`probe_evaluator`, and the results the drivers return.
+The probe plans run on the scaled-integer tier: candidates travel as
+normalized ``(num, den)`` int pairs (:func:`repro.core.fastnum.norm_pair`
+— canonical per rational, so pair arithmetic reproduces the historic
+Fraction plans' probe values, memo keys and dedup bit-for-bit), and
+:class:`fractions.Fraction` objects are built only at the boundaries:
+the fraction-kernel branch of :func:`probe_evaluator` and the results
+:func:`repro.algos.api.prepare`'s ``finish`` certifies.
 
 Every probe loop additionally polls :func:`repro.core.cancel.
 check_cancelled` between dual tests: a solve running under a
@@ -64,9 +66,8 @@ are bit-identical whenever the token does not fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from ..core.bounds import Variant, t_min
 from ..core.cancel import check_cancelled
@@ -85,12 +86,8 @@ from ..core.fastnum import (
 )
 from ..core.instance import Instance
 from ..core.numeric import Time, TimeLike, fast_fraction, frac_ceil
-from ..core.schedule import Schedule
 from ..core.xbatch import BatchDualContext
 from ..obs.trace import count as obs_count, count_probe as obs_count_probe
-
-AcceptFn = Callable[[Time], bool]
-BuildFn = Callable[[Time], Schedule]
 
 #: A normalized ``(num, den)`` rational — the plan tier's number type.
 Pair = tuple[int, int]
@@ -109,9 +106,8 @@ _MISSING = object()
 # A *plan* is a generator that encodes one search's probe sequence: it
 # yields ProbeRequest values, receives the corresponding verdict list via
 # ``send``, and returns its result through StopIteration.  The sequential
-# drivers (repro.algos.api.solve_point, binary_search_dual, the flip
-# searches in jumping_split / jumping_pmtn) drive these same plans
-# against a per-item evaluator, while the xbatch coordinator
+# driver (repro.algos.api.solve_point, via drive_plan) runs a plan
+# against the per-item probe_evaluator, while the xbatch coordinator
 # (repro.algos.batch_api, xbatch=True) advances many items' plans in
 # lockstep rounds and fuses each round's requests into one
 # repro.core.xbatch kernel call.  Because both paths run the identical
@@ -134,10 +130,9 @@ class ProbeRequest(NamedTuple):
     ``"verdict"`` (full dual verdicts — SplitVerdict / PmtnVerdict /
     ``(load, m')`` — for the constant-piece case analyses).  ``kind``
     names the dual test (``split`` / ``nonp`` / ``pmtn`` / ``pmtn_base``)
-    and ``mode`` the preemptive counting mode; sequential drivers that
-    already close over their kernel ignore both.  ``times`` holds the
+    and ``mode`` the preemptive counting mode.  ``times`` holds the
     probed candidates as normalized ``(num, den)`` pairs — the scaled-int
-    evaluators feed them to the kernels directly, the black-box boundary
+    evaluators feed them to the kernels directly, the fraction kernel
     rebuilds Fractions.  The response sent back into the plan must be a
     sequence aligned with ``times``.
     """
@@ -250,7 +245,8 @@ def eps_probe_plan(tmin: TimeLike, eps: Fraction, kind: str, mode: str):
     """Theorem 2's probe sequence; returns ``(T, certificate_lo, calls)``.
 
     ``T`` and ``certificate_lo`` come back as normalized pairs; the
-    drivers rebuild Fractions at the result boundary.
+    driver rebuilds Fractions at the result boundary.  ``eps`` must be
+    positive (checked with the request's names, before any solve).
     """
     tmin = norm_pair(*as_pair(tmin))
     tn, td = tmin
@@ -291,63 +287,6 @@ def integer_probe_plan(tmin: TimeLike, kind: str):
     return (hi, 1), calls
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """A makespan guess with its schedule and the search's certificate.
-
-    ``schedule`` is ``None`` when the caller ran a bounds-only search
-    (``build=None``) — machine sweeps use this to resolve the ``T*``
-    curve without materializing a schedule per point.
-    """
-
-    T: Time                    # the accepted guess the schedule was built for
-    schedule: Optional[Schedule]
-    certificate_lo: Time       # every T' < certificate_lo is proven < OPT...
-    accept_calls: int          # ...so makespan ≤ (3/2)·T ≤ (3/2)(T/certificate_lo)·OPT
-
-    @property
-    def ratio_bound(self) -> Fraction:
-        """Proven approximation factor ``(3/2)·T / certificate_lo``."""
-        return Fraction(3, 2) * self.T / self.certificate_lo
-
-
-def binary_search_dual(
-    instance: Instance,
-    variant: Variant,
-    accept: AcceptFn,
-    build: Optional[BuildFn],
-    eps: Fraction = Fraction(1, 100),
-) -> SearchResult:
-    """Theorem 2 — (3/2)(1+ε)-approximation with O(log 1/ε) dual tests."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    tmin = t_min(instance, variant)
-    plan = eps_probe_plan(tmin, eps, "", "")
-    T, lo, calls = drive_plan(plan, _black_box_evaluator(accept))
-    T = fast_fraction(*T)
-    return SearchResult(
-        T, None if build is None else build(T), certificate_lo=fast_fraction(*lo),
-        accept_calls=calls,
-    )
-
-
-def _black_box_evaluator(accept: AcceptFn):
-    """Route plan requests to a caller-supplied ``accept`` predicate.
-
-    This is the pair→Fraction boundary for black-box searches: the
-    caller's ``accept`` speaks :class:`Time`, so each probed pair is
-    rebuilt via ``fast_fraction`` here (pairs are already normalized —
-    the slot-writing constructor skips the gcd).  One cancellation poll
-    per request, like every sequential evaluator.
-    """
-
-    def evaluate(req: ProbeRequest) -> list[bool]:
-        check_cancelled()  # probe boundary
-        return [accept(fast_fraction(tn, td)) for tn, td in req.times]
-
-    return evaluate
-
-
 def accept_flags(kind: str, m: int, times: Sequence[Pair], verdicts) -> list[bool]:
     """Accept bits of ``verdicts`` probed at ``times`` on ``m`` machines.
 
@@ -370,13 +309,16 @@ def probe_evaluator(instance: Instance, *, fast: bool, grid: bool = False):
     one-member context of ``instance`` (the kernels read the instance
     and its shared caches directly, so a cache-sharing ``with_machines``
     copy probes warm), else through its Fraction-reference twin
-    :func:`_fraction_probe`;
-    with ``grid``, ``accept_block`` requests go to that context's fused
-    :meth:`~repro.core.xbatch.BatchDualContext.evaluate`.  Accept
-    requests poll cancellation at the probe boundary; ``verdict``
-    requests (the flip searches' raw case-analysis reads) never do.
+    :func:`_fraction_probe`.  With ``grid`` on the fast kernel,
+    ``accept_block`` requests go to that context's fused
+    :meth:`~repro.core.xbatch.BatchDualContext.evaluate`; the fraction
+    kernel answers a block candidate by candidate, like any accept
+    request.  Accept requests poll cancellation at the probe boundary;
+    ``verdict`` requests (the flip searches' raw case-analysis reads)
+    never do.
     """
     m = instance.m
+    fused = grid and fast
     if fast:
         xctx = BatchDualContext([instance])
         scalar = xctx.scalar_one
@@ -393,7 +335,7 @@ def probe_evaluator(instance: Instance, *, fast: bool, grid: bool = False):
         if req.op == "verdict":
             return [one(kind, mode, tn, td) for tn, td in times]
         check_cancelled()  # probe boundary: no partial state to unwind
-        if grid and req.op == "accept_block":
+        if fused and req.op == "accept_block":
             verdicts = xctx.evaluate(kind, mode, [(0, tn, td) for tn, td in times])
         else:
             verdicts = [one(kind, mode, tn, td) for tn, td in times]

@@ -3,8 +3,9 @@
 * R1: ratio vs *exact OPT* on the small suite (non-preemptive DP,
   splittable Hall enumeration) and vs lower bounds on medium/adversarial
   suites, for the 2-approx, (3/2+ε) and 3/2 algorithms plus baselines.
-* A1: Class Jumping vs the slow flip reference vs (3/2+ε) binary search —
-  identical flip points, dual-test counts compared.
+* A1: Class Jumping vs the slow flip references — identical flip points,
+  dual-test counts compared.  The flip plans are driven directly on the
+  fast kernel (:func:`~repro.algos.search.drive_plan`).
 * A2: α vs γ machine counting in the preemptive dual — both are valid;
   γ (the Class-Jumping variant) may accept slightly earlier/later, the
   built schedules stay within 3T/2.
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..algos.api import solve
-from ..algos.jumping_pmtn import find_flip_pmtn
-from ..algos.jumping_split import find_flip_splittable
-from ..algos.search import slow_flip_splittable
+from ..algos.jumping_pmtn import flip_plan_pmtn
+from ..algos.jumping_split import flip_plan_splittable
+from ..algos.search import drive_plan, probe_evaluator, slow_flip_splittable
 from ..analysis.reporting import fmt_ratio, format_table
 from ..core.bounds import Variant, lower_bound
 from ..core.instance import Instance
@@ -122,7 +123,10 @@ def run_jump_ablation() -> list[JumpAblationRow]:
     rows = []
     for label, inst in medium_suite() + adversarial_suite():
         t0 = time.perf_counter()
-        fast, calls = find_flip_splittable(inst)
+        fast, calls = drive_plan(
+            flip_plan_splittable(inst), probe_evaluator(inst, fast=True)
+        )
+        fast = Fraction(*fast)
         t1 = time.perf_counter()
         slow = slow_flip_splittable(inst)
         t2 = time.perf_counter()
@@ -135,13 +139,18 @@ def run_jump_ablation() -> list[JumpAblationRow]:
         )
     for label, inst in medium_suite()[:6]:
         t0 = time.perf_counter()
-        fast_star, fast_wit, calls = find_flip_pmtn(inst, use_base_jump=True)
+        fast_star, fast_wit, calls = drive_plan(
+            flip_plan_pmtn(inst), probe_evaluator(inst, fast=True)
+        )
         t1 = time.perf_counter()
-        slow_star, slow_wit, _ = find_flip_pmtn(inst, use_base_jump=False)
+        slow_star, slow_wit, _ = drive_plan(
+            flip_plan_pmtn(inst, use_base_jump=False), probe_evaluator(inst, fast=True)
+        )
         t2 = time.perf_counter()
         rows.append(
             JumpAblationRow(
-                label=f"pmtn/{label}", flip_fast=fast_star, flip_slow=slow_star,
+                label=f"pmtn/{label}", flip_fast=Fraction(*fast_star),
+                flip_slow=Fraction(*slow_star),
                 agree=(fast_star, fast_wit) == (slow_star, slow_wit),
                 calls_fast=calls, seconds_fast=t1 - t0, seconds_slow=t2 - t1,
             )

@@ -362,14 +362,15 @@ def run_construction_scaling(
     reference; ``benchmarks/run_bench.py`` pins the same quantity as the
     ``speedup/nonp-construct`` family.
     """
-    from ..algos.nonpreemptive import nonp_dual_schedule, three_halves_nonpreemptive
+    from ..algos.api import solve_point
+    from ..algos.nonpreemptive import nonp_dual_schedule
 
     sizes = list(sizes) if sizes is not None else [100, 200, 400, 800, 1600]
     out = []
     for n in sizes:
         c = max(2, n // 20)
         inst = uniform_instance(m=max(2, n // 50), c=c, n_per_class=n // c, seed=500 + n)
-        T = three_halves_nonpreemptive(inst, build_schedule=False).T
+        T = solve_point(inst, Variant.NONPREEMPTIVE, schedules=False).T
         best = {"fast": float("inf"), "fraction": float("inf")}
         for kernel in KERNELS:
             for _ in range(repeats):

@@ -30,9 +30,8 @@ Counter glossary (what the seams report):
                            kind/mode, counted where a request leaves its
                            plan: by ``drive_plan`` on the sequential path
                            and by the lockstep coordinator when it
-                           collects a round (``-`` for a blank kind or
-                           mode: modeless kinds and the black-box
-                           ``binary_search_dual``)
+                           collects a round (``-`` for a blank mode:
+                           the modeless kinds)
 ``memo.hit``               accept-memo cache hits (no kernel call)
 ``memo.call``              distinct kernel accept evaluations
 ``dispatch.grid``          dual searches dispatched to the vectorized

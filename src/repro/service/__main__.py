@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="global admitted-request window (default 64)")
     parser.add_argument("--max-instances", type=int, default=8,
                         help="per-shard LRU bound on warm instances (default 8)")
-    parser.add_argument("--kernel", choices=["fast", "fraction"], default="fast",
-                        help="numeric kernel for every solve (default fast)")
     parser.add_argument("--queue-bound", type=int, default=64,
                         help="per-shard pending-queue bound; submits beyond it "
                              "are shed with a retryable 'overloaded' error "
@@ -90,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--xbatch", action="store_true",
                         help="fuse each micro-batch's dual tests across "
                              "instances into one padded grid evaluation "
-                             "(bit-identical results; fast kernel only)")
+                             "(bit-identical results)")
     parser.add_argument("--faults", type=_parse_faults, metavar="PLAN",
                         default=None,
                         help="arm a deterministic fault plan (testing only): "
@@ -114,7 +112,6 @@ async def _amain(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_inflight=args.max_inflight,
         max_instances=args.max_instances,
-        kernel=args.kernel,
         queue_bound=args.queue_bound,
         max_restarts=args.max_restarts,
         restart_backoff=args.restart_backoff,

@@ -42,7 +42,6 @@ from typing import Iterable, Optional
 
 from ..algos.batch_api import _validate_request
 from ..core.cancel import CancelToken
-from ..core.fastnum import validate_kernel
 from ..obs.metrics import Metrics, RequestTimes
 from ..obs.trace import TraceWriter
 from .faults import FaultPlan
@@ -96,7 +95,6 @@ class ServiceConfig:
     max_batch: int = 16
     max_inflight: int = 64
     max_instances: int = 8
-    kernel: str = "fast"
     queue_bound: int = 64
     max_restarts: int = 3
     restart_backoff: float = 0.05
@@ -109,7 +107,6 @@ class ServiceConfig:
     slow_ms: Optional[int] = None
 
     def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
         if self.workers not in ("thread", "process"):
             raise ValueError(
                 f"workers must be 'thread' or 'process', got {self.workers!r}"
@@ -263,7 +260,6 @@ class SolveService:
         shard_kwargs = dict(
             max_batch=self.config.max_batch,
             max_instances=self.config.max_instances,
-            kernel=self.config.kernel,
             queue_bound=self.config.queue_bound,
             max_restarts=self.config.max_restarts,
             restart_backoff=self.config.restart_backoff,
@@ -339,9 +335,11 @@ class SolveService:
         """
         if not self._started or self._closed:
             raise RuntimeError("service is not running (use 'async with' or start())")
-        # Fail fast in the caller's task: names checked before dispatch,
-        # so a bad request never occupies a backpressure slot.
-        _validate_request(request.variant, request.algorithm, request.schedules)
+        # Fail fast in the caller's task: names and eps checked before
+        # dispatch, so a bad request never occupies a backpressure slot.
+        _validate_request(
+            request.variant, request.algorithm, request.schedules, request.eps
+        )
         item = request.to_item()
         token = None
         if request.timeout_ms is not None:

@@ -369,7 +369,7 @@ def _error_outcome(exc: Exception) -> tuple:
     return ("err", "internal", "internal error", False)
 
 
-def _run_batch(items_wire, *, lru, kernel, xbatch=False, metrics=None,
+def _run_batch(items_wire, *, lru, xbatch=False, metrics=None,
                spans=None, span_name="batch") -> list[tuple]:
     """Solve one micro-batch: the child-side mirror of ``Shard._dispatch``.
 
@@ -403,8 +403,8 @@ def _run_batch(items_wire, *, lru, kernel, xbatch=False, metrics=None,
     with TraceScope(span_name, propagate=False) as scope:
         try:
             results = solve_batch(
-                items, kernel=kernel, reps=lru, cancels=tokens,
-                before_solve=before, xbatch=xbatch,
+                items, reps=lru, cancels=tokens, before_solve=before,
+                xbatch=xbatch,
             )
         except Exception:
             # Same per-item isolation as the thread backend: one bad
@@ -413,8 +413,8 @@ def _run_batch(items_wire, *, lru, kernel, xbatch=False, metrics=None,
             for item, token in zip(items, tokens):
                 try:
                     result = solve_batch(
-                        [item], kernel=kernel, reps=lru,
-                        cancels=[token], before_solve=before, xbatch=xbatch,
+                        [item], reps=lru, cancels=[token],
+                        before_solve=before, xbatch=xbatch,
                     )[0]
                 except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
                     outcomes.append(_error_outcome(exc))
@@ -452,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="One process-shard child worker (spawned by ProcessShard).",
     )
     parser.add_argument("--shard", type=int, required=True)
-    parser.add_argument("--kernel", default="fast")
     parser.add_argument("--max-instances", type=int, default=8)
     parser.add_argument("--heartbeat-ms", type=int, default=100)
     parser.add_argument("--xbatch", action="store_true")
@@ -500,7 +499,7 @@ def main(argv=None) -> int:
             _, batch_id, items_wire = msg
             spans: list = []
             outcomes = _run_batch(
-                items_wire, lru=lru, kernel=args.kernel, xbatch=args.xbatch,
+                items_wire, lru=lru, xbatch=args.xbatch,
                 metrics=metrics, spans=spans,
                 span_name=f"shard{args.shard}.batch",
             )
@@ -530,10 +529,9 @@ class WorkerProc:
     gone and no further frame will ever arrive.
     """
 
-    def __init__(self, shard: int, *, kernel: str, max_instances: int,
+    def __init__(self, shard: int, *, max_instances: int,
                  heartbeat_ms: int = 100, xbatch: bool = False) -> None:
         self.shard = shard
-        self.kernel = kernel
         self.max_instances = max_instances
         self.heartbeat_ms = heartbeat_ms
         self.xbatch = xbatch
@@ -552,7 +550,6 @@ class WorkerProc:
             sys.executable, "-c",
             "from repro.service.procworker import main; raise SystemExit(main())",
             "--shard", str(self.shard),
-            "--kernel", self.kernel,
             "--max-instances", str(self.max_instances),
             "--heartbeat-ms", str(self.heartbeat_ms),
         ]

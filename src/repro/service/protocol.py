@@ -340,7 +340,7 @@ def request_from_obj(obj) -> SolveRequest:
 
     algorithm = obj.get("algorithm", "three_halves")
     variant = _validate_request(
-        obj.get("variant", Variant.NONPREEMPTIVE), algorithm, schedules
+        obj.get("variant", Variant.NONPREEMPTIVE), algorithm, schedules, eps
     )
     return SolveRequest(
         instance=instance, variant=variant, algorithm=algorithm, eps=eps,

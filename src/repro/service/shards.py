@@ -98,15 +98,14 @@ class Shard:
     """One supervised fingerprint-affine worker (see module docstring)."""
 
     def __init__(self, index: int, *, max_batch: int, max_instances: int,
-                 kernel: str = "fast", queue_bound: int = 64,
-                 max_restarts: int = 3, restart_backoff: float = 0.05,
+                 queue_bound: int = 64, max_restarts: int = 3,
+                 restart_backoff: float = 0.05,
                  faults: Optional[FaultPlan] = None,
                  xbatch: bool = False) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.index = index
         self.max_batch = max_batch
-        self.kernel = kernel
         self.xbatch = xbatch
         self.queue_bound = queue_bound
         self.max_restarts = max_restarts
@@ -475,8 +474,8 @@ class Shard:
         with TraceScope(f"shard{self.index}", propagate=False) as scope:
             try:
                 results = solve_batch(
-                    [w.item for w in live], kernel=self.kernel, reps=self.lru,
-                    cancels=cancels, before_solve=before, xbatch=self.xbatch,
+                    [w.item for w in live], reps=self.lru, cancels=cancels,
+                    before_solve=before, xbatch=self.xbatch,
                 )
             except Exception:
                 # Isolate the offender: re-run item by item so the rest
@@ -486,9 +485,8 @@ class Shard:
                 for work in live:
                     try:
                         result = solve_batch(
-                            [work.item], kernel=self.kernel, reps=self.lru,
-                            cancels=[work.cancel], before_solve=before,
-                            xbatch=self.xbatch,
+                            [work.item], reps=self.lru, cancels=[work.cancel],
+                            before_solve=before, xbatch=self.xbatch,
                         )[0]
                     except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
                         self._resolve(work, None, self._request_error(exc))
@@ -687,7 +685,6 @@ class ProcessShard(Shard):
             self._retire_child()
         child = WorkerProc(
             self.index,
-            kernel=self.kernel,
             max_instances=self.lru.max_entries,
             heartbeat_ms=self.heartbeat_ms,
             xbatch=self.xbatch,

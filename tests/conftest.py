@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import repro.core.validate as validate_mod
+from repro.algos.search import drive_plan, probe_evaluator
 from repro.core import Instance, JobRef, Schedule
 
 #: The columnar validator's tiers: numpy int64 (when installed) and pure int.
@@ -45,6 +46,12 @@ def single_class() -> Instance:
 @pytest.fixture
 def single_machine() -> Instance:
     return Instance.build(1, [(2, [3]), (4, [1, 5])])
+
+
+def run_plan(plan, instance: Instance, *, fast: bool = True) -> tuple:
+    """Drive a probe plan on ``instance``; its ``(num, den)`` times as Fractions."""
+    res = drive_plan(plan, probe_evaluator(instance, fast=fast))
+    return tuple(Fraction(*x) if isinstance(x, tuple) else x for x in res)
 
 
 def mk(m: int, *classes: tuple[int, list[int]]) -> Instance:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algos.api import solve
+from repro.algos.api import solve, solve_point
 from repro.algos.jumping_pmtn import _base_core
 from repro.algos.nonpreemptive import nonp_dual_schedule, nonp_dual_test
 from repro.algos.pmtn_general import pmtn_dual_schedule, pmtn_dual_test
@@ -291,13 +291,12 @@ class TestRepairFlagsFuzz:
         return Instance.build(m, classes)
 
     def test_repair_flags_bit_identity(self):
-        from repro.algos.nonpreemptive import three_halves_nonpreemptive
         from repro.core.validate import validate_schedule_scalar, validate_columns
 
         totals = {"pieces": 0, "from_step3": 0, "crossed": 0, "removed": 0}
         for seed in self.SEEDS:
             inst = self.gen(seed)
-            T = three_halves_nonpreemptive(inst, build_schedule=False).T
+            T = solve_point(inst, Variant.NONPREEMPTIVE, schedules=False).T
             for T_probe in (T, T + 1):
                 stages: dict = {}
                 fast = nonp_dual_schedule(inst, T_probe, stages_out=stages)
@@ -324,11 +323,9 @@ class TestRepairFlagsFuzz:
 
     def test_stage_snapshots_match_reference(self):
         """Steps 1–3 snapshots are bit-identical across tiers too."""
-        from repro.algos.nonpreemptive import three_halves_nonpreemptive
-
         for seed in (3, 7, 21, 33):
             inst = self.gen(seed)
-            T = three_halves_nonpreemptive(inst, build_schedule=False).T
+            T = solve_point(inst, Variant.NONPREEMPTIVE, schedules=False).T
             fast_stages: dict = {}
             ref_stages: dict = {}
             nonp_dual_schedule(inst, T, stages_out=fast_stages)

@@ -1,4 +1,10 @@
-"""Tests for Class Jumping on the preemptive case (Algorithm 4, Theorem 6)."""
+"""Tests for Class Jumping on the preemptive case (Algorithm 4, Theorem 6).
+
+Flip-point and witness tests drive :func:`flip_plan_pmtn` itself (on
+every instance, ``m = 1`` and ``m ≥ n`` included), against its own
+``use_base_jump=False`` exhaustive scan; end-to-end tests take the 3/2
+schedule from :func:`repro.solve`.
+"""
 
 from fractions import Fraction
 
@@ -6,16 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import solve
 from repro.core import Instance, Variant, t_min, validate_schedule
 from repro.core.classification import gamma
-from repro.algos.jumping_pmtn import (
-    find_flip_pmtn,
-    gamma_closed,
-    three_halves_preemptive,
-)
+from repro.algos.jumping_pmtn import flip_plan_pmtn, gamma_closed
 from repro.algos.pmtn_general import pmtn_dual_test
 
-from .conftest import accepted_3a_instance, general_case_instance, mk
+from .conftest import accepted_3a_instance, general_case_instance, mk, run_plan
+
+
+def find_flip(inst, use_base_jump=True):
+    """``(T*, T_witness, accept_calls)`` of Algorithm 4's plan, fast kernel."""
+    return run_plan(flip_plan_pmtn(inst, use_base_jump=use_base_jump), inst)
 
 
 def inst_strategy(max_m=8, max_classes=6, max_jobs=5, max_t=20, max_s=12):
@@ -57,7 +65,7 @@ class TestGammaClosedForm:
 class TestFlipPoint:
     def test_trivial_single_machine(self):
         inst = mk(1, (2, [3]), (1, [4]))
-        T_star, T_wit, _ = find_flip_pmtn(inst)
+        T_star, T_wit, _ = find_flip(inst)
         assert T_star == T_wit == 10  # N on one machine
 
     def test_handpicked_match_slow_reference(self):
@@ -71,23 +79,23 @@ class TestFlipPoint:
             mk(7, (5, [30]), (5, [29]), (4, [2, 2])),
         ]
         for inst in cases:
-            fast = find_flip_pmtn(inst, use_base_jump=True)
-            slow = find_flip_pmtn(inst, use_base_jump=False)
+            fast = find_flip(inst, use_base_jump=True)
+            slow = find_flip(inst, use_base_jump=False)
             assert fast[0] == slow[0], inst.describe()
             assert fast[1] == slow[1], inst.describe()
 
     @settings(max_examples=100, deadline=None)
     @given(inst=inst_strategy())
     def test_matches_slow_reference(self, inst):
-        fast = find_flip_pmtn(inst, use_base_jump=True)
-        slow = find_flip_pmtn(inst, use_base_jump=False)
+        fast = find_flip(inst, use_base_jump=True)
+        slow = find_flip(inst, use_base_jump=False)
         assert fast[0] == slow[0]
         assert fast[1] == slow[1]
 
     @settings(max_examples=60, deadline=None)
     @given(inst=inst_strategy())
     def test_everything_below_flip_rejected(self, inst):
-        T_star, T_wit, _ = find_flip_pmtn(inst)
+        T_star, T_wit, _ = find_flip(inst)
         tmin = t_min(inst, Variant.PREEMPTIVE)
         assert pmtn_dual_test(inst, T_wit, mode="gamma").accepted
         if T_star > tmin:
@@ -98,31 +106,32 @@ class TestFlipPoint:
     @settings(max_examples=50, deadline=None)
     @given(inst=inst_strategy())
     def test_witness_tight(self, inst):
-        T_star, T_wit, _ = find_flip_pmtn(inst)
+        T_star, T_wit, _ = find_flip(inst)
         assert T_star <= T_wit <= T_star * (1 + Fraction(1, 2**40))
 
 
 class TestEndToEnd:
     def test_general_example(self):
         inst = general_case_instance()
-        res = three_halves_preemptive(inst)
+        res = solve(inst, Variant.PREEMPTIVE)
         cmax = validate_schedule(res.schedule, Variant.PREEMPTIVE)
-        assert cmax <= Fraction(3, 2) * res.T_witness
+        assert cmax <= Fraction(3, 2) * res.T
         assert res.ratio_bound <= Fraction(3, 2) * (1 + Fraction(1, 2**40))
 
     def test_accepted_3a_example(self):
         inst = accepted_3a_instance()
-        res = three_halves_preemptive(inst)
-        validate_schedule(res.schedule, Variant.PREEMPTIVE, Fraction(3, 2) * res.T_witness)
+        res = solve(inst, Variant.PREEMPTIVE)
+        validate_schedule(res.schedule, Variant.PREEMPTIVE, Fraction(3, 2) * res.T)
 
     @settings(max_examples=80, deadline=None)
     @given(inst=inst_strategy())
     def test_end_to_end_property(self, inst):
-        res = three_halves_preemptive(inst)
+        res = solve(inst, Variant.PREEMPTIVE)
         cmax = validate_schedule(res.schedule, Variant.PREEMPTIVE)
-        assert cmax <= Fraction(3, 2) * res.T_witness
+        assert cmax <= Fraction(3, 2) * res.T
+        # the certified T* (lower_bound = t_min never exceeds it)
         tmin = t_min(inst, Variant.PREEMPTIVE)
-        assert tmin <= res.T_star <= 2 * tmin
+        assert tmin <= res.opt_lower_bound <= 2 * tmin
 
     def test_previous_best_beaten(self):
         """Sanity: our ratio bound 3/2 < 2 − (⌊m/2⌋+1)^-1 for m ≥ 4."""

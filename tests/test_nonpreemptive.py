@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import solve
 from repro.core import Instance, RejectedMakespanError, Variant, t_min, validate_schedule
-from repro.algos.nonpreemptive import (
-    nonp_dual_schedule,
-    nonp_dual_test,
-    three_halves_nonpreemptive,
-)
+from repro.algos.nonpreemptive import nonp_dual_schedule, nonp_dual_test
 from repro.algos.twoapprox import two_approx_grouped
 
 from .conftest import mk
@@ -111,16 +108,17 @@ class TestDualSchedule:
 class TestThreeHalves:
     def test_small(self):
         inst = mk(3, (2, [3, 4]), (1, [2, 2, 2]))
-        res = three_halves_nonpreemptive(inst)
+        res = solve(inst, Variant.NONPREEMPTIVE)
         cmax = validate_schedule(res.schedule, Variant.NONPREEMPTIVE)
         # integer search: returned T <= OPT, so ratio is a true 3/2
         assert cmax <= Fraction(3, 2) * res.T
-        assert res.T == res.certificate_lo
+        # the search certifies T itself
+        assert (res.ratio_bound, res.opt_lower_bound) == (Fraction(3, 2), res.T)
 
     @settings(max_examples=100, deadline=None)
     @given(inst=inst_strategy())
     def test_end_to_end_property(self, inst):
-        res = three_halves_nonpreemptive(inst)
+        res = solve(inst, Variant.NONPREEMPTIVE)
         cmax = validate_schedule(res.schedule, Variant.NONPREEMPTIVE)
         assert cmax <= Fraction(3, 2) * res.T
         tmin = t_min(inst, Variant.NONPREEMPTIVE)
@@ -128,7 +126,7 @@ class TestThreeHalves:
 
     def test_below_returned_T_rejected(self):
         inst = mk(4, (3, [7, 5]), (2, [4, 4, 4]), (5, [6]))
-        res = three_halves_nonpreemptive(inst)
+        res = solve(inst, Variant.NONPREEMPTIVE)
         T = int(res.T)
         if Fraction(T) > t_min(inst, Variant.NONPREEMPTIVE):
             assert not nonp_dual_test(inst, T - 1).accepted

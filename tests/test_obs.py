@@ -497,7 +497,7 @@ class TestProcworkerPropagation:
         ]
         outcomes = _run_batch(
             [work_to_wire(item, None) for item in items],
-            lru=None, kernel="fast", metrics=metrics, spans=spans,
+            lru=None, metrics=metrics, spans=spans,
             span_name="shard0.batch",
         )
         assert [status for status, _ in outcomes] == ["ok", "ok"]
@@ -511,7 +511,7 @@ class TestProcworkerPropagation:
     def test_result_frame_carries_metrics_and_spans(self):
         from repro.service.procworker import WorkerProc, work_to_wire
 
-        worker = WorkerProc(0, kernel="fast", max_instances=4)
+        worker = WorkerProc(0, max_instances=4)
         worker.start()
         try:
             item = SolveRequest(instance=fresh(TINY)).to_item()

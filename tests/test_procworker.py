@@ -244,7 +244,7 @@ class TestSlimWire:
     def test_worker_answers_slim_batch_bit_identically(self):
         base = solve(fresh(TINY))
         item = SolveRequest(instance=fresh(TINY)).to_item()
-        worker = WorkerProc(0, kernel="fast", max_instances=4, heartbeat_ms=50)
+        worker = WorkerProc(0, max_instances=4, heartbeat_ms=50)
         worker.start()
         try:
             worker.send_batch(1, [work_to_wire(item, None)])
@@ -347,7 +347,7 @@ class TestResultWire:
 class TestWorkerProcLifecycle:
     def test_ready_heartbeat_batch_and_teardown(self):
         base = solve(fresh(TINY))
-        worker = WorkerProc(0, kernel="fast", max_instances=4, heartbeat_ms=20)
+        worker = WorkerProc(0, max_instances=4, heartbeat_ms=20)
         worker.start()
         try:
             assert worker.alive()

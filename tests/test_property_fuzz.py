@@ -256,8 +256,8 @@ if HAVE_HYPOTHESIS:
 
 def _check_plan_stream_case(seed: int) -> None:
     """The pair-native flip plans probe the exact same rationals, in the
-    same order, on both kernels — so memo hits and ``accept_calls`` agree
-    and the flip point is bit-identical."""
+    same order, on both kernels, scalar or in grid blocks — so memo hits
+    and ``accept_calls`` agree and the flip point is bit-identical."""
     from repro.algos.jumping_pmtn import flip_plan_pmtn
     from repro.algos.jumping_split import flip_plan_splittable
     from repro.algos.search import drive_plan, probe_evaluator
@@ -271,26 +271,21 @@ def _check_plan_stream_case(seed: int) -> None:
     inst = Instance.build(rng.randint(max(1, c - 2), c + 1), classes)
     tag = f"seed={seed} inst={inst.describe()}"
 
-    cases = [
-        (flip_plan_splittable,
-         lambda fast: probe_evaluator(inst, fast=fast, grid=False)),
-        (flip_plan_pmtn,
-         lambda fast: probe_evaluator(inst, fast=fast, grid=False)),
-    ]
-    for plan_fn, make_eval in cases:
-        streams, results = [], []
-        for fast in (True, False):
-            stream = []
-            evaluate = make_eval(fast)
+    for plan_fn in (flip_plan_splittable, flip_plan_pmtn):
+        for grid in (False, True):
+            streams, results = [], []
+            for fast in (True, False):
+                stream = []
+                evaluate = probe_evaluator(inst, fast=fast, grid=grid)
 
-            def spy(req, _ev=evaluate, _s=stream):
-                _s.extend((req.kind, req.mode, tn, td) for tn, td in req.times)
-                return _ev(req)
+                def spy(req, _ev=evaluate, _s=stream):
+                    _s.extend((req.kind, req.mode, tn, td) for tn, td in req.times)
+                    return _ev(req)
 
-            results.append(drive_plan(plan_fn(inst, grid=False), spy))
-            streams.append(stream)
-        assert streams[0] == streams[1], (tag, plan_fn.__name__)
-        assert results[0] == results[1], (tag, plan_fn.__name__)
+                results.append(drive_plan(plan_fn(inst, grid=grid), spy))
+                streams.append(stream)
+            assert streams[0] == streams[1], (tag, plan_fn.__name__, grid)
+            assert results[0] == results[1], (tag, plan_fn.__name__, grid)
 
 
 @pytest.mark.parametrize("seed", range(15))

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Instance, Variant, solve
-from repro.core import validate_schedule
-from repro.algos.search import binary_search_dual, drive_plan, right_interval_plan
-from repro.algos.splittable import split_dual_schedule, split_dual_test
+from repro import BatchItem, Instance, Variant, solve, solve_batch, sweep_machines
+from repro.core import t_min, validate_schedule
+from repro.algos.search import drive_plan, eps_probe_plan, right_interval_plan
+from repro.algos.splittable import split_dual_test
 
-from .conftest import mk
+from .conftest import mk, run_plan
 
 
 def inst_strategy(max_m=6, max_classes=5, max_jobs=5, max_t=18, max_s=10):
@@ -29,15 +29,20 @@ def inst_strategy(max_m=6, max_classes=5, max_jobs=5, max_t=18, max_s=10):
     )
 
 
-def right_interval(candidates, accept, grid=False):
-    """:func:`right_interval_plan` driven against a Fraction ``accept``."""
+def reference_evaluator(accept):
+    """Answer a plan's accept requests with a Fraction ``accept`` predicate."""
 
     def evaluate(req):
         return [accept(Fraction(tn, td)) for tn, td in req.times]
 
+    return evaluate
+
+
+def right_interval(candidates, accept, grid=False):
+    """:func:`right_interval_plan` driven against a Fraction ``accept``."""
     pairs = [(T.numerator, T.denominator) for T in candidates]
     plan = right_interval_plan(pairs, {}, [0], "", "", grid)
-    lo, hi = drive_plan(plan, evaluate)
+    lo, hi = drive_plan(plan, reference_evaluator(accept))
     return Fraction(*lo), Fraction(*hi)
 
 
@@ -67,37 +72,71 @@ class TestRightIntervalPlan:
             right_interval([Fraction(1)], lambda T: True)
 
 
-class TestBinarySearchDual:
+class TestFractionGridBlocks:
+    """Grid blocks on the fraction kernel are answered candidate by candidate."""
+
+    def test_grid_solve_matches_fast_kernel(self):
+        from repro.algos.api import solve_point
+        from repro.generators import uniform_instance
+
+        inst = uniform_instance(290, 300, 2, seed=11, tmax=20)
+        fast, frac = (
+            solve_point(
+                inst, Variant.SPLITTABLE, "three_halves", kernel=kernel,
+                schedules=False, grid=True,
+            )
+            for kernel in ("fast", "fraction")
+        )
+        assert (frac.T, frac.ratio_bound, frac.opt_lower_bound, frac.accept_calls) == (
+            fast.T, fast.ratio_bound, fast.opt_lower_bound, fast.accept_calls,
+        )
+        assert fast.accept_calls == 12  # blocks: scalar probing makes 5 calls
+
+
+class TestEpsSearch:
+    """Theorem 2: the ``eps`` solve and its probe plan."""
+
+    #: ``m = 1`` (a closed form) and ``m = 3`` (a dual search).
+    INST1 = Instance.build(1, [(1, [1, 2]), (2, [3])])
+    INST3 = Instance.build(3, [(1, [1, 2]), (2, [3, 4, 5])])
+
     @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)])
     def test_eps_bound_splittable(self, eps):
         inst = mk(4, (7, [9, 4]), (3, [5, 5, 5]), (1, [2]))
-        sr = binary_search_dual(
-            inst,
-            Variant.SPLITTABLE,
-            lambda T: split_dual_test(inst, T).accepted,
-            lambda T: split_dual_schedule(inst, T),
-            eps,
-        )
-        cmax = validate_schedule(sr.schedule, Variant.SPLITTABLE)
-        assert cmax <= Fraction(3, 2) * sr.T
-        assert sr.ratio_bound <= Fraction(3, 2) * (1 + eps)
+        res = solve(inst, Variant.SPLITTABLE, "eps", eps)
+        cmax = validate_schedule(res.schedule, Variant.SPLITTABLE)
+        assert cmax <= Fraction(3, 2) * res.T
+        assert res.ratio_bound <= Fraction(3, 2) * (1 + eps)
 
     def test_accept_calls_logarithmic(self):
         inst = mk(4, (7, [9, 4]), (3, [5, 5, 5]))
         eps = Fraction(1, 1024)
-        sr = binary_search_dual(
-            inst,
-            Variant.SPLITTABLE,
-            lambda T: split_dual_test(inst, T).accepted,
-            lambda T: split_dual_schedule(inst, T),
-            eps,
+        plan = eps_probe_plan(t_min(inst, Variant.SPLITTABLE), eps, "split", "")
+        _, _, calls = drive_plan(
+            plan, reference_evaluator(lambda T: split_dual_test(inst, T).accepted)
         )
-        assert sr.accept_calls <= 12 + 2  # log2(1024) + slack
+        assert calls <= 12 + 2  # log2(1024) + slack
 
     def test_bad_eps(self):
-        inst = mk(1, (1, [1]))
-        with pytest.raises(ValueError):
-            binary_search_dual(inst, Variant.SPLITTABLE, lambda T: True, lambda T: None, 0)
+        """``eps`` is checked with the names, before a closed form answers."""
+        for eps in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                solve(self.INST1, "splittable", "eps", eps)
+            with pytest.raises(ValueError, match="eps must be positive"):
+                sweep_machines(
+                    self.INST1, [1], "splittable", "eps", eps, schedules=False
+                )
+
+    @pytest.mark.parametrize("xbatch", [False, True])
+    def test_bad_eps_raises_before_any_item_solves(self, xbatch):
+        items = [
+            BatchItem(inst, Variant.SPLITTABLE, "eps", Fraction(0))
+            for inst in (self.INST1, self.INST3)
+        ]
+        started = []
+        with pytest.raises(ValueError, match="eps must be positive"):
+            solve_batch(items, before_solve=started.append, xbatch=xbatch)
+        assert started == []
 
 
 class TestSolveAPI:
@@ -198,11 +237,12 @@ class TestSolveAPI:
 
 
 class TestSpecCertificates:
-    """The spec table certifies what the per-theorem searches prove.
+    """The spec table certifies what the plans' own results prove.
 
     ``solve``/``solve_point`` read ``T``, ``ratio_bound`` and
-    ``opt_lower_bound`` off one ``finish``; the kept Theorem-2/3/6/8
-    entry points compute the same certificates on their own.
+    ``opt_lower_bound`` off one ``finish``; here each certificate is
+    recomputed from its plan's result, driven on the Fraction reference
+    tests (the ``eps`` plan on the reference accept predicates).
     """
 
     @staticmethod
@@ -217,42 +257,44 @@ class TestSpecCertificates:
         return lambda T: nonp_dual_test(inst, T).accepted
 
     @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 100)])
-    def test_eps_matches_black_box_search(self, eps):
-        from repro.algos.batch_api import sweep_machines
+    def test_eps_matches_reference_plan(self, eps):
         from repro.core.bounds import lower_bound
         from repro.generators.suites import medium_suite
 
         for _, inst in medium_suite()[:8]:
             for variant in Variant:
-                sr = binary_search_dual(
-                    inst, variant, self._reference_accept(inst, variant), None, eps
+                plan = eps_probe_plan(t_min(inst, variant), eps, "", "")
+                T, lo, calls = drive_plan(
+                    plan, reference_evaluator(self._reference_accept(inst, variant))
                 )
+                T, lo = Fraction(*T), Fraction(*lo)
                 res = solve(inst, variant, "eps", eps)
                 assert (res.T, res.ratio_bound, res.opt_lower_bound) == (
-                    sr.T, sr.ratio_bound, max(lower_bound(inst, variant), sr.certificate_lo),
+                    T, Fraction(3, 2) * T / lo, max(lower_bound(inst, variant), lo),
                 )
                 (point,) = sweep_machines(
                     inst, [inst.m], variant, "eps", eps, schedules=False
                 )
-                assert point.accept_calls == sr.accept_calls
+                assert point.accept_calls == calls
 
-    def test_three_halves_matches_flip_searches(self):
-        from repro.algos.jumping_pmtn import find_flip_pmtn
-        from repro.algos.jumping_split import find_flip_splittable
-        from repro.algos.nonpreemptive import three_halves_nonpreemptive
+    def test_three_halves_matches_flip_plans(self):
+        from repro.algos.jumping_pmtn import flip_plan_pmtn
+        from repro.algos.jumping_split import flip_plan_splittable
+        from repro.algos.search import integer_probe_plan
         from repro.core.bounds import lower_bound
         from repro.generators.suites import medium_suite
 
         for _, inst in medium_suite()[:8]:
-            T_star, _ = find_flip_splittable(inst, kernel="fraction")
+            T_star, _ = run_plan(flip_plan_splittable(inst), inst, fast=False)
             expected = {Variant.SPLITTABLE: (T_star, Fraction(3, 2), T_star)}
-            T_star, T_witness, _ = find_flip_pmtn(inst, kernel="fraction")
+            T_star, T_witness, _ = run_plan(flip_plan_pmtn(inst), inst, fast=False)
             expected[Variant.PREEMPTIVE] = (
                 T_witness, Fraction(3, 2) * T_witness / T_star, T_star,
             )
-            T = three_halves_nonpreemptive(
-                inst, kernel="fraction", build_schedule=False
-            ).T
+            T, _ = run_plan(
+                integer_probe_plan(t_min(inst, Variant.NONPREEMPTIVE), "nonp"),
+                inst, fast=False,
+            )
             expected[Variant.NONPREEMPTIVE] = (T, Fraction(3, 2), T)
             for variant, (T, ratio, lo) in expected.items():
                 res = solve(inst, variant)

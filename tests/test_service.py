@@ -699,6 +699,23 @@ class TestServiceEngine:
         stats = asyncio.run(main())
         assert stats.requests == 0  # never reached a shard
 
+    def test_submit_checks_eps_before_dispatch(self):
+        """A non-positive ``eps`` is the caller's error, not ``internal``."""
+        inst = Instance.build(3, [(1, [1, 2]), (2, [3, 4, 5])])
+        request = SolveRequest(
+            instance=inst, variant=Variant.SPLITTABLE, algorithm="eps",
+            eps=Fraction(0),
+        )
+
+        async def main():
+            async with SolveService(ServiceConfig(shards=1)) as svc:
+                with pytest.raises(ValueError, match="eps must be positive"):
+                    await svc.submit(request)
+                return svc.stats()
+
+        stats = asyncio.run(main())
+        assert stats.requests == 0  # never reached a shard
+
     def test_submit_outside_lifecycle_raises(self, tiny):
         svc = SolveService()
 
@@ -718,8 +735,6 @@ class TestServiceEngine:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="shards"):
             ServiceConfig(shards=0)
-        with pytest.raises(ValueError, match="unknown kernel"):
-            ServiceConfig(kernel="quick")
 
     @pytest.mark.parametrize(
         "kwargs, match",
