@@ -11,8 +11,10 @@ fingerprints), and asserts:
   sorted row multisets);
 * **bounded memory** — the reported LRU peak stays at or under the
   configured bound and eviction actually ran (two of the burst's four
-  fingerprints share a shard, which has a single warm slot), and the
-  subprocess's peak RSS stays under a generous ceiling;
+  fingerprints share a shard, which has a single warm slot; that premise
+  is checked by name first, since shard placement follows the
+  fingerprint's encoding), and the subprocess's peak RSS stays under a
+  generous ceiling;
 * **liveness/ordering** — one response line per request, ids echoed in
   request order.
 
@@ -62,9 +64,16 @@ from repro.core.instance import Instance  # noqa: E402
 from repro.experiments.scaling import service_burst, service_pool  # noqa: E402
 from repro.generators import uniform_instance  # noqa: E402
 from repro.service.faults import FaultPlan  # noqa: E402
-from repro.service.protocol import ERROR_CODES, instance_to_obj, parse_time  # noqa: E402
+from repro.service.protocol import (  # noqa: E402
+    ERROR_CODES,
+    instance_from_obj,
+    instance_to_obj,
+    parse_time,
+)
+from repro.service.shards import shard_index  # noqa: E402
 
 BURST_SIZE = 50
+SHARDS = 4
 MAX_RSS_KIB = 600_000  # ~586 MiB — an order of magnitude above observed (~40 MiB)
 CHAOS_BURST = 16
 CHAOS_WALL_S = 120.0  # hard per-scenario ceiling: chaos must stay bounded
@@ -162,7 +171,7 @@ def smoke(workers: str = "thread", xbatch: bool = False) -> int:
     proc = subprocess.run(
         [
             sys.executable, "-m", "repro.service",
-            "--shards", "4", "--max-instances", "1",
+            "--shards", str(SHARDS), "--max-instances", "1",
             "--workers", workers,
         ]
         + (["--xbatch"] if xbatch else []),
@@ -204,6 +213,13 @@ def smoke(workers: str = "thread", xbatch: bool = False) -> int:
     assert stats["requests"] == len(requests)
     assert stats["peak_instances"] <= stats["max_instances"], (
         f"LRU peak {stats['peak_instances']} exceeded bound {stats['max_instances']}"
+    )
+    homes = [shard_index(fp, SHARDS) for fp in dict.fromkeys(
+        instance_from_obj(obj["instance"]).fingerprint() for obj in requests
+    )]
+    assert len(set(homes)) < len(homes), (
+        f"eviction premise: two of the burst's {len(homes)} fingerprints must "
+        f"share one of the {SHARDS} shards, got shards {homes}"
     )
     assert stats["evictions"] > 0, "burst was sized to force at least one eviction"
     maxrss = stats.get("maxrss_kib")

@@ -14,6 +14,8 @@ for them.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -252,21 +254,35 @@ class Instance:
         :func:`~repro.algos.batch_api.solve_many` rep key, the service
         shard key): the digest covers the class data only, so ``m``
         sweeps of one instance all land on the same fingerprint.  The
-        hex string is stable across processes (blake2b of the canonical
-        encoding), which lets the service protocol report it and a
-        client pin requests to shards deterministically.  Cached in the
-        shared misc cache, so ``with_machines(..., share_caches=True)``
-        copies inherit it without re-hashing.
+        digest is blake2b-128 of ``marshal.dumps((setups, jobs), 2)``,
+        one C-level pass over the nested tuples.  Version 2 writes no
+        back-references, so the bytes depend only on the values and the
+        nesting, never on which row or int objects are shared; every
+        tuple is length-prefixed and every int is encoded exactly at any
+        size, so distinct class data gives distinct bytes.  ``marshal``
+        refuses int subclasses (an ``IntEnum`` an in-process caller may
+        pass); those are hashed as the plain ints they hold, so they
+        match the plain-int instance they equal.  The hex string is
+        stable across processes of one interpreter version, which lets
+        the process backend ship it to its children and a client pin
+        requests to shards deterministically; shard placement
+        (:func:`repro.service.shards.shard_index`) follows it, so a
+        change of encoding moves every instance to another shard.
+        Cached in the shared misc cache, so ``with_machines(...,
+        share_caches=True)`` copies inherit it without re-hashing.
         """
         cached = self._misc_cache.get("fingerprint")
         if cached is None:
-            import hashlib
-
-            h = hashlib.blake2b(digest_size=16)
-            h.update(repr(self.setups).encode())
-            h.update(b"|")
-            h.update(repr(self.jobs).encode())
-            cached = h.hexdigest()
+            try:
+                data = marshal.dumps((self.setups, self.jobs), 2)
+            except ValueError:
+                # ``int.__index__`` reads the stored value, whatever the
+                # subclass overrides.
+                data = marshal.dumps((
+                    tuple(map(int.__index__, self.setups)),
+                    tuple(tuple(map(int.__index__, ts)) for ts in self.jobs),
+                ), 2)
+            cached = hashlib.blake2b(data, digest_size=16).hexdigest()
             self._misc_cache["fingerprint"] = cached
         return cached
 

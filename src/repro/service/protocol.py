@@ -18,6 +18,8 @@ Request shape (``op`` defaults to ``"solve"``)::
 
 ``ms`` turns the request into a machine sweep (one result per count, the
 instance's own ``m`` ignored); otherwise one result at ``instance.m``.
+It may hold at most :data:`MS_MAX` (64) counts: each count is a whole
+solve, so a longer list is a ``bad_request``.
 ``bounds_only`` (equivalently ``"schedules": false``) resolves the
 certified ``T*``/ratio/lower-bound certificate without constructing a
 schedule.  Housekeeping ops: ``{"op": "ping"}``, ``{"op": "stats"}``,
@@ -72,6 +74,7 @@ __all__ = [
     "EPS_MIN",
     "ERROR_CODES",
     "METRICS_FORMATS",
+    "MS_MAX",
     "ProtocolError",
     "ServiceError",
     "SolveRequest",
@@ -251,6 +254,12 @@ def instance_from_obj(obj) -> Instance:
 #: this bound a search takes ~65 probes.
 EPS_MIN = Fraction(1, 2**64)
 
+#: The most machine counts one ``ms`` sweep may carry.  Each count is a
+#: whole solve (a full schedule at every ``m``), so an unbounded list
+#: would let one short line hold a shard for seconds and fill a reply of
+#: tens of megabytes.
+MS_MAX = 64
+
 
 @dataclass(frozen=True)
 class SolveRequest:
@@ -319,6 +328,8 @@ def request_from_obj(obj) -> SolveRequest:
     ms = obj.get("ms")
     if ms is not None:
         ms = tuple(_int_list(ms, "ms"))
+        if len(ms) > MS_MAX:
+            raise ProtocolError(f"ms may hold at most {MS_MAX} machine counts")
         if not ms or any(m < 1 for m in ms):
             raise ProtocolError(f"ms must be a non-empty list of positive ints, got {list(ms)}")
 

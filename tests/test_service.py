@@ -157,6 +157,21 @@ class TestFingerprint:
         copy = tiny.with_machines(7, share_caches=True)
         assert copy._misc_cache.get("fingerprint") == fp
 
+    def test_golden_digest(self):
+        # Changing the encoding moves every fingerprint to another shard.
+        inst = Instance.build(3, [(2, [4, 14]), (2, [9, 9]), (1, [1, 7, 8, 2**70])])
+        assert inst.fingerprint() == "ac2afeea0801506aa530f4b143d26972"
+
+    def test_shared_objects_do_not_change_it(self):
+        big = 2**70 + 1
+        row = (3, big, 5)
+        shared = Instance(m=2, setups=(big, 1), jobs=(row, row))
+        copies = [(3, big + 1 - 1, 5) for _ in range(2)]
+        assert copies[0] is not copies[1] and copies[0][1] is not big
+        fresh_copy = Instance(m=2, setups=(big - 1 + 1, 1), jobs=tuple(copies))
+        assert shared == fresh_copy
+        assert shared.fingerprint() == fresh_copy.fingerprint()
+
 
 class TestCacheRelease:
     @pytest.mark.parametrize("variant", list(Variant))
@@ -476,6 +491,7 @@ class TestProtocol:
     def test_bulk_wire_check_keeps_accepting(self, obj, plain):
         assert instance_from_obj(obj) == plain
         assert request_from_obj({"instance": obj}).instance == plain
+        assert instance_from_obj(obj).fingerprint() == plain.fingerprint()
 
     def test_request_defaults(self, tiny):
         req = request_from_obj({"instance": instance_to_obj(tiny)})
@@ -505,6 +521,12 @@ class TestProtocol:
         obj = {"instance": instance_to_obj(tiny)}
         with pytest.raises(ProtocolError, match="ms"):
             request_from_obj({**obj, "ms": [0, 2]})
+        # every count is a whole solve: the wire bounds the sweep length,
+        # naming the bound without echoing the list
+        with pytest.raises(ProtocolError) as err:
+            request_from_obj({**obj, "ms": [2] * 65})
+        assert str(err.value) == "ms may hold at most 64 machine counts"
+        assert request_from_obj({**obj, "ms": [2] * 64}).ms == (2,) * 64
         with pytest.raises(ProtocolError, match="eps"):
             request_from_obj({**obj, "eps": [1, 0]})
         with pytest.raises(ProtocolError, match="eps must be positive"):
