@@ -32,16 +32,29 @@ integer aggregates (``P(C_i)``, ``s_i``, ``t^(i)_max``) and the per-class
 sorted job views with prefix sums (:meth:`Instance.class_jobs_sorted
 <repro.core.instance.Instance.class_jobs_sorted>`, built once per class
 and cached) that turn the per-class job scans of the
-preemptive/non-preemptive tests into ``O(log n_i)`` bisections
-(:func:`count_weight_gt`).
+preemptive/non-preemptive tests into ``O(log n_i)`` bisections.
+
+**Class tables.**  Most classes of a non-preemptive or preemptive probe
+contribute a term that is fixed once ``T/2`` and ``T/4`` are known: one
+setup and no machine (Theorem 9 with ``s_i + t^(i)_max ≤ T/2``; every
+cheap class of Theorem 5) or ``s_i + P_i`` to the base (``I⁺chp``).  Two
+``m``-free class orders, sorted once per instance and cached
+(:func:`spt_table`, :func:`setup_table`), turn those groups into
+bisections plus prefix sums, so after the one-time ``O(c log c)`` build a
+probe of :func:`fast_nonp_test` or :func:`fast_pmtn_test` costs ``O(log
+c)`` plus a loop over the ``c'`` classes with ``s_i + t^(i)_max > T/2``
+only.  :func:`fast_split_test` and :func:`fast_base_core` stay ``O(c)``
+loops.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import accumulate
 from math import gcd
+from operator import add
 from typing import NamedTuple
 
 from .bounds import setup_plus_tmax
@@ -62,13 +75,13 @@ __all__ = [
     "pair_ceil",
     "round_half_even",
     "ceil_div",
-    "count_weight_gt",
+    "spt_table",
+    "setup_table",
     "fast_split_test",
     "fast_nonp_test",
     "fast_pmtn_test",
     "fast_base_core",
     "count_core",
-    "count_scaled",
     "knapsack_order_cmp",
     "validate_kernel",
 ]
@@ -207,15 +220,56 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def count_weight_gt(instance: Instance, cls: int, num: int, den: int) -> tuple[int, int]:
-    """``(#, Σt)`` of jobs of ``cls`` with ``t > num/den`` (``den > 0``).
+def spt_table(instance: Instance) -> tuple[list[int], list[int], list[int]]:
+    """Classes by ``s_i + t_max^i`` ascending: ``(order, keys, setup_prefix)``.
 
-    O(log n_i) via the instance-cached sorted view: ``t > num/den ⟺ t >
-    ⌊num/den⌋`` for integer ``t``.
+    ``keys[k]`` is ``s + t_max`` of class ``order[k]`` and
+    ``setup_prefix[k]`` the setup sum of ``order[:k]`` (``c + 1``
+    entries).  For a threshold ``h`` the classes with ``s_i + t_max^i ≤
+    h`` are ``order[:bisect_right(keys, h)]``.  Machine-count free, so it
+    is kept in the shared misc cache (inherited by cache-sharing
+    ``with_machines`` copies, dropped by ``release_caches``); one sort and
+    C-level passes build it.
     """
-    ts, prefix = instance.class_jobs_sorted(cls)
-    cut = bisect_right(ts, num // den)
-    return len(ts) - cut, prefix[-1] - prefix[cut]
+    table = instance._misc_cache.get("spt_table")
+    if table is None:
+        setups = instance.setups
+        spt = list(map(add, setups, instance.class_tmax))
+        order = sorted(range(len(spt)), key=spt.__getitem__)
+        table = (
+            order,
+            list(map(spt.__getitem__, order)),
+            list(accumulate(map(setups.__getitem__, order), initial=0)),
+        )
+        instance._misc_cache["spt_table"] = table
+    return table
+
+
+def setup_table(instance: Instance) -> tuple[list[int], list[int], list[int]]:
+    """Classes by setup ascending: ``(setups, setup_prefix, sp_prefix)``.
+
+    ``setups`` holds the sorted setups; ``setup_prefix[k]`` and
+    ``sp_prefix[k]`` are the sums of ``s_i`` and of ``s_i + P_i`` over its
+    first ``k`` classes (``c + 1`` entries each).  For integer thresholds
+    ``q ≤ h`` the classes with ``s_i ≤ h`` are positions ``[0,
+    bisect_right(setups, h))`` and those with ``q ≤ s_i ≤ h`` start at
+    ``bisect_left(setups, q)``.  Cached like :func:`spt_table`.
+    """
+    table = instance._misc_cache.get("setup_table")
+    if table is None:
+        setups = instance.setups
+        order = sorted(range(len(setups)), key=setups.__getitem__)
+        ordered = list(map(setups.__getitem__, order))
+        table = (
+            ordered,
+            list(accumulate(ordered, initial=0)),
+            list(accumulate(
+                map(add, ordered, map(instance.class_processing.__getitem__, order)),
+                initial=0,
+            )),
+        )
+        instance._misc_cache["setup_table"] = table
+    return table
 
 
 # --------------------------------------------------------------------------- #
@@ -262,33 +316,37 @@ class NonpVerdict(NamedTuple):
 
 
 def fast_nonp_test(instance: Instance, tn: int, td: int) -> NonpVerdict:
-    """Theorem 9(i) on ``T = tn/td``: O(c log n) after the sorted views."""
+    """Theorem 9(i) on ``T = tn/td``: O(log c + c' log n_i) after the tables.
+
+    A class with ``s_i + t_max^i ≤ T/2`` has ``J⁺ = K = ∅``: it needs no
+    machine and pays one setup (its residual ``x_i = P_i > 0``), so that
+    whole group is one bisection of :func:`spt_table` and one prefix sum.
+    Only the ``c'`` classes above it are visited.
+    """
     if tn < setup_plus_tmax(instance) * td:  # Note 2: T < max_i(s_i + t_max^i) < OPT
         return NonpVerdict(False, instance.total_load, instance.m + 1)
-    load = instance.total_processing
+    order, keys, setup_prefix = spt_table(instance)
+    half = tn // (2 * td)  # s > T/2 ⟺ s > half for integer s (same for t)
+    k = bisect_right(keys, half)
+    load = instance.total_processing + setup_prefix[k]
     m_prime = 0
     setups, P = instance.setups, instance.class_processing
-    tmax = instance.class_tmax
-    for i in range(len(setups)):
+    sorted_view = instance.class_jobs_sorted
+    for i in order[k:]:
         s = setups[i]
-        std = s * td
-        cap = tn - std  # (T − s_i) · td  — positive since T ≥ s_i + t_max^i
-        if 2 * std > tn:  # expensive: m_i = α_i = ⌈P_i/(T−s_i)⌉
-            m_i = ceil_div(P[i] * td, cap)
-        elif 2 * (std + tmax[i] * td) <= tn:
-            # s_i + t_max^i ≤ T/2 ⟹ J⁺ = K = ∅ (every job fits under
-            # T/2 even after its setup): m_i = 0 without touching the
-            # sorted views — no bisection, no cold sorted-view build.
-            m_i = 0
+        cap = tn - s * td  # (T − s_i) · td  — positive since T ≥ s_i + t_max^i
+        p = P[i] * td
+        if s > half:  # expensive: m_i = α_i = ⌈P_i/(T−s_i)⌉
+            m_i = ceil_div(p, cap)
         else:
             # cheap: m_i = |C_i∩J⁺| + ⌈P(C_i∩K)/(T−s_i)⌉ with
             # J⁺ = {t > T/2}, K = {t ≤ T/2, s+t > T/2}.
-            n_big, w_big = count_weight_gt(instance, i, tn, 2 * td)
-            n_ge, w_ge = count_weight_gt(instance, i, tn - 2 * std, 2 * td)
-            k_weight = w_ge - w_big
-            m_i = n_big + (ceil_div(k_weight * td, cap) if k_weight else 0)
+            ts, prefix = sorted_view(i)
+            cut = bisect_right(ts, half)
+            k_weight = prefix[cut] - prefix[bisect_right(ts, half - s)]
+            m_i = len(ts) - cut + (ceil_div(k_weight * td, cap) if k_weight else 0)
         load += m_i * s
-        if P[i] * td > m_i * cap:  # x_i > 0: residual pays one more setup
+        if p > m_i * cap:  # x_i > 0: residual pays one more setup
             load += s
         m_prime += m_i
     accepted = instance.m * tn >= load * td and instance.m >= m_prime
@@ -327,39 +385,43 @@ def count_core(mode: str, t_sc: int, s_sc: int, p_sc: int) -> int:
     return ceil_div(2 * p_sc, t_sc)
 
 
-def count_scaled(mode: str, tn: int, td: int, s: int, P: int) -> int:
-    """``κ_i`` (α′ of Theorem 4 or γ of §4.4) for an ``I⁺exp`` class."""
-    return count_core(mode, tn, s * td, P * td)
-
-
 def fast_pmtn_test(instance: Instance, tn: int, td: int, mode: str = "alpha") -> PmtnVerdict:
     """Theorem 5(i) on ``T = tn/td`` in pure integers.
 
     Replicates ``pmtn_dual_test`` decision-for-decision, including the
     continuous-knapsack selection of case 3a (same greedy order and the same
-    tie-breaks, with weights/capacity scaled by ``2·td``).
+    tie-breaks, with weights/capacity scaled by ``2·td``).  Every cheap
+    class pays exactly one setup and every ``I⁺chp`` class adds ``s_i +
+    P_i`` to the base, so both groups are bisections of
+    :func:`setup_table` plus prefix sums; only the ``c'`` classes with
+    ``s_i + t_max^i > T/2`` (:func:`spt_table`) are visited — the
+    expensive ones and ``I⁻chp`` with ``C*_i ≠ ∅``: O(log c + c') after
+    the tables, plus O(log n_i) per ``I*chp`` class off the nice case.
     """
     if tn < setup_plus_tmax(instance) * td:  # Note 1
         return PmtnVerdict(False, instance.total_load, 0, "trivial", False)
 
     m, setups, P = instance.m, instance.setups, instance.class_processing
-    exp_plus: list[int] = []
-    exp_minus_chp_plus_sum = 0  # Σ (s_i + P_i) over I⁻exp ∪ I⁺chp
+    half = tn // (2 * td)           # s > T/2 ⟺ s > half for integer s
+    quarter = -((-tn) // (4 * td))  # s ≥ T/4 ⟺ s ≥ quarter
+    by_setup, setup_prefix, sp_prefix = setup_table(instance)
+    n_cheap = bisect_right(by_setup, half)  # s_i ≤ T/2
+    load = instance.total_processing + setup_prefix[n_cheap]  # one setup per cheap class
+    # Σ_{I⁺exp}(κ_i s_i + P_i) + Σ_{I⁻exp ∪ I⁺chp}(s_i + P_i), I⁺chp: T/4 ≤ s_i ≤ T/2
+    base = sp_prefix[n_cheap] - sp_prefix[bisect_left(by_setup, quarter)]
     n_minus = 0
     l = 0
     chp_star: list[int] = []
-    load = instance.total_processing
+    star_total = 0  # Σ_{I*chp}(s_i + P_i)
     counts_sum = 0
-    base = 0  # Σ_{I⁺exp}(κ_i s_i + P_i) + Σ_{I⁻exp ∪ I⁺chp}(s_i + P_i)
 
-    for i in range(len(setups)):
+    order, keys, _ = spt_table(instance)
+    for i in order[bisect_right(keys, half):]:
         s = setups[i]
-        std = s * td
-        total = s + P[i]
-        if 2 * std > tn:  # expensive
+        if s > half:  # expensive
+            total = s + P[i]
             if total * td >= tn:  # I⁺exp
-                k = count_scaled(mode, tn, td, s, P[i])
-                exp_plus.append(i)
+                k = count_core(mode, tn, s * td, P[i] * td)
                 load += k * s
                 counts_sum += k
                 base += k * s + P[i]
@@ -370,14 +432,9 @@ def fast_pmtn_test(instance: Instance, tn: int, td: int, mode: str = "alpha") ->
                 n_minus += 1
                 load += s
                 base += total
-                exp_minus_chp_plus_sum += total
-        else:  # cheap
-            load += s
-            if 4 * std >= tn:  # I⁺chp: T/4 ≤ s_i ≤ T/2
-                base += total
-                exp_minus_chp_plus_sum += total
-            elif 2 * (s + instance.class_tmax[i]) * td > tn:  # I⁻chp with C*_i ≠ ∅
-                chp_star.append(i)
+        elif s < quarter:  # I⁻chp with C*_i ≠ ∅ (I⁺chp is in the sums)
+            chp_star.append(i)
+            star_total += s + P[i]
 
     m_prime = l + counts_sum + ceil_div(n_minus, 2)
 
@@ -385,23 +442,23 @@ def fast_pmtn_test(instance: Instance, tn: int, td: int, mode: str = "alpha") ->
         accepted = m * tn >= load * td and m >= m_prime
         return PmtnVerdict(accepted, load, m_prime, "nice", False)
 
-    # F·2td and L*·2td, demand_star (integer): eq. (3) and Section 4.2.
+    # F·2td and demand_star·2td (integer): eq. (3) and Section 4.2.
     F2 = 2 * (m - l) * tn - 2 * base * td
-    demand2 = 0   # 2td·Σ_{I*chp}(s_i + P_i)
-    lstar2 = 0    # 2td·Σ_{I*chp}(s_i + L*_i)
-    star_data: list[tuple[int, int, int]] = []  # (cls, |C*_i|, p*_i)
-    for i in chp_star:
-        s = setups[i]
-        cnt, p_star = count_weight_gt(instance, i, tn - 2 * s * td, 2 * td)
-        star_data.append((i, cnt, p_star))
-        demand2 += 2 * td * (s + P[i])
-        lstar2 += 2 * td * (s + p_star) - cnt * (tn - 2 * s * td)
-
-    if F2 >= demand2:  # case 3b — all of I*chp fits outside
+    if F2 >= 2 * td * star_total:  # case 3b — all of I*chp fits outside
         accepted = m * tn >= load * td and m >= m_prime
         return PmtnVerdict(accepted, load, m_prime, "3b", False)
 
-    # case 3a
+    # case 3a: L*·2td needs C*_i = {t > T/2 − s_i} from the sorted views.
+    lstar2 = 0    # 2td·Σ_{I*chp}(s_i + L*_i)
+    star_data: list[tuple[int, int, int]] = []  # (cls, |C*_i|, p*_i)
+    sorted_view = instance.class_jobs_sorted
+    for i in chp_star:
+        s = setups[i]
+        ts, prefix = sorted_view(i)
+        cut = bisect_right(ts, half - s)
+        cnt, p_star = len(ts) - cut, prefix[-1] - prefix[cut]
+        star_data.append((i, cnt, p_star))
+        lstar2 += 2 * td * (s + p_star) - cnt * (tn - 2 * s * td)
     Y2 = F2 - lstar2
     if Y2 < 0:
         return PmtnVerdict(False, load, m_prime, "3a", True)

@@ -344,11 +344,12 @@ class SolveService:
         token = None
         if request.timeout_ms is not None:
             token = CancelToken.after(request.timeout_ms / 1000.0)
+        # The stage clock covers the routing digest every request pays.
+        times = RequestTimes()
+        times.submit = time.monotonic()
         fingerprint = request.instance.fingerprint()
         shard = self._route(shard_index(fingerprint, len(self._shards)))
         loop = asyncio.get_running_loop()
-        times = RequestTimes()
-        times.submit = time.monotonic()
         await self._sem.acquire()
         times.admitted = time.monotonic()
         self._metrics.observe("admission", times.admitted - times.submit)

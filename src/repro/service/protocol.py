@@ -71,6 +71,7 @@ from ..core.errors import InvalidInstanceError
 from ..core.instance import Instance
 
 __all__ = [
+    "ECHO_MAX",
     "EPS_MIN",
     "ERROR_CODES",
     "METRICS_FORMATS",
@@ -78,6 +79,7 @@ __all__ = [
     "ProtocolError",
     "ServiceError",
     "SolveRequest",
+    "echo",
     "encode_time",
     "parse_time",
     "instance_to_obj",
@@ -160,6 +162,28 @@ class ServiceError(Exception):
 # --------------------------------------------------------------------------- #
 
 
+#: The longest value text a ``bad_request`` message echoes whole.
+ECHO_MAX = 200
+
+
+def echo(value, text: Optional[str] = None) -> str:
+    """The ``got …`` part of a ``bad_request`` message, bounded.
+
+    ``text`` (default ``repr(value)``) is kept as it is up to
+    :data:`ECHO_MAX` characters; a longer one is cut to that prefix plus
+    ``...`` and the value's entry count (its length in characters when
+    it has no entries), so a rejected line of megabytes gets a one-line
+    answer.
+    """
+    if text is None:
+        text = repr(value)
+    if len(text) <= ECHO_MAX:
+        return text
+    if isinstance(value, (list, tuple, dict)):
+        return f"{text[:ECHO_MAX]}... ({len(value)} entries)"
+    return f"{text[:ECHO_MAX]}... ({len(text)} characters)"
+
+
 def encode_time(value):
     """An exact rational as JSON: plain int, or ``[num, den]``."""
     f = Fraction(value)
@@ -171,7 +195,7 @@ def encode_time(value):
 def parse_time(value, what: str = "time") -> Fraction:
     """Inverse of :func:`encode_time`; floats are rejected loudly."""
     if isinstance(value, bool):
-        raise ProtocolError(f"{what} must be an int or [num, den], got {value!r}")
+        raise ProtocolError(f"{what} must be an int or [num, den], got {echo(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if (
@@ -181,11 +205,11 @@ def parse_time(value, what: str = "time") -> Fraction:
     ):
         num, den = value
         if den <= 0:
-            raise ProtocolError(f"{what} denominator must be positive, got {den}")
+            raise ProtocolError(f"{what} denominator must be positive, got {echo(den)}")
         return Fraction(num, den)
     raise ProtocolError(
         f"{what} must be an exact int or [numerator, denominator] pair "
-        f"(floats are not accepted), got {value!r}"
+        f"(floats are not accepted), got {echo(value)}"
     )
 
 
@@ -205,7 +229,7 @@ def _int_list(value, what: str) -> list[int]:
     if not isinstance(value, list) or any(
         not isinstance(v, int) or isinstance(v, bool) for v in value
     ):
-        raise ProtocolError(f"{what} must be a list of ints, got {value!r}")
+        raise ProtocolError(f"{what} must be a list of ints, got {echo(value)}")
     return value
 
 
@@ -224,14 +248,14 @@ def instance_to_obj(instance: Instance) -> dict:
 
 def instance_from_obj(obj) -> Instance:
     if not isinstance(obj, dict):
-        raise ProtocolError(f"instance must be an object, got {obj!r}")
+        raise ProtocolError(f"instance must be an object, got {echo(obj)}")
     m = obj.get("m")
     if not isinstance(m, int) or isinstance(m, bool):
-        raise ProtocolError(f"instance.m must be an int, got {m!r}")
+        raise ProtocolError(f"instance.m must be an int, got {echo(m)}")
     setups = _int_list(obj.get("setups"), "instance.setups")
     jobs_obj = obj.get("jobs")
     if not isinstance(jobs_obj, list):
-        raise ProtocolError(f"instance.jobs must be a list of lists, got {jobs_obj!r}")
+        raise ProtocolError(f"instance.jobs must be a list of lists, got {echo(jobs_obj)}")
     if not (
         _LIST.issuperset(map(type, jobs_obj))
         and _INT.issuperset(map(type, chain.from_iterable(jobs_obj)))
@@ -241,7 +265,7 @@ def instance_from_obj(obj) -> Instance:
     try:
         return Instance(m=m, setups=tuple(setups), jobs=tuple(map(tuple, jobs_obj)))
     except InvalidInstanceError as exc:
-        raise ProtocolError(f"invalid instance: {exc}") from None
+        raise ProtocolError(f"invalid instance: {echo(exc, str(exc))}") from None
 
 
 # --------------------------------------------------------------------------- #
@@ -302,13 +326,13 @@ def request_from_obj(obj) -> SolveRequest:
     batch engine's up-front validation) before any solving starts.
     """
     if not isinstance(obj, dict):
-        raise ProtocolError(f"request must be a JSON object, got {obj!r}")
+        raise ProtocolError(f"request must be a JSON object, got {echo(obj)}")
     unknown = set(obj) - {
         "id", "op", "instance", "variant", "algorithm", "eps",
         "schedules", "bounds_only", "ms", "timeout_ms",
     }
     if unknown:
-        raise ProtocolError(f"unknown request fields: {sorted(unknown)}")
+        raise ProtocolError(f"unknown request fields: {echo(sorted(unknown))}")
     if "instance" not in obj:
         raise ProtocolError("solve request needs an 'instance' field")
     instance = instance_from_obj(obj["instance"])
@@ -317,7 +341,7 @@ def request_from_obj(obj) -> SolveRequest:
     bounds_only = obj.get("bounds_only")
     for name, flag in (("schedules", schedules), ("bounds_only", bounds_only)):
         if flag is not None and not isinstance(flag, bool):
-            raise ProtocolError(f"{name} must be a boolean, got {flag!r}")
+            raise ProtocolError(f"{name} must be a boolean, got {echo(flag)}")
     if schedules is None:
         schedules = not bool(bounds_only)
     elif bounds_only is not None and bounds_only == schedules:
@@ -331,12 +355,14 @@ def request_from_obj(obj) -> SolveRequest:
         if len(ms) > MS_MAX:
             raise ProtocolError(f"ms may hold at most {MS_MAX} machine counts")
         if not ms or any(m < 1 for m in ms):
-            raise ProtocolError(f"ms must be a non-empty list of positive ints, got {list(ms)}")
+            raise ProtocolError(
+                f"ms must be a non-empty list of positive ints, got {echo(list(ms))}"
+            )
 
     eps = obj.get("eps")
     eps = Fraction(1, 100) if eps is None else parse_time(eps, "eps")
     if eps <= 0:
-        raise ProtocolError(f"eps must be positive, got {eps}")
+        raise ProtocolError(f"eps must be positive, got {echo(eps, str(eps))}")
     if eps < EPS_MIN:
         raise ProtocolError("eps must be at least 1/2**64")
 
@@ -346,7 +372,7 @@ def request_from_obj(obj) -> SolveRequest:
         or timeout_ms < 1
     ):
         raise ProtocolError(
-            f"timeout_ms must be a positive int (milliseconds), got {timeout_ms!r}"
+            f"timeout_ms must be a positive int (milliseconds), got {echo(timeout_ms)}"
         )
 
     algorithm = obj.get("algorithm", "three_halves")
@@ -447,7 +473,7 @@ def metrics_line(request_id, metrics_obj: dict, fmt: str = "json") -> str:
 
     if fmt not in METRICS_FORMATS:
         raise ProtocolError(
-            f"metrics format must be one of {list(METRICS_FORMATS)}, got {fmt!r}"
+            f"metrics format must be one of {list(METRICS_FORMATS)}, got {echo(fmt)}"
         )
     if fmt == "prometheus":
         payload = {"id": request_id, "ok": True,

@@ -40,6 +40,7 @@ from .protocol import (
     METRICS_FORMATS,
     ProtocolError,
     ServiceError,
+    echo,
     error_line,
     metrics_line,
     request_from_obj,
@@ -209,7 +210,7 @@ async def handle_lines(
                     responses.put_nowait(asyncio.ensure_future(immediate(
                         error_line(request_id, ServiceError.bad_request(
                             f"metrics format must be one of "
-                            f"{list(METRICS_FORMATS)}, got {fmt!r}"
+                            f"{list(METRICS_FORMATS)}, got {echo(fmt)}"
                         ))
                     )))
                 else:
@@ -225,7 +226,7 @@ async def handle_lines(
                 responses.put_nowait(asyncio.create_task(solve_one(obj)))
             else:
                 responses.put_nowait(asyncio.ensure_future(immediate(
-                    error_line(request_id, ServiceError.bad_request(f"unknown op {op!r}"))
+                    error_line(request_id, ServiceError.bad_request(f"unknown op {echo(op)}"))
                 )))
     finally:
         responses.put_nowait(None)

@@ -21,7 +21,7 @@ from repro.algos.nonpreemptive import nonp_dual_schedule, nonp_dual_test
 from repro.algos.pmtn_general import pmtn_dual_schedule, pmtn_dual_test
 from repro.algos.splittable import split_dual_schedule, split_dual_test, split_dual_test_fast
 from repro.core import xbatch
-from repro.core.bounds import Variant, t_min
+from repro.core.bounds import Variant, setup_plus_tmax, t_min
 from repro.core.classification import nonp_partition, nonp_partition_fast
 from repro.core.errors import RejectedMakespanError
 from repro.core.fastnum import (
@@ -49,7 +49,16 @@ SUITE_INSTANCES = [
 
 
 def probe_points(inst, variant, count=12, seed=0):
-    """T_min, the window ends, bisection midpoints and seeded rationals."""
+    """T_min, the window ends, bisection midpoints, seeded rationals and
+    the group boundaries of up to 8 seeded classes.
+
+    A class changes group in Theorems 5, 7 and 9 at ``T = 2s_i`` (cheap /
+    expensive), ``4s_i`` (``I⁺chp``), ``s_i + P_i`` (``I⁺exp``),
+    ``4(s_i + P_i)/3`` (``I⁰exp``) and ``2(s_i + t_max^i)`` (the classes
+    that only pay their setup); ``max_i(s_i + t_max^i)`` is Notes 1 and 2.
+    Each is probed exactly and nudged by ``±1/(2m)``, so the equivalence
+    tests check the kernels exactly where the class tables cut.
+    """
     rng = random.Random(f"{seed}-{inst.m}-{inst.total_load}-{variant.value}")
     tmin = t_min(inst, variant)
     pts = [tmin, 2 * tmin, Fraction(3, 2) * tmin, Fraction(1), Fraction(inst.total_load)]
@@ -60,6 +69,15 @@ def probe_points(inst, variant, count=12, seed=0):
         lo = mid
     for _ in range(count):  # class-jump style rationals with small denominators
         pts.append(Fraction(rng.randint(1, 2 * inst.total_load), rng.randint(1, 2 * inst.m)))
+    edges = [Fraction(setup_plus_tmax(inst))]
+    for i in rng.sample(range(inst.c), min(8, inst.c)):
+        s, total = inst.setups[i], inst.setups[i] + inst.class_processing[i]
+        edges += [
+            Fraction(2 * s), Fraction(4 * s), Fraction(total), Fraction(4 * total, 3),
+            Fraction(2 * (s + inst.class_tmax[i])),
+        ]
+    nudge = Fraction(1, 2 * inst.m)
+    pts += [T + d for T in edges for d in (0, nudge, -nudge) if T + d > 0]
     return pts
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import time
 from fractions import Fraction
 
 import pytest
@@ -378,6 +379,25 @@ class TestServiceMetrics:
             assert obj["queue_depth"] == 0 and obj["inflight"] == 0
             assert all("queue_depth" in s and "inflight" in s
                        for s in obj["shards"])
+
+    def test_admission_covers_the_routing_digest(self, monkeypatch):
+        """The stage clock starts before the request's fingerprint is taken."""
+        digest = Instance.fingerprint
+
+        def slow_digest(instance):
+            time.sleep(0.021)
+            return digest(instance)
+
+        monkeypatch.setattr(Instance, "fingerprint", slow_digest)
+
+        async def main():
+            async with SolveService(ServiceConfig(shards=1)) as svc:
+                await svc.submit(SolveRequest(instance=fresh(TINY), schedules=False))
+                return svc.metrics_obj()
+
+        admission = asyncio.run(main())["stages"]["admission"]
+        assert admission["count"] == 1
+        assert admission["total_us"] >= 20_000
 
     def test_trace_writer_collects_batch_spans(self, tmp_path):
         path = str(tmp_path / "svc-trace.jsonl")

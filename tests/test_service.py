@@ -47,6 +47,7 @@ from repro.service import (
     serve_tcp,
 )
 from repro.service.protocol import (
+    ECHO_MAX,
     encode_time,
     error_line,
     instance_from_obj,
@@ -486,6 +487,29 @@ class TestProtocol:
         with pytest.raises(ProtocolError) as err:
             request_from_obj(obj)
         assert str(err.value) == message
+
+    def test_long_values_are_echoed_bounded(self):
+        """A long rejected value is echoed as a prefix plus its entry count."""
+        cases = [
+            (wire_request(setups=[1] * 20000 + [1.5]),
+             "instance.setups must be a list of ints, got [1, 1, ", 20001),
+            ({**wire_request(), "ms": [2] * 5000 + [True]},
+             "ms must be a list of ints, got [2, 2, ", 5001),
+            ({"instance": [1] * 20000}, "instance must be an object, got [1, 1, ", 20000),
+            (with_rows({1: [1] * 20000 + [1.5]}),
+             "instance.jobs[1] must be a list of ints, got [1, 1, ", 20001),
+            ([1] * 20000, "request must be a JSON object, got [1, 1, ", 20000),
+            (wire_request(m=-(10**4000)),
+             "invalid instance: m must be a positive integer, got -1000", None),
+        ]
+        for obj, head, entries in cases:
+            with pytest.raises(ProtocolError) as err:
+                request_from_obj(obj)
+            message = str(err.value)
+            assert message.startswith(head)
+            if entries is not None:
+                assert message.endswith(f"... ({entries} entries)")
+            assert len(message) <= len(head) + ECHO_MAX + 30
 
     @pytest.mark.parametrize("obj, plain", ACCEPTED_WIRE_INSTANCES)
     def test_bulk_wire_check_keeps_accepting(self, obj, plain):
