@@ -61,8 +61,10 @@ Nine bench families:
 * ``xbatch/<shape>/{seq,fused}`` — the PR-8 cross-instance batched dual
   tests: one service micro-batch (16 bounds-only ``eps`` solves, mixed
   variants) through ``solve_batch`` with per-item probe loops vs the
-  lockstep coordinator fusing each round's probes across instances into
-  one padded grid evaluation.  Identical probe streams and bit-identical
+  lockstep coordinator, which sends each round's probes of one kind
+  across instances to one ``BatchDualContext.evaluate`` call (a padded
+  numpy pass for the splittable rows, the scalar kernel for the
+  non-preemptive and preemptive ones).  Identical probe streams and bit-identical
   verdicts on both sides (``use_grid=False``; the drift regression pins
   the streams), warm instance caches.  The derived
   ``speedup/xbatch/<shape>`` is the PR-8 acceptance series (≥ 1.3× on
@@ -315,8 +317,10 @@ def bench_xbatch(reps: int) -> dict[str, float]:
     dispatch shape at the default ``max_batch``) per fixture shape,
     solved through ``solve_batch`` with ``xbatch=False`` (one Python
     probe loop per item) and ``xbatch=True`` (the lockstep coordinator
-    fusing each round's probes across instances into one padded grid
-    evaluation).  Both sides run scalar per-probe streams
+    sending each round's same-kind probes across instances to one
+    ``BatchDualContext.evaluate`` call: splittable rows fuse into one
+    padded numpy pass, non-preemptive and preemptive rows run on the
+    scalar kernel).  Both sides run scalar per-probe streams
     (``use_grid=False``), so the cell isolates exactly what the fused
     path replaces: the probe *streams* are identical by construction
     (the drift regression in ``tests/test_xbatch.py`` pins this) and

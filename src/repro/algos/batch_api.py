@@ -376,8 +376,10 @@ def solve_batch(
     lockstep coordinator**: every eligible item's search runs as the
     probe plan :func:`~repro.algos.api.prepare` makes for it, the
     coordinator advances all plans one round at a time, and each round's
-    same-kind probes — across *different* instances — fuse into one
-    padded :class:`repro.core.xbatch.BatchDualContext` kernel call.
+    same-kind probes — across *different* instances — go to one
+    :class:`repro.core.xbatch.BatchDualContext` call: ``split`` and
+    ``pmtn_base`` rows fuse into one padded numpy pass, ``nonp`` and
+    ``pmtn`` rows run on the scalar kernel.
     Results, probe counts, and raised errors are bit-identical to
     ``xbatch=False`` (each plan is the very generator the sequential
     path drives, its result goes to the same ``finish``, and the fused

@@ -46,7 +46,8 @@ Counter glossary (what the seams report):
                            blocks alike)
 ``xbatch.rows_scalar``     probe rows the vectorized engine handed to the
                            scalar kernel (numpy absent, overflow
-                           precheck missed, or too few rows)
+                           precheck missed, too few rows, or a kind
+                           with no fused lane: ``nonp``, ``pmtn``)
 ``itemstore.emit``         ItemStore bulk ``emit_window`` calls
 =========================  ==============================================
 """

@@ -86,9 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="first restart delay in seconds, doubling per "
                              "restart (default 0.05)")
     parser.add_argument("--xbatch", action="store_true",
-                        help="fuse each micro-batch's dual tests across "
-                             "instances into one padded grid evaluation "
-                             "(bit-identical results)")
+                        help="advance each micro-batch's dual searches in "
+                             "lockstep rounds, fusing their splittable and "
+                             "preemptive-core probes across instances into "
+                             "one numpy pass (bit-identical results)")
     parser.add_argument("--faults", type=_parse_faults, metavar="PLAN",
                         default=None,
                         help="arm a deterministic fault plan (testing only): "

@@ -85,10 +85,12 @@ class ServiceConfig:
     ``xbatch=True`` dispatches each micro-batch through the
     cross-instance lockstep coordinator
     (``solve_batch(..., xbatch=True)``): all items' bracket searches
-    advance in rounds and each round's dual-test probes fuse into one
-    padded :class:`~repro.core.xbatch.BatchDualContext` kernel call.
-    Responses are bit-identical either way (pinned by
-    ``tests/test_xbatch.py``); both backends honour the knob.
+    advance in rounds and each round's same-kind dual-test probes go to
+    one :class:`~repro.core.xbatch.BatchDualContext` call, which fuses
+    the ``split``/``pmtn_base`` rows into one padded numpy pass and runs
+    ``nonp``/``pmtn`` rows on the scalar kernel.  Responses are
+    bit-identical either way (pinned by ``tests/test_xbatch.py``); both
+    backends honour the knob.
     """
 
     shards: int = 4

@@ -44,10 +44,12 @@ message is generic — details go to server logs, never the wire).
 ``retryable`` says whether resubmitting the identical request can
 succeed: true for ``overloaded``/``shutdown``, false otherwise.
 
-``timeout_ms`` (optional positive int) gives a request a deadline: the
-clock starts at admission and keeps running while the request waits in
-its shard's queue, and an in-flight solve is cooperatively cancelled at
-the next dual-test probe boundary once the budget is spent.
+``timeout_ms`` (optional positive int, at most :data:`TIMEOUT_MS_MAX`,
+one day) gives a request a deadline: the clock starts at admission and
+keeps running while the request waits in its shard's queue, and an
+in-flight solve is cooperatively cancelled at the next dual-test probe
+boundary once the budget is spent.  A larger value is a
+``bad_request``.
 
 A full solve result carries the certificate plus the schedule as the
 columnar row projection (:meth:`repro.core.schedule.Schedule.rows`
@@ -79,6 +81,7 @@ __all__ = [
     "ProtocolError",
     "ServiceError",
     "SolveRequest",
+    "TIMEOUT_MS_MAX",
     "echo",
     "encode_time",
     "parse_time",
@@ -284,6 +287,11 @@ EPS_MIN = Fraction(1, 2**64)
 #: tens of megabytes.
 MS_MAX = 64
 
+#: The largest ``timeout_ms`` a request may carry: one day.  The engine
+#: turns the budget into seconds as a float, which an unbounded int
+#: overflows.
+TIMEOUT_MS_MAX = 86_400_000
+
 
 @dataclass(frozen=True)
 class SolveRequest:
@@ -374,6 +382,8 @@ def request_from_obj(obj) -> SolveRequest:
         raise ProtocolError(
             f"timeout_ms must be a positive int (milliseconds), got {echo(timeout_ms)}"
         )
+    if timeout_ms is not None and timeout_ms > TIMEOUT_MS_MAX:
+        raise ProtocolError(f"timeout_ms may be at most {TIMEOUT_MS_MAX} (one day)")
 
     algorithm = obj.get("algorithm", "three_halves")
     variant = _validate_request(

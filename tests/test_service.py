@@ -201,10 +201,9 @@ class TestCacheRelease:
         copy = tiny.with_machines(tiny.m + 1, share_caches=True)
         scratch = {"maxima"}
         xbatch._maxima(copy)  # the overflow bound, stored on every tier
-        if xbatch.HAVE_NUMPY:  # the int64 class columns and sorted-key segments
+        if xbatch.HAVE_NUMPY:  # the int64 class columns
             xbatch._member_cols(copy)
-            xbatch._member_segments(copy)
-            scratch |= {"xgrid_cols", "xgrid_segments"}
+            scratch |= {"xgrid_cols"}
         assert scratch <= set(tiny._misc_cache)  # stored through the copy
         tiny.release_caches()
         for inst in (tiny, copy):

@@ -743,17 +743,23 @@ class TestWire:
         assert "secret" not in raw and "traceback" not in raw
 
     def test_timeout_ms_validation_on_the_wire(self):
-        from repro.service.protocol import ProtocolError, request_from_obj
+        from repro.service.protocol import (
+            TIMEOUT_MS_MAX,
+            ProtocolError,
+            request_from_obj,
+        )
 
-        for bad in (0, -5, 1.5, True, "100"):
+        # 10**400 overflows the engine's float seconds; it must stop here.
+        for bad in (0, -5, 1.5, True, "100", 10**400, TIMEOUT_MS_MAX + 1):
             with pytest.raises(ProtocolError, match="timeout_ms"):
                 request_from_obj(
                     {"instance": instance_to_obj(fresh(TINY)), "timeout_ms": bad}
                 )
-        req = request_from_obj(
-            {"instance": instance_to_obj(fresh(TINY)), "timeout_ms": 250}
-        )
-        assert req.timeout_ms == 250
+        for good in (250, TIMEOUT_MS_MAX):
+            req = request_from_obj(
+                {"instance": instance_to_obj(fresh(TINY)), "timeout_ms": good}
+            )
+            assert req.timeout_ms == good
 
 
 class TestArmedCli:

@@ -227,16 +227,18 @@ class TestXGridKernelDifferential:
             rows = member_rows(rng, members, 4)
             with TraceScope() as scope:
                 got = xctx.evaluate(kind, mode, rows)
-            if xbatch.HAVE_NUMPY:
+            if kind in ("nonp", "pmtn"):  # no fused lane: scalar on every tier
+                assert scope.counts.get("xbatch.rows_scalar") == len(rows)
+            elif xbatch.HAVE_NUMPY:
                 assert scope.counts.get("xbatch.rows_fused") == len(rows)
             for (mi, tn, td), g in zip(rows, got):
                 fresh = Instance(m=members[mi].m, setups=rep.setups, jobs=rep.jobs)
                 want = BatchDualContext([fresh]).scalar_one(kind, mode, 0, tn, td)
                 assert verdict_fields(kind, g) == verdict_fields(kind, want)
-        if xbatch.HAVE_NUMPY:  # one segments entry, shared by all three
-            assert sum("xgrid_segments" in str(k) for k in rep._misc_cache) == 1
-            seg = rep._misc_cache["xgrid_segments"]
-            assert all(xbatch._member_segments(inst) is seg for inst in members)
+        if xbatch.HAVE_NUMPY:  # one columns entry, shared by all three
+            assert sum("xgrid_cols" in str(k) for k in rep._misc_cache) == 1
+            cols = rep._misc_cache["xgrid_cols"]
+            assert all(xbatch._member_cols(inst) is cols for inst in members)
 
 
 # --------------------------------------------------------------------------- #
