@@ -18,13 +18,13 @@ rationals and ``job_idx = -1`` marking a setup.  The columns are plain
 Python-int lists from the first append to the wire: the construction hot
 paths (the wrap engine, Algorithm 6's materializer, Algorithm 2's step 1)
 splice their row lists in at C speed, the wire encoder copies them
-through :meth:`Schedule.rows`, and :mod:`repro.core.validate` checks
-them directly.  :class:`Placement` objects — and their
+through :meth:`Schedule.rows`, the process backend pickles copies of
+them (:meth:`ScheduleColumns.to_ipc`), and :mod:`repro.core.validate`
+checks them directly.  :class:`Placement` objects — and their
 :class:`~fractions.Fraction` times — are materialized *lazily*, only when
 a caller actually iterates placements; aggregate queries (``makespan``,
 ``machine_load``, ``machine_end``) are answered from the columns.  Rows
-of any magnitude stay exact; a value beyond 62 bits only changes how
-:meth:`ScheduleColumns.to_ipc` ships the store.
+of any magnitude stay exact on every path.
 
 A placement the columns cannot encode — a piece whose class differs from
 its job's class, or whose job index is negative — is refused by
@@ -36,8 +36,6 @@ All times are exact rationals (:mod:`repro.core.numeric`).
 
 from __future__ import annotations
 
-import pickle
-from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -106,12 +104,6 @@ def _lcm2(a: int, b: int) -> int:
     return a if a == b else a * b // gcd(a, b)
 
 
-#: A value at or above 62 bits clears a column store's ``int_mode`` — the
-#: same headroom :data:`repro.core.xbatch._GUARD` keeps for int64
-#: intermediates.
-_INT62 = 1 << 62
-
-
 class ScheduleColumns:
     """Parallel scaled-int columns, one row per placement.
 
@@ -123,15 +115,11 @@ class ScheduleColumns:
 
     Every column is a plain Python-int list: the emission paths
     (:meth:`extend_scaled`, :meth:`extend_runs`) splice their row lists in
-    at C pointer speed, and readers copy what they keep.  ``int_mode`` is
-    True while every start, length and denominator fits in 62 bits; the
-    first value that does not clears it for good, and :meth:`to_ipc` then
-    ships exact int lists instead of int64 buffers.
+    at C pointer speed, and readers copy what they keep.
     """
 
     __slots__ = (
-        "machine", "start_num", "length_num", "den", "cls", "job_idx",
-        "_dens", "int_mode",
+        "machine", "start_num", "length_num", "den", "cls", "job_idx", "_dens",
     )
 
     def __init__(self) -> None:
@@ -142,7 +130,6 @@ class ScheduleColumns:
         self.cls: list[int] = []
         self.job_idx: list[int] = []
         self._dens: set[int] = set()
-        self.int_mode = True
 
     # ------------------------------------------------------------------ #
     # appends
@@ -164,12 +151,6 @@ class ScheduleColumns:
         the raw emission primitive behind :meth:`Schedule.add_scaled` and
         the construction kernels.
         """
-        if self.int_mode and not (
-            -_INT62 < start_num < _INT62
-            and -_INT62 < length_num < _INT62
-            and den < _INT62
-        ):
-            self.int_mode = False
         self.machine.append(machine)
         self.start_num.append(start_num)
         self.length_num.append(length_num)
@@ -197,14 +178,6 @@ class ScheduleColumns:
         n = len(machines)
         if n == 0:
             return
-        if self.int_mode and not (
-            -_INT62 < min(start_nums)
-            and max(start_nums) < _INT62
-            and -_INT62 < min(length_nums)
-            and max(length_nums) < _INT62
-            and den < _INT62
-        ):
-            self.int_mode = False
         self.machine.extend(machines)
         self.start_num.extend(start_nums)
         self.length_num.extend(length_nums)
@@ -222,29 +195,22 @@ class ScheduleColumns:
         constructions), and lengths must be non-negative — this is the
         trusted hand-off path of the Algorithm-6
         :class:`~repro.core.itemstore.ItemStore`.  Splicing the store's
-        column slices into the list columns is pointer-copy cheap; the
-        int64 range check reduces to one comparison per machine (the
-        prefix-sum total dominates every start and length of its run).
+        column slices into the list columns is pointer-copy cheap.
         """
         mach, sn, ln = self.machine, self.start_num, self.length_num
         dn, cl, ji = self.den, self.cls, self.job_idx
-        ok = self.int_mode and den < _INT62
         for u, lens, clss, jidxs in runs:
             n = len(lens)
             if not n:
                 continue
             starts = list(accumulate(lens, initial=0))
-            top = starts.pop()
+            starts.pop()
             mach.extend([u] * n)
             sn.extend(starts)
             ln.extend(lens)
             dn.extend([den] * n)
             cl.extend(clss)
             ji.extend(jidxs)
-            if ok and top >= _INT62:
-                ok = False
-        if not ok:
-            self.int_mode = False
         self._dens.add(den)
 
     def append_placement(self, p: Placement) -> None:
@@ -358,7 +324,6 @@ class ScheduleColumns:
         out.cls = self.cls[:]
         out.job_idx = self.job_idx[:]
         out._dens = set(self._dens)
-        out.int_mode = self.int_mode
         return out
 
     # ------------------------------------------------------------------ #
@@ -367,56 +332,32 @@ class ScheduleColumns:
 
     _COL_NAMES = ("machine", "start_num", "length_num", "den", "cls", "job_idx")
 
-    def to_ipc(self) -> dict:
-        """Wire form for cross-process transport.
+    def to_ipc(self) -> list[list[int]]:
+        """Wire form for cross-process transport: fresh copies of the six
+        int lists, in :attr:`_COL_NAMES` order.
 
-        ``mode="i64"`` packs each column into a fresh ``array('q')``
-        (int64) and wraps it in :class:`pickle.PickleBuffer`, so a
-        protocol-5 pickler with a ``buffer_callback`` ships the raw int64
-        bytes out-of-band — the process-shard pipe protocol frames them
-        with no per-row encoding.  Big-int rows (``int_mode`` False) fall
-        back to in-band exact int lists, which plain pickle handles at
-        any magnitude.  Inverse: :meth:`from_ipc`.
+        Pickle ships them exact at any magnitude, and later appends to
+        this store do not reach the payload.  Inverse: :meth:`from_ipc`.
         """
-        if self.int_mode:
-            return {
-                "mode": "i64",
-                "cols": [
-                    pickle.PickleBuffer(array("q", getattr(self, name)))
-                    for name in self._COL_NAMES
-                ],
-            }
-        return {
-            "mode": "obj",
-            "cols": [list(getattr(self, name)) for name in self._COL_NAMES],
-        }
+        return [getattr(self, name)[:] for name in self._COL_NAMES]
 
     @classmethod
-    def from_ipc(cls, obj: dict) -> "ScheduleColumns":
-        """Rebuild columns from :meth:`to_ipc` output (post-unpickle).
+    def from_ipc(cls, cols) -> "ScheduleColumns":
+        """Adopt the six int lists of a :meth:`to_ipc` payload (post-unpickle).
 
-        After the pickle round trip the ``i64`` entries arrive as
-        bytes-like buffers owned by the frame reader; each is decoded
-        straight into a fresh int list.
+        Raises :class:`ValueError` unless the payload is six lists of
+        equal length.
         """
-        mode = obj.get("mode") if isinstance(obj, dict) else None
-        data = obj.get("cols") if isinstance(obj, dict) else None
         if (
-            mode not in ("i64", "obj")
-            or not isinstance(data, (list, tuple))
-            or len(data) != len(cls._COL_NAMES)
+            not isinstance(cols, list)
+            or len(cols) != len(cls._COL_NAMES)
+            or not all(type(col) is list for col in cols)
+            or len({len(col) for col in cols}) != 1
         ):
             raise ValueError("malformed ScheduleColumns IPC payload")
         out = cls()
-        if mode == "i64":
-            for name, raw in zip(cls._COL_NAMES, data):
-                col = array("q")
-                col.frombytes(raw)
-                setattr(out, name, col.tolist())
-        else:
-            for name, vals in zip(cls._COL_NAMES, data):
-                setattr(out, name, [int(v) for v in vals])
-            out.int_mode = False
+        for name, col in zip(cls._COL_NAMES, cols):
+            setattr(out, name, col)
         out._dens = set(out.den)
         return out
 
@@ -659,10 +600,6 @@ class Schedule:
     def items_on(self, machine: int) -> list[Placement]:
         """Placements on ``machine`` sorted by start time."""
         return sorted(self._materialized()[machine], key=lambda p: (p.start, p.end))
-
-    def raw_items_on(self, machine: int) -> list[Placement]:
-        """Placements on ``machine`` in insertion order (no sort)."""
-        return list(self._materialized()[machine])
 
     def iter_all(self) -> Iterator[Placement]:
         for items in self._materialized():

@@ -30,16 +30,15 @@ Two implementations coexist:
 * the **scalar** validator (:func:`validate_schedule_scalar`) — the
   historical placement-by-placement reference, one :class:`Placement` and
   one rational comparison at a time;
-* the **columnar** validator (:func:`validate_columns`) — runs directly
-  over a :class:`~repro.core.schedule.ScheduleColumns` store at a common
-  integer scale, vectorized with numpy int64 when available (same
-  optional-``[batch]`` policy and exact-overflow precheck as
-  :mod:`repro.core.xbatch`) and falling back to an exact Python-int
-  loop otherwise.  Verdicts are **bit-identical** to the scalar
-  validator: same accept/reject, same makespan, and on rejection the
-  same ``reason`` tag and detail message (checks run in the same order
-  and scan rows in the scalar validator's machine-major order) — the
-  differential and mutation suites assert this.
+* the **columnar** validator (:func:`validate_columns`) — one exact
+  Python-int pass directly over a
+  :class:`~repro.core.schedule.ScheduleColumns` store at a common
+  integer scale, exact at any magnitude.  Verdicts are
+  **bit-identical** to the scalar validator: same accept/reject, same
+  makespan, and on rejection the same ``reason`` tag and detail message
+  (checks run in the same order and scan rows in the scalar validator's
+  machine-major order) — the differential and mutation suites assert
+  this.
 
 :func:`validate_schedule` always runs the columnar validator over the
 schedule's column store (no placement materialization at all); the
@@ -57,14 +56,6 @@ from .errors import InfeasibleScheduleError
 from .instance import Instance, JobRef
 from .numeric import Time, TimeLike, as_time, time_str
 from .schedule import Placement, Schedule, ScheduleColumns
-
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Conservative ceiling for every vectorized intermediate (int64 headroom).
-_GUARD = 1 << 62
 
 
 def validate_schedule(
@@ -135,15 +126,11 @@ def validate_columns(
 ) -> Time:
     """Validate a column store directly; verdicts match the scalar validator.
 
-    The int64 tier runs when numpy is importable and the exact-integer
-    precheck clears; otherwise the Python-int tier does.  Both tiers are
-    bit-identical by construction and differential-tested.
-
     One reason tag is columnar-only: ``"bad-machine"`` rejects rows whose
     machine index falls outside ``[0, m)``.  A :class:`Schedule` can
     never hold such a placement (``add`` refuses it), so the scalar
     validator has no corresponding rule — but a raw column store built
-    by hand can, and both tiers must reject it identically.
+    by hand can.
     """
     L, starts, lengths = cols.scaled()
     n = len(cols)
@@ -154,10 +141,7 @@ def validate_columns(
             "bad-machine",
             f"machine {mach[k]} out of range [0, {instance.m}): row {k}",
         )
-    if _np is not None and n > 0 and _columns_safe(instance, cols, L, starts, lengths):
-        cmax = _validate_columns_np(instance, cols, L, starts, lengths, variant)
-    else:
-        cmax = _validate_columns_py(instance, cols, L, starts, lengths, variant)
+    cmax = _validate_columns_py(instance, cols, L, starts, lengths, variant)
     if makespan_bound is not None:
         bound = as_time(makespan_bound)
         if cmax > bound:
@@ -166,25 +150,6 @@ def validate_columns(
                 f"makespan {time_str(cmax)} exceeds bound {time_str(bound)}",
             )
     return cmax
-
-
-def _columns_safe(instance, cols, L, starts, lengths) -> bool:
-    """Exact-integer bound on every int64 intermediate of the numpy tier.
-
-    A miss only costs speed — the caller drops to the Python-int tier,
-    never precision.  Bounds checked: scaled starts/ends/lengths, the
-    expected per-row quantities (``s_i·L``, ``t_j·L``), and the
-    accumulated per-job totals (bounded by the total scheduled length).
-    """
-    mx_s = max(map(abs, starts), default=0)
-    mx_l = max(map(abs, lengths), default=0)
-    tot_l = sum(map(abs, lengths))
-    return (
-        mx_s + mx_l < _GUARD
-        and tot_l < _GUARD
-        and L * max(instance.smax, instance.tmax, 1) < _GUARD
-        and L * instance.total_processing < _GUARD
-    )
 
 
 # ---- shared error formatting (tags and messages match the scalar checks) -- #
@@ -275,7 +240,7 @@ def _raise_parallel(cols: ScheduleColumns, prev: int, cur: int) -> None:
     )
 
 
-# ---- Python-int tier ------------------------------------------------------ #
+# ---- the Python-int pass ------------------------------------------------- #
 
 
 def _validate_columns_py(
@@ -300,7 +265,7 @@ def _validate_columns_py(
     # 2. machine overlap — all machines, before any setup-state check
     #    (the scalar validator runs the checks as whole passes, so a
     #    schedule violating both on different machines must report the
-    #    overlap; the numpy tier does the same)
+    #    overlap)
     cmax_sc = 0
     sorted_by_machine: list[list[int]] = []
     for rows in rows_by_machine:
@@ -360,137 +325,6 @@ def _validate_columns_py(
                 if starts[cur] < starts[prev] + lengths[prev]:
                     _raise_parallel(cols, prev, cur)
 
-    return Fraction(cmax_sc, L) if n else Fraction(0)
-
-
-# ---- numpy int64 tier ----------------------------------------------------- #
-
-
-def _validate_columns_np(
-    instance: Instance, cols: ScheduleColumns, L, starts, lengths, variant: Variant
-) -> Time:
-    n = len(cols)
-    c = instance.c
-    mach, sn, ln, clsa, jidx = (
-        _np.asarray(col, dtype=_np.int64)
-        for col in (cols.machine, starts, lengths, cols.cls, cols.job_idx)
-    )
-    is_setup = jidx < 0
-
-    # Machine-major, insertion-stable order (== the scalar iter_all order).
-    order0 = _np.argsort(mach, kind="stable")
-
-    # per-class / per-job expected quantities at scale L
-    setups_L = _np.asarray(instance.setups, dtype=_np.int64) * L
-    sizes = _np.asarray(instance.class_sizes, dtype=_np.int64)
-    joff = _np.zeros(c + 1, dtype=_np.int64)
-    _np.cumsum(sizes, out=joff[1:])
-    flat_t = _np.asarray(
-        [t for times in instance.jobs for t in times], dtype=_np.int64
-    )
-
-    # 1. placement sanity (per-row precedence == the scalar sub-rule order)
-    cls_clip = _np.clip(clsa, 0, c - 1)
-    idx_clip = _np.clip(jidx, 0, None)
-    idx_clip = _np.minimum(idx_clip, sizes[cls_clip] - 1)
-    key_clip = joff[cls_clip] + idx_clip
-    conds = [
-        sn < 0,
-        (clsa < 0) | (clsa >= c),
-        is_setup & (ln != setups_L[cls_clip]),
-        ~is_setup & (jidx >= sizes[cls_clip]),
-        ~is_setup & (ln <= 0),
-        ~is_setup & (ln > flat_t[key_clip] * L),
-    ]
-    viol = _np.select(conds, [1, 2, 3, 4, 5, 6], default=0)
-    if viol.any():
-        in_order = viol[order0]
-        k = int(order0[int(_np.argmax(in_order > 0))])
-        _raise_sanity(instance, cols.row_placement(k), int(viol[k]))
-
-    # 2. machine overlap (machine-major, (start, end)-sorted, stable)
-    end = sn + ln
-    order = _np.lexsort((end, sn, mach))
-    sm, ss, se = mach[order], sn[order], end[order]
-    same = sm[1:] == sm[:-1]
-    bad = same & (ss[1:] < se[:-1])
-    if bad.any():
-        i = int(_np.argmax(bad))
-        _raise_overlap(cols, int(order[i]), int(order[i + 1]))
-
-    # 3. setup states: forward-fill the last setup position per machine
-    pos = _np.arange(n, dtype=_np.int64)
-    setup_pos = _np.where(is_setup[order], pos, -1)
-    ff = _np.maximum.accumulate(setup_pos)
-    new_mach = _np.empty(n, dtype=bool)
-    new_mach[0] = True
-    new_mach[1:] = sm[1:] != sm[:-1]
-    mstart = _np.maximum.accumulate(_np.where(new_mach, pos, 0))
-    configured = ff >= mstart
-    cls_o = clsa[order]
-    state_cls = _np.where(configured, cls_o[_np.maximum(ff, 0)], -1)
-    bad = ~is_setup[order] & (state_cls != cls_o)
-    if bad.any():
-        i = int(_np.argmax(bad))
-        state = int(state_cls[i])
-        _raise_setup_missing(cols, int(order[i]), None if state < 0 else state)
-
-    # 4. job completeness (exact: int64 adds, bounded by the precheck)
-    n_jobs = int(joff[-1])
-    totals = _np.zeros(n_jobs, dtype=_np.int64)
-    jrows = ~is_setup
-    if jrows.any():
-        keys = joff[clsa[jrows]] + jidx[jrows]
-        _np.add.at(totals, keys, ln[jrows])
-    expected = flat_t * L
-    bad = totals != expected
-    if bad.any():
-        j = int(_np.argmax(bad))
-        cls = int(_np.searchsorted(joff, j, side="right")) - 1
-        job = JobRef(cls, j - int(joff[cls]))
-        _raise_incomplete(instance, job, Fraction(int(totals[j]), L))
-
-    # 5. variant rules
-    if variant is Variant.NONPREEMPTIVE:
-        rows_j = order0[~is_setup[order0]]
-        if rows_j.size:
-            keys_in_order = joff[clsa[rows_j]] + jidx[rows_j]
-            counts = _np.bincount(keys_in_order, minlength=n_jobs)
-            if (counts > 1).any():
-                perm = _np.argsort(keys_in_order, kind="stable")
-                sk = keys_in_order[perm]
-                dup_mark = _np.zeros(rows_j.size, dtype=bool)
-                dup_mark[perm[1:][sk[1:] == sk[:-1]]] = True
-                p2 = int(_np.argmax(dup_mark))  # first 2nd-occurrence, iter order
-                key = keys_in_order[p2]
-                p1 = int(_np.argmax(keys_in_order == key))
-                _raise_preempted(cols, int(rows_j[p1]), int(rows_j[p2]))
-    elif variant is Variant.PREEMPTIVE:
-        rows_j = _np.nonzero(~is_setup)[0]
-        if rows_j.size:
-            keys = joff[clsa[rows_j]] + jidx[rows_j]
-            # first-appearance position of each job in iter_all order
-            iter_rank = _np.empty(n, dtype=_np.int64)
-            iter_rank[order0] = pos
-            jorder = _np.lexsort((end[rows_j], sn[rows_j], keys))
-            kk = keys[jorder]
-            same = kk[1:] == kk[:-1]
-            bad = same & (sn[rows_j][jorder][1:] < end[rows_j][jorder][:-1])
-            if bad.any():
-                # match the scalar validator: first violating *job* in
-                # first-appearance order, then its first violating pair
-                bad_idx = _np.nonzero(bad)[0]
-                bad_keys = kk[bad_idx + 1]
-                first_app = _np.full(n_jobs, n, dtype=_np.int64)
-                _np.minimum.at(first_app, keys, iter_rank[rows_j])
-                pick = bad_idx[int(_np.argmin(first_app[bad_keys]))]
-                _raise_parallel(
-                    cols,
-                    int(rows_j[jorder[pick]]),
-                    int(rows_j[jorder[pick + 1]]),
-                )
-
-    cmax_sc = int(end.max()) if n else 0
     return Fraction(cmax_sc, L) if n else Fraction(0)
 
 

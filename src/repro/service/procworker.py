@@ -6,15 +6,11 @@ supervised child process running :func:`main` below — spawned as
 command line.  Parent and child speak a length-prefixed binary frame
 protocol over the child's stdin/stdout pipes:
 
-* **Frames** are ``uint32 nparts``, then ``nparts`` little-endian
-  ``uint64`` part lengths, then the parts.  Part 0 is a pickle
-  **protocol 5** payload; the remaining parts are its out-of-band
-  :class:`pickle.PickleBuffer` buffers, in ``buffer_callback`` order.
-  That is how a result schedule crosses the pipe: its list columns are
-  packed once into six raw ``int64`` buffers
-  (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`) and shipped
-  out-of-band, not as pickled Python objects — with an in-band exact-int
-  fallback for the rare big-int overflow rows.
+* **Frames** are one little-endian ``uint64`` payload length, then one
+  pickle **protocol 5** payload.  A result schedule crosses the pipe as
+  copies of its six plain int column lists
+  (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`), which pickle
+  encodes exactly at any magnitude.
 * **Requests** cross as the service's exact-rational wire encoding
   (:func:`~repro.service.protocol.instance_to_obj` /
   :func:`~repro.service.protocol.encode_time`), so a process shard's
@@ -71,13 +67,13 @@ from .protocol import (
 
 __all__ = ["WorkerProc", "read_frame", "write_frame", "main"]
 
-_HEAD = struct.Struct("<I")
-_PLEN = struct.Struct("<Q")
-_MAX_PARTS = 1 << 16
-_MAX_PART_LEN = 1 << 40
+_LEN = struct.Struct("<Q")
+#: The largest payload length a reader accepts; anything above it is a
+#: corrupt length field, not a frame to allocate for.
+_MAX_FRAME_LEN = 1 << 40
 #: Requested OS pipe capacity for the frame streams.  A 16-item result
 #: frame tops the 64 KiB Linux default, so with the previous frame still
-#: undrained the child's coalesced write *blocks on the parent's read
+#: undrained the child's frame write *blocks on the parent's read
 #: latency* — measured as ~1 ms of dead time per batch on the child's
 #: solve thread.  A megabyte of kernel-side slack decouples the two.
 _PIPE_CAPACITY = 1 << 20
@@ -98,30 +94,16 @@ def _widen_pipe(fileobj) -> None:
 # --------------------------------------------------------------------------- #
 
 
-#: Frames up to this size are coalesced into one ``write``.  A result
-#: frame is ~100 tiny parts (each schedule ships six column buffers);
-#: written one by one through a small pipe buffer that is ~100 write
-#: syscalls and as many reader wake-ups — measured at ~1ms per batch,
-#: serialized with the child's solving.  One join + one write makes it
-#: one syscall.  Above the cap, fall back to streaming the parts so a
-#: huge frame never doubles its own memory.
-_COALESCE_MAX = 4 << 20
-
-
 def write_frame(stream, obj) -> None:
-    """Write one frame: pickle-5 payload + out-of-band buffers."""
-    buffers: list[pickle.PickleBuffer] = []
-    payload = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    parts: list = [payload]
-    parts.extend(buf.raw() for buf in buffers)  # raw(): flat B-format views
-    head = [_HEAD.pack(len(parts))]
-    head.extend(_PLEN.pack(len(part)) for part in parts)
-    if sum(len(part) for part in parts) <= _COALESCE_MAX:
-        stream.write(b"".join(head + parts))
-    else:  # pragma: no cover - only multi-megabyte frames
-        stream.write(b"".join(head))
-        for part in parts:
-            stream.write(part)
+    """Write one frame: payload length, then the pickle-5 payload.
+
+    Both frame streams are buffered a megabyte deep, so a frame below
+    that leaves in one syscall, and a larger payload is not copied to
+    join it to its length.
+    """
+    payload = pickle.dumps(obj, protocol=5)
+    stream.write(_LEN.pack(len(payload)))
+    stream.write(payload)
     stream.flush()
 
 
@@ -141,28 +123,16 @@ def _read_exact(stream, n: int) -> Optional[bytes]:
 
 def read_frame(stream):
     """Read one frame; ``None`` on clean EOF, :class:`EOFError` mid-frame."""
-    head = _read_exact(stream, _HEAD.size)
+    head = _read_exact(stream, _LEN.size)
     if head is None:
         return None
-    (nparts,) = _HEAD.unpack(head)
-    if not 1 <= nparts <= _MAX_PARTS:
-        raise EOFError(f"corrupt frame header: {nparts} parts")
-    lens = []
-    for _ in range(nparts):
-        raw = _read_exact(stream, _PLEN.size)
-        if raw is None:
-            raise EOFError("truncated frame (length table)")
-        (plen,) = _PLEN.unpack(raw)
-        if plen > _MAX_PART_LEN:
-            raise EOFError(f"corrupt frame part length: {plen}")
-        lens.append(plen)
-    parts = []
-    for plen in lens:
-        data = _read_exact(stream, plen)
-        if data is None:
-            raise EOFError("truncated frame (payload)")
-        parts.append(data)
-    return pickle.loads(parts[0], buffers=parts[1:])
+    (length,) = _LEN.unpack(head)
+    if length > _MAX_FRAME_LEN:
+        raise EOFError(f"corrupt frame length: {length}")
+    payload = _read_exact(stream, length)
+    if payload is None:
+        raise EOFError("truncated frame (payload)")
+    return pickle.loads(payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -276,8 +246,7 @@ def result_to_wire(result) -> dict:
     """One solve outcome as wire data (child side).
 
     Certificates use the exact-rational encoding; schedules leave as
-    columnar IPC payloads whose int64 buffers the protocol-5 pickler
-    ships out-of-band.
+    columnar IPC payloads (plain int lists).
     """
     if isinstance(result, list):  # an ms sweep
         return {"kind": "list", "results": [result_to_wire(r) for r in result]}

@@ -82,6 +82,7 @@ __all__ = [
     "ServiceError",
     "SolveRequest",
     "TIMEOUT_MS_MAX",
+    "check_timeout_ms",
     "echo",
     "encode_time",
     "parse_time",
@@ -293,6 +294,26 @@ MS_MAX = 64
 TIMEOUT_MS_MAX = 86_400_000
 
 
+def check_timeout_ms(timeout_ms) -> None:
+    """Raise :class:`ProtocolError` unless ``timeout_ms`` is ``None`` or a
+    positive int (not a bool) of at most :data:`TIMEOUT_MS_MAX`.
+
+    The one rule for a request's deadline budget: the wire parser and
+    :meth:`~repro.service.engine.SolveService.submit` both apply it.
+    """
+    if timeout_ms is None:
+        return
+    if (
+        not isinstance(timeout_ms, int) or isinstance(timeout_ms, bool)
+        or timeout_ms < 1
+    ):
+        raise ProtocolError(
+            f"timeout_ms must be a positive int (milliseconds), got {echo(timeout_ms)}"
+        )
+    if timeout_ms > TIMEOUT_MS_MAX:
+        raise ProtocolError(f"timeout_ms may be at most {TIMEOUT_MS_MAX} (one day)")
+
+
 @dataclass(frozen=True)
 class SolveRequest:
     """One validated service request (the in-process submit unit).
@@ -302,7 +323,8 @@ class SolveRequest:
     the response line (``None`` for in-process use).  ``timeout_ms``
     (optional) is the request's total deadline budget — queue wait plus
     solve time; an expired request resolves as a structured ``timeout``
-    error instead of an answer.
+    error instead of an answer.  ``submit`` checks it like the wire does
+    (:func:`check_timeout_ms`).
     """
 
     instance: Instance
@@ -375,15 +397,7 @@ def request_from_obj(obj) -> SolveRequest:
         raise ProtocolError("eps must be at least 1/2**64")
 
     timeout_ms = obj.get("timeout_ms")
-    if timeout_ms is not None and (
-        not isinstance(timeout_ms, int) or isinstance(timeout_ms, bool)
-        or timeout_ms < 1
-    ):
-        raise ProtocolError(
-            f"timeout_ms must be a positive int (milliseconds), got {echo(timeout_ms)}"
-        )
-    if timeout_ms is not None and timeout_ms > TIMEOUT_MS_MAX:
-        raise ProtocolError(f"timeout_ms may be at most {TIMEOUT_MS_MAX} (one day)")
+    check_timeout_ms(timeout_ms)
 
     algorithm = obj.get("algorithm", "three_halves")
     variant = _validate_request(

@@ -6,30 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-import repro.core.validate as validate_mod
 from repro.algos.search import drive_plan, probe_evaluator
 from repro.core import Instance, JobRef, Schedule
-
-#: The columnar validator's tiers: numpy int64 (when installed) and pure int.
-COLUMN_TIERS = [True, False] if validate_mod._np is not None else [False]
 
 #: The aggregates an ``Instance`` computes on first read.
 AGGREGATES = (
     "class_processing", "class_tmax", "class_sizes", "n",
     "total_processing", "total_load", "smax", "tmax",
 )
-
-
-def validate_columns_on(numpy_tier: bool, *args):
-    """``validate_columns(*args)`` with numpy available or monkeypatched away.
-
-    ``numpy_tier=False`` runs the pure-int tier — the exact code path
-    taken when numpy is not installed.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        if not numpy_tier:
-            mp.setattr(validate_mod, "_np", None)
-        return validate_mod.validate_columns(*args)
 
 
 @pytest.fixture

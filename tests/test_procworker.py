@@ -5,12 +5,11 @@ boundary of the process backend — everything a child answers crosses it.
 These tests pin the layer down in isolation (no service on top):
 
 * frames round-trip through the length-prefixed protocol-5 encoding,
-  including out-of-band ``int64`` buffers, and every way a stream can
-  end (clean EOF, truncation, corrupt header) maps to the documented
-  ``None`` / :class:`EOFError` contract;
+  including frames larger than the megabyte stream buffers, and every
+  way a stream can end (clean EOF, truncation, corrupt length) maps to
+  the documented ``None`` / :class:`EOFError` contract;
 * :class:`~repro.core.schedule.ScheduleColumns` survives
-  ``to_ipc``/``from_ipc`` bit-exactly in both modes — zero-copy ``i64``
-  and the big-int in-band fallback;
+  ``to_ipc``/``from_ipc`` bit-exactly at any magnitude;
 * request deadlines cross as remaining-time budgets read through the
   token's **own** clock, so injected test clocks propagate through the
   pipe;
@@ -35,6 +34,7 @@ from repro.core.instance import Instance
 from repro.core.schedule import Schedule, ScheduleColumns
 from repro.service.cache import InstanceLRU
 from repro.service.procworker import (
+    _MAX_FRAME_LEN,
     WorkerProc,
     _item_from_wire,
     read_frame,
@@ -68,10 +68,24 @@ class TestFraming:
                     ("batch", 9, [{"deep": ("nest", None)}])):
             assert round_trip(obj) == obj
 
-    def test_out_of_band_buffers_round_trip(self):
+    def test_buffer_objects_round_trip(self):
         cols = array("q", range(-5, 1000))
         got = round_trip(("result", 1, pickle.PickleBuffer(cols)))
         assert bytes(got[2]) == cols.tobytes()
+
+    def test_frame_larger_than_the_stream_buffer(self):
+        """A frame past the 1 MiB buffers of the pipe streams round-trips."""
+        obj = ("result", 1, list(range(-(1 << 40), -(1 << 40) + 400_000)))
+        raw = io.BytesIO()
+        out = io.BufferedWriter(raw, buffer_size=1 << 20)
+        write_frame(out, obj)
+        write_frame(out, ("hb",))
+        data = raw.getvalue()
+        assert len(data) > 2 << 20
+        inp = io.BufferedReader(io.BytesIO(data), buffer_size=1 << 20)
+        assert read_frame(inp) == obj
+        assert read_frame(inp) == ("hb",)
+        assert read_frame(inp) is None
 
     def test_multiple_frames_in_sequence(self):
         pipe = io.BytesIO()
@@ -88,13 +102,14 @@ class TestFraming:
         pipe = io.BytesIO()
         write_frame(pipe, ("payload", "x" * 64))
         whole = pipe.getvalue()
-        for cut in (2, 6, len(whole) - 1):  # header, length table, payload
+        # inside the length field, right after it, inside the payload
+        for cut in (2, 7, 8, len(whole) - 1):
             with pytest.raises(EOFError):
                 read_frame(io.BytesIO(whole[:cut]))
 
-    def test_corrupt_header_is_eoferror(self):
-        # 0 parts and absurd part counts both violate the frame contract.
-        for bad in (b"\x00\x00\x00\x00", b"\xff\xff\xff\xff"):
+    def test_length_above_the_bound_is_eoferror(self):
+        for length in (_MAX_FRAME_LEN + 1, (1 << 64) - 1):
+            bad = length.to_bytes(8, "little")
             with pytest.raises(EOFError, match="corrupt"):
                 read_frame(io.BytesIO(bad + b"\x00" * 64))
 
@@ -113,26 +128,17 @@ class TestColumnsIpc:
         for name in ScheduleColumns._COL_NAMES:
             assert list(getattr(got, name)) == list(getattr(want, name)), name
 
-    def test_i64_mode_round_trips_out_of_band(self):
-        cols = self.filled(self.rows())
-        obj = cols.to_ipc()
-        assert obj["mode"] == "i64"
-        self.assert_same(ScheduleColumns.from_ipc(round_trip(obj)), cols)
-
-    def test_bigint_fallback_round_trips_in_band(self):
-        huge = 1 << 70  # far past int64: forces object mode
+    def test_round_trip_beyond_int64(self):
+        huge = 1 << 70  # far past int64
         rows = self.rows() + [(0, huge, huge + 3, 1, 0, -1)]
         cols = self.filled(rows)
-        assert cols.int_mode is False
-        obj = cols.to_ipc()
-        assert obj["mode"] == "obj"
-        got = ScheduleColumns.from_ipc(round_trip(obj))
+        got = ScheduleColumns.from_ipc(round_trip(cols.to_ipc()))
         self.assert_same(got, cols)
         assert got.start_num[-1] == huge  # exact at any magnitude
 
     def test_to_ipc_leaves_store_untouched(self):
-        """``to_ipc`` packs fresh int64 copies: the store keeps its int
-        lists, and appends after packing do not reach the payload."""
+        """``to_ipc`` ships fresh copies: the store keeps its int lists,
+        and appends after packing do not reach the payload."""
         cols = self.filled(self.rows())
         before = [getattr(cols, name) for name in ScheduleColumns._COL_NAMES]
         obj = cols.to_ipc()
@@ -143,10 +149,10 @@ class TestColumnsIpc:
         got = ScheduleColumns.from_ipc(round_trip(obj))
         self.assert_same(got, self.filled(self.rows()))
 
-    @pytest.mark.parametrize("huge", [False, True], ids=["i64", "obj"])
+    @pytest.mark.parametrize("huge", [False, True], ids=["small", "beyond-int64"])
     def test_from_ipc_decodes_into_int_lists(self, huge):
-        """Both wire modes decode into plain int lists that take appends
-        and keep ``int_mode``/``dens`` in step with their values."""
+        """The payload decodes into plain int lists that take appends and
+        keep ``dens`` in step with their values."""
         rows = self.rows()
         if huge:
             rows.append((0, 1 << 70, 3, 1, 0, -1))
@@ -155,18 +161,20 @@ class TestColumnsIpc:
             col = getattr(got, name)
             assert type(col) is list, name
             assert all(type(v) is int for v in col), name
-        assert got.int_mode is not huge
         assert got.dens == frozenset({1, 2})
         got.append_scaled(2, 1, 1, 3, 1, 1)
         want = self.filled(rows + [(2, 1, 1, 3, 1, 1)])
         self.assert_same(got, want)
-        assert got.dens == want.dens and got.int_mode is want.int_mode
+        assert got.dens == want.dens
 
     def test_malformed_payload_rejected(self):
-        for bad in (None, {}, {"mode": "i64"}, {"mode": "zip", "cols": []},
-                    {"mode": "i64", "cols": [b""] * 3}):
+        six = [[0], [0], [1], [1], [0], [-1]]
+        for bad in (None, {}, {"mode": "i64", "cols": six}, tuple(six),
+                    six[:5], six + [[0]], six[:5] + [[-1, 0]],
+                    six[:5] + [b"\x00" * 8]):
             with pytest.raises(ValueError, match="malformed"):
                 ScheduleColumns.from_ipc(bad)
+        assert len(ScheduleColumns.from_ipc(six)) == 1
 
 
 class TestDeadlineBudget:

@@ -9,9 +9,7 @@ Three guarantees are asserted on every generator-suite instance:
   materialized placements;
 * **bit-identical validator verdicts** — :func:`validate_columns` agrees
   with the scalar validator on accept/reject, makespan, and the error
-  ``reason`` tag, in all three execution modes: numpy int64, numpy absent
-  (python tier, numpy monkeypatched away), and the big-integer overflow
-  fallback;
+  ``reason`` tag, on solver output and on rows beyond int64;
 * **one storage form** — a schedule is its column store, and a piece the
   columns cannot encode (class mismatch, negative job index) is refused
   at ``add`` while the scalar rule still tags it.
@@ -34,6 +32,7 @@ from repro.core import (
     Schedule,
     ScheduleColumns,
     Variant,
+    validate_columns,
     validate_schedule,
     validate_schedule_scalar,
 )
@@ -44,7 +43,7 @@ from repro.generators import (
     uniform_instance,
 )
 
-from .conftest import COLUMN_TIERS, mk, validate_columns_on
+from .conftest import mk
 
 SUITE_INSTANCES = [
     pytest.param(inst, id=f"{suite}:{label}")
@@ -150,30 +149,26 @@ class TestValidatorDifferential:
         for variant, sched in suite_schedules(inst):
             cols = sched.columns()
             want = validate_schedule_scalar(sched, variant)
-            for tier in COLUMN_TIERS:
-                got = validate_columns_on(tier, inst, cols, variant)
-                assert got == want, (variant, tier)
+            assert validate_columns(inst, cols, variant) == want, variant
             # scalar validation left the store in place
             assert sched.columns() is cols
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES[:10])
-    def test_dispatch_without_numpy(self, inst, monkeypatch):
-        """validate_schedule auto-dispatch with numpy absent (python tier)."""
-        monkeypatch.setattr(validate_mod, "_np", None)
+    def test_validate_schedule_matches_scalar(self, inst):
+        """validate_schedule answers like the scalar reference."""
         for variant, sched in suite_schedules(inst):
             want = validate_schedule_scalar(sched, variant)
             assert validate_schedule(sched, variant) == want
 
-    def test_overflow_fallback_mode(self):
-        """Column stores beyond int64 stay exact (object mode, python tier)."""
+    def test_rows_beyond_int64(self):
+        """Column stores beyond int64 validate exactly."""
         big = 1 << 70
         inst = Instance.build(2, [(big, [big, big]), (1, [2])])
         sched = solve(inst, Variant.NONPREEMPTIVE).schedule
         cols = sched.columns()
-        assert not cols.int_mode  # values beyond 62 bits flipped the store
+        assert max(cols.start_num) >= 1 << 63
         want = validate_schedule_scalar(sched, Variant.NONPREEMPTIVE)
-        for tier in COLUMN_TIERS:  # numpy precheck must refuse, never wrap
-            assert validate_columns_on(tier, inst, cols, Variant.NONPREEMPTIVE) == want
+        assert validate_columns(inst, cols, Variant.NONPREEMPTIVE) == want
         assert sched.makespan() == want
 
     def test_makespan_bound_tag(self):
@@ -285,13 +280,12 @@ class TestRunsAdoption:
         with pytest.raises(ValueError):
             sched.extend_runs([(0, [1], [0], [-1])], 0)
 
-    def test_extend_runs_overflow_drops_int_mode(self):
+    def test_extend_runs_beyond_int64_stays_exact(self):
         inst = mk(2, (2, [3]))
         sched = Schedule(inst)
         big = 1 << 63
         sched.extend_runs([(0, [big, big], [0, 0], [-1, 0])], 1)
-        cols = sched.columns()
-        assert not cols.int_mode
+        assert sched.columns().start_num == [0, big]
         assert sched.machine_end(0) == 2 * big
 
     @pytest.mark.parametrize("inst", SUITE_INSTANCES[:10])
@@ -382,7 +376,7 @@ class TestSingleStore:
         inst = uniform_instance(4, 5, 4, seed=3)
         sched = solve(inst, variant).schedule
         cols = sched.columns()
-        assert len(cols) > 0 and cols.int_mode
+        assert len(cols) > 0
         for name in ScheduleColumns._COL_NAMES:
             col = getattr(cols, name)
             assert type(col) is list, name
@@ -425,8 +419,8 @@ class TestSingleStore:
         assert list(sched.iter_all()) == list(fresh.iter_all())
 
     @pytest.mark.parametrize("case", [
-        "one-den", "several-dens", "object-mode", "from-ipc", "from-ipc-object",
-        "empty-runs",
+        "one-den", "several-dens", "beyond-int64", "from-ipc",
+        "from-ipc-beyond-int64", "empty-runs",
     ])
     def test_makespan_is_latest_machine_end(self, case):
         """``makespan()`` (one C pass over the rows at the common scale)
@@ -440,15 +434,14 @@ class TestSingleStore:
             sched.add_piece(1, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
             sched.add_piece(1, Fraction(5), JobRef(0, 1), Fraction(4, 3))
             assert len(sched.columns().dens) == 3
-        elif case in ("object-mode", "from-ipc-object"):
+        elif case in ("beyond-int64", "from-ipc-beyond-int64"):
             big = 1 << 70
             inst = Instance.build(2, [(big, [big, big]), (1, [2])])
             sched = solve(inst, Variant.PREEMPTIVE).schedule
-            if case == "from-ipc-object":
+            if case == "from-ipc-beyond-int64":
                 payload = pickle.loads(pickle.dumps(sched.columns().to_ipc(), 5))
-                assert payload["mode"] == "obj"
                 sched = Schedule.from_columns(inst, ScheduleColumns.from_ipc(payload))
-            assert not sched.columns().int_mode
+            assert max(sched.columns().length_num) >= 1 << 63
         elif case == "empty-runs":
             sched = Schedule(inst)
             sched.extend_runs([(0, [], [], []), (3, (), (), ())], 5)

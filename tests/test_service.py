@@ -48,6 +48,7 @@ from repro.service import (
 )
 from repro.service.protocol import (
     ECHO_MAX,
+    TIMEOUT_MS_MAX,
     encode_time,
     error_line,
     instance_from_obj,
@@ -614,7 +615,7 @@ class TestProtocol:
         inst = Instance.build(3, [(big, [big, big + 7]), (1, [2, 5])])
         for variant in Variant:
             result = solve(inst, variant)
-            assert not result.schedule.columns().int_mode  # object mode
+            assert max(result.schedule.columns().length_num) >= 1 << 63
             assert_wire_bytes_pinned(monkeypatch, result)
 
     def test_wire_bytes_pinned_on_mixed_denominators(self, tiny, monkeypatch):
@@ -760,6 +761,28 @@ class TestServiceEngine:
 
         stats = asyncio.run(main())
         assert stats.requests == 0  # never reached a shard
+
+    def test_submit_checks_timeout_ms_before_dispatch(self, tiny):
+        """An in-process ``timeout_ms`` obeys the wire's rule: out of range
+        is a ``ValueError`` before dispatch, not an ``OverflowError`` or
+        an instant ``timeout`` answer."""
+
+        async def main():
+            async with SolveService(ServiceConfig(shards=1)) as svc:
+                for bad in (10**400, 0, -5, TIMEOUT_MS_MAX + 1):
+                    with pytest.raises(ValueError, match="timeout_ms"):
+                        await svc.submit(SolveRequest(instance=tiny, timeout_ms=bad))
+                rejected = svc.stats().requests
+                result = await svc.submit(
+                    SolveRequest(instance=tiny, timeout_ms=TIMEOUT_MS_MAX)
+                )
+                return rejected, result, svc.stats()
+
+        rejected, result, stats = asyncio.run(main())
+        assert rejected == 0  # never reached a shard
+        want = solve(tiny, Variant.NONPREEMPTIVE).schedule.makespan()
+        assert result.schedule.makespan() == want
+        assert stats.requests == 1
 
     def test_submit_outside_lifecycle_raises(self, tiny):
         svc = SolveService()

@@ -3,11 +3,10 @@
 Each case takes a *valid* columnar schedule, corrupts exactly one entry of
 one column (a start, a length, a class, a job index), and asserts that
 
-* the vectorized columnar validator rejects, and
-* its error ``reason`` is identical to the scalar validator's on the same
-  (materialized) schedule,
+* the columnar validator rejects, and
+* its error ``reason`` and message are identical to the scalar
+  validator's on the same (materialized) schedule.
 
-in every execution mode (numpy tier when installed, python tier, auto).
 This is the sharpest form of the bit-identical-verdicts contract: the two
 validators must not only accept the same schedules, they must *fail the
 same way*.
@@ -19,7 +18,6 @@ from fractions import Fraction
 
 import pytest
 
-import repro.core.validate as validate_mod
 from repro.core import (
     InfeasibleScheduleError,
     JobRef,
@@ -29,9 +27,7 @@ from repro.core import (
     validate_schedule_scalar,
 )
 
-from .conftest import COLUMN_TIERS, full_job_schedule, mk, validate_columns_on
-
-HAVE_NUMPY = validate_mod._np is not None
+from .conftest import full_job_schedule, mk
 
 
 def valid_schedule() -> Schedule:
@@ -68,19 +64,14 @@ def assert_same_rejection(sched: Schedule, variant: Variant, expected: str):
     """Columnar and scalar validators reject with the same reason tag."""
     cols = sched.columns()
     assert cols is not None
-    inst = sched.instance
-    for tier in COLUMN_TIERS:
-        with pytest.raises(InfeasibleScheduleError) as e_cols:
-            validate_columns_on(tier, inst, cols, variant)
-        assert e_cols.value.reason == expected, f"columnar numpy_tier={tier}"
+    with pytest.raises(InfeasibleScheduleError) as e_cols:
+        validate_columns(sched.instance, cols, variant)
+    assert e_cols.value.reason == expected
     with pytest.raises(InfeasibleScheduleError) as e_scalar:
         validate_schedule_scalar(sched, variant)
     assert e_scalar.value.reason == expected
-    # identical messages too, not just tags (numpy tier vs scalar)
-    for tier in COLUMN_TIERS:
-        with pytest.raises(InfeasibleScheduleError) as e_cols:
-            validate_columns_on(tier, inst, cols, variant)
-        assert str(e_cols.value) == str(e_scalar.value), f"numpy_tier={tier}"
+    # identical messages too, not just tags
+    assert str(e_cols.value) == str(e_scalar.value)
 
 
 class TestSingleEntryCorruption:
@@ -146,9 +137,8 @@ class TestSingleEntryCorruption:
 
     def test_check_order_across_machines(self):
         """Whole-pass ordering: overlap on a *later* machine must win over
-        setup-missing on an earlier machine, identically on every tier
-        (the scalar validator runs each check as a pass over all
-        machines, not machine-by-machine)."""
+        setup-missing on an earlier machine (the scalar validator runs
+        each check as a pass over all machines, not machine-by-machine)."""
         inst = mk(2, (2, [3, 4]), (1, [2, 2, 2]))
         sched = Schedule(inst)
         sched.add_job(0, 0, JobRef(1, 0))          # machine 0: no setup
@@ -160,14 +150,13 @@ class TestSingleEntryCorruption:
     def test_bad_machine_columnar_only_rule(self, machine):
         # A Schedule can never hold an out-of-range machine (add refuses),
         # so this rule exists only on the raw-columns surface — but it must
-        # reject identically on every tier, not diverge or IndexError.
+        # reject, not IndexError.
         sched = valid_schedule()
         cols = sched.columns().copy()
         cols.machine[job_row(cols, 0, nth=0)] = machine
-        for tier in COLUMN_TIERS:
-            with pytest.raises(InfeasibleScheduleError) as e:
-                validate_columns_on(tier, sched.instance, cols, Variant.SPLITTABLE)
-            assert e.value.reason == "bad-machine", f"numpy_tier={tier}"
+        with pytest.raises(InfeasibleScheduleError) as e:
+            validate_columns(sched.instance, cols, Variant.SPLITTABLE)
+        assert e.value.reason == "bad-machine"
 
 
 class TestVariantRules:
@@ -183,11 +172,10 @@ class TestVariantRules:
         sched.add_piece(1, 9, JobRef(1, 0), 2)
         cols = sched.columns()
         assert cols is not None
-        for tier in COLUMN_TIERS:
-            assert validate_columns_on(tier, inst, cols, Variant.SPLITTABLE) \
-                == validate_schedule_scalar(sched, Variant.SPLITTABLE)
-            assert validate_columns_on(tier, inst, cols, Variant.PREEMPTIVE) \
-                == validate_schedule_scalar(sched, Variant.PREEMPTIVE)
+        assert validate_columns(inst, cols, Variant.SPLITTABLE) \
+            == validate_schedule_scalar(sched, Variant.SPLITTABLE)
+        assert validate_columns(inst, cols, Variant.PREEMPTIVE) \
+            == validate_schedule_scalar(sched, Variant.PREEMPTIVE)
         assert_same_rejection(sched, Variant.NONPREEMPTIVE, "job-preempted")
 
     def test_job_parallel(self):
@@ -202,30 +190,12 @@ class TestVariantRules:
         sched.add_piece(1, 9, JobRef(1, 0), 2)
         cols = sched.columns()
         assert cols is not None
-        for tier in COLUMN_TIERS:
-            assert validate_columns_on(tier, inst, cols, Variant.SPLITTABLE) \
-                == validate_schedule_scalar(sched, Variant.SPLITTABLE)
+        assert validate_columns(inst, cols, Variant.SPLITTABLE) \
+            == validate_schedule_scalar(sched, Variant.SPLITTABLE)
         assert_same_rejection(sched, Variant.PREEMPTIVE, "job-parallel")
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy tier only")
-    def test_kept_rejection_does_not_pin_column_buffers(self):
-        """A caller may keep the rejection exception for diagnostics; the
-        numpy tier's zero-copy views must not stay alive through its
-        traceback and leave the array('q') buffers exported (appending
-        to the schedule afterwards would raise BufferError)."""
-        sched = valid_schedule()
-        cols = sched.columns()
-        cols.start_num[job_row(cols, 0, nth=1)] -= 1  # overlap
-        kept = []
-        with pytest.raises(InfeasibleScheduleError) as e:
-            validate_columns(sched.instance, cols, Variant.SPLITTABLE)
-        kept.append(e.value)  # hold on to the exception like a repair pass
-        n_before = len(cols)
-        cols.append_scaled(0, 100, 1, 1, 0, -1)  # must not raise BufferError
-        assert len(cols) == n_before + 1
-
-    def test_overflow_mode_corruption(self):
-        """Object-mode columns (beyond int64) reject identically too."""
+    def test_corruption_beyond_int64(self):
+        """Columns beyond int64 reject identically too."""
         big = 1 << 70
         inst = mk(2, (big, [big]), (1, [2]))
         sched = Schedule(inst)
@@ -234,6 +204,6 @@ class TestVariantRules:
         sched.add_setup(1, 0, 1)
         sched.add_job(1, 1, JobRef(1, 0))
         cols = sched.columns()
-        assert cols is not None and not cols.int_mode
+        assert max(cols.start_num) >= 1 << 63
         cols.length_num[1] -= 1  # shorten the big job
         assert_same_rejection(sched, Variant.NONPREEMPTIVE, "job-incomplete")
