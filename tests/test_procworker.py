@@ -5,7 +5,8 @@ boundary of the process backend — everything a child answers crosses it.
 These tests pin the layer down in isolation (no service on top):
 
 * frames round-trip through the length-prefixed protocol-5 encoding,
-  including frames larger than the megabyte stream buffers, and every
+  including frames larger than the megabyte stream buffers and streams
+  that return short reads, and every
   way a stream can end (clean EOF, truncation, corrupt length) maps to
   the documented ``None`` / :class:`EOFError` contract;
 * :class:`~repro.core.schedule.ScheduleColumns` survives
@@ -97,6 +98,32 @@ class TestFraming:
 
     def test_clean_eof_is_none(self):
         assert read_frame(io.BytesIO()) is None
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_short_reads_are_reassembled(self, chunk):
+        """An unbuffered pipe may return fewer bytes than asked for: the
+        length field and the payload are each read to the end."""
+
+        class ShortReads(io.RawIOBase):
+            def __init__(self, data):
+                self.data = memoryview(data)
+
+            def readable(self):
+                return True
+
+            def read(self, n=-1):
+                block = bytes(self.data[:min(n, chunk)])
+                self.data = self.data[len(block):]
+                return block
+
+        pipe = io.BytesIO()
+        obj = ("result", 7, list(range(2000)))
+        write_frame(pipe, obj)
+        write_frame(pipe, ("hb",))
+        stream = ShortReads(pipe.getvalue())
+        assert read_frame(stream) == obj
+        assert read_frame(stream) == ("hb",)
+        assert read_frame(stream) is None
 
     def test_truncation_is_eoferror(self):
         pipe = io.BytesIO()
