@@ -75,11 +75,13 @@ __all__ = ["BatchItem", "SweepPoint", "solve_batch", "solve_many", "sweep_machin
 #: S3 (``python -m repro.experiments gridcross``) on the scaled-integer
 #: plans:
 #:
-#: * ``pmtn`` flip search — grid wins 1.06–1.15× for block×c in
-#:   ≈ 10k–26k, parity at 51k, loses below block ≈ 64;
-#: * ``split`` flip search — parity (0.91–1.01×) across the same band;
-#:   kept engaged there so the shared-candidate batched calls stay
-#:   exercised at no measured cost.
+#: * ``pmtn`` flip search — parity: medians 1.00–1.02× at every
+#:   measured c (12–400, block×c 168–51k);
+#: * ``split`` flip search — loses below block ≈ 64 (0.57× at c = 12,
+#:   0.84× at c = 40), parity (1.00–1.02×) for block×c ≈ 10k–51k.
+#:
+#: Both grids stay engaged in their windows at no measured cost, so the
+#: shared-candidate batched calls stay exercised.
 #:
 #: The ε-search and the non-preemptive integer search have no grid:
 #: their bisections need ~7–20 scalar probes, which a full candidate

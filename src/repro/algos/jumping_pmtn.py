@@ -63,6 +63,7 @@ from ..core.bounds import Variant, t_min
 from ..core.fastnum import (
     PmtnVerdict,
     as_pair,
+    knapsack_order_cmp,
     norm_pair,
     pair_add,
     pair_ceil,
@@ -235,34 +236,6 @@ def _change_points(instance: Instance, lo: Pair, hi: Pair) -> list[Pair]:
     return sorted(pts, key=pair_key)
 
 
-def _density_cmp(a: tuple, b: tuple) -> int:
-    """The knapsack greedy order on ``(key, s, W)`` with signed weight ``W``.
-
-    ``W`` is the item's affine weight evaluated at the region midpoint and
-    scaled by a common positive factor (``2·denominator``), so comparing
-    ``−s/W`` by sign-normalized cross-multiplication reproduces the
-    historic Fraction key ``(w==0, −s/w, −s, repr(key))`` exactly.
-    """
-    ka, sa, wa = a
-    kb, sb, wb = b
-    azero = wa == 0
-    if azero != (wb == 0):
-        return -1 if azero else 1
-    if not azero:
-        na, da = (-sa, wa) if wa > 0 else (sa, -wa)
-        nb, db = (-sb, wb) if wb > 0 else (sb, -wb)
-        lhs, rhs = na * db, nb * da
-        if lhs != rhs:
-            return -1 if lhs < rhs else 1
-    if sa != sb:  # −s ascending ⟺ s descending
-        return -1 if sa > sb else 1
-    ra, rb = repr(ka), repr(kb)
-    return 0 if ra == rb else (-1 if ra < rb else 1)
-
-
-_density_key = cmp_to_key(_density_cmp)
-
-
 def _knapsack_stable_points(instance: Instance, lo: Pair, hi: Pair) -> list[Pair]:
     """Points in ``(lo, hi)`` where the knapsack's unselected set can change.
 
@@ -357,7 +330,7 @@ def _knapsack_stable_points(instance: Instance, lo: Pair, hi: Pair) -> list[Pair
         # signed item weight at the midpoint, scaled by 2·rd > 0
         order = sorted(
             ((key, s, ws2 * rn + wc2 * rd) for key, s, ws2, wc2 in items),
-            key=_density_key,
+            key=cmp_to_key(knapsack_order_cmp),
         )
         acc_s2, acc_c2 = 0, 0
         for key, _, _ in order:

@@ -103,17 +103,22 @@ def knapsack_order_cmp(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
     """Greedy order for ``(key, profit, scaled_weight)`` int triples.
 
     Mirrors ``knapsack._greedy_order`` exactly: zero-weight items first,
-    then profit density descending (integer cross-multiplication), profit
-    descending, ``repr(key)`` ascending — including the *string* ordering
-    of the repr tie-break.  Weights may be pre-multiplied by any common
-    positive scale; the order is scale-invariant.
+    then profit density descending, profit descending, ``repr(key)``
+    ascending — including the *string* ordering of the repr tie-break.
+    The density ``p/w`` is compared by cross-multiplication after moving
+    each weight's sign onto its profit, so a weight may be negative (the
+    piece scan of :mod:`repro.algos.jumping_pmtn` orders affine weights
+    read at a region midpoint).  Weights may be pre-multiplied by any
+    common positive scale; the order is scale-invariant.
     """
     ia, pa, wa = a
     ib, pb, wb = b
     if (wa == 0) != (wb == 0):
         return -1 if wa == 0 else 1
     if wa != 0:
-        lhs, rhs = pa * wb, pb * wa  # density cross-multiplication
+        na, da = (pa, wa) if wa > 0 else (-pa, -wa)
+        nb, db = (pb, wb) if wb > 0 else (-pb, -wb)
+        lhs, rhs = na * db, nb * da  # density cross-multiplication
         if lhs != rhs:
             return -1 if lhs > rhs else 1
     if pa != pb:

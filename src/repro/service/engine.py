@@ -45,7 +45,7 @@ from ..core.cancel import CancelToken
 from ..obs.metrics import Metrics, RequestTimes
 from ..obs.trace import TraceWriter
 from .faults import FaultPlan
-from .protocol import ServiceError, SolveRequest, check_timeout_ms
+from .protocol import ServiceError, SolveRequest, check_ms, check_timeout_ms
 from .shards import ProcessShard, Shard, ShardStats, _Work, shard_index
 
 __all__ = ["ServiceConfig", "ServiceStats", "SolveService"]
@@ -337,12 +337,13 @@ class SolveService:
         """
         if not self._started or self._closed:
             raise RuntimeError("service is not running (use 'async with' or start())")
-        # Fail fast in the caller's task: names, eps and the deadline
-        # budget checked before dispatch, so a bad request never occupies
-        # a backpressure slot.
+        # Fail fast in the caller's task: names, eps, the machine sweep
+        # and the deadline budget checked before dispatch, so a bad
+        # request never occupies a backpressure slot.
         _validate_request(
             request.variant, request.algorithm, request.schedules, request.eps
         )
+        check_ms(request.ms)
         check_timeout_ms(request.timeout_ms)
         item = request.to_item()
         token = None

@@ -7,7 +7,7 @@ test, deterministically.  A :class:`FaultPlan` is that driver: a fixed,
 seeded list of fault specs consumed by the shard workers (via two narrow
 hooks) and by the chaos harness (for client-side faults).
 
-The four injection points mirror the real-world failure modes the
+The six injection points mirror the real-world failure modes the
 supervisor must survive:
 
 * :class:`KillWorker` — raise :class:`WorkerKilled` (a ``BaseException``,

@@ -25,9 +25,9 @@ protocol over the child's stdin/stdout pipes:
   goes silent, which is exactly what the parent supervisor wants to
   distinguish from "slow".
 
-The child mirrors the thread backend's dispatch semantics exactly —
-same :func:`~repro.algos.batch_api.solve_batch` call, same per-item
-isolation retry, same error taxonomy mapping, its own
+The child solves each batch with :func:`run_batch`, the same function
+the thread backend calls in-process (one ``solve_batch`` call, per-item
+isolation retry, :func:`service_error`'s error taxonomy), on its own
 :class:`~repro.service.cache.InstanceLRU` under the same bound — so
 responses stay bit-identical to the thread backend and to looped
 ``solve()``.  Stray ``print``\\ s from library code cannot corrupt the
@@ -38,6 +38,7 @@ and keeps a private duplicate of the real pipe for frames.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import pickle
 import struct
@@ -66,6 +67,8 @@ from .protocol import (
 )
 
 __all__ = ["WorkerProc", "read_frame", "write_frame", "main"]
+
+log = logging.getLogger("repro.service")
 
 _LEN = struct.Struct("<Q")
 #: The largest payload length a reader accepts; anything above it is a
@@ -156,7 +159,7 @@ def work_to_wire(item: BatchItem, token: Optional[CancelToken],
     the machine count and the fingerprint.  The caller must *prove* the
     child can resolve the fingerprint at decode time — either from its
     LRU or from a payload-carrying item earlier in the same batch (see
-    ``ProcessShard._slim_plan``'s shadow-LRU argument).  The payload is
+    ``ProcessShard._encode_batch``'s shadow-LRU argument).  The payload is
     the dominant per-item pipe cost, so warm traffic crosses in a few
     dozen bytes instead of re-shipping data the child already holds.
     """
@@ -322,86 +325,68 @@ def result_from_wire(obj: dict, base_instance):
 # --------------------------------------------------------------------------- #
 
 
-def _error_outcome(exc: Exception) -> tuple:
-    """Map one request's failure onto the wire taxonomy (child side).
+def service_error(exc: Exception) -> ServiceError:
+    """Map one request's failure onto the error taxonomy.
 
-    The same mapping as ``Shard._request_error``; the parent re-raises
-    the tuple as a :class:`ServiceError` and owns the timeout counters.
+    A cancelled solve is a ``timeout`` and a :class:`ServiceError` passes
+    through.  Anything else goes to the ``repro.service`` log with its
+    traceback; the structured error carries only the generic
+    ``internal`` text, with the original as ``__cause__`` for in-process
+    callers.
     """
     if isinstance(exc, SolveCancelled):
-        return ("err", "timeout", "request deadline exceeded mid-solve", False)
+        return ServiceError.timeout("request deadline exceeded mid-solve")
     if isinstance(exc, ServiceError):
-        return ("err", exc.code, exc.message, exc.retryable)
-    import traceback
+        return exc
+    log.error("request failed", exc_info=exc)
+    error = ServiceError.internal()
+    error.__cause__ = exc
+    return error
 
-    traceback.print_exc(file=sys.stderr)
-    return ("err", "internal", "internal error", False)
 
+def run_batch(items: list, tokens: list, *, reps, xbatch: bool, before,
+              metrics: Metrics, name: str) -> tuple[list, dict]:
+    """Solve one service micro-batch; returns ``(outcomes, span)``.
 
-def _run_batch(items_wire, *, lru, xbatch=False, metrics=None,
-               spans=None, span_name="batch") -> list[tuple]:
-    """Solve one micro-batch: the child-side mirror of ``Shard._dispatch``.
-
-    With ``metrics`` (a :class:`~repro.obs.metrics.Metrics`), the batch
-    runs under an armed :class:`TraceScope` whose counters fold into it
-    and whose "solve" histogram gets one observation per item — the
-    child *owns* the solve stage, so the parent's merged snapshot has
-    the same shape as the thread backend's without double counting.
-    With ``spans`` (a list), a per-batch span summary is appended
-    (timestamps are child-monotonic).
+    The one place a micro-batch is solved: the thread shard calls it
+    in-process, the process child on the items it decoded from a frame.
+    ``tokens``, ``reps`` and ``before`` are ``solve_batch``'s
+    ``cancels``, ``reps`` and ``before_solve``.  The batch runs under an
+    armed :class:`TraceScope` (the seams never change a result); if it
+    raises, it re-runs item by item, so only the offender carries an
+    error.  Each outcome is ``(result, None)`` or ``(None,
+    ServiceError)``.  ``metrics`` gets the scope's counters and one
+    "solve" observation of the batch's duration per item (they ran
+    together); ``span`` is the trace record ``{"name", "t0", "dur", "n",
+    "counts"}``, on this process's monotonic clock.
     """
-    # `local` holds instances decoded from payload-carrying items in THIS
-    # batch, so slim siblings behind them resolve even when the LRU is
-    # still cold (solve_batch only admits after all items are decoded).
-    local: dict = {}
-    items = [_item_from_wire(obj, lru, local) for obj in items_wire]
-    tokens = [_token_from_wire(obj) for obj in items_wire]
-    # Item-fault directives were adjudicated by the parent plan; keyed by
-    # item identity so the per-item isolation retry below replays the
-    # same directive on the same item (never a fresh firing decision).
-    directives = {
-        id(item): obj["fault"]
-        for item, obj in zip(items, items_wire)
-        if obj.get("fault")
-    }
-    before = (
-        (lambda item: execute_directive(directives.get(id(item))))
-        if directives else None
-    )
     t0 = time.monotonic()
-    with TraceScope(span_name, propagate=False) as scope:
+    with TraceScope(name, propagate=False) as scope:
         try:
             results = solve_batch(
-                items, reps=lru, cancels=tokens, before_solve=before,
+                items, reps=reps, cancels=tokens, before_solve=before,
                 xbatch=xbatch,
             )
+            outcomes = [(result, None) for result in results]
         except Exception:
-            # Same per-item isolation as the thread backend: one bad
-            # request must not poison its micro-batch.
             outcomes = []
             for item, token in zip(items, tokens):
                 try:
                     result = solve_batch(
-                        [item], reps=lru, cancels=[token],
+                        [item], reps=reps, cancels=[token],
                         before_solve=before, xbatch=xbatch,
                     )[0]
                 except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
-                    outcomes.append(_error_outcome(exc))
+                    outcomes.append((None, service_error(exc)))
                 else:
-                    outcomes.append(("ok", result_to_wire(result)))
-        else:
-            outcomes = [("ok", result_to_wire(result)) for result in results]
+                    outcomes.append((result, None))
     dur = time.monotonic() - t0
-    if metrics is not None:
-        for _ in items:
-            metrics.observe("solve", dur)
-        metrics.add_counts(scope.counts)
-    if spans is not None:
-        spans.append({
-            "name": span_name, "t0": t0, "dur": dur,
-            "n": len(items), "counts": dict(scope.counts),
-        })
-    return outcomes
+    for _ in items:
+        metrics.observe("solve", dur)
+    metrics.add_counts(scope.counts)
+    span = {"name": name, "t0": t0, "dur": dur, "n": len(items),
+            "counts": dict(scope.counts)}
+    return outcomes, span
 
 
 def _lru_obj(lru: InstanceLRU) -> dict:
@@ -466,16 +451,38 @@ def main(argv=None) -> int:
             if msg[0] != "batch":
                 continue
             _, batch_id, items_wire = msg
-            spans: list = []
-            outcomes = _run_batch(
-                items_wire, lru=lru, xbatch=args.xbatch,
-                metrics=metrics, spans=spans,
-                span_name=f"shard{args.shard}.batch",
+            # `local` holds instances decoded from payload-carrying items
+            # in THIS batch, so slim siblings behind them resolve even
+            # when the LRU is still cold (solve_batch only admits after
+            # all items are decoded).
+            local: dict = {}
+            items = [_item_from_wire(obj, lru, local) for obj in items_wire]
+            # Item-fault directives were adjudicated by the parent plan;
+            # keyed by item identity, so the isolation retry replays the
+            # same directive on the same item (never a fresh decision).
+            directives = {
+                id(item): obj["fault"]
+                for item, obj in zip(items, items_wire)
+                if obj.get("fault")
+            }
+            before = (
+                (lambda item: execute_directive(directives.get(id(item))))
+                if directives else None
             )
+            outcomes, span = run_batch(
+                items, [_token_from_wire(obj) for obj in items_wire],
+                reps=lru, xbatch=args.xbatch, before=before,
+                metrics=metrics, name=f"shard{args.shard}.batch",
+            )
+            wire = [
+                ("ok", result_to_wire(result)) if error is None
+                else ("err", error.code, error.message, error.retryable)
+                for result, error in outcomes
+            ]
             with wlock:
                 write_frame(out, (
-                    "result", batch_id, outcomes, _lru_obj(lru),
-                    metrics.to_obj(), spans,
+                    "result", batch_id, wire, _lru_obj(lru),
+                    metrics.to_obj(), [span],
                 ))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         return 0

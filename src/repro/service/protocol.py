@@ -82,6 +82,7 @@ __all__ = [
     "ServiceError",
     "SolveRequest",
     "TIMEOUT_MS_MAX",
+    "check_ms",
     "check_timeout_ms",
     "echo",
     "encode_time",
@@ -314,6 +315,25 @@ def check_timeout_ms(timeout_ms) -> None:
         raise ProtocolError(f"timeout_ms may be at most {TIMEOUT_MS_MAX} (one day)")
 
 
+def check_ms(ms) -> None:
+    """Raise :class:`ProtocolError` unless ``ms`` is ``None`` or a
+    non-empty list or tuple of at most :data:`MS_MAX` ints (not bools),
+    each at least 1.
+
+    The one rule for a request's machine sweep: the wire parser and
+    :meth:`~repro.service.engine.SolveService.submit` both apply it.
+    """
+    if ms is None:
+        return
+    ms = _int_list(list(ms) if isinstance(ms, tuple) else ms, "ms")
+    if len(ms) > MS_MAX:
+        raise ProtocolError(f"ms may hold at most {MS_MAX} machine counts")
+    if not ms or any(m < 1 for m in ms):
+        raise ProtocolError(
+            f"ms must be a non-empty list of positive ints, got {echo(ms)}"
+        )
+
+
 @dataclass(frozen=True)
 class SolveRequest:
     """One validated service request (the in-process submit unit).
@@ -323,8 +343,9 @@ class SolveRequest:
     the response line (``None`` for in-process use).  ``timeout_ms``
     (optional) is the request's total deadline budget — queue wait plus
     solve time; an expired request resolves as a structured ``timeout``
-    error instead of an answer.  ``submit`` checks it like the wire does
-    (:func:`check_timeout_ms`).
+    error instead of an answer.  ``submit`` checks ``ms`` and
+    ``timeout_ms`` like the wire does (:func:`check_ms`,
+    :func:`check_timeout_ms`).
     """
 
     instance: Instance
@@ -380,14 +401,9 @@ def request_from_obj(obj) -> SolveRequest:
         )
 
     ms = obj.get("ms")
+    check_ms(ms)
     if ms is not None:
-        ms = tuple(_int_list(ms, "ms"))
-        if len(ms) > MS_MAX:
-            raise ProtocolError(f"ms may hold at most {MS_MAX} machine counts")
-        if not ms or any(m < 1 for m in ms):
-            raise ProtocolError(
-                f"ms must be a non-empty list of positive ints, got {echo(list(ms))}"
-            )
+        ms = tuple(ms)
 
     eps = obj.get("eps")
     eps = Fraction(1, 100) if eps is None else parse_time(eps, "eps")

@@ -5,9 +5,13 @@ A shard is one worker thread plus one FIFO queue plus one
 service routes every request whose instance hashes to this shard here —
 and only here — so the lazily filled per-instance caches (plain dicts,
 no locks) are touched by exactly one thread.  The worker drains its
-queue in micro-batches of up to ``max_batch`` requests and dispatches
-each batch through :func:`repro.algos.batch_api.solve_batch` with the
-shard's LRU as the cross-batch representative table.
+queue in micro-batches of up to ``max_batch`` requests and solves each
+batch with :func:`repro.service.procworker.run_batch` — the one
+micro-batch runner of both backends — with the shard's LRU as the
+cross-batch representative table.  The bookkeeping around a batch
+(counters, stage stamps, timeout counting, future settlement, close and
+the metrics snapshot) is :class:`Shard`'s, and :class:`ProcessShard`
+reuses it.
 
 On top of the PR-5 dispatch plumbing, a shard is **fault-tolerant**:
 
@@ -31,12 +35,12 @@ On top of the PR-5 dispatch plumbing, a shard is **fault-tolerant**:
   join timeout; awaiting clients are never left hanging.
 
 Results travel back to the asyncio event loop with
-``loop.call_soon_threadsafe`` onto per-request futures; a failed batch
-is retried item by item so one bad request cannot poison the others in
-its micro-batch.  Future resolution is **idempotent** (first writer
-wins, later attempts see a done future and skip), which is what makes
-the shutdown/supervision sweeps race-safe against a worker that is
-still running.
+``loop.call_soon_threadsafe`` onto per-request futures; ``run_batch``
+retries a failed batch item by item so one bad request cannot poison
+the others in its micro-batch.  Future resolution is **idempotent**
+(first writer wins, later attempts see a done future and skip), which
+is what makes the shutdown/supervision sweeps race-safe against a
+worker that is still running.
 """
 
 from __future__ import annotations
@@ -49,13 +53,11 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from ..algos.batch_api import solve_batch
-from ..core.cancel import SolveCancelled
 from ..obs.metrics import Metrics
-from ..obs.trace import TraceScope, TraceWriter
+from ..obs.trace import TraceWriter
 from .cache import InstanceLRU, LRUStats
 from .faults import FaultPlan, WorkerKilled
-from .procworker import WorkerProc, result_from_wire, work_to_wire
+from .procworker import WorkerProc, result_from_wire, run_batch, work_to_wire
 from .protocol import ServiceError
 
 __all__ = ["ProcessShard", "Shard", "ShardStats", "shard_index"]
@@ -223,9 +225,18 @@ class Shard:
                 # otherwise park in queue.get() forever.  Re-arm it so
                 # the zombie exits the moment it comes back for work.
                 self._queue.put(None)
+                self._teardown(wedged=True)
                 return
             self._abandon_pending()  # anything that raced in behind the sentinel
+        self._teardown(wedged=False)
         self.lru.clear()
+
+    def _teardown(self, wedged: bool) -> None:
+        """The backend's part of :meth:`close`, after the future sweeps.
+
+        Nothing for threads: a worker thread cannot be stopped, so a
+        wedged one keeps its caches and dies with the process.
+        """
 
     @property
     def failed(self) -> bool:
@@ -262,14 +273,15 @@ class Shard:
         impossible in practice; values may lag by an in-flight batch,
         which is the documented single-writer trade.
         """
+        for _ in range(7):
+            try:
+                return self._metrics_snapshot().to_obj()
+            except RuntimeError:  # counters grew mid-iteration; retry
+                continue
         return self._metrics_snapshot().to_obj()
 
     def _metrics_snapshot(self) -> Metrics:
-        for _ in range(8):
-            try:
-                return Metrics.from_obj(self.metrics.to_obj())
-            except RuntimeError:  # counters grew mid-iteration; retry
-                continue
+        """One copy of this shard's metrics (process shards add the child's)."""
         return Metrics.from_obj(self.metrics.to_obj())
 
     # ------------------------------------------------------------------ #
@@ -426,95 +438,56 @@ class Shard:
                 live.append(work)
         return live
 
-    def _request_error(self, exc: Exception) -> ServiceError:
-        """Map one request's failure onto the wire taxonomy.
-
-        The full exception goes to the server-side log; the structured
-        error carries only the code and a generic message (plus the
-        original as ``__cause__`` for in-process callers).
-        """
-        if isinstance(exc, SolveCancelled):
-            self._timeouts_w += 1
-            return ServiceError.timeout(
-                "request deadline exceeded mid-solve"
-            )
-        if isinstance(exc, ServiceError):
-            return exc
-        log.exception("shard %d: request failed", self.index)
-        error = ServiceError.internal()
-        error.__cause__ = exc
-        return error
-
-    def _dispatch(self, live: list[_Work]) -> None:
-        """Solve one micro-batch; every future in ``live`` gets resolved.
-
-        The batch runs under an armed :class:`TraceScope` — bit-identity
-        is a proven invariant of the seams (the armed/disarmed fuzz
-        suites), so always-on service counters cost one dict bump per
-        seam hit and change no numbers.  The scope's counters fold into
-        the shard metrics; per request, "solve" observes the duration of
-        the micro-batch that carried it (items in a batch are
-        indistinguishable solve-wise — they ran together).
-        """
+    def _count_batch(self, live: list[_Work]) -> None:
+        """Count one dispatched micro-batch; the fault plan may kill here."""
         self._batches += 1
         self._requests += len(live)
         self._max_batch_seen = max(self._max_batch_seen, len(live))
-        before = None
         if self._faults is not None:
             self._faults.on_batch_start(self.index)  # may raise WorkerKilled
-            before = self._faults.item_hook(self.index)
-        t0 = time.monotonic()
-        for work in live:
-            times = work.times
-            if times is not None:
-                times.solve_start = t0
-                if times.dequeued is not None:
-                    self.metrics.observe("assembly", t0 - times.dequeued)
-        cancels = [w.cancel for w in live]
-        with TraceScope(f"shard{self.index}", propagate=False) as scope:
-            try:
-                results = solve_batch(
-                    [w.item for w in live], reps=self.lru, cancels=cancels,
-                    before_solve=before, xbatch=self.xbatch,
-                )
-            except Exception:
-                # Isolate the offender: re-run item by item so the rest
-                # of the micro-batch still gets its (bit-identical)
-                # answers and only the failing/expired request carries
-                # the error.
-                for work in live:
-                    try:
-                        result = solve_batch(
-                            [work.item], reps=self.lru, cancels=[work.cancel],
-                            before_solve=before, xbatch=self.xbatch,
-                        )[0]
-                    except Exception as exc:  # noqa: BLE001 - mapped to taxonomy
-                        self._resolve(work, None, self._request_error(exc))
-                    else:
-                        self._resolve(work, result, None)
-                self._note_solved(live, t0, scope)
-                return
-        results_list = list(zip(live, results))
-        self._note_solved(live, t0, scope)
-        self._resolve_batch(
-            [(work, result, None) for work, result in results_list]
-        )
 
-    def _note_solved(self, live: list[_Work], t0: float, scope) -> None:
-        """Fold one batch's trace into the metrics; emit its span."""
-        t1 = time.monotonic()
+    def _stamp_assembly(self, live: list[_Work]) -> None:
+        """Assembly ends: the batch leaves for its solve."""
+        now = time.monotonic()
         for work in live:
             times = work.times
             if times is not None:
-                times.solve_end = t1
-            self.metrics.observe("solve", t1 - t0)
-        self.metrics.add_counts(scope.counts)
-        trace = self.trace
-        if trace is not None:
-            trace.write({
-                "name": f"shard{self.index}.batch", "t0": t0, "dur": t1 - t0,
-                "n": len(live), "counts": dict(scope.counts),
-            })
+                times.solve_start = now
+                if times.dequeued is not None:
+                    self.metrics.observe("assembly", now - times.dequeued)
+
+    def _settle(self, live: list[_Work], outcomes) -> None:
+        """Resolve a solved batch: one ``(result, error)`` per work.
+
+        Stamps ``solve_end`` and counts the ``timeout`` errors; the
+        shard, not the solver, owns the timeout counters.
+        """
+        now = time.monotonic()
+        entries = []
+        for work, (result, error) in zip(live, outcomes):
+            if work.times is not None:
+                work.times.solve_end = now
+            if error is not None and error.code == "timeout":
+                self._timeouts_w += 1
+            entries.append((work, result, error))
+        self._resolve_batch(entries)
+
+    def _dispatch(self, live: list[_Work]) -> None:
+        """Solve one micro-batch in this thread (:func:`run_batch`)."""
+        self._count_batch(live)
+        before = (
+            self._faults.item_hook(self.index)
+            if self._faults is not None else None
+        )
+        self._stamp_assembly(live)
+        outcomes, span = run_batch(
+            [w.item for w in live], [w.cancel for w in live],
+            reps=self.lru, xbatch=self.xbatch, before=before,
+            metrics=self.metrics, name=f"shard{self.index}.batch",
+        )
+        if self.trace is not None:
+            self.trace.write(span)
+        self._settle(live, outcomes)
 
     def _run(self) -> None:
         try:
@@ -591,8 +564,10 @@ class ProcessShard(Shard):
     Same interface, queueing, supervision, and accounting as
     :class:`Shard` — the worker thread stays, but it becomes a *pump*:
     micro-batches are serialized over a length-prefixed pipe to a child
-    running :mod:`repro.service.procworker`, and the columnar results
-    decoded on return (see that module for the protocol).  The pump is
+    running :mod:`repro.service.procworker`, which solves them with the
+    same :func:`~repro.service.procworker.run_batch` as the thread
+    backend, and the columnar results are decoded on return (see that
+    module for the protocol).  The pump is
     *pipelined* (:data:`PIPELINE_DEPTH`): while the child solves one
     batch, the next is already encoded and shipped, so the wire codec
     and the pipe round trip overlap the solve instead of serializing
@@ -653,7 +628,7 @@ class ProcessShard(Shard):
         self._met_live: Optional[dict] = None
         self._met_dead = Metrics()
         # Shadow replay of the live child's LRU, in send order (see
-        # _slim_plan): real keys are fingerprints *provably* warm
+        # _encode_batch): real keys are fingerprints *provably* warm
         # child-side; "?N" phantom slots model the worst-case
         # displacement of items whose LRU touch the parent cannot
         # guarantee (deadline- or directive-carrying requests may be
@@ -724,32 +699,36 @@ class ProcessShard(Shard):
             max_entries=self.lru.max_entries,
         )
 
-    def close(self, join_timeout: float = 10.0) -> None:
-        """Graceful drain, then — unlike threads — hard-kill a wedge.
+    def _teardown(self, wedged: bool) -> None:
+        """Reap the child; unlike threads, hard-kill a wedge first.
 
-        The thread backend can only *shed* a wedged worker at shutdown
-        (resolve its futures and abandon the daemon thread to die with
-        the process).  Here the wedge is an OS process we own: after the
-        same future-shedding sweep, the child is SIGKILLed and reaped,
-        so a non-cooperative hang never outlives ``close()``.
+        The thread backend can only *shed* a wedged worker at shutdown.
+        Here the wedge is an OS process we own: after the same
+        future-shedding sweep, the child is SIGKILLed (which unblocks the
+        pump via EOF) and reaped, so a non-cooperative hang never
+        outlives ``close()``.
         """
-        self.signal_close()
-        if self._started:
-            if not self._join_workers(join_timeout):
-                self._fail_inflight(ServiceError.shutdown(
-                    "service shut down while the request was in flight"
-                ))
-                self._abandon_pending()
-                self._queue.put(None)  # re-arm the sentinel (sweep ate it)
-                child = self._child
-                if child is not None:
-                    child.kill()  # unblocks the pump via EOF
-                self._join_workers(2.0)
-                self._retire_child()
-                return
-            self._abandon_pending()
+        if wedged:
+            child = self._child
+            if child is not None:
+                child.kill()
+            self._join_workers(2.0)
         self._retire_child()
-        self.lru.clear()  # parent-side table (unused here, kept invariant)
+
+    def _metrics_snapshot(self) -> Metrics:
+        """Pump-side stages merged with the child generations' metrics.
+
+        Shapes match the thread backend exactly: queue/assembly come
+        from the pump (observed in :meth:`_expire`/:meth:`_send`),
+        solve and the solver counters from the child generations (live
+        snapshot + dead totals).
+        """
+        merged = super()._metrics_snapshot()
+        merged.merge(self._met_dead)
+        live = self._met_live
+        if live:
+            merged.merge(Metrics.from_obj(live))
+        return merged
 
     # ------------------------------------------------------------------ #
     # pipelined pump (pump-thread side)
@@ -801,19 +780,14 @@ class ProcessShard(Shard):
 
     def _send(self, live: list[_Work], pending) -> tuple:
         """Encode one micro-batch and ship it; the result comes later."""
-        self._batches += 1
-        self._requests += len(live)
-        self._max_batch_seen = max(self._max_batch_seen, len(live))
-        sigkill = False
-        if self._faults is not None:
-            try:
-                self._faults.on_batch_start(self.index)
-            except WorkerKilled:
-                # The injected pre-dispatch death: the child dies with
-                # this worker generation, exactly like the thread path.
-                self._retire_child()
-                raise
-            sigkill = self._faults.sigkill_now(self.index)
+        try:
+            self._count_batch(live)
+        except WorkerKilled:
+            # The injected pre-dispatch death: the child dies with this
+            # worker generation, exactly like the thread path.
+            self._retire_child()
+            raise
+        sigkill = self._faults is not None and self._faults.sigkill_now(self.index)
         if pending:
             # Earlier batches already ride this child generation: reuse
             # it.  If it died meanwhile, the send below fails and the
@@ -844,13 +818,7 @@ class ProcessShard(Shard):
         # owned by the child (it rides home on the result frame); the
         # parent-side solve_start/solve_end stamps exist only for the
         # slow-request log and include the pipe round trip.
-        t_sent = time.monotonic()
-        for work in live:
-            times = work.times
-            if times is not None:
-                times.solve_start = t_sent
-                if times.dequeued is not None:
-                    self.metrics.observe("assembly", t_sent - times.dequeued)
+        self._stamp_assembly(live)
         if sigkill:
             child.kill()  # injected mid-flight crash (frames go EOF)
         return child, batch_id, live
@@ -980,39 +948,15 @@ class ProcessShard(Shard):
                 continue
             self._lru_live = lru_obj
             self._met_live = met_obj
-            trace = self.trace
-            if trace is not None:
-                for record in spans:
-                    trace.write(record)
-            self._resolve_outcomes(live, outcomes)
+            if self.trace is not None:
+                for span in spans:
+                    self.trace.write(span)
+            self._settle(live, self._outcomes_from_wire(live, outcomes))
             return
 
-    def metrics_obj(self) -> dict:
-        """Pump-side stages merged with the child's counters+solve.
-
-        Shapes match the thread backend exactly: queue/assembly come
-        from the pump (observed in :meth:`_expire`/:meth:`_send`),
-        solve and the solver counters from the child generations
-        (live snapshot + dead totals).
-        """
-        for _ in range(8):
-            try:
-                merged = Metrics.from_obj(self.metrics.to_obj())
-                merged.merge(self._met_dead)
-                live = self._met_live
-                if live:
-                    merged.merge(Metrics.from_obj(live))
-                return merged.to_obj()
-            except RuntimeError:  # pump folded a child mid-read; retry
-                continue
-        return self._metrics_snapshot().to_obj()  # pragma: no cover
-
-    def _resolve_outcomes(self, live, outcomes) -> None:
-        now = time.monotonic()
-        for work in live:
-            if work.times is not None:
-                work.times.solve_end = now
-        entries = []
+    def _outcomes_from_wire(self, live, outcomes) -> list:
+        """Decode a result frame's outcomes into ``(result, error)`` pairs."""
+        decoded = []
         for work, outcome in zip(live, outcomes):
             if outcome[0] == "ok":
                 try:
@@ -1021,18 +965,14 @@ class ProcessShard(Shard):
                     log.exception("shard %d: malformed worker result", self.index)
                     error = ServiceError.internal("malformed worker result")
                     error.__cause__ = exc
-                    entries.append((work, None, error))
+                    decoded.append((None, error))
                 else:
-                    entries.append((work, result, None))
+                    decoded.append((result, None))
             else:
                 _, code, message, retryable = outcome
-                if code == "timeout":
-                    self._timeouts_w += 1  # parent owns the timeout counters
-                entries.append(
-                    (work, None, ServiceError(code, message, retryable=retryable))
+                decoded.append(
+                    (None, ServiceError(code, message, retryable=retryable))
                 )
-        for work in live[len(outcomes):]:  # defensive: never hang a client
-            entries.append(
-                (work, None, ServiceError.internal("worker result missing"))
-            )
-        self._resolve_batch(entries)
+        for _ in live[len(decoded):]:  # defensive: never hang a client
+            decoded.append((None, ServiceError.internal("worker result missing")))
+        return decoded

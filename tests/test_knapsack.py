@@ -1,12 +1,16 @@
 """Unit and property tests for the continuous knapsack (Section 4.2)."""
 
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import KnapsackItem, solve_continuous, solve_integral
+from repro.core.fastnum import knapsack_order_cmp
+from repro.core.knapsack import _greedy_order
 
 
 def items_of(*triples):
@@ -61,6 +65,38 @@ class TestContinuous:
         a = solve_continuous(items_of(("x", 2, 2), ("y", 2, 2)), 3)
         b = solve_continuous(items_of(("y", 2, 2), ("x", 2, 2)), 3)
         assert a.fractions == b.fractions
+
+
+class TestGreedyOrderComparator:
+    """``fastnum.knapsack_order_cmp`` sorts int triples as ``_greedy_order``
+    sorts the same items (zero weights first, density and profit
+    descending, ``repr(key)`` ascending), signed weights included."""
+
+    @staticmethod
+    def _orders(triples):
+        by_cmp = sorted(triples, key=cmp_to_key(knapsack_order_cmp))
+        reference = _greedy_order(
+            [KnapsackItem(k, Fraction(p), Fraction(w)) for k, p, w in triples]
+        )
+        return [k for k, _, _ in by_cmp], [it.key for it in reference]
+
+    def test_every_tie_break(self):
+        triples = [
+            (7, 0, 3), (9, 2, 2), (8, 1, -2), (4, 2, 1), (10, 2, 2),
+            (6, 1, 0), (11, 0, -1), (3, 4, 2), (5, 3, 0),
+        ]
+        got, reference = self._orders(triples)
+        # zero weights by profit; density 2 by profit; 10 before 9 by
+        # repr; density 0 with equal profits by repr; negative density last
+        assert got == reference == [5, 6, 3, 4, 10, 9, 11, 7, 8]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_items(self, seed):
+        rng = random.Random(seed)
+        keys = rng.sample(range(40), rng.randint(2, 14))
+        triples = [(k, rng.randint(0, 4), rng.randint(-3, 4)) for k in keys]
+        got, reference = self._orders(triples)
+        assert got == reference
 
 
 class TestIntegralReference:

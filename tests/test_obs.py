@@ -274,7 +274,8 @@ class TestTraceWriter(object):
             writer.write({"name": "batch", "n": 1})
             writer.write({"name": "batch", "n": 2})
         writer.write({"name": "late", "n": 3})  # after close: dropped, no error
-        lines = [json.loads(l) for l in open(path, encoding="utf-8")]
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(l) for l in fh]
         assert [r["n"] for r in lines] == [1, 2]
 
 
@@ -410,7 +411,8 @@ class TestServiceMetrics:
             writer.close()
 
         asyncio.run(main())
-        records = [json.loads(l) for l in open(path, encoding="utf-8")]
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(l) for l in fh]
         assert records, "no spans written"
         assert all(r["name"].startswith("shard") for r in records)
         assert sum(r["n"] for r in records) == 6
@@ -508,23 +510,21 @@ class TestMetricsWireOp:
 
 class TestProcworkerPropagation:
     def test_run_batch_fills_metrics_and_spans(self):
-        from repro.service.procworker import _run_batch, work_to_wire
+        from repro.service.procworker import run_batch
 
-        metrics, spans = Metrics(), []
+        metrics = Metrics()
         items = [
             SolveRequest(instance=fresh(TINY)).to_item(),
             SolveRequest(instance=fresh(WIDE)).to_item(),
         ]
-        outcomes = _run_batch(
-            [work_to_wire(item, None) for item in items],
-            lru=None, metrics=metrics, spans=spans,
-            span_name="shard0.batch",
+        outcomes, record = run_batch(
+            items, [None, None], reps=None, xbatch=False, before=None,
+            metrics=metrics, name="shard0.batch",
         )
-        assert [status for status, _ in outcomes] == ["ok", "ok"]
+        assert [error for _, error in outcomes] == [None, None]
         obj = metrics.to_obj()
         assert obj["stages"]["solve"]["count"] == 2
         assert any(k.startswith("probe.") for k in obj["counters"])
-        [record] = spans
         assert record["name"] == "shard0.batch" and record["n"] == 2
         assert record["counts"] == obj["counters"]
 

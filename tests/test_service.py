@@ -784,6 +784,28 @@ class TestServiceEngine:
         assert result.schedule.makespan() == want
         assert stats.requests == 1
 
+    def test_submit_checks_ms_before_dispatch(self, tiny):
+        """An in-process ``ms`` obeys the wire's rule: a malformed sweep is
+        a ``ValueError`` before dispatch, not an ``internal`` error from a
+        shard, an empty answer or a solve at ``m = True``."""
+
+        async def main():
+            async with SolveService(ServiceConfig(shards=1)) as svc:
+                for bad in ((0,), (-3,), (2.5,), ("3",), (), (True,), [2] * 65):
+                    with pytest.raises(ValueError, match="ms "):
+                        await svc.submit(SolveRequest(instance=tiny, ms=bad))
+                rejected = svc.stats().requests
+                result = await svc.submit(SolveRequest(instance=tiny, ms=(2, 4)))
+                return rejected, result
+
+        rejected, result = asyncio.run(main())
+        assert rejected == 0  # never reached a shard
+        want = sweep_machines(tiny, [2, 4], Variant.NONPREEMPTIVE)
+        assert [r.T for r in result] == [r.T for r in want]
+        assert [r.schedule.makespan() for r in result] == [
+            r.schedule.makespan() for r in want
+        ]
+
     def test_submit_outside_lifecycle_raises(self, tiny):
         svc = SolveService()
 
