@@ -8,7 +8,9 @@ fingerprints), and asserts:
 
 * **bit-identity** — every response equals the naive in-process
   ``solve()`` loop's answer, field for field (schedules compared as
-  sorted row multisets);
+  sorted row multisets); the burst repeats its four payloads over one
+  connection, so this covers the ingest hit path, whose premise is
+  checked by name (the ``metrics`` op counts ``ingest.hit > 0``);
 * **bounded memory** — the reported LRU peak stays at or under the
   configured bound and eviction actually ran (two of the burst's four
   fingerprints share a shard, which has a single warm slot; that premise
@@ -187,6 +189,15 @@ def smoke(workers: str = "thread", xbatch: bool = False) -> int:
         "responses out of request order"
     )
     check_metrics_replies(replies[-2], replies[-1], len(requests))
+    counters = replies[-2]["metrics"]["counters"]
+    hits, misses = counters.get("ingest.hit", 0), counters.get("ingest.miss", 0)
+    assert hits + misses == len(requests), (
+        f"ingest counted {hits} hits + {misses} misses for {len(requests)} requests"
+    )
+    assert hits > 0, (
+        "hit-path premise: the burst repeats its payloads over one connection, "
+        f"so some must skip the checks; got {misses} misses and no hit"
+    )
 
     solves = bounds = 0
     for obj, reply in zip(requests, replies):
@@ -232,7 +243,7 @@ def smoke(workers: str = "thread", xbatch: bool = False) -> int:
         f"({solves} schedules, {bounds} bounds) bit-identical; peak warm "
         f"{stats['peak_instances']}/{stats['max_instances']}, "
         f"{stats['evictions']} evictions, batches {stats['batches']}, "
-        f"maxrss {maxrss} KiB"
+        f"ingest hits {hits}/{len(requests)}, maxrss {maxrss} KiB"
     )
     return 0
 

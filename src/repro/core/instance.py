@@ -24,6 +24,27 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import InvalidInstanceError
 
 
+def _check_m(m) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise InvalidInstanceError(f"m must be a positive integer, got {m!r}")
+
+
+def class_data_key(setups, jobs) -> bytes:
+    """The bytes :meth:`Instance.fingerprint` digests: ``marshal.dumps((setups,
+    jobs), 2)`` of the class data tuples.
+
+    Raises ``ValueError`` for a value ``marshal`` refuses, such as an int
+    subclass.
+    """
+    return marshal.dumps((setups, jobs), 2)
+
+
+def class_data_digest(key: bytes) -> str:
+    """The fingerprint of the class data whose :func:`class_data_key` is
+    ``key``: its blake2b-128 hex digest."""
+    return hashlib.blake2b(key, digest_size=16).hexdigest()
+
+
 def _as_int(value, what: str) -> int:
     """Exact integer coercion; rejects floats like ``1.5`` loudly."""
     try:
@@ -67,8 +88,7 @@ class Instance:
     jobs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise InvalidInstanceError(f"m must be a positive integer, got {self.m!r}")
+        _check_m(self.m)
         if len(self.setups) != len(self.jobs):
             raise InvalidInstanceError(
                 f"setups ({len(self.setups)}) and jobs ({len(self.jobs)}) must have "
@@ -94,6 +114,28 @@ class Instance:
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
+
+    @classmethod
+    def _from_checked(cls, m: int, setups: tuple[int, ...],
+                      jobs: tuple[tuple[int, ...], ...],
+                      sorted_cache: dict, misc_cache: dict) -> "Instance":
+        """An instance on class data that an earlier instance validated.
+
+        Skips ``__post_init__``: only ``m`` is checked, with its rule and
+        text.  The two cache dicts are used as they are given, so the
+        caller decides what the instance shares.  The protocol's ingest
+        passes fresh ones, with the known fingerprint in ``misc_cache``;
+        :meth:`with_machines` passes its own, to share them.
+        """
+        _check_m(m)
+        inst = object.__new__(cls)
+        put = object.__setattr__
+        put(inst, "m", m)
+        put(inst, "setups", setups)
+        put(inst, "jobs", jobs)
+        put(inst, "_jobs_sorted_cache", sorted_cache)
+        put(inst, "_misc_cache", misc_cache)
+        return inst
 
     @staticmethod
     def build(m: int, classes: Sequence[tuple[int, Sequence[int]]]) -> "Instance":
@@ -254,7 +296,8 @@ class Instance:
         :func:`~repro.algos.batch_api.solve_many` rep key, the service
         shard key): the digest covers the class data only, so ``m``
         sweeps of one instance all land on the same fingerprint.  The
-        digest is blake2b-128 of ``marshal.dumps((setups, jobs), 2)``,
+        digest is blake2b-128 (:func:`class_data_digest`) of
+        ``marshal.dumps((setups, jobs), 2)`` (:func:`class_data_key`),
         one C-level pass over the nested tuples.  Version 2 writes no
         back-references, so the bytes depend only on the values and the
         nesting, never on which row or int objects are shared; every
@@ -269,20 +312,21 @@ class Instance:
         (:func:`repro.service.shards.shard_index`) follows it, so a
         change of encoding moves every instance to another shard.
         Cached in the shared misc cache, so ``with_machines(...,
-        share_caches=True)`` copies inherit it without re-hashing.
+        share_caches=True)`` copies inherit it without re-hashing, and
+        the service's wire ingest seeds it from the bytes it keys on.
         """
         cached = self._misc_cache.get("fingerprint")
         if cached is None:
             try:
-                data = marshal.dumps((self.setups, self.jobs), 2)
+                key = class_data_key(self.setups, self.jobs)
             except ValueError:
                 # ``int.__index__`` reads the stored value, whatever the
                 # subclass overrides.
-                data = marshal.dumps((
+                key = class_data_key(
                     tuple(map(int.__index__, self.setups)),
                     tuple(tuple(map(int.__index__, ts)) for ts in self.jobs),
-                ), 2)
-            cached = hashlib.blake2b(data, digest_size=16).hexdigest()
+                )
+            cached = class_data_digest(key)
             self._misc_cache["fingerprint"] = cached
         return cached
 
@@ -341,15 +385,13 @@ class Instance:
         """
         if not share_caches:
             return Instance(m=m, setups=self.setups, jobs=self.jobs)
-        if not isinstance(m, int) or m < 1:
-            raise InvalidInstanceError(f"m must be a positive integer, got {m!r}")
-        inst = object.__new__(Instance)
+        inst = Instance._from_checked(
+            m, self.setups, self.jobs, self._jobs_sorted_cache, self._misc_cache
+        )
         put = object.__setattr__
-        put(inst, "m", m)
         for name in (
-            "setups", "jobs", "class_processing", "class_tmax", "class_sizes",
+            "class_processing", "class_tmax", "class_sizes",
             "n", "total_processing", "total_load", "smax", "tmax",
-            "_jobs_sorted_cache", "_misc_cache",
         ):
             put(inst, name, getattr(self, name))
         return inst

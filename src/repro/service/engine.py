@@ -45,7 +45,13 @@ from ..core.cancel import CancelToken
 from ..obs.metrics import Metrics, RequestTimes
 from ..obs.trace import TraceWriter
 from .faults import FaultPlan
-from .protocol import ServiceError, SolveRequest, check_ms, check_timeout_ms
+from .protocol import (
+    ServiceError,
+    SolveRequest,
+    check_m,
+    check_ms,
+    check_timeout_ms,
+)
 from .shards import ProcessShard, Shard, ShardStats, _Work, shard_index
 
 __all__ = ["ServiceConfig", "ServiceStats", "SolveService"]
@@ -256,8 +262,9 @@ class SolveService:
         self.config = config or ServiceConfig()
         self.faults = faults
         # Loop-thread-writer metrics (admission/total; the servers add
-        # encode).  Shard workers own queue/assembly/solve and the
-        # solver counters; metrics_obj() merges everything.
+        # encode and the ingest counters).  Shard workers own
+        # queue/assembly/solve and the solver counters; metrics_obj()
+        # merges everything.
         self._metrics = Metrics()
         shard_kwargs = dict(
             max_batch=self.config.max_batch,
@@ -337,19 +344,21 @@ class SolveService:
         """
         if not self._started or self._closed:
             raise RuntimeError("service is not running (use 'async with' or start())")
-        # Fail fast in the caller's task: names, eps, the machine sweep
+        # Fail fast in the caller's task: names, eps, the machine counts
         # and the deadline budget checked before dispatch, so a bad
         # request never occupies a backpressure slot.
         _validate_request(
             request.variant, request.algorithm, request.schedules, request.eps
         )
+        check_m(request.instance.m, "instance.m")
         check_ms(request.ms)
         check_timeout_ms(request.timeout_ms)
         item = request.to_item()
         token = None
         if request.timeout_ms is not None:
             token = CancelToken.after(request.timeout_ms / 1000.0)
-        # The stage clock covers the routing digest every request pays.
+        # The stage clock covers the routing digest, unless the wire
+        # ingest already took it from the bytes it keys on.
         times = RequestTimes()
         times.submit = time.monotonic()
         fingerprint = request.instance.fingerprint()
@@ -463,10 +472,11 @@ class SolveService:
     def metrics_obj(self) -> dict:
         """One mergeable metrics snapshot for the whole service.
 
-        Loop-side admission/total/encode merged with every shard's
-        queue/assembly/solve histograms and solver counters — identical
-        shape on both worker backends (the process backend's solve stage
-        and counters ride home on result frames; see
+        Loop-side admission/total/encode and the wire's ``ingest.*``
+        counters merged with every shard's queue/assembly/solve
+        histograms and solver counters — identical shape on both worker
+        backends (the process backend's solve stage and counters ride
+        home on result frames; see
         :meth:`~repro.service.shards.ProcessShard.metrics_obj`).
         """
         merged = Metrics.from_obj(self._metrics.to_obj())
@@ -477,3 +487,9 @@ class SolveService:
     def observe_encode(self, seconds: float) -> None:
         """Record one response's wire-encode latency (servers, loop side)."""
         self._metrics.observe("encode", seconds)
+
+    def count_ingest(self, hit: bool) -> None:
+        """Count one wire instance payload (servers, loop side):
+        ``ingest.hit`` when its connection had already checked it,
+        ``ingest.miss`` when it was checked in full."""
+        self._metrics.inc("ingest.hit" if hit else "ingest.miss")

@@ -19,13 +19,24 @@ Request shape (``op`` defaults to ``"solve"``)::
 ``ms`` turns the request into a machine sweep (one result per count, the
 instance's own ``m`` ignored); otherwise one result at ``instance.m``.
 It may hold at most :data:`MS_MAX` (64) counts: each count is a whole
-solve, so a longer list is a ``bad_request``.
+solve, so a longer list is a ``bad_request``.  Every machine count,
+``instance.m`` and each ``ms`` entry, is at most :data:`M_MAX` (4096).
 ``bounds_only`` (equivalently ``"schedules": false``) resolves the
 certified ``T*``/ratio/lower-bound certificate without constructing a
 schedule.  Housekeeping ops: ``{"op": "ping"}``, ``{"op": "stats"}``,
 ``{"op": "metrics", "format": "json"|"prometheus"}`` (counters and
 per-stage latency histograms, see :mod:`repro.obs.metrics`) and
 ``{"op": "shutdown"}`` (acknowledges, then closes the connection).
+
+A connection checks each instance payload once.  The servers keep a
+:class:`CheckedPayloads` table per connection, keyed on the bytes
+:meth:`Instance.fingerprint` digests; a payload already in it skips the
+per-value checks (only ``m`` is checked again) and arrives with its
+fingerprint set.  Every other payload is checked in full, with the same
+verdicts and texts.  The ``metrics`` op counts the two kinds as
+``ingest.hit`` and ``ingest.miss``; requests submitted in-process
+report neither.  :func:`request_from_obj` without a table is the
+reference path.
 
 Response shape::
 
@@ -64,24 +75,27 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..algos.api import SolveResult
 from ..algos.batch_api import BatchItem, SweepPoint, _validate_request
 from ..core.bounds import Variant
 from ..core.errors import InvalidInstanceError
-from ..core.instance import Instance
+from ..core.instance import Instance, class_data_digest, class_data_key
 
 __all__ = [
     "ECHO_MAX",
     "EPS_MIN",
     "ERROR_CODES",
+    "CheckedPayloads",
     "METRICS_FORMATS",
     "MS_MAX",
+    "M_MAX",
     "ProtocolError",
     "ServiceError",
     "SolveRequest",
     "TIMEOUT_MS_MAX",
+    "check_m",
     "check_ms",
     "check_timeout_ms",
     "echo",
@@ -251,26 +265,116 @@ def instance_to_obj(instance: Instance) -> dict:
     }
 
 
-def instance_from_obj(obj) -> Instance:
+class CheckedPayloads:
+    """One connection's table of instance payloads that passed every check.
+
+    Maps the :func:`~repro.core.instance.class_data_key` bytes of a
+    payload's ``(setups, jobs)`` tuples, the bytes
+    :meth:`Instance.fingerprint` digests, to that digest.  Only exact
+    ``list`` payloads are keyed (``setups``, ``jobs`` and every row), so
+    a key is equal only for the same ints in the same rows: a ``bool``,
+    float, string or nested list encodes differently, and an int
+    subclass makes ``marshal`` refuse the payload.  Holds at most
+    ``bound`` entries and evicts the least recently used one first.
+
+    Not thread-safe: the connection handler owns one table, and only
+    its event loop touches it.  ``observe`` hears every lookup, with
+    ``True`` for a hit.
+    """
+
+    __slots__ = ("bound", "_entries", "_observe")
+
+    def __init__(self, bound: int,
+                 observe: Callable[[bool], None] = lambda hit: None) -> None:
+        self.bound = bound
+        self._entries: dict[bytes, str] = {}
+        self._observe = observe
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Optional[bytes]) -> Optional[str]:
+        """The fingerprint stored for ``key``, refreshed as most recent."""
+        fingerprint = None if key is None else self._entries.pop(key, None)
+        if fingerprint is not None:
+            self._entries[key] = fingerprint
+        self._observe(fingerprint is not None)
+        return fingerprint
+
+    def put(self, key: bytes, fingerprint: str) -> None:
+        entries = self._entries
+        entries[key] = fingerprint
+        if len(entries) > self.bound:
+            del entries[next(iter(entries))]
+
+
+def _class_data(setups, jobs) -> tuple:
+    """``(key, setups, jobs)`` of a keyable payload, else ``(None, None, None)``.
+
+    The tuples are the ones the instance is built from, so the key is
+    exactly the bytes its fingerprint digests.
+    """
+    if type(setups) is not list or type(jobs) is not list or not (
+        _LIST.issuperset(map(type, jobs))
+    ):
+        return None, None, None
+    setups, jobs = tuple(setups), tuple(map(tuple, jobs))
+    try:
+        return class_data_key(setups, jobs), setups, jobs
+    except ValueError:
+        return None, None, None
+
+
+def _check_class_data(setups, jobs) -> None:
+    _int_list(setups, "instance.setups")
+    if not isinstance(jobs, list):
+        raise ProtocolError(f"instance.jobs must be a list of lists, got {echo(jobs)}")
+    if not (
+        _LIST.issuperset(map(type, jobs))
+        and _INT.issuperset(map(type, chain.from_iterable(jobs)))
+    ):
+        for i, ts in enumerate(jobs):
+            _int_list(ts, f"instance.jobs[{i}]")
+
+
+def instance_from_obj(obj, known: Optional[CheckedPayloads] = None) -> Instance:
+    """Parse and validate one wire instance object.
+
+    With a ``known`` table, a payload whose key is in it skips the
+    per-value checks and ``__post_init__``; only ``m`` is checked.  Any
+    other payload is checked in full, and once it passes, its key and
+    fingerprint go into the table.  Either way the instance's
+    fingerprint comes from the key, so the payload is encoded once.
+    Without a table (the reference path), nothing is keyed.
+    """
     if not isinstance(obj, dict):
         raise ProtocolError(f"instance must be an object, got {echo(obj)}")
+    setups, jobs = obj.get("setups"), obj.get("jobs")
+    key = fingerprint = None
+    if known is not None:
+        key, setups_t, jobs_t = _class_data(setups, jobs)
+        fingerprint = known.get(key)
     m = obj.get("m")
     if not isinstance(m, int) or isinstance(m, bool):
         raise ProtocolError(f"instance.m must be an int, got {echo(m)}")
-    setups = _int_list(obj.get("setups"), "instance.setups")
-    jobs_obj = obj.get("jobs")
-    if not isinstance(jobs_obj, list):
-        raise ProtocolError(f"instance.jobs must be a list of lists, got {echo(jobs_obj)}")
-    if not (
-        _LIST.issuperset(map(type, jobs_obj))
-        and _INT.issuperset(map(type, chain.from_iterable(jobs_obj)))
-    ):
-        for i, ts in enumerate(jobs_obj):
-            _int_list(ts, f"instance.jobs[{i}]")
     try:
-        return Instance(m=m, setups=tuple(setups), jobs=tuple(map(tuple, jobs_obj)))
+        if fingerprint is not None:
+            instance = Instance._from_checked(
+                m, setups_t, jobs_t, {}, {"fingerprint": fingerprint}
+            )
+        else:
+            _check_class_data(setups, jobs)
+            if key is None:
+                setups_t, jobs_t = tuple(setups), tuple(map(tuple, jobs))
+            instance = Instance(m=m, setups=setups_t, jobs=jobs_t)
     except InvalidInstanceError as exc:
         raise ProtocolError(f"invalid instance: {echo(exc, str(exc))}") from None
+    check_m(m, "instance.m")
+    if key is not None and fingerprint is None:
+        fingerprint = class_data_digest(key)
+        instance._misc_cache["fingerprint"] = fingerprint
+        known.put(key, fingerprint)
+    return instance
 
 
 # --------------------------------------------------------------------------- #
@@ -288,6 +392,12 @@ EPS_MIN = Fraction(1, 2**64)
 #: would let one short line hold a shard for seconds and fill a reply of
 #: tens of megabytes.
 MS_MAX = 64
+
+#: The largest machine count a request may name, as ``instance.m`` or
+#: as an ``ms`` entry.  Lemma 8's splittable ``"two"`` template emits
+#: about 1.8 rows per machine, so an unbounded count would let one short
+#: line hold a shard for minutes; at this bound a reply has ~7.4k rows.
+M_MAX = 4096
 
 #: The largest ``timeout_ms`` a request may carry: one day.  The engine
 #: turns the budget into seconds as a float, which an unbounded int
@@ -315,10 +425,24 @@ def check_timeout_ms(timeout_ms) -> None:
         raise ProtocolError(f"timeout_ms may be at most {TIMEOUT_MS_MAX} (one day)")
 
 
+def check_m(m: int, what: str) -> None:
+    """Raise :class:`ProtocolError` if the machine count ``m`` (an int)
+    exceeds :data:`M_MAX`.
+
+    The one bound on a machine count: :func:`instance_from_obj` applies
+    it to ``instance.m`` on both of its paths, :func:`check_ms` to every
+    ``ms`` entry, and :meth:`~repro.service.engine.SolveService.submit`
+    to an in-process request's ``instance.m``.  It runs after every
+    other check of the value, so what those reject keeps its text.
+    """
+    if m > M_MAX:
+        raise ProtocolError(f"{what} may be at most {M_MAX}")
+
+
 def check_ms(ms) -> None:
     """Raise :class:`ProtocolError` unless ``ms`` is ``None`` or a
     non-empty list or tuple of at most :data:`MS_MAX` ints (not bools),
-    each at least 1.
+    each at least 1 and at most :data:`M_MAX`.
 
     The one rule for a request's machine sweep: the wire parser and
     :meth:`~repro.service.engine.SolveService.submit` both apply it.
@@ -332,6 +456,7 @@ def check_ms(ms) -> None:
         raise ProtocolError(
             f"ms must be a non-empty list of positive ints, got {echo(ms)}"
         )
+    check_m(max(ms), "ms entries")
 
 
 @dataclass(frozen=True)
@@ -343,9 +468,9 @@ class SolveRequest:
     the response line (``None`` for in-process use).  ``timeout_ms``
     (optional) is the request's total deadline budget — queue wait plus
     solve time; an expired request resolves as a structured ``timeout``
-    error instead of an answer.  ``submit`` checks ``ms`` and
-    ``timeout_ms`` like the wire does (:func:`check_ms`,
-    :func:`check_timeout_ms`).
+    error instead of an answer.  ``submit`` checks ``ms``,
+    ``timeout_ms`` and the instance's ``m`` like the wire does
+    (:func:`check_ms`, :func:`check_timeout_ms`, :func:`check_m`).
     """
 
     instance: Instance
@@ -369,12 +494,15 @@ class SolveRequest:
         )
 
 
-def request_from_obj(obj) -> SolveRequest:
+def request_from_obj(obj, known: Optional[CheckedPayloads] = None) -> SolveRequest:
     """Parse and validate one ``op: solve`` request object.
 
     Everything checked here raises :class:`ProtocolError` (malformed
     JSON shapes) or ``ValueError`` (bad variant/algorithm names, via the
     batch engine's up-front validation) before any solving starts.
+    ``known`` is the connection's table of checked instance payloads
+    (see :func:`instance_from_obj`); without it every payload is checked
+    in full, which is the reference path.
     """
     if not isinstance(obj, dict):
         raise ProtocolError(f"request must be a JSON object, got {echo(obj)}")
@@ -386,7 +514,7 @@ def request_from_obj(obj) -> SolveRequest:
         raise ProtocolError(f"unknown request fields: {echo(sorted(unknown))}")
     if "instance" not in obj:
         raise ProtocolError("solve request needs an 'instance' field")
-    instance = instance_from_obj(obj["instance"])
+    instance = instance_from_obj(obj["instance"], known)
 
     schedules = obj.get("schedules")
     bounds_only = obj.get("bounds_only")

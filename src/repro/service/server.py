@@ -9,6 +9,13 @@ interleaving of completions.  A per-connection admission window of
 ``max_inflight`` bounds parsed-but-unanswered requests, so a
 fast-pipelining client cannot queue unbounded work.
 
+Each connection checks an instance payload once: a
+:class:`~repro.service.protocol.CheckedPayloads` table of
+``shards × max_instances`` entries remembers the payloads that passed,
+so a repeat skips the per-value checks and arrives with its routing
+digest already taken.  The ``metrics`` op counts both kinds as
+``ingest.hit`` and ``ingest.miss``.
+
 Housekeeping ops: ``ping`` answers inline; ``stats`` (the engine's
 counters plus the process's ``ru_maxrss``) and ``metrics`` (mergeable
 counters + per-stage latency histograms, JSON or Prometheus text)
@@ -38,6 +45,7 @@ from typing import Awaitable, Callable, Optional
 from .engine import SolveService
 from .protocol import (
     METRICS_FORMATS,
+    CheckedPayloads,
     ProtocolError,
     ServiceError,
     echo,
@@ -92,9 +100,14 @@ async def handle_lines(
     :class:`ProtocolError` for a line the transport had to discard; that
     line is answered with a ``bad_request`` carrying the error's message.
     """
+    config = service.config
     responses: asyncio.Queue = asyncio.Queue()
-    window = asyncio.Semaphore(service.config.max_inflight)
+    window = asyncio.Semaphore(config.max_inflight)
     shutdown = False
+    # Instance payloads this connection sent that passed every check, as
+    # many as the service keeps warm: an older one is cold at its shard.
+    known = CheckedPayloads(config.shards * config.max_instances,
+                            service.count_ingest)
 
     async def writer() -> None:
         while True:
@@ -119,7 +132,7 @@ async def handle_lines(
     async def solve_one(obj: dict) -> str:
         request_id = obj.get("id") if isinstance(obj, dict) else None
         try:
-            request = request_from_obj(obj)
+            request = request_from_obj(obj, known)
             result = await service.submit(request)
             t0 = time.monotonic()
             line = response_line(request.id, result)
