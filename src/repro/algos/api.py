@@ -264,7 +264,7 @@ _SPECS: dict[tuple[Variant, str], _Spec] = {
     ),
     # Theorem 6: built at the accepted witness, certified by the infimum T*.
     (Variant.PREEMPTIVE, "three_halves"): _Spec(
-        lambda instance, eps, grid: flip_plan_pmtn(instance, grid=grid),
+        lambda instance, eps, grid: flip_plan_pmtn(instance),
         lambda res: (res[1], res[0], res[2]),
         lambda instance, T, kernel: pmtn_dual_schedule(
             instance, T, mode="gamma", kernel=kernel
@@ -292,9 +292,9 @@ def prepare(
 ):
     """``(plan, finish)`` of one validated solve; ``None`` for the closed forms.
 
-    ``plan`` is the spec's probe-plan generator (``grid`` lets the flip
-    searches send candidate blocks); ``finish`` takes the plan's result,
-    certifies it — ``ratio_bound = (3/2)·T/certificate_lo`` and
+    ``plan`` is the spec's probe-plan generator (``grid`` lets the
+    splittable flip search send candidate blocks); ``finish`` certifies
+    the plan's result — ``ratio_bound = (3/2)·T/certificate_lo`` and
     ``opt_lower_bound = max(lower_bound, certificate_lo)`` — and, with
     ``schedules``, runs the construction at ``T`` on ``kernel``.
     """

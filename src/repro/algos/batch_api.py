@@ -22,13 +22,13 @@ This module is the façade that exploits the sharing:
   cross-instance lockstep coordinator.
 * All offer ``schedules=False``: the dual searches still resolve the
   certified makespan ``T`` with its lower-bound certificate — the
-  splittable and preemptive flip searches through the vectorized
-  :mod:`repro.core.xbatch` engine when numpy is available and the grid
-  policy engages — but no schedule is materialized.  Sweep consumers that
-  only need the ``T*``/bound curve (capacity planning: "how many
-  machines until the proven bound drops below X?") skip the dominant
-  construction cost entirely; :class:`SweepPoint` carries the same
-  certified fields a full :class:`~repro.algos.api.SolveResult` would.
+  splittable flip search through the vectorized :mod:`repro.core.xbatch`
+  engine when numpy is available and the grid policy engages — but no
+  schedule is materialized.  Sweep consumers that only need the
+  ``T*``/bound curve (capacity planning: "how many machines until the
+  proven bound drops below X?") skip the dominant construction cost
+  entirely; :class:`SweepPoint` carries the same certified fields a
+  full :class:`~repro.algos.api.SolveResult` would.
 
 Every solve runs :mod:`repro.algos.api`'s one solve path (per item
 :func:`~repro.algos.api.solve_point`; in lockstep
@@ -62,50 +62,39 @@ from .search import GRID_BLOCK, accept_flags
 
 __all__ = ["BatchItem", "SweepPoint", "solve_batch", "solve_many", "sweep_machines"]
 
-#: Shape-aware grid auto-policy.  Only the splittable and preemptive
-#: Class-Jumping flip searches (``three_halves``) have a grid mode: they
-#: narrow candidate lists in blocks through a one-member
-#: :class:`~repro.core.xbatch.BatchDualContext`.  Per probe kind a
-#: ``(block_min, work_max)`` window — the grid engages only when the
-#: candidate-block size reaches ``block_min`` (vectorization width to
-#: amortize the numpy call overhead) *and* the product ``block × c``
-#: stays under ``work_max`` (every grid candidate touches all ``c``
-#: classes, while a scalar probe bisects sorted prefix views in
-#: O(log c); the blow-up must stay bounded).  Calibrated by Experiment
-#: S3 (``python -m repro.experiments gridcross``) on the scaled-integer
-#: plans:
+#: Grid auto-policy ``(block_min, work_max)``.  Only the splittable
+#: Class-Jumping flip search (``three_halves``) has a grid mode: it
+#: narrows candidate lists in blocks through a one-member
+#: :class:`~repro.core.xbatch.BatchDualContext`.  The grid engages only
+#: when the candidate-block size reaches ``block_min`` (vectorization
+#: width to amortize the numpy call overhead) *and* the product
+#: ``block × c`` stays under ``work_max`` (a block probes every one of
+#: its candidates over all ``c`` classes, where a bisection probes about
+#: ``log2(block)`` of them; the blow-up must stay bounded).  Calibrated
+#: by Experiment S3 (``python -m repro.experiments gridcross``) on the
+#: scaled-integer plans: the grid loses below block ≈ 64 (medians 0.57×
+#: at c = 12, 0.80× at c = 40) and is at parity (1.00–1.04×) for
+#: block×c ≈ 10k–51k.  It stays engaged in that window at no measured
+#: cost, so the shared-candidate batched calls stay exercised.
 #:
-#: * ``pmtn`` flip search — parity: medians 1.00–1.02× at every
-#:   measured c (12–400, block×c 168–51k);
-#: * ``split`` flip search — loses below block ≈ 64 (0.57× at c = 12,
-#:   0.84× at c = 40), parity (1.00–1.02×) for block×c ≈ 10k–51k.
-#:
-#: Both grids stay engaged in their windows at no measured cost, so the
-#: shared-candidate batched calls stay exercised.
-#:
-#: The ε-search and the non-preemptive integer search have no grid:
-#: their bisections need ~7–20 scalar probes, which a full candidate
-#: block never beat at any measured class count.
-GRID_POLICY: dict[str, tuple[int, int]] = {
-    "split": (64, 64_000),
-    "pmtn": (64, 32_000),
-}
-
-#: :data:`GRID_POLICY` key of each variant's ``three_halves`` flip search.
-_FLIP_KIND = {Variant.SPLITTABLE: "split", Variant.PREEMPTIVE: "pmtn"}
+#: The other searches have no grid: the ε-search and the non-preemptive
+#: integer search bisect with ~7–20 scalar probes, which a full
+#: candidate block never beat at any measured class count, and the
+#: preemptive flip search's base-flip bisections measured at parity.
+GRID_POLICY: tuple[int, int] = (64, 64_000)
 
 
-def _grid_shape(variant: Variant, algorithm: Algorithm) -> Optional[str]:
-    """The :data:`GRID_POLICY` key of a search shape, ``None`` if it has no grid."""
-    return _FLIP_KIND.get(variant) if algorithm == "three_halves" else None
+def _has_grid(variant: Variant, algorithm: Algorithm) -> bool:
+    """Whether a search shape has a grid mode: the splittable flip search."""
+    return variant is Variant.SPLITTABLE and algorithm == "three_halves"
 
 
 def _grid_block_estimate(c: int) -> int:
-    """Candidates per batched grid call of a flip search over ``c`` classes.
+    """Candidates per grid call of the splittable flip search over ``c`` classes.
 
-    The flip searches narrow candidate lists of at most ``c + 2`` points
-    in blocks capped at :data:`~repro.algos.search.GRID_BLOCK` interior
-    candidates (:func:`~repro.algos.search.right_interval_plan`).
+    It narrows candidate lists of at most ``c + 2`` points in blocks
+    capped at :data:`~repro.algos.search.GRID_BLOCK` interior candidates
+    (:func:`~repro.algos.search.right_interval_plan`).
     """
     return min(c + 2, GRID_BLOCK)
 
@@ -130,13 +119,18 @@ def _check_request(
             "use_grid=True needs kernel='fast'; the fraction kernel probes "
             "one candidate at a time"
         )
-    if _grid_shape(variant, algorithm) is None:
+    if not _has_grid(variant, algorithm):
         raise ValueError(
             f"use_grid=True: the {variant.value} {algorithm!r} search has no "
-            f"grid; grids exist only for the splittable and preemptive "
-            f"'three_halves' flip searches"
+            f"grid; only the splittable 'three_halves' flip search has one"
         )
     return variant
+
+
+def _check_numpy(use_grid: Optional[bool]) -> None:
+    """After every request's :func:`_check_request`: a forced grid needs numpy."""
+    if use_grid and not xbatch.HAVE_NUMPY:
+        raise RuntimeError("use_grid=True but numpy is not installed")
 
 
 def _grid_for(
@@ -149,33 +143,30 @@ def _grid_for(
 ) -> bool:
     """One solve's grid decision (``use_grid`` vetted by :func:`_check_request`).
 
-    Full schedules probe scalar; ``True``/``False`` force the choice
-    (``True`` without numpy raises ``RuntimeError``).
-    ``None`` engages a flip search's grid when numpy is importable, the
-    kernel is ``"fast"``, the candidate block (:func:`_grid_block_estimate`)
-    and ``block × c`` fit the kind's :data:`GRID_POLICY` window, and the
-    candidates clear the int64 precheck: an overflow-prone grid call
-    stays correct but falls back to probing its whole block one by one.
-    The overflow probe (:func:`repro.core.xbatch._grid_is_safe` on
-    ``[T_min, 2·T_min]`` at denominators up to ``1024·2m``, a superset of
-    the dyadic refinements and class jumps seen in practice) depends on
-    ``(variant, m)`` only, so its verdict is parked in the instance's
-    shared misc cache, evicted by :meth:`Instance.release_caches`.
+    Full schedules probe scalar; ``True``/``False`` force the choice.
+    ``None`` engages the splittable flip search's grid when numpy is
+    importable, the kernel is ``"fast"``, the candidate block
+    (:func:`_grid_block_estimate`) and ``block × c`` fit the
+    :data:`GRID_POLICY` window, and the candidates clear the int64
+    precheck: an overflow-prone grid call stays correct but falls back
+    to probing its whole block one by one.  The overflow probe
+    (:func:`repro.core.xbatch._grid_is_safe` on ``[T_min, 2·T_min]`` at
+    denominators up to ``1024·2m``, a superset of the dyadic refinements
+    and class jumps seen in practice) depends on ``m`` only, so its
+    verdict is parked in the instance's shared misc cache, evicted by
+    :meth:`Instance.release_caches`.
     """
     if schedules:
         return False
     if use_grid is not None:
-        if use_grid and not xbatch.HAVE_NUMPY:
-            raise RuntimeError("use_grid=True but numpy is not installed")
-        return bool(use_grid)
-    shape = _grid_shape(variant, algorithm)
-    if shape is None or kernel != "fast" or not xbatch.HAVE_NUMPY:
+        return use_grid
+    if not _has_grid(variant, algorithm) or kernel != "fast" or not xbatch.HAVE_NUMPY:
         return False
-    block_min, work_max = GRID_POLICY[shape]
+    block_min, work_max = GRID_POLICY
     block = _grid_block_estimate(instance.c)
     if block < block_min or block * instance.c > work_max:
         return False
-    key = ("grid_safe", variant.value, instance.m)
+    key = ("grid_safe", instance.m)
     safe = instance._misc_cache.get(key)
     if safe is None:
         tmin = t_min(instance, variant)
@@ -234,21 +225,21 @@ def sweep_machines(
     bit-identical to ``[solve(instance.with_machines(m), ...) for m in
     ms]``.  ``schedules=False`` returns :class:`SweepPoint` bounds
     (same certified ``T``/ratio/lower bound, no schedule) and lets the
-    flip searches run their candidate blocks on the vectorized engine —
-    the fast path for ``T*``-curve workloads.
+    splittable flip search run its candidate blocks on the vectorized
+    engine — the fast path for ``T*``-curve workloads.
 
-    ``use_grid`` applies to the bounds-only flip searches of splittable
-    and preemptive ``three_halves``: ``None`` (default) lets
-    :data:`GRID_POLICY` engage the numpy grid evaluator per point when
-    numpy is importable, the kernel is ``"fast"`` and the point clears
-    the int64 overflow probe; ``False`` forces scalar probing; ``True``
-    requires numpy.  Forcing ``use_grid=True`` on a search without a
-    grid — full schedules, ``eps``, non-preemptive, or
-    ``kernel="fraction"`` — raises ``ValueError`` rather than silently
-    degrading.
+    ``use_grid`` applies to the bounds-only splittable ``three_halves``
+    flip search: ``None`` (default) lets :data:`GRID_POLICY` engage the
+    numpy grid evaluator per point when numpy is importable, the kernel
+    is ``"fast"`` and the point clears the int64 overflow probe;
+    ``False`` forces scalar probing; ``True`` requires numpy.  Forcing
+    ``use_grid=True`` on a search without a grid — full schedules,
+    ``eps``, preemptive or non-preemptive, or ``kernel="fraction"`` —
+    raises ``ValueError`` rather than silently degrading.
     """
     validate_kernel(kernel)
     variant = _check_request(variant, algorithm, schedules, eps, kernel, use_grid)
+    _check_numpy(use_grid)
     return [
         _point(
             instance.with_machines(m, share_caches=True), variant, algorithm,
@@ -278,6 +269,7 @@ def solve_many(
     """
     validate_kernel(kernel)
     variant = _check_request(variant, algorithm, schedules, eps, kernel, use_grid)
+    _check_numpy(use_grid)
     reps: dict[str, Instance] = {}
     return [
         _point(_shared(reps, inst), variant, algorithm, eps, kernel, schedules, use_grid)
@@ -358,11 +350,12 @@ def solve_batch(
     mappings (the service guarantees this by sharding on fingerprint)
     never share a lazily-filled cache across threads.
 
-    Every name and ``eps`` is validated before the first solve (one clear
-    error, no partial results), and the output list matches ``items`` order:
-    ``SolveResult`` | :class:`SweepPoint` for single solves, a list
-    thereof for ``ms`` sweeps — each bit-identical to the corresponding
-    fresh-instance ``solve()`` / ``sweep_machines`` call.
+    Every name, ``eps`` and ``use_grid=True`` is validated before the
+    first solve (one clear error, no partial results), and the output
+    list matches ``items`` order: ``SolveResult`` | :class:`SweepPoint`
+    for single solves, a list thereof for ``ms`` sweeps — each
+    bit-identical to the corresponding fresh-instance ``solve()`` /
+    ``sweep_machines`` call.
 
     ``cancels`` (aligned with ``items``) attaches a per-item
     :class:`~repro.core.cancel.CancelToken`: each item solves inside a
@@ -379,9 +372,9 @@ def solve_batch(
     probe plan :func:`~repro.algos.api.prepare` makes for it, the
     coordinator advances all plans one round at a time, and each round's
     same-kind probes — across *different* instances — go to one
-    :class:`repro.core.xbatch.BatchDualContext` call: ``split`` and
-    ``pmtn_base`` rows fuse into one padded numpy pass, ``nonp`` and
-    ``pmtn`` rows run on the scalar kernel.
+    :class:`repro.core.xbatch.BatchDualContext` call: ``split`` rows
+    fuse into one padded numpy pass, ``nonp``, ``pmtn`` and
+    ``pmtn_base`` rows run on the scalar kernel.
     Results, probe counts, and raised errors are bit-identical to
     ``xbatch=False`` (each plan is the very generator the sequential
     path drives, its result goes to the same ``finish``, and the fused
@@ -400,6 +393,7 @@ def solve_batch(
         )
         for item in items
     ]
+    _check_numpy(use_grid)
     if cancels is not None and len(cancels) != len(items):
         raise ValueError(
             f"cancels must align with items: {len(cancels)} tokens "

@@ -108,16 +108,15 @@ def _base_core(instance: Instance, T: Time) -> tuple[Time, int]:
     return load, m_prime
 
 
-def base_flip_plan(instance: Instance, tmin: Pair, thi: Pair, *, grid: bool = False):
+def base_flip_plan(instance: Instance, tmin: Pair, thi: Pair):
     """Class Jumping on the monotone core (Algorithm 4 steps 2-7) as a plan.
 
     Returns ``T̃ = min{T ≥ tmin : base-accept}``; everything below is
     rejected by the full test too (``L_base ≤ L_pmtn``, ``m′`` shared).
-    Probes are memoized, so endpoints shared across the bisection phases
-    hit the kernel once; ``grid=True`` resolves each bisection with
-    batched candidate blocks (identical flip — the base core is
-    monotone).  Base probes were never counted in ``accept_calls``, so
-    the plan keeps its own discarded counter.
+    Probes are scalar and memoized, so endpoints shared across the
+    bisection phases hit the kernel once.  Base probes were never
+    counted in ``accept_calls``, so the plan keeps its own discarded
+    counter.
     """
     memo: dict[tuple[int, int], bool] = {}
     uncounted = [0]
@@ -134,9 +133,7 @@ def base_flip_plan(instance: Instance, tmin: Pair, thi: Pair, *, grid: bool = Fa
             if pair_cmp(tmin, b) < 0 < pair_cmp(thi, b):
                 pts.add(b)
     candidates = [tmin] + sorted(pts, key=pair_key) + [thi]
-    A1, T1 = yield from right_interval_plan(
-        candidates, memo, uncounted, "pmtn_base", "", grid
-    )
+    A1, T1 = yield from right_interval_plan(candidates, memo, uncounted, "pmtn_base", "")
 
     # fastest jumping class f among I+exp on the open interior
     mid = pair_mid(A1, T1)
@@ -165,7 +162,7 @@ def base_flip_plan(instance: Instance, tmin: Pair, thi: Pair, *, grid: bool = Fa
             [A1] + [norm_pair(SPf, k) for k in range(k_hi, k_lo - 1, -1)] + [T1]
         )
         lo_b, hi_b = yield from right_interval_plan(
-            jump_candidates, memo, uncounted, "pmtn_base", "", grid
+            jump_candidates, memo, uncounted, "pmtn_base", ""
         )
 
     inner: set[Pair] = set()
@@ -183,7 +180,7 @@ def base_flip_plan(instance: Instance, tmin: Pair, thi: Pair, *, grid: bool = Fa
     if inner:
         lo_b, hi_b = yield from right_interval_plan(
             [lo_b] + sorted(inner, key=pair_key) + [hi_b],
-            memo, uncounted, "pmtn_base", "", grid,
+            memo, uncounted, "pmtn_base", "",
         )
     return (yield from _flip_constant_core(instance, lo_b, hi_b))
 
@@ -344,14 +341,13 @@ def _knapsack_stable_points(instance: Instance, lo: Pair, hi: Pair) -> list[Pair
     return sorted(pts, key=pair_key)
 
 
-def flip_plan_pmtn(instance: Instance, *, use_base_jump: bool = True, grid: bool = False):
+def flip_plan_pmtn(instance: Instance, *, use_base_jump: bool = True):
     """Algorithm 4 + piece scan as a plan; returns ``(T*, witness, calls)``.
 
     ``T*`` and the witness come back as normalized pairs.
     ``use_base_jump=False`` disables the Class-Jumping acceleration and
     scans every piece from ``T_min`` — the slow reference used by tests
-    and the ablations; ``grid=True`` resolves the base-flip bisections
-    in candidate blocks.  γ-test probes are memoized as full verdicts
+    and the ablations.  γ-test probes are memoized as full verdicts
     (``accept`` is the verdict's flag, so re-testing an endpoint is
     free) and counted; the base flip's probes ride through
     :func:`base_flip_plan` uncounted.  The knapsack stable-point
@@ -378,7 +374,7 @@ def flip_plan_pmtn(instance: Instance, *, use_base_jump: bool = True, grid: bool
         return tmin, tmin, counted[0]
 
     if use_base_jump:
-        t_base = yield from base_flip_plan(instance, tmin, thi, grid=grid)
+        t_base = yield from base_flip_plan(instance, tmin, thi)
     else:
         t_base = tmin
 

@@ -196,7 +196,7 @@ def plan_accept_block(memo, counted, kind, mode, cands: Sequence[Pair]):
 
 
 def right_interval_plan(
-    candidates: Sequence[Pair], memo, counted, kind: str, mode: str, grid: bool
+    candidates: Sequence[Pair], memo, counted, kind: str, mode: str, grid: bool = False
 ):
     """Find adjacent ``(c_j, c_{j+1}]`` with ``c_j`` rejected, ``c_{j+1}`` accepted.
 

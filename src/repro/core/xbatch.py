@@ -10,24 +10,26 @@ member instances — in one call.  It serves two callers:
   (``xbatch=True``) advances many items' bracket searches one round at a
   time and hands each round's probe rows, across *different* instances,
   to one evaluation;
-* the splittable and preemptive flip searches with ``use_grid=True``
-  send each candidate block to a one-member context (every row names
-  member 0); their blocks are ``split`` and ``pmtn_base`` rows.
+* the splittable flip search with ``use_grid=True`` sends each
+  candidate block to a one-member context (every row names member 0);
+  its blocks are ``split`` rows.
 
 Which kinds fuse:
 
-* ``split`` (Theorem 7) and ``pmtn_base`` (Algorithm 4's monotone core)
-  run in one numpy pass.  Their scalar kernels touch every class once
-  per probe, so padded ``(members, c_max)`` class columns do the same
-  work at array speed (zero padding is neutral: a padded class has
-  ``s = P = 0``, so it is never expensive and adds zero setup/load).
-  Candidates carry their own denominators (class-jump points ``2P_i/k``
-  do), so there is no common scale and no lcm blow-up;
+* ``split`` (Theorem 7) runs in one numpy pass.  Its scalar kernel
+  touches every class once per probe, so padded ``(members, c_max)``
+  class columns do the same work at array speed (zero padding is
+  neutral: a padded class has ``s = P = 0``, so it is never expensive
+  and adds zero setup/load).  Candidates carry their own denominators
+  (class-jump points ``2P_i/k`` do), so there is no common scale and no
+  lcm blow-up;
 * ``nonp`` (Theorem 9) and ``pmtn`` (Theorem 5) always run on the scalar
   kernel.  It counts every class whose term is fixed by ``T/2`` with one
   bisection of a class table and loops only over the rest, which a
   padded pass over all ``c_max`` classes does not beat (the
-  ``speedup/xbatch/*`` cells of ``benchmarks/run_bench.py`` measure it).
+  ``speedup/xbatch/*`` cells of ``benchmarks/run_bench.py`` measure it);
+* ``pmtn_base`` (Algorithm 4's monotone core) does too: a lockstep round
+  carries one row per concurrent preemptive flip search, too few to pay.
 
 Each fused verdict is **bit-identical** to the scalar kernel.  ``int64``
 products can wrap silently, so an exact-int overflow precheck
@@ -75,9 +77,6 @@ _GUARD = 1 << 62
 #: Cap on ``rows * c_max`` elements per vectorized chunk (bounds temp memory).
 _CHUNK_ELEMS = 1 << 22
 
-#: The kinds with a fused numpy lane; the others always probe scalar.
-_FUSED_KINDS = ("split", "pmtn_base")
-
 #: Below this many fusable rows a padded kernel dispatch costs more than
 #: the scalar probes it replaces; purely a performance cutoff (both
 #: paths are bit-identical).
@@ -115,20 +114,19 @@ def _grid_is_safe(instance: Instance, tns: list[int], tds: list[int]) -> bool:
     """Exact-integer bound on every int64 intermediate of one member's rows.
 
     Conservative: ``K`` dominates every per-class machine count that any
-    of the four tests can produce — jump-style counts ``β/γ ≤ ⌈2P/T⌉``
-    (the fused ``split``/``pmtn_base`` lanes) via the ``min_tn`` term,
-    and α-style counts ``⌈P·td/(tn − s·td)⌉``, which only the scalar
-    kinds produce, via ``alpha_cap`` (see :func:`_maxima`), so the bound
-    holds whichever kinds fuse.  ``unit``
-    dominates every per-class scaled quantity, and each accumulated sum
-    touches at most ``c`` classes with a constant factor ≤ 8.  A miss
-    only costs speed — the rows drop to the scalar kernel, never
-    precision.
+    of the four tests can produce — jump-style counts ``β ≤ ⌈2P/T⌉``
+    (the fused ``split`` lane) and ``γ ≤ ⌈2(s + P)/T⌉`` (Algorithm 4's
+    base core) via the ``min_tn`` term, and α-style counts
+    ``⌈P·td/(tn − s·td)⌉`` via ``alpha_cap`` (see :func:`_maxima`), so
+    the bound holds whichever kinds fuse.  ``unit`` dominates every
+    per-class scaled quantity, and each accumulated sum touches at most
+    ``c`` classes with a constant factor ≤ 8.  A miss only costs speed —
+    the rows drop to the scalar kernel, never precision.
     """
     max_tn, min_tn = max(tns), min(tns)
     max_td = max(tds)
     maxP, smax, alpha_cap = _maxima(instance)
-    # (maxP + smax): the base-core γ count divides 2(s_i + P_i), not 2P_i.
+    # (maxP + smax): the base core's γ count divides 2(s_i + P_i), not 2P_i.
     K = max((2 * (maxP + smax) * max_td) // min_tn + 2, alpha_cap)
     unit = max(max_tn, 2 * (smax + maxP + 1) * max_td)
     c = len(instance.setups)
@@ -165,9 +163,9 @@ class BatchDualContext:
     representative or cache-sharing ``with_machines`` copy, so each
     machine count of a fingerprint is its own member), or the single
     instance of a per-instance candidate block.  The context owns the
-    padded per-class arrays the fused ``split``/``pmtn_base`` rows read;
-    they build lazily on the first fused evaluation from the members'
-    cached per-instance columns.
+    padded per-class arrays the fused ``split`` rows read; they build
+    lazily on the first fused evaluation from the members' cached
+    per-instance columns.
     """
 
     def __init__(self, members: Sequence[Instance]) -> None:
@@ -229,18 +227,17 @@ class BatchDualContext:
         """Verdicts for ``rows = [(member_idx, tn, td), ...]``, row order.
 
         Bit-identical to ``[scalar_one(kind, mode, *row) for row in
-        rows]`` on every tier.  ``split`` and ``pmtn_base`` rows run in
-        one numpy pass for the members whose rows clear the exact-int
-        overflow precheck; the rest of them, every ``nonp``/``pmtn`` row
-        (no fused lane: the scalar kernel's class-table bisection beats
-        a padded pass), and everything when numpy is unavailable run on
-        the scalar kernel.
+        rows]`` on every tier.  ``split`` rows run in one numpy pass for
+        the members whose rows clear the exact-int overflow precheck;
+        the rest of them, every ``nonp``/``pmtn``/``pmtn_base`` row (no
+        fused lane, see the module docstring), and everything when numpy
+        is unavailable run on the scalar kernel.
         """
         if kind not in PROBE_KINDS:
             raise ValueError(f"unknown probe kind {kind!r}")
         out: list = [None] * len(rows)
         fused: list[int] = []
-        if HAVE_NUMPY and kind in _FUSED_KINDS and len(rows) >= _MIN_FUSED_ROWS:
+        if HAVE_NUMPY and kind == "split" and len(rows) >= _MIN_FUSED_ROWS:
             by_member: dict[int, list[int]] = {}
             for j, (mi, _, _) in enumerate(rows):
                 by_member.setdefault(mi, []).append(j)
@@ -264,8 +261,7 @@ class BatchDualContext:
             mis = _np.asarray([rows[j][0] for j in fused], dtype=_np.int64)
             tns = _np.asarray([rows[j][1] for j in fused], dtype=_np.int64)
             tds = _np.asarray([rows[j][2] for j in fused], dtype=_np.int64)
-            lane = self._split_rows if kind == "split" else self._base_rows
-            for j, v in zip(fused, lane(mis, tns, tds)):
+            for j, v in zip(fused, self._split_rows(mis, tns, tds)):
                 out[j] = v
         return out
 
@@ -275,8 +271,8 @@ class BatchDualContext:
         for lo in range(0, n_rows, step):
             yield lo, min(n_rows, lo + step)
 
-    # each kernel below mirrors its scalar twin in repro.core.fastnum
-    # with the candidate axis as rows and the padded class axis as columns.
+    # the kernel below mirrors fast_split_test in repro.core.fastnum with
+    # the candidate axis as rows and the padded class axis as columns.
 
     def _split_rows(self, mis, tns, tds) -> list[SplitVerdict]:
         pad = self._padded()
@@ -295,25 +291,4 @@ class BatchDualContext:
                 SplitVerdict(bool(a), int(l), int(me))
                 for a, l, me in zip(acc, load, m_exp)
             )
-        return out
-
-    def _base_rows(self, mis, tns, tds) -> list[tuple[int, int]]:
-        pad = self._padded()
-        out: list[tuple[int, int]] = []
-        for lo, hi in self._chunks(len(mis)):
-            mi = mis[lo:hi]
-            tn, td = tns[lo:hi, None], tds[lo:hi, None]
-            S, P = pad["S"][mi], pad["P"][mi]
-            total = S + P
-            exp = 2 * S * td > tn
-            iplus = exp & (total * td >= tn)
-            izero = exp & ~iplus & (4 * total * td > 3 * tn)
-            iminus = exp & ~iplus & ~izero
-            gam = _np.maximum(1, _ceil_div_np(2 * total * td, tn) - 2)
-            load = pad["tp"][mi] + _np.where(iplus, gam * S, S).sum(axis=1)
-            gsum = _np.where(iplus, gam, 0).sum(axis=1)
-            l = izero.sum(axis=1)
-            minus = iminus.sum(axis=1)
-            m_prime = l + gsum + _ceil_div_np(minus, 2)
-            out.extend((int(a), int(b)) for a, b in zip(load, m_prime))
         return out

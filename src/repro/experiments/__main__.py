@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     swp.add_argument("--kernel", choices=["fast", "fraction"], default="fast")
     sub.add_parser(
         "gridcross",
-        help="Experiment S3: flip-search grids vs scalar probes over c",
+        help="Experiment S3: the splittable flip-search grid vs scalar probes over c",
     )
     con = sub.add_parser(
         "construct",

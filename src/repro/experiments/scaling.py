@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from ..algos.api import solve
@@ -220,15 +219,14 @@ def render_machine_sweep(
 
 
 # --------------------------------------------------------------------------- #
-# Experiment S3 — the flip-search grids vs scalar probes
+# Experiment S3 — the splittable flip-search grid vs scalar probes
 # --------------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
 class GridTiming:
-    shape: str            # "<variant>/<algorithm>" search shape
     c: int
-    block: int            # candidates per batched grid call for this shape
+    block: int            # candidates per batched grid call
     scalar_seconds: float
     grid_seconds: float
 
@@ -242,65 +240,49 @@ class GridTiming:
         return self.block * self.c
 
 
-#: The search shapes that have a grid mode: the splittable and preemptive
-#: Class-Jumping flip searches (the keys of ``GRID_POLICY``).
-GRID_SHAPES: tuple[tuple[Variant, str], ...] = (
-    (Variant.SPLITTABLE, "three_halves"),
-    (Variant.PREEMPTIVE, "three_halves"),
-)
-
-
 def run_grid_crossover(
     cs: Sequence[int] = (12, 40, 100, 200, 400),
     m: int = 24,
     repeats: int = 3,
-    shapes: Sequence[tuple[Variant, str]] = GRID_SHAPES,
 ) -> list[GridTiming]:
-    """Bounds-only sweeps per search shape: grid evaluator off vs forced on.
+    """Bounds-only splittable sweeps per ``c``: grid evaluator off vs forced on.
 
-    The auto policy is *shape-aware*: it gates each probe kind on the
-    product of candidate-block size and class count (see
-    :data:`repro.algos.batch_api.GRID_POLICY`).  Only the splittable and
-    preemptive flip searches have a grid: they narrow candidate lists of
-    ≤ c + 2 points in blocks, each block one
-    :meth:`~repro.core.xbatch.BatchDualContext.evaluate` call on a
-    one-member context, and the block×c column is exactly the quantity
-    the policy gates on.  Re-run after touching a dual-test tier and
-    recalibrate the ceilings from the winner column.  Requires numpy
-    (the ``[batch]`` extra).
+    Only the splittable Class-Jumping flip search (``three_halves``) has
+    a grid: it narrows candidate lists of ≤ c + 2 points in blocks, each
+    block one :meth:`~repro.core.xbatch.BatchDualContext.evaluate` call
+    on a one-member context, and the block×c column is exactly the
+    quantity the auto policy gates on (see
+    :data:`repro.algos.batch_api.GRID_POLICY`).  Re-run after touching a
+    dual-test tier and recalibrate the window from the winner column.
+    Requires numpy (the ``[batch]`` extra).
     """
     from ..algos.batch_api import _grid_block_estimate
     from ..core import xbatch
 
     if not xbatch.HAVE_NUMPY:
         raise RuntimeError("Experiment S3 requires numpy (pip install '.[batch]')")
-    eps = Fraction(1, 100)
     out = []
-    for variant, algorithm in shapes:
-        for c in cs:
-            inst = uniform_instance(m=m, c=c, n_per_class=2, seed=404)
-            ms = list(range(2, 2 * m + 1, 3))
-            best = {False: float("inf"), True: float("inf")}
-            for grid in (False, True):
-                for _ in range(repeats):
-                    fresh = Instance(
-                        m=inst.m, setups=inst.setups, jobs=inst.jobs
-                    )
-                    t0 = time.perf_counter()
-                    sweep_machines(
-                        fresh, ms, variant, algorithm, eps,
-                        schedules=False, use_grid=grid,
-                    )
-                    best[grid] = min(best[grid], time.perf_counter() - t0)
-            out.append(
-                GridTiming(
-                    shape=f"{variant}/{algorithm}",
-                    c=c,
-                    block=_grid_block_estimate(c),
-                    scalar_seconds=best[False],
-                    grid_seconds=best[True],
+    for c in cs:
+        inst = uniform_instance(m=m, c=c, n_per_class=2, seed=404)
+        ms = list(range(2, 2 * m + 1, 3))
+        best = {False: float("inf"), True: float("inf")}
+        for grid in (False, True):
+            for _ in range(repeats):
+                fresh = Instance(m=inst.m, setups=inst.setups, jobs=inst.jobs)
+                t0 = time.perf_counter()
+                sweep_machines(
+                    fresh, ms, Variant.SPLITTABLE, "three_halves",
+                    schedules=False, use_grid=grid,
                 )
+                best[grid] = min(best[grid], time.perf_counter() - t0)
+        out.append(
+            GridTiming(
+                c=c,
+                block=_grid_block_estimate(c),
+                scalar_seconds=best[False],
+                grid_seconds=best[True],
             )
+        )
     return out
 
 
@@ -308,7 +290,6 @@ def render_grid_crossover(timings: list[GridTiming] | None = None) -> str:
     timings = timings if timings is not None else run_grid_crossover()
     table_rows = [
         [
-            t.shape,
             str(t.c),
             str(t.block),
             f"{t.work:,}",
@@ -320,12 +301,12 @@ def render_grid_crossover(timings: list[GridTiming] | None = None) -> str:
         for t in timings
     ]
     return format_table(
-        ["search shape", "classes c", "block", "block×c", "scalar probes",
-         "grid blocks", "grid speedup", "winner"],
+        ["classes c", "block", "block×c", "scalar probes", "grid blocks",
+         "grid speedup", "winner"],
         table_rows,
-        title="Experiment S3: grid tier vs scalar probes per search shape "
+        title="Experiment S3: splittable flip-search grid vs scalar probes "
               "(bounds-only machine sweeps; the auto policy gates on block×c "
-              "per probe kind — repro.algos.batch_api.GRID_POLICY)",
+              "— repro.algos.batch_api.GRID_POLICY)",
     )
 
 

@@ -93,10 +93,10 @@ class ServiceConfig:
     (``solve_batch(..., xbatch=True)``): all items' bracket searches
     advance in rounds and each round's same-kind dual-test probes go to
     one :class:`~repro.core.xbatch.BatchDualContext` call, which fuses
-    the ``split``/``pmtn_base`` rows into one padded numpy pass and runs
-    ``nonp``/``pmtn`` rows on the scalar kernel.  Responses are
-    bit-identical either way (pinned by ``tests/test_xbatch.py``); both
-    backends honour the knob.
+    the ``split`` rows into one padded numpy pass and runs
+    ``nonp``/``pmtn``/``pmtn_base`` rows on the scalar kernel.
+    Responses are bit-identical either way (pinned by
+    ``tests/test_xbatch.py``); both backends honour the knob.
     """
 
     shards: int = 4

@@ -64,8 +64,8 @@ class TestSweepMachines:
     def test_bounds_mode_matches_solve_certificates(self, inst, variant):
         ms = machine_counts(inst)
         grids = [None, False]
-        if variant is not Variant.NONPREEMPTIVE and xbatch.HAVE_NUMPY:
-            grids.append(True)  # force the flip searches' grid blocks
+        if variant is Variant.SPLITTABLE and xbatch.HAVE_NUMPY:
+            grids.append(True)  # force the flip search's grid blocks
         for use_grid in grids:
             points = sweep_machines(
                 inst, ms, variant, schedules=False, use_grid=use_grid
@@ -128,9 +128,10 @@ class TestSweepMachines:
         [
             (Variant.SPLITTABLE, "eps", "fast"),
             (Variant.NONPREEMPTIVE, "three_halves", "fast"),
+            (Variant.PREEMPTIVE, "three_halves", "fast"),
             (Variant.SPLITTABLE, "three_halves", "fraction"),
         ],
-        ids=["eps", "nonpreemptive", "fraction"],
+        ids=["eps", "nonpreemptive", "preemptive", "fraction"],
     )
     def test_use_grid_true_without_a_grid_raises_up_front(
         self, variant, algorithm, kernel
@@ -161,6 +162,41 @@ class TestSweepMachines:
             with pytest.raises(ValueError, match="use_grid=True"):
                 call()
         assert solved == []  # the valid first item never reached its solve
+
+    @pytest.mark.parametrize("xb", [False, True])
+    def test_use_grid_true_without_numpy_raises_before_any_solve(
+        self, xb, monkeypatch
+    ):
+        """The numpy check is a request check: no item reaches its solve."""
+        from repro.algos.batch_api import BatchItem, solve_batch
+
+        monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
+        item = BatchItem(
+            instance=medium_suite()[0][1], variant=Variant.SPLITTABLE,
+            schedules=False,
+        )
+        solved: list = []
+        with pytest.raises(RuntimeError, match="numpy is not installed"):
+            solve_batch(
+                [item, item], use_grid=True, before_solve=solved.append, xbatch=xb
+            )
+        assert solved == []
+
+    def test_preemptive_flip_search_probes_scalar_in_the_grid_window(self):
+        """At c = 100 (block 102, block×c 10,200) only the splittable
+        search engages a grid; every preemptive point dispatches scalar."""
+        from repro.generators import uniform_instance
+        from repro.obs.trace import TraceScope
+
+        inst = uniform_instance(m=24, c=100, n_per_class=2, seed=404)
+        ms = [8, 24, 40]
+        with TraceScope() as scope:
+            points = sweep_machines(
+                inst, ms, Variant.PREEMPTIVE, schedules=False, use_grid=None
+            )
+        assert [p.m for p in points] == ms
+        assert scope.counts.get("dispatch.scalar") == len(ms)
+        assert "dispatch.grid" not in scope.counts
 
     def test_sweep_does_not_mutate_base_machine_count(self):
         inst = medium_suite()[0][1]

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import Variant
+from repro.algos.search import GRID_BLOCK
+from repro.core import Variant, xbatch
 from repro.experiments import (
     FIGURES,
     render_figure,
     render_scaling,
+    run_grid_crossover,
     run_scaling,
     run_table1,
 )
@@ -16,6 +18,10 @@ from repro.experiments.figures import fig7_instance, fig10_13_instance
 from repro.experiments.table1 import QUOTED_ROWS, best_reference
 from repro.experiments.__main__ import main as cli_main
 from repro.generators import small_exact_suite
+
+needs_numpy = pytest.mark.skipif(
+    not xbatch.HAVE_NUMPY, reason="Experiment S3 needs numpy"
+)
 
 
 class TestFigures:
@@ -84,6 +90,23 @@ class TestScaling:
         assert "Experiment S4" in out and "ItemStore" in out
 
 
+class TestGridCrossover:
+    """Experiment S3: the splittable flip-search grid against scalar probes."""
+
+    @needs_numpy
+    def test_small_run(self):
+        timings = run_grid_crossover(cs=(12, 100), repeats=1)
+        assert [t.c for t in timings] == [12, 100]
+        for t in timings:
+            assert t.scalar_seconds > 0 and t.grid_seconds > 0
+            assert t.block == min(t.c + 2, GRID_BLOCK)
+
+    def test_without_numpy_raises(self, monkeypatch):
+        monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
+        with pytest.raises(RuntimeError, match="numpy"):
+            run_grid_crossover(cs=(12,), repeats=1)
+
+
 class TestCLI:
     def test_figures_command(self, capsys):
         assert cli_main(["figures", "--fig", "6"]) == 0
@@ -96,3 +119,9 @@ class TestCLI:
     def test_construct_command(self, capsys):
         assert cli_main(["construct", "--sizes", "30", "60"]) == 0
         assert "Experiment S4" in capsys.readouterr().out
+
+    @needs_numpy
+    def test_gridcross_command(self, capsys):
+        assert cli_main(["gridcross"]) == 0
+        out = capsys.readouterr().out
+        assert "Experiment S3" in out and "grid speedup" in out

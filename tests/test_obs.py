@@ -307,8 +307,8 @@ class TestSolverSeams:
     def test_batch_dispatch_counters(self):
         from repro.algos.batch_api import BatchItem, solve_batch
 
-        # the grid-vs-scalar dispatch decision only exists on bounds-only
-        # non-preemptive searches — the tier the grid accelerates
+        # every solve counts one dispatch decision; the non-preemptive
+        # search has no grid, so its bounds-only dispatch is scalar
         items = [BatchItem(instance=fresh(TINY), variant=Variant.NONPREEMPTIVE,
                            schedules=False)]
         with TraceScope() as scope:

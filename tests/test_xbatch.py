@@ -227,7 +227,7 @@ class TestXGridKernelDifferential:
             rows = member_rows(rng, members, 4)
             with TraceScope() as scope:
                 got = xctx.evaluate(kind, mode, rows)
-            if kind in ("nonp", "pmtn"):  # no fused lane: scalar on every tier
+            if kind != "split":  # no fused lane: scalar on every tier
                 assert scope.counts.get("xbatch.rows_scalar") == len(rows)
             elif xbatch.HAVE_NUMPY:
                 assert scope.counts.get("xbatch.rows_fused") == len(rows)
@@ -239,6 +239,50 @@ class TestXGridKernelDifferential:
             assert sum("xgrid_cols" in str(k) for k in rep._misc_cache) == 1
             cols = rep._misc_cache["xgrid_cols"]
             assert all(xbatch._member_cols(inst) is cols for inst in members)
+
+
+@pytest.mark.skipif(not xbatch.HAVE_NUMPY, reason="the fused lane needs numpy")
+class TestFusedSplitLane:
+    """The one fused lane, ``split`` rows, across chunks and at its cutoff."""
+
+    @staticmethod
+    def members(rng: random.Random) -> list[Instance]:
+        """Three members with different class counts (ragged padding)."""
+        return [
+            Instance.build(rng.randint(2, 6), [
+                (rng.randint(0, 30),
+                 [rng.randint(1, 20) for _ in range(rng.randint(1, 4))])
+                for _ in range(c)
+            ])
+            for c in (3, 8, 13)
+        ]
+
+    def test_rows_across_many_chunks(self, monkeypatch):
+        rng = random.Random(4100)
+        insts = self.members(rng)
+        monkeypatch.setattr(xbatch, "_CHUNK_ELEMS", 5 * max(i.c for i in insts))
+        xctx = BatchDualContext(insts)
+        rows = member_rows(rng, insts, 38)
+        assert len(rows) == 120
+        assert len(list(xctx._chunks(len(rows)))) == 24  # 5 rows per chunk
+        with TraceScope() as scope:
+            got = xctx.evaluate("split", "", rows)
+        assert scope.counts == {"xbatch.rows_fused": len(rows)}
+        assert got == [xctx.scalar_one("split", "", *row) for row in rows]
+
+    @pytest.mark.parametrize(
+        "n_rows,counter", [(1, "xbatch.rows_scalar"), (2, "xbatch.rows_fused")]
+    )
+    def test_min_fused_rows_cutoff(self, n_rows, counter):
+        """One row stays scalar; two rows fuse (``_MIN_FUSED_ROWS``)."""
+        rng = random.Random(4200)
+        inst = self.members(rng)[2]
+        xctx = BatchDualContext([inst])
+        rows = member_rows(rng, [inst], 3)[:n_rows]
+        with TraceScope() as scope:
+            got = xctx.evaluate("split", "", rows)
+        assert scope.counts == {counter: n_rows}
+        assert got == [xctx.scalar_one("split", "", *row) for row in rows]
 
 
 # --------------------------------------------------------------------------- #
@@ -496,7 +540,7 @@ class TestProbeDriftRegression:
             else:
                 if inst.m >= inst.n:
                     continue  # trivial: no lockstep member for this item
-                plan = flip_plan_pmtn(inst, use_base_jump=True, grid=grid)
+                plan = flip_plan_pmtn(inst, use_base_jump=True)
                 evaluate = probe_evaluator(inst, fast=True, grid=grid)
             solo = record_solo_stream(plan, evaluate)
             assert solo  # every non-trivial flip search probes at least once
@@ -618,7 +662,7 @@ class TestScaledIntPlanTier:
     def _plan(self, inst, variant):
         if variant is Variant.SPLITTABLE:
             return flip_plan_splittable(inst, grid=False)
-        return flip_plan_pmtn(inst, grid=False)
+        return flip_plan_pmtn(inst)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize(
@@ -696,29 +740,18 @@ class TestScaledIntPlanTier:
         assert fast_stream == frac_stream
         assert fast_res == frac_res
 
-    @pytest.mark.parametrize("variant", [Variant.SPLITTABLE, Variant.PREEMPTIVE])
-    def test_grid_and_scalar_plans_agree_on_results(self, variant):
+    def test_grid_and_scalar_plans_agree_on_results(self):
         """grid=True reorders probes into blocks but never changes the flip."""
         rng = random.Random(2400)
         inst = rand_searchy_instance(rng)
-        if variant is Variant.SPLITTABLE:
-            scalar = drive_recording(
-                flip_plan_splittable(inst, grid=False),
-                probe_evaluator(inst, fast=True, grid=False),
-            )
-            grid = drive_recording(
-                flip_plan_splittable(inst, grid=True),
-                probe_evaluator(inst, fast=True, grid=True),
-            )
-        else:
-            scalar = drive_recording(
-                flip_plan_pmtn(inst, grid=False),
-                probe_evaluator(inst, fast=True, grid=False),
-            )
-            grid = drive_recording(
-                flip_plan_pmtn(inst, grid=True),
-                probe_evaluator(inst, fast=True, grid=True),
-            )
+        scalar = drive_recording(
+            flip_plan_splittable(inst, grid=False),
+            probe_evaluator(inst, fast=True, grid=False),
+        )
+        grid = drive_recording(
+            flip_plan_splittable(inst, grid=True),
+            probe_evaluator(inst, fast=True, grid=True),
+        )
         assert scalar[1][0] == grid[1][0]  # same flip pair
 
 
