@@ -385,7 +385,7 @@ def pmtn_dual_schedule(
             break
 
     # ---- nice instance on the residual machines ------------------------- #
-    view = {i: b for i, b in view.items() if b.items}
+    view = {i: b for i, b in view.items() if len(b)}
     schedule_nice_view(schedule, T, view, residual, mode, exact_ints=fast)
 
     # ---- step 4: K at the bottoms of the large machines ------------------ #

@@ -18,7 +18,9 @@ instance, to be placed on the residual machines only.  A view maps each
 class to one :class:`~repro.core.wrapping.Batch`: a whole class
 (``Batch.whole``, integer lengths) or a list of job pieces (``Batch.of``,
 lengths may be fractional).  Both kernels read the same views; only the
-engines beneath step 1 and the wrap differ (``exact_ints``).
+engines beneath step 1 and the wrap differ (``exact_ints``).  On the
+scaled-integer engines a whole class's jobs are its length positions, so
+only step 2 (the ``I⁻exp`` pairs) reads its ``(JobRef, t)`` pairs.
 
 Geometry (all on the caller-supplied machine list):
 
@@ -170,7 +172,7 @@ def nice_dual_test(
         )
     note1 = max(
         (instance.setups[i] + max(t for _, t in b.items)
-         for i, b in view.items() if b.items),
+         for i, b in view.items() if len(b)),
         default=Fraction(0),
     )
     if T < note1:
@@ -256,25 +258,31 @@ def _schedule_exp_plus_ints(
     Per class, every quantity is pre-multiplied by a class-local scale
     ``D_i = lcm(2·td, item denominators)`` — the smallest scale making
     ``T/2``, ``T − s_i`` and every view item an exact machine int — so
-    the quota/carry loop runs on ints; rows are emitted into the
-    schedule's column store (:meth:`Schedule.add_scaled`) with no
-    Fraction or Placement objects at all.  Placements materialize
-    bit-identical to the rational loop (the differential suite compares
-    both end to end).
+    the quota/carry loop runs on ints.  A whole class is read as its
+    ``int_lengths`` with job indices ``0..n_i−1`` (no
+    :class:`~repro.core.instance.JobRef` pairs); each class's rows are
+    collected by job index and flushed into the schedule's column store
+    with one :meth:`~repro.core.schedule.ScheduleColumns.extend_scaled`,
+    every machine checked as it is taken, with no Fraction or Placement
+    objects at all.  Placements materialize bit-identical to the rational
+    loop (the differential suite compares both end to end).
     """
     instance = schedule.instance
+    m = instance.m
     tn, td = T.numerator, T.denominator
     for i in part.exp_plus:
         batch = view[i]
         D = 2 * td
         if batch.int_lengths is not None:
             # whole class: integer lengths, no per-item denominator scan
+            idxs: Sequence[int] = range(len(batch.int_lengths))
             lens_sc = [t * D for t in batch.int_lengths]
         else:
             for _, t in batch.items:
                 den = t.denominator
                 if D % den:
                     D = lcm(D, den)
+            idxs = [job.idx for job, _ in batch.items]
             lens_sc = [t.numerator * (D // t.denominator) for _, t in batch.items]
         s = instance.setups[i]
         s_sc = s * D
@@ -297,32 +305,39 @@ def _schedule_exp_plus_ints(
                 f"class {i}: last machine would exceed 3T/2 "
                 f"(s={s}, quota={time_str(fast_fraction(last_sc, D))})"
             )
-        stream = iter(zip(batch.items, lens_sc))
-        carry_job: Optional[JobRef] = None
-        carry_sc = 0
+        stream = iter(zip(idxs, lens_sc))
+        carry_idx = carry_sc = 0  # a piece left over for the next machine
+        mq: list[int] = []
+        sq: list[int] = []
+        lq: list[int] = []
+        jq: list[int] = []
+        ma, sa, la, ja = mq.append, sq.append, lq.append, jq.append
         for b in range(k):
             u = take()
-            schedule.add_scaled(u, 0, s_sc, D, i)
+            if not 0 <= u < m:
+                raise ValueError(f"machine {u} out of range [0, {m})")
+            ma(u); sa(0); la(s_sc); ja(-1)
             pos_sc = s_sc
             room_sc = per_sc if b < k - 1 else last_sc
             while room_sc > 0:
-                if carry_job is not None:
-                    job, len_sc = carry_job, carry_sc
-                    carry_job = None
+                if carry_sc:
+                    jidx, len_sc = carry_idx, carry_sc
+                    carry_sc = 0
                 else:
                     nxt = next(stream, None)
                     if nxt is None:
                         break
-                    (job, _), len_sc = nxt
+                    jidx, len_sc = nxt
                 placed_sc = min(len_sc, room_sc)
-                schedule.add_scaled(u, pos_sc, placed_sc, D, i, job)
+                ma(u); sa(pos_sc); la(placed_sc); ja(jidx)
                 pos_sc += placed_sc
                 room_sc -= placed_sc
                 if placed_sc < len_sc:
-                    carry_job = job
+                    carry_idx = jidx
                     carry_sc = len_sc - placed_sc
-        if carry_job is not None or next(stream, None) is not None:
+        if carry_sc or next(stream, None) is not None:
             raise ConstructionError(f"class {i}: quotas did not cover P(C_i)")
+        schedule._columns_for_append().extend_scaled(mq, sq, lq, D, [i] * len(mq), jq)
 
 
 def schedule_nice_view(

@@ -240,10 +240,16 @@ class Instance:
     def class_jobs(self, cls: int) -> tuple[tuple[JobRef, int], ...]:
         """Cached ``(JobRef, t_j)`` tuple of one class (integer times).
 
-        The one per-class job view: every construction iterates these
-        pairs, and :meth:`Batch.whole <repro.core.wrapping.Batch.whole>`
-        carries them to the wrap engines.  The returned tuple is shared —
-        do not mutate.
+        One :class:`JobRef` per job, built on first call and kept in the
+        shared misc cache under ``("jobs", cls)``.  The scaled-integer
+        engines never call it for a whole class: they read ``jobs[cls]``
+        and take a job's index from its position (see :meth:`Batch.whole
+        <repro.core.wrapping.Batch.whole>`), so a full splittable solve
+        builds none.  Its readers are the constructions that pick or cut
+        single jobs (Algorithm 3's non-nice steps, Algorithm 6, Lemma 9's
+        next-fit, the baselines), the Fraction reference engines and
+        Algorithm 2's ``I⁻exp`` step.  The returned tuple is shared — do
+        not mutate.
         """
         cached = self._misc_cache.get(("jobs", cls))
         if cached is None:

@@ -21,9 +21,13 @@ Lemma 6: if ``L(Q) ≤ S(ω)`` and there is free time ≥ the largest setup of
 the running time is ``O(|Q| + |ω|)`` — our implementation does a constant
 amount of work per item plus per gap switch.
 
-Pieces of a split job all carry the same :class:`~repro.core.instance.JobRef`,
-which is exactly the ``parent(j)`` bookkeeping Algorithm 6 (non-preemptive)
-needs for its repair step.
+Pieces of a split job all carry the same job (one
+:class:`~repro.core.instance.JobRef`, one ``job_idx`` in the schedule's
+columns), which is exactly the ``parent(j)`` bookkeeping Algorithm 6
+(non-preemptive) needs for its repair step.  A whole class enters a
+sequence as :meth:`Batch.whole`, its integer lengths alone: the
+scaled-integer engine reads the job index off each length's position, so
+wrapping a class allocates no per-job object.
 """
 
 from __future__ import annotations
@@ -84,22 +88,30 @@ class WrapTemplate:
         return sum((g.size for g in self.gaps), Fraction(0))
 
 
-@dataclass(frozen=True)
 class Batch:
     """One ``[s_i, C'_l]`` block of a wrap sequence.
 
-    ``items`` are ``(job, length)`` pairs.  A *whole* class
-    (:meth:`whole`) carries the instance's integer processing times, also
-    as ``int_lengths``, so the scaled-integer engines scale them without a
-    denominator scan.  A batch of job *pieces* (:meth:`of`; the preemptive
-    algorithm cuts them for the knapsack split class) holds exact
-    :class:`~fractions.Fraction` lengths, possibly smaller than the job's
-    processing time, and no ``int_lengths``.
+    A batch of job *pieces* (:meth:`of`; the preemptive algorithm cuts
+    them for the knapsack split class) holds ``(job, length)`` pairs with
+    exact :class:`~fractions.Fraction` lengths, possibly smaller than the
+    job's processing time, and no ``int_lengths``.  A *whole* class
+    (:meth:`whole`) holds only the instance's integer processing times,
+    ``int_lengths``: its jobs are the positions ``0..n_i−1``, so the
+    scaled-integer engines scale the lengths without a denominator scan
+    and emit rows by job index.  Its ``items`` are the class's
+    ``(JobRef, t)`` pairs, :meth:`Instance.class_jobs
+    <repro.core.instance.Instance.class_jobs>`, built only when read (the
+    Fraction reference engines and Algorithm 2's ``I⁻exp`` step read
+    them).  ``len(batch)`` is the item count either way.
     """
 
-    cls: int
-    items: tuple[tuple[JobRef, TimeLike], ...]
-    int_lengths: Optional[tuple[int, ...]] = None
+    __slots__ = ("cls", "int_lengths", "_items", "_instance")
+
+    def __init__(self, cls: int, items: tuple[tuple[JobRef, TimeLike], ...] = ()) -> None:
+        self.cls = cls
+        self._items = items
+        self.int_lengths: Optional[tuple[int, ...]] = None
+        self._instance: Optional[Instance] = None
 
     @staticmethod
     def of(cls: int, items: Iterable[tuple[JobRef, TimeLike]]) -> "Batch":
@@ -107,24 +119,38 @@ class Batch:
         for j, t in out:
             if t <= 0:
                 raise ValueError(f"batch item {j} has non-positive length {t}")
-            if j.cls != cls:
+            if j.cls != cls or j.idx < 0:
                 raise ValueError(f"batch of class {cls} contains job {j}")
-        return Batch(cls=cls, items=out)
+        return Batch(cls, out)
 
     @staticmethod
     def whole(instance: Instance, cls: int) -> "Batch":
         """All jobs of class ``cls`` with their integer processing times.
 
-        No item checks: the instance validated its jobs when it was built.
+        O(1): no item checks (the instance validated its jobs when it was
+        built) and no job pairs until :attr:`items` is read.
         """
-        return Batch(cls, instance.class_jobs(cls), int_lengths=instance.jobs[cls])
+        batch = Batch(cls)
+        batch.int_lengths = instance.jobs[cls]
+        batch._instance = instance
+        return batch
+
+    @property
+    def items(self) -> tuple[tuple[JobRef, TimeLike], ...]:
+        """The ``(job, length)`` pairs (a whole class's are built on read)."""
+        if self._instance is not None:
+            return self._instance.class_jobs(self.cls)
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._items if self.int_lengths is None else self.int_lengths)
 
     @property
     def processing(self) -> TimeLike:
         """``P(C'_l)``: an int for a whole class, else a Fraction."""
         if self.int_lengths is not None:
             return sum(self.int_lengths)
-        return sum((t for _, t in self.items), Fraction(0))
+        return sum((t for _, t in self._items), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -135,7 +161,7 @@ class WrapSequence:
 
     @staticmethod
     def of(batches: Iterable[Batch]) -> "WrapSequence":
-        return WrapSequence(tuple(b for b in batches if b.items))
+        return WrapSequence(tuple(b for b in batches if len(b)))
 
     @staticmethod
     def single_class(cls: int, items: Iterable[tuple[JobRef, TimeLike]]) -> "WrapSequence":
@@ -149,7 +175,7 @@ class WrapSequence:
     @property
     def length(self) -> int:
         """``|Q| = k + Σ n_l``."""
-        return sum(1 + len(b.items) for b in self.batches)
+        return sum(1 + len(b) for b in self.batches)
 
     def max_setup(self, setups: Sequence[int]) -> int:
         """``s^(Q)_max`` from Lemma 6."""
@@ -225,7 +251,8 @@ def _wrap_ints(
 
     Emits scaled-int rows straight into the schedule's column store — no
     :class:`Placement`/:class:`~fractions.Fraction` objects on the hot
-    path.
+    path.  A whole-class batch is read as its ``int_lengths`` with job
+    indices ``0..n_i−1``, so it builds no :class:`JobRef` pairs.
     """
     setups = schedule.instance.setups
     gaps = template.gaps
@@ -254,18 +281,20 @@ def _wrap_ints(
     gb = [g.b.numerator * (D // g.b.denominator) for g in gaps]
     # Scale every item once; the scaled lists double as the load check and
     # the wrap loop's operands (no Fraction arithmetic in the loop).
-    scaled_items: list[list[int]] = []
+    scaled_items: list[tuple[Sequence[int], list[int]]] = []
     load_sc = 0
     for batch in sequence.batches:
         raw = batch.int_lengths
         if raw is not None:
+            idxs: Sequence[int] = range(len(raw))
             items_sc = [t * D for t in raw]
         else:
+            idxs = [job.idx for job, _ in batch.items]
             items_sc = [
                 length.numerator * (D // length.denominator)
                 for _, length in batch.items
             ]
-        scaled_items.append(items_sc)
+        scaled_items.append((idxs, items_sc))
         load_sc += setups[batch.cls] * D + sum(items_sc)
     cap_sc = sum(b - a for a, b in zip(ga, gb))
     if load_sc > cap_sc:
@@ -306,7 +335,7 @@ def _wrap_ints(
         ma(gaps[r].machine); sa(start_sc); la(setups[cls] * D); ca(cls); ja(-1)
         t = ga[r]
 
-    for batch, items_sc in zip(sequence.batches, scaled_items):
+    for batch, (idxs, items_sc) in zip(sequence.batches, scaled_items):
         cls = batch.cls
         s_sc = setups[cls] * D
         # Place the batch's initial setup inside the current gap; if it hits
@@ -319,8 +348,7 @@ def _wrap_ints(
             t += s_sc
             if r > last_gap:
                 last_gap = r
-        for (job, length), remaining in zip(batch.items, items_sc):
-            jidx = job.idx
+        for jidx, remaining in zip(idxs, items_sc):
             # Skip over exhausted gap space before starting the piece, so we
             # never create zero-length pieces.
             while t >= gb[r]:

@@ -11,10 +11,13 @@ protocol over the child's stdin/stdout pipes:
   copies of its six plain int column lists
   (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`), which pickle
   encodes exactly at any magnitude.
-* **Requests** cross as the service's exact-rational wire encoding
-  (:func:`~repro.service.protocol.instance_to_obj` /
-  :func:`~repro.service.protocol.encode_time`), so a process shard's
-  inputs are bit-equal to what a JSON front end would deliver.
+* **Requests** cross as the parent instance's own ``setups``/``jobs``
+  tuples with its machine count and fingerprint, and the options in the
+  exact-rational wire encoding (:func:`~repro.service.protocol.encode_time`).
+  The parent's instance passed :class:`~repro.core.instance.Instance`'s
+  checks, so the child adopts the tuples as they arrive
+  (``Instance._from_checked``) instead of validating them again: a
+  process shard solves exactly the instance a thread shard would.
   Deadlines cross as ``remaining_ms`` *budgets* computed with the
   parent token's own (injectable) clock — the child re-arms a local
   monotonic token, so parent/child clocks never need to agree on an
@@ -53,18 +56,13 @@ from ..algos.api import SolveResult
 from ..algos.batch_api import BatchItem, SweepPoint, solve_batch
 from ..core.bounds import Variant
 from ..core.cancel import CancelToken, SolveCancelled
+from ..core.instance import Instance
 from ..core.schedule import Schedule, ScheduleColumns
 from ..obs.metrics import Metrics
 from ..obs.trace import TraceScope
 from .cache import InstanceLRU
 from .faults import execute_directive
-from .protocol import (
-    ServiceError,
-    encode_time,
-    instance_from_obj,
-    instance_to_obj,
-    parse_time,
-)
+from .protocol import ServiceError, encode_time, parse_time
 
 __all__ = ["WorkerProc", "read_frame", "write_frame", "main"]
 
@@ -146,8 +144,11 @@ def read_frame(stream):
 def work_to_wire(item: BatchItem, token: Optional[CancelToken],
                  directive: Optional[dict] = None, *,
                  slim: bool = False) -> dict:
-    """One batch item as wire data (exact-rational request encoding).
+    """One batch item as wire data.
 
+    The instance crosses as its own ``setups``/``jobs`` tuples (pickle
+    copies them exactly at any magnitude) with ``m`` and the
+    fingerprint; ``eps`` in the exact-rational encoding.
     The deadline crosses as a remaining-time *budget* read through the
     token's own clock, so injected test clocks propagate through the
     pipe: the child arms a fresh monotonic token with the same budget.
@@ -171,16 +172,18 @@ def work_to_wire(item: BatchItem, token: Optional[CancelToken],
             remaining = token.remaining()
             if remaining is not None:
                 remaining_ms = remaining * 1000.0
+    instance = item.instance
     return {
         "instance": (
-            {"m": item.instance.m} if slim else instance_to_obj(item.instance)
+            {"m": instance.m} if slim else
+            {"m": instance.m, "setups": instance.setups, "jobs": instance.jobs}
         ),
         "slim": slim,
         # The parent's (cached) content fingerprint rides along as a
         # cache key: the pipe is a trusted intra-host boundary, so the
         # child can use it to reuse a warm representative — or to seed
         # its own instance's digest — without re-hashing the payload.
-        "fp": item.instance.fingerprint(),
+        "fp": instance.fingerprint(),
         "variant": item.variant.value,
         "algorithm": item.algorithm,
         "eps": encode_time(item.eps),
@@ -199,9 +202,11 @@ def _item_from_wire(obj: dict, lru: Optional[InstanceLRU] = None,
     was decoded from a payload-carrying item earlier in this batch
     (``local``) — the item reuses that representative through an O(c)
     cache-sharing ``with_machines`` copy — exactly the sharing
-    ``solve_batch`` would set up anyway — instead of re-validating and
-    re-hashing the payload.  Cold items decode normally and inherit the
-    parent's fingerprint, so the blake2b digest is computed once per
+    ``solve_batch`` would set up anyway.  A cold item adopts the
+    parent's tuples through ``Instance._from_checked`` with the parent's
+    fingerprint in its misc cache: no value is checked or copied again
+    (the parent's instance passed the constructor's checks, or was built
+    from data that did), and the blake2b digest is computed once per
     request service-wide (on the parent, which needed it for shard
     routing regardless).  *Slim* items carry no payload at all; the
     parent only sends them when its shadow replay of this LRU proves a
@@ -209,25 +214,24 @@ def _item_from_wire(obj: dict, lru: Optional[InstanceLRU] = None,
     raised loudly and absorbed by crash containment (retryable errors,
     fresh child, full payloads on retry).
     """
-    fp = obj.get("fp")
-    instance = None
-    if fp is not None:
-        rep = lru.peek(fp) if lru is not None else None
-        if rep is None and local is not None:
-            rep = local.get(fp)
-        if rep is not None:
-            instance = rep.with_machines(obj["instance"]["m"], share_caches=True)
-    if instance is None:
-        if obj.get("slim"):
-            raise RuntimeError(
-                f"slim wire item without a warm representative for {fp!r} "
-                "(parent shadow-LRU desync)"
-            )
-        instance = instance_from_obj(obj["instance"])
-        if fp is not None:
-            instance._misc_cache["fingerprint"] = fp
-            if local is not None:
-                local[fp] = instance
+    fp = obj["fp"]
+    data = obj["instance"]
+    rep = lru.peek(fp) if lru is not None else None
+    if rep is None and local is not None:
+        rep = local.get(fp)
+    if rep is not None:
+        instance = rep.with_machines(data["m"], share_caches=True)
+    elif obj["slim"]:
+        raise RuntimeError(
+            f"slim wire item without a warm representative for {fp!r} "
+            "(parent shadow-LRU desync)"
+        )
+    else:
+        instance = Instance._from_checked(
+            data["m"], data["setups"], data["jobs"], {}, {"fingerprint": fp}
+        )
+        if local is not None:
+            local[fp] = instance
     return BatchItem(
         instance=instance,
         variant=Variant(obj["variant"]),

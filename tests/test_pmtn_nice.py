@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Instance, RejectedMakespanError, Variant, validate_schedule
+from repro.core import Instance, RejectedMakespanError, Schedule, Variant, validate_schedule
 from repro.core.bounds import t_min
 from repro.algos.pmtn_nice import (
     count_for,
@@ -14,6 +14,7 @@ from repro.algos.pmtn_nice import (
     nice_dual_schedule,
     nice_dual_test,
     partition_view,
+    schedule_nice_view,
 )
 
 from .conftest import mk
@@ -82,6 +83,15 @@ class TestNiceSchedule:
         inst = mk(2, (12, [8, 8, 8]), (4, [3, 3]))
         with pytest.raises(RejectedMakespanError):
             nice_dual_schedule(inst, 20)
+
+    @pytest.mark.parametrize("exact_ints", [True, False], ids=["ints", "fractions"])
+    def test_machine_outside_the_instance_refused(self, exact_ints):
+        # Step 1 places the I+exp class 0 first, on the first machine given.
+        inst = mk(2, (12, [8, 8, 8]), (4, [3, 3]))
+        assert partition_view(inst, 20, full_view(inst)).exp_plus == (0,)
+        with pytest.raises(ValueError, match=r"machine 2 out of range \[0, 2\)"):
+            schedule_nice_view(Schedule(inst), 20, full_view(inst), [2, 3],
+                               exact_ints=exact_ints)
 
     @pytest.mark.parametrize("mode", ["alpha", "gamma"])
     def test_exp_minus_pairing_odd(self, mode):

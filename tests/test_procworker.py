@@ -29,6 +29,8 @@ from fractions import Fraction
 
 import pytest
 
+import repro.service.procworker as procworker
+import repro.service.protocol as protocol
 from repro.algos.api import solve
 from repro.core.cancel import CancelToken
 from repro.core.instance import Instance
@@ -242,6 +244,27 @@ class TestSlimWire:
         assert slim["slim"]
         assert slim["instance"] == {"m": TINY.m}
         assert slim["fp"] == full["fp"] == item.instance.fingerprint()
+
+    def test_full_item_adopts_the_parents_checked_instance(self, monkeypatch):
+        # The parent's instance passed the constructor's checks, so the
+        # child takes its tuples and fingerprint as they arrive: neither
+        # the wire validator nor ``__post_init__`` runs again.
+        inst = fresh(TINY)
+        fp = inst.fingerprint()
+        wire = round_trip(work_to_wire(SolveRequest(instance=inst).to_item(), None))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the child re-validated a checked payload")
+
+        monkeypatch.setattr(protocol, "instance_from_obj", refuse)
+        monkeypatch.setattr(procworker, "instance_from_obj", refuse, raising=False)
+        monkeypatch.setattr(Instance, "__post_init__", refuse)
+        local: dict = {}
+        got = _item_from_wire(wire, InstanceLRU(2), local).instance
+        assert got == inst
+        assert type(got.setups) is tuple and type(got.jobs[0]) is tuple
+        assert got._misc_cache == {"fingerprint": fp}
+        assert local == {fp: got}
 
     def test_slim_item_resolves_from_warm_lru(self):
         inst = fresh(TINY)

@@ -20,6 +20,7 @@ import sys
 import threading
 from enum import IntEnum
 from fractions import Fraction
+from http import HTTPStatus
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,9 @@ class TestCacheRelease:
         inst = medium_suite()[0][1]
         warm = fresh(inst)
         before = solve(warm, variant)
+        # A splittable solve keeps nothing in the misc cache; the routing
+        # digest every served request takes is kept there on every path.
+        warm.fingerprint()
         stats = warm.cache_stats()
         assert set(stats) == {"sorted_views", "misc"}
         assert stats["misc"] > 0
@@ -952,6 +956,44 @@ class TestServiceFuzz:
             assert_matches_reference(req, result)
         assert stats.peak_instances <= stats.max_instances
         assert stats.peak_inflight <= config.max_inflight
+
+
+class TestBackendsAgree:
+    """An in-process instance solves alike on both backends, whatever
+    value types the constructor let through."""
+
+    @staticmethod
+    def reply_lines(inst: Instance, workers: str) -> tuple[list[str], int]:
+        async def main():
+            lines = []
+            async with SolveService(ServiceConfig(shards=1, workers=workers)) as svc:
+                for k, variant in enumerate(Variant):
+                    try:
+                        result = await svc.submit(
+                            SolveRequest(instance=inst, variant=variant, id=k)
+                        )
+                    except ServiceError as exc:
+                        lines.append(error_line(k, exc))
+                    else:
+                        lines.append(response_line(k, result))
+                return lines, svc.stats().restarts
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("inst", [
+        # ``bool`` is an int to the constructor; the wire refuses it.
+        pytest.param(Instance(m=2, setups=(True, 2), jobs=((1, 3), (2,))),
+                     id="bool"),
+        pytest.param(Instance(m=2, setups=(HTTPStatus.OK, 2),
+                              jobs=((HTTPStatus.CREATED, 3), (2,))),
+                     id="int-enum"),
+    ])
+    def test_constructor_valid_instance_same_reply_on_both_backends(self, inst):
+        thread, thread_restarts = self.reply_lines(inst, "thread")
+        process, process_restarts = self.reply_lines(inst, "process")
+        assert all('"ok":true' in line for line in thread)
+        assert process == thread
+        assert thread_restarts == process_restarts == 0
 
 
 class TestWarmHitIngest:

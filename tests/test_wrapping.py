@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algos.pmtn_nice import full_view
+from repro.algos.api import solve
+from repro.algos.pmtn_nice import full_view, partition_view
 from repro.core import (
     Batch,
     ConstructionError,
@@ -20,6 +21,7 @@ from repro.core import (
     validate_schedule,
     wrap,
 )
+from repro.core.fastnum import fast_pmtn_test
 from repro.generators import adversarial_suite, medium_suite, small_exact_suite
 
 from .conftest import mk
@@ -67,6 +69,11 @@ class TestSequences:
         with pytest.raises(ValueError):
             Batch.of(0, [(JobRef(1, 0), 5)])
 
+    def test_batch_rejects_negative_job_index(self):
+        # job_idx = -1 marks a setup row in the schedule's columns.
+        with pytest.raises(ValueError):
+            Batch.of(0, [(JobRef(0, -1), 5)])
+
     def test_batch_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Batch.of(0, [(JobRef(0, 0), 0)])
@@ -82,6 +89,32 @@ def _suite_instances() -> list[Instance]:
         for suite in (small_exact_suite, medium_suite, adversarial_suite)
         for _, inst in suite()
     ]
+
+
+def _cold(inst: Instance) -> Instance:
+    """An equal instance with empty caches."""
+    return Instance(m=inst.m, setups=inst.setups, jobs=inst.jobs)
+
+
+def _pair_classes(inst: Instance) -> set[int]:
+    """The classes whose ``class_jobs`` pairs sit in the misc cache."""
+    return {
+        key[1] for key in inst._misc_cache
+        if isinstance(key, tuple) and key[0] == "jobs"
+    }
+
+
+def _placed(schedule: Schedule) -> list[tuple]:
+    """Every placement in storage order (the kernels' bit-identity)."""
+    return [(p.machine, p.start, p.length, p.cls, p.job) for p in schedule.iter_all()]
+
+
+#: Nice for the preemptive 3/2 witness ``T = 173/2``, with one ``I⁺exp``
+#: class (1), two ``I⁻exp`` classes (2, 3) and three cheap ones.
+NICE_PMTN = Instance.build(4, [
+    (20, [18, 6, 15, 22]), (50, [1, 19, 22]), (50, [1, 5]), (50, [4]),
+    (3, [17]), (1, [18, 24]),
+])
 
 
 class TestWholeBatch:
@@ -117,13 +150,48 @@ class TestWholeBatch:
                 assert Batch.of(i, whole.items).processing == inst.processing(i)
 
     def test_full_view_holds_whole_batches(self):
-        for inst in _suite_instances():
+        for inst in map(_cold, _suite_instances()):
             view = full_view(inst)
             assert sorted(view) == list(range(inst.c))
             for i, batch in view.items():
                 assert batch.cls == i
                 assert batch.int_lengths == inst.jobs[i]
-                assert batch.items is inst.class_jobs(i)
+                assert len(batch) == len(inst.jobs[i])
+            assert _pair_classes(inst) == set()  # building it made no pairs
+            for i, batch in view.items():
+                assert batch.items == inst.class_jobs(i)
+
+    def test_full_splittable_solve_builds_no_job_pairs(self):
+        """Both wraps of Theorem 7's construction read whole classes as
+        lengths alone, and place what the Fraction reference places."""
+        for _, inst in medium_suite():
+            inst = _cold(inst)
+            got = solve(inst, Variant.SPLITTABLE)
+            assert got.algorithm == "three_halves"  # a construction ran
+            assert _pair_classes(inst) == set()
+            ref = solve(_cold(inst), Variant.SPLITTABLE, kernel="fraction")
+            assert _placed(got.schedule) == _placed(ref.schedule)
+
+    def test_nice_preemptive_solve_builds_pairs_for_exp_minus_only(self):
+        """On a nice ``T`` only Algorithm 2's step 2 reads job pairs;
+        step 1 and the cheap wrap emit whole classes by job index."""
+        nice = []
+        for inst in [NICE_PMTN] + [inst for _, inst in medium_suite()]:
+            inst = _cold(inst)
+            got = solve(inst, Variant.PREEMPTIVE)
+            T = got.T
+            if fast_pmtn_test(inst, T.numerator, T.denominator, "gamma").case != "nice":
+                continue
+            built = _pair_classes(inst)
+            part = partition_view(inst, T, full_view(inst))
+            assert built == set(part.exp_minus)
+            ref = solve(_cold(inst), Variant.PREEMPTIVE, kernel="fraction")
+            assert _placed(got.schedule) == _placed(ref.schedule)
+            nice.append((T, part))
+        T, part = nice[0]
+        assert T == Fraction(173, 2)
+        assert (part.exp_plus, part.exp_minus, part.cheap) == ((1,), (2, 3), (0, 4, 5))
+        assert len(nice) > 10
 
 
 class TestWrapBasics:
