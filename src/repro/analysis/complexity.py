@@ -38,13 +38,20 @@ def time_algorithm(
     instances: Sequence[tuple[str, Instance]],
     repeats: int = 3,
 ) -> list[ScalingPoint]:
-    """Best-of-``repeats`` wall time per instance (reduces scheduler noise)."""
+    """Best-of-``repeats`` wall time per instance (reduces scheduler noise).
+
+    Every repeat solves a fresh copy of the instance, built before the
+    clock starts, so each timing is a cold solve: no lazy cache an
+    earlier repeat (or an earlier algorithm on the same suite) built is
+    reused.
+    """
     points = []
     for _, inst in instances:
         best = float("inf")
         for _ in range(repeats):
+            cold = Instance(m=inst.m, setups=inst.setups, jobs=inst.jobs)
             t0 = time.perf_counter()
-            fn(inst)
+            fn(cold)
             best = min(best, time.perf_counter() - t0)
         points.append(ScalingPoint(n=inst.n, seconds=best))
     return points

@@ -3,6 +3,8 @@
 * R1: ratio vs *exact OPT* on the small suite (non-preemptive DP,
   splittable Hall enumeration) and vs lower bounds on medium/adversarial
   suites, for the 2-approx, (3/2+ε) and 3/2 algorithms plus baselines.
+  The references are Table 1's (:func:`~repro.experiments.table1.
+  best_reference`), one per (instance, variant).
 * A1: Class Jumping vs the slow flip references — identical flip points,
   dual-test counts compared.  The flip plans are driven directly on the
   fast kernel (:func:`~repro.algos.search.drive_plan`).
@@ -22,11 +24,10 @@ from ..algos.jumping_pmtn import flip_plan_pmtn
 from ..algos.jumping_split import flip_plan_splittable
 from ..algos.search import drive_plan, probe_evaluator, slow_flip_splittable
 from ..analysis.reporting import fmt_ratio, format_table
-from ..core.bounds import Variant, lower_bound
-from ..core.instance import Instance
+from ..core.bounds import Variant
 from ..core.validate import validate_schedule
-from ..exact import MAX_JOBS, exact_nonpreemptive_opt, exact_splittable_opt
 from ..generators import adversarial_suite, medium_suite, small_exact_suite
+from .table1 import best_reference
 
 
 @dataclass(frozen=True)
@@ -43,28 +44,6 @@ class RatioRow:
                 fmt_ratio(self.worst), fmt_ratio(self.mean), self.reference]
 
 
-def _reference(inst: Instance, variant: Variant) -> tuple[Fraction, str]:
-    if variant is Variant.NONPREEMPTIVE and inst.n <= MAX_JOBS - 2:
-        try:
-            return Fraction(exact_nonpreemptive_opt(inst)), "exact OPT"
-        except ValueError:
-            pass
-    if variant is Variant.SPLITTABLE and inst.m <= 3 and inst.c <= 3:
-        try:
-            return Fraction(exact_splittable_opt(inst)), "exact OPT"
-        except ValueError:
-            pass
-    # the dual flip point T* is a certified lower bound on OPT
-    dual_lb = Fraction(solve(inst, variant, "three_halves").opt_lower_bound)
-    if variant is Variant.PREEMPTIVE:
-        # α'-counted dual (ε-search) rejects more points than the γ one
-        dual_lb = max(
-            dual_lb,
-            Fraction(solve(inst, variant, "eps", eps=Fraction(1, 64)).opt_lower_bound),
-        )
-    return max(Fraction(lower_bound(inst, variant)), dual_lb), "dual LB"
-
-
 def run_ratio_study(algorithms: tuple[str, ...] = ("two", "eps", "three_halves")) -> list[RatioRow]:
     suites = [
         ("small-exact", small_exact_suite()),
@@ -74,20 +53,20 @@ def run_ratio_study(algorithms: tuple[str, ...] = ("two", "eps", "three_halves")
     rows: list[RatioRow] = []
     for suite_name, suite in suites:
         for variant in Variant:
+            # one reference per (instance, variant), shared by all algorithms
+            references = [best_reference(inst, variant) for _, inst in suite]
+            kinds = "/".join(sorted({kind for _, kind in references}))
             for algorithm in algorithms:
                 ratios = []
-                kinds = set()
-                for _, inst in suite:
+                for (_, inst), (ref, _) in zip(suite, references):
                     res = solve(inst, variant, algorithm)
                     cmax = validate_schedule(res.schedule, variant)
-                    ref, kind = _reference(inst, variant)
-                    kinds.add(kind)
                     ratios.append(Fraction(cmax) / ref)
                 rows.append(
                     RatioRow(
                         suite=suite_name, variant=str(variant), algorithm=algorithm,
                         worst=max(ratios), mean=sum(ratios) / len(ratios),
-                        reference="/".join(sorted(kinds)),
+                        reference=kinds,
                     )
                 )
     return rows

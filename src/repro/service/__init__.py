@@ -50,9 +50,10 @@ subsystem turns the :mod:`repro.algos.batch_api` engine into a service:
   :mod:`repro.service.procworker` child over a length-prefixed pipe)
   add what threads cannot: crash containment, heartbeat liveness,
   SIGKILL-backed *hard* deadlines (``hard_kill_grace_ms``), and real
-  multicore on multi-CPU hosts.  Responses are bit-identical across
-  backends; the pipe cost is bounded by a payload-eliding slim wire
-  over a parent-side shadow replay of the child's LRU.
+  multicore on multi-CPU hosts.  Every item crosses the pipe whole,
+  and the child resolves warm fingerprints in ``solve_batch`` against
+  its own LRU, as a thread shard does, so responses are bit-identical
+  across backends.
 
 Front ends: ``python -m repro.service`` speaks JSON lines over stdio, or
 over a local TCP socket with ``--tcp HOST:PORT``

@@ -87,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "restart (default 0.05)")
     parser.add_argument("--xbatch", action="store_true",
                         help="advance each micro-batch's dual searches in "
-                             "lockstep rounds, fusing their splittable and "
-                             "preemptive-core probes across instances into "
-                             "one numpy pass (bit-identical results)")
+                             "lockstep rounds: each round's splittable probes "
+                             "fuse into one numpy pass, the other kinds run "
+                             "on the scalar kernel (bit-identical results)")
     parser.add_argument("--faults", type=_parse_faults, metavar="PLAN",
                         default=None,
                         help="arm a deterministic fault plan (testing only): "

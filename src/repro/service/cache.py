@@ -79,17 +79,6 @@ class InstanceLRU:
         table[fingerprint] = instance
         self._peak = max(self._peak, len(table))
 
-    def peek(self, fingerprint: str) -> Optional[Instance]:
-        """Lookup without touching counters or recency.
-
-        The process-worker wire probes with this to decide whether an
-        incoming item can reuse a warm representative instead of
-        decoding its payload — the real ``get`` (hit/miss accounting,
-        recency refresh) still happens once per item inside
-        ``solve_batch``, keeping cache counters backend-identical.
-        """
-        return self._table.get(fingerprint)
-
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._table
 

@@ -11,9 +11,10 @@ protocol over the child's stdin/stdout pipes:
   copies of its six plain int column lists
   (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`), which pickle
   encodes exactly at any magnitude.
-* **Requests** cross as the parent instance's own ``setups``/``jobs``
-  tuples with its machine count and fingerprint, and the options in the
-  exact-rational wire encoding (:func:`~repro.service.protocol.encode_time`).
+* **Requests** cross whole: every item carries the parent instance's
+  own ``setups``/``jobs`` tuples with its machine count and fingerprint,
+  and the options in the exact-rational wire encoding
+  (:func:`~repro.service.protocol.encode_time`).
   The parent's instance passed :class:`~repro.core.instance.Instance`'s
   checks, so the child adopts the tuples as they arrive
   (``Instance._from_checked``) instead of validating them again: a
@@ -142,8 +143,7 @@ def read_frame(stream):
 
 
 def work_to_wire(item: BatchItem, token: Optional[CancelToken],
-                 directive: Optional[dict] = None, *,
-                 slim: bool = False) -> dict:
+                 directive: Optional[dict] = None) -> dict:
     """One batch item as wire data.
 
     The instance crosses as its own ``setups``/``jobs`` tuples (pickle
@@ -155,14 +155,6 @@ def work_to_wire(item: BatchItem, token: Optional[CancelToken],
     ``directive`` is an already-adjudicated item-fault directive
     (:meth:`~repro.service.faults.FaultPlan.item_directives`) the child
     executes mechanically — firing decisions never happen child-side.
-
-    ``slim=True`` omits the instance payload (setups/jobs), keeping only
-    the machine count and the fingerprint.  The caller must *prove* the
-    child can resolve the fingerprint at decode time — either from its
-    LRU or from a payload-carrying item earlier in the same batch (see
-    ``ProcessShard._encode_batch``'s shadow-LRU argument).  The payload is
-    the dominant per-item pipe cost, so warm traffic crosses in a few
-    dozen bytes instead of re-shipping data the child already holds.
     """
     remaining_ms = None
     if token is not None:
@@ -174,15 +166,12 @@ def work_to_wire(item: BatchItem, token: Optional[CancelToken],
                 remaining_ms = remaining * 1000.0
     instance = item.instance
     return {
-        "instance": (
-            {"m": instance.m} if slim else
-            {"m": instance.m, "setups": instance.setups, "jobs": instance.jobs}
-        ),
-        "slim": slim,
-        # The parent's (cached) content fingerprint rides along as a
-        # cache key: the pipe is a trusted intra-host boundary, so the
-        # child can use it to reuse a warm representative — or to seed
-        # its own instance's digest — without re-hashing the payload.
+        "instance": {
+            "m": instance.m, "setups": instance.setups, "jobs": instance.jobs,
+        },
+        # The parent's (cached) content fingerprint seeds the child
+        # instance's digest: the pipe is a trusted intra-host boundary,
+        # so the child's LRU lookup never re-hashes the payload.
         "fp": instance.fingerprint(),
         "variant": item.variant.value,
         "algorithm": item.algorithm,
@@ -194,44 +183,23 @@ def work_to_wire(item: BatchItem, token: Optional[CancelToken],
     }
 
 
-def _item_from_wire(obj: dict, lru: Optional[InstanceLRU] = None,
-                    local: Optional[dict] = None) -> BatchItem:
-    """Rebuild one batch item, skipping decode work a warm cache makes moot.
+def _item_from_wire(obj: dict) -> BatchItem:
+    """Rebuild one batch item from its wire form.
 
-    When the wire fingerprint is already warm in the child's LRU — or
-    was decoded from a payload-carrying item earlier in this batch
-    (``local``) — the item reuses that representative through an O(c)
-    cache-sharing ``with_machines`` copy — exactly the sharing
-    ``solve_batch`` would set up anyway.  A cold item adopts the
-    parent's tuples through ``Instance._from_checked`` with the parent's
-    fingerprint in its misc cache: no value is checked or copied again
-    (the parent's instance passed the constructor's checks, or was built
-    from data that did), and the blake2b digest is computed once per
-    request service-wide (on the parent, which needed it for shard
-    routing regardless).  *Slim* items carry no payload at all; the
-    parent only sends them when its shadow replay of this LRU proves a
-    representative is resolvable, so a slim miss is a protocol bug —
-    raised loudly and absorbed by crash containment (retryable errors,
-    fresh child, full payloads on retry).
+    The item adopts the parent's tuples through ``Instance._from_checked``
+    with the parent's fingerprint in its misc cache: no value is checked
+    or copied again (the parent's instance passed the constructor's
+    checks, or was built from data that did), and the blake2b digest is
+    computed once per request service-wide (on the parent, which needed
+    it for shard routing regardless).  Decode consults no cache:
+    ``solve_batch`` resolves the fingerprint against the child's LRU and
+    shares one representative across the items of a batch, as on the
+    thread backend.
     """
-    fp = obj["fp"]
     data = obj["instance"]
-    rep = lru.peek(fp) if lru is not None else None
-    if rep is None and local is not None:
-        rep = local.get(fp)
-    if rep is not None:
-        instance = rep.with_machines(data["m"], share_caches=True)
-    elif obj["slim"]:
-        raise RuntimeError(
-            f"slim wire item without a warm representative for {fp!r} "
-            "(parent shadow-LRU desync)"
-        )
-    else:
-        instance = Instance._from_checked(
-            data["m"], data["setups"], data["jobs"], {}, {"fingerprint": fp}
-        )
-        if local is not None:
-            local[fp] = instance
+    instance = Instance._from_checked(
+        data["m"], data["setups"], data["jobs"], {}, {"fingerprint": obj["fp"]}
+    )
     return BatchItem(
         instance=instance,
         variant=Variant(obj["variant"]),
@@ -455,12 +423,7 @@ def main(argv=None) -> int:
             if msg[0] != "batch":
                 continue
             _, batch_id, items_wire = msg
-            # `local` holds instances decoded from payload-carrying items
-            # in THIS batch, so slim siblings behind them resolve even
-            # when the LRU is still cold (solve_batch only admits after
-            # all items are decoded).
-            local: dict = {}
-            items = [_item_from_wire(obj, lru, local) for obj in items_wire]
+            items = [_item_from_wire(obj) for obj in items_wire]
             # Item-fault directives were adjudicated by the parent plan;
             # keyed by item identity, so the isolation retry replays the
             # same directive on the same item (never a fresh decision).

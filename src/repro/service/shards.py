@@ -49,7 +49,7 @@ import logging
 import queue
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -563,11 +563,11 @@ class ProcessShard(Shard):
 
     Same interface, queueing, supervision, and accounting as
     :class:`Shard` — the worker thread stays, but it becomes a *pump*:
-    micro-batches are serialized over a length-prefixed pipe to a child
-    running :mod:`repro.service.procworker`, which solves them with the
-    same :func:`~repro.service.procworker.run_batch` as the thread
-    backend, and the columnar results are decoded on return (see that
-    module for the protocol).  The pump is
+    micro-batches are serialized over a length-prefixed pipe, every item
+    whole, to a child running :mod:`repro.service.procworker`, which
+    solves them with the same :func:`~repro.service.procworker.run_batch`
+    as the thread backend, and the columnar results are decoded on
+    return (see that module for the protocol).  The pump is
     *pipelined* (:data:`PIPELINE_DEPTH`): while the child solves one
     batch, the next is already encoded and shipped, so the wire codec
     and the pipe round trip overlap the solve instead of serializing
@@ -627,14 +627,6 @@ class ProcessShard(Shard):
         # crash never loses more than its in-flight batch's numbers.
         self._met_live: Optional[dict] = None
         self._met_dead = Metrics()
-        # Shadow replay of the live child's LRU, in send order (see
-        # _encode_batch): real keys are fingerprints *provably* warm
-        # child-side; "?N" phantom slots model the worst-case
-        # displacement of items whose LRU touch the parent cannot
-        # guarantee (deadline- or directive-carrying requests may be
-        # skipped before their reps.get).  Reset with every child spawn.
-        self._shadow: OrderedDict[str, None] = OrderedDict()
-        self._shadow_seq = 0
 
     # ------------------------------------------------------------------ #
     # child lifecycle (pump-thread side, plus start()/close() on the
@@ -666,7 +658,6 @@ class ProcessShard(Shard):
         )
         child.start()
         self._child = child
-        self._shadow.clear()  # fresh child, empty LRU: everything is cold
         return child
 
     def _retire_child(self) -> None:
@@ -806,7 +797,16 @@ class ProcessShard(Shard):
                 raise died
         self._batch_seq += 1
         batch_id = self._batch_seq
-        wire = self._encode_batch(live)
+        # One item-fault draw per item, in send order, against the
+        # parent's plan (see the class docstring).
+        faults = self._faults
+        wire = [
+            work_to_wire(
+                w.item, w.cancel,
+                faults.item_directives(self.index) if faults is not None else None,
+            )
+            for w in live
+        ]
         try:
             child.send_batch(batch_id, wire)
         except Exception as exc:  # noqa: BLE001 - child died, pipe broke
@@ -822,58 +822,6 @@ class ProcessShard(Shard):
         if sigkill:
             child.kill()  # injected mid-flight crash (frames go EOF)
         return child, batch_id, live
-
-    def _encode_batch(self, live: list[_Work]) -> list:
-        """Wire-encode one batch, slimming items the child can rebuild.
-
-        The instance payload dominates the per-item pipe cost, so items
-        whose fingerprint is *provably* resolvable child-side cross slim
-        (fingerprint + machine count, no setups/jobs).  Provable means:
-        the fingerprint is a real key in :attr:`_shadow` — the parent's
-        deterministic replay of the child LRU's get/admit/evict sequence
-        — or a payload-carrying item earlier in this same batch supplies
-        it (the child's decode loop keeps a batch-local table precisely
-        for that).
-
-        The shadow must never claim warmth the child might lack, so any
-        item whose LRU touch is *uncertain* — it carries a deadline
-        token or a fault directive, either of which can abort the item
-        before its ``reps.get`` — is replayed as a **phantom** slot:
-        the touch counts toward eviction pressure (as if it admitted a
-        brand-new entry) but never marks its own fingerprint warm.
-        Whatever the child actually did, the shadow's real keys stay a
-        subset of the child's table.  Item faults are also adjudicated
-        HERE, against the parent's single authoritative plan, and cross
-        the pipe as mechanical directives — a restarted child must never
-        re-fire from reset plan state.
-        """
-        shadow = self._shadow
-        avail = {fp for fp in shadow if not fp.startswith("?")}
-        wire = []
-        touches = []
-        for w in live:
-            directive = (
-                self._faults.item_directives(self.index)
-                if self._faults is not None else None
-            )
-            fp = w.item.instance.fingerprint()
-            slim = fp in avail
-            if not slim:
-                avail.add(fp)  # its payload rides this frame from here on
-            touches.append((fp, w.cancel is None and directive is None))
-            wire.append(work_to_wire(w.item, w.cancel, directive, slim=slim))
-        max_entries = self.lru.max_entries
-        for fp, certain in touches:
-            if certain and fp in shadow:
-                shadow.move_to_end(fp)
-                continue
-            if not certain:
-                self._shadow_seq += 1
-                fp = f"?{self._shadow_seq}"
-            while len(shadow) >= max_entries:
-                shadow.popitem(last=False)
-            shadow[fp] = None
-        return wire
 
     def _child_failure(self, live, reason, cause=None):
         """The child is gone with ``live`` in flight: resolve and unwind.

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.algos.api import solve
 from repro.core import Instance, JobRef, Schedule, Variant
 from repro.analysis import (
     ScalingPoint,
@@ -126,6 +127,24 @@ class TestComplexity:
         pts = time_algorithm(lambda i: i.total_load, insts, repeats=1)
         assert [p.n for p in pts] == [2, 4]
         assert all(p.seconds >= 0 for p in pts)
+
+    def test_time_algorithm_times_cold_solves(self):
+        """Each repeat gets its own equal instance with empty caches, so
+        no repeat or algorithm times caches an earlier call built."""
+        inst = mk(2, (2, [3, 4]), (1, [2, 2, 2]))
+        solve(inst)  # warm the caller's object: the timed copies stay cold
+        seen = []
+
+        def fn(cold):
+            assert cold == inst and cold is not inst
+            assert cold._misc_cache == {} and cold._jobs_sorted_cache == {}
+            assert not vars(cold).keys() & {"n", "total_load", "smax", "tmax"}
+            seen.append(cold)
+            solve(cold)
+
+        time_algorithm(fn, [("a", inst)], repeats=3)
+        time_algorithm(fn, [("a", inst)], repeats=2)
+        assert len({id(cold) for cold in seen}) == 5
 
 
 class TestReporting:

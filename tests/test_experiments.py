@@ -11,6 +11,7 @@ from repro.experiments import (
     render_figure,
     render_scaling,
     run_grid_crossover,
+    run_ratio_study,
     run_scaling,
     run_table1,
 )
@@ -70,6 +71,23 @@ class TestTable1:
         _, inst = small_exact_suite()[0]
         ref, kind = best_reference(inst, Variant.NONPREEMPTIVE)
         assert kind == "opt" and ref > 0
+
+
+class TestRatioStudy:
+    def test_two_approx_rows_stay_within_the_guarantee(self):
+        """R1 measures against Table 1's references: 3 suites × 3 variants,
+        each ratio in [1, 2] against exact OPT or the dual lower bound."""
+        rows = run_ratio_study(("two",))
+        assert len(rows) == 9
+        assert {(r.suite, r.variant) for r in rows} == {
+            (suite, str(variant))
+            for suite in ("small-exact", "medium", "adversarial")
+            for variant in Variant
+        }
+        for row in rows:
+            assert row.algorithm == "two"
+            assert 1 <= row.mean <= row.worst <= 2
+            assert set(row.reference.split("/")) <= {"opt", "dual-LB"}
 
 
 class TestScaling:

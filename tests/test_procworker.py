@@ -14,6 +14,8 @@ These tests pin the layer down in isolation (no service on top):
 * request deadlines cross as remaining-time budgets read through the
   token's **own** clock, so injected test clocks propagate through the
   pipe;
+* every item crosses whole and the child adopts it without checks;
+  ``solve_batch`` shares one representative per fingerprint;
 * a live :class:`~repro.service.procworker.WorkerProc` becomes ready,
   heartbeats, answers a batch bit-identically, and tears down cleanly;
 * ``ru_maxrss`` normalization (KiB everywhere) is exact per platform.
@@ -32,10 +34,10 @@ import pytest
 import repro.service.procworker as procworker
 import repro.service.protocol as protocol
 from repro.algos.api import solve
+from repro.core.bounds import Variant
 from repro.core.cancel import CancelToken
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule, ScheduleColumns
-from repro.service.cache import InstanceLRU
 from repro.service.procworker import (
     _MAX_FRAME_LEN,
     WorkerProc,
@@ -48,7 +50,6 @@ from repro.service.procworker import (
 )
 from repro.service.protocol import SolveRequest
 from repro.service.server import _maxrss_kib, _normalize_maxrss
-from repro.service.shards import ProcessShard, _Work
 
 TINY = Instance.build(2, [(2, [3, 4]), (1, [2, 2, 2])])
 
@@ -63,6 +64,17 @@ def round_trip(obj):
     write_frame(pipe, obj)
     pipe.seek(0)
     return read_frame(pipe)
+
+
+def assert_same_solve(got, want):
+    """Same certificate and the same placements, piece by piece."""
+    assert got.T == want.T
+    assert got.ratio_bound == want.ratio_bound
+    assert got.makespan == want.makespan
+    key = lambda sched: sorted(
+        (p.machine, p.start, p.length, p.cls, p.job) for p in sched.iter_all()
+    )
+    assert key(got.schedule) == key(want.schedule)
 
 
 class TestFraming:
@@ -231,19 +243,9 @@ class TestDeadlineBudget:
         assert work_to_wire(item, token)["remaining_ms"] == 0.0
 
 
-class TestSlimWire:
-    """The payload-elision protocol: slim items, batch-local resolution,
-    and the parent's shadow-LRU proof obligation."""
-
-    def test_slim_omits_payload_keeps_fingerprint_and_m(self):
-        item = SolveRequest(instance=fresh(TINY)).to_item()
-        full = work_to_wire(item, None)
-        slim = work_to_wire(item, None, slim=True)
-        assert full["instance"]["setups"] and full["instance"]["jobs"]
-        assert not full["slim"]
-        assert slim["slim"]
-        assert slim["instance"] == {"m": TINY.m}
-        assert slim["fp"] == full["fp"] == item.instance.fingerprint()
+class TestItemWire:
+    """Every item crosses whole; the child adopts it as it arrives, and
+    ``solve_batch`` alone shares one representative per fingerprint."""
 
     def test_full_item_adopts_the_parents_checked_instance(self, monkeypatch):
         # The parent's instance passed the constructor's checks, so the
@@ -252,6 +254,9 @@ class TestSlimWire:
         inst = fresh(TINY)
         fp = inst.fingerprint()
         wire = round_trip(work_to_wire(SolveRequest(instance=inst).to_item(), None))
+        assert wire["instance"] == {"m": inst.m, "setups": inst.setups,
+                                    "jobs": inst.jobs}
+        assert wire["fp"] == fp
 
         def refuse(*args, **kwargs):
             raise AssertionError("the child re-validated a checked payload")
@@ -259,126 +264,38 @@ class TestSlimWire:
         monkeypatch.setattr(protocol, "instance_from_obj", refuse)
         monkeypatch.setattr(procworker, "instance_from_obj", refuse, raising=False)
         monkeypatch.setattr(Instance, "__post_init__", refuse)
-        local: dict = {}
-        got = _item_from_wire(wire, InstanceLRU(2), local).instance
+        got = _item_from_wire(wire).instance
         assert got == inst
         assert type(got.setups) is tuple and type(got.jobs[0]) is tuple
         assert got._misc_cache == {"fingerprint": fp}
-        assert local == {fp: got}
 
-    def test_slim_item_resolves_from_warm_lru(self):
-        inst = fresh(TINY)
-        lru = InstanceLRU(2)
-        lru[inst.fingerprint()] = inst
-        wire = round_trip(work_to_wire(SolveRequest(instance=inst).to_item(),
-                                       None, slim=True))
-        got = _item_from_wire(wire, lru)
-        assert got.instance.setups == inst.setups
-        assert got.instance.jobs == inst.jobs
-        assert got.instance.m == inst.m
-
-    def test_slim_item_resolves_from_batch_local_payload(self):
-        # A payload item earlier in the same batch supplies the slim one,
-        # even with a stone-cold LRU (solve_batch admits only *after*
-        # the whole batch is decoded).
-        inst = fresh(TINY)
-        item = SolveRequest(instance=inst).to_item()
-        lru = InstanceLRU(2)
-        local: dict = {}
-        first = _item_from_wire(round_trip(work_to_wire(item, None)), lru, local)
-        assert inst.fingerprint() in local
-        second = _item_from_wire(
-            round_trip(work_to_wire(item, None, slim=True)), lru, local
-        )
-        assert second.instance.jobs == first.instance.jobs
-        assert len(lru) == 0  # decode itself never admits
-
-    def test_slim_miss_is_a_loud_protocol_error(self):
-        wire = work_to_wire(SolveRequest(instance=fresh(TINY)).to_item(),
-                            None, slim=True)
-        with pytest.raises(RuntimeError, match="slim wire item"):
-            _item_from_wire(wire, InstanceLRU(2), {})
-
-    def test_worker_answers_slim_batch_bit_identically(self):
-        base = solve(fresh(TINY))
-        item = SolveRequest(instance=fresh(TINY)).to_item()
+    def test_repeated_fingerprint_in_one_frame_shares_one_representative(self):
+        items = [SolveRequest(instance=fresh(TINY), variant=variant).to_item()
+                 for variant in Variant]
+        wider = Instance(m=TINY.m + 1, setups=TINY.setups, jobs=TINY.jobs)
         worker = WorkerProc(0, max_instances=4, heartbeat_ms=50)
         worker.start()
         try:
-            worker.send_batch(1, [work_to_wire(item, None)])
-            assert worker.frames.get(timeout=30)[1] == 1  # warms the child LRU
-            worker.send_batch(2, [work_to_wire(item, None, slim=True)])
+            worker.send_batch(1, [work_to_wire(item, None) for item in items])
+            msg = worker.frames.get(timeout=30)
+            assert msg[0] == "result" and msg[1] == 1
+            lru = msg[3]
+            assert (lru["entries"], lru["misses"], lru["hits"]) == (1, 1, 2)
+            for item, (status, payload) in zip(items, msg[2]):
+                assert status == "ok"
+                got = result_from_wire(payload, fresh(TINY))
+                assert_same_solve(got, solve(fresh(TINY), item.variant))
+            worker.send_batch(2, [work_to_wire(
+                SolveRequest(instance=wider).to_item(), None)])
             msg = worker.frames.get(timeout=30)
             assert msg[0] == "result" and msg[1] == 2
+            lru = msg[3]
+            assert (lru["entries"], lru["misses"], lru["hits"]) == (1, 1, 3)
             [(status, payload)] = msg[2]
             assert status == "ok"
-            got = result_from_wire(payload, fresh(TINY))
-            assert got.makespan == base.makespan and got.T == base.T
+            assert_same_solve(result_from_wire(payload, wider), solve(wider))
         finally:
             worker.destroy()
-
-
-class TestShadowLRU:
-    """``ProcessShard._encode_batch``'s replay of the child LRU: slim only
-    when warmth is provable, phantoms for uncertain touches, evictions
-    mirrored."""
-
-    A = Instance.build(2, [(2, [3, 4]), (1, [2, 2, 2])])
-    B = Instance.build(2, [(3, [5, 1]), (2, [4])])
-    C = Instance.build(2, [(1, [7]), (4, [1, 1])])
-
-    @staticmethod
-    def shard(max_instances: int = 2) -> ProcessShard:
-        return ProcessShard(0, max_batch=16, max_instances=max_instances)
-
-    @staticmethod
-    def work(inst: Instance, cancel=None) -> _Work:
-        return _Work(SolveRequest(instance=fresh(inst)).to_item(),
-                     None, None, cancel)
-
-    def test_repeat_fingerprints_slim_after_first_payload(self):
-        shard = self.shard()
-        wire = shard._encode_batch([self.work(self.A) for _ in range(3)])
-        assert [obj["slim"] for obj in wire] == [False, True, True]
-        # Next batch: the shadow proves A is warm child-side.
-        wire = shard._encode_batch([self.work(self.A)])
-        assert [obj["slim"] for obj in wire] == [True]
-
-    def test_uncertain_touch_never_marks_warm(self):
-        # A deadline-carrying item may be skipped before its LRU touch,
-        # so its fingerprint must keep crossing with the payload.
-        shard = self.shard()
-        token = CancelToken.after(3600.0)
-        wire = shard._encode_batch([self.work(self.A, cancel=token)])
-        assert [obj["slim"] for obj in wire] == [False]
-        wire = shard._encode_batch([self.work(self.A, cancel=token)])
-        assert [obj["slim"] for obj in wire] == [False]
-
-    def test_eviction_pressure_forgets_the_oldest(self):
-        # max_instances=2: admitting B then C must evict A's shadow entry.
-        shard = self.shard(max_instances=2)
-        shard._encode_batch([self.work(self.A)])
-        shard._encode_batch([self.work(self.B), self.work(self.C)])
-        wire = shard._encode_batch([self.work(self.A)])
-        assert [obj["slim"] for obj in wire] == [False]  # A went cold
-        wire = shard._encode_batch([self.work(self.C)])
-        assert [obj["slim"] for obj in wire] == [True]  # C stayed warm
-
-    def test_phantom_slots_count_toward_eviction(self):
-        # An uncertain touch must displace like an admission: after one,
-        # a 2-slot shadow can only still vouch for the newest real key.
-        shard = self.shard(max_instances=2)
-        shard._encode_batch([self.work(self.A), self.work(self.B)])
-        shard._encode_batch([self.work(self.C, cancel=CancelToken.after(3600.0))])
-        wire = shard._encode_batch([self.work(self.A), self.work(self.B)])
-        assert [obj["slim"] for obj in wire] == [False, True]
-
-    def test_respawn_resets_the_shadow(self):
-        shard = self.shard()
-        shard._encode_batch([self.work(self.A)])
-        shard._shadow.clear()  # what _ensure_child does on every spawn
-        wire = shard._encode_batch([self.work(self.A)])
-        assert [obj["slim"] for obj in wire] == [False]
 
 
 class TestResultWire:
@@ -386,14 +303,7 @@ class TestResultWire:
         inst = fresh(TINY)
         base = solve(inst)
         wire = round_trip(result_to_wire(base))
-        got = result_from_wire(wire, inst)
-        assert got.T == base.T
-        assert got.ratio_bound == base.ratio_bound
-        assert got.makespan == base.makespan
-        key = lambda sched: sorted(
-            (p.machine, p.start, p.length, p.cls, p.job) for p in sched.iter_all()
-        )
-        assert key(got.schedule) == key(base.schedule)
+        assert_same_solve(result_from_wire(wire, inst), base)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown result kind"):
