@@ -16,6 +16,9 @@ These tests pin the layer down in isolation (no service on top):
   pipe;
 * every item crosses whole and the child adopts it without checks;
   ``solve_batch`` shares one representative per fingerprint;
+* a process shard's child LRU counts hits, misses and evictions exactly
+  like a thread shard's, under eviction pressure, expired work and a
+  respawn, without any parent-side model of the child's cache;
 * a live :class:`~repro.service.procworker.WorkerProc` becomes ready,
   heartbeats, answers a batch bit-identically, and tears down cleanly;
 * ``ru_maxrss`` normalization (KiB everywhere) is exact per platform.
@@ -23,6 +26,7 @@ These tests pin the layer down in isolation (no service on top):
 
 from __future__ import annotations
 
+import asyncio
 import io
 import pickle
 import sys
@@ -48,8 +52,9 @@ from repro.service.procworker import (
     work_to_wire,
     write_frame,
 )
-from repro.service.protocol import SolveRequest
+from repro.service.protocol import ServiceError, SolveRequest
 from repro.service.server import _maxrss_kib, _normalize_maxrss
+from repro.service.shards import ProcessShard, Shard, _Work
 
 TINY = Instance.build(2, [(2, [3, 4]), (1, [2, 2, 2])])
 
@@ -269,6 +274,67 @@ class TestItemWire:
         assert type(got.setups) is tuple and type(got.jobs[0]) is tuple
         assert got._misc_cache == {"fingerprint": fp}
 
+    def test_every_item_crosses_whole(self):
+        # Repeats of one fingerprint carry their payload too: the parent
+        # keeps no model of what the child already holds.
+        wires = [work_to_wire(SolveRequest(instance=fresh(TINY),
+                                           variant=variant).to_item(), None)
+                 for variant in Variant]
+        for wire in wires:
+            assert set(wire) == {"instance", "fp", "variant", "algorithm",
+                                 "eps", "schedules", "ms", "remaining_ms",
+                                 "fault"}
+            assert wire["instance"] == {"m": TINY.m, "setups": TINY.setups,
+                                        "jobs": TINY.jobs}
+            assert wire["fp"] == TINY.fingerprint()
+
+    def test_item_round_trips_field_for_field(self):
+        items = [
+            SolveRequest(instance=fresh(TINY)).to_item(),
+            SolveRequest(instance=fresh(TINY), variant=Variant.PREEMPTIVE,
+                         algorithm="eps", eps=Fraction(1, 7),
+                         schedules=False).to_item(),
+            SolveRequest(instance=fresh(TINY), variant=Variant.SPLITTABLE,
+                         ms=(1, 3, 5)).to_item(),
+        ]
+        for item in items:
+            assert _item_from_wire(round_trip(work_to_wire(item, None))) == item
+
+    def test_decode_shares_nothing_between_items(self):
+        # Two items of one fingerprint decode into two instances with
+        # their own caches; only ``solve_batch`` maps them onto one
+        # representative.
+        wire = round_trip(work_to_wire(
+            SolveRequest(instance=fresh(TINY)).to_item(), None))
+        first = _item_from_wire(wire).instance
+        second = _item_from_wire(wire).instance
+        assert first == second and first is not second
+        assert first._misc_cache is not second._misc_cache
+        assert first._jobs_sorted_cache is not second._jobs_sorted_cache
+        assert first.fingerprint() == second.fingerprint() == TINY.fingerprint()
+
+    def test_fault_directive_rides_with_its_own_item(self):
+        # The parent adjudicates item faults and ships each directive in
+        # its item; the child's isolation retry replays it on that item
+        # alone, so its neighbours of the same fingerprint still answer.
+        item = SolveRequest(instance=fresh(TINY)).to_item()
+        directives = [None, {"delays": [], "wedges": [], "raise": "injected"},
+                      None]
+        worker = WorkerProc(0, max_instances=4, heartbeat_ms=50)
+        worker.start()
+        try:
+            worker.send_batch(1, [work_to_wire(item, None, directive)
+                                  for directive in directives])
+            msg = worker.frames.get(timeout=30)
+            assert msg[0] == "result" and msg[1] == 1
+            assert [outcome[0] for outcome in msg[2]] == ["ok", "err", "ok"]
+            assert msg[2][1][1] == "internal"
+            for status, payload in (msg[2][0], msg[2][2]):
+                got = result_from_wire(payload, fresh(TINY))
+                assert_same_solve(got, solve(fresh(TINY)))
+        finally:
+            worker.destroy()
+
     def test_repeated_fingerprint_in_one_frame_shares_one_representative(self):
         items = [SolveRequest(instance=fresh(TINY), variant=variant).to_item()
                  for variant in Variant]
@@ -296,6 +362,117 @@ class TestItemWire:
             assert_same_solve(result_from_wire(payload, wider), solve(wider))
         finally:
             worker.destroy()
+
+
+@pytest.mark.parametrize("backend", [Shard, ProcessShard],
+                         ids=["thread", "process"])
+class TestChildLRU:
+    """A process shard's child LRU counts exactly like a thread shard's.
+
+    Every item crosses whole and ``solve_batch`` resolves its fingerprint
+    against the solving side's own ``InstanceLRU``, so eviction pressure
+    and expired work move the counters alike on both backends, and no
+    answer depends on what the parent believes the child holds.
+    """
+
+    A = Instance.build(2, [(2, [3, 4]), (1, [2, 2, 2])])
+    B = Instance.build(2, [(3, [5, 1]), (2, [4])])
+    C = Instance.build(2, [(1, [7]), (4, [1, 1])])
+
+    @staticmethod
+    def submit(shard, loop, inst: Instance, cancel=None):
+        future = loop.create_future()
+        item = SolveRequest(instance=fresh(inst)).to_item()
+        shard.submit(_Work(item, future, loop, cancel))
+        return future
+
+    def serve(self, shard, batches, expired=()):
+        """Submit each batch whole and await it before the next.
+
+        Instances in ``expired`` go with an already cancelled deadline.
+        Returns every outcome (a result or a ``ServiceError``) in submit
+        order and the shard's LRU counters before it closes.
+        """
+        async def main():
+            loop = asyncio.get_running_loop()
+            shard.start()
+            try:
+                outcomes = []
+                for batch in batches:
+                    futures = []
+                    for inst in batch:
+                        token = None
+                        if inst in expired:
+                            token = CancelToken.after(3600.0)
+                            token.cancel()
+                        futures.append(self.submit(shard, loop, inst, token))
+                    outcomes += await asyncio.wait_for(
+                        asyncio.gather(*futures, return_exceptions=True), 60)
+                return outcomes, shard.stats().lru
+            finally:
+                await loop.run_in_executor(None, shard.close)
+
+        return asyncio.run(main())
+
+    def test_eviction_pressure_forgets_the_oldest(self, backend):
+        # max_instances=2: admitting B then C evicts A, so A comes back
+        # cold (evicting B) while C stays warm.
+        shard = backend(0, max_batch=16, max_instances=2)
+        order = [[self.A], [self.B, self.C], [self.A], [self.C]]
+        outcomes, lru = self.serve(shard, order)
+        for inst, got in zip([i for batch in order for i in batch], outcomes):
+            assert_same_solve(got, solve(fresh(inst)))
+        assert (lru.misses, lru.hits, lru.evictions) == (4, 1, 2)
+        assert lru.entries == lru.peak_entries == 2
+
+    def test_expired_work_never_touches_the_lru(self, backend):
+        # B's deadline passed before dispatch: it resolves as a timeout
+        # at dequeue, neither solving nor admitting, so A stays warm.
+        shard = backend(0, max_batch=16, max_instances=2)
+        order = [[self.A], [self.B], [self.C], [self.A]]
+        outcomes, lru = self.serve(shard, order, expired=(self.B,))
+        assert isinstance(outcomes[1], ServiceError)
+        assert outcomes[1].code == "timeout"
+        for inst, got in zip([self.A, self.C, self.A],
+                             [outcomes[0], outcomes[2], outcomes[3]]):
+            assert_same_solve(got, solve(fresh(inst)))
+        assert (lru.misses, lru.hits, lru.evictions) == (2, 1, 0)
+        assert shard.stats().timeouts == 1
+
+    def test_respawned_child_starts_cold(self, backend):
+        # A worker that is gone between batches is replaced quietly on
+        # the next one.  The new child holds nothing and the parent has
+        # no belief about it to reset: the repeat crosses whole, misses
+        # and solves alike.  A thread shard's worker survives, so there
+        # the repeat hits.
+        shard = backend(0, max_batch=16, max_instances=2)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            shard.start()
+            try:
+                first = await asyncio.wait_for(
+                    self.submit(shard, loop, self.A), 60)
+                old = getattr(shard, "_child", None)
+                if old is not None:
+                    old.kill()
+                    await loop.run_in_executor(None, old.proc.wait)
+                second = await asyncio.wait_for(
+                    self.submit(shard, loop, self.A), 60)
+                new = getattr(shard, "_child", None)
+                return first, second, old, new, shard.stats()
+            finally:
+                await loop.run_in_executor(None, shard.close)
+
+        first, second, old, new, stats = asyncio.run(main())
+        for got in (first, second):
+            assert_same_solve(got, solve(fresh(self.A)))
+        assert stats.restarts == stats.worker_deaths == 0
+        if backend is ProcessShard:
+            assert new is not None and new is not old
+            assert (stats.lru.misses, stats.lru.hits) == (2, 0)
+        else:
+            assert (stats.lru.misses, stats.lru.hits) == (1, 1)
 
 
 class TestResultWire:
