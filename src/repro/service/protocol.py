@@ -33,10 +33,13 @@ A connection checks each instance payload once.  The servers keep a
 :meth:`Instance.fingerprint` digests; a payload already in it skips the
 per-value checks (only ``m`` is checked again) and arrives with its
 fingerprint set.  Every other payload is checked in full, with the same
-verdicts and texts.  The ``metrics`` op counts the two kinds as
-``ingest.hit`` and ``ingest.miss``; requests submitted in-process
-report neither.  :func:`request_from_obj` without a table is the
-reference path.
+verdicts and texts.  The table also indexes the text of each
+``instance`` object that passed, and :func:`walk_line` does not decode
+that text again: a line whose ``instance`` value is an indexed text gets
+its instance from the tuples stored with it.  The ``metrics`` op counts
+the two kinds as ``ingest.hit`` and ``ingest.miss``; requests submitted
+in-process report neither.  :func:`request_from_obj` without a table is
+the reference path.
 
 Response shape::
 
@@ -75,7 +78,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from ..algos.api import SolveResult
 from ..algos.batch_api import BatchItem, SweepPoint, _validate_request
@@ -104,6 +107,7 @@ __all__ = [
     "instance_to_obj",
     "instance_from_obj",
     "request_from_obj",
+    "walk_line",
     "result_to_obj",
     "response_line",
     "error_line",
@@ -265,6 +269,50 @@ def instance_to_obj(instance: Instance) -> dict:
     }
 
 
+#: How many leading characters of an ``instance`` text pick its slot in
+#: the text index (see :func:`_head`).
+_HEAD = 256
+
+
+def _head(text: str, start: int = 0) -> str:
+    """The text index slot of the ``instance`` text at ``text[start:]``.
+
+    Its first :data:`_HEAD` characters, cut after the first ``}`` among
+    them.  A line that holds an indexed text at ``start`` gives that
+    text's own slot: an object's text ends with a ``}``, so a text
+    shorter than the head has its first ``}`` at the same place.
+    """
+    head = text[start:start + _HEAD]
+    close = head.find("}")
+    return head if close < 0 else head[:close + 1]
+
+
+class _IndexedText(NamedTuple):
+    """An ``instance`` text whose payload passed every check."""
+
+    text: str
+    key: bytes
+    m: int
+    setups: tuple[int, ...]
+    jobs: tuple[tuple[int, ...], ...]
+
+
+class _InstanceText:
+    """An ``instance`` object as :func:`walk_line` found it.
+
+    ``text`` is the value's JSON text; ``value`` is its decoded dict, or
+    ``None`` when the connection's table had indexed the text, which is
+    then not decoded.  JSON never decodes to this type, so
+    :func:`instance_from_obj` tells it from a payload by its type.
+    """
+
+    __slots__ = ("text", "value")
+
+    def __init__(self, text: str, value: Optional[dict]) -> None:
+        self.text = text
+        self.value = value
+
+
 class CheckedPayloads:
     """One connection's table of instance payloads that passed every check.
 
@@ -277,17 +325,28 @@ class CheckedPayloads:
     subclass makes ``marshal`` refuse the payload.  Holds at most
     ``bound`` entries and evicts the least recently used one first.
 
+    It also indexes the JSON texts of the ``instance`` objects that
+    passed: each maps to its key, its ``m`` and the payload's tuples
+    (one copy per key).  Equal text means an equal decoded value, so a line
+    holding an indexed text needs no decode (:func:`walk_line`), and
+    a text hit refreshes and counts its key as a key hit does.  The
+    index holds at most ``bound`` texts, in least recently used order,
+    one per :func:`_head` slot; a text whose key was evicted is dropped
+    when next looked up.  Only the keyed path of
+    :func:`instance_from_obj` adds texts.
+
     Not thread-safe: the connection handler owns one table, and only
     its event loop touches it.  ``observe`` hears every lookup, with
     ``True`` for a hit.
     """
 
-    __slots__ = ("bound", "_entries", "_observe")
+    __slots__ = ("bound", "_entries", "_texts", "_observe")
 
     def __init__(self, bound: int,
                  observe: Callable[[bool], None] = lambda hit: None) -> None:
         self.bound = bound
         self._entries: dict[bytes, str] = {}
+        self._texts: dict[str, _IndexedText] = {}
         self._observe = observe
 
     def __len__(self) -> int:
@@ -306,6 +365,48 @@ class CheckedPayloads:
         entries[key] = fingerprint
         if len(entries) > self.bound:
             del entries[next(iter(entries))]
+
+    def find_text(self, line: str, start: int) -> Optional[str]:
+        """The indexed text that ``line`` holds at ``start``, if its key
+        is still in the table.  Refreshes and counts nothing."""
+        entry = self._texts.get(_head(line, start))
+        if (entry is not None and entry.key in self._entries
+                and line.startswith(entry.text, start)):
+            return entry.text
+        return None
+
+    def text_hit(self, text: str) -> Optional[tuple[_IndexedText, str]]:
+        """``(entry, fingerprint)`` for an indexed ``text`` whose key is
+        still in the table; the key and the text are refreshed and the
+        hit is counted.  ``None`` otherwise, counting nothing: the
+        caller then takes the keyed path."""
+        texts, head = self._texts, _head(text)
+        entry = texts.get(head)
+        if entry is None or entry.text != text:
+            return None
+        del texts[head]
+        fingerprint = self._entries.pop(entry.key, None)
+        if fingerprint is None:  # its key was evicted: the text goes too
+            return None
+        self._entries[entry.key] = fingerprint
+        texts[head] = entry
+        self._observe(True)
+        return entry, fingerprint
+
+    def add_text(self, text: str, key: bytes, m: int, setups: tuple,
+                 jobs: tuple) -> None:
+        """Index ``text``, an ``instance`` object whose payload passed
+        with key ``key``, machine count ``m`` and tuples ``setups`` and
+        ``jobs``."""
+        texts, head = self._texts, _head(text)
+        for entry in texts.values():  # one copy of a payload's key and tuples
+            if entry.key == key:
+                key, setups, jobs = entry.key, entry.setups, entry.jobs
+                break
+        texts.pop(head, None)
+        texts[head] = _IndexedText(text, key, m, setups, jobs)
+        if len(texts) > self.bound:
+            del texts[next(iter(texts))]
 
 
 def _class_data(setups, jobs) -> tuple:
@@ -346,7 +447,23 @@ def instance_from_obj(obj, known: Optional[CheckedPayloads] = None) -> Instance:
     fingerprint go into the table.  Either way the instance's
     fingerprint comes from the key, so the payload is encoded once.
     Without a table (the reference path), nothing is keyed.
+
+    ``obj`` may also be what :func:`walk_line` put in place of an
+    ``instance`` object: a text the table indexed gets its instance from
+    the stored tuples (a hit, as above), and the text of a keyed payload
+    that passes is indexed.
     """
+    text = None
+    if type(obj) is _InstanceText:
+        text, obj = obj.text, obj.value
+        if obj is None:
+            hit = known.text_hit(text) if known is not None else None
+            if hit is not None:
+                entry, fingerprint = hit
+                return Instance._from_checked(
+                    entry.m, entry.setups, entry.jobs, {}, {"fingerprint": fingerprint}
+                )
+            obj = json.loads(text)  # its key was evicted after the line was read
     if not isinstance(obj, dict):
         raise ProtocolError(f"instance must be an object, got {echo(obj)}")
     setups, jobs = obj.get("setups"), obj.get("jobs")
@@ -374,7 +491,112 @@ def instance_from_obj(obj, known: Optional[CheckedPayloads] = None) -> Instance:
         fingerprint = class_data_digest(key)
         instance._misc_cache["fingerprint"] = fingerprint
         known.put(key, fingerprint)
+    if key is not None and text is not None:
+        known.add_text(text, key, m, setups_t, jobs_t)
     return instance
+
+
+# --------------------------------------------------------------------------- #
+# request lines
+# --------------------------------------------------------------------------- #
+
+#: ``json.loads``'s own decoder; :func:`walk_line` reaches its C
+#: scanner through ``raw_decode``.
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE.match  # JSON's: space, \t, \n, \r
+_WS_CHARS = " \t\n\r"
+
+#: A member value whose text holds more brackets than this is left to
+#: ``json.loads``.  It decodes a member one level deeper than
+#: :func:`walk_line` does, so only it can tell whether a value nested
+#: near the interpreter's recursion limit decodes; at this depth both
+#: do, far below CPython's default limit of 1000.  A value nested ``d``
+#: deep is at least ``2 d`` characters long, so shorter ones are not
+#: counted.
+_NEST_MAX = 500
+
+
+def walk_line(raw: bytes, known: CheckedPayloads) -> Optional[dict]:
+    """``json.loads(raw)`` without decoding an ``instance`` text again,
+    or ``None`` for a line only ``json.loads`` may read.
+
+    Walks the members of a line that is one JSON object and decodes
+    each value with ``json.loads``'s own scanner, except an ``instance``
+    object that ``known`` indexed, which it matches with one
+    ``str.startswith``.  Every ``instance`` object comes back as an
+    :class:`_InstanceText` for :func:`instance_from_obj`.  The walk
+    leaves a line to ``json.loads`` (no leading ``{``, not UTF-8,
+    malformed, trailing data, nesting too deep, an int too long) by
+    returning ``None``; the caller then calls it, at its own stack
+    depth, so the line decodes or fails exactly as it always did.
+    """
+    # json.loads reads a line whose second byte is NUL as UTF-16 or 32.
+    if raw[:1] != b"{" or raw[1:2] == b"\x00":
+        return None
+    try:
+        return _walk(raw.decode("utf-8", "surrogatepass"), known)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _walk(s: str, known: CheckedPayloads) -> Optional[dict]:
+    """The object ``s`` holds, as :func:`walk_line` returns it, or
+    ``None`` where ``json.loads`` has to decide.
+
+    Members up to the ``instance`` one are decoded one by one; the ones
+    after it in one call, on the rest of the line opened as an object.
+    That call nests as deep as ``json.loads`` would, or deeper, so only
+    the values decoded one by one need the :data:`_NEST_MAX` guard.
+    """
+    decode, ws, ws_chars = _DECODER.raw_decode, _WHITESPACE, _WS_CHARS
+    obj: dict = {}
+    i = 1
+    if s[i:i + 1] in ws_chars:
+        i = ws(s, i).end()
+    if s[i:i + 1] == "}":
+        return obj if ws(s, i + 1).end() == len(s) else None
+    while True:
+        if s[i:i + 1] != '"':
+            return None
+        key, i = decode(s, i)
+        if s[i:i + 1] in ws_chars:
+            i = ws(s, i).end()
+        if s[i:i + 1] != ":":
+            return None
+        i += 1
+        if s[i:i + 1] in ws_chars:
+            i = ws(s, i).end()
+        text = None
+        if key == "instance" and s[i:i + 1] == "{":
+            text = known.find_text(s, i)
+        if text is not None:
+            value, end = _InstanceText(text, None), i + len(text)
+        else:
+            value, end = decode(s, i)
+            if end - i > 2 * _NEST_MAX and (
+                s.count("[", i, end) + s.count("{", i, end) > _NEST_MAX
+            ):
+                return None
+            if key == "instance" and type(value) is dict:
+                value = _InstanceText(s[i:end], value)
+        obj[key] = value
+        i = end
+        if s[i:i + 1] in ws_chars:
+            i = ws(s, i).end()
+        sep = s[i:i + 1]
+        if sep == "}":
+            return obj if ws(s, i + 1).end() == len(s) else None
+        if sep != ",":
+            return None
+        i += 1
+        if s[i:i + 1] in ws_chars:
+            i = ws(s, i).end()
+        if key == "instance":
+            if s[i:i + 1] != '"':  # json.loads refuses a trailing comma
+                return None
+            # Later keys overwrite earlier ones in place, as in json.loads.
+            obj.update(_DECODER.decode("{" + s[i:]))
+            return obj
 
 
 # --------------------------------------------------------------------------- #

@@ -13,8 +13,14 @@ Each connection checks an instance payload once: a
 :class:`~repro.service.protocol.CheckedPayloads` table of
 ``shards × max_instances`` entries remembers the payloads that passed,
 so a repeat skips the per-value checks and arrives with its routing
-digest already taken.  The ``metrics`` op counts both kinds as
-``ingest.hit`` and ``ingest.miss``.
+digest already taken.  The table also indexes the text of each
+``instance`` object that passed, and each line is read with
+:func:`~repro.service.protocol.walk_line`, which decodes every member
+but an indexed ``instance`` text: a line that repeats one skips the
+JSON decode of its payload too.  A line the walk declines goes to
+``json.loads``, so replies and error texts do not change.  The
+``metrics`` op counts both kinds as ``ingest.hit`` and
+``ingest.miss``.
 
 Housekeeping ops: ``ping`` answers inline; ``stats`` (the engine's
 counters plus the process's ``ru_maxrss``) and ``metrics`` (mergeable
@@ -53,6 +59,7 @@ from .protocol import (
     metrics_line,
     request_from_obj,
     response_line,
+    walk_line,
 )
 
 __all__ = ["handle_lines", "serve_stdio", "serve_tcp"]
@@ -191,7 +198,9 @@ async def handle_lines(
                 break
             if rejected is None:
                 try:
-                    obj = json.loads(raw)
+                    obj = walk_line(raw, known)
+                    if obj is None:  # a line only json.loads may read
+                        obj = json.loads(raw)
                 except (ValueError, RecursionError) as exc:
                     # JSONDecodeError, bytes not UTF-8, or nesting deeper
                     # than the interpreter's recursion limit.
