@@ -18,7 +18,10 @@ fingerprints), and asserts:
   fingerprint's encoding), and the subprocess's peak RSS stays under a
   generous ceiling;
 * **liveness/ordering** — one response line per request, ids echoed in
-  request order.
+  request order;
+* **bounded lines** — one line of the burst is longer than
+  ``LINE_LIMIT`` and gets exactly one ``bad_request`` naming the limit
+  in its place, every other reply unchanged.
 
 ``--faults`` switches to the **chaos smoke**: the same subprocess
 harness armed with each fixed :meth:`FaultPlan.preset` in turn (worker
@@ -29,7 +32,8 @@ backend) and asserts the robustness contract — the run finishes within
 a bounded wall time, every request resolves as either a bit-identical
 answer or a structured error from the closed taxonomy,
 restart/timeout/shed counters reconcile with the observed errors, and
-the server always exits cleanly.
+the server always exits cleanly.  Its TCP session sends one
+over-limit line too, with the same check.
 
 ``--workers process`` runs every scenario against the process-isolated
 shard backend instead of worker threads; the assertions are identical
@@ -72,6 +76,7 @@ from repro.service.protocol import (  # noqa: E402
     instance_to_obj,
     parse_time,
 )
+from repro.service.server import LINE_LIMIT  # noqa: E402
 from repro.service.shards import shard_index  # noqa: E402
 
 BURST_SIZE = 50
@@ -85,6 +90,28 @@ ENV = dict(
     + os.pathsep
     + os.environ.get("PYTHONPATH", ""),
 )
+
+
+#: Where the over-limit line goes among the burst's request lines.
+OVERSIZE_AT = 20
+
+
+def oversize_line() -> str:
+    """A ping padded past ``LINE_LIMIT`` bytes: without the bound it
+    would be answered with a pong."""
+    head = '{"op": "ping", "id": "oversize"'
+    return head + " " * (LINE_LIMIT + 1 - len(head)) + "}"
+
+
+def check_oversize_reply(reply: dict) -> None:
+    """The one reply an over-limit line gets: a ``bad_request`` naming the
+    limit."""
+    assert reply["id"] is None and reply["ok"] is False, (
+        f"over-limit line answered {reply}"
+    )
+    assert reply["error"]["code"] == "bad_request"
+    assert reply["error"]["retryable"] is False
+    assert str(LINE_LIMIT) in reply["error"]["message"], reply["error"]
 
 
 def build_requests() -> list[dict]:
@@ -165,6 +192,7 @@ def check_metrics_replies(json_reply: dict, prom_reply: dict,
 def smoke(workers: str = "thread", xbatch: bool = False) -> int:
     requests = build_requests()
     lines = [json.dumps(o) for o in requests]
+    lines.insert(OVERSIZE_AT, oversize_line())
     lines.append(json.dumps({"id": "stats", "op": "stats"}))
     lines.append(json.dumps({"id": "metrics", "op": "metrics"}))
     lines.append(json.dumps(
@@ -182,9 +210,10 @@ def smoke(workers: str = "thread", xbatch: bool = False) -> int:
     )
     assert proc.returncode == 0, f"service exited {proc.returncode}: {proc.stderr}"
     replies = [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
-    assert len(replies) == len(requests) + 3, (
-        f"expected {len(requests) + 3} response lines, got {len(replies)}"
+    assert len(replies) == len(lines), (
+        f"expected {len(lines)} response lines, got {len(replies)}"
     )
+    check_oversize_reply(replies.pop(OVERSIZE_AT))
     assert [r["id"] for r in replies[:-3]] == [o["id"] for o in requests], (
         "responses out of request order"
     )
@@ -388,25 +417,21 @@ def run_drop_scenario(workers: str = "thread", xbatch: bool = False) -> str:
                 writer.write((json.dumps(obj) + "\n").encode())
             await writer.drain()
             writer.close()
-            # Connection 2: the rest of the burst, read everything.
+            # Connection 2: the rest of the burst with one over-limit
+            # line after its first request, read everything.
             reader, writer = await asyncio.open_connection(host, int(port))
-            tail = objs[drop_after:]
-            for obj in tail:
-                writer.write((json.dumps(obj) + "\n").encode())
-            writer.write(
-                (json.dumps({"id": "stats", "op": "stats"}) + "\n").encode()
-            )
-            writer.write(
-                (json.dumps({"id": "bye", "op": "shutdown"}) + "\n").encode()
-            )
+            lines = [json.dumps(obj) for obj in objs[drop_after:]]
+            lines.insert(1, oversize_line())
+            lines.append(json.dumps({"id": "stats", "op": "stats"}))
+            lines.append(json.dumps({"id": "bye", "op": "shutdown"}))
+            writer.write(("\n".join(lines) + "\n").encode())
             await writer.drain()
-            replies = [
-                json.loads(await reader.readline()) for _ in range(len(tail) + 2)
-            ]
+            replies = [json.loads(await reader.readline()) for _ in lines]
             writer.close()
             return replies
 
         replies = asyncio.run(asyncio.wait_for(drive(), timeout=CHAOS_WALL_S))
+        check_oversize_reply(replies.pop(1))
         tail = objs[drop_after:]
         outcomes = [
             check_reply(obj, reply, set()) for obj, reply in zip(tail, replies)

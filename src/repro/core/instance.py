@@ -29,22 +29,6 @@ def _check_m(m) -> None:
         raise InvalidInstanceError(f"m must be a positive integer, got {m!r}")
 
 
-def class_data_key(setups, jobs) -> bytes:
-    """The bytes :meth:`Instance.fingerprint` digests: ``marshal.dumps((setups,
-    jobs), 2)`` of the class data tuples.
-
-    Raises ``ValueError`` for a value ``marshal`` refuses, such as an int
-    subclass.
-    """
-    return marshal.dumps((setups, jobs), 2)
-
-
-def class_data_digest(key: bytes) -> str:
-    """The fingerprint of the class data whose :func:`class_data_key` is
-    ``key``: its blake2b-128 hex digest."""
-    return hashlib.blake2b(key, digest_size=16).hexdigest()
-
-
 def _as_int(value, what: str) -> int:
     """Exact integer coercion; rejects floats like ``1.5`` loudly."""
     try:
@@ -302,8 +286,7 @@ class Instance:
         :func:`~repro.algos.batch_api.solve_many` rep key, the service
         shard key): the digest covers the class data only, so ``m``
         sweeps of one instance all land on the same fingerprint.  The
-        digest is blake2b-128 (:func:`class_data_digest`) of
-        ``marshal.dumps((setups, jobs), 2)`` (:func:`class_data_key`),
+        digest is blake2b-128 of ``marshal.dumps((setups, jobs), 2)``,
         one C-level pass over the nested tuples.  Version 2 writes no
         back-references, so the bytes depend only on the values and the
         nesting, never on which row or int objects are shared; every
@@ -319,20 +302,20 @@ class Instance:
         change of encoding moves every instance to another shard.
         Cached in the shared misc cache, so ``with_machines(...,
         share_caches=True)`` copies inherit it without re-hashing, and
-        the service's wire ingest seeds it from the bytes it keys on.
+        the service's wire ingest seeds it on a repeated payload text.
         """
         cached = self._misc_cache.get("fingerprint")
         if cached is None:
             try:
-                key = class_data_key(self.setups, self.jobs)
+                data = marshal.dumps((self.setups, self.jobs), 2)
             except ValueError:
                 # ``int.__index__`` reads the stored value, whatever the
                 # subclass overrides.
-                key = class_data_key(
+                data = marshal.dumps((
                     tuple(map(int.__index__, self.setups)),
                     tuple(tuple(map(int.__index__, ts)) for ts in self.jobs),
-                )
-            cached = class_data_digest(key)
+                ), 2)
+            cached = hashlib.blake2b(data, digest_size=16).hexdigest()
             self._misc_cache["fingerprint"] = cached
         return cached
 

@@ -9,8 +9,7 @@ Example session::
 
     $ python -m repro.service --shards 2 <<'EOF'
     {"id": 1, "instance": {"m": 2, "setups": [2, 1], "jobs": [[3, 4], [5]]}}
-    {"id": 2, "instance": {"m": 2, "setups": [2, 1], "jobs": [[3, 4], [5]]},
-     "bounds_only": true, "ms": [2, 3, 4]}
+    {"id": 2, "instance": {"m": 2, "setups": [2, 1], "jobs": [[3, 4], [5]]}, "bounds_only": true, "ms": [2, 3, 4]}
     {"id": 3, "op": "stats"}
     EOF
 """

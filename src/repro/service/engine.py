@@ -358,7 +358,8 @@ class SolveService:
         if request.timeout_ms is not None:
             token = CancelToken.after(request.timeout_ms / 1000.0)
         # The stage clock covers the routing digest, unless the wire
-        # ingest already took it from the bytes it keys on.
+        # ingest already has it: a repeated instance text brings it from
+        # the connection's table, and a new one takes it when indexed.
         times = RequestTimes()
         times.submit = time.monotonic()
         fingerprint = request.instance.fingerprint()

@@ -28,18 +28,18 @@ schedule.  Housekeeping ops: ``{"op": "ping"}``, ``{"op": "stats"}``,
 per-stage latency histograms, see :mod:`repro.obs.metrics`) and
 ``{"op": "shutdown"}`` (acknowledges, then closes the connection).
 
-A connection checks each instance payload once.  The servers keep a
-:class:`CheckedPayloads` table per connection, keyed on the bytes
-:meth:`Instance.fingerprint` digests; a payload already in it skips the
-per-value checks (only ``m`` is checked again) and arrives with its
-fingerprint set.  Every other payload is checked in full, with the same
-verdicts and texts.  The table also indexes the text of each
-``instance`` object that passed, and :func:`walk_line` does not decode
-that text again: a line whose ``instance`` value is an indexed text gets
-its instance from the tuples stored with it.  The ``metrics`` op counts
-the two kinds as ``ingest.hit`` and ``ingest.miss``; requests submitted
-in-process report neither.  :func:`request_from_obj` without a table is
-the reference path.
+A connection checks each instance payload text once.  The servers
+keep a :class:`CheckedPayloads` table per connection, from the exact
+JSON text of each ``instance`` object that passed every check to its
+``m``, its checked tuples and its fingerprint.  :func:`walk_line` does
+not decode a text the table holds: that line's instance is built from
+the stored entry, with no check run again.  Every other payload is
+checked in full, with the same verdicts and texts, and its text is
+indexed once it passes, so a payload sent under a new ``m`` or spelling
+misses once before its own text hits.  The ``metrics`` op counts the
+two kinds as ``ingest.hit`` and ``ingest.miss``; requests submitted
+in-process report neither.  :func:`request_from_obj` without a table
+is the reference path.
 
 Response shape::
 
@@ -84,7 +84,7 @@ from ..algos.api import SolveResult
 from ..algos.batch_api import BatchItem, SweepPoint, _validate_request
 from ..core.bounds import Variant
 from ..core.errors import InvalidInstanceError
-from ..core.instance import Instance, class_data_digest, class_data_key
+from ..core.instance import Instance
 
 __all__ = [
     "ECHO_MAX",
@@ -269,164 +269,109 @@ def instance_to_obj(instance: Instance) -> dict:
     }
 
 
-#: How many leading characters of an ``instance`` text pick its slot in
-#: the text index (see :func:`_head`).
-_HEAD = 256
+class _Checked(NamedTuple):
+    """A :class:`CheckedPayloads` entry: the payload of an ``instance``
+    text, as it passed every check."""
 
-
-def _head(text: str, start: int = 0) -> str:
-    """The text index slot of the ``instance`` text at ``text[start:]``.
-
-    Its first :data:`_HEAD` characters, cut after the first ``}`` among
-    them.  A line that holds an indexed text at ``start`` gives that
-    text's own slot: an object's text ends with a ``}``, so a text
-    shorter than the head has its first ``}`` at the same place.
-    """
-    head = text[start:start + _HEAD]
-    close = head.find("}")
-    return head if close < 0 else head[:close + 1]
-
-
-class _IndexedText(NamedTuple):
-    """An ``instance`` text whose payload passed every check."""
-
-    text: str
-    key: bytes
     m: int
     setups: tuple[int, ...]
     jobs: tuple[tuple[int, ...], ...]
+    fingerprint: str
 
 
 class _InstanceText:
     """An ``instance`` object as :func:`walk_line` found it.
 
     ``text`` is the value's JSON text; ``value`` is its decoded dict, or
-    ``None`` when the connection's table had indexed the text, which is
-    then not decoded.  JSON never decodes to this type, so
+    the connection table's entry for the text, which is then not
+    decoded.  JSON never decodes to this type, so
     :func:`instance_from_obj` tells it from a payload by its type.
     """
 
     __slots__ = ("text", "value")
 
-    def __init__(self, text: str, value: Optional[dict]) -> None:
+    def __init__(self, text: str, value: Union[dict, _Checked]) -> None:
         self.text = text
         self.value = value
 
 
 class CheckedPayloads:
-    """One connection's table of instance payloads that passed every check.
+    """One connection's table of the ``instance`` texts whose payloads
+    passed every check.
 
-    Maps the :func:`~repro.core.instance.class_data_key` bytes of a
-    payload's ``(setups, jobs)`` tuples, the bytes
-    :meth:`Instance.fingerprint` digests, to that digest.  Only exact
-    ``list`` payloads are keyed (``setups``, ``jobs`` and every row), so
-    a key is equal only for the same ints in the same rows: a ``bool``,
-    float, string or nested list encodes differently, and an int
-    subclass makes ``marshal`` refuse the payload.  Holds at most
-    ``bound`` entries and evicts the least recently used one first.
-
-    It also indexes the JSON texts of the ``instance`` objects that
-    passed: each maps to its key, its ``m`` and the payload's tuples
-    (one copy per key).  Equal text means an equal decoded value, so a line
-    holding an indexed text needs no decode (:func:`walk_line`), and
-    a text hit refreshes and counts its key as a key hit does.  The
-    index holds at most ``bound`` texts, in least recently used order,
-    one per :func:`_head` slot; a text whose key was evicted is dropped
-    when next looked up.  Only the keyed path of
-    :func:`instance_from_obj` adds texts.
+    Maps the exact JSON text of an ``instance`` object to its ``m``, its
+    checked ``setups``/``jobs`` tuples and its fingerprint.  Equal text
+    means an equal decoded value, so a line that repeats a text needs
+    neither a decode nor a check (:func:`walk_line`).  Texts of one
+    payload (under other ``m`` or spellings) share one copy of its
+    tuples.  Holds at most ``bound`` texts and evicts the least recently
+    used one first.
 
     Not thread-safe: the connection handler owns one table, and only
-    its event loop touches it.  ``observe`` hears every lookup, with
-    ``True`` for a hit.
+    its event loop touches it.  ``observe`` hears every payload
+    :func:`instance_from_obj` reads with the table, with ``True`` for a
+    hit.
     """
 
-    __slots__ = ("bound", "_entries", "_texts", "_observe")
+    __slots__ = ("bound", "observe", "_texts")
 
     def __init__(self, bound: int,
                  observe: Callable[[bool], None] = lambda hit: None) -> None:
         self.bound = bound
-        self._entries: dict[bytes, str] = {}
-        self._texts: dict[str, _IndexedText] = {}
-        self._observe = observe
+        self.observe = observe
+        self._texts: dict[str, _Checked] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._texts)
 
-    def get(self, key: Optional[bytes]) -> Optional[str]:
-        """The fingerprint stored for ``key``, refreshed as most recent."""
-        fingerprint = None if key is None else self._entries.pop(key, None)
-        if fingerprint is not None:
-            self._entries[key] = fingerprint
-        self._observe(fingerprint is not None)
-        return fingerprint
+    def lookup(self, text: str) -> Optional[_Checked]:
+        """The entry of ``text``, refreshed as the most recent, or ``None``."""
+        entry = self._texts.pop(text, None)
+        if entry is not None:
+            self._texts[text] = entry
+        return entry
 
-    def put(self, key: bytes, fingerprint: str) -> None:
-        entries = self._entries
-        entries[key] = fingerprint
-        if len(entries) > self.bound:
-            del entries[next(iter(entries))]
-
-    def find_text(self, line: str, start: int) -> Optional[str]:
-        """The indexed text that ``line`` holds at ``start``, if its key
-        is still in the table.  Refreshes and counts nothing."""
-        entry = self._texts.get(_head(line, start))
-        if (entry is not None and entry.key in self._entries
-                and line.startswith(entry.text, start)):
-            return entry.text
-        return None
-
-    def text_hit(self, text: str) -> Optional[tuple[_IndexedText, str]]:
-        """``(entry, fingerprint)`` for an indexed ``text`` whose key is
-        still in the table; the key and the text are refreshed and the
-        hit is counted.  ``None`` otherwise, counting nothing: the
-        caller then takes the keyed path."""
-        texts, head = self._texts, _head(text)
-        entry = texts.get(head)
-        if entry is None or entry.text != text:
-            return None
-        del texts[head]
-        fingerprint = self._entries.pop(entry.key, None)
-        if fingerprint is None:  # its key was evicted: the text goes too
-            return None
-        self._entries[entry.key] = fingerprint
-        texts[head] = entry
-        self._observe(True)
-        return entry, fingerprint
-
-    def add_text(self, text: str, key: bytes, m: int, setups: tuple,
-                 jobs: tuple) -> None:
+    def add(self, text: str, instance: Instance) -> None:
         """Index ``text``, an ``instance`` object whose payload passed
-        with key ``key``, machine count ``m`` and tuples ``setups`` and
-        ``jobs``."""
-        texts, head = self._texts, _head(text)
-        for entry in texts.values():  # one copy of a payload's key and tuples
-            if entry.key == key:
-                key, setups, jobs = entry.key, entry.setups, entry.jobs
+        every check as ``instance``."""
+        texts, fingerprint = self._texts, instance.fingerprint()
+        setups, jobs = instance.setups, instance.jobs
+        for entry in texts.values():  # one copy of a payload's tuples
+            if entry.fingerprint == fingerprint:
+                setups, jobs = entry.setups, entry.jobs
                 break
-        texts.pop(head, None)
-        texts[head] = _IndexedText(text, key, m, setups, jobs)
+        texts.pop(text, None)
+        texts[text] = _Checked(instance.m, setups, jobs, fingerprint)
         if len(texts) > self.bound:
             del texts[next(iter(texts))]
 
 
-def _class_data(setups, jobs) -> tuple:
-    """``(key, setups, jobs)`` of a keyable payload, else ``(None, None, None)``.
+def instance_from_obj(obj, known: Optional[CheckedPayloads] = None) -> Instance:
+    """Parse and validate one wire instance object.
 
-    The tuples are the ones the instance is built from, so the key is
-    exactly the bytes its fingerprint digests.
+    ``obj`` may also be what :func:`walk_line` put in place of an
+    ``instance`` object.  One that carries the ``known`` table's entry
+    for its text is a hit: its instance is built from the entry's
+    tuples and fingerprint, and no value is checked again.  Every other
+    payload is checked in full (a miss, when there is a table), and the
+    text of one that passes is indexed.  Without a table (the reference
+    path), nothing is counted or indexed.
     """
-    if type(setups) is not list or type(jobs) is not list or not (
-        _LIST.issuperset(map(type, jobs))
-    ):
-        return None, None, None
-    setups, jobs = tuple(setups), tuple(map(tuple, jobs))
-    try:
-        return class_data_key(setups, jobs), setups, jobs
-    except ValueError:
-        return None, None, None
-
-
-def _check_class_data(setups, jobs) -> None:
+    text = None
+    if type(obj) is _InstanceText:
+        text, obj = obj.text, obj.value
+        if type(obj) is _Checked:
+            known.observe(True)
+            return Instance._from_checked(
+                obj.m, obj.setups, obj.jobs, {}, {"fingerprint": obj.fingerprint}
+            )
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"instance must be an object, got {echo(obj)}")
+    if known is not None:
+        known.observe(False)
+    m, setups, jobs = obj.get("m"), obj.get("setups"), obj.get("jobs")
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ProtocolError(f"instance.m must be an int, got {echo(m)}")
     _int_list(setups, "instance.setups")
     if not isinstance(jobs, list):
         raise ProtocolError(f"instance.jobs must be a list of lists, got {echo(jobs)}")
@@ -436,63 +381,13 @@ def _check_class_data(setups, jobs) -> None:
     ):
         for i, ts in enumerate(jobs):
             _int_list(ts, f"instance.jobs[{i}]")
-
-
-def instance_from_obj(obj, known: Optional[CheckedPayloads] = None) -> Instance:
-    """Parse and validate one wire instance object.
-
-    With a ``known`` table, a payload whose key is in it skips the
-    per-value checks and ``__post_init__``; only ``m`` is checked.  Any
-    other payload is checked in full, and once it passes, its key and
-    fingerprint go into the table.  Either way the instance's
-    fingerprint comes from the key, so the payload is encoded once.
-    Without a table (the reference path), nothing is keyed.
-
-    ``obj`` may also be what :func:`walk_line` put in place of an
-    ``instance`` object: a text the table indexed gets its instance from
-    the stored tuples (a hit, as above), and the text of a keyed payload
-    that passes is indexed.
-    """
-    text = None
-    if type(obj) is _InstanceText:
-        text, obj = obj.text, obj.value
-        if obj is None:
-            hit = known.text_hit(text) if known is not None else None
-            if hit is not None:
-                entry, fingerprint = hit
-                return Instance._from_checked(
-                    entry.m, entry.setups, entry.jobs, {}, {"fingerprint": fingerprint}
-                )
-            obj = json.loads(text)  # its key was evicted after the line was read
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"instance must be an object, got {echo(obj)}")
-    setups, jobs = obj.get("setups"), obj.get("jobs")
-    key = fingerprint = None
-    if known is not None:
-        key, setups_t, jobs_t = _class_data(setups, jobs)
-        fingerprint = known.get(key)
-    m = obj.get("m")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ProtocolError(f"instance.m must be an int, got {echo(m)}")
     try:
-        if fingerprint is not None:
-            instance = Instance._from_checked(
-                m, setups_t, jobs_t, {}, {"fingerprint": fingerprint}
-            )
-        else:
-            _check_class_data(setups, jobs)
-            if key is None:
-                setups_t, jobs_t = tuple(setups), tuple(map(tuple, jobs))
-            instance = Instance(m=m, setups=setups_t, jobs=jobs_t)
+        instance = Instance(m=m, setups=tuple(setups), jobs=tuple(map(tuple, jobs)))
     except InvalidInstanceError as exc:
         raise ProtocolError(f"invalid instance: {echo(exc, str(exc))}") from None
     check_m(m, "instance.m")
-    if key is not None and fingerprint is None:
-        fingerprint = class_data_digest(key)
-        instance._misc_cache["fingerprint"] = fingerprint
-        known.put(key, fingerprint)
-    if key is not None and text is not None:
-        known.add_text(text, key, m, setups_t, jobs_t)
+    if known is not None and text is not None:
+        known.add(text, instance)
     return instance
 
 
@@ -522,13 +417,17 @@ def walk_line(raw: bytes, known: CheckedPayloads) -> Optional[dict]:
 
     Walks the members of a line that is one JSON object and decodes
     each value with ``json.loads``'s own scanner, except an ``instance``
-    object that ``known`` indexed, which it matches with one
-    ``str.startswith``.  Every ``instance`` object comes back as an
-    :class:`_InstanceText` for :func:`instance_from_obj`.  The walk
-    leaves a line to ``json.loads`` (no leading ``{``, not UTF-8,
-    malformed, trailing data, nesting too deep, an int too long) by
-    returning ``None``; the caller then calls it, at its own stack
-    depth, so the line decodes or fails exactly as it always did.
+    object whose text ``known`` holds.  A payload of ``m``, ``setups``
+    and ``jobs`` ends at its first ``}``, so the walk looks that slice
+    up.  An ``instance`` object whose text ends there comes back as an
+    :class:`_InstanceText` (carrying the table's entry when found) for
+    :func:`instance_from_obj`; one with a ``}`` before its end, in a
+    string or a nested object, reads as ``json.loads`` reads it and is
+    never indexed.  The walk leaves a line to ``json.loads`` (no
+    leading ``{``, not UTF-8, malformed, trailing data, nesting too
+    deep, an int too long) by returning ``None``; the caller then calls
+    it, at its own stack depth, so the line decodes or fails exactly as
+    it always did.
     """
     # json.loads reads a line whose second byte is NUL as UTF-16 or 32.
     if raw[:1] != b"{" or raw[1:2] == b"\x00":
@@ -566,19 +465,21 @@ def _walk(s: str, known: CheckedPayloads) -> Optional[dict]:
         i += 1
         if s[i:i + 1] in ws_chars:
             i = ws(s, i).end()
-        text = None
+        entry = close = None
         if key == "instance" and s[i:i + 1] == "{":
-            text = known.find_text(s, i)
-        if text is not None:
-            value, end = _InstanceText(text, None), i + len(text)
+            close = s.find("}", i) + 1
+            text = s[i:close]
+            entry = known.lookup(text)
+        if entry is not None:
+            value, end = _InstanceText(text, entry), close
         else:
             value, end = decode(s, i)
             if end - i > 2 * _NEST_MAX and (
                 s.count("[", i, end) + s.count("{", i, end) > _NEST_MAX
             ):
                 return None
-            if key == "instance" and type(value) is dict:
-                value = _InstanceText(s[i:end], value)
+            if end == close:  # an instance object that ends at its first }
+                value = _InstanceText(text, value)
         obj[key] = value
         i = end
         if s[i:i + 1] in ws_chars:

@@ -9,16 +9,14 @@ interleaving of completions.  A per-connection admission window of
 ``max_inflight`` bounds parsed-but-unanswered requests, so a
 fast-pipelining client cannot queue unbounded work.
 
-Each connection checks an instance payload once: a
-:class:`~repro.service.protocol.CheckedPayloads` table of
-``shards × max_instances`` entries remembers the payloads that passed,
-so a repeat skips the per-value checks and arrives with its routing
-digest already taken.  The table also indexes the text of each
-``instance`` object that passed, and each line is read with
-:func:`~repro.service.protocol.walk_line`, which decodes every member
-but an indexed ``instance`` text: a line that repeats one skips the
-JSON decode of its payload too.  A line the walk declines goes to
-``json.loads``, so replies and error texts do not change.  The
+Each connection checks an instance payload text once: a
+:class:`~repro.service.protocol.CheckedPayloads` table of up to
+``shards × max_instances`` ``instance`` texts keeps, for each text that
+passed every check, its payload's tuples and routing digest.  Each line
+is read with :func:`~repro.service.protocol.walk_line`, which decodes
+every member but a held ``instance`` text, so a line that repeats one
+skips the decode, the checks and the digest.  A line the walk declines
+goes to ``json.loads``, so replies and error texts do not change.  The
 ``metrics`` op counts both kinds as ``ingest.hit`` and
 ``ingest.miss``.
 
@@ -34,9 +32,10 @@ Every failure goes on the wire as a structured
 :class:`~repro.service.protocol.ServiceError` object.  Unexpected
 (``internal``) failures never leak exception text to the client: the
 wire carries the code and a generic message, the full traceback goes to
-the ``repro.service`` logger.  A TCP request line longer than
-:data:`TCP_LINE_LIMIT` is discarded through its newline and answered
-with a non-retryable ``bad_request``; the connection keeps serving.
+the ``repro.service`` logger.  A request line longer than
+:data:`LINE_LIMIT`, on either transport, is discarded through its
+newline and answered with a non-retryable ``bad_request``; the
+connection keeps serving.
 """
 
 from __future__ import annotations
@@ -90,10 +89,13 @@ def _maxrss_kib() -> Optional[int]:
     return _normalize_maxrss(usage, sys.platform)
 
 
-#: Longest request line (bytes, newline excluded) the TCP transport reads:
+#: Longest request line (bytes, newline excluded) either transport reads:
 #: asyncio's default ``StreamReader`` limit, named so the rejection of a
 #: longer line can say what the limit is.
-TCP_LINE_LIMIT = 2 ** 16
+LINE_LIMIT = 2 ** 16
+
+_TOO_LONG = (f"request line longer than the limit of {LINE_LIMIT} bytes; "
+             f"line discarded")
 
 
 async def handle_lines(
@@ -275,8 +277,16 @@ async def serve_stdio(service: SolveService) -> None:
     stdin = sys.stdin.buffer
     stdout = sys.stdout
 
+    def read() -> bytes:
+        line = stdin.readline(LINE_LIMIT + 1)
+        if len(line) <= LINE_LIMIT or line.endswith(b"\n"):
+            return line
+        while line and not line.endswith(b"\n"):  # discard the rest
+            line = stdin.readline(LINE_LIMIT)
+        raise ProtocolError(_TOO_LONG)
+
     async def readline() -> bytes:
-        return await loop.run_in_executor(None, stdin.readline)
+        return await loop.run_in_executor(None, read)
 
     async def write_line(line: str) -> None:
         stdout.write(line + "\n")
@@ -316,10 +326,7 @@ async def serve_tcp(service: SolveService, host: str = "127.0.0.1", port: int = 
                     return await reader.readuntil(b"\n")
                 except asyncio.LimitOverrunError:
                     await discard_line()
-                    raise ProtocolError(
-                        f"request line longer than the TCP limit of "
-                        f"{TCP_LINE_LIMIT} bytes; line discarded"
-                    ) from None
+                    raise ProtocolError(_TOO_LONG) from None
             except asyncio.IncompleteReadError as exc:  # EOF: unterminated tail
                 return exc.partial
             except ConnectionError:  # pragma: no cover - client vanished
@@ -336,6 +343,6 @@ async def serve_tcp(service: SolveService, host: str = "127.0.0.1", port: int = 
             writer.close()
 
     server = await asyncio.start_server(on_connection, host, port,
-                                        limit=TCP_LINE_LIMIT)
+                                        limit=LINE_LIMIT)
     server.repro_shutdown = done  # type: ignore[attr-defined]
     return server

@@ -1,12 +1,13 @@
-"""Wire ingest: each connection checks an instance payload once.
+"""Wire ingest: each connection checks an instance payload text once.
 
 ``handle_lines`` keeps a :class:`~repro.service.protocol.CheckedPayloads`
-table per connection, keyed on the bytes ``Instance.fingerprint()``
-digests.  A payload found there skips the per-value checks; everything
+table per connection, from the exact JSON text of each ``instance``
+object that passed every check to its checked tuples and fingerprint.
+A line that repeats a text skips the decode and the checks; everything
 else takes the reference path (``request_from_obj(obj)`` without a
 table).  These tests drive real connections on both shard backends and
 pin that the table changes no reply byte and no error text, evicts the
-least recently used payload, hands every request a fresh ``Instance``,
+least recently used text, hands every request a fresh ``Instance``,
 and counts ``ingest.hit``/``ingest.miss`` in the ``metrics`` op.  The
 machine-count bound ``protocol.M_MAX`` is pinned here too: on the wire
 (both ingest paths and ``ms``) and in ``SolveService.submit``.
@@ -32,6 +33,7 @@ from repro.service.protocol import (
     instance_from_obj,
     instance_to_obj,
     request_from_obj,
+    walk_line,
 )
 from repro.service.server import handle_lines
 
@@ -101,6 +103,12 @@ def solve_line(k, payload, **fields) -> dict:
     return {"id": k, "instance": payload, "bounds_only": True, **fields}
 
 
+def read_line(table: CheckedPayloads, payload: dict):
+    """The request ``handle_lines`` parses from a line holding ``payload``."""
+    raw = json.dumps(solve_line(0, payload)).encode()
+    return request_from_obj(walk_line(raw, table), table)
+
+
 # --------------------------------------------------------------------------- #
 # the table itself
 # --------------------------------------------------------------------------- #
@@ -110,32 +118,48 @@ class TestCheckedPayloads:
     def test_lru_order_and_bound(self):
         seen = []
         table = CheckedPayloads(2, seen.append)
-        table.put(b"a", "fa")
-        table.put(b"b", "fb")
-        assert table.get(b"a") == "fa"  # a is now the most recent
-        table.put(b"c", "fc")           # evicts b, the least recent
+        a, b, c = (with_payload(setups=[s, 5, 2]) for s in (1, 2, 3))
+        for payload in (a, b, a, c):  # a hits and is refreshed; c evicts b
+            read_line(table, payload)
         assert len(table) == 2
-        assert table.get(b"b") is None
-        assert (table.get(b"a"), table.get(b"c")) == ("fa", "fc")
-        assert table.get(None) is None  # an unkeyable payload
-        assert seen == [True, False, True, True, False]
+        for payload in (b, c, a):  # b evicts a; c hits; a evicts b
+            read_line(table, payload)
+        assert seen == [False, False, True, False, False, True, False]
 
-    def test_key_is_the_fingerprint_encoding(self):
-        table = CheckedPayloads(4)
-        first = instance_from_obj(PAYLOAD, table)
-        assert len(table) == 1
-        again = instance_from_obj(with_payload(m=7), table)
+    def test_new_m_misses_once_then_its_text_hits(self):
+        seen = []
+        table = CheckedPayloads(4, seen.append)
+        first = read_line(table, PAYLOAD).instance
+        again = read_line(table, with_payload(m=7)).instance
+        hit = read_line(table, with_payload(m=7)).instance
+        assert seen == [False, False, True]
         reference = instance_from_obj(with_payload(m=7))
-        assert again == reference
-        assert again.fingerprint() == reference.fingerprint() == first.fingerprint()
+        assert again == hit == reference
+        assert hit.fingerprint() == reference.fingerprint() == first.fingerprint()
 
-    def test_unkeyable_payloads_are_not_stored(self):
-        """Tuple rows or ``IntEnum`` values take the full path every time."""
+    def test_len_counts_texts_of_one_payload_sharing_one_copy(self):
         table = CheckedPayloads(4)
+        spellings = [PAYLOAD, with_payload(m=7),
+                     {"jobs": PAYLOAD["jobs"], "setups": PAYLOAD["setups"], "m": 3}]
+        for payload in spellings:
+            read_line(table, payload)
+        assert len(table) == 3
+        entries = list(table._texts.values())
+        assert len({id(entry.setups) for entry in entries}) == 1
+        assert len({id(entry.jobs) for entry in entries}) == 1
+
+    def test_only_wire_texts_are_indexed(self):
+        """A payload handed over as an object has no text: it is checked
+        in full every time, with the reference texts, and never stored."""
+        seen = []
+        table = CheckedPayloads(4, seen.append)
         rows = {"m": 3, "setups": [3, 5], "jobs": [[4, 2], (6, 1)]}
         with pytest.raises(ProtocolError, match=r"instance\.jobs\[1\]"):
             instance_from_obj(rows, table)
-        instance_from_obj(dict(rows, jobs=[[4, 2], [6, 1]]), table)
+        for _ in range(2):
+            instance_from_obj(dict(rows, jobs=[[4, 2], [6, 1]]), table)
+        assert len(table) == 0 and seen == [False] * 3
+        read_line(table, dict(rows, jobs=[[4, 2], [6, 1]]))
         assert len(table) == 1
         with pytest.raises(ProtocolError) as err:
             instance_from_obj(rows, table)  # same ints, tuple row: refused
@@ -255,14 +279,25 @@ def test_near_copies_get_the_reference_texts(workers):
         texts.append(text)
     objs = [solve_line(0, PAYLOAD)]
     objs += [solve_line(k, param.values[0]) for k, param in enumerate(NEAR_COPIES, 1)]
-    objs += [solve_line(len(objs), with_payload(m=5)), METRICS]
+    objs += [solve_line(len(objs), PAYLOAD), METRICS]
     replies = serve(ServiceConfig(shards=1, workers=workers), objs)
     assert replies[0]["ok"] and replies[-2]["ok"]
     for reply, text in zip(replies[1:-2], texts):
         assert reply["error"] == {"code": "bad_request", "message": text,
                                   "retryable": False}
-    # the valid payload and the m-only near-copies hit; the rest miss
-    assert ingest_counts(replies) == (4, len(objs) - 1 - 4)
+    # every near-copy is another text: only the repeat of the valid one hits
+    assert ingest_counts(replies) == (1, len(objs) - 1 - 1)
+
+
+@pytest.mark.parametrize("workers", BACKENDS)
+def test_new_m_misses_once_over_a_connection(workers):
+    objs = [solve_line(k, p) for k, p in enumerate(
+        [PAYLOAD, with_payload(m=5), with_payload(m=5), PAYLOAD])]
+    config = ServiceConfig(shards=1, workers=workers)
+    replies = serve(config, objs + [METRICS])
+    assert replies[:-1] == serve(config, objs, table=False)
+    assert all(r["ok"] for r in replies[:-1])
+    assert ingest_counts(replies) == (2, 2)
 
 
 @pytest.mark.parametrize("workers", BACKENDS)
@@ -281,7 +316,8 @@ def test_least_recently_used_payload_is_evicted(workers):
 @pytest.mark.parametrize("workers", BACKENDS)
 def test_hit_hands_submit_a_fresh_instance(workers):
     captured: list[SolveRequest] = []
-    objs = [solve_line(0, PAYLOAD), solve_line(1, with_payload(m=5)), METRICS]
+    objs = [solve_line(0, with_payload(m=5)), solve_line(1, with_payload(m=5)),
+            METRICS]
     replies = serve(ServiceConfig(shards=1, workers=workers), objs,
                     capture=captured)
     assert ingest_counts(replies) == (1, 1)
@@ -316,19 +352,24 @@ def test_in_process_submit_reports_no_ingest_counters():
 
 class TestMachineBound:
     def test_wire_instance_m_on_both_paths(self):
-        """``m > M_MAX`` is refused whether the payload misses or hits."""
+        """``m > M_MAX`` is refused with or without a table, and a text
+        refused once is refused again; ``m = M_MAX`` passes and hits."""
         table = CheckedPayloads(4)
         text = f"instance.m may be at most {M_MAX}"
         for known in (None, table):
             with pytest.raises(ProtocolError) as err:
                 request_from_obj({"instance": with_payload(m=M_MAX + 1)}, known)
             assert str(err.value) == text
-        request_from_obj({"instance": PAYLOAD}, table)
+        read_line(table, PAYLOAD)
         assert len(table) == 1
-        with pytest.raises(ProtocolError) as err:
-            request_from_obj({"instance": with_payload(m=10**6)}, table)
-        assert str(err.value) == text
-        assert request_from_obj({"instance": with_payload(m=M_MAX)}, table).instance.m == M_MAX
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as err:
+                read_line(table, with_payload(m=10**6))
+            assert str(err.value) == text
+        assert len(table) == 1
+        for _ in range(2):
+            assert read_line(table, with_payload(m=M_MAX)).instance.m == M_MAX
+        assert len(table) == 2
 
     def test_wire_ms_entry(self):
         obj = {"instance": PAYLOAD}

@@ -65,13 +65,14 @@ from repro.service.procworker import (
     result_to_wire,
     write_frame,
 )
-from repro.service.server import TCP_LINE_LIMIT
+from repro.service.server import LINE_LIMIT
 from repro.service.shards import shard_index
 
 from .conftest import AGGREGATES
 from .test_schedule_columns import SUITE_INSTANCES
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 #: Lines the JSON decoder cannot turn into a request: bytes that are not
 #: UTF-8 (a ``UnicodeDecodeError``), and nesting deeper than the
@@ -80,6 +81,22 @@ UNDECODABLE_LINES = [
     pytest.param(b'\xc3{"id": 2, "op": "ping"}', id="non_utf8"),
     pytest.param(b"[" * 30000 + b"]" * 30000, id="deep_nesting"),
 ]
+
+
+def run_stdio(payload: bytes, *args: str) -> subprocess.CompletedProcess:
+    """``python -m repro.service *args`` with ``payload`` on stdin."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "repro.service", *args],
+                          input=payload, capture_output=True, env=env, timeout=120)
+
+
+def oversize_line() -> bytes:
+    """A legitimate bounds-only request whose line is past ``LINE_LIMIT``."""
+    inst = uniform_instance(50, 100, 300, seed=1)
+    line = (json.dumps({"id": 1, "instance": instance_to_obj(inst),
+                        "bounds_only": True}) + "\n").encode()
+    assert len(line) > LINE_LIMIT + 1
+    return line
 
 
 def fresh(inst: Instance, m: int | None = None) -> Instance:
@@ -1112,21 +1129,19 @@ class TestTcpServer:
 
     @pytest.mark.parametrize("split", [False, True])
     def test_oversize_line_rejected_connection_kept(self, split):
-        """A line past the TCP limit gets one bad_request naming the limit,
-        and the next line on the connection is still served.  ``split``
-        sends the line in two writes, so the limit trips before its
-        newline has arrived and the rest must be discarded as it comes."""
-        inst = uniform_instance(50, 100, 300, seed=1)  # a legitimate instance
-        line = (json.dumps({"id": 1, "instance": instance_to_obj(inst),
-                            "bounds_only": True}) + "\n").encode()
-        assert len(line) > TCP_LINE_LIMIT + 1
+        """A line past the line limit gets one bad_request naming the
+        limit, and the next line on the connection is still served.
+        ``split`` sends the line in two writes, so the limit trips before
+        its newline has arrived and the rest must be discarded as it
+        comes."""
+        line = oversize_line()
 
         async def main():
             async with SolveService(ServiceConfig(shards=1)) as svc:
                 server = await serve_tcp(svc, "127.0.0.1", 0)
                 host, port = server.sockets[0].getsockname()[:2]
                 reader, writer = await asyncio.open_connection(host, port)
-                cut = TCP_LINE_LIMIT + 100 if split else 0
+                cut = LINE_LIMIT + 100 if split else 0
                 if cut:
                     writer.write(line[:cut])
                     await writer.drain()
@@ -1146,7 +1161,7 @@ class TestTcpServer:
         assert err["id"] is None and err["ok"] is False
         assert err["error"]["code"] == "bad_request"
         assert err["error"]["retryable"] is False
-        assert str(TCP_LINE_LIMIT) in err["error"]["message"]
+        assert str(LINE_LIMIT) in err["error"]["message"]
         assert replies[1] == {"id": 2, "ok": True, "pong": True}
         assert tail == b""
 
@@ -1155,7 +1170,7 @@ class TestTcpServer:
     def test_non_utf8_line_rejected_connection_kept(self, bad):
         """A line the decoder cannot read gets one non-retryable
         bad_request, and the lines after it on the connection are served."""
-        assert len(bad) < TCP_LINE_LIMIT  # the decoder sees it, not the limit
+        assert len(bad) < LINE_LIMIT  # the decoder sees it, not the limit
 
         async def main():
             async with SolveService(ServiceConfig(shards=1)) as svc:
@@ -1181,6 +1196,60 @@ class TestTcpServer:
         assert err["error"]["retryable"] is False
         assert replies[2] == {"id": 3, "ok": True, "pong": True}
         assert tail == b""
+
+
+def padded_ping(k: int, size: int) -> bytes:
+    """A ping line of exactly ``size`` bytes, newline excluded."""
+    head, tail = b'{"op": "ping", "id": %d' % k, b"}"
+    return head + b" " * (size - len(head) - len(tail)) + tail
+
+
+def tcp_session(payload: bytes) -> bytes:
+    """What a one-shard TCP server answers to ``payload``, sent whole and
+    followed by EOF."""
+
+    async def main():
+        async with SolveService(ServiceConfig(shards=1)) as svc:
+            server = await serve_tcp(svc, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(payload)
+            await writer.drain()
+            writer.write_eof()
+            out = await reader.read()  # the server closes after EOF
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return out
+
+    return asyncio.run(asyncio.wait_for(main(), timeout=60))
+
+
+@pytest.mark.parametrize("transport", ["stdio", "tcp"])
+def test_line_limit_is_the_same_on_both_transports(transport):
+    """A line of ``LINE_LIMIT`` bytes is served; one byte more is refused
+    with the same text, whether its newline or EOF ends it, and the next
+    line is still served."""
+    payload = b"".join([
+        padded_ping(1, LINE_LIMIT), b"\n",
+        padded_ping(2, LINE_LIMIT + 1), b"\n",
+        padded_ping(3, 40), b"\n",
+        padded_ping(4, LINE_LIMIT + 1),  # an unterminated tail at EOF
+    ])
+    if transport == "stdio":
+        proc = run_stdio(payload, "--shards", "1")
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        out = proc.stdout
+    else:
+        out = tcp_session(payload)
+    refused = {"id": None, "ok": False, "error": {
+        "code": "bad_request", "retryable": False,
+        "message": f"request line longer than the limit of {LINE_LIMIT} bytes; "
+                   f"line discarded"}}
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"id": 1, "ok": True, "pong": True}, refused,
+        {"id": 3, "ok": True, "pong": True}, refused,
+    ]
 
 
 class TestTcpDisconnect:
@@ -1338,12 +1407,8 @@ class TestStdioCli:
                 {"id": 4, "op": "ping"},
             )
         )
-        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.service", "--shards", "2"],
-            input=payload, capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        proc = run_stdio(payload.encode(), "--shards", "2")
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         replies = [json.loads(line) for line in proc.stdout.splitlines() if line]
         assert [r["id"] for r in replies] == [1, 2, 3, 4]
         ref = solve(fresh(tiny), Variant.NONPREEMPTIVE)
@@ -1356,17 +1421,51 @@ class TestStdioCli:
         assert "unknown variant" in replies[2]["error"]["message"]
         assert replies[3]["pong"] is True
 
+    def test_oversize_line_answered_and_session_continues(self):
+        """stdin is read a bounded line at a time: a line past the limit
+        is discarded through its newline and answered with one
+        bad_request naming the limit."""
+        proc = run_stdio(oversize_line() + b'{"id": 2, "op": "ping"}\n',
+                         "--shards", "1")
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        replies = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(replies) == 2
+        err = replies[0]
+        assert err["id"] is None and err["ok"] is False
+        assert err["error"]["code"] == "bad_request"
+        assert err["error"]["retryable"] is False
+        assert str(LINE_LIMIT) in err["error"]["message"]
+        assert replies[1] == {"id": 2, "ok": True, "pong": True}
+
+    def test_readme_session_works_as_written(self):
+        """The request lines of README's stdio session, as written there,
+        get the replies it shows."""
+        block = (ROOT / "README.md").read_text().split("```console\n", 1)[1]
+        command, rest = block.split("\n", 1)
+        assert command == (
+            "$ python -m repro.service --shards 4 --max-instances 8 <<'EOF'")
+        requests = rest.split("\nEOF\n", 1)[0] + "\n"
+        proc = run_stdio(requests.encode(), "--shards", "4", "--max-instances", "8")
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        replies = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (2, True), (3, True)]
+        (one,) = replies[0]["results"]
+        assert (one["T"], one["makespan"]) == (9, 9)
+        assert one["schedule"]["machine"] == [0, 0, 0, 1, 1]
+        sweep = replies[1]["results"]
+        assert [r["kind"] for r in sweep] == ["bounds"] * 3
+        assert (sweep[0]["m"], sweep[0]["T"]) == (2, 9)
+        assert (sweep[1]["m"], sweep[1]["algorithm"], sweep[1]["T"]) == (3, "trivial", 6)
+        stats = replies[2]["stats"]
+        assert (stats["requests"], stats["peak_instances"]) == (2, 1)
+
     @pytest.mark.parametrize("bad", UNDECODABLE_LINES)
     def test_non_utf8_line_answered_and_session_continues(self, bad):
         """Bytes that are not UTF-8 (a UnicodeDecodeError) and nesting past
         the recursion limit (a RecursionError) used to escape the JSON
         decoder and end the stdio server with a traceback."""
         payload = b'{"op": "ping", "id": 1}\n' + bad + b'\n{"op": "ping", "id": 3}\n'
-        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.service", "--shards", "1"],
-            input=payload, capture_output=True, env=env, timeout=120,
-        )
+        proc = run_stdio(payload, "--shards", "1")
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         replies = [json.loads(line) for line in proc.stdout.splitlines() if line]
         assert len(replies) == 3

@@ -1,13 +1,14 @@
 """Wire parse: a connection does not decode an ``instance`` text twice.
 
 ``handle_lines`` reads each line with ``protocol.walk_line``, which
-walks the line's top-level members and skips an ``instance`` object
-whose exact text the connection's ``CheckedPayloads`` table indexed;
-every line the walk declines goes to ``json.loads``.  These tests pin
-that a repeated text is not decoded again, that a text hit refreshes
-the one LRU of payloads, and (a fuzzer, with hypothesis where it is
-installed) that every generated line gets the reply the reference path
-gives it: ``json.loads`` plus ``request_from_obj`` without a table.
+walks the line's top-level members and looks an ``instance`` object up
+in the connection's ``CheckedPayloads`` table by its text up to the
+first ``}``; every line the walk declines goes to ``json.loads``.
+These tests pin that a repeated text is not decoded again, that a text
+hit refreshes the table's one LRU, and (a fuzzer, with hypothesis where
+it is installed) that every generated line gets the reply the reference
+path gives it: ``json.loads`` plus ``request_from_obj`` without a
+table.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.service import ServiceConfig, SolveService
 from repro.service.protocol import (
     CheckedPayloads,
     ProtocolError,
-    _head,
     _InstanceText,
     instance_from_obj,
     request_from_obj,
@@ -89,7 +89,7 @@ def plain(obj):
     if type(obj) is dict and type(obj.get("instance")) is _InstanceText:
         found = obj["instance"]
         decoded = json.loads(found.text)
-        if found.value is not None:
+        if type(found.value) is dict:  # else the table's entry for the text
             assert found.value == decoded
         obj = {**obj, "instance": decoded}
     return obj
@@ -115,6 +115,12 @@ def line(*members: str) -> bytes:
 
 def solve(k, payload_text: str) -> bytes:
     return line(f'"id": {k}', f'"instance": {payload_text}', '"bounds_only": true')
+
+
+def found(obj: dict) -> bool:
+    """Whether the walk found the line's ``instance`` text in the table
+    (it then carries the table's entry instead of a decoded dict)."""
+    return type(obj["instance"].value) is not dict
 
 
 # --------------------------------------------------------------------------- #
@@ -148,7 +154,7 @@ class TestTextIndex:
         counters = json.loads(replies[-1])["metrics"]["counters"]
         assert (counters["ingest.hit"], counters["ingest.miss"]) == (2, 4)
 
-    def test_text_hit_refreshes_the_key(self):
+    def test_text_hit_refreshes_the_entry(self):
         seen = []
         table = CheckedPayloads(2, seen.append)
         payloads = [with_payload(setups=[s, 5, 2]) for s in (1, 2, 3)]
@@ -156,58 +162,61 @@ class TestTextIndex:
         for k in range(2):
             request_from_obj(walk_line(solve(k, texts[k]), table), table)
         obj = walk_line(solve(2, texts[0]), table)
-        assert obj["instance"].value is None  # found, not decoded
+        assert found(obj)
         hit = request_from_obj(obj, table).instance
         assert hit == instance_from_obj(payloads[0])
         assert hit.fingerprint() == instance_from_obj(payloads[0]).fingerprint()
         request_from_obj(walk_line(solve(3, texts[2]), table), table)
         assert seen == [False, False, True, False]
-        # b's key went with c; its text is then not found
-        assert walk_line(solve(4, texts[1]), table)["instance"].value is not None
-        assert walk_line(solve(5, texts[0]), table)["instance"].value is None
+        # c evicted b, the least recently used text
+        assert not found(walk_line(solve(4, texts[1]), table))
+        assert found(walk_line(solve(5, texts[0]), table))
 
-    def test_text_of_an_evicted_key_is_dropped(self):
+    def test_line_walked_before_eviction_builds_from_its_entry(self, monkeypatch):
+        """A line read before its text was evicted carries the entry it
+        found: its instance is built from it, with no decode."""
         seen = []
         table = CheckedPayloads(1, seen.append)
         a, b = text(PAYLOAD), text(with_payload(setups=[9, 5, 2]))
         request_from_obj(walk_line(solve(0, a), table), table)
-        found = walk_line(solve(1, a), table)["instance"]
-        assert found.value is None
-        # A second ``instance`` member is decoded with the members after
-        # the first, as a plain payload: b's key evicts a's, and no text
-        # is indexed, so a's text stays behind without its key.
-        twice = walk_line(line(f'"instance": {b}', f'"instance": {b}'), table)
-        request_from_obj(twice, table)
-        assert _head(a) in table._texts
-        assert walk_line(solve(2, a), table)["instance"].value is not None
-        assert table.text_hit(a) is None and _head(a) not in table._texts
-        # the line read before the eviction decodes its text then
-        again = instance_from_obj(found, table)
-        assert again == instance_from_obj(PAYLOAD)
-        assert seen == [False, False, False]
+        obj = walk_line(solve(1, a), table)
+        request_from_obj(walk_line(solve(2, b), table), table)  # evicts a
+        assert len(table) == 1 and a not in table._texts
+        decodes = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def counting(self, s, idx=0):
+            decodes.append(s[idx:idx + 40])
+            return raw_decode(self, s, idx)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+        hit = request_from_obj(obj, table).instance
+        monkeypatch.undo()
+        assert decodes == []
+        assert hit == instance_from_obj(PAYLOAD)
+        assert hit.fingerprint() == instance_from_obj(PAYLOAD).fingerprint()
+        assert seen == [False, False, True]
+        assert not found(walk_line(solve(3, a), table))
 
     def test_texts_share_the_bound(self):
         table = CheckedPayloads(2)
-        for m in range(1, 6):  # five texts of one key
+        for m in range(1, 6):  # five texts of one payload
             request_from_obj(walk_line(solve(m, text(with_payload(m=m))), table),
                              table)
-        assert len(table) == 1 and len(table._texts) == 2
-        first, second = table._texts.values()  # one copy of key and tuples
-        assert (first.key, first.setups, first.jobs) == (
-            second.key, second.setups, second.jobs)
+        assert len(table) == 2
+        first, second = table._texts.values()  # one copy of the tuples
+        assert first.fingerprint == second.fingerprint
         assert first.setups is second.setups and first.jobs is second.jobs
-        for m, found in ((4, True), (5, True), (3, False)):
-            obj = walk_line(solve(0, text(with_payload(m=m))), table)
-            assert (obj["instance"].value is None) is found
+        for m, hit in ((4, True), (5, True), (3, False)):
+            assert found(walk_line(solve(0, text(with_payload(m=m))), table)) is hit
 
-    def test_a_text_is_matched_whole_not_by_its_head(self):
+    def test_a_text_is_matched_whole(self):
         long = {"m": 4, "setups": list(range(1, 81)), "jobs": [[2]] * 80}
         other = dict(long, jobs=[[2]] * 79 + [[3]])
         table = CheckedPayloads(4)
         request_from_obj(walk_line(solve(0, text(long)), table), table)
-        assert _head(text(long)) == _head(text(other))
-        found = walk_line(solve(1, text(other)), table)["instance"]
-        assert found.value == other
+        obj = walk_line(solve(1, text(other)), table)
+        assert obj["instance"].value == other
         assert request_from_obj(walk_line(solve(2, text(other)), table),
                                 table).instance == instance_from_obj(other)
 
@@ -221,14 +230,20 @@ class TestTextIndex:
                 request_from_obj(obj, table)
         assert not table._texts
 
-    @pytest.mark.parametrize("body", [
-        '{"m": 3}', '{"m": 3, "x": {}}', '{"a": "}"}',
-        "{" + '"k": 1, ' * 100 + '"z": 2}',
-    ])
-    def test_head_of_a_text_is_its_head_in_any_line(self, body):
-        assert body.endswith("}")
-        for tail in ("", "}", ', "id": 7}', "x" * 300):
-            assert _head("xy" + body + tail, 2) == _head(body)
+    @pytest.mark.parametrize("extra", ['"x": {}', '"x": {"y": [1]}', '"a": "}"',
+                                       '"a": "{}"'])
+    def test_text_with_an_inner_brace_is_never_found(self, extra):
+        """A payload whose text holds a ``}`` before its end (the checks
+        ignore members other than ``m``, ``setups`` and ``jobs``) passes
+        every time, is checked in full every time and is never stored."""
+        seen = []
+        table = CheckedPayloads(4, seen.append)
+        body = text(PAYLOAD)[:-1] + ", " + extra + "}"
+        for k in range(3):
+            obj = walk_line(solve(k, body), table)
+            assert obj == json.loads(solve(k, body))
+            assert request_from_obj(obj, table).instance == instance_from_obj(PAYLOAD)
+        assert seen == [False] * 3 and len(table) == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -269,6 +284,13 @@ TRICKY = [
     f'{{"instance": {A},}}'.encode(),
     f'{{"instance": {A} , }}'.encode(),
     f'{{"instance": {A}}}  '.encode(),
+    # Texts with a "}" before their end: never found, read as json.loads.
+    line('"instance": {"m": 3}', '"id": 9'),
+    line('"instance": {"m": 3, "x": {}}', '"id": 9'),
+    line('"instance": {"a": "}"}', '"id": 9'),
+    line('"instance": {' + '"k": 1, ' * 100 + '"z": 2}', '"id": 9'),
+    line(f'"instance": {A[:-1]}, "x": {{}}}}', '"id": 9'),
+    line(f'"instance": {A[:-1]}, "a": "}}"}}', '"id": 9'),
 ]
 
 
