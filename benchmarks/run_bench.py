@@ -217,7 +217,7 @@ def bench_procshards(inst: Instance, fixture_name: str, reps: int) -> dict[str, 
     clock) and times the burst only.
 
     Interpret against ``meta/cpu_count``: with a single CPU the parent's
-    pump/loop threads and every worker child timeshare one core, so the
+    shard/loop threads and every worker child timeshare one core, so the
     family records scheduler contention, not serialization overhead or
     scaling — the ``w1`` acceptance ratio is only meaningful (and only
     asserted in CI) on >= 2 CPUs.

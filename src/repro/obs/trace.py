@@ -205,7 +205,7 @@ class TraceWriter:
     """Thread-safe JSONL span sink (``--trace FILE``).
 
     One JSON object per line; writes are serialized under a lock so
-    shard workers (and the process-shard pumps relaying child span
+    shard workers (on the process backend relaying child span
     summaries) can share one file.  Flushes per record — trace volume
     is per *batch*, not per probe, so the syscall cost is negligible.
     """

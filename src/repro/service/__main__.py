@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "containment, hard deadlines, multicore; "
                              "default thread)")
     parser.add_argument("--hard-kill-grace-ms", type=int, default=200,
-                        help="process backend: grace past the last in-flight "
-                             "deadline before a silent child is SIGKILLed "
-                             "(default 200)")
+                        help="process backend: grace past the latest "
+                             "deadline of the batch in flight before a "
+                             "silent child is SIGKILLed (default 200)")
     parser.add_argument("--max-batch", type=int, default=16,
                         help="micro-batch size per shard dispatch (default 16)")
     parser.add_argument("--max-inflight", type=int, default=64,

@@ -48,6 +48,7 @@ from .faults import FaultPlan
 from .protocol import (
     ServiceError,
     SolveRequest,
+    check_eps,
     check_m,
     check_ms,
     check_timeout_ms,
@@ -85,8 +86,8 @@ class ServiceConfig:
     SIGKILL-backed hard deadlines, and true multicore scaling, at the
     cost of per-request serialization and per-child cache rebuilds.
     ``hard_kill_grace_ms`` (process backend only) is how long past the
-    last in-flight deadline a child may go silent before it is
-    SIGKILLed.
+    latest deadline of the batch in flight a child may go without a
+    result before it is SIGKILLed.
 
     ``xbatch=True`` dispatches each micro-batch through the
     cross-instance lockstep coordinator
@@ -344,15 +345,17 @@ class SolveService:
         """
         if not self._started or self._closed:
             raise RuntimeError("service is not running (use 'async with' or start())")
-        # Fail fast in the caller's task: names, eps, the machine counts
-        # and the deadline budget checked before dispatch, so a bad
-        # request never occupies a backpressure slot.
+        # Fail fast in the caller's task: the machine counts, eps, the
+        # deadline budget and the names checked before dispatch, in the
+        # wire parser's order, so a bad request never occupies a
+        # backpressure slot.
+        check_m(request.instance.m, "instance.m")
+        check_ms(request.ms)
+        check_eps(request.eps)
+        check_timeout_ms(request.timeout_ms)
         _validate_request(
             request.variant, request.algorithm, request.schedules, request.eps
         )
-        check_m(request.instance.m, "instance.m")
-        check_ms(request.ms)
-        check_timeout_ms(request.timeout_ms)
         item = request.to_item()
         token = None
         if request.timeout_ms is not None:

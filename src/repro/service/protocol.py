@@ -98,6 +98,7 @@ __all__ = [
     "ServiceError",
     "SolveRequest",
     "TIMEOUT_MS_MAX",
+    "check_eps",
     "check_m",
     "check_ms",
     "check_timeout_ms",
@@ -528,6 +529,23 @@ M_MAX = 4096
 TIMEOUT_MS_MAX = 86_400_000
 
 
+def check_eps(eps) -> None:
+    """Raise :class:`ProtocolError` unless ``eps`` is an int (not a bool)
+    or a ``Fraction``, positive and at least :data:`EPS_MIN`.
+
+    The one rule for a request's ``eps``, for every algorithm: the wire
+    parser applies it to the value :func:`parse_time` read, and
+    :meth:`~repro.service.engine.SolveService.submit` to an in-process
+    request's.
+    """
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise ProtocolError(f"eps must be an int or a Fraction, got {echo(eps)}")
+    if eps <= 0:
+        raise ProtocolError(f"eps must be positive, got {echo(eps, str(eps))}")
+    if eps < EPS_MIN:
+        raise ProtocolError("eps must be at least 1/2**64")
+
+
 def check_timeout_ms(timeout_ms) -> None:
     """Raise :class:`ProtocolError` unless ``timeout_ms`` is ``None`` or a
     positive int (not a bool) of at most :data:`TIMEOUT_MS_MAX`.
@@ -591,9 +609,10 @@ class SolveRequest:
     the response line (``None`` for in-process use).  ``timeout_ms``
     (optional) is the request's total deadline budget — queue wait plus
     solve time; an expired request resolves as a structured ``timeout``
-    error instead of an answer.  ``submit`` checks ``ms``,
+    error instead of an answer.  ``submit`` checks ``ms``, ``eps``,
     ``timeout_ms`` and the instance's ``m`` like the wire does
-    (:func:`check_ms`, :func:`check_timeout_ms`, :func:`check_m`).
+    (:func:`check_ms`, :func:`check_eps`, :func:`check_timeout_ms`,
+    :func:`check_m`).
     """
 
     instance: Instance
@@ -658,10 +677,7 @@ def request_from_obj(obj, known: Optional[CheckedPayloads] = None) -> SolveReque
 
     eps = obj.get("eps")
     eps = Fraction(1, 100) if eps is None else parse_time(eps, "eps")
-    if eps <= 0:
-        raise ProtocolError(f"eps must be positive, got {echo(eps, str(eps))}")
-    if eps < EPS_MIN:
-        raise ProtocolError("eps must be at least 1/2**64")
+    check_eps(eps)
 
     timeout_ms = obj.get("timeout_ms")
     check_timeout_ms(timeout_ms)

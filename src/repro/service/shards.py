@@ -10,8 +10,10 @@ batch with :func:`repro.service.procworker.run_batch` — the one
 micro-batch runner of both backends — with the shard's LRU as the
 cross-batch representative table.  The bookkeeping around a batch
 (counters, stage stamps, timeout counting, future settlement, close and
-the metrics snapshot) is :class:`Shard`'s, and :class:`ProcessShard`
-reuses it.
+the metrics snapshot) is :class:`Shard`'s, and so is the worker loop:
+both backends keep one batch in flight, and :class:`ProcessShard`
+overrides only how that batch is solved.  A crash or a hard kill fails
+that batch alone; the requests still queued go to the respawned child.
 
 On top of the PR-5 dispatch plumbing, a shard is **fault-tolerant**:
 
@@ -49,7 +51,6 @@ import logging
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -383,24 +384,6 @@ class Shard:
         head = self._queue.get()
         if head is None:
             return None
-        return self._soak(head)
-
-    def _drain_nowait(self) -> list[_Work] | None:
-        """Non-blocking :meth:`_drain`: ``[]`` when the queue is empty.
-
-        The process backend's pipelined pump uses this to top up the
-        child's in-flight window without blocking while a batch is
-        already being solved.
-        """
-        try:
-            head = self._queue.get_nowait()
-        except queue.Empty:
-            return []
-        if head is None:
-            return None
-        return self._soak(head)
-
-    def _soak(self, head: _Work) -> list[_Work]:
         batch = [head]
         while len(batch) < self.max_batch:
             try:
@@ -417,8 +400,8 @@ class Shard:
         """Skip dequeued work whose deadline already passed: no solve.
 
         Also the queue-stage observation point: both backends dequeue
-        through here on their worker/pump thread (the metrics writer),
-        so "queue" means the same thing thread- and process-side.
+        through here on their worker thread (the metrics writer), so
+        "queue" means the same thing thread- and process-side.
         """
         live: list[_Work] = []
         now = time.monotonic()
@@ -561,19 +544,15 @@ class _WorkerProcDied(Exception):
 class ProcessShard(Shard):
     """A shard whose solves run in a supervised child **process**.
 
-    Same interface, queueing, supervision, and accounting as
-    :class:`Shard` — the worker thread stays, but it becomes a *pump*:
-    micro-batches are serialized over a length-prefixed pipe, every item
-    whole, to a child running :mod:`repro.service.procworker`, which
-    solves them with the same :func:`~repro.service.procworker.run_batch`
-    as the thread backend, and the columnar results are decoded on
-    return (see that module for the protocol).  The pump is
-    *pipelined* (:data:`PIPELINE_DEPTH`): while the child solves one
-    batch, the next is already encoded and shipped, so the wire codec
-    and the pipe round trip overlap the solve instead of serializing
-    with it — the process backend's throughput tax is one batch's
-    latency, not per-batch dead time.  The child
-    rebuilds per-instance caches locally under the same
+    Same interface, queueing, supervision, accounting and worker loop
+    as :class:`Shard`; only :meth:`_dispatch` differs.  It serializes
+    the micro-batch over a length-prefixed pipe, every item whole, to a
+    child running :mod:`repro.service.procworker`, which solves it with
+    the same :func:`~repro.service.procworker.run_batch` as the thread
+    backend, then blocks for the result frame and decodes the columnar
+    results (see that module for the protocol).  One batch is in flight
+    at a time, as on threads.  The child rebuilds per-instance caches
+    locally under the same
     :class:`~repro.service.cache.InstanceLRU` bound; its counters ride
     back on every result frame and are folded across child generations
     by :meth:`_lru_stats`, so service-level cache accounting is backend
@@ -582,19 +561,20 @@ class ProcessShard(Shard):
     What the process boundary buys over threads:
 
     * **Crash containment** — a child that segfaults, OOMs, or is
-      SIGKILLed resolves its in-flight requests with the existing
-      retryable ``internal``/``timeout`` taxonomy and is replaced under
-      the PR-6 bounded restart backoff; nothing else in the service is
-      touched.
-    * **Hard deadlines** — when every in-flight request carries a
-      deadline and the last of them has been expired for more than
-      ``hard_kill_grace_ms`` with no result, the child is SIGKILLed:
-      even a solve that never reaches a cooperative probe boundary (a
-      wedged extension, a non-cooperative busy loop) cannot hold the
-      shard past its deadline.  The kill waits for the *latest* deadline
-      in the batch on purpose — the child solves items sequentially, so
-      an earlier item's expiry says nothing about whether the child is
-      stuck or legitimately working on a later item.
+      SIGKILLed fails the batch in flight with the existing retryable
+      ``internal``/``timeout`` taxonomy and is replaced under the PR-6
+      bounded restart backoff; the requests still queued go to the
+      respawned child, and nothing else in the service is touched.
+    * **Hard deadlines** — when every request of the batch in flight
+      carries a deadline and the latest of them has been expired for
+      more than ``hard_kill_grace_ms`` with no result, the child is
+      SIGKILLed and that batch fails: even a solve that never reaches a
+      cooperative probe boundary (a wedged extension, a
+      non-cooperative busy loop) cannot hold the shard past its
+      deadline.  The kill waits for the *latest* deadline in the batch
+      on purpose — the child solves items sequentially, so an earlier
+      item's expiry says nothing about whether the child is stuck or
+      legitimately working on a later item.
     * **Liveness** — the child heartbeats every ``heartbeat_ms``; a
       child that goes silent (frozen, suspended, dead pipe) is killed
       and treated as a crash.  A merely *busy* child keeps beating (the
@@ -629,13 +609,13 @@ class ProcessShard(Shard):
         self._met_dead = Metrics()
 
     # ------------------------------------------------------------------ #
-    # child lifecycle (pump-thread side, plus start()/close() on the
+    # child lifecycle (worker-thread side, plus start()/close() on the
     # loop side)
     # ------------------------------------------------------------------ #
 
     def start(self) -> None:
         if not self._started:
-            # Spawn the child before the pump thread exists, so service
+            # Spawn the child before the worker thread exists, so service
             # start-up pays the interpreter launch instead of the first
             # request (bench clocks and tail latencies stay clean).
             # Respawns after a crash remain lazy via _ensure_child() on
@@ -696,7 +676,7 @@ class ProcessShard(Shard):
         The thread backend can only *shed* a wedged worker at shutdown.
         Here the wedge is an OS process we own: after the same
         future-shedding sweep, the child is SIGKILLed (which unblocks the
-        pump via EOF) and reaped, so a non-cooperative hang never
+        worker thread via EOF) and reaped, so a non-cooperative hang never
         outlives ``close()``.
         """
         if wedged:
@@ -707,12 +687,12 @@ class ProcessShard(Shard):
         self._retire_child()
 
     def _metrics_snapshot(self) -> Metrics:
-        """Pump-side stages merged with the child generations' metrics.
+        """Worker-side stages merged with the child generations' metrics.
 
         Shapes match the thread backend exactly: queue/assembly come
-        from the pump (observed in :meth:`_expire`/:meth:`_send`),
-        solve and the solver counters from the child generations (live
-        snapshot + dead totals).
+        from the worker thread (observed in :meth:`_expire` and
+        :meth:`_dispatch`), solve and the solver counters from the child
+        generations (live snapshot + dead totals).
         """
         merged = super()._metrics_snapshot()
         merged.merge(self._met_dead)
@@ -722,55 +702,11 @@ class ProcessShard(Shard):
         return merged
 
     # ------------------------------------------------------------------ #
-    # pipelined pump (pump-thread side)
+    # dispatch (worker-thread side)
     # ------------------------------------------------------------------ #
 
-    #: Batches kept in flight toward the child.  Depth 2 is classic
-    #: double buffering: while the child solves batch k, the pump
-    #: already encodes and ships batch k+1 — the wire codec and the
-    #: pipe round trip leave the critical path instead of serializing
-    #: with every solve.
-    PIPELINE_DEPTH = 2
-
-    def _run(self) -> None:
-        try:
-            # (child, batch_id, live) in child order; every entry's
-            # works are also in self._inflight so supervision, close(),
-            # and crash sweeps can resolve the whole window.
-            pending: deque = deque()
-            draining = False
-            while True:
-                if draining:
-                    batch: list[_Work] | None = []
-                elif pending:
-                    batch = self._drain_nowait()
-                else:
-                    batch = self._drain()
-                if batch is None:  # close sentinel
-                    draining = True
-                    batch = []
-                if batch:
-                    live = self._expire(batch)
-                    if live:
-                        self._inflight = self._inflight + tuple(live)
-                        pending.append(self._send(live, pending))
-                if not pending:
-                    if draining:
-                        self._abandon_pending()
-                        return
-                    continue
-                if (not draining and batch
-                        and len(pending) < self.PIPELINE_DEPTH):
-                    continue  # top the window up before blocking
-                child, batch_id, live = pending.popleft()
-                rest = tuple(w for _, _, lv in pending for w in lv)
-                self._await_result(child, batch_id, live, doomed=rest)
-                self._inflight = rest
-        except BaseException as exc:  # noqa: BLE001 - supervised worker death
-            self._supervise(exc)
-
-    def _send(self, live: list[_Work], pending) -> tuple:
-        """Encode one micro-batch and ship it; the result comes later."""
+    def _dispatch(self, live: list[_Work]) -> None:
+        """Ship one micro-batch to the child and block for its result."""
         try:
             self._count_batch(live)
         except WorkerKilled:
@@ -779,22 +715,14 @@ class ProcessShard(Shard):
             self._retire_child()
             raise
         sigkill = self._faults is not None and self._faults.sigkill_now(self.index)
-        if pending:
-            # Earlier batches already ride this child generation: reuse
-            # it.  If it died meanwhile, the send below fails and the
-            # whole in-flight window unwinds through _child_failure.
-            child = self._child
-        else:
-            child = None
-        if child is None:
-            try:
-                child = self._ensure_child()
-            except Exception as exc:  # noqa: BLE001 - supervised spawn failure
-                died = _WorkerProcDied(
-                    f"shard {self.index}: worker process failed to start"
-                )
-                died.__cause__ = exc
-                raise died
+        try:
+            child = self._ensure_child()
+        except Exception as exc:  # noqa: BLE001 - supervised spawn failure
+            died = _WorkerProcDied(
+                f"shard {self.index}: worker process failed to start"
+            )
+            died.__cause__ = exc
+            raise died
         self._batch_seq += 1
         batch_id = self._batch_seq
         # One item-fault draw per item, in send order, against the
@@ -810,10 +738,7 @@ class ProcessShard(Shard):
         try:
             child.send_batch(batch_id, wire)
         except Exception as exc:  # noqa: BLE001 - child died, pipe broke
-            doomed = [w for _, _, lv in pending for w in lv]
-            self._child_failure(
-                list(live) + doomed, "worker pipe broke mid-send", cause=exc
-            )
+            self._child_failure(live, "worker pipe broke mid-send", cause=exc)
         # Assembly ends when the batch is shipped.  The "solve" stage is
         # owned by the child (it rides home on the result frame); the
         # parent-side solve_start/solve_end stamps exist only for the
@@ -821,7 +746,7 @@ class ProcessShard(Shard):
         self._stamp_assembly(live)
         if sigkill:
             child.kill()  # injected mid-flight crash (frames go EOF)
-        return child, batch_id, live
+        self._settle(live, self._await_result(child, batch_id, live))
 
     def _child_failure(self, live, reason, cause=None):
         """The child is gone with ``live`` in flight: resolve and unwind.
@@ -831,7 +756,7 @@ class ProcessShard(Shard):
         a hard kill, the timeout *is* the resolution); the rest are
         left for :meth:`Shard._supervise` to resolve with the standard
         retryable worker-death ``internal`` error when the exception
-        raised here unwinds the pump.  Both writes race nothing:
+        raised here unwinds the worker loop.  Both writes race nothing:
         settlement order is FIFO per event loop and idempotent.
         """
         self._retire_child()
@@ -847,21 +772,18 @@ class ProcessShard(Shard):
             died.__cause__ = cause
         raise died
 
-    def _await_result(self, child: WorkerProc, batch_id: int, live,
-                      doomed=()) -> None:
-        """Block for one batch's result frame, supervising the child.
+    def _await_result(self, child: WorkerProc, batch_id: int, live) -> list:
+        """Block for the batch's result frame, supervising the child.
 
-        ``doomed`` is the rest of the in-flight window (batches shipped
-        behind this one): they share the child's fate on a crash, and
-        the hard-kill rule is evaluated over the *whole* window — the
-        kill only arms when every in-flight request carries a deadline.
+        Returns one ``(result, error)`` per work.  The hard kill arms
+        only when every request of the batch carries a deadline.
         """
         kill_at = None
-        tokens = [w.cancel for w in live] + [w.cancel for w in doomed]
-        if tokens and all(t is not None and t.deadline is not None for t in tokens):
-            # Hard-kill horizon: the *latest* deadline in flight plus
+        tokens = [w.cancel for w in live]
+        if all(t is not None and t.deadline is not None for t in tokens):
+            # Hard-kill horizon: the batch's *latest* deadline plus
             # grace.  Never keyed on the earliest — the child works the
-            # window sequentially, and killing at the first expiry would
+            # batch sequentially, and killing at the first expiry would
             # murder a healthy child that is busy on a later item.
             budget = max(t.remaining() for t in tokens)
             kill_at = time.monotonic() + budget + self.hard_kill_grace
@@ -884,11 +806,8 @@ class ProcessShard(Shard):
                         log.error("shard %d: %s, killing it", self.index, killed)
                         child.kill()
                 continue  # a killed child surfaces as EOF shortly
-            if msg is None:  # EOF: the child is gone, with the whole window
-                self._child_failure(
-                    list(live) + list(doomed),
-                    killed or "worker process died mid-batch",
-                )
+            if msg is None:  # EOF: the child is gone, with the batch
+                self._child_failure(live, killed or "worker process died mid-batch")
             if not (isinstance(msg, tuple) and msg and msg[0] == "result"):
                 continue
             _, got_id, outcomes, lru_obj, met_obj, spans = msg
@@ -899,8 +818,7 @@ class ProcessShard(Shard):
             if self.trace is not None:
                 for span in spans:
                     self.trace.write(span)
-            self._settle(live, self._outcomes_from_wire(live, outcomes))
-            return
+            return self._outcomes_from_wire(live, outcomes)
 
     def _outcomes_from_wire(self, live, outcomes) -> list:
         """Decode a result frame's outcomes into ``(result, error)`` pairs."""

@@ -767,21 +767,41 @@ class TestServiceEngine:
         assert stats.requests == 0  # never reached a shard
 
     def test_submit_checks_eps_before_dispatch(self):
-        """A non-positive ``eps`` is the caller's error, not ``internal``."""
+        """A non-positive ``eps`` is the caller's error, not ``internal``,
+        and an in-process ``eps`` obeys the wire's rule: a float, a bool
+        or a value below ``EPS_MIN`` is a ``ValueError`` before dispatch,
+        not an ``internal`` error, a solve at eps = 1 or a search of
+        thousands of probes."""
         inst = Instance.build(3, [(1, [1, 2]), (2, [3, 4, 5])])
         request = SolveRequest(
             instance=inst, variant=Variant.SPLITTABLE, algorithm="eps",
             eps=Fraction(0),
         )
+        big = uniform_instance(290, 300, 2, seed=100, tmax=20)
+
+        def eps_request(eps):
+            return SolveRequest(
+                instance=big, variant=Variant.SPLITTABLE, algorithm="eps",
+                eps=eps, schedules=False,
+            )
 
         async def main():
             async with SolveService(ServiceConfig(shards=1)) as svc:
                 with pytest.raises(ValueError, match="eps must be positive"):
                     await svc.submit(request)
-                return svc.stats()
+                for bad in (0.01, True, Fraction(1, 2**65), Fraction(1, 2**4000)):
+                    with pytest.raises(ValueError, match="eps"):
+                        await svc.submit(eps_request(bad))
+                rejected = svc.stats().requests
+                served = await svc.submit(eps_request(Fraction(1, 2**64)))
+                return rejected, served
 
-        stats = asyncio.run(main())
-        assert stats.requests == 0  # never reached a shard
+        rejected, served = asyncio.run(main())
+        assert rejected == 0  # never reached a shard
+        want = solve_batch([BatchItem(
+            big, Variant.SPLITTABLE, "eps", Fraction(1, 2**64), schedules=False,
+        )])[0]
+        assert served.T == want.T
 
     def test_submit_checks_timeout_ms_before_dispatch(self, tiny):
         """An in-process ``timeout_ms`` obeys the wire's rule: out of range

@@ -20,9 +20,10 @@ injected fault needs):
   never leak exception text onto the wire;
 * the process backend (``workers="process"``) honors all of the above
   *plus* the guarantees threads cannot give: a non-cooperative wedge is
-  hard-killed at deadline + grace, a SIGKILLed child is contained to
-  structured retryable errors, and a shard past its restart budget
-  degrades gracefully — its fingerprint range reroutes to survivors.
+  hard-killed at its own batch's deadline + grace, a SIGKILLed child is
+  contained to structured retryable errors for the one batch it held,
+  and a shard past its restart budget degrades gracefully — its
+  fingerprint range reroutes to survivors.
 """
 
 from __future__ import annotations
@@ -495,6 +496,84 @@ class TestProcessBackend:
         assert stats.failed_shards == 0
         assert stats.requests == 9
         assert plan.fired["sigkill"] == 1
+
+    def test_child_crash_fails_only_its_own_batch(self):
+        """A SIGKILLed child fails the one batch it holds; the requests
+        queued behind it are solved by the respawned child."""
+        plan = FaultPlan([
+            DelaySolve(seconds=0.3, after_items=0, times=1),
+            SigKill(shard=0, after_batches=1, times=1),
+        ])
+        base = solve(fresh(TINY))
+
+        async def main():
+            config = ServiceConfig(
+                shards=1, max_batch=1, workers="process", restart_backoff=0.01
+            )
+            async with SolveService(config, faults=plan) as svc:
+                first = asyncio.ensure_future(
+                    svc.submit(SolveRequest(instance=fresh(TINY)))
+                )
+                await asyncio.sleep(0.1)  # A's batch is now in the child
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(
+                        first,
+                        *(
+                            svc.submit(SolveRequest(instance=fresh(TINY)))
+                            for _ in range(3)
+                        ),
+                        return_exceptions=True,
+                    ),
+                    timeout=30,
+                )
+                return outcomes, svc.stats()
+
+        (a, b, c, d), stats = run(main())
+        assert isinstance(b, ServiceError), b
+        assert b.code == "internal" and b.retryable is True
+        for r in (a, c, d):
+            assert not isinstance(r, BaseException), r
+            assert r.T == base.T and r.makespan == base.makespan
+        assert stats.worker_deaths == 1
+        assert plan.fired["sigkill"] == 1 and plan.fired["delay_solve"] == 1
+
+    def test_hard_kill_reads_only_its_own_batch_deadlines(self):
+        """A request without a deadline queued behind a wedged batch does
+        not disarm that batch's hard kill; the respawned child serves it."""
+        plan = FaultPlan([WedgeSolve(seconds=3.0, shard=0, after_items=0, times=1)])
+        base = solve(fresh(TINY))
+
+        async def main():
+            config = ServiceConfig(
+                shards=1, max_batch=1, workers="process",
+                hard_kill_grace_ms=100, restart_backoff=0.01,
+            )
+            async with SolveService(config, faults=plan) as svc:
+                start = time.monotonic()
+
+                async def timed(request):
+                    try:
+                        result = await svc.submit(request)
+                    except ServiceError as exc:
+                        result = exc
+                    return result, time.monotonic() - start
+
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(
+                        timed(SolveRequest(instance=fresh(TINY), timeout_ms=300)),
+                        timed(SolveRequest(instance=fresh(TINY))),
+                    ),
+                    timeout=30,
+                )
+                return outcomes, svc.stats()
+
+        ((a, a_s), (b, _)), stats = run(main())
+        assert isinstance(a, ServiceError) and a.code == "timeout", a
+        assert a_s < 2.0, a_s  # killed at deadline + grace, not after the wedge
+        assert not isinstance(b, ServiceError), b
+        assert b.T == base.T and b.makespan == base.makespan
+        assert stats.worker_deaths == 1
+        assert plan.fired["wedge_solve"] == 1
 
     @pytest.mark.parametrize("workers", ["thread", "process"])
     def test_failed_shard_reroutes_to_survivors(self, workers):
