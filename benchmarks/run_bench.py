@@ -65,15 +65,15 @@ Nine bench families:
   across instances to one ``BatchDualContext.evaluate`` call (a padded
   numpy pass for the splittable rows, the scalar kernel for the
   non-preemptive and preemptive ones).  Identical probe streams and bit-identical
-  verdicts on both sides (``use_grid=False``; the drift regression pins
-  the streams), warm instance caches.  The derived
+  verdicts on both sides (the ``eps`` search has no grid; the drift
+  regression pins the streams), warm instance caches.  The derived
   ``speedup/xbatch/<shape>`` is the PR-8 acceptance series (≥ 1.3× on
   the medium micro-batch; CI smoke floor 1.1).
 * ``plans/<fixture>/<variant>/{warm,cold}`` — the PR-9 pair-native plan
-  tier: one bounds-only single solve (``solve_batch`` with a single
-  ``schedules=False`` item, ``use_grid=False``) — exactly the probe-plan
-  search plus certificate assembly the plan tier rewrote onto normalized
-  ``(num, den)`` pairs.  ``warm`` reuses one instance (hot caches, the
+  tier: one bounds-only single solve (``api.solve_point`` with
+  ``schedules=False``, scalar probes on both kernels) — exactly the
+  probe-plan search plus certificate assembly the plan tier rewrote onto
+  normalized ``(num, den)`` pairs.  ``warm`` reuses one instance (hot caches, the
   service's repeated-dispatch regime); ``cold`` rebuilds the instance
   each run.  The derived ``speedup/plans/<fixture>/<variant>`` is the
   warm fraction-driver over warm fast-plan ratio, and the headline
@@ -110,7 +110,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.algos.api import solve  # noqa: E402
+from repro.algos.api import solve, solve_point  # noqa: E402
 from repro.algos.batch_api import solve_many, sweep_machines  # noqa: E402
 from repro.core import xbatch  # noqa: E402
 from repro.core.bounds import Variant  # noqa: E402
@@ -260,12 +260,13 @@ def bench_plans(inst: Instance, fixture_name: str, reps: int) -> dict[str, float
 
     Bounds-only single solves isolate the search layer: the plan
     generators' probes, memo table, bracket bookkeeping and certificate
-    assembly — no schedule construction.  ``use_grid=False`` on both
-    sides so the cell measures the scalar plan drive, not the flattened
-    grids.  The cells are microseconds-scale, so each measurement times
-    an inner block and divides.
+    assembly — no schedule construction.  Each solve is one
+    ``api.solve_point`` call, whose ``grid`` defaults to off, on both
+    kernels, so the cell measures the scalar plan drive, not the grid
+    blocks the batch API's policy would engage on a wide splittable
+    fixture.  The cells are microseconds-scale, so each measurement
+    times an inner block and divides.
     """
-    from repro.algos.batch_api import BatchItem, solve_batch
 
     def block(fn, inner: int) -> float:
         best = float("inf")
@@ -276,30 +277,20 @@ def bench_plans(inst: Instance, fixture_name: str, reps: int) -> dict[str, float
             best = min(best, (time.perf_counter() - t0) / inner)
         return best
 
+    def point(instance, variant, kernel):
+        return solve_point(
+            instance, variant, "three_halves", kernel=kernel, schedules=False
+        )
+
     out: dict[str, float] = {}
     warm_by_variant: dict[Variant, float] = {}
     inst_warm = fresh(inst)
     for variant in Variant:
-        item = BatchItem(
-            instance=inst_warm, variant=variant, algorithm="three_halves",
-            schedules=False,
-        )
         for kern in KERNELS:  # prime the shared caches outside the clock
-            solve_batch([item], kernel=kern, use_grid=False)
-        warm = block(
-            lambda: solve_batch([item], kernel="fast", use_grid=False), inner=20
-        )
-        warm_frac = block(
-            lambda: solve_batch([item], kernel="fraction", use_grid=False), inner=20
-        )
-        cold = block(
-            lambda v=variant: solve_batch(
-                [BatchItem(instance=fresh(inst), variant=v,
-                           algorithm="three_halves", schedules=False)],
-                kernel="fast", use_grid=False,
-            ),
-            inner=5,
-        )
+            point(inst_warm, variant, kern)
+        warm = block(lambda: point(inst_warm, variant, "fast"), inner=20)
+        warm_frac = block(lambda: point(inst_warm, variant, "fraction"), inner=20)
+        cold = block(lambda: point(fresh(inst), variant, "fast"), inner=5)
         out[f"plans/{fixture_name}/{variant.value}/warm"] = warm
         out[f"plans/{fixture_name}/{variant.value}/cold"] = cold
         out[f"speedup/plans/{fixture_name}/{variant.value}"] = warm_frac / warm
@@ -320,8 +311,8 @@ def bench_xbatch(reps: int) -> dict[str, float]:
     sending each round's same-kind probes across instances to one
     ``BatchDualContext.evaluate`` call: splittable rows fuse into one
     padded numpy pass, non-preemptive and preemptive rows run on the
-    scalar kernel).  Both sides run scalar per-probe streams
-    (``use_grid=False``), so the cell isolates exactly what the fused
+    scalar kernel).  Both sides run scalar per-probe streams (the ``eps``
+    search has no grid), so the cell isolates exactly what the fused
     path replaces: the probe *streams* are identical by construction
     (the drift regression in ``tests/test_xbatch.py`` pins this) and
     the verdicts bit-identical — only the evaluator changes.  Instances
@@ -383,13 +374,9 @@ def bench_xbatch(reps: int) -> dict[str, float]:
     for shape in ("medium", "zipf", "wide"):
         items = microbatch(shape)
         for xb in (False, True):  # warm the shared instance caches
-            solve_batch(items, xbatch=xb, use_grid=False)
-        seq = best_of(
-            lambda: solve_batch(items, xbatch=False, use_grid=False), reps
-        )
-        fused = best_of(
-            lambda: solve_batch(items, xbatch=True, use_grid=False), reps
-        )
+            solve_batch(items, xbatch=xb)
+        seq = best_of(lambda: solve_batch(items, xbatch=False), reps)
+        fused = best_of(lambda: solve_batch(items, xbatch=True), reps)
         out[f"xbatch/{shape}/seq"] = seq
         out[f"xbatch/{shape}/fused"] = fused
         out[f"speedup/xbatch/{shape}"] = seq / fused
@@ -476,10 +463,10 @@ def bench_obs(reps: int, shapes: tuple[str, ...]) -> dict[str, float]:
             instance=inst, variant=Variant.NONPREEMPTIVE,
             algorithm="three_halves", schedules=False,
         )
-        solve_batch([item], use_grid=False)  # warm the shared caches
+        solve_batch([item])  # warm the shared caches
 
         def run_one(item=item):
-            solve_batch([item], use_grid=False)
+            solve_batch([item])
 
         # Best-of-passes on the *ratio*: the claim is an upper bound on
         # armed overhead, and noise only ever inflates the apparent

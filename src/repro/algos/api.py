@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Callable, Literal, NamedTuple, Union
 
 from ..core.bounds import Variant, lower_bound, setup_plus_tmax, t_min
+from ..core.errors import echo
 from ..core.fastnum import validate_kernel
 from ..core.instance import Instance
 from ..core.numeric import Time, fast_fraction
@@ -130,21 +131,36 @@ def _coerce_variant(variant) -> Variant:
         ) from None
 
 
+def _check_eps(eps, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``eps`` is an int (not a bool) or a
+    ``Fraction``, and positive.
+
+    The type and sign rule for ``eps``, for every algorithm: the library
+    entry points apply it through :func:`_validate_request`, the service
+    through :func:`repro.service.protocol.check_eps`, which adds its
+    lower bound.  A float or a bool would otherwise solve as some other
+    ``eps`` or fail inside the probe plan.
+    """
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise error(f"eps must be an int or a Fraction, got {echo(eps)}")
+    if eps <= 0:
+        raise error(f"eps must be positive, got {echo(eps, str(eps))}")
+
+
 def _validate_request(variant, algorithm, schedules: bool, eps) -> Variant:
     """Validate one request's names and ``eps`` *before* any solving starts.
 
     Every entry point calls this first, so a bad variant or algorithm
-    name, or a non-positive ``eps`` for ``"eps"``, raises even where a
-    closed form would need no search, and the batched entry points never
-    surface one mid-stream (or after partial results were already
-    computed).
+    name, or an ``eps`` that :func:`_check_eps` refuses (whatever the
+    algorithm), raises even where a closed form would need no search,
+    and the batched entry points never surface one mid-stream (or after
+    partial results were already computed).
     """
     variant = _coerce_variant(variant)
     if algorithm not in VALID_ALGORITHMS:
         valid = ", ".join(repr(a) for a in VALID_ALGORITHMS)
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {valid}")
-    if algorithm == "eps" and eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if not schedules and algorithm == "two":
         raise ValueError(
             "schedules=False supports the dual-search algorithms "
@@ -353,8 +369,9 @@ def solve(
     """Solve ``instance`` under ``variant`` with the requested guarantee.
 
     ``variant`` is a :class:`Variant` member or its name
-    (``"splittable"``, ...); unknown variant or algorithm names, and
-    ``eps <= 0`` with ``algorithm="eps"``, raise ``ValueError`` before
+    (``"splittable"``, ...); unknown variant or algorithm names, and an
+    ``eps`` that is not a positive int or ``Fraction`` (a float or a
+    bool included, whatever the algorithm), raise ``ValueError`` before
     any work, closed-form instances included.
 
     ``portfolio=True`` additionally runs the cheap heuristics (2-approx

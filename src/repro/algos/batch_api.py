@@ -23,12 +23,14 @@ This module is the façade that exploits the sharing:
 * All offer ``schedules=False``: the dual searches still resolve the
   certified makespan ``T`` with its lower-bound certificate — the
   splittable flip search through the vectorized :mod:`repro.core.xbatch`
-  engine when numpy is available and the grid policy engages — but no
-  schedule is materialized.  Sweep consumers that only need the
-  ``T*``/bound curve (capacity planning: "how many machines until the
-  proven bound drops below X?") skip the dominant construction cost
-  entirely; :class:`SweepPoint` carries the same certified fields a
-  full :class:`~repro.algos.api.SolveResult` would.
+  engine when numpy is available and :data:`GRID_POLICY` engages it —
+  but no schedule is materialized.  The policy alone makes that
+  choice; code that studies the grid forces it one level lower, with
+  ``solve_point(..., schedules=False, grid=True)``.  Sweep consumers
+  that only need the ``T*``/bound curve (capacity planning: "how many
+  machines until the proven bound drops below X?") skip the dominant
+  construction cost entirely; :class:`SweepPoint` carries the same
+  certified fields a full :class:`~repro.algos.api.SolveResult` would.
 
 Every solve runs :mod:`repro.algos.api`'s one solve path (per item
 :func:`~repro.algos.api.solve_point`; in lockstep
@@ -99,67 +101,29 @@ def _grid_block_estimate(c: int) -> int:
     return min(c + 2, GRID_BLOCK)
 
 
-def _check_request(
-    variant, algorithm, schedules: bool, eps, kernel: Kernel, use_grid: Optional[bool]
-) -> Variant:
-    """One request's name, ``eps`` and forced-grid checks, raised before any solve.
-
-    ``use_grid=True`` fails loudly rather than silently probing scalar.
-    """
-    variant = _validate_request(variant, algorithm, schedules, eps)
-    if not use_grid:
-        return variant
-    if schedules:
-        raise ValueError(
-            "use_grid=True applies to bounds-only solves (schedules=False); "
-            "full-schedule solves use the scalar searches"
-        )
-    if kernel != "fast":
-        raise ValueError(
-            "use_grid=True needs kernel='fast'; the fraction kernel probes "
-            "one candidate at a time"
-        )
-    if not _has_grid(variant, algorithm):
-        raise ValueError(
-            f"use_grid=True: the {variant.value} {algorithm!r} search has no "
-            f"grid; only the splittable 'three_halves' flip search has one"
-        )
-    return variant
-
-
-def _check_numpy(use_grid: Optional[bool]) -> None:
-    """After every request's :func:`_check_request`: a forced grid needs numpy."""
-    if use_grid and not xbatch.HAVE_NUMPY:
-        raise RuntimeError("use_grid=True but numpy is not installed")
-
-
 def _grid_for(
     instance: Instance,
     variant: Variant,
     algorithm: Algorithm,
     kernel: Kernel,
-    use_grid: Optional[bool],
     schedules: bool,
 ) -> bool:
-    """One solve's grid decision (``use_grid`` vetted by :func:`_check_request`).
+    """One solve's grid decision, made by :data:`GRID_POLICY` alone.
 
-    Full schedules probe scalar; ``True``/``False`` force the choice.
-    ``None`` engages the splittable flip search's grid when numpy is
-    importable, the kernel is ``"fast"``, the candidate block
-    (:func:`_grid_block_estimate`) and ``block × c`` fit the
-    :data:`GRID_POLICY` window, and the candidates clear the int64
-    precheck: an overflow-prone grid call stays correct but falls back
-    to probing its whole block one by one.  The overflow probe
-    (:func:`repro.core.xbatch._grid_is_safe` on ``[T_min, 2·T_min]`` at
-    denominators up to ``1024·2m``, a superset of the dyadic refinements
-    and class jumps seen in practice) depends on ``m`` only, so its
-    verdict is parked in the instance's shared misc cache, evicted by
-    :meth:`Instance.release_caches`.
+    Full schedules probe scalar.  A bounds-only solve engages the
+    splittable flip search's grid when numpy is importable, the kernel
+    is ``"fast"``, the candidate block (:func:`_grid_block_estimate`)
+    and ``block × c`` fit the :data:`GRID_POLICY` window, and the
+    candidates clear the int64 precheck: an overflow-prone grid call
+    stays correct but falls back to probing its whole block one by one.
+    The overflow probe (:func:`repro.core.xbatch._grid_is_safe` on
+    ``[T_min, 2·T_min]`` at denominators up to ``1024·2m``, a superset
+    of the dyadic refinements and class jumps seen in practice) depends
+    on ``m`` only, so its verdict is parked in the instance's shared
+    misc cache, evicted by :meth:`Instance.release_caches`.
     """
     if schedules:
         return False
-    if use_grid is not None:
-        return use_grid
     if not _has_grid(variant, algorithm) or kernel != "fast" or not xbatch.HAVE_NUMPY:
         return False
     block_min, work_max = GRID_POLICY
@@ -194,9 +158,9 @@ def _shared(reps: MutableMapping[str, Instance], instance: Instance) -> Instance
     return rep.with_machines(instance.m, share_caches=True)
 
 
-def _point(instance, variant, algorithm, eps, kernel, schedules, use_grid):
+def _point(instance, variant, algorithm, eps, kernel, schedules):
     """:func:`~repro.algos.api.solve_point` under this solve's grid decision."""
-    grid = _grid_for(instance, variant, algorithm, kernel, use_grid, schedules)
+    grid = _grid_for(instance, variant, algorithm, kernel, schedules)
     return solve_point(
         instance, variant, algorithm, eps, kernel=kernel, schedules=schedules, grid=grid
     )
@@ -211,7 +175,6 @@ def sweep_machines(
     *,
     kernel: Kernel = "fast",
     schedules: bool = True,
-    use_grid: Optional[bool] = None,
 ) -> Union[list[SolveResult], list[SweepPoint]]:
     """Solve ``instance`` across machine counts ``ms``, sharing every cache.
 
@@ -226,24 +189,18 @@ def sweep_machines(
     ms]``.  ``schedules=False`` returns :class:`SweepPoint` bounds
     (same certified ``T``/ratio/lower bound, no schedule) and lets the
     splittable flip search run its candidate blocks on the vectorized
-    engine — the fast path for ``T*``-curve workloads.
-
-    ``use_grid`` applies to the bounds-only splittable ``three_halves``
-    flip search: ``None`` (default) lets :data:`GRID_POLICY` engage the
-    numpy grid evaluator per point when numpy is importable, the kernel
-    is ``"fast"`` and the point clears the int64 overflow probe;
-    ``False`` forces scalar probing; ``True`` requires numpy.  Forcing
-    ``use_grid=True`` on a search without a grid — full schedules,
-    ``eps``, preemptive or non-preemptive, or ``kernel="fraction"`` —
-    raises ``ValueError`` rather than silently degrading.
+    engine — the fast path for ``T*``-curve workloads.  Whether a point
+    does is :data:`GRID_POLICY`'s decision alone (:func:`_grid_for`):
+    the bounds-only splittable ``three_halves`` search on the ``"fast"``
+    kernel, with numpy importable, inside the policy window and clear of
+    the int64 overflow probe; every other point probes scalar.
     """
     validate_kernel(kernel)
-    variant = _check_request(variant, algorithm, schedules, eps, kernel, use_grid)
-    _check_numpy(use_grid)
+    variant = _validate_request(variant, algorithm, schedules, eps)
     return [
         _point(
             instance.with_machines(m, share_caches=True), variant, algorithm,
-            eps, kernel, schedules, use_grid,
+            eps, kernel, schedules,
         )
         for m in ms
     ]
@@ -257,7 +214,6 @@ def solve_many(
     *,
     kernel: Kernel = "fast",
     schedules: bool = True,
-    use_grid: Optional[bool] = None,
 ) -> Union[list[SolveResult], list[SweepPoint]]:
     """Solve a stream of instances, sharing caches between equal inputs.
 
@@ -268,11 +224,10 @@ def solve_many(
     (or, with ``schedules=False``, to its certificate fields).
     """
     validate_kernel(kernel)
-    variant = _check_request(variant, algorithm, schedules, eps, kernel, use_grid)
-    _check_numpy(use_grid)
+    variant = _validate_request(variant, algorithm, schedules, eps)
     reps: dict[str, Instance] = {}
     return [
-        _point(_shared(reps, inst), variant, algorithm, eps, kernel, schedules, use_grid)
+        _point(_shared(reps, inst), variant, algorithm, eps, kernel, schedules)
         for inst in instances
     ]
 
@@ -304,22 +259,14 @@ class BatchItem:
     ms: Optional[tuple[int, ...]] = None
 
 
-def _solve_item(
-    shared: Instance,
-    variant: Variant,
-    item: BatchItem,
-    kernel: Kernel,
-    use_grid: Optional[bool],
-):
+def _solve_item(shared: Instance, variant: Variant, item: BatchItem, kernel: Kernel):
     """One item of :func:`solve_batch` on the sequential per-item path."""
     if item.ms is not None:
         return sweep_machines(
             shared, item.ms, variant, item.algorithm, item.eps,
-            kernel=kernel, schedules=item.schedules, use_grid=use_grid,
+            kernel=kernel, schedules=item.schedules,
         )
-    return _point(
-        shared, variant, item.algorithm, item.eps, kernel, item.schedules, use_grid
-    )
+    return _point(shared, variant, item.algorithm, item.eps, kernel, item.schedules)
 
 
 def solve_batch(
@@ -327,7 +274,6 @@ def solve_batch(
     *,
     kernel: Kernel = "fast",
     reps: Optional[MutableMapping[str, Instance]] = None,
-    use_grid: Optional[bool] = None,
     cancels: Optional[Sequence[Optional[CancelToken]]] = None,
     before_solve: Optional[Callable[[BatchItem], None]] = None,
     xbatch: bool = False,
@@ -350,12 +296,13 @@ def solve_batch(
     mappings (the service guarantees this by sharding on fingerprint)
     never share a lazily-filled cache across threads.
 
-    Every name, ``eps`` and ``use_grid=True`` is validated before the
-    first solve (one clear error, no partial results), and the output
-    list matches ``items`` order: ``SolveResult`` | :class:`SweepPoint`
-    for single solves, a list thereof for ``ms`` sweeps — each
-    bit-identical to the corresponding fresh-instance ``solve()`` /
-    ``sweep_machines`` call.
+    Every name and ``eps`` is validated before the first solve (one
+    clear error, no partial results), and the output list matches
+    ``items`` order: ``SolveResult`` | :class:`SweepPoint` for single
+    solves, a list thereof for ``ms`` sweeps — each bit-identical to the
+    corresponding fresh-instance ``solve()`` / ``sweep_machines`` call.
+    Which solves run the splittable flip search's grid is
+    :data:`GRID_POLICY`'s decision (:func:`_grid_for`), per item.
 
     ``cancels`` (aligned with ``items``) attaches a per-item
     :class:`~repro.core.cancel.CancelToken`: each item solves inside a
@@ -387,13 +334,10 @@ def solve_batch(
     prepared = [
         (
             item,
-            _check_request(
-                item.variant, item.algorithm, item.schedules, item.eps, kernel, use_grid
-            ),
+            _validate_request(item.variant, item.algorithm, item.schedules, item.eps),
         )
         for item in items
     ]
-    _check_numpy(use_grid)
     if cancels is not None and len(cancels) != len(items):
         raise ValueError(
             f"cancels must align with items: {len(cancels)} tokens "
@@ -402,9 +346,7 @@ def solve_batch(
     if reps is None:
         reps = {}
     if xbatch and kernel == "fast":
-        return _solve_batch_lockstep(
-            prepared, kernel, reps, use_grid, cancels, before_solve
-        )
+        return _solve_batch_lockstep(prepared, kernel, reps, cancels, before_solve)
     out: list = []
     for idx, (item, variant) in enumerate(prepared):
         token = cancels[idx] if cancels is not None else None
@@ -414,7 +356,7 @@ def solve_batch(
             if token is not None:
                 token.check()  # skip work that is already past its deadline
             shared = _shared(reps, item.instance)
-            out.append(_solve_item(shared, variant, item, kernel, use_grid))
+            out.append(_solve_item(shared, variant, item, kernel))
     return out
 
 
@@ -438,7 +380,6 @@ def _solve_batch_lockstep(
     prepared: Sequence[tuple[BatchItem, Variant]],
     kernel: Kernel,
     reps: MutableMapping[str, Instance],
-    use_grid: Optional[bool],
     cancels: Optional[Sequence[Optional[CancelToken]]],
     before_solve: Optional[Callable[[BatchItem], None]],
 ) -> list:
@@ -481,8 +422,7 @@ def _solve_batch_lockstep(
                 prep = None
                 if item.ms is None:
                     grid = _grid_for(
-                        shared, variant, item.algorithm, kernel, use_grid,
-                        item.schedules,
+                        shared, variant, item.algorithm, kernel, item.schedules
                     )
                     prep = prepare(
                         shared, variant, item.algorithm, item.eps, kernel,
@@ -490,7 +430,7 @@ def _solve_batch_lockstep(
                     )
                 if prep is None:
                     obs_count("xbatch.straggler")
-                    out[idx] = _solve_item(shared, variant, item, kernel, use_grid)
+                    out[idx] = _solve_item(shared, variant, item, kernel)
                 else:
                     plan, finish = prep
                     runs[idx] = _LockstepRun(

@@ -5,9 +5,33 @@ callers can distinguish library errors from programming errors.  Validators
 raise :class:`InfeasibleScheduleError` with a precise human-readable reason;
 the algorithms raise :class:`ConstructionError` only if an internal invariant
 proven in the paper is violated (i.e. a bug, never an expected condition).
+:func:`echo` bounds the refused value an error message quotes.
 """
 
 from __future__ import annotations
+
+from typing import Optional
+
+#: The longest value text an error message echoes whole.
+ECHO_MAX = 200
+
+
+def echo(value, text: Optional[str] = None) -> str:
+    """The ``got …`` part of an error message about a refused value, bounded.
+
+    ``text`` (default ``repr(value)``) is kept as it is up to
+    :data:`ECHO_MAX` characters; a longer one is cut to that prefix plus
+    ``...`` and the value's entry count (its length in characters when
+    it has no entries), so a refused value of megabytes gets a one-line
+    message (a service ``bad_request`` among them).
+    """
+    if text is None:
+        text = repr(value)
+    if len(text) <= ECHO_MAX:
+        return text
+    if isinstance(value, (list, tuple, dict)):
+        return f"{text[:ECHO_MAX]}... ({len(value)} entries)"
+    return f"{text[:ECHO_MAX]}... ({len(text)} characters)"
 
 
 class ReproError(Exception):

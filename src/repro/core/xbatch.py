@@ -10,9 +10,11 @@ member instances — in one call.  It serves two callers:
   (``xbatch=True``) advances many items' bracket searches one round at a
   time and hands each round's probe rows, across *different* instances,
   to one evaluation;
-* the splittable flip search with ``use_grid=True`` sends each
-  candidate block to a one-member context (every row names member 0);
-  its blocks are ``split`` rows.
+* the splittable flip search, when it runs with ``grid=True`` (the
+  batch API's :data:`~repro.algos.batch_api.GRID_POLICY` decides, or
+  a study forces it with ``api.solve_point(..., grid=True)``), sends
+  each candidate block to a one-member context (every row names
+  member 0); its blocks are ``split`` rows.
 
 Which kinds fuse:
 

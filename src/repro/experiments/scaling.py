@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..algos.api import solve
+from ..algos.api import solve, solve_point
 from ..algos.batch_api import SweepPoint, sweep_machines
 from ..analysis.complexity import ScalingFit, fit_loglog, time_algorithm
 from ..analysis.reporting import fmt_time, format_table
@@ -252,9 +252,13 @@ def run_grid_crossover(
     block one :meth:`~repro.core.xbatch.BatchDualContext.evaluate` call
     on a one-member context, and the block×c column is exactly the
     quantity the auto policy gates on (see
-    :data:`repro.algos.batch_api.GRID_POLICY`).  Re-run after touching a
-    dual-test tier and recalibrate the window from the winner column.
-    Requires numpy (the ``[batch]`` extra).
+    :data:`repro.algos.batch_api.GRID_POLICY`).  The policy alone picks
+    the grid in the batch API, so each side forces its choice one level
+    lower: every machine count is one
+    :func:`~repro.algos.api.solve_point` call with ``grid`` set, on a
+    cache-sharing copy of one fresh instance, as a sweep would solve it.
+    Re-run after touching a dual-test tier and recalibrate the window
+    from the winner column.  Requires numpy (the ``[batch]`` extra).
     """
     from ..algos.batch_api import _grid_block_estimate
     from ..core import xbatch
@@ -270,10 +274,11 @@ def run_grid_crossover(
             for _ in range(repeats):
                 fresh = Instance(m=inst.m, setups=inst.setups, jobs=inst.jobs)
                 t0 = time.perf_counter()
-                sweep_machines(
-                    fresh, ms, Variant.SPLITTABLE, "three_halves",
-                    schedules=False, use_grid=grid,
-                )
+                for machines in ms:
+                    solve_point(
+                        fresh.with_machines(machines, share_caches=True),
+                        Variant.SPLITTABLE, schedules=False, grid=grid,
+                    )
                 best[grid] = min(best[grid], time.perf_counter() - t0)
         out.append(
             GridTiming(

@@ -23,11 +23,12 @@ protocol over the child's stdin/stdout pipes:
   parent token's own (injectable) clock — the child re-arms a local
   monotonic token, so parent/child clocks never need to agree on an
   epoch.
-* **Liveness** is a heartbeat frame every ``--heartbeat-ms`` from a
-  child-side daemon thread.  A busy solve keeps heartbeating (the GIL
-  timeslices the beat thread in); only a truly frozen or dead process
-  goes silent, which is exactly what the parent supervisor wants to
-  distinguish from "slow".
+* **Liveness** is a heartbeat frame every :data:`HEARTBEAT_S` (100 ms)
+  from a child-side daemon thread.  A busy solve keeps heartbeating (the
+  GIL timeslices the beat thread in); only a truly frozen or dead
+  process goes silent, which is exactly what the parent supervisor
+  wants to distinguish from "slow": it kills a child silent for
+  ``max(20 × HEARTBEAT_S, 2 s)``.
 
 The child solves each batch with :func:`run_batch`, the same function
 the thread backend calls in-process (one ``solve_batch`` call, per-item
@@ -79,6 +80,9 @@ _MAX_FRAME_LEN = 1 << 40
 #: latency* — measured as ~1 ms of dead time per batch on the child's
 #: solve thread.  A megabyte of kernel-side slack decouples the two.
 _PIPE_CAPACITY = 1 << 20
+#: The child's heartbeat period in seconds.  The parent reads it too: a
+#: child silent for ``max(20 × HEARTBEAT_S, 2 s)`` is killed as dead.
+HEARTBEAT_S = 0.1
 
 
 def _widen_pipe(fileobj) -> None:
@@ -379,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--shard", type=int, required=True)
     parser.add_argument("--max-instances", type=int, default=8)
-    parser.add_argument("--heartbeat-ms", type=int, default=100)
     parser.add_argument("--xbatch", action="store_true")
     return parser
 
@@ -403,10 +406,9 @@ def main(argv=None) -> int:
         write_frame(out, ("ready", os.getpid()))
 
     stop = threading.Event()
-    beat_s = max(args.heartbeat_ms, 1) / 1000.0
 
     def _beat() -> None:
-        while not stop.wait(beat_s):
+        while not stop.wait(HEARTBEAT_S):
             try:
                 with wlock:
                     write_frame(out, ("hb",))
@@ -473,10 +475,9 @@ class WorkerProc:
     """
 
     def __init__(self, shard: int, *, max_instances: int,
-                 heartbeat_ms: int = 100, xbatch: bool = False) -> None:
+                 xbatch: bool = False) -> None:
         self.shard = shard
         self.max_instances = max_instances
-        self.heartbeat_ms = heartbeat_ms
         self.xbatch = xbatch
         self.proc: Optional[subprocess.Popen] = None
         self.pid: Optional[int] = None
@@ -494,7 +495,6 @@ class WorkerProc:
             "from repro.service.procworker import main; raise SystemExit(main())",
             "--shard", str(self.shard),
             "--max-instances", str(self.max_instances),
-            "--heartbeat-ms", str(self.heartbeat_ms),
         ]
         if self.xbatch:
             cmd.append("--xbatch")

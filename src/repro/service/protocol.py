@@ -80,10 +80,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, Union
 
-from ..algos.api import SolveResult
+from ..algos.api import SolveResult, _check_eps
 from ..algos.batch_api import BatchItem, SweepPoint, _validate_request
 from ..core.bounds import Variant
-from ..core.errors import InvalidInstanceError
+from ..core.errors import ECHO_MAX, InvalidInstanceError, echo
 from ..core.instance import Instance
 
 __all__ = [
@@ -184,28 +184,6 @@ class ServiceError(Exception):
 # --------------------------------------------------------------------------- #
 # scalars
 # --------------------------------------------------------------------------- #
-
-
-#: The longest value text a ``bad_request`` message echoes whole.
-ECHO_MAX = 200
-
-
-def echo(value, text: Optional[str] = None) -> str:
-    """The ``got …`` part of a ``bad_request`` message, bounded.
-
-    ``text`` (default ``repr(value)``) is kept as it is up to
-    :data:`ECHO_MAX` characters; a longer one is cut to that prefix plus
-    ``...`` and the value's entry count (its length in characters when
-    it has no entries), so a rejected line of megabytes gets a one-line
-    answer.
-    """
-    if text is None:
-        text = repr(value)
-    if len(text) <= ECHO_MAX:
-        return text
-    if isinstance(value, (list, tuple, dict)):
-        return f"{text[:ECHO_MAX]}... ({len(value)} entries)"
-    return f"{text[:ECHO_MAX]}... ({len(text)} characters)"
 
 
 def encode_time(value):
@@ -536,12 +514,11 @@ def check_eps(eps) -> None:
     The one rule for a request's ``eps``, for every algorithm: the wire
     parser applies it to the value :func:`parse_time` read, and
     :meth:`~repro.service.engine.SolveService.submit` to an in-process
-    request's.
+    request's.  Its type and sign half is the library's own
+    (:func:`~repro.algos.api._check_eps`, which every library entry
+    point applies too); the lower bound is the service's.
     """
-    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
-        raise ProtocolError(f"eps must be an int or a Fraction, got {echo(eps)}")
-    if eps <= 0:
-        raise ProtocolError(f"eps must be positive, got {echo(eps, str(eps))}")
+    _check_eps(eps, ProtocolError)
     if eps < EPS_MIN:
         raise ProtocolError("eps must be at least 1/2**64")
 

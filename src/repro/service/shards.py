@@ -58,7 +58,13 @@ from ..obs.metrics import Metrics
 from ..obs.trace import TraceWriter
 from .cache import InstanceLRU, LRUStats
 from .faults import FaultPlan, WorkerKilled
-from .procworker import WorkerProc, result_from_wire, run_batch, work_to_wire
+from .procworker import (
+    HEARTBEAT_S,
+    WorkerProc,
+    result_from_wire,
+    run_batch,
+    work_to_wire,
+)
 from .protocol import ServiceError
 
 __all__ = ["ProcessShard", "Shard", "ShardStats", "shard_index"]
@@ -575,11 +581,12 @@ class ProcessShard(Shard):
       on purpose — the child solves items sequentially, so an earlier
       item's expiry says nothing about whether the child is stuck or
       legitimately working on a later item.
-    * **Liveness** — the child heartbeats every ``heartbeat_ms``; a
-      child that goes silent (frozen, suspended, dead pipe) is killed
-      and treated as a crash.  A merely *busy* child keeps beating (the
-      beat thread shares the child's GIL timeslices), so slow is never
-      misread as dead.
+    * **Liveness** — the child heartbeats every
+      :data:`~repro.service.procworker.HEARTBEAT_S` (100 ms); a child
+      silent for ``max(20 × HEARTBEAT_S, 2 s)`` (frozen, suspended,
+      dead pipe) is killed and treated as a crash.  A merely *busy*
+      child keeps beating (the beat thread shares the child's GIL
+      timeslices), so slow is never misread as dead.
 
     Every fault decision — batch-level (:class:`~repro.service.faults.
     KillWorker`, :class:`~repro.service.faults.SigKill`) *and*
@@ -590,10 +597,9 @@ class ProcessShard(Shard):
     """
 
     def __init__(self, index: int, *, hard_kill_grace_ms: int = 200,
-                 heartbeat_ms: int = 100, **kwargs) -> None:
+                 **kwargs) -> None:
         super().__init__(index, **kwargs)
         self.hard_kill_grace = max(hard_kill_grace_ms, 0) / 1000.0
-        self.heartbeat_ms = heartbeat_ms
         self._child: Optional[WorkerProc] = None
         self._batch_seq = 0
         # Child-side LRU accounting: the live child's latest snapshot
@@ -633,7 +639,6 @@ class ProcessShard(Shard):
         child = WorkerProc(
             self.index,
             max_instances=self.lru.max_entries,
-            heartbeat_ms=self.heartbeat_ms,
             xbatch=self.xbatch,
         )
         child.start()
@@ -787,7 +792,7 @@ class ProcessShard(Shard):
             # murder a healthy child that is busy on a later item.
             budget = max(t.remaining() for t in tokens)
             kill_at = time.monotonic() + budget + self.hard_kill_grace
-        hb_timeout = max(20 * self.heartbeat_ms / 1000.0, 2.0)
+        hb_timeout = max(20 * HEARTBEAT_S, 2.0)
         killed: Optional[str] = None
         while True:
             try:

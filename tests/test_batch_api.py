@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algos.api import solve
+from repro.algos.api import solve, solve_point
 from repro.algos.batch_api import SweepPoint, solve_many, sweep_machines
 from repro.core import xbatch
 from repro.core.bounds import Variant
@@ -63,21 +63,22 @@ class TestSweepMachines:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_bounds_mode_matches_solve_certificates(self, inst, variant):
         ms = machine_counts(inst)
-        grids = [None, False]
-        if variant is Variant.SPLITTABLE and xbatch.HAVE_NUMPY:
-            grids.append(True)  # force the flip search's grid blocks
-        for use_grid in grids:
-            points = sweep_machines(
-                inst, ms, variant, schedules=False, use_grid=use_grid
-            )
-            for m, point in zip(ms, points):
-                ref = solve(fresh(inst, m), variant)
-                assert isinstance(point, SweepPoint)
-                assert point.m == m
-                assert point.T == ref.T
-                assert point.ratio_bound == ref.ratio_bound
-                assert point.opt_lower_bound == ref.opt_lower_bound
-                assert ref.makespan <= point.makespan_bound
+        points = sweep_machines(inst, ms, variant, schedules=False)
+        force_grid = variant is Variant.SPLITTABLE and xbatch.HAVE_NUMPY
+        for m, point in zip(ms, points):
+            ref = solve(fresh(inst, m), variant)
+            results = [point]
+            if force_grid:  # the flip search's grid blocks, forced below the policy
+                results.append(
+                    solve_point(fresh(inst, m), variant, schedules=False, grid=True)
+                )
+            for got in results:
+                assert isinstance(got, SweepPoint)
+                assert got.m == m
+                assert got.T == ref.T
+                assert got.ratio_bound == ref.ratio_bound
+                assert got.opt_lower_bound == ref.opt_lower_bound
+                assert ref.makespan <= got.makespan_bound
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_bounds_mode_eps_algorithm(self, variant):
@@ -104,99 +105,56 @@ class TestSweepMachines:
         with pytest.raises(ValueError):
             sweep_machines(inst, [inst.m], algorithm="two", schedules=False)
 
-    def test_use_grid_with_full_schedules_raises(self):
-        """Full-schedule sweeps use scalar searches; forcing grids must not
-        silently degrade."""
-        inst = medium_suite()[0][1]
-        with pytest.raises(ValueError):
-            sweep_machines(inst, [inst.m], use_grid=True)
-        with pytest.raises(ValueError):
-            solve_many([inst], use_grid=True)
-
-    def test_use_grid_true_without_numpy_raises(self, monkeypatch):
-        from repro.core import xbatch
-
-        monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
-        inst = medium_suite()[0][1]
-        with pytest.raises(RuntimeError):
-            sweep_machines(
-                inst, [inst.m], Variant.SPLITTABLE, schedules=False, use_grid=True
-            )
-
     @pytest.mark.parametrize(
-        "variant,algorithm,kernel",
+        "c,variant,algorithm,options,dispatch",
         [
-            (Variant.SPLITTABLE, "eps", "fast"),
-            (Variant.NONPREEMPTIVE, "three_halves", "fast"),
-            (Variant.PREEMPTIVE, "three_halves", "fast"),
-            (Variant.SPLITTABLE, "three_halves", "fraction"),
+            pytest.param(100, Variant.SPLITTABLE, "three_halves", {}, "grid",
+                         id="c100-block102-grid"),
+            pytest.param(300, Variant.SPLITTABLE, "three_halves", {}, "grid",
+                         id="c300-work38400-grid"),
+            pytest.param(60, Variant.SPLITTABLE, "three_halves", {}, "scalar",
+                         id="c60-block62-below-block-min"),
+            pytest.param(600, Variant.SPLITTABLE, "three_halves", {}, "scalar",
+                         id="c600-work76800-above-work-max"),
+            pytest.param(100, Variant.SPLITTABLE, "three_halves",
+                         {"schedules": True}, "scalar", id="c100-full-schedules"),
+            pytest.param(100, Variant.SPLITTABLE, "three_halves",
+                         {"kernel": "fraction"}, "scalar", id="c100-fraction-kernel"),
+            pytest.param(100, Variant.SPLITTABLE, "eps", {}, "scalar",
+                         id="c100-eps"),
+            pytest.param(100, Variant.PREEMPTIVE, "three_halves", {}, "scalar",
+                         id="c100-preemptive"),
+            pytest.param(100, Variant.SPLITTABLE, "three_halves",
+                         {"numpy": False}, "scalar", id="c100-numpy-hidden"),
         ],
-        ids=["eps", "nonpreemptive", "preemptive", "fraction"],
     )
-    def test_use_grid_true_without_a_grid_raises_up_front(
-        self, variant, algorithm, kernel
+    def test_grid_policy_on_both_sides_of_its_window(
+        self, c, variant, algorithm, options, dispatch, monkeypatch
     ):
-        """Shapes with no grid refuse ``use_grid=True`` before any solve."""
-        from repro.algos.batch_api import BatchItem, solve_batch
-
-        inst = medium_suite()[0][1]
-        ok = BatchItem(instance=inst, variant=Variant.SPLITTABLE, schedules=False)
-        bad = BatchItem(
-            instance=inst, variant=variant, algorithm=algorithm, schedules=False
-        )
-        solved: list = []
-        calls = [
-            lambda: sweep_machines(
-                inst, [inst.m], variant, algorithm, kernel=kernel,
-                schedules=False, use_grid=True,
-            ),
-            lambda: solve_many(
-                [inst], variant, algorithm, kernel=kernel,
-                schedules=False, use_grid=True,
-            ),
-            lambda: solve_batch(
-                [ok, bad], kernel=kernel, use_grid=True, before_solve=solved.append
-            ),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="use_grid=True"):
-                call()
-        assert solved == []  # the valid first item never reached its solve
-
-    @pytest.mark.parametrize("xb", [False, True])
-    def test_use_grid_true_without_numpy_raises_before_any_solve(
-        self, xb, monkeypatch
-    ):
-        """The numpy check is a request check: no item reaches its solve."""
-        from repro.algos.batch_api import BatchItem, solve_batch
-
-        monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
-        item = BatchItem(
-            instance=medium_suite()[0][1], variant=Variant.SPLITTABLE,
-            schedules=False,
-        )
-        solved: list = []
-        with pytest.raises(RuntimeError, match="numpy is not installed"):
-            solve_batch(
-                [item, item], use_grid=True, before_solve=solved.append, xbatch=xb
-            )
-        assert solved == []
-
-    def test_preemptive_flip_search_probes_scalar_in_the_grid_window(self):
-        """At c = 100 (block 102, block×c 10,200) only the splittable
-        search engages a grid; every preemptive point dispatches scalar."""
+        """``GRID_POLICY`` alone picks each point's probes: the bounds-only
+        splittable flip search on the fast kernel, with numpy, engages
+        the grid inside the ``(64, 64_000)`` window (block = min(c + 2,
+        128), ``block × c``), and every other shape probes scalar."""
         from repro.generators import uniform_instance
         from repro.obs.trace import TraceScope
 
-        inst = uniform_instance(m=24, c=100, n_per_class=2, seed=404)
+        options = {"schedules": False, "kernel": "fast", "numpy": True, **options}
+        if dispatch == "grid" and not xbatch.HAVE_NUMPY:
+            pytest.skip("the grid needs numpy")
+        if not options.pop("numpy"):
+            monkeypatch.setattr(xbatch, "HAVE_NUMPY", False)
+        inst = uniform_instance(m=24, c=c, n_per_class=2, seed=404)
         ms = [8, 24, 40]
         with TraceScope() as scope:
-            points = sweep_machines(
-                inst, ms, Variant.PREEMPTIVE, schedules=False, use_grid=None
+            points = sweep_machines(inst, ms, variant, algorithm, **options)
+        other = "scalar" if dispatch == "grid" else "grid"
+        assert scope.counts.get(f"dispatch.{dispatch}") == len(ms)
+        assert f"dispatch.{other}" not in scope.counts
+        for m, point in zip(ms, points):
+            ref = solve(fresh(inst, m), variant, algorithm)
+            assert (point.T, point.ratio_bound, point.opt_lower_bound) == (
+                ref.T, ref.ratio_bound, ref.opt_lower_bound,
             )
-        assert [p.m for p in points] == ms
-        assert scope.counts.get("dispatch.scalar") == len(ms)
-        assert "dispatch.grid" not in scope.counts
 
     def test_sweep_does_not_mutate_base_machine_count(self):
         inst = medium_suite()[0][1]

@@ -312,7 +312,7 @@ class TestSolverSeams:
         items = [BatchItem(instance=fresh(TINY), variant=Variant.NONPREEMPTIVE,
                            schedules=False)]
         with TraceScope() as scope:
-            solve_batch(items, use_grid=False)
+            solve_batch(items)
         assert scope.counts.get("dispatch.scalar", 0) >= 1
 
     def test_itemstore_emit_counter(self):

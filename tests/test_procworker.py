@@ -320,7 +320,7 @@ class TestItemWire:
         item = SolveRequest(instance=fresh(TINY)).to_item()
         directives = [None, {"delays": [], "wedges": [], "raise": "injected"},
                       None]
-        worker = WorkerProc(0, max_instances=4, heartbeat_ms=50)
+        worker = WorkerProc(0, max_instances=4)
         worker.start()
         try:
             worker.send_batch(1, [work_to_wire(item, None, directive)
@@ -339,7 +339,7 @@ class TestItemWire:
         items = [SolveRequest(instance=fresh(TINY), variant=variant).to_item()
                  for variant in Variant]
         wider = Instance(m=TINY.m + 1, setups=TINY.setups, jobs=TINY.jobs)
-        worker = WorkerProc(0, max_instances=4, heartbeat_ms=50)
+        worker = WorkerProc(0, max_instances=4)
         worker.start()
         try:
             worker.send_batch(1, [work_to_wire(item, None) for item in items])
@@ -492,7 +492,7 @@ class TestResultWire:
 class TestWorkerProcLifecycle:
     def test_ready_heartbeat_batch_and_teardown(self):
         base = solve(fresh(TINY))
-        worker = WorkerProc(0, max_instances=4, heartbeat_ms=20)
+        worker = WorkerProc(0, max_instances=4)
         worker.start()
         try:
             assert worker.alive()

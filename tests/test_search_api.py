@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BatchItem, Instance, Variant, solve, solve_batch, sweep_machines
+from repro import (
+    BatchItem,
+    Instance,
+    Variant,
+    solve,
+    solve_batch,
+    solve_many,
+    sweep_machines,
+)
 from repro.core import t_min, validate_schedule
 from repro.algos.search import drive_plan, eps_probe_plan, right_interval_plan
 from repro.algos.splittable import split_dual_test
@@ -137,6 +145,34 @@ class TestEpsSearch:
         with pytest.raises(ValueError, match="eps must be positive"):
             solve_batch(items, before_solve=started.append, xbatch=xbatch)
         assert started == []
+
+    @pytest.mark.parametrize(
+        "eps", [0.01, True, "0.1", Fraction(0)], ids=["float", "bool", "str", "zero"]
+    )
+    @pytest.mark.parametrize("algorithm", ["eps", "three_halves"])
+    def test_eps_type_and_sign_refused_on_every_entry_point(self, eps, algorithm):
+        """Every entry point applies the wire's type and sign rule to
+        ``eps``, for every algorithm, before any item solves: a float or a
+        string would fail inside the probe plan, a bool would solve as
+        eps = 1."""
+        inst = self.INST3
+        calls = [
+            lambda: solve(inst, "splittable", algorithm, eps),
+            lambda: sweep_machines(inst, [2, 3], "splittable", algorithm, eps),
+            lambda: solve_many([inst, inst], "splittable", algorithm, eps),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^eps must be"):
+                call()
+        items = [
+            BatchItem(inst, Variant.SPLITTABLE, algorithm),
+            BatchItem(inst, Variant.SPLITTABLE, algorithm, eps),
+        ]
+        for xbatch in (False, True):
+            started = []
+            with pytest.raises(ValueError, match="^eps must be"):
+                solve_batch(items, before_solve=started.append, xbatch=xbatch)
+            assert started == []
 
 
 class TestSolveAPI:

@@ -336,13 +336,6 @@ class TestUpFrontValidation:
         with pytest.raises(ValueError, match="unknown variant 'wat'"):
             solve_batch(items)
 
-    def test_solve_batch_forced_grid_rejects_schedule_items(self, tiny):
-        # same loud-failure contract as sweep_machines/solve_many
-        with pytest.raises(ValueError, match="bounds-only"):
-            solve_batch([BatchItem(tiny)], use_grid=True)
-        with pytest.raises(ValueError, match="bounds-only"):
-            solve_batch([BatchItem(tiny, ms=(2, 3))], use_grid=True)
-
 
 class TestSolveBatch:
     def test_heterogeneous_batch_matches_looped_solve(self):

@@ -532,7 +532,7 @@ class TestProbeDriftRegression:
             inst = item.instance
             # the same grid resolution the coordinator's prelude applies
             grid = _grid_for(
-                inst, item.variant, item.algorithm, "fast", None, item.schedules
+                inst, item.variant, item.algorithm, "fast", item.schedules
             )
             if item.variant is Variant.SPLITTABLE:
                 plan = flip_plan_splittable(inst, grid=grid)
