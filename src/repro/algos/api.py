@@ -46,7 +46,7 @@ from .nonpreemptive import nonp_dual_schedule
 from .pmtn_general import pmtn_dual_schedule
 from .search import drive_plan, eps_probe_plan, integer_probe_plan, probe_evaluator
 from .splittable import split_dual_schedule
-from .twoapprox import two_approx
+from .twoapprox import class_stream, stacked_schedule, two_approx
 
 Algorithm = Literal["two", "eps", "three_halves"]
 Kernel = Literal["fast", "fraction"]
@@ -144,7 +144,7 @@ def _check_eps(eps, error: type[ValueError] = ValueError) -> None:
     if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
         raise error(f"eps must be an int or a Fraction, got {echo(eps)}")
     if eps <= 0:
-        raise error(f"eps must be positive, got {echo(eps, str(eps))}")
+        raise error(f"eps must be positive, got {echo(eps, str)}")
 
 
 def _validate_request(variant, algorithm, schedules: bool, eps) -> Variant:
@@ -211,21 +211,15 @@ def _closed_form(
 
 
 def _trivial_schedule(instance: Instance) -> Schedule:
-    """Serial on one machine, else one job (plus setup) per machine."""
-    schedule = Schedule(instance)
+    """Serial on one machine, else one job (plus setup) per machine: the
+    class-ordered stream as one run, or one ``[setup, job]`` run per job,
+    emitted by :func:`~repro.algos.twoapprox.stacked_schedule`."""
+    stream = class_stream(instance)
     if instance.m == 1:
-        t = Fraction(0)
-        for i in range(instance.c):
-            schedule.add_setup(0, t, i)
-            t += instance.setups[i]
-            for job, length in instance.class_jobs(i):
-                schedule.add_job(0, t, job)
-                t += length
-        return schedule
-    for u, (job, _) in enumerate(instance.iter_jobs()):
-        schedule.add_setup(u, 0, job.cls)
-        schedule.add_job(u, instance.setups[job.cls], job)
-    return schedule
+        machines = [range(len(stream[0]))]
+    else:  # job j of a class sits j + 1 places after its class's setup
+        machines = [[p - j - 1, p] for p, j in enumerate(stream[2]) if j >= 0]
+    return stacked_schedule(instance, stream, machines)
 
 
 # --------------------------------------------------------------------------- #

@@ -9,19 +9,24 @@
   ``T_min``-crossing item to the start of the next machine (jobs get a fresh
   setup), finally drop setups that end a machine.  Makespan ≤ ``2·T_min ≤
   2·OPT``.  The result is non-preemptive, hence feasible for the preemptive
-  problem as well.
+  problem as well.  The phases edit positions in :func:`class_stream`'s int
+  lists, and each layout leaves as stacked runs at scale 1
+  (:func:`stacked_schedule`), as do :mod:`repro.algos.api`'s trivial optima.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from math import floor
 from typing import Optional
 
 from ..core.bounds import Variant, t_min
-from ..core.instance import Instance, JobRef
+from ..core.instance import Instance
 from ..core.numeric import Time
-from ..core.schedule import Placement, Schedule
+from ..core.schedule import Schedule
 from ..core.wrapping import Batch, WrapSequence, template_for_machines, wrap
 
 
@@ -53,39 +58,28 @@ def two_approx_splittable(instance: Instance) -> TwoApproxResult:
 # Lemma 9: next-fit with threshold + repair
 # --------------------------------------------------------------------------- #
 
-
-@dataclass
-class _Item:
-    """One next-fit stream item (setup or whole job)."""
-
-    cls: int
-    job: Optional[JobRef]  # None for setups
-    length: int
-
-
-def _next_fit_stream(instance: Instance) -> list[_Item]:
-    """The stream ``s_1, j^1_1..j^1_{n_1}, s_2, ...`` of Lemma 9."""
-    items: list[_Item] = []
-    for i in range(instance.c):
-        items.append(_Item(cls=i, job=None, length=instance.setups[i]))
-        for job, t in instance.class_jobs(i):
-            items.append(_Item(cls=i, job=job, length=t))
-    return items
+def class_stream(instance: Instance) -> tuple[list[int], list[int], list[int]]:
+    """The stream ``s_1, C_1, s_2, C_2, ...`` as three int lists: lengths
+    (plain ints, also for a bool entry), classes, and job indices with
+    ``-1`` marking a setup, so job ``j`` sits ``j + 1`` places after its
+    class's setup."""
+    jobs = instance.jobs
+    lens = chain.from_iterable((s, *ts) for s, ts in zip(instance.setups, jobs))
+    clss = chain.from_iterable([i] * (len(ts) + 1) for i, ts in enumerate(jobs))
+    jidxs = chain.from_iterable(range(-1, len(ts)) for ts in jobs)
+    return list(map(int, lens)), list(clss), list(jidxs)
 
 
-def _materialize_items(instance: Instance, machines: list[list["_Item"]]) -> Schedule:
-    """Build a Schedule from next-fit item lists (no idle time)."""
+def stacked_schedule(instance: Instance, stream, machines) -> Schedule:
+    """Machine ``u`` runs the ``stream`` positions ``machines[u]`` back to
+    back from time 0: stacked runs at scale 1."""
+    lens, clss, jidxs = stream
     schedule = Schedule(instance)
-    for u, items in enumerate(machines):
-        t = Fraction(0)
-        for item in items:
-            if item.job is None:
-                schedule.add(
-                    Placement(machine=u, start=t, length=Fraction(item.length), cls=item.cls)
-                )
-            else:
-                schedule.add_piece(u, t, item.job, Fraction(item.length))
-            t += item.length
+    schedule.extend_runs(
+        ((u, [lens[p] for p in pos], [clss[p] for p in pos], [jidxs[p] for p in pos])
+         for u, pos in enumerate(machines)),
+        1,
+    )
     return schedule
 
 
@@ -99,52 +93,46 @@ def two_approx_grouped(
     next-fit layout (``"phase1"``) and the repaired one (``"final"``).
     """
     tmin = t_min(instance, Variant.NONPREEMPTIVE)
+    stream = class_stream(instance)
+    lens, _, jidxs = stream
+    n = len(lens)
 
-    # Phase 1: next-fit with threshold tmin. Machines are materialized only
-    # as item lists; machine u is "closed" once its load exceeds tmin (the
-    # crossing item stays, per the paper).
-    machines: list[list[_Item]] = [[]]
-    load: Fraction = Fraction(0)
-    for item in _next_fit_stream(instance):
-        machines[-1].append(item)
-        load += item.length
-        if load > tmin:
-            machines.append([])
-            load = Fraction(0)
-    # A trailing empty machine is kept on purpose: if the stream ended on a
-    # crossing item, phase 2 moves that item onto it (Figure 7, machine 5).
-    if not machines[-1] and len(machines) == 1:
-        machines.pop()
-    if len(machines) > instance.m:
+    # Phase 1: next-fit with threshold tmin, one bisection per machine: it
+    # closes with the first item whose prefix sum exceeds its start's plus
+    # tmin (that item stays, per the paper); loads are ints, so floor(tmin)
+    # cuts alike.
+    prefix = list(accumulate(lens, initial=0))
+    cap = floor(tmin)
+    cuts = [0]  # the first stream position of each machine
+    while (b := bisect_right(prefix, prefix[cuts[-1]] + cap, cuts[-1] + 1)) <= n:
+        cuts.append(b)
+    # A trailing empty machine (cuts[-1] == n) is kept on purpose: the
+    # stream ended on a crossing item, and phase 2 moves that item onto it.
+    if len(cuts) > instance.m:
         raise AssertionError(
             "next-fit used more than m machines; contradicts N <= m*T_min"
         )
     if stages_out is not None:
-        stages_out["phase1"] = _materialize_items(
-            instance, [list(items) for items in machines if items]
+        stages_out["phase1"] = stacked_schedule(
+            instance, stream, [range(a, b) for a, b in zip(cuts, cuts[1:] + [n])]
         )
 
     # Phase 2: move each T_min-crossing item (the last item of every machine
     # but the final one) to the start of the next machine; a moved job gets a
     # fresh setup right before it.
-    for u in range(len(machines) - 1):
-        mover = machines[u].pop()
-        if mover.job is None:
-            machines[u + 1].insert(0, mover)
-        else:
-            machines[u + 1].insert(0, mover)
-            machines[u + 1].insert(
-                0, _Item(cls=mover.cls, job=None, length=instance.setups[mover.cls])
-            )
+    machines, head = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        b -= 1  # the crossing item
+        machines.append(head + list(range(a, b)))
+        head = [b] if jidxs[b] < 0 else [b - jidxs[b] - 1, b]
+    machines.append(head + list(range(cuts[-1], n)))
 
     # Phase 3: drop setups that are last on a machine (they serve nothing),
     # then drop machines that ended up empty.
-    for items in machines:
-        while items and items[-1].job is None:
-            items.pop()
-    machines = [items for items in machines if items]
-
-    schedule = _materialize_items(instance, machines)
+    for pos in machines:
+        while pos and jidxs[pos[-1]] < 0:
+            pos.pop()
+    schedule = stacked_schedule(instance, stream, [pos for pos in machines if pos])
     if stages_out is not None:
         stages_out["final"] = schedule
     return TwoApproxResult(schedule, tmin, makespan_bound=2 * tmin)

@@ -10,28 +10,43 @@ proven in the paper is violated (i.e. a bug, never an expected condition).
 
 from __future__ import annotations
 
-from typing import Optional
+from numbers import Rational
+from typing import Callable
 
 #: The longest value text an error message echoes whole.
 ECHO_MAX = 200
 
 
-def echo(value, text: Optional[str] = None) -> str:
+def echo(value, fmt: Callable[[object], str] = repr) -> str:
     """The ``got …`` part of an error message about a refused value, bounded.
 
-    ``text`` (default ``repr(value)``) is kept as it is up to
+    ``fmt(value)`` (default ``repr``) is kept as it is up to
     :data:`ECHO_MAX` characters; a longer one is cut to that prefix plus
     ``...`` and the value's entry count (its length in characters when
     it has no entries), so a refused value of megabytes gets a one-line
-    message (a service ``bad_request`` among them).
+    message (a service ``bad_request`` among them).  A value Python will
+    not print (an int, or a ``Fraction`` term, past
+    ``sys.get_int_max_str_digits()`` digits, or a container of one) is
+    quoted by its size: ``<negative int of 16610 bits>``.
     """
-    if text is None:
-        text = repr(value)
+    try:
+        text = fmt(value)
+    except ValueError:
+        return _by_size(value)
     if len(text) <= ECHO_MAX:
         return text
     if isinstance(value, (list, tuple, dict)):
         return f"{text[:ECHO_MAX]}... ({len(value)} entries)"
     return f"{text[:ECHO_MAX]}... ({len(text)} characters)"
+
+
+def _by_size(value) -> str:
+    kind = type(value).__name__
+    if not isinstance(value, Rational):  # a container
+        return f"<{kind} of {len(value)} entries>"
+    sign = "negative " if value < 0 else ""
+    den = "" if value.denominator == 1 else f"/{value.denominator.bit_length()}"
+    return f"<{sign}{kind} of {value.numerator.bit_length()}{den} bits>"
 
 
 class ReproError(Exception):

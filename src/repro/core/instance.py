@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidInstanceError
+from .errors import InvalidInstanceError, echo
 
 
 def _check_m(m) -> None:
     if not isinstance(m, int) or m < 1:
-        raise InvalidInstanceError(f"m must be a positive integer, got {m!r}")
+        raise InvalidInstanceError(f"m must be a positive integer, got {echo(m)}")
 
 
 def _as_int(value, what: str) -> int:
@@ -34,7 +34,7 @@ def _as_int(value, what: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise InvalidInstanceError(f"{what} must be an integer, got {value!r}") from None
+        raise InvalidInstanceError(f"{what} must be an integer, got {echo(value)}") from None
 
 
 class JobRef(NamedTuple):
@@ -82,14 +82,14 @@ class Instance:
             raise InvalidInstanceError("instance needs at least one class")
         for i, s in enumerate(self.setups):
             if not isinstance(s, int) or s < 0:
-                raise InvalidInstanceError(f"setup s_{i} must be a non-negative int, got {s!r}")
+                raise InvalidInstanceError(f"setup s_{i} must be a non-negative int, got {echo(s)}")
         for i, times in enumerate(self.jobs):
             if len(times) == 0:
                 raise InvalidInstanceError(f"class {i} is empty; the paper requires C_i != {{}}")
             for t in times:
                 if not isinstance(t, int) or t < 1:
                     raise InvalidInstanceError(
-                        f"processing times must be positive ints, class {i} has {t!r}"
+                        f"processing times must be positive ints, class {i} has {echo(t)}"
                     )
         # Lazy per-class caches (built on first use; keyed by class index).
         object.__setattr__(self, "_jobs_sorted_cache", {})
@@ -140,7 +140,7 @@ class Instance:
         buckets: list[list[int]] = [[] for _ in setups]
         for cls, t in zip(job_classes, job_times):
             if not 0 <= cls < len(setups):
-                raise InvalidInstanceError(f"job class {cls} out of range [0, {len(setups)})")
+                raise InvalidInstanceError(f"job class {echo(cls)} out of range [0, {len(setups)})")
             buckets[cls].append(_as_int(t, "processing time"))
         return Instance(
             m=m,

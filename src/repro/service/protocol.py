@@ -363,7 +363,7 @@ def instance_from_obj(obj, known: Optional[CheckedPayloads] = None) -> Instance:
     try:
         instance = Instance(m=m, setups=tuple(setups), jobs=tuple(map(tuple, jobs)))
     except InvalidInstanceError as exc:
-        raise ProtocolError(f"invalid instance: {echo(exc, str(exc))}") from None
+        raise ProtocolError(f"invalid instance: {echo(exc, str)}") from None
     check_m(m, "instance.m")
     if known is not None and text is not None:
         known.add(text, instance)

@@ -84,6 +84,21 @@ class TestConstruction:
         with pytest.raises(InvalidInstanceError):
             Instance(m=1, setups=(1, 2), jobs=((1,),))
 
+    @pytest.mark.parametrize(
+        "m, setups, jobs, field",
+        [
+            (2, (-(10**5000),), ((1,),), "setup s_0"),
+            (-(10**5000), (1,), ((1,),), "m must"),
+            (2, (1,), ((-(10**5000),),), "processing times"),
+        ],
+        ids=["setup", "m", "job"],
+    )
+    def test_ints_past_the_digit_limit_are_refused_by_field(self, m, setups, jobs, field):
+        """An int longer than Python's int-to-text limit (4300 digits) is
+        an :class:`InvalidInstanceError` naming its field, quoted by size."""
+        with pytest.raises(InvalidInstanceError, match=f"^{field}.* bits>$"):
+            Instance(m=m, setups=setups, jobs=jobs)
+
     def test_non_int_rejected(self):
         with pytest.raises(InvalidInstanceError):
             Instance.build(1, [(1, [1.5])])

@@ -8,11 +8,14 @@ digests pin the bytes themselves, for fixed requests:
 * ``response_line`` of ``three_halves`` and ``two`` for every variant on
   one warm-schedules-shaped instance (c = 40, 20 jobs per class) at
   m ∈ {8, 16, 20};
+* ``response_line`` of the trivial closed forms on that instance: the
+  serial optimum at m = 1 on every variant, and the one-job-per-machine
+  optimum at m = n = 800 on the two job-constrained variants;
 * the wire encoding of the rows ``pmtn_dual_schedule`` builds for the
   case-3a and case-3b fixtures of ``conftest`` at ``T = 20``, in both
   count modes (Algorithm 3's piece views);
-* ``response_line`` of ``three_halves`` for every variant on one
-  instance whose numbers exceed 62 bits.
+* ``response_line`` of ``three_halves`` and ``two`` for every variant on
+  one instance whose numbers exceed 62 bits.
 
 A digest may change only with a deliberate change of the reply bytes.
 """
@@ -33,6 +36,11 @@ from repro.service.protocol import _schedule_obj, response_line
 from .conftest import accepted_3a_instance, general_case_instance, mk
 
 WARM_MS = (8, 16, 20)
+#: ``(m, variants)`` of the warm instance's trivial closed forms.
+TRIVIAL = (
+    (1, tuple(Variant)),
+    (800, (Variant.NONPREEMPTIVE, Variant.PREEMPTIVE)),
+)
 HUGE = 1 << 63
 
 
@@ -57,8 +65,9 @@ def _reply(key: str) -> str:
         result = solve(_warm(int(m)), Variant(variant), algorithm, kernel="fast")
         return response_line(1, [result])
     if kind == "huge":
-        (variant,) = rest
-        return response_line(1, [solve(_huge(), Variant(variant), kernel="fast")])
+        variant, *algorithm = rest
+        result = solve(_huge(), Variant(variant), *algorithm, kernel="fast")
+        return response_line(1, [result])
     fixture, mode = rest
     inst = {"3a": accepted_3a_instance, "3b": general_case_instance}[fixture]()
     schedule = pmtn_dual_schedule(inst, Fraction(20), mode, kernel="fast")
@@ -102,6 +111,16 @@ DIGESTS = {
         "a4ab8418c926b952e76ddd7dbebe9f2e60a36257d9ebc1c626bfdd5b72f35a13",
     "warm/20/splittable/two":
         "506c1fdf461e333771f07bd1f4990d743a9223b95524310389331cdedb30ac66",
+    "warm/1/nonpreemptive/three_halves":
+        "98912dd01504a41fecfb7ad766f810db583d927a549ae5f0c1df2f03aa57589c",
+    "warm/1/preemptive/three_halves":
+        "a5201eff71b12bf03a4a713d75d8c0c4553ff794fa809ea1393a365deb3591be",
+    "warm/1/splittable/three_halves":
+        "3d57835d3743a0dbe0998695ba202ce8a3e2bd21fa05f6101bdf46b1ab742518",
+    "warm/800/nonpreemptive/three_halves":
+        "023086b1b4cd877ba79cff24895409079d8817993607f99fddafd23608291c41",
+    "warm/800/preemptive/three_halves":
+        "87d1e3023bacf67a73836c412ef64ef8099dd117cff2f4418167b3bc7a604346",
     "pmtn/3a/alpha":
         "7d3e42d791ddf0e2fe0a847e5ceb9e84e1be60143879a786a583d71c9795baec",
     "pmtn/3a/gamma":
@@ -116,6 +135,12 @@ DIGESTS = {
         "373c53f208d56b7f1bd47376a134996ee8287dda6b6ff55406e8141ef209ce3e",
     "huge/splittable":
         "ae4312b90e71bc764253b179072f9d1c0183881e02d02e5a930810974e1456da",
+    "huge/nonpreemptive/two":
+        "7befd250ae9fe03e953bf88469d5f24a1f58789ca69b9f6a9dede8fc2b6ace43",
+    "huge/preemptive/two":
+        "9f5bd12e5e3e27f5ab8a556003ec7ad8ad1abaffe607a52899fe7ce79b48d1ff",
+    "huge/splittable/two":
+        "861e95b4d4eabd65f66c092c07e7d5e750d4234e1da1ccd85f9093585da8f45e",
 }
 
 
@@ -126,6 +151,8 @@ def test_digest_table_covers_every_request():
     ]
     keys += [f"pmtn/{f}/{mode}" for f in ("3a", "3b") for mode in ("alpha", "gamma")]
     keys += [f"huge/{v.value}" for v in Variant]
+    keys += [f"huge/{v.value}/two" for v in Variant]
+    keys += [f"warm/{m}/{v.value}/three_halves" for m, vs in TRIVIAL for v in vs]
     assert sorted(DIGESTS) == sorted(keys)
 
 

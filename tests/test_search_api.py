@@ -135,6 +135,12 @@ class TestEpsSearch:
                     self.INST1, [1], "splittable", "eps", eps, schedules=False
                 )
 
+    def test_bad_eps_past_the_int_digit_limit(self):
+        """An ``eps`` longer than Python's int-to-text limit (4300 digits)
+        is refused as eps, quoted by its size."""
+        with pytest.raises(ValueError, match="eps must be positive, got <.* bits>"):
+            solve(self.INST1, "splittable", "eps", -(10**5000))
+
     @pytest.mark.parametrize("xbatch", [False, True])
     def test_bad_eps_raises_before_any_item_solves(self, xbatch):
         items = [

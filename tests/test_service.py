@@ -50,6 +50,9 @@ from repro.service import (
 from repro.service.protocol import (
     ECHO_MAX,
     TIMEOUT_MS_MAX,
+    check_eps,
+    check_ms,
+    check_timeout_ms,
     encode_time,
     error_line,
     instance_from_obj,
@@ -524,6 +527,25 @@ class TestProtocol:
             if entries is not None:
                 assert message.endswith(f"... ({entries} entries)")
             assert len(message) <= len(head) + ECHO_MAX + 30
+
+    @pytest.mark.parametrize(
+        "check, value, head",
+        [
+            (check_eps, Fraction(-1, 10**5000), "eps must be positive, got "),
+            (check_timeout_ms, -(10**5000), "timeout_ms must be a positive int"),
+            (check_ms, [-(10**5000)], "ms must be a non-empty list of positive ints"),
+        ],
+        ids=["eps", "timeout_ms", "ms"],
+    )
+    def test_ints_past_the_digit_limit_are_echoed_by_size(self, check, value, head):
+        """An in-process value holding an int longer than Python's
+        int-to-text limit (4300 digits) is refused with a message naming
+        its field, not a bare ``ValueError`` from building the message."""
+        with pytest.raises(ProtocolError) as err:
+            check(value)
+        message = str(err.value)
+        assert message.startswith(head)
+        assert len(message) <= len(head) + ECHO_MAX + 30
 
     @pytest.mark.parametrize("obj, plain", ACCEPTED_WIRE_INSTANCES)
     def test_bulk_wire_check_keeps_accepting(self, obj, plain):
