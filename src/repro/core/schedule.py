@@ -9,22 +9,28 @@ everything is materialized into explicit placements before validation, so
 the validators never have to trust an algorithm's own bookkeeping.
 
 A schedule *is* its :class:`ScheduleColumns` store: one row per
-placement as parallel scaled-integer columns
+placement as five parallel scaled-integer columns
 
-    ``machine | start_num | length_num | den | cls | job_idx``
+    ``machine | start_num | length_num | cls | job_idx``
 
-with ``start = start_num/den`` and ``length = length_num/den`` exact
-rationals and ``job_idx = -1`` marking a setup.  The columns are plain
-Python-int lists from the first append to the wire: the construction hot
-paths (the wrap engine, Algorithm 6's materializer, Algorithm 2's step 1)
-splice their row lists in at C speed, the wire encoder copies them
-through :meth:`Schedule.rows`, the process backend pickles copies of
-them (:meth:`ScheduleColumns.to_ipc`), and :mod:`repro.core.validate`
-checks them directly.  :class:`Placement` objects — and their
-:class:`~fractions.Fraction` times — are materialized *lazily*, only when
-a caller actually iterates placements; aggregate queries (``makespan``,
-``machine_load``, ``machine_end``) are answered from the columns.  Rows
-of any magnitude stay exact on every path.
+at one common integer ``scale``: ``start = start_num/scale`` and
+``length = length_num/scale`` are exact rationals, and ``job_idx = -1``
+marks a setup.  Every append names the denominator ``den`` of its own
+numerators; the store keeps ``scale`` the lcm of every ``den`` appended
+so far (1 for a new store), and a ``den`` that does not divide it grows
+``scale`` to ``lcm(scale, den)`` and rescales the stored starts and
+lengths in place.  The columns are plain Python-int lists from the first
+append to the wire: the construction hot paths (the wrap engine,
+Algorithm 6's materializer, Algorithm 2's step 1) splice their row lists
+in at C speed, the wire encoder copies them through
+:meth:`Schedule.rows`, the process backend pickles copies of them with
+the scale (:meth:`ScheduleColumns.to_ipc`), and
+:mod:`repro.core.validate` checks them directly.  :class:`Placement`
+objects — and their :class:`~fractions.Fraction` times — are
+materialized *lazily*, only when a caller actually iterates placements;
+aggregate queries (``makespan``, ``machine_load``, ``machine_end``) are
+answered from the columns.  Rows of any magnitude stay exact on every
+path.
 
 A placement the columns cannot encode — a piece whose class differs from
 its job's class, or whose job index is negative — is refused by
@@ -39,8 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
-from operator import add, mul
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .instance import Instance, JobRef
@@ -100,40 +106,58 @@ def _new_placement(machine: int, start, length, cls: int, job=None) -> Placement
     return p
 
 
-def _lcm2(a: int, b: int) -> int:
-    return a if a == b else a * b // gcd(a, b)
+def _check_den(den: int) -> None:
+    if den < 1:
+        raise ValueError(f"denominator must be positive, got {den}")
 
 
 class ScheduleColumns:
-    """Parallel scaled-int columns, one row per placement.
+    """Five parallel int columns at one common ``scale``, one row per placement.
 
-    Row ``k`` encodes the placement ``[start_num[k]/den[k],
-    (start_num[k]+length_num[k])/den[k])`` of class ``cls[k]`` on machine
+    Row ``k`` encodes the placement ``[start_num[k]/scale,
+    (start_num[k]+length_num[k])/scale)`` of class ``cls[k]`` on machine
     ``machine[k]``; ``job_idx[k] = -1`` marks a setup, otherwise the row
     is a piece of ``JobRef(cls[k], job_idx[k])``.  Numerators need not be
-    normalized against ``den`` — materialization reduces exactly.
+    normalized against ``scale`` — materialization reduces exactly.
+
+    Every append takes its numerators at a denominator ``den >= 1``
+    (anything smaller is a :class:`ValueError`) and stores them times
+    ``scale // den``; a ``den`` that does not divide ``scale`` first grows
+    ``scale`` to ``lcm(scale, den)``, multiplying the stored starts and
+    lengths in place.  So ``scale`` is the lcm of every ``den`` appended
+    so far, starting at 1.
 
     Every column is a plain Python-int list: the emission paths
     (:meth:`extend_scaled`, :meth:`extend_runs`) splice their row lists in
     at C pointer speed, and readers copy what they keep.
     """
 
-    __slots__ = (
-        "machine", "start_num", "length_num", "den", "cls", "job_idx", "_dens",
-    )
+    __slots__ = ("machine", "start_num", "length_num", "cls", "job_idx", "scale")
+
+    _COL_NAMES = ("machine", "start_num", "length_num", "cls", "job_idx")
 
     def __init__(self) -> None:
         self.machine: list[int] = []
         self.start_num: list[int] = []
         self.length_num: list[int] = []
-        self.den: list[int] = []
         self.cls: list[int] = []
         self.job_idx: list[int] = []
-        self._dens: set[int] = set()
+        self.scale = 1
 
     # ------------------------------------------------------------------ #
     # appends
     # ------------------------------------------------------------------ #
+
+    def _factor(self, den: int) -> int:
+        """``scale // den`` once ``scale`` is a multiple of ``den``."""
+        _check_den(den)
+        scale = self.scale
+        if scale % den:
+            grow = den // gcd(scale, den)
+            self.start_num[:] = [v * grow for v in self.start_num]
+            self.length_num[:] = [v * grow for v in self.length_num]
+            self.scale = scale = scale * grow
+        return scale // den
 
     def append_scaled(
         self,
@@ -146,18 +170,16 @@ class ScheduleColumns:
     ) -> None:
         """Append one row; ``start = start_num/den``, ``length = length_num/den``.
 
-        ``den`` must be positive (every producer's scale is a positive
-        lcm).  The caller is responsible for range/sign checks — this is
-        the raw emission primitive behind :meth:`Schedule.add_scaled` and
-        the construction kernels.
+        The caller is responsible for range/sign checks — this is the raw
+        emission primitive behind :meth:`Schedule.add_scaled` and the
+        construction kernels.
         """
+        f = self._factor(den)
         self.machine.append(machine)
-        self.start_num.append(start_num)
-        self.length_num.append(length_num)
-        self.den.append(den)
+        self.start_num.append(start_num * f)
+        self.length_num.append(length_num * f)
         self.cls.append(cls)
         self.job_idx.append(job_idx)
-        self._dens.add(den)
 
     def extend_scaled(
         self,
@@ -172,19 +194,21 @@ class ScheduleColumns:
 
         The emission hot paths (the wrap engine, Algorithm 6's
         materializer) collect plain Python lists and flush them here —
-        list extends splice them in at C pointer speed, replacing six
-        method calls per row with one per column per burst.
+        list extends splice them in at C pointer speed, replacing five
+        method calls per row with one per column per burst.  An empty
+        burst leaves the store, its ``scale`` included, as it was.
         """
-        n = len(machines)
-        if n == 0:
+        if not len(machines):
             return
+        f = self._factor(den)
+        if f != 1:
+            start_nums = [v * f for v in start_nums]
+            length_nums = [v * f for v in length_nums]
         self.machine.extend(machines)
         self.start_num.extend(start_nums)
         self.length_num.extend(length_nums)
-        self.den.extend([den] * n)
         self.cls.extend(clss)
         self.job_idx.extend(job_idxs)
-        self._dens.add(den)
 
     def extend_runs(self, runs, den: int) -> None:
         """Bulk-append stacked machine runs sharing one ``den``.
@@ -196,29 +220,31 @@ class ScheduleColumns:
         trusted hand-off path of the Algorithm-6
         :class:`~repro.core.itemstore.ItemStore`.  Splicing the store's
         column slices into the list columns is pointer-copy cheap.
+        ``den`` joins the scale even when ``runs`` holds no rows.
         """
+        f = self._factor(den)
         mach, sn, ln = self.machine, self.start_num, self.length_num
-        dn, cl, ji = self.den, self.cls, self.job_idx
+        cl, ji = self.cls, self.job_idx
         for u, lens, clss, jidxs in runs:
             n = len(lens)
             if not n:
                 continue
+            if f != 1:
+                lens = [v * f for v in lens]
             starts = list(accumulate(lens, initial=0))
             starts.pop()
             mach.extend([u] * n)
             sn.extend(starts)
             ln.extend(lens)
-            dn.extend([den] * n)
             cl.extend(clss)
             ji.extend(jidxs)
-        self._dens.add(den)
 
     def append_placement(self, p: Placement) -> None:
-        """Append a :class:`Placement` (rationals re-scaled to one row den)."""
+        """Append a :class:`Placement` (its two rationals at one ``den``)."""
         start, length = p.start, p.length
         sd = start.denominator
         ld = length.denominator
-        den = _lcm2(sd, ld)
+        den = lcm(sd, ld)
         job = p.job
         self.append_scaled(
             p.machine,
@@ -236,129 +262,74 @@ class ScheduleColumns:
     def __len__(self) -> int:
         return len(self.machine)
 
-    @property
-    def dens(self) -> frozenset:
-        """The distinct row denominators (usually one or two per schedule)."""
-        return frozenset(self._dens)
-
-    def common_scale(self) -> int:
-        """``L = lcm`` of all row denominators (1 for an empty store)."""
-        L = 1
-        for d in self._dens:
-            L = _lcm2(L, d)
-        return L
-
-    def scaled(self) -> tuple[int, list[int], list[int]]:
-        """``(L, starts, lengths)`` with all rows at the common scale ``L``.
-
-        When every row shares one denominator the stored columns are
-        returned as-is (no copy: callers must not mutate them); otherwise
-        fresh exact-int lists are built.
-        """
-        L = self.common_scale()
-        if len(self._dens) <= 1:
-            return L, self.start_num, self.length_num
-        mult = {d: L // d for d in self._dens}
-        fs = list(map(mult.__getitem__, self.den))
-        return L, list(map(mul, self.start_num, fs)), list(map(mul, self.length_num, fs))
+    def slice_placements(self, lo: int, hi: int) -> list[Placement]:
+        """Materialize rows ``[lo, hi)`` in row (append) order."""
+        scale = self.scale
+        mach, sn, ln = self.machine, self.start_num, self.length_num
+        cl, ji = self.cls, self.job_idx
+        return [
+            _new_placement(
+                mach[k],
+                fast_fraction(sn[k], scale),
+                fast_fraction(ln[k], scale),
+                cl[k],
+                None if ji[k] < 0 else JobRef(cl[k], ji[k]),
+            )
+            for k in range(lo, hi)
+        ]
 
     def row_placement(self, k: int) -> Placement:
         """Materialize row ``k`` as a :class:`Placement`."""
-        den = self.den[k]
-        cls = self.cls[k]
-        idx = self.job_idx[k]
-        return _new_placement(
-            self.machine[k],
-            fast_fraction(self.start_num[k], den),
-            fast_fraction(self.length_num[k], den),
-            cls,
-            None if idx < 0 else JobRef(cls, idx),
-        )
-
-    def slice_placements(self, lo: int, hi: int) -> list[Placement]:
-        """Materialize rows ``[lo, hi)`` in row (append) order."""
-        out: list[Placement] = []
-        mach, sn, ln = self.machine, self.start_num, self.length_num
-        den, cl, ji = self.den, self.cls, self.job_idx
-        for k in range(lo, hi):
-            d = den[k]
-            c = cl[k]
-            idx = ji[k]
-            out.append(
-                _new_placement(
-                    mach[k],
-                    fast_fraction(sn[k], d),
-                    fast_fraction(ln[k], d),
-                    c,
-                    None if idx < 0 else JobRef(c, idx),
-                )
-            )
-        return out
+        return self.slice_placements(k, k + 1)[0]
 
     def to_placements(self, m: int) -> list[list[Placement]]:
         """Materialize all rows into per-machine lists (insertion order)."""
         by_machine: list[list[Placement]] = [[] for _ in range(m)]
-        mach, sn, ln = self.machine, self.start_num, self.length_num
-        den, cl, ji = self.den, self.cls, self.job_idx
-        for k in range(len(mach)):
-            d = den[k]
-            c = cl[k]
-            idx = ji[k]
-            by_machine[mach[k]].append(
-                _new_placement(
-                    mach[k],
-                    fast_fraction(sn[k], d),
-                    fast_fraction(ln[k], d),
-                    c,
-                    None if idx < 0 else JobRef(c, idx),
-                )
-            )
+        for p in self.slice_placements(0, len(self)):
+            by_machine[p.machine].append(p)
         return by_machine
 
     def copy(self) -> "ScheduleColumns":
         out = ScheduleColumns.__new__(ScheduleColumns)
-        out.machine = self.machine[:]
-        out.start_num = self.start_num[:]
-        out.length_num = self.length_num[:]
-        out.den = self.den[:]
-        out.cls = self.cls[:]
-        out.job_idx = self.job_idx[:]
-        out._dens = set(self._dens)
+        for name in self._COL_NAMES:
+            setattr(out, name, getattr(self, name)[:])
+        out.scale = self.scale
         return out
 
     # ------------------------------------------------------------------ #
     # cross-process transport
     # ------------------------------------------------------------------ #
 
-    _COL_NAMES = ("machine", "start_num", "length_num", "den", "cls", "job_idx")
-
-    def to_ipc(self) -> list[list[int]]:
-        """Wire form for cross-process transport: fresh copies of the six
-        int lists, in :attr:`_COL_NAMES` order.
+    def to_ipc(self) -> list:
+        """Wire form for cross-process transport: the scale, then fresh
+        copies of the five int lists in :attr:`_COL_NAMES` order.
 
         Pickle ships them exact at any magnitude, and later appends to
         this store do not reach the payload.  Inverse: :meth:`from_ipc`.
         """
-        return [getattr(self, name)[:] for name in self._COL_NAMES]
+        return [self.scale, *(getattr(self, name)[:] for name in self._COL_NAMES)]
 
     @classmethod
-    def from_ipc(cls, cols) -> "ScheduleColumns":
-        """Adopt the six int lists of a :meth:`to_ipc` payload (post-unpickle).
+    def from_ipc(cls, payload) -> "ScheduleColumns":
+        """Adopt the scale and five int lists of a :meth:`to_ipc` payload
+        (post-unpickle).
 
-        Raises :class:`ValueError` unless the payload is six lists of
-        equal length.
+        Raises :class:`ValueError` unless the payload is an int scale of at
+        least 1 followed by five lists of equal length.
         """
         if (
-            not isinstance(cols, list)
-            or len(cols) != len(cls._COL_NAMES)
-            or not all(type(col) is list for col in cols)
-            or len({len(col) for col in cols}) != 1
+            not isinstance(payload, list)
+            or len(payload) != 1 + len(cls._COL_NAMES)
+            or type(payload[0]) is not int
+            or payload[0] < 1
+            or not all(type(col) is list for col in payload[1:])
+            or len({len(col) for col in payload[1:]}) != 1
         ):
             raise ValueError("malformed ScheduleColumns IPC payload")
         out = cls()
-        for name, col in zip(cls._COL_NAMES, cols):
+        out.scale = payload[0]
+        for name, col in zip(cls._COL_NAMES, payload[1:]):
             setattr(out, name, col)
-        out._dens = set(out.den)
         return out
 
 
@@ -455,19 +426,15 @@ class Schedule:
         if sc is None:
             cols = self._cols
             m = self.instance.m
-            loads: dict[int, list[int]] = {d: [0] * m for d in cols._dens}
-            ends: dict[int, list[Optional[int]]] = {
-                d: [None] * m for d in cols._dens
-            }
+            loads = [0] * m
+            ends: list[Optional[int]] = [None] * m
             counts = [0] * m
-            for u, sn, ln, d in zip(
-                cols.machine, cols.start_num, cols.length_num, cols.den
-            ):
-                loads[d][u] += ln
+            for u, sn, ln in zip(cols.machine, cols.start_num, cols.length_num):
+                loads[u] += ln
                 e = sn + ln
-                cur = ends[d][u]
+                cur = ends[u]
                 if cur is None or e > cur:
-                    ends[d][u] = e
+                    ends[u] = e
                 counts[u] += 1
             sc = {"loads": loads, "ends": ends, "counts": counts}
             self._scan = sc
@@ -516,10 +483,9 @@ class Schedule:
 
         The scaled-integer construction paths use this to emit rows
         without materializing a :class:`~fractions.Fraction` or
-        :class:`Placement`; rows are refused exactly like :meth:`add`.
+        :class:`Placement`; rows are refused exactly like :meth:`add`,
+        and a ``den`` below 1 like every append to the store.
         """
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
         job_idx = -1 if job is None else job.idx
         if (
             0 <= machine < self.instance.m
@@ -531,6 +497,7 @@ class Schedule:
                 machine, start_num, length_num, den, cls, job_idx
             )
         else:  # add() raises the error the equal Placement gets
+            _check_den(den)
             self.add(
                 _new_placement(
                     machine,
@@ -552,8 +519,6 @@ class Schedule:
         may use this (sign checks are skipped);
         :mod:`repro.core.validate` remains the real feasibility gate.
         """
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
         m = self.instance.m
 
         def checked(run_iter):
@@ -607,45 +572,31 @@ class Schedule:
 
     def machine_load(self, machine: int) -> Time:
         """``L(u)`` — total setup + processing time on the machine (page 2)."""
-        total = Fraction(0)
-        for d, loads in self._scan_cache()["loads"].items():
-            v = loads[machine]
-            if v:
-                total += fast_fraction(v, d)
-        return total
+        return fast_fraction(self._scan_cache()["loads"][machine], self._cols.scale)
 
     def machine_end(self, machine: int) -> Time:
         """Completion time of the machine (max placement end; 0 if empty)."""
-        best: Optional[Time] = None
-        for d, ends in self._scan_cache()["ends"].items():
-            v = ends[machine]
-            if v is not None:
-                f = fast_fraction(v, d)
-                if best is None or f > best:
-                    best = f
-        return Fraction(0) if best is None else best
+        v = self._scan_cache()["ends"][machine]
+        return Fraction(0) if v is None else fast_fraction(v, self._cols.scale)
 
     def makespan(self) -> Time:
         """``C_max`` — the latest completion time over all machines."""
-        # the latest row end at the common scale, in one C-speed pass
-        L, starts, lengths = self._cols.scaled()
-        return fast_fraction(max(map(add, starts, lengths), default=0), L)
+        # the latest row end, in one C-speed pass
+        cols = self._cols
+        return fast_fraction(
+            max(map(add, cols.start_num, cols.length_num), default=0), cols.scale
+        )
 
     def total_load(self) -> Time:
         """``L(σ) = Σ_u L(u)``."""
-        total = Fraction(0)
-        for d, loads in self._scan_cache()["loads"].items():
-            s = sum(loads)
-            if s:
-                total += fast_fraction(s, d)
-        return total
+        return fast_fraction(sum(self._scan_cache()["loads"]), self._cols.scale)
 
     def used_machines(self) -> list[int]:
         counts = self._scan_cache()["counts"]
         return [u for u in range(self.instance.m) if counts[u]]
 
     def rows(self) -> ScheduleRows:
-        """Bulk row projection at one common scale (see :class:`ScheduleRows`).
+        """Bulk row projection at the store's scale (see :class:`ScheduleRows`).
 
         Every sequence is a fresh plain int list the caller owns — a
         snapshot that later appends leave unchanged — and no
@@ -653,11 +604,8 @@ class Schedule:
         The wire encoder hands these lists to ``json.dumps`` as they are.
         """
         cols = self._cols
-        L, starts, lengths = cols.scaled()
-        if starts is cols.start_num:  # one denominator: the stored columns
-            starts, lengths = starts[:], lengths[:]
         return ScheduleRows(
-            cols.machine[:], starts, lengths, cols.cls[:], cols.job_idx[:], L
+            *(getattr(cols, name)[:] for name in cols._COL_NAMES), cols.scale
         )
 
     def job_pieces(self, job: JobRef) -> list[Placement]:
@@ -667,16 +615,13 @@ class Schedule:
     def job_total(self, job: JobRef) -> Time:
         """Scheduled processing amount of one job."""
         cols = self._cols
-        per_den: dict[int, int] = {}
         cls, idx = job.cls, job.idx
-        for c, ji, ln, d in zip(cols.cls, cols.job_idx, cols.length_num, cols.den):
-            if c == cls and ji == idx:
-                per_den[d] = per_den.get(d, 0) + ln
-        total = Fraction(0)
-        for d, v in per_den.items():
-            if v:
-                total += fast_fraction(v, d)
-        return total
+        v = sum(
+            ln
+            for c, ji, ln in zip(cols.cls, cols.job_idx, cols.length_num)
+            if c == cls and ji == idx
+        )
+        return fast_fraction(v, cols.scale)
 
     def setup_count(self, cls: int) -> int:
         """Setup multiplicity ``λ_i`` of class ``cls`` in this schedule."""

@@ -32,7 +32,7 @@ Two implementations coexist:
   one rational comparison at a time;
 * the **columnar** validator (:func:`validate_columns`) — one exact
   Python-int pass directly over a
-  :class:`~repro.core.schedule.ScheduleColumns` store at a common
+  :class:`~repro.core.schedule.ScheduleColumns` store at its one
   integer scale, exact at any magnitude.  Verdicts are
   **bit-identical** to the scalar validator: same accept/reject, same
   makespan, and on rejection the same ``reason`` tag and detail message
@@ -132,7 +132,6 @@ def validate_columns(
     validator has no corresponding rule — but a raw column store built
     by hand can.
     """
-    L, starts, lengths = cols.scaled()
     n = len(cols)
     mach = cols.machine
     if n and not 0 <= min(mach) <= max(mach) < instance.m:
@@ -141,7 +140,7 @@ def validate_columns(
             "bad-machine",
             f"machine {mach[k]} out of range [0, {instance.m}): row {k}",
         )
-    cmax = _validate_columns_py(instance, cols, L, starts, lengths, variant)
+    cmax = _validate_columns_py(instance, cols, variant)
     if makespan_bound is not None:
         bound = as_time(makespan_bound)
         if cmax > bound:
@@ -189,18 +188,18 @@ def _sanity_code(instance: Instance, cols: ScheduleColumns, k: int) -> int:
     c = cols.cls[k]
     if not 0 <= c < instance.c:
         return 2
-    d = cols.den[k]
+    scale = cols.scale
     ln = cols.length_num[k]
     idx = cols.job_idx[k]
     if idx < 0:  # setup
-        if ln != instance.setups[c] * d:
+        if ln != instance.setups[c] * scale:
             return 3
         return 0
     if idx >= instance.class_sizes[c]:
         return 4
     if ln <= 0:
         return 5
-    if ln > instance.jobs[c][idx] * d:
+    if ln > instance.jobs[c][idx] * scale:
         return 6
     return 0
 
@@ -244,10 +243,11 @@ def _raise_parallel(cols: ScheduleColumns, prev: int, cur: int) -> None:
 
 
 def _validate_columns_py(
-    instance: Instance, cols: ScheduleColumns, L, starts, lengths, variant: Variant
+    instance: Instance, cols: ScheduleColumns, variant: Variant
 ) -> Time:
     n = len(cols)
     m = instance.m
+    L, starts, lengths = cols.scale, cols.start_num, cols.length_num
     mach, jidx, clsa = cols.machine, cols.job_idx, cols.cls
 
     # Machine-major row order == the scalar validator's iter_all order.

@@ -8,7 +8,7 @@ protocol over the child's stdin/stdout pipes:
 
 * **Frames** are one little-endian ``uint64`` payload length, then one
   pickle **protocol 5** payload.  A result schedule crosses the pipe as
-  copies of its six plain int column lists
+  its scale and copies of its five plain int column lists
   (:meth:`~repro.core.schedule.ScheduleColumns.to_ipc`), which pickle
   encodes exactly at any magnitude.
 * **Requests** cross whole: every item carries the parent instance's

@@ -89,4 +89,15 @@ def full_job_schedule(inst: Instance, assignment: dict[int, list[JobRef]]) -> Sc
     return sched
 
 
+def mixed_denominator_schedule() -> Schedule:
+    """A hand-built splittable schedule of the ``tiny`` instance whose rows
+    are appended at denominators 1, 2 and 3 (common scale 6)."""
+    sched = Schedule(mk(2, (2, [3, 4]), (1, [2, 2, 2])))
+    sched.add_setup(0, 0, 0)
+    sched.add_piece(0, Fraction(2), JobRef(0, 0), Fraction(3, 2))
+    sched.add_piece(1, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
+    sched.add_piece(0, Fraction(5), JobRef(0, 1), Fraction(4, 3))
+    return sched
+
+
 J = JobRef  # shorthand in tests

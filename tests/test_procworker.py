@@ -10,7 +10,8 @@ These tests pin the layer down in isolation (no service on top):
   way a stream can end (clean EOF, truncation, corrupt length) maps to
   the documented ``None`` / :class:`EOFError` contract;
 * :class:`~repro.core.schedule.ScheduleColumns` survives
-  ``to_ipc``/``from_ipc`` bit-exactly at any magnitude;
+  ``to_ipc``/``from_ipc`` (its scale and five int lists) bit-exactly at
+  any magnitude;
 * request deadlines cross as remaining-time budgets read through the
   token's **own** clock, so injected test clocks propagate through the
   pipe;
@@ -171,6 +172,7 @@ class TestColumnsIpc:
         return cols
 
     def assert_same(self, got: ScheduleColumns, want: ScheduleColumns):
+        assert got.scale == want.scale
         for name in ScheduleColumns._COL_NAMES:
             assert list(getattr(got, name)) == list(getattr(want, name)), name
 
@@ -180,7 +182,8 @@ class TestColumnsIpc:
         cols = self.filled(rows)
         got = ScheduleColumns.from_ipc(round_trip(cols.to_ipc()))
         self.assert_same(got, cols)
-        assert got.start_num[-1] == huge  # exact at any magnitude
+        # exact at any magnitude: the den-1 row stored at scale 2
+        assert (got.scale, got.start_num[-1]) == (2, 2 * huge)
 
     def test_to_ipc_leaves_store_untouched(self):
         """``to_ipc`` ships fresh copies: the store keeps its int lists,
@@ -198,7 +201,7 @@ class TestColumnsIpc:
     @pytest.mark.parametrize("huge", [False, True], ids=["small", "beyond-int64"])
     def test_from_ipc_decodes_into_int_lists(self, huge):
         """The payload decodes into plain int lists that take appends and
-        keep ``dens`` in step with their values."""
+        keep the scale in step with their values."""
         rows = self.rows()
         if huge:
             rows.append((0, 1 << 70, 3, 1, 0, -1))
@@ -207,20 +210,20 @@ class TestColumnsIpc:
             col = getattr(got, name)
             assert type(col) is list, name
             assert all(type(v) is int for v in col), name
-        assert got.dens == frozenset({1, 2})
+        assert got.scale == 2
         got.append_scaled(2, 1, 1, 3, 1, 1)
         want = self.filled(rows + [(2, 1, 1, 3, 1, 1)])
         self.assert_same(got, want)
-        assert got.dens == want.dens
+        assert got.scale == want.scale == 6
 
     def test_malformed_payload_rejected(self):
-        six = [[0], [0], [1], [1], [0], [-1]]
-        for bad in (None, {}, {"mode": "i64", "cols": six}, tuple(six),
-                    six[:5], six + [[0]], six[:5] + [[-1, 0]],
-                    six[:5] + [b"\x00" * 8]):
+        good = [1, [0], [0], [1], [0], [-1]]
+        for bad in (None, {}, {"mode": "i64", "cols": good}, tuple(good),
+                    good[:5], good + [[0]], good[:5] + [[-1, 0]],
+                    good[:5] + [b"\x00" * 8], good[1:], [[1]] + good[1:]):
             with pytest.raises(ValueError, match="malformed"):
                 ScheduleColumns.from_ipc(bad)
-        assert len(ScheduleColumns.from_ipc(six)) == 1
+        assert len(ScheduleColumns.from_ipc(good)) == 1
 
 
 class TestDeadlineBudget:

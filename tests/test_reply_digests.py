@@ -15,7 +15,12 @@ digests pin the bytes themselves, for fixed requests:
   case-3a and case-3b fixtures of ``conftest`` at ``T = 20``, in both
   count modes (Algorithm 3's piece views);
 * ``response_line`` of ``three_halves`` and ``two`` for every variant on
-  one instance whose numbers exceed 62 bits.
+  one instance whose numbers exceed 62 bits;
+* ``response_line`` of three ``eps`` solves of the generator suites
+  whose rows are appended at several denominators (the fast kernel's
+  preemptive construction at 1, 2560 and 5120; the Fraction reference
+  tier at five and seven), and the wire encoding of a hand-built
+  schedule with rows at denominators 1, 2 and 3.
 
 A digest may change only with a deliberate change of the reply bytes.
 """
@@ -30,10 +35,15 @@ import pytest
 
 from repro import Instance, Variant, solve
 from repro.algos.pmtn_general import pmtn_dual_schedule
-from repro.generators import uniform_instance
+from repro.generators import SUITES, uniform_instance
 from repro.service.protocol import _schedule_obj, response_line
 
-from .conftest import accepted_3a_instance, general_case_instance, mk
+from .conftest import (
+    accepted_3a_instance,
+    general_case_instance,
+    mixed_denominator_schedule,
+    mk,
+)
 
 WARM_MS = (8, 16, 20)
 #: ``(m, variants)`` of the warm instance's trivial closed forms.
@@ -42,6 +52,13 @@ TRIVIAL = (
     (800, (Variant.NONPREEMPTIVE, Variant.PREEMPTIVE)),
 )
 HUGE = 1 << 63
+#: ``suite/<suite>/<label>/<variant>/<algorithm>/<kernel>`` solves whose
+#: rows are appended at several denominators.
+MULTI_DEN = (
+    "suite/adversarial/knapsack-critical/preemptive/eps/fast",
+    "suite/medium/bimodal-4/preemptive/eps/fraction",
+    "suite/medium/bimodal-0/splittable/eps/fraction",
+)
 
 
 def _warm(m: int) -> Instance:
@@ -68,9 +85,17 @@ def _reply(key: str) -> str:
         variant, *algorithm = rest
         result = solve(_huge(), Variant(variant), *algorithm, kernel="fast")
         return response_line(1, [result])
-    fixture, mode = rest
-    inst = {"3a": accepted_3a_instance, "3b": general_case_instance}[fixture]()
-    schedule = pmtn_dual_schedule(inst, Fraction(20), mode, kernel="fast")
+    if kind == "suite":
+        suite, label, variant, algorithm, kernel = rest
+        inst = dict(SUITES[suite]())[label]
+        result = solve(inst, Variant(variant), algorithm, kernel=kernel)
+        return response_line(1, [result])
+    if kind == "mixed":
+        schedule = mixed_denominator_schedule()
+    else:
+        fixture, mode = rest
+        inst = {"3a": accepted_3a_instance, "3b": general_case_instance}[fixture]()
+        schedule = pmtn_dual_schedule(inst, Fraction(20), mode, kernel="fast")
     return json.dumps(_schedule_obj(schedule), separators=(",", ":"))
 
 
@@ -141,6 +166,14 @@ DIGESTS = {
         "9f5bd12e5e3e27f5ab8a556003ec7ad8ad1abaffe607a52899fe7ce79b48d1ff",
     "huge/splittable/two":
         "861e95b4d4eabd65f66c092c07e7d5e750d4234e1da1ccd85f9093585da8f45e",
+    "suite/adversarial/knapsack-critical/preemptive/eps/fast":
+        "6d56c9e34a2b4eb2633da97da37217d873a3ade06ecaf27e6f3d87df6feb23c2",
+    "suite/medium/bimodal-4/preemptive/eps/fraction":
+        "85d10b48aec5309232f4d29c34c2f7828d9e475f1c171a524fa20e79a9e31f75",
+    "suite/medium/bimodal-0/splittable/eps/fraction":
+        "2c615701330c58c833a468e69b2ae22bac5c366681701a11a4ab30cfd8bb1bc7",
+    "mixed/1-2-3":
+        "be73695247190a77d266defd2fd7ab42a8f7c4504b2069dd66298137817f87dc",
 }
 
 
@@ -153,11 +186,22 @@ def test_digest_table_covers_every_request():
     keys += [f"huge/{v.value}" for v in Variant]
     keys += [f"huge/{v.value}/two" for v in Variant]
     keys += [f"warm/{m}/{v.value}/three_halves" for m, vs in TRIVIAL for v in vs]
+    keys += [*MULTI_DEN, "mixed/1-2-3"]
     assert sorted(DIGESTS) == sorted(keys)
 
 
 def test_huge_instance_exceeds_62_bits():
     assert _huge().delta.bit_length() > 62
+
+
+def test_mixed_denominator_aggregates():
+    sched = mixed_denominator_schedule()
+    assert sched.machine_load(0) == Fraction(29, 6)
+    assert sched.machine_load(1) == Fraction(3, 2)
+    assert sched.machine_end(0) == Fraction(19, 3)
+    assert sched.machine_end(1) == Fraction(5)
+    assert sched.total_load() == Fraction(19, 3)
+    assert sched.makespan() == Fraction(19, 3)
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS))

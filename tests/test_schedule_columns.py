@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pickle
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -192,15 +193,92 @@ class TestMixedDenominators:
         sched.add_piece(0, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
         sched.add_piece(0, Fraction(5), JobRef(0, 1), Fraction(4, 3))
         cols = sched.columns()
-        assert cols.dens == frozenset({1, 2, 3})
-        L, starts, lengths = cols.scaled()
-        assert L == 6
-        assert [Fraction(s, L) for s in starts] == [
+        assert cols.scale == 6
+        assert [Fraction(s, cols.scale) for s in cols.start_num] == [
             p.start for p in sched.iter_all()
+        ]
+        assert [Fraction(v, cols.scale) for v in cols.length_num] == [
+            p.length for p in sched.iter_all()
         ]
         assert sched.machine_end(0) == Fraction(19, 3)
         assert sched.machine_load(0) == 2 + 3 + Fraction(4, 3)
         assert sched.makespan() == Fraction(19, 3)
+
+    def test_scale_grows_to_lcm_in_place(self):
+        """The scale is the lcm of every ``den`` appended so far; a ``den``
+        that does not divide it rescales the stored rows in place."""
+        cols = ScheduleColumns()
+        assert cols.scale == 1
+        starts, lengths = cols.start_num, cols.length_num
+        cols.append_scaled(0, 1, 3, 4, 0, -1)  # [1/4, 1)
+        assert (cols.scale, starts, lengths) == (4, [1], [3])
+        cols.append_scaled(1, 1, 1, 6, 0, 0)  # [1/6, 1/3): scale 12
+        assert (cols.scale, starts, lengths) == (12, [3, 2], [9, 2])
+        cols.extend_scaled([1], [1], [2], 1, [0], [1])  # [1, 3): divides
+        assert (cols.scale, starts, lengths) == (12, [3, 2, 12], [9, 2, 24])
+        cols.extend_runs([(2, [1], [0], [-1])], 10)  # [0, 1/10): scale 60
+        assert (cols.scale, starts, lengths) == (
+            60, [15, 10, 60, 0], [45, 10, 120, 6]
+        )
+        assert cols.start_num is starts and cols.length_num is lengths
+        cols.extend_scaled([], [], [], 7, [], [])  # no rows: scale kept
+        cols.extend_runs([(0, [], [], [])], 7)  # counts its den anyway
+        assert cols.scale == 420
+        assert [Fraction(v, cols.scale) for v in cols.length_num] == [
+            Fraction(3, 4), Fraction(1, 6), 2, Fraction(1, 10)
+        ]
+
+
+class TestDenominatorBelowOne:
+    """Every append path refuses a ``den`` below 1 and leaves the store as
+    it was; ``from_ipc`` refuses a scale below 1."""
+
+    def filled(self) -> ScheduleColumns:
+        cols = ScheduleColumns()
+        cols.append_scaled(0, 0, 1, 1, 0, -1)
+        cols.append_scaled(0, 1, 5, 2, 0, 0)
+        return cols
+
+    def assert_untouched(self, cols: ScheduleColumns) -> None:
+        want = self.filled()
+        assert cols.scale == want.scale == 2
+        for name in ScheduleColumns._COL_NAMES:
+            assert getattr(cols, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_append_scaled(self, den):
+        cols = self.filled()
+        with pytest.raises(
+            ValueError, match=f"^denominator must be positive, got {den}$"
+        ):
+            cols.append_scaled(0, 3, 2, den, 0, 1)
+        self.assert_untouched(cols)
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_extend_scaled(self, den):
+        cols = self.filled()
+        with pytest.raises(
+            ValueError, match=f"^denominator must be positive, got {den}$"
+        ):
+            cols.extend_scaled([0], [3], [2], den, [0], [1])
+        self.assert_untouched(cols)
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_extend_runs(self, den):
+        cols = self.filled()
+        with pytest.raises(
+            ValueError, match=f"^denominator must be positive, got {den}$"
+        ):
+            cols.extend_runs([(1, [1, 2], [0, 0], [-1, 1])], den)
+        self.assert_untouched(cols)
+
+    @pytest.mark.parametrize("scale", [0, -1, True])
+    def test_from_ipc(self, scale):
+        payload = self.filled().to_ipc()
+        assert payload[0] == 2
+        self.assert_untouched(ScheduleColumns.from_ipc(payload))
+        with pytest.raises(ValueError, match="malformed"):
+            ScheduleColumns.from_ipc([scale, *payload[1:]])
 
 
 class TestRunsAdoption:
@@ -253,11 +331,12 @@ class TestRunsAdoption:
             assert getattr(bulk.columns(), name) == getattr(
                 one_by_one.columns(), name
             ), name
+        assert bulk.columns().scale == one_by_one.columns().scale == 2
         assert placements_key(bulk) == placements_key(one_by_one)
 
     def test_extend_runs_appends_after_existing_rows(self):
-        """Runs land after rows already in the store, at their own
-        denominator, and every aggregate covers both."""
+        """Runs land after rows already in the store, at a denominator
+        that grows the scale, and every aggregate covers both."""
         inst = mk(3, (2, [3, 4]), (1, [5]))
         sched = Schedule(inst)
         sched.add_setup(1, 0, 0)
@@ -265,7 +344,7 @@ class TestRunsAdoption:
         assert sched.machine_end(1) == Fraction(5, 2)  # warms the read caches
         sched.extend_runs(self._runs(), 2)
         assert sched.count_placements() == 7
-        assert sched.columns().dens == {1, 2}
+        assert sched.columns().scale == 2
         assert sched.used_machines() == [0, 1, 2]
         assert sched.machine_end(0) == Fraction(9, 2)
         assert sched.machine_end(1) == Fraction(5, 2)
@@ -351,7 +430,7 @@ class TestRunsAdoption:
         sched.add_job(0, 2, JobRef(0, 0))
         if len(dens) > 1:
             sched.add_piece(1, Fraction(5, 2), JobRef(0, 1), Fraction(7, 2))
-        assert sched.columns().dens == set(dens)
+        assert sched.columns().scale == lcm(*dens)
         rows = sched.rows()
         want = sched.rows()
         cols = sched.columns()
@@ -381,7 +460,7 @@ class TestSingleStore:
             col = getattr(cols, name)
             assert type(col) is list, name
             assert all(type(v) is int for v in col), name
-        assert cols.dens == set(cols.den)
+        assert type(cols.scale) is int and cols.scale >= 1
 
     @pytest.mark.parametrize("path", [
         "add", "add_scaled", "extend_runs", "extend_scaled",
@@ -433,7 +512,7 @@ class TestSingleStore:
             sched.add_piece(0, Fraction(2), JobRef(0, 0), Fraction(3, 2))
             sched.add_piece(1, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
             sched.add_piece(1, Fraction(5), JobRef(0, 1), Fraction(4, 3))
-            assert len(sched.columns().dens) == 3
+            assert sched.columns().scale == 6
         elif case in ("beyond-int64", "from-ipc-beyond-int64"):
             big = 1 << 70
             inst = Instance.build(2, [(big, [big, big]), (1, [2])])
@@ -445,13 +524,13 @@ class TestSingleStore:
         elif case == "empty-runs":
             sched = Schedule(inst)
             sched.extend_runs([(0, [], [], []), (3, (), (), ())], 5)
-            assert len(sched.columns()) == 0 and sched.columns().dens == {5}
+            assert len(sched.columns()) == 0 and sched.columns().scale == 5
         else:
             sched = solve(inst, Variant.SPLITTABLE).schedule
             if case == "from-ipc":
                 payload = pickle.loads(pickle.dumps(sched.columns().to_ipc(), 5))
                 sched = Schedule.from_columns(inst, ScheduleColumns.from_ipc(payload))
-            assert len(sched.columns().dens) == 1
+            assert sched.columns().scale == 2
         want = max(sched.machine_end(u) for u in range(inst.m))
         assert sched.makespan() == want
         if case == "empty-runs":

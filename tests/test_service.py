@@ -35,7 +35,7 @@ from repro.algos.batch_api import (
     sweep_machines,
 )
 from repro.core.bounds import Variant
-from repro.core.instance import Instance, JobRef
+from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.generators import medium_suite, small_exact_suite, uniform_instance
 from repro.service import (
@@ -71,7 +71,7 @@ from repro.service.procworker import (
 from repro.service.server import LINE_LIMIT
 from repro.service.shards import shard_index
 
-from .conftest import AGGREGATES
+from .conftest import AGGREGATES, mixed_denominator_schedule
 from .test_schedule_columns import SUITE_INSTANCES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -654,13 +654,9 @@ class TestProtocol:
             assert max(result.schedule.columns().length_num) >= 1 << 63
             assert_wire_bytes_pinned(monkeypatch, result)
 
-    def test_wire_bytes_pinned_on_mixed_denominators(self, tiny, monkeypatch):
-        sched = Schedule(tiny)
-        sched.add_setup(0, 0, 0)
-        sched.add_piece(0, Fraction(2), JobRef(0, 0), Fraction(3, 2))
-        sched.add_piece(1, Fraction(7, 2), JobRef(0, 0), Fraction(3, 2))
-        sched.add_piece(0, Fraction(5), JobRef(0, 1), Fraction(4, 3))
-        assert len(sched.columns().dens) == 3
+    def test_wire_bytes_pinned_on_mixed_denominators(self, monkeypatch):
+        sched = mixed_denominator_schedule()
+        assert sched.columns().scale == 6
         assert_wire_bytes_pinned(monkeypatch, SolveResult(
             schedule=sched, variant=Variant.SPLITTABLE, algorithm="two",
             T=Fraction(19, 3), ratio_bound=Fraction(2),

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import solve
-from repro.core import Instance, Variant, lower_bound, validate_schedule
+from repro.core import Instance, JobRef, Variant, lower_bound, validate_schedule
 from repro.algos.twoapprox import two_approx, two_approx_grouped, two_approx_splittable
 from repro.experiments.figures import fig7_instance
 
@@ -84,9 +84,20 @@ class TestGrouped2Approx:
             assert not items[-1].is_setup, f"machine {u} ends with a setup"
 
     def test_stream_ends_on_crossing_item(self):
-        # Tmin = max(N/m, s+tmax): craft so the very last job crosses.
-        inst = mk(2, (1, [6, 6, 1]))
-        res = two_approx_grouped(inst)
+        # T_min = max(N/m, s + tmax) = max(5/2, 3) = 3: the loads reach 3
+        # exactly before the last job, which then crosses T_min.
+        inst = mk(2, (1, [1, 1, 2]))
+        stages: dict = {}
+        res = two_approx_grouped(inst, stages_out=stages)
+        assert res.t_min == 3
+        phase1 = stages["phase1"]
+        assert phase1.used_machines() == [0]
+        last = phase1.items_on(0)[-1]
+        assert (last.job, last.start, last.end) == (JobRef(0, 2), 3, 5)
+        # phase 2 moves the crossing job, with a fresh setup, to machine 1
+        assert [
+            (p.job, p.start, p.end) for p in res.schedule.items_on(1)
+        ] == [(None, 0, 1), (JobRef(0, 2), 1, 3)]
         cmax = validate_schedule(res.schedule, Variant.NONPREEMPTIVE)
         assert cmax <= res.makespan_bound
 
@@ -141,7 +152,8 @@ def slow_next_fit(instance: Instance):
 
 
 def layout_rows(machines) -> list[tuple]:
-    """``(machine, start, length, den, cls, job_idx)`` rows of stacked machines."""
+    """``(machine, start, length, scale, cls, job_idx)`` rows of stacked
+    machines at scale 1."""
     rows = []
     for u, items in enumerate(machines):
         t = 0
@@ -152,11 +164,14 @@ def layout_rows(machines) -> list[tuple]:
 
 
 def column_rows(schedule) -> list[tuple]:
-    """The schedule's column store, row by row."""
+    """The schedule's column store, row by row, each with the store's scale."""
     cols = schedule.columns()
-    return list(zip(
-        cols.machine, cols.start_num, cols.length_num, cols.den, cols.cls, cols.job_idx
-    ))
+    return [
+        (u, sn, ln, cols.scale, c, ji)
+        for u, sn, ln, c, ji in zip(
+            cols.machine, cols.start_num, cols.length_num, cols.cls, cols.job_idx
+        )
+    ]
 
 
 #: Figure 7's layouts, ``(machine, start, length, cls, job_idx)`` per row
